@@ -12,14 +12,20 @@
 //! 2. Uniformly scaling every link bandwidth by `k` (with latencies at
 //!    zero) scales every transfer span by exactly `1/k` whenever the
 //!    canonical schedule keeps its structure.
-//! 3. Disabling optimistic device-to-device forwarding never changes the
+//! 3. The disjoint union of `k` copies of a DAG scales the link-LP and
+//!    compute components of the lower bound by `k` and leaves the critical
+//!    path alone.
+//! 4. Disabling optimistic device-to-device forwarding never changes the
 //!    computed values and never deadlocks a waiter on an in-flight
 //!    transfer: every explored schedule drains and passes the oracle.
 
 use xk_bench::graphgen::{build_random_dag, build_random_dag_placed, RandomDagSpec};
 use xk_check::topo_util::{scaled_bandwidth, DGX1_AUTOMORPHISMS};
 use xk_check::{explore_random, replay};
-use xk_runtime::{link_attribution, makespan_lower_bound, Heuristics, RuntimeConfig, SchedulerKind};
+use xk_runtime::{
+    link_attribution, makespan_lower_bound, HandleId, Heuristics, RuntimeConfig, SchedulerKind,
+    TaskAccess, TaskGraph, TaskKind, TaskLabel,
+};
 use xk_topo::{bw, dgx1, FabricBuilder, FabricSpec, LinkClass};
 
 fn device_spec() -> RandomDagSpec {
@@ -176,6 +182,91 @@ fn uniform_bandwidth_scaling_scales_the_lp_bound_inversely() {
                 base.compute.to_bits(),
                 "seed {seed} k={k}: compute bound moved with bandwidth",
             );
+        }
+    }
+}
+
+/// `k` independent copies of `base` in one graph, submitted copy by copy.
+fn disjoint_union(base: &TaskGraph, k: usize) -> TaskGraph {
+    let mut g = TaskGraph::new();
+    for _ in 0..k {
+        let offset = g.data().len();
+        for (_, info) in base.data().iter() {
+            g.add_data(info.clone());
+        }
+        let shifted = |h: HandleId| HandleId(h.0 + offset);
+        for task in base.tasks() {
+            match task.kind {
+                TaskKind::Kernel => {
+                    let accesses: Vec<TaskAccess> = task
+                        .accesses
+                        .iter()
+                        .map(|a| TaskAccess {
+                            handle: shifted(a.handle),
+                            access: a.access,
+                        })
+                        .collect();
+                    g.add_task(
+                        task.op.expect("kernel tasks carry an op"),
+                        accesses,
+                        TaskLabel::None,
+                    );
+                }
+                TaskKind::Flush => {
+                    let handles: Vec<HandleId> = task.read_handles().map(shifted).collect();
+                    g.add_flush(&handles, TaskLabel::None);
+                }
+            }
+        }
+    }
+    g
+}
+
+#[test]
+fn disjoint_copies_scale_the_lp_and_compute_bounds_by_k() {
+    // k copies of a DAG carry k times the tiles of every (direction, size,
+    // pitch) class — exactly the counts the class LP multiplies its engine
+    // coefficients by — and k times the kernel seconds, while no dependency
+    // chain gets longer.
+    let cfg = RuntimeConfig::default();
+    for topo in xk_topo::fabrics::gallery() {
+        for (seed, on_device, tile_bytes) in [
+            (1u64, None, 1u64 << 20),
+            (7, None, 8 << 20),
+            (12, Some(topo.n_gpus()), 2 << 20),
+        ] {
+            let spec = RandomDagSpec {
+                on_device,
+                tile_bytes,
+                flush: true,
+                ..RandomDagSpec::default()
+            };
+            let g = build_random_dag(seed, &spec);
+            let base = makespan_lower_bound(&g, &topo, &cfg);
+            assert!(
+                base.link_lp > 0.0,
+                "{} seed {seed}: no mandatory bytes",
+                topo.name()
+            );
+            for k in [2usize, 3] {
+                let b = makespan_lower_bound(&disjoint_union(&g, k), &topo, &cfg);
+                for (what, got, want) in [
+                    ("link_lp", b.link_lp, base.link_lp * k as f64),
+                    ("compute", b.compute, base.compute * k as f64),
+                ] {
+                    assert!(
+                        (got - want).abs() <= 1e-9 * want,
+                        "{} seed {seed} k={k}: {what} {got} !~ {k} x base = {want}",
+                        topo.name(),
+                    );
+                }
+                assert_eq!(
+                    b.critical_path.to_bits(),
+                    base.critical_path.to_bits(),
+                    "{} seed {seed} k={k}: critical path moved",
+                    topo.name(),
+                );
+            }
         }
     }
 }

@@ -9,13 +9,21 @@
 //! leaving choice makes cycling impossible, so the iteration cap is a
 //! backstop against NaN poisoning, not a convergence knob.
 //!
-//! Scale notes: the consumers build LPs with a few hundred rows and at
-//! most a few thousand columns, where dense `O(m·n)` pricing per pivot is
-//! faster than any sparse cleverness would be. Feasibility and optimality
-//! use the same absolute tolerance ([`DEFAULT_TOL`], `1e-9`), chosen to
-//! sit far above f64 noise for second-scale makespans and byte-fraction
-//! variables in `[0, 1]` — callers are expected to scale their variables
-//! into that neighbourhood (the bound builder does).
+//! Scale notes: the basis inverse and the constraint matrix are dense, so
+//! memory is `O(m·(m+n))` and every pivot `O(m·n)` — the right trade only
+//! up to a few hundred rows and columns. Keeping an instance that small
+//! is the caller's job: the bound builder has one column per (tile class,
+//! GPU), not per tile, so its LPs do not grow with the matrix size.
+//! Feasibility and optimality use the same absolute tolerance
+//! ([`DEFAULT_TOL`], `1e-9`), chosen to sit far above f64 noise for
+//! second-scale makespans and byte-fraction variables in `[0, 1]` —
+//! callers are expected to scale their variables into that neighbourhood
+//! (the bound builder does). Being absolute, it also sets a floor on
+//! usable coefficients: with transfer times below about a microsecond
+//! beside millisecond ones (a 4 KiB tile next to a 32 MiB one, in seconds)
+//! the link LP has been seen to stop above its analytic optimum, which
+//! the same program rescaled to milliseconds reaches exactly. From 16 KiB
+//! tiles up the per-tile and per-class link LPs agree to 1e-9.
 
 /// Default feasibility/optimality tolerance.
 pub const DEFAULT_TOL: f64 = 1e-9;

@@ -2,7 +2,7 @@
 //! end-to-end through the public API on the simulated DGX-1, plus numeric
 //! round trips through the full stack.
 
-use xkblas_repro::baselines::{run, Library, RunError, RunParams, XkVariant};
+use xkblas_repro::baselines::{build_run_graph, run, Library, RunError, RunParams, XkVariant};
 use xkblas_repro::bench::{
     best_tile_run, run_chameleon_composition, run_xkblas_composition,
 };
@@ -232,6 +232,27 @@ fn full_stack_determinism() {
     assert_eq!(a.bytes_h2d, b.bytes_h2d);
     assert_eq!(a.bytes_p2p, b.bytes_p2p);
     assert_eq!(a.trace.len(), b.trace.len());
+}
+
+/// The lower bound at the paper's largest cell: GEMM N = 49152, tile 1024
+/// has 9216 mandatory transfers (6912 H2D + 2304 D2H), yet the link LP is
+/// built over their few tile classes, so it stays a handful of pivots.
+#[test]
+fn lower_bound_is_affordable_at_paper_scale() {
+    let topo = dgx1();
+    let cfg = XkVariant::Full.runtime_config();
+    let graph = build_run_graph(&topo, &params(Routine::Gemm, 49152, 1024), &cfg, false);
+    let run = SimSession::on(&topo).config(cfg).run_bounded(&graph);
+    let bound = run.lower_bound().expect("a bounded run carries its bound");
+    let makespan = run.outcome().makespan;
+    assert!(
+        bound.total > 0.0 && bound.total <= makespan * (1.0 + 1e-9),
+        "bound {bound:?} vs makespan {makespan}"
+    );
+    assert!(
+        bound.link_lp > 0.0 && bound.lp_iterations < 200,
+        "{bound:?}"
+    );
 }
 
 /// Numeric execution is independent of tile size and thread count.
