@@ -144,6 +144,24 @@ pub struct RunParams {
     pub data_on_device: bool,
 }
 
+impl RunParams {
+    /// Rejects a request that describes no run (`n == 0` or `tile == 0`).
+    /// Parameters arrive from planner queries, so this is the boundary
+    /// check: past it the tile arithmetic of every model may divide by
+    /// `tile` and the throughput by the flop count. [`run`] applies it;
+    /// call it before [`build_run_graph`] / [`run_prepped`], which assume
+    /// checked parameters.
+    pub fn validate(&self) -> Result<(), RunError> {
+        if self.n == 0 || self.tile == 0 {
+            return Err(RunError::InvalidParams {
+                n: self.n,
+                tile: self.tile,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Outcome of one simulated run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -167,6 +185,7 @@ pub struct RunResult {
 
 /// Runs `lib` on `topo` with `params`.
 pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunResult, RunError> {
+    params.validate()?;
     if !lib.supports(params.routine) {
         return Err(RunError::Unsupported);
     }
@@ -333,6 +352,30 @@ mod tests {
             data_on_device: false,
         };
         assert!(matches!(run(Library::Dplasma, &topo, &p), Err(RunError::Unsupported)));
+    }
+
+    #[test]
+    fn zero_dimension_or_tile_is_an_error_on_every_library() {
+        let topo = xk_topo::dgx1();
+        let all = Library::FIG5.iter().copied().chain([
+            Library::XkBlas(XkVariant::NoHeuristic),
+            Library::XkBlas(XkVariant::NoHeuristicNoTopo),
+        ]);
+        for lib in all {
+            for (n, tile) in [(0, 1024), (4096, 0), (0, 0)] {
+                let p = RunParams {
+                    routine: Routine::Gemm,
+                    n,
+                    tile,
+                    data_on_device: false,
+                };
+                assert_eq!(
+                    run(lib, &topo, &p).err(),
+                    Some(RunError::InvalidParams { n, tile }),
+                    "{lib:?} n={n} tile={tile}"
+                );
+            }
+        }
     }
 
     #[test]

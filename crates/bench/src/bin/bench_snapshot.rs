@@ -696,7 +696,7 @@ fn main() {
         "optimality": optimality,
         "run_cache": {
             "entries": cache.len(),
-            "shards": cache.sharded().n_shards(),
+            "shards": cache.n_shards(),
             "hits": stats.hits,
             "coalesced": stats.coalesced,
             "misses": stats.misses,

@@ -3,8 +3,9 @@
 //! tests can drive the same code.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use xk_baselines::{run, Library, RunParams, XkVariant};
+use xk_baselines::{Library, RunParams, XkVariant};
 use xk_kernels::Routine;
 use xk_runtime::{ObsReport, SimSession};
 use xk_topo::{dgx1, FabricSpec, DGX1_TABLE1};
@@ -13,7 +14,7 @@ use xk_trace::SpanKind;
 use crate::composition::{run_chameleon_composition, run_xkblas_composition};
 use crate::report::{fmt_tflops, Table};
 use crate::runcache;
-use crate::sweep::{best_tile_run_with, sweep_series_par};
+use crate::sweep::{best_tile_run_with, run_point, sweep_series_par};
 
 /// The process-wide cache, unless `run_all --serial` disabled it.
 fn cache() -> Option<&'static runcache::RunCache> {
@@ -27,7 +28,7 @@ fn best(
     routine: Routine,
     n: usize,
     data_on_device: bool,
-) -> Result<(usize, xk_baselines::RunResult), xk_baselines::RunError> {
+) -> Result<(usize, Arc<xk_baselines::RunResult>), xk_baselines::RunError> {
     best_tile_run_with(lib, topo, routine, n, data_on_device, cache(), true)
 }
 
@@ -211,11 +212,8 @@ pub fn fig4_data_on_device(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, T
                     tile,
                     data_on_device: true,
                 };
-                let r = match cache() {
-                    Some(c) => c.run(Library::XkBlas(XkVariant::Full), topo, &params),
-                    None => run(Library::XkBlas(XkVariant::Full), topo, &params),
-                }
-                .expect("xkblas dod runs");
+                let r = run_point(Library::XkBlas(XkVariant::Full), topo, &params, cache())
+                    .expect("xkblas dod runs");
                 dod_row.push(format!("{:.2}", r.tflops));
             }
             t.row(dod_row);

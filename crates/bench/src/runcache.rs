@@ -6,78 +6,22 @@
 //! winners. Every simulation is deterministic in its inputs, so a run is
 //! fully identified by `(library, routine, n, tile, data_on_device,
 //! topology fingerprint)` — the [`RunCache`] maps that key to the finished
-//! [`RunResult`] and never simulates the same configuration twice.
+//! [`xk_baselines::RunResult`] and never simulates the same configuration
+//! twice.
 //!
-//! Since PR 8 the storage is `xk-serve`'s lock-striped, single-flight
-//! [`ShardedCache`] (the same exact tier the planner service uses):
-//! lookups of different configuration families take different locks, and
-//! concurrent misses of the *same* key coalesce onto one leader's DES run
-//! instead of simulating twice. [`CacheStats::coalesced`] counts those
-//! parked lookups separately from plain hits and misses.
+//! The table is `xk-serve`'s lock-striped, single-flight [`ShardedCache`]
+//! itself (the same exact tier the planner service uses; `RunCache` is its
+//! name on this side): lookups of different configuration families take
+//! different locks, concurrent misses of the *same* key coalesce onto one
+//! leader's DES run instead of simulating twice, and every lookup shares
+//! the one `Arc<RunResult>` the leader stored — the figure drivers read a
+//! memoized trace, they never copy it. [`CacheStats::coalesced`] counts
+//! the parked lookups separately from plain hits and misses.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use xk_baselines::{run, Library, RunError, RunParams, RunResult};
-use xk_topo::FabricSpec;
-
-pub use xk_serve::{CacheStats, QueryKey as RunKey, ShardedCache};
-
-/// A thread-safe, lock-striped memo table over [`xk_baselines::run`] with
-/// single-flight admission: exactly one concurrent caller per key
-/// simulates, the rest park and observe the leader's bit-identical result.
-#[derive(Debug, Default)]
-pub struct RunCache {
-    inner: ShardedCache,
-}
-
-impl RunCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        RunCache::default()
-    }
-
-    /// Runs `lib` with `params` on `topo`, returning the memoized outcome
-    /// when this exact configuration was simulated before (or is being
-    /// simulated right now by another thread).
-    pub fn run(
-        &self,
-        lib: Library,
-        topo: &FabricSpec,
-        params: &RunParams,
-    ) -> Result<RunResult, RunError> {
-        let key = RunKey::new(lib, topo, params);
-        self.inner
-            .get_or_compute(key, || run(lib, topo, params))
-            .0
-    }
-
-    /// The underlying sharded cache (shard spread diagnostics, and the
-    /// engine-level admission API).
-    pub fn sharded(&self) -> &ShardedCache {
-        &self.inner
-    }
-
-    /// Current hit/coalesce/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Number of memoized configurations.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Drops every memoized run and resets the counters.
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
+pub use xk_serve::{CacheStats, QueryKey as RunKey, ShardedCache, ShardedCache as RunCache};
 
 static GLOBAL: OnceLock<RunCache> = OnceLock::new();
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(true);
@@ -105,6 +49,7 @@ pub fn global_if_enabled() -> Option<&'static RunCache> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xk_baselines::{Library, RunError, RunParams};
     use xk_kernels::Routine;
     use xk_topo::dgx1;
 
@@ -124,8 +69,10 @@ mod tests {
         let lib = Library::CublasXt;
         let a = cache.run(lib, &topo, &params(4096, 2048)).unwrap();
         let b = cache.run(lib, &topo, &params(4096, 2048)).unwrap();
-        assert_eq!(a.tflops.to_bits(), b.tflops.to_bits());
-        assert_eq!(a.bytes_h2d, b.bytes_h2d);
+        assert!(
+            std::sync::Arc::ptr_eq(&a, &b),
+            "a hit shares the memoized run"
+        );
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);

@@ -6,9 +6,12 @@
 //! serial [`sweep_series`]: candidate results are collected in candidate
 //! order and reduced by the same strict-`>` fold the serial loop uses.
 
+use std::sync::Arc;
+
 use rayon::prelude::*;
 use xk_baselines::{run, Library, RunError, RunParams, RunResult};
 use xk_kernels::Routine;
+use xk_serve::RunOutcome;
 use xk_topo::FabricSpec;
 
 use crate::runcache::RunCache;
@@ -29,20 +32,22 @@ pub struct SeriesPoint {
     /// Achieved TFlop/s (None when the library errors at this point, e.g.
     /// BLASX out-of-memory above N = 45000).
     pub tflops: Option<f64>,
-    /// The run with the winning tile (None on error).
-    pub result: Option<RunResult>,
+    /// The run with the winning tile, shared with the memo cache when one
+    /// was used (None on error).
+    pub result: Option<Arc<RunResult>>,
 }
 
-/// One run, through the memo cache when one is given.
-fn run_point(
+/// One run, through the memo cache when one is given (the answer is the
+/// cache's own copy); an uncached run is wrapped once, here.
+pub(crate) fn run_point(
     lib: Library,
     topo: &FabricSpec,
     params: &RunParams,
     cache: Option<&RunCache>,
-) -> Result<RunResult, RunError> {
+) -> RunOutcome {
     match cache {
         Some(c) => c.run(lib, topo, params),
-        None => run(lib, topo, params),
+        None => run(lib, topo, params).map(Arc::new),
     }
 }
 
@@ -59,10 +64,8 @@ fn more_informative(seen: Option<RunError>, new: RunError) -> Option<RunError> {
 /// Reduces candidate outcomes (in candidate order) to the winning
 /// `(tile, result)`. The strict `>` keeps the first tile on ties, exactly
 /// like the serial loop, so serial and parallel evaluation agree bitwise.
-fn fold_best(
-    outcomes: Vec<(usize, Result<RunResult, RunError>)>,
-) -> Result<(usize, RunResult), RunError> {
-    let mut best: Option<(usize, RunResult)> = None;
+fn fold_best(outcomes: Vec<(usize, RunOutcome)>) -> Result<(usize, Arc<RunResult>), RunError> {
+    let mut best: Option<(usize, Arc<RunResult>)> = None;
     let mut err: Option<RunError> = None;
     for (tile, outcome) in outcomes {
         match outcome {
@@ -91,7 +94,7 @@ pub fn best_tile_run_with(
     data_on_device: bool,
     cache: Option<&RunCache>,
     parallel: bool,
-) -> Result<(usize, RunResult), RunError> {
+) -> Result<(usize, Arc<RunResult>), RunError> {
     let params = |tile: usize| RunParams {
         routine,
         n,
@@ -110,7 +113,7 @@ pub fn best_tile_run_with(
         let tile = n.max(1);
         return run_point(lib, topo, &params(tile), cache).map(|r| (tile, r));
     }
-    let outcomes: Vec<(usize, Result<RunResult, RunError>)> = if parallel {
+    let outcomes: Vec<(usize, RunOutcome)> = if parallel {
         candidates
             .par_iter()
             .map(|&tile| (tile, run_point(lib, topo, &params(tile), cache)))
@@ -137,7 +140,7 @@ pub fn best_tile_run_batch(
     data_on_device: bool,
     cache: Option<&RunCache>,
     threads: usize,
-) -> Result<(usize, RunResult), RunError> {
+) -> Result<(usize, Arc<RunResult>), RunError> {
     let params = |tile: usize| RunParams {
         routine,
         n,
@@ -154,11 +157,10 @@ pub fn best_tile_run_batch(
         let tile = n.max(1);
         return run_point(lib, topo, &params(tile), cache).map(|r| (tile, r));
     }
-    let outcomes: Vec<(usize, Result<RunResult, RunError>)> =
-        xk_sim::run_replicas(candidates.len(), threads, |i| {
-            let tile = candidates[i];
-            (tile, run_point(lib, topo, &params(tile), cache))
-        });
+    let outcomes: Vec<(usize, RunOutcome)> = xk_sim::run_replicas(candidates.len(), threads, |i| {
+        let tile = candidates[i];
+        (tile, run_point(lib, topo, &params(tile), cache))
+    });
     fold_best(outcomes)
 }
 
@@ -170,11 +172,11 @@ pub fn best_tile_run(
     routine: Routine,
     n: usize,
     data_on_device: bool,
-) -> Result<(usize, RunResult), RunError> {
+) -> Result<(usize, Arc<RunResult>), RunError> {
     best_tile_run_with(lib, topo, routine, n, data_on_device, None, false)
 }
 
-fn to_point(n: usize, outcome: Result<(usize, RunResult), RunError>) -> SeriesPoint {
+fn to_point(n: usize, outcome: Result<(usize, Arc<RunResult>), RunError>) -> SeriesPoint {
     match outcome {
         Ok((tile, r)) => SeriesPoint {
             n,

@@ -127,5 +127,5 @@ fn traces_identical_serial_vs_parallel_and_cached() {
     let (_, cached) =
         best_tile_run_with(lib, &topo, Routine::Gemm, 4096, false, Some(&cache), true).unwrap();
     assert!(cache.stats().hits > 0, "second evaluation must hit the memo");
-    assert_traces_identical(&par.trace, &cached.trace);
+    assert!(std::sync::Arc::ptr_eq(&par, &cached), "shared, not copied");
 }

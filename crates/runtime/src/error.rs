@@ -15,6 +15,13 @@ use std::sync::Arc;
 pub enum Error {
     /// The library does not implement this routine on GPUs.
     Unsupported,
+    /// The request describes no run: a zero dimension or a zero tile.
+    InvalidParams {
+        /// The requested matrix dimension.
+        n: usize,
+        /// The requested tile size.
+        tile: usize,
+    },
     /// The library's allocator fails at this size (BLASX above N = 45000,
     /// §IV-D / Fig. 5 caption).
     OutOfMemory,
@@ -31,8 +38,9 @@ pub enum Error {
     Io {
         /// What was being done, usually the file path involved.
         context: String,
-        /// The underlying error. `Arc`-wrapped so run results stay
-        /// cheaply cloneable (the run cache clones outcomes on every hit).
+        /// The underlying error. `Arc`-wrapped so the error stays `Clone`
+        /// (`io::Error` is not): the run cache memoises outcomes and hands
+        /// the `Err` side out by value.
         source: Arc<std::io::Error>,
     },
 }
@@ -52,11 +60,14 @@ impl Error {
     fn rank(&self) -> u8 {
         match self {
             Error::Unsupported => 0,
-            Error::OutOfMemory => 1,
+            // A malformed request names its own defect, but says nothing
+            // about the platform.
+            Error::InvalidParams { .. } => 1,
+            Error::OutOfMemory => 2,
             // A hardware fault explains more than a capacity limit but less
             // than a broken harness.
-            Error::LinkDown { .. } => 2,
-            Error::Io { .. } => 3,
+            Error::LinkDown { .. } => 3,
+            Error::Io { .. } => 4,
         }
     }
 
@@ -79,6 +90,10 @@ impl PartialEq for Error {
             (Error::Unsupported, Error::Unsupported) => true,
             (Error::OutOfMemory, Error::OutOfMemory) => true,
             (
+                Error::InvalidParams { n: na, tile: ta },
+                Error::InvalidParams { n: nb, tile: tb },
+            ) => na == nb && ta == tb,
+            (
                 Error::LinkDown { src: sa, dst: da },
                 Error::LinkDown { src: sb, dst: db },
             ) => sa == sb && da == db,
@@ -100,6 +115,12 @@ impl std::fmt::Display for Error {
         match self {
             Error::Unsupported => write!(f, "routine not implemented by this library"),
             Error::OutOfMemory => write!(f, "memory allocation error"),
+            Error::InvalidParams { n, tile } => {
+                write!(
+                    f,
+                    "invalid run parameters: n = {n}, tile = {tile} (both must be positive)"
+                )
+            }
             Error::LinkDown { src, dst } => {
                 write!(f, "link gpu{src} -> gpu{dst} failed during transfer")
             }
@@ -149,6 +170,15 @@ mod tests {
             Error::OutOfMemory.most_informative(io_err.clone()),
             io_err
         );
+        // A malformed request beats the catch-all, not a resource failure.
+        let bad = Error::InvalidParams { n: 4096, tile: 0 };
+        assert_eq!(bad.clone().most_informative(Error::Unsupported), bad);
+        assert_eq!(
+            bad.clone().most_informative(Error::OutOfMemory),
+            Error::OutOfMemory
+        );
+        assert_ne!(bad, Error::InvalidParams { n: 0, tile: 4096 });
+        assert!(bad.to_string().contains("tile = 0"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! 1. **Exact tier** — the sharded single-flight cache ([`ShardedCache`]):
 //!    resident answers return immediately, identical in-flight misses
-//!    coalesce onto one DES run.
+//!    coalesce onto one DES run, and every answer shares the cached run
+//!    (`Arc<RunResult>`) instead of copying its trace.
 //! 2. **Interpolation tier** — when the caller passes a tolerance
 //!    ([`QueryMode::Approx`]), an in-range query is answered from the
 //!    family's GFLOP/s-vs-N fit without touching the DES at all.
@@ -110,9 +111,10 @@ pub struct Answer {
     /// How the answer was produced. [`AnswerSource::Interpolated`] answers
     /// are approximate within the query's tolerance contract.
     pub source: AnswerSource,
-    /// The full exact run (trace, byte counters, observability) — `None`
-    /// for interpolated answers, which never touch the DES.
-    pub exact: Option<RunResult>,
+    /// The full exact run (trace, byte counters, observability), shared
+    /// with the cache and every other answer for this key — `None` for
+    /// interpolated answers, which never touch the DES.
+    pub exact: Option<Arc<RunResult>>,
 }
 
 /// Monotonic engine counters.
@@ -146,7 +148,7 @@ fn params_of(key: &QueryKey) -> RunParams {
     }
 }
 
-fn answer_from_exact(key: QueryKey, result: RunResult, source: Source) -> Answer {
+fn answer_from_exact(key: QueryKey, result: Arc<RunResult>, source: Source) -> Answer {
     Answer {
         key,
         seconds: result.seconds,
@@ -303,7 +305,9 @@ impl ServeEngine {
             HashMap::new();
         let mut solos: Vec<(QueryKey, LeadGuard<'_>)> = Vec::new();
         for (key, guard) in leads {
-            if matches!(key.library, Library::XkBlas(_)) {
+            // Only checked parameters may reach `build_run_graph`; a
+            // malformed key goes solo, where `run` reports the error.
+            if matches!(key.library, Library::XkBlas(_)) && params_of(&key).validate().is_ok() {
                 groups
                     .entry((key.routine as u8, key.n, key.tile, key.data_on_device))
                     .or_default()

@@ -8,9 +8,9 @@
 //!
 //! * [`ShardedCache`] — a lock-striped memo table over simulated runs with
 //!   **single-flight admission**: N concurrent misses of one key cost one
-//!   DES run, and every caller observes the same (bit-identical) result.
-//!   `xk-bench`'s `RunCache` is now a thin wrapper over this type, so the
-//!   figure drivers and the service share one exact tier.
+//!   DES run, and every caller shares the leader's `Arc<RunResult>` — a
+//!   hit copies a pointer, never a trace. `xk-bench`'s `RunCache` is this
+//!   type, so the figure drivers and the service share one exact tier.
 //! * [`ServeEngine`] — the two-tier front end: exact answers through the
 //!   cache, and (for [`QueryMode::Approx`] queries) an interpolation fast
 //!   tier that fits GFLOP/s-vs-N per configuration family and answers

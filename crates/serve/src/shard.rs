@@ -1,9 +1,8 @@
 //! Lock-striped concurrent run cache with single-flight admission.
 //!
-//! The PR 1 `RunCache` kept every memoized run behind one `Mutex<HashMap>`;
-//! that is correct but serializes every lookup of a high-rate query front
-//! end, and concurrent misses of the *same* key each paid a full DES run.
-//! [`ShardedCache`] fixes both:
+//! One `Mutex<HashMap>` over every memoized run is correct but serializes
+//! every lookup of a high-rate query front end, and concurrent misses of
+//! the *same* key each pay a full DES run. [`ShardedCache`] fixes both:
 //!
 //! * **Lock striping** — the table is split over [`ShardedCache::n_shards`]
 //!   independent mutexes, indexed by [`QueryKey::shard_hash`] (topology
@@ -15,6 +14,11 @@
 //!   the leader's [`Flight`] and observe the leader's exact result
 //!   (bit-identical: the result object is shared, not recomputed). A
 //!   thundering herd of N identical queries costs one DES run.
+//! * **One replica, many readers** — a finished run is wrapped in an `Arc`
+//!   once, when its leader fills the slot, and never copied again: the
+//!   slot, the flight and every answer hold the same allocation, so a hit
+//!   is a lock, a probe and a reference-count bump however many thousand
+//!   spans the run's trace holds.
 //!
 //! The stats distinguish the three outcomes — [`CacheStats::hits`] (answer
 //! was resident), [`CacheStats::coalesced`] (parked on an in-flight
@@ -25,12 +29,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use xk_baselines::{RunError, RunResult};
+use xk_baselines::{run, Library, RunError, RunParams, RunResult};
+use xk_topo::FabricSpec;
 
 use crate::key::QueryKey;
 
-/// The cached value: a finished run or its memoized error.
-pub type RunOutcome = Result<RunResult, RunError>;
+/// The cached value: the one shared copy of a finished run, or its
+/// memoized error.
+pub type RunOutcome = Result<Arc<RunResult>, RunError>;
 
 /// How a lookup was answered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -149,8 +155,14 @@ impl LeadGuard<'_> {
     }
 
     /// Publishes the computed outcome: the entry becomes resident and
-    /// every parked waiter observes exactly this value.
-    pub fn fill(mut self, outcome: RunOutcome) -> RunOutcome {
+    /// every parked waiter observes exactly this value. This is the one
+    /// place a run is moved to the heap (trimmed of the slack its trace
+    /// grew with, since it now stays); everything after shares it.
+    pub fn fill(mut self, outcome: Result<RunResult, RunError>) -> RunOutcome {
+        let outcome = outcome.map(|mut run| {
+            run.trace.compact();
+            Arc::new(run)
+        });
         self.filled = true;
         let shard = self.cache.shard(&self.key);
         shard
@@ -263,7 +275,7 @@ impl ShardedCache {
     pub fn get_or_compute(
         &self,
         key: QueryKey,
-        compute: impl FnOnce() -> RunOutcome,
+        compute: impl FnOnce() -> Result<RunResult, RunError>,
     ) -> (RunOutcome, Source) {
         let mut compute = Some(compute);
         loop {
@@ -287,6 +299,15 @@ impl ShardedCache {
                 }
             }
         }
+    }
+
+    /// Runs `lib` with `params` on `topo` through the cache: the memoized
+    /// outcome when this exact configuration was simulated before (or is
+    /// being simulated right now by another thread), a led
+    /// [`xk_baselines::run`] otherwise.
+    pub fn run(&self, lib: Library, topo: &FabricSpec, params: &RunParams) -> RunOutcome {
+        let key = QueryKey::new(lib, topo, params);
+        self.get_or_compute(key, || run(lib, topo, params)).0
     }
 
     /// Peeks for a resident entry without claiming leadership and without
@@ -356,7 +377,6 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xk_baselines::{Library, RunParams};
     use xk_kernels::Routine;
     use xk_topo::dgx1;
 
@@ -373,7 +393,7 @@ mod tests {
         )
     }
 
-    fn fake(seconds: f64) -> RunOutcome {
+    fn fake(seconds: f64) -> Result<RunResult, RunError> {
         Ok(RunResult {
             seconds,
             tflops: 1.0 / seconds,
@@ -392,9 +412,9 @@ mod tests {
         let (b, s2) = cache.get_or_compute(key(4096), || panic!("must not recompute"));
         assert_eq!(s1, Source::Miss);
         assert_eq!(s2, Source::Hit);
-        assert_eq!(
-            a.unwrap().seconds.to_bits(),
-            b.unwrap().seconds.to_bits()
+        assert!(
+            Arc::ptr_eq(&a.unwrap(), &b.unwrap()),
+            "a hit shares the run"
         );
         assert_eq!(
             cache.stats(),

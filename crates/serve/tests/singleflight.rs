@@ -1,9 +1,9 @@
 //! Single-flight admission, shard spread, and batched query execution.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
-use xk_baselines::{run, Library, RunParams, XkVariant};
+use xk_baselines::{run, Library, RunParams, RunResult, XkVariant};
 use xk_kernels::Routine;
 use xk_serve::{Query, QueryKey, ServeEngine, ShardedCache, Source};
 use xk_topo::{builders, dgx1};
@@ -18,7 +18,8 @@ fn gemm_params(n: usize, tile: usize) -> RunParams {
 }
 
 /// N threads race on one cold key: the probe observes exactly one DES
-/// execution and every caller gets the leader's bit-identical result.
+/// execution and every caller gets the leader's result itself — the same
+/// allocation, not an equal copy.
 #[test]
 fn thundering_herd_runs_one_simulation() {
     const THREADS: usize = 8;
@@ -29,7 +30,7 @@ fn thundering_herd_runs_one_simulation() {
     let executions = AtomicUsize::new(0);
     let barrier = Barrier::new(THREADS);
 
-    let outcomes: Vec<(u64, Source)> = std::thread::scope(|s| {
+    let outcomes: Vec<(Arc<RunResult>, Source)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 s.spawn(|| {
@@ -38,7 +39,7 @@ fn thundering_herd_runs_one_simulation() {
                         executions.fetch_add(1, Ordering::SeqCst);
                         run(Library::CublasXt, &topo, &params)
                     });
-                    (outcome.unwrap().seconds.to_bits(), source)
+                    (outcome.unwrap(), source)
                 })
             })
             .collect();
@@ -50,13 +51,13 @@ fn thundering_herd_runs_one_simulation() {
         1,
         "single flight: the herd must cost exactly one simulation"
     );
-    let reference = outcomes[0].0;
+    let resident = cache.peek(&key).expect("resident").unwrap();
     assert!(
-        outcomes.iter().all(|&(bits, _)| bits == reference),
-        "every caller must observe the leader's bit-identical result"
+        outcomes.iter().all(|(r, _)| Arc::ptr_eq(r, &resident)),
+        "leader, waiters and late hits must all share the resident run"
     );
     assert_eq!(
-        outcomes.iter().filter(|&&(_, s)| s == Source::Miss).count(),
+        outcomes.iter().filter(|(_, s)| *s == Source::Miss).count(),
         1,
         "exactly one caller led"
     );
@@ -197,7 +198,7 @@ fn batch_matches_sequential_bitwise() {
 }
 
 /// A batch of 16 copies of one cold key costs one simulation: 1 miss and
-/// 15 coalesced answers, all bit-identical.
+/// 15 coalesced answers, all handles on the one resident run.
 #[test]
 fn batch_coalesces_duplicate_keys() {
     let topo = dgx1();
@@ -211,11 +212,16 @@ fn batch_coalesces_duplicate_keys() {
     assert_eq!(st.hits, 0);
     assert_eq!(engine.cache().len(), 1);
 
-    let bits: Vec<u64> = answers
-        .iter()
-        .map(|a| a.as_ref().unwrap().seconds.to_bits())
-        .collect();
-    assert!(bits.windows(2).all(|w| w[0] == w[1]));
+    let key = answers[0].as_ref().unwrap().key;
+    let resident = engine.cache().peek(&key).expect("resident").unwrap();
+    for a in &answers {
+        let a = a.as_ref().unwrap();
+        assert_eq!(a.seconds.to_bits(), resident.seconds.to_bits());
+        assert!(Arc::ptr_eq(a.exact.as_ref().unwrap(), &resident));
+    }
+    // A later single query of the same key is a hit on the same run.
+    let hit = engine.query(queries[0]).unwrap();
+    assert!(Arc::ptr_eq(hit.exact.as_ref().unwrap(), &resident));
 }
 
 /// Unsupported routines surface the same memoized error through the batch

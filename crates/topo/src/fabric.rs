@@ -178,6 +178,11 @@ pub struct FabricSpec {
     /// Flattened routing table over all device pairs. Derived lazily.
     #[serde(skip)]
     routes: OnceLock<Box<[Route]>>,
+    /// Memoised [`FabricSpec::fingerprint`]. The tables are private and
+    /// only [`FabricSpec::from_parts`] assembles them, so it cannot go
+    /// stale. Derived lazily, never serialized.
+    #[serde(skip)]
+    fingerprint: OnceLock<u64>,
 }
 
 impl FabricSpec {
@@ -238,6 +243,7 @@ impl FabricSpec {
             switch_tier,
             rank_levels: OnceLock::new(),
             routes: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         };
         t.validate()?;
         Ok(t)
@@ -544,8 +550,13 @@ impl FabricSpec {
     /// keyed with zeros); floats are hashed by their bit patterns. The
     /// multi-node and switch-tier extensions are hashed only when present,
     /// so every fingerprint minted before they existed — the DGX-1's in
-    /// particular — is unchanged.
+    /// particular — is unchanged. Hashed once per spec and memoised: a
+    /// query key costs a word copy, not a pass over the link tables.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_tables())
+    }
+
+    fn hash_tables(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.name.hash(&mut h);
@@ -736,6 +747,53 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint(), a.clone().fingerprint());
         assert_ne!(a.fingerprint(), crate::dgx1().fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_memo_equals_a_fresh_hash() {
+        for t in crate::fabrics::gallery() {
+            assert!(t.fingerprint.get().is_none(), "{}: memo is lazy", t.name());
+            let fp = t.fingerprint();
+            assert_eq!(fp, t.hash_tables(), "{}", t.name());
+            assert_eq!(t.fingerprint.get(), Some(&fp));
+            assert_eq!(t.clone().fingerprint(), fp);
+            let same = t.map_gpu_links(t.name(), |_, _, l| *l).unwrap();
+            assert!(
+                same.fingerprint.get().is_none(),
+                "surgery starts unmemoised"
+            );
+            assert_eq!(same.fingerprint(), fp);
+            let halved = |a, b, l: &LinkSpec| LinkSpec {
+                bandwidth: if (a, b) == (0, 1) {
+                    l.bandwidth / 2.0
+                } else {
+                    l.bandwidth
+                },
+                ..*l
+            };
+            let cut = t.map_gpu_links(t.name(), halved).unwrap();
+            assert_ne!(cut.fingerprint(), fp, "{}: one-link surgery", t.name());
+        }
+    }
+
+    #[test]
+    fn fingerprint_is_recomputed_after_deserialization() {
+        // Same runtime probe as the trace round-trips: skip under an inert
+        // offline serde_json shim.
+        if !serde_json::to_string(&1u32)
+            .map(|s| s == "1")
+            .unwrap_or(false)
+        {
+            return;
+        }
+        for t in crate::fabrics::gallery() {
+            let fp = t.fingerprint();
+            let json = serde_json::to_string(&t).unwrap();
+            assert!(!json.contains("fingerprint"), "the memo is not serialized");
+            let back: FabricSpec = serde_json::from_str(&json).unwrap();
+            assert!(back.fingerprint.get().is_none());
+            assert_eq!(back.fingerprint(), fp, "{}", t.name());
+        }
     }
 
     #[test]
