@@ -4,7 +4,7 @@
 use xk_bench::figs;
 use xk_bench::write_csv;
 
-fn main() {
+fn main() -> Result<(), xk_runtime::Error> {
     let quick = std::env::args().any(|a| a == "--quick");
     let topo = xk_topo::dgx1();
     let dims = figs::dims(quick);
@@ -12,9 +12,10 @@ fn main() {
     for (routine, table) in figs::fig4_data_on_device(&topo, &dims) {
         println!("{}", routine.name());
         println!("{}", table.render());
-        let _ = write_csv(
+        write_csv(
             &format!("fig4_{}.csv", routine.name().to_lowercase()),
             &table.to_csv(),
-        );
+        )?;
     }
+    Ok(())
 }

@@ -5,7 +5,7 @@
 use xk_bench::figs;
 use xk_bench::write_csv;
 
-fn main() {
+fn main() -> Result<(), xk_runtime::Error> {
     let quick = std::env::args().any(|a| a == "--quick");
     let n = if quick { 16384 } else { 32768 };
     let topo = xk_topo::dgx1();
@@ -16,5 +16,6 @@ fn main() {
     for (lib, summary) in figs::fig6_obs(&topo, n) {
         println!("{}:\n{summary}", lib.name());
     }
-    let _ = write_csv("fig6_trace_gemm.csv", &t.to_csv());
+    write_csv("fig6_trace_gemm.csv", &t.to_csv())?;
+    Ok(())
 }

@@ -4,7 +4,7 @@
 use xk_bench::figs;
 use xk_bench::write_csv;
 
-fn main() {
+fn main() -> Result<(), xk_runtime::Error> {
     let quick = std::env::args().any(|a| a == "--quick");
     let topo = xk_topo::dgx1();
     let dims: Vec<usize> = if quick {
@@ -16,5 +16,6 @@ fn main() {
     println!("Fig. 8 — TRSM+GEMM composition (TFlop/s, block 2048, 8 GPUs)\n");
     println!("{}", t.render());
     println!("paper: XKBlas reaches 56.6 TF/s (its GEMM peak is 56.9); Chameleon 36.6 (GEMM peak 51.3)");
-    let _ = write_csv("fig8_composition.csv", &t.to_csv());
+    write_csv("fig8_composition.csv", &t.to_csv())?;
+    Ok(())
 }

@@ -5,20 +5,18 @@
 //! - `--quick`  trims the dimension grid for tests/CI.
 //! - `--small`  uses the paper grid truncated at N = 24576 (the
 //!   `PAPER_DIMS_SMALL` sweep the benchmark snapshot times).
-//! - `--serial` forces a single rayon thread and disables the run cache:
-//!   the reference configuration the parallel output must match byte for
-//!   byte.
+//! - `--serial` disables the run cache: the reference configuration the
+//!   cached output must match byte for byte.
 
 use xk_bench::{figs, runcache, write_csv, PAPER_DIMS_SMALL};
 
-fn main() {
+fn main() -> Result<(), xk_runtime::Error> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let small = args.iter().any(|a| a == "--small");
     let serial = args.iter().any(|a| a == "--serial");
     if serial {
         runcache::set_global_enabled(false);
-        let _ = rayon::ThreadPoolBuilder::new().num_threads(1).build_global();
     }
     let topo = xk_topo::dgx1();
     let dims = if small {
@@ -36,29 +34,29 @@ fn main() {
     println!("\n================ Fig. 2 ================\n");
     let t = figs::fig2_bandwidth(&topo);
     println!("{}", t.render());
-    let _ = write_csv("fig2_bandwidth.csv", &t.to_csv());
+    write_csv("fig2_bandwidth.csv", &t.to_csv())?;
 
     println!("\n================ Fig. 3 ================\n");
     for (routine, table) in figs::fig3_heuristics(&topo, &dims) {
         println!("{}\n{}", routine.name(), table.render());
-        let _ = write_csv(&format!("fig3_{}.csv", routine.name().to_lowercase()), &table.to_csv());
+        write_csv(&format!("fig3_{}.csv", routine.name().to_lowercase()), &table.to_csv())?;
     }
 
     println!("\n================ Table II ================\n");
     let t = figs::table2_gains(&topo, &dims);
     println!("{}", t.render());
-    let _ = write_csv("table2_gains.csv", &t.to_csv());
+    write_csv("table2_gains.csv", &t.to_csv())?;
 
     println!("\n================ Fig. 4 ================\n");
     for (routine, table) in figs::fig4_data_on_device(&topo, &dims) {
         println!("{}\n{}", routine.name(), table.render());
-        let _ = write_csv(&format!("fig4_{}.csv", routine.name().to_lowercase()), &table.to_csv());
+        write_csv(&format!("fig4_{}.csv", routine.name().to_lowercase()), &table.to_csv())?;
     }
 
     println!("\n================ Fig. 5 ================\n");
     for (routine, table) in figs::fig5_libraries(&topo, &dims) {
         println!("{}\n{}", routine.name(), table.render());
-        let _ = write_csv(&format!("fig5_{}.csv", routine.name().to_lowercase()), &table.to_csv());
+        write_csv(&format!("fig5_{}.csv", routine.name().to_lowercase()), &table.to_csv())?;
     }
 
     println!("\n================ Fabric gallery ================\n");
@@ -68,14 +66,14 @@ fn main() {
     for (name, table) in figs::fabric_gallery_gemm(gallery_dims) {
         println!("{name}\n{}", table.render());
         let slug = name.split_whitespace().next().unwrap_or("fabric").replace('-', "_");
-        let _ = write_csv(&format!("fabric_{slug}.csv"), &table.to_csv());
+        write_csv(&format!("fabric_{slug}.csv"), &table.to_csv())?;
     }
 
     let n6 = if reduced { 16384 } else { 32768 };
     println!("\n================ Fig. 6 (N={n6}) ================\n");
     let t = figs::fig6_trace_gemm(&topo, n6);
     println!("{}", t.render());
-    let _ = write_csv("fig6_trace_gemm.csv", &t.to_csv());
+    write_csv("fig6_trace_gemm.csv", &t.to_csv())?;
 
     let n7 = if reduced { 16384 } else { 49152 };
     println!("\n================ Fig. 7 (N={n7}) ================\n");
@@ -87,7 +85,7 @@ fn main() {
     let comp_dims: Vec<usize> = if reduced { vec![8192, 16384] } else { vec![8192, 16384, 24576, 32768, 49152] };
     let t = figs::fig8_composition(&topo, &comp_dims, 2048);
     println!("{}", t.render());
-    let _ = write_csv("fig8_composition.csv", &t.to_csv());
+    write_csv("fig8_composition.csv", &t.to_csv())?;
 
     let n9 = if reduced { 16384 } else { 32768 };
     println!("\n================ Fig. 9 (N={n9}) ================\n");
@@ -97,13 +95,13 @@ fn main() {
     if let Some(c) = runcache::global_if_enabled() {
         let s = c.stats();
         eprintln!(
-            "\nrun cache: {} entries, {} hits / {} coalesced / {} misses ({:.0}% hit rate), {} rayon threads",
+            "\nrun cache: {} entries, {} hits / {} coalesced / {} misses ({:.0}% hit rate)",
             c.len(),
             s.hits,
             s.coalesced,
             s.misses,
-            s.hit_rate() * 100.0,
-            rayon::current_num_threads()
+            s.hit_rate() * 100.0
         );
     }
+    Ok(())
 }

@@ -14,14 +14,16 @@ use xk_trace::SpanKind;
 use crate::composition::{run_chameleon_composition, run_xkblas_composition};
 use crate::report::{fmt_tflops, Table};
 use crate::runcache;
-use crate::sweep::{best_tile_run_with, run_point, sweep_series_par};
+use crate::sweep::{best_tile_run_with, run_point, sweep_series};
 
 /// The process-wide cache, unless `run_all --serial` disabled it.
 fn cache() -> Option<&'static runcache::RunCache> {
     runcache::global_if_enabled()
 }
 
-/// Best-tile run through the shared cache with parallel tile candidates.
+/// Best-tile run through the shared cache. Like every sweep here it runs
+/// on the calling thread: the cache already removes the repeated work, and
+/// fanning the grid over threads costs more peak memory than it saves time.
 fn best(
     lib: Library,
     topo: &FabricSpec,
@@ -29,7 +31,7 @@ fn best(
     n: usize,
     data_on_device: bool,
 ) -> Result<(usize, Arc<xk_baselines::RunResult>), xk_baselines::RunError> {
-    best_tile_run_with(lib, topo, routine, n, data_on_device, cache(), true)
+    best_tile_run_with(lib, topo, routine, n, data_on_device, cache(), false)
 }
 
 /// Dimensions to sweep: `quick` trims the grid for tests/CI.
@@ -92,7 +94,7 @@ pub fn fig3_heuristics(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table
             header.extend(dims.iter().map(|n| n.to_string()));
             let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
             for lib in libs {
-                let pts = sweep_series_par(lib, topo, routine, dims, false, cache());
+                let pts = sweep_series(lib, topo, routine, dims, false, cache());
                 let mut row = vec![lib.name().to_string()];
                 row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
                 t.row(row);
@@ -123,12 +125,12 @@ pub fn fabric_gallery_gemm(dims: &[usize]) -> Vec<(String, Table)> {
             header.extend(dims.iter().map(|n| n.to_string()));
             let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
             for lib in libs {
-                let pts = sweep_series_par(lib, topo, Routine::Gemm, dims, false, cache());
+                let pts = sweep_series(lib, topo, Routine::Gemm, dims, false, cache());
                 let mut row = vec![lib.name().to_string()];
                 row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
                 t.row(row);
             }
-            let pts = sweep_series_par(
+            let pts = sweep_series(
                 Library::XkBlas(XkVariant::Full),
                 topo,
                 Routine::Gemm,
@@ -223,7 +225,7 @@ pub fn fig4_data_on_device(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, T
                 Library::ChameleonTile,
                 Library::CublasXt,
             ] {
-                let pts = sweep_series_par(lib, topo, routine, dims, false, cache());
+                let pts = sweep_series(lib, topo, routine, dims, false, cache());
                 let mut row = vec![lib.name().to_string()];
                 row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
                 t.row(row);
@@ -245,7 +247,7 @@ pub fn fig5_libraries(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table)
                 if !lib.supports(routine) {
                     continue;
                 }
-                let pts = sweep_series_par(lib, topo, routine, dims, false, cache());
+                let pts = sweep_series(lib, topo, routine, dims, false, cache());
                 let mut row = vec![lib.name().to_string()];
                 row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
                 t.row(row);

@@ -1,235 +1,8 @@
-//! Synthetic task-graph generators for benchmarking the submission path,
-//! plus a faithful replica of the seed's graph representation so the
-//! old-vs-new build rate can be measured inside one binary.
-
-use std::collections::HashMap;
+//! Seeded random task-graph generators: the DAGs `xk-check` explores and
+//! the benchmark's `check_matrix` workload replays.
 
 use xk_kernels::perfmodel::TileOp;
 use xk_runtime::{Access, HandleId, TaskAccess, TaskGraph, TaskLabel};
-
-/// The seed's per-task record, field for field as its `Task` struct
-/// stored it on the submission path: an owned access `Vec`, an eagerly
-/// formatted `String` label, and the kind/op/body/priority payload (the
-/// tile registry is left out — it is identical in both representations).
-pub struct LegacyTask {
-    /// Task id, as the seed's `Task::id`.
-    pub id: usize,
-    /// Kernel vs flush, as the seed's `kind: TaskKind`.
-    pub kind: u8,
-    /// Kernel shape, as the seed's `op: Option<TileOp>`.
-    pub op: Option<TileOp>,
-    /// Owned accesses, as the seed's `accesses: Vec<TaskAccess>`.
-    pub accesses: Vec<(usize, Access)>,
-    /// Eager label, as the seed's `label: String`.
-    pub label: String,
-    /// Numeric payload slot, as the seed's `body: Option<TaskBody>`.
-    pub body: Option<Box<dyn FnOnce() + Send + Sync>>,
-    /// Priority, as the seed's `priority: i32`.
-    pub priority: i32,
-}
-
-/// The seed's `TaskGraph` dependency bookkeeping, kept verbatim as a
-/// benchmark baseline: `HashMap` histories, owned `readers_since_write`
-/// Vecs, per-task successor Vecs, a per-task record with an owned access
-/// `Vec` and an eagerly formatted `String` label, and a fresh `deps` Vec
-/// per task.
-#[derive(Default)]
-pub struct LegacyGraph {
-    histories: HashMap<usize, (Option<usize>, Vec<usize>)>,
-    successors: Vec<Vec<usize>>,
-    n_predecessors: Vec<usize>,
-    tasks: Vec<LegacyTask>,
-    n_edges: usize,
-}
-
-impl LegacyGraph {
-    /// Empty graph.
-    pub fn new() -> Self {
-        LegacyGraph::default()
-    }
-
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.successors.len()
-    }
-
-    /// True when no tasks were added.
-    pub fn is_empty(&self) -> bool {
-        self.successors.is_empty()
-    }
-
-    /// Number of dependency edges.
-    pub fn n_edges(&self) -> usize {
-        self.n_edges
-    }
-
-    /// Total label bytes (keeps the label allocations observable).
-    pub fn label_bytes(&self) -> usize {
-        self.tasks.iter().map(|t| t.label.len()).sum()
-    }
-
-    /// Adds one task, replicating the seed's algorithm allocation for
-    /// allocation: the caller hands over an owned access `Vec` (the
-    /// seed's builders allocated one per task) and an eager label.
-    pub fn add_task(
-        &mut self,
-        op: Option<TileOp>,
-        accesses: Vec<(usize, Access)>,
-        label: String,
-    ) -> usize {
-        let id = self.successors.len();
-        let mut deps: Vec<usize> = Vec::new();
-        for &(h, acc) in &accesses {
-            let hist = self.histories.entry(h).or_default();
-            if acc.reads() {
-                if let Some(w) = hist.0 {
-                    deps.push(w);
-                }
-            }
-            if acc.writes() {
-                if let Some(w) = hist.0 {
-                    deps.push(w);
-                }
-                deps.extend(hist.1.iter().copied());
-            }
-        }
-        deps.sort_unstable();
-        deps.dedup();
-        deps.retain(|&d| d != id);
-        for &(h, acc) in &accesses {
-            let hist = self.histories.entry(h).or_default();
-            if acc.writes() {
-                hist.0 = Some(id);
-                hist.1.clear();
-            } else if acc.reads() {
-                hist.1.push(id);
-            }
-        }
-        self.successors.push(Vec::new());
-        self.n_predecessors.push(deps.len());
-        for &d in &deps {
-            self.successors[d].push(id);
-            self.n_edges += 1;
-        }
-        self.tasks.push(LegacyTask {
-            id,
-            kind: 0,
-            op,
-            accesses,
-            label,
-            body: None,
-            priority: 0,
-        });
-        id
-    }
-}
-
-/// The access pattern of a tiled GEMM over an `nt × nt` tile grid with an
-/// `nt`-deep k-loop: task `(i, j, l)` reads `A(i,l)` and `B(l,j)` and
-/// updates `C(i,j)` — `nt³` tasks, the structure the paper's largest
-/// sweep points produce (`nt = 48` ≈ 110k tasks).
-pub fn gemm_task_accesses(
-    nt: usize,
-) -> impl Iterator<Item = ([(usize, Access); 3], (usize, usize))> {
-    let a_base = 0;
-    let b_base = nt * nt;
-    let c_base = 2 * nt * nt;
-    (0..nt).flat_map(move |i| {
-        (0..nt).flat_map(move |j| {
-            (0..nt).map(move |l| {
-                (
-                    [
-                        (a_base + i * nt + l, Access::Read),
-                        (b_base + l * nt + j, Access::Read),
-                        (c_base + i * nt + j, Access::ReadWrite),
-                    ],
-                    (i, j),
-                )
-            })
-        })
-    })
-}
-
-/// Registers the `3·nt²` tiles of an `nt × nt` tiled GEMM and reserves
-/// task/edge capacity. Tile registration is identical in both graph
-/// representations, so benchmarks keep it outside the timed region.
-pub fn gemm_graph_shell(nt: usize) -> (TaskGraph, Vec<HandleId>) {
-    let mut g = TaskGraph::new();
-    g.reserve(nt * nt * nt, 3 * nt * nt * nt);
-    let handles: Vec<HandleId> = (0..3 * nt * nt)
-        .map(|i| g.add_host_tile(64, false, format!("h{i}")))
-        .collect();
-    (g, handles)
-}
-
-/// The timed half of the CSR build: submits all `nt³` GEMM tasks (lazy
-/// labels, inline accesses) and forces the successor CSR — the work the
-/// legacy representation does eagerly inside `add_task`.
-pub fn submit_gemm_tasks(g: &mut TaskGraph, handles: &[HandleId], nt: usize) {
-    for (accs, (i, j)) in gemm_task_accesses(nt) {
-        let accesses = accs.map(|(h, access)| TaskAccess { handle: handles[h], access });
-        g.add_task(
-            TileOp::Gemm { m: 256, n: 256, k: 256 },
-            accesses,
-            TaskLabel::tile("gemm", 'C', i, j),
-        );
-    }
-    g.finalize();
-}
-
-/// Builds the tiled-GEMM graph on the CSR [`TaskGraph`] (lazy labels,
-/// pooled histories) and forces the successor CSR, returning the graph.
-pub fn build_gemm_graph_csr(nt: usize) -> TaskGraph {
-    let (mut g, handles) = gemm_graph_shell(nt);
-    submit_gemm_tasks(&mut g, &handles, nt);
-    g
-}
-
-/// Builds the same tiled-GEMM dependence structure on the seed replica
-/// (eager `format!` labels included, as the seed's builders did).
-pub fn build_gemm_graph_legacy(nt: usize) -> LegacyGraph {
-    let mut g = LegacyGraph::new();
-    for (accs, (i, j)) in gemm_task_accesses(nt) {
-        g.add_task(
-            Some(TileOp::Gemm { m: 256, n: 256, k: 256 }),
-            accs.to_vec(),
-            format!("gemm C({i},{j})"),
-        );
-    }
-    g
-}
-
-/// A wide layered DAG for executor-release benchmarking: `layers × width`
-/// bodyless tasks over two ping-pong tile sets. The task at `(layer, col)`
-/// reads its neighbour's tile from the previous layer's output set and
-/// rewrites tile `col` in the other set, so every layer is fully
-/// `width`-parallel (no intra-layer edges) yet depends on the previous
-/// one, and each task releases multiple successors.
-pub fn build_wide_dag(layers: usize, width: usize) -> TaskGraph {
-    let mut g = TaskGraph::new();
-    let ping: Vec<HandleId> = (0..width)
-        .map(|c| g.add_host_tile(64, false, format!("p{c}")))
-        .collect();
-    let pong: Vec<HandleId> = (0..width)
-        .map(|c| g.add_host_tile(64, false, format!("q{c}")))
-        .collect();
-    for layer in 0..layers {
-        let (src, dst) = if layer % 2 == 0 { (&ping, &pong) } else { (&pong, &ping) };
-        for (c, &own) in dst.iter().enumerate() {
-            g.add_task(
-                TileOp::Gemm { m: 4, n: 4, k: 4 },
-                [
-                    (src[(c + 1) % width], Access::Read),
-                    (own, Access::ReadWrite),
-                ]
-                .map(|(handle, access)| TaskAccess { handle, access }),
-                TaskLabel::None,
-            );
-        }
-    }
-    g.finalize();
-    g
-}
 
 /// Shape of a randomly generated DAG (see [`build_random_dag`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -345,28 +118,6 @@ pub fn build_random_dag_placed(
 mod tests {
     use super::*;
     use xk_runtime::TaskId;
-
-    #[test]
-    fn csr_and_legacy_agree_on_small_gemm() {
-        let nt = 4;
-        let csr = build_gemm_graph_csr(nt);
-        let legacy = build_gemm_graph_legacy(nt);
-        assert_eq!(csr.len(), nt * nt * nt);
-        assert_eq!(csr.len(), legacy.len());
-        assert_eq!(csr.n_edges(), legacy.n_edges());
-        for t in 0..csr.len() {
-            let succs: Vec<usize> = csr.successors(TaskId(t)).iter().map(|s| s.0).collect();
-            assert_eq!(succs, legacy.successors[t], "successors of task {t}");
-        }
-        assert!(legacy.label_bytes() > 0);
-    }
-
-    #[test]
-    fn wide_dag_has_expected_shape() {
-        let g = build_wide_dag(3, 8);
-        assert_eq!(g.len(), 24);
-        assert_eq!(g.roots().len(), 8);
-    }
 
     #[test]
     fn random_dag_is_deterministic_per_seed() {

@@ -1,10 +1,8 @@
 //! Host-kernel ISA benchmark: per-routine GFLOP/s under the dispatched
 //! SIMD microkernel, plus fraction of the measured microkernel peak.
 //!
-//! The JSON is hand-rolled (no serde) so this module — unlike the rest of
-//! the harness — also builds in minimal offline environments, and the
-//! `bench_kernels` binary can regenerate `BENCH_kernels.json` anywhere the
-//! kernels crate itself compiles.
+//! The JSON is hand-rolled; the `bench_kernels` binary regenerates
+//! `BENCH_kernels.json` with it.
 
 use std::time::Instant;
 

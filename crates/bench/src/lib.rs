@@ -9,30 +9,19 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "harness")]
 pub mod composition;
-#[cfg(feature = "harness")]
 pub mod figs;
-#[cfg(feature = "graphgen")]
 pub mod graphgen;
 pub mod kernelbench;
-#[cfg(feature = "harness")]
 pub mod report;
-#[cfg(feature = "harness")]
 pub mod runcache;
-#[cfg(feature = "harness")]
 pub mod sweep;
 
-#[cfg(feature = "harness")]
 pub use composition::{
     composition_flops, run_chameleon_composition, run_xkblas_composition, CompositionResult,
 };
-#[cfg(feature = "harness")]
 pub use report::{fmt_tflops, write_csv, write_result, Table};
-#[cfg(feature = "harness")]
 pub use runcache::{CacheStats, RunCache, RunKey};
-#[cfg(feature = "harness")]
 pub use sweep::{
-    best_tile_run, best_tile_run_batch, best_tile_run_with, sweep_series, sweep_series_batch,
-    sweep_series_par, SeriesPoint, PAPER_DIMS, PAPER_DIMS_SMALL,
+    best_tile_run, best_tile_run_with, sweep_series, SeriesPoint, PAPER_DIMS, PAPER_DIMS_SMALL,
 };

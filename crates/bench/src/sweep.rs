@@ -1,14 +1,12 @@
 //! Parameter sweeps with the paper's best-tile selection.
 //!
-//! Sweeps are embarrassingly parallel across `(dimension, tile)` points and
-//! every simulated run is deterministic, so [`sweep_series_par`] fans the
-//! grid over a rayon pool and still produces bit-identical series to the
-//! serial [`sweep_series`]: candidate results are collected in candidate
-//! order and reduced by the same strict-`>` fold the serial loop uses.
+//! Every simulated run is deterministic, so evaluating a dimension's tile
+//! candidates on several threads ([`best_tile_run_with`] with `parallel`)
+//! still picks the same winner as the serial loop: candidate results are
+//! placed in candidate order and reduced by one strict-`>` fold.
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use xk_baselines::{run, Library, RunError, RunParams, RunResult};
 use xk_kernels::Routine;
 use xk_serve::RunOutcome;
@@ -84,8 +82,9 @@ fn fold_best(outcomes: Vec<(usize, RunOutcome)>) -> Result<(usize, Arc<RunResult
     best.ok_or_else(|| err.unwrap_or(RunError::Unsupported))
 }
 
-/// [`best_tile_run`] with optional memoization and parallel evaluation of
-/// the tile candidates. The winner is identical to the serial pick.
+/// [`best_tile_run`] with optional memoization and, with `parallel`, the
+/// tile candidates evaluated as replicas on every core
+/// ([`xk_sim::run_replicas`]). The winner is identical to the serial pick.
 pub fn best_tile_run_with(
     lib: Library,
     topo: &FabricSpec,
@@ -113,55 +112,11 @@ pub fn best_tile_run_with(
         let tile = n.max(1);
         return run_point(lib, topo, &params(tile), cache).map(|r| (tile, r));
     }
-    let outcomes: Vec<(usize, RunOutcome)> = if parallel {
-        candidates
-            .par_iter()
-            .map(|&tile| (tile, run_point(lib, topo, &params(tile), cache)))
-            .collect()
-    } else {
-        candidates
-            .iter()
-            .map(|&tile| (tile, run_point(lib, topo, &params(tile), cache)))
-            .collect()
-    };
-    fold_best(outcomes)
-}
-
-/// [`best_tile_run_with`] fanned over the cross-seed replica driver
-/// ([`xk_sim::run_replicas`]) instead of the rayon pool: every tile
-/// candidate is one replica, `threads` caps the worker count (0 = all
-/// cores). Outcomes are placed by candidate index and reduced by the same
-/// strict-`>` fold as the serial loop, so the winner is bit-identical.
-pub fn best_tile_run_batch(
-    lib: Library,
-    topo: &FabricSpec,
-    routine: Routine,
-    n: usize,
-    data_on_device: bool,
-    cache: Option<&RunCache>,
-    threads: usize,
-) -> Result<(usize, Arc<RunResult>), RunError> {
-    let params = |tile: usize| RunParams {
-        routine,
-        n,
-        tile,
-        data_on_device,
-    };
-    let candidates: Vec<usize> = lib
-        .tile_candidates()
-        .iter()
-        .copied()
-        .filter(|&t| t <= n)
-        .collect();
-    if candidates.is_empty() {
-        let tile = n.max(1);
-        return run_point(lib, topo, &params(tile), cache).map(|r| (tile, r));
-    }
-    let outcomes: Vec<(usize, RunOutcome)> = xk_sim::run_replicas(candidates.len(), threads, |i| {
+    let threads = if parallel { 0 } else { 1 };
+    fold_best(xk_sim::run_replicas(candidates.len(), threads, |i| {
         let tile = candidates[i];
         (tile, run_point(lib, topo, &params(tile), cache))
-    });
-    fold_best(outcomes)
+    }))
 }
 
 /// Runs `lib` at dimension `n`, trying every candidate tile size and
@@ -193,62 +148,24 @@ fn to_point(n: usize, outcome: Result<(usize, Arc<RunResult>), RunError>) -> Ser
     }
 }
 
-/// Sweeps a whole series of dimensions for one `(library, routine)`.
+/// Sweeps a whole series of dimensions for one `(library, routine)`,
+/// through the memo cache when one is given.
 pub fn sweep_series(
     lib: Library,
     topo: &FabricSpec,
     routine: Routine,
     dims: &[usize],
     data_on_device: bool,
-) -> Vec<SeriesPoint> {
-    dims.iter()
-        .map(|&n| to_point(n, best_tile_run(lib, topo, routine, n, data_on_device)))
-        .collect()
-}
-
-/// The parallel [`sweep_series`]: dimensions fan out across the rayon
-/// pool and each dimension evaluates its tile candidates in parallel too.
-/// The returned series is ordered like `dims` and bit-identical to the
-/// serial sweep.
-pub fn sweep_series_par(
-    lib: Library,
-    topo: &FabricSpec,
-    routine: Routine,
-    dims: &[usize],
-    data_on_device: bool,
     cache: Option<&RunCache>,
 ) -> Vec<SeriesPoint> {
-    dims.par_iter()
+    dims.iter()
         .map(|&n| {
             to_point(
                 n,
-                best_tile_run_with(lib, topo, routine, n, data_on_device, cache, true),
+                best_tile_run_with(lib, topo, routine, n, data_on_device, cache, false),
             )
         })
         .collect()
-}
-
-/// The replica-driver [`sweep_series`]: dimensions fan out as one replica
-/// each over [`xk_sim::run_replicas`] (`threads` = 0 uses every core), and
-/// each dimension evaluates its tile candidates serially inside its
-/// replica. Results are placed by dimension index, so the series is
-/// ordered like `dims` and bit-identical to the serial sweep.
-pub fn sweep_series_batch(
-    lib: Library,
-    topo: &FabricSpec,
-    routine: Routine,
-    dims: &[usize],
-    data_on_device: bool,
-    cache: Option<&RunCache>,
-    threads: usize,
-) -> Vec<SeriesPoint> {
-    xk_sim::run_replicas(dims.len(), threads, |i| {
-        let n = dims[i];
-        to_point(
-            n,
-            best_tile_run_with(lib, topo, routine, n, data_on_device, cache, false),
-        )
-    })
 }
 
 #[cfg(test)]
@@ -272,7 +189,7 @@ mod tests {
     #[test]
     fn series_reports_oom_as_none() {
         let topo = dgx1();
-        let pts = sweep_series(Library::Blasx, &topo, Routine::Gemm, &[8192, 49152], false);
+        let pts = sweep_series(Library::Blasx, &topo, Routine::Gemm, &[8192, 49152], false, None);
         assert!(pts[0].tflops.is_some());
         assert!(pts[1].tflops.is_none());
     }
@@ -323,50 +240,5 @@ mod tests {
         assert_eq!(again.1.seconds.to_bits(), par.1.seconds.to_bits());
         let s = cache.stats();
         assert_eq!(s.hits, s.misses);
-    }
-
-    #[test]
-    fn parallel_series_matches_serial() {
-        let topo = dgx1();
-        let dims = [4096, 8192];
-        let s = sweep_series(Library::CublasXt, &topo, Routine::Gemm, &dims, false);
-        let p = sweep_series_par(Library::CublasXt, &topo, Routine::Gemm, &dims, false, None);
-        assert_eq!(s.len(), p.len());
-        for (a, b) in s.iter().zip(&p) {
-            assert_eq!(a.n, b.n);
-            assert_eq!(a.tile, b.tile);
-            assert_eq!(a.tflops.map(f64::to_bits), b.tflops.map(f64::to_bits));
-        }
-    }
-
-    #[test]
-    fn batched_series_matches_serial() {
-        let topo = dgx1();
-        let dims = [4096, 8192, 16384];
-        let lib = Library::XkBlas(XkVariant::Full);
-        let s = sweep_series(lib, &topo, Routine::Gemm, &dims, false);
-        for threads in [1, 3] {
-            let b = sweep_series_batch(lib, &topo, Routine::Gemm, &dims, false, None, threads);
-            assert_eq!(s.len(), b.len());
-            for (a, b) in s.iter().zip(&b) {
-                assert_eq!(a.n, b.n);
-                assert_eq!(a.tile, b.tile);
-                assert_eq!(a.tflops.map(f64::to_bits), b.tflops.map(f64::to_bits));
-            }
-        }
-    }
-
-    #[test]
-    fn batched_best_tile_matches_serial() {
-        let topo = dgx1();
-        let lib = Library::XkBlas(XkVariant::Full);
-        let serial = best_tile_run(lib, &topo, Routine::Gemm, 8192, false).unwrap();
-        let batch = best_tile_run_batch(lib, &topo, Routine::Gemm, 8192, false, None, 2).unwrap();
-        assert_eq!(serial.0, batch.0);
-        assert_eq!(serial.1.tflops.to_bits(), batch.1.tflops.to_bits());
-        // The error paths agree with the serial reduction as well.
-        let e = best_tile_run_batch(lib, &topo, Routine::Syrk, 512, false, None, 2);
-        let se = best_tile_run(lib, &topo, Routine::Syrk, 512, false);
-        assert_eq!(e.map(|(t, _)| t), se.map(|(t, _)| t));
     }
 }

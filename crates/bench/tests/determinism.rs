@@ -1,9 +1,10 @@
-//! The parallel sweep driver must be a pure wall-clock optimization:
-//! every series point and every recorded trace must match the serial
-//! reference bit for bit (modulo process-global matrix ids in labels).
+//! The run cache and the parallel tile search must be pure wall-clock
+//! optimizations: every series point and every recorded trace must match
+//! the uncached serial reference bit for bit (modulo process-global matrix
+//! ids in labels).
 
 use xk_baselines::{Library, XkVariant};
-use xk_bench::{best_tile_run, best_tile_run_with, sweep_series, sweep_series_par, RunCache};
+use xk_bench::{best_tile_run, best_tile_run_with, sweep_series, RunCache};
 use xk_kernels::Routine;
 use xk_topo::dgx1;
 use xk_trace::Trace;
@@ -41,18 +42,18 @@ fn assert_traces_identical(a: &Trace, b: &Trace) {
 }
 
 #[test]
-fn parallel_sweep_matches_serial_bitwise() {
+fn cached_sweep_matches_uncached_bitwise() {
     let topo = dgx1();
     for lib in [Library::XkBlas(XkVariant::Full), Library::CublasXt] {
         for routine in [Routine::Gemm, Routine::Syr2k] {
             if !lib.supports(routine) {
                 continue;
             }
-            let serial = sweep_series(lib, &topo, routine, &DIMS, false);
+            let serial = sweep_series(lib, &topo, routine, &DIMS, false, None);
             let cache = RunCache::new();
-            let parallel = sweep_series_par(lib, &topo, routine, &DIMS, false, Some(&cache));
-            assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
+            let cached = sweep_series(lib, &topo, routine, &DIMS, false, Some(&cache));
+            assert_eq!(serial.len(), cached.len());
+            for (s, p) in serial.iter().zip(&cached) {
                 assert_eq!(s.n, p.n);
                 assert_eq!(s.tile, p.tile, "{lib:?} {routine:?} N={}", s.n);
                 assert_eq!(
@@ -69,7 +70,7 @@ fn parallel_sweep_matches_serial_bitwise() {
                         assert_eq!(a.bytes_p2p, b.bytes_p2p);
                     }
                     (None, None) => {}
-                    _ => panic!("serial and parallel disagree on success"),
+                    _ => panic!("uncached and cached disagree on success"),
                 }
             }
         }

@@ -169,3 +169,21 @@ fn heuristics_rank_differently_across_fabrics() {
         "heuristic ranking should flip on the NVSwitch fabric"
     );
 }
+
+/// A figure binary that cannot write its CSV must fail loudly: with
+/// `results` occupied by a regular file, `fig2_bandwidth` exits non-zero
+/// and names the path, instead of exiting 0 with nothing written.
+#[test]
+fn unwritable_results_dir_is_a_nonzero_exit() {
+    let cwd = std::env::temp_dir().join(format!("xk-bench-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temp cwd");
+    std::fs::write(cwd.join("results"), "not a directory").expect("occupy results");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig2_bandwidth"))
+        .current_dir(&cwd)
+        .output()
+        .expect("fig2_bandwidth runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    std::fs::remove_dir_all(&cwd).expect("temp cwd removed");
+    assert!(!out.status.success(), "exit status {:?}", out.status);
+    assert!(stderr.contains("results"), "stderr names the path: {stderr}");
+}

@@ -66,8 +66,8 @@ fn syr2k_cp_invariant() {
     let topo = dgx1();
     let (_, r) = best_tile_run(Library::XkBlas(XkVariant::Full), &topo, Routine::Syr2k, N, false)
         .expect("syr2k runs");
-    let obs = r.obs.expect("obs report");
-    let cp = obs.critical_path.expect("critical path");
+    let obs = r.obs.as_ref().expect("obs report");
+    let cp = obs.critical_path.as_ref().expect("critical path");
     assert_eq!(cp.length.to_bits(), obs.makespan.to_bits());
     let covered: f64 = cp.by_kind.values().sum::<f64>() + cp.runtime_gap;
     assert!((covered - obs.makespan).abs() <= 1e-9 * obs.makespan.max(1.0));

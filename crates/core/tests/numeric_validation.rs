@@ -1,11 +1,12 @@
 //! End-to-end numeric validation: every tiled algorithm, run through the
 //! full asynchronous pipeline (graph construction → dependency inference →
-//! parallel work-stealing execution), must reproduce the reference BLAS.
+//! parallel work-stealing execution), must reproduce the reference BLAS —
+//! 40 seeded random cases per routine.
 
-use proptest::prelude::*;
 use xk_kernels::aux::{max_abs_diff, max_abs_diff_tri};
 use xk_kernels::reference as r;
 use xk_kernels::MatRef;
+use xk_lp::{for_each_seed, SplitMix64};
 use xk_runtime::RuntimeConfig;
 use xk_topo::dgx1;
 use xkblas_core::{
@@ -15,6 +16,11 @@ use xkblas_core::{
 
 const TOL: f64 = 1e-9;
 
+const TRANS: [Trans; 2] = [Trans::No, Trans::Yes];
+const UPLO: [Uplo; 2] = [Uplo::Lower, Uplo::Upper];
+const SIDE: [Side; 2] = [Side::Left, Side::Right];
+const DIAG: [Diag; 2] = [Diag::NonUnit, Diag::Unit];
+
 fn ctx(tile: usize) -> Context<f64> {
     Context::new(dgx1(), RuntimeConfig::xkblas(), tile)
 }
@@ -23,30 +29,18 @@ fn view(m: &Matrix<f64>) -> MatRef<'_, f64> {
     m.view()
 }
 
-fn any_trans() -> impl Strategy<Value = Trans> {
-    prop_oneof![Just(Trans::No), Just(Trans::Yes)]
-}
-fn any_uplo() -> impl Strategy<Value = Uplo> {
-    prop_oneof![Just(Uplo::Lower), Just(Uplo::Upper)]
-}
-fn any_side() -> impl Strategy<Value = Side> {
-    prop_oneof![Just(Side::Left), Just(Side::Right)]
-}
-fn any_diag() -> impl Strategy<Value = Diag> {
-    prop_oneof![Just(Diag::NonUnit), Just(Diag::Unit)]
+/// A scaling factor in `[-2, 2)`.
+fn scale(rng: &mut SplitMix64) -> f64 {
+    rng.f64_in(-2.0, 2.0)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    #[test]
-    fn tiled_gemm_matches_reference(
-        (m, n, k) in (1usize..40, 1usize..40, 1usize..40),
-        tile in 3usize..17,
-        ta in any_trans(), tb in any_trans(),
-        alpha in -2.0f64..2.0, beta in -2.0f64..2.0,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn tiled_gemm_matches_reference() {
+    for_each_seed(40, |rng| {
+        let (m, n, k) = (rng.usize_in(1, 40), rng.usize_in(1, 40), rng.usize_in(1, 40));
+        let tile = rng.usize_in(3, 17);
+        let (ta, tb) = (rng.pick(&TRANS), rng.pick(&TRANS));
+        let (alpha, beta, seed) = (scale(rng), scale(rng), rng.next_below(500));
         let (am, an) = match ta { Trans::No => (m, k), Trans::Yes => (k, m) };
         let (bm, bn) = match tb { Trans::No => (k, n), Trans::Yes => (n, k) };
         let a = Matrix::random(am, an, seed);
@@ -57,17 +51,16 @@ proptest! {
         gemm_async(&mut cx, ta, tb, alpha, &a, &b, beta, &c);
         cx.run_numeric(0);
         let d = max_abs_diff(view(&c), want.view());
-        prop_assert!(d < TOL, "gemm diff {d} (tile {tile})");
-    }
+        assert!(d < TOL, "gemm diff {d} (tile {tile})");
+    });
+}
 
-    #[test]
-    fn tiled_symm_matches_reference(
-        (m, n) in (1usize..30, 1usize..30),
-        tile in 3usize..13,
-        side in any_side(), uplo in any_uplo(),
-        alpha in -2.0f64..2.0, beta in -2.0f64..2.0,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn tiled_symm_matches_reference() {
+    for_each_seed(40, |rng| {
+        let (m, n, tile) = (rng.usize_in(1, 30), rng.usize_in(1, 30), rng.usize_in(3, 13));
+        let (side, uplo) = (rng.pick(&SIDE), rng.pick(&UPLO));
+        let (alpha, beta, seed) = (scale(rng), scale(rng), rng.next_below(500));
         let na = match side { Side::Left => m, Side::Right => n };
         let a = Matrix::random(na, na, seed);
         let b = Matrix::random(m, n, seed + 1);
@@ -77,17 +70,16 @@ proptest! {
         symm_async(&mut cx, side, uplo, alpha, &a, &b, beta, &c);
         cx.run_numeric(0);
         let d = max_abs_diff(view(&c), want.view());
-        prop_assert!(d < TOL, "symm diff {d}");
-    }
+        assert!(d < TOL, "symm diff {d}");
+    });
+}
 
-    #[test]
-    fn tiled_syrk_matches_reference(
-        (n, k) in (1usize..30, 1usize..30),
-        tile in 3usize..13,
-        uplo in any_uplo(), trans in any_trans(),
-        alpha in -2.0f64..2.0, beta in -2.0f64..2.0,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn tiled_syrk_matches_reference() {
+    for_each_seed(40, |rng| {
+        let (n, k, tile) = (rng.usize_in(1, 30), rng.usize_in(1, 30), rng.usize_in(3, 13));
+        let (uplo, trans) = (rng.pick(&UPLO), rng.pick(&TRANS));
+        let (alpha, beta, seed) = (scale(rng), scale(rng), rng.next_below(500));
         let (am, an) = match trans { Trans::No => (n, k), Trans::Yes => (k, n) };
         let a = Matrix::random(am, an, seed);
         let c = Matrix::random(n, n, seed + 1);
@@ -97,7 +89,7 @@ proptest! {
         syrk_async(&mut cx, uplo, trans, alpha, &a, beta, &c);
         cx.run_numeric(0);
         let d = max_abs_diff_tri(uplo, view(&c), want.view());
-        prop_assert!(d < TOL, "syrk diff {d}");
+        assert!(d < TOL, "syrk diff {d}");
         // Opposite strict triangle untouched.
         let c0r = MatRef::from_slice(&c0, n, n, n);
         for j in 0..n {
@@ -107,20 +99,19 @@ proptest! {
                     Uplo::Upper => i > j,
                 };
                 if strict_opposite {
-                    prop_assert_eq!(c.at(i, j), c0r.at(i, j));
+                    assert_eq!(c.at(i, j), c0r.at(i, j));
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn tiled_syr2k_matches_reference(
-        (n, k) in (1usize..26, 1usize..26),
-        tile in 3usize..13,
-        uplo in any_uplo(), trans in any_trans(),
-        alpha in -2.0f64..2.0, beta in -2.0f64..2.0,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn tiled_syr2k_matches_reference() {
+    for_each_seed(40, |rng| {
+        let (n, k, tile) = (rng.usize_in(1, 26), rng.usize_in(1, 26), rng.usize_in(3, 13));
+        let (uplo, trans) = (rng.pick(&UPLO), rng.pick(&TRANS));
+        let (alpha, beta, seed) = (scale(rng), scale(rng), rng.next_below(500));
         let (am, an) = match trans { Trans::No => (n, k), Trans::Yes => (k, n) };
         let a = Matrix::random(am, an, seed);
         let b = Matrix::random(am, an, seed + 1);
@@ -130,18 +121,17 @@ proptest! {
         syr2k_async(&mut cx, uplo, trans, alpha, &a, &b, beta, &c);
         cx.run_numeric(0);
         let d = max_abs_diff_tri(uplo, view(&c), want.view());
-        prop_assert!(d < TOL, "syr2k diff {d}");
-    }
+        assert!(d < TOL, "syr2k diff {d}");
+    });
+}
 
-    #[test]
-    fn tiled_trmm_matches_reference(
-        (m, n) in (1usize..26, 1usize..26),
-        tile in 3usize..13,
-        side in any_side(), uplo in any_uplo(),
-        transa in any_trans(), diag in any_diag(),
-        alpha in -2.0f64..2.0,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn tiled_trmm_matches_reference() {
+    for_each_seed(40, |rng| {
+        let (m, n, tile) = (rng.usize_in(1, 26), rng.usize_in(1, 26), rng.usize_in(3, 13));
+        let (side, uplo) = (rng.pick(&SIDE), rng.pick(&UPLO));
+        let (transa, diag) = (rng.pick(&TRANS), rng.pick(&DIAG));
+        let (alpha, seed) = (scale(rng), rng.next_below(500));
         let na = match side { Side::Left => m, Side::Right => n };
         let a = Matrix::random(na, na, seed);
         let b = Matrix::random(m, n, seed + 1);
@@ -150,18 +140,17 @@ proptest! {
         trmm_async(&mut cx, side, uplo, transa, diag, alpha, &a, &b);
         cx.run_numeric(0);
         let d = max_abs_diff(view(&b), want.view());
-        prop_assert!(d < TOL, "trmm diff {d} ({side:?} {uplo:?} {transa:?} {diag:?} tile {tile})");
-    }
+        assert!(d < TOL, "trmm diff {d} ({side:?} {uplo:?} {transa:?} {diag:?} tile {tile})");
+    });
+}
 
-    #[test]
-    fn tiled_trsm_solves_the_system(
-        (m, n) in (1usize..26, 1usize..26),
-        tile in 3usize..13,
-        side in any_side(), uplo in any_uplo(),
-        transa in any_trans(), diag in any_diag(),
-        alpha in -2.0f64..2.0,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn tiled_trsm_solves_the_system() {
+    for_each_seed(40, |rng| {
+        let (m, n, tile) = (rng.usize_in(1, 26), rng.usize_in(1, 26), rng.usize_in(3, 13));
+        let (side, uplo) = (rng.pick(&SIDE), rng.pick(&UPLO));
+        let (transa, diag) = (rng.pick(&TRANS), rng.pick(&DIAG));
+        let (alpha, seed) = (scale(rng), rng.next_below(500));
         let na = match side { Side::Left => m, Side::Right => n };
         let a = Matrix::random_diag_dominant(na, seed);
         let b = Matrix::random(m, n, seed + 1);
@@ -174,19 +163,18 @@ proptest! {
             view(&a), view(&b),
             MatRef::from_slice(&b0, m, n, m),
         );
-        prop_assert!(res < 1e-8,
+        assert!(res < 1e-8,
             "trsm residual {res} ({side:?} {uplo:?} {transa:?} {diag:?} tile {tile})");
-    }
+    });
+}
 
-    /// Composition (paper §IV-F): TRSM followed by GEMM reading the TRSM
-    /// result, without an intermediate sync, must produce exactly the
-    /// sequential composition.
-    #[test]
-    fn composition_trsm_gemm(
-        n in 4usize..24,
-        tile in 3usize..9,
-        seed in 0u64..200,
-    ) {
+/// Composition (paper §IV-F): TRSM followed by GEMM reading the TRSM
+/// result, without an intermediate sync, must produce exactly the
+/// sequential composition.
+#[test]
+fn composition_trsm_gemm() {
+    for_each_seed(40, |rng| {
+        let (n, tile, seed) = (rng.usize_in(4, 24), rng.usize_in(3, 9), rng.next_below(200));
         let a = Matrix::random_diag_dominant(n, seed);
         let b = Matrix::random(n, n, seed + 1);
         let c = Matrix::random(n, n, seed + 2);
@@ -210,8 +198,8 @@ proptest! {
         cx.memory_coherent_async(&d);
         cx.run_numeric(0);
         let diff = max_abs_diff(view(&d), want.view());
-        prop_assert!(diff < 1e-8, "composition diff {diff}");
-    }
+        assert!(diff < 1e-8, "composition diff {diff}");
+    });
 }
 
 /// The same graph produces identical numeric results under the simulated

@@ -29,8 +29,8 @@
 //! tiles are zero-padded in the packed panels and clipped at the store,
 //! so boundary shapes stay exact on every path. Pack buffers are reused
 //! thread-locally across calls, so steady state performs no allocation —
-//! important because `par_gemm` and the parallel executor invoke this
-//! engine from many rayon/crossbeam workers.
+//! important because the parallel executor invokes this engine from many
+//! worker threads.
 
 use std::cell::RefCell;
 

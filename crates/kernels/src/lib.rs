@@ -4,7 +4,7 @@
 //!
 //! * **Numerics** — real tile kernels over column-major (LAPACK-layout)
 //!   views: [`gemm`], [`symm`], [`syrk`], [`syr2k`], [`trmm`], [`trsm`],
-//!   plus the `la*` auxiliaries and rayon-parallel whole-matrix helpers in
+//!   plus the `la*` auxiliaries and the thread-parallel matrix fill in
 //!   [`parallel`]. Every routine's bulk update runs on a BLIS-style
 //!   blocked, packed, register-tiled GEMM engine (MC/KC/NC cache blocking,
 //!   thread-local pack buffers, an `MR × NR` microkernel); triangular and
@@ -12,8 +12,6 @@
 //!   engine. The microkernel is picked per machine by the runtime ISA
 //!   dispatcher in [`simd`] (AVX-512 / AVX2 / NEON `std::arch` kernels
 //!   with a portable scalar fallback, overridable via `XK_KERNEL_ISA`).
-//!   The pre-blocking scalar GEMM survives as [`naive::gemm_naive`]
-//!   for baseline benchmarking.
 //! * **Timing** — [`GpuModel`], a calibrated V100 kernel-time model used by
 //!   the simulated executors: the same tile task that *computes* on the CPU
 //!   is *charged* the time cuBLAS would take on the paper's GPU.
@@ -37,7 +35,6 @@ pub mod aux;
 mod blocked;
 mod gemm;
 mod helpers;
-pub mod naive;
 pub mod parallel;
 pub mod perfmodel;
 pub mod reference;

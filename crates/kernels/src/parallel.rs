@@ -1,138 +1,53 @@
-//! Rayon-parallel whole-matrix operations.
+//! Thread-parallel whole-matrix helpers.
 //!
 //! The task runtime parallelizes *across* tiles, so the tile kernels stay
-//! sequential. These helpers parallelize a single large operation instead —
-//! used by the examples, by tests that need fast reference results, and as
-//! the host-side compute path of the parallel executor.
+//! sequential. What is left here parallelizes a single large elementwise
+//! operation — building the big reproducible operands the examples, tests
+//! and benchmarks start from.
 
-use rayon::prelude::*;
-
-use crate::gemm::gemm;
-use crate::naive::gemm_naive;
 use crate::scalar::Scalar;
-use crate::types::Trans;
-use crate::view::{MatMut, MatRef};
+use crate::view::MatMut;
 
-/// Copyable wrapper making a raw pointer Send + Sync for disjoint-column
-/// parallelism (each rayon task touches a distinct column range).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Sync> Sync for SendPtr<T> {}
-
-/// Parallel GEMM: `C = alpha * op(A) * op(B) + beta * C`, parallelized over
-/// macro-panels of `C` that feed the blocked engine.
-///
-/// The split dimension is chosen from the shape: when `m > n` the work is
-/// divided into row panels (each pairing with a row panel of `op(A)`),
-/// otherwise into column panels (pairing with column panels of `op(B)`).
-/// Panel widths are derived from the matrix — about two panels per rayon
-/// thread, rounded up to a multiple of the *dispatched* microkernel tile
-/// ([`crate::simd::kernel_shape`] rows/columns, so wide SIMD tiles don't
-/// fringe on every panel boundary) and no worker inherits a fringe-only
-/// panel. Matrices too small
-/// to split run the sequential engine directly; in particular a tall-skinny
-/// product (`n < 128`, large `m`) still uses every thread instead of
-/// serializing on a single 64-column panel.
-pub fn par_gemm<T: Scalar>(
-    trans_a: Trans,
-    trans_b: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-) {
-    let (m, n) = (c.nrows(), c.ncols());
-    if n == 0 || m == 0 {
-        return;
-    }
-    let tasks = 2 * rayon::current_num_threads().max(1);
-    let split_rows = m > n;
-    let shape = crate::simd::kernel_shape::<T>(crate::simd::selected_isa());
-    let (dim, unit) = if split_rows { (m, shape.mr) } else { (n, shape.nr) };
-    let panel = dim.div_ceil(tasks).next_multiple_of(unit);
-    if panel >= dim {
-        gemm(trans_a, trans_b, alpha, a, b, beta, c);
-        return;
-    }
-    let ptr = SendPtr(c.rb_mut().col_mut(0).as_mut_ptr());
-    let ld = c.ld();
-    let n_panels = dim.div_ceil(panel);
-    (0..n_panels).into_par_iter().for_each(move |p| {
-        let ptr = ptr; // capture the whole Send wrapper, not its field
-        let x0 = p * panel;
-        let w = panel.min(dim - x0);
-        if split_rows {
-            // SAFETY: panels [x0, x0+w) are disjoint row ranges of C.
-            let c_panel = unsafe { MatMut::from_raw(ptr.0.add(x0), w, n, ld) };
-            let a_panel = match trans_a {
-                Trans::No => a.submatrix(x0, 0, w, a.ncols()),
-                Trans::Yes => a.submatrix(0, x0, a.nrows(), w),
-            };
-            gemm(trans_a, trans_b, alpha, a_panel, b, beta, c_panel);
-        } else {
-            // SAFETY: panels [x0, x0+w) are disjoint column ranges of C.
-            let c_panel = unsafe { MatMut::from_raw(ptr.0.add(x0 * ld), m, w, ld) };
-            let b_panel = match trans_b {
-                Trans::No => b.submatrix(0, x0, b.nrows(), w),
-                Trans::Yes => b.submatrix(x0, 0, w, b.ncols()),
-            };
-            gemm(trans_a, trans_b, alpha, a, b_panel, beta, c_panel);
-        }
-    });
-}
-
-/// The pre-blocking parallel GEMM: fixed-width column panels (64-column
-/// floor) over the scalar [`gemm_naive`] kernel. Kept as the benchmark
-/// baseline for the blocked engine speedup measurement.
-pub fn par_gemm_naive<T: Scalar>(
-    trans_a: Trans,
-    trans_b: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-) {
-    let (m, n) = (c.nrows(), c.ncols());
-    if n == 0 || m == 0 {
-        return;
-    }
-    let panel = 64.max(n / (4 * rayon::current_num_threads().max(1))).min(n.max(1));
-    let ptr = SendPtr(c.rb_mut().col_mut(0).as_mut_ptr());
-    let ld = c.ld();
-    let n_panels = n.div_ceil(panel);
-    (0..n_panels).into_par_iter().for_each(move |p| {
-        let ptr = ptr; // capture the whole Send wrapper, not its field
-        let j0 = p * panel;
-        let nn = panel.min(n - j0);
-        // SAFETY: panels [j0, j0+nn) are disjoint column ranges of C.
-        let c_panel = unsafe { MatMut::from_raw(ptr.0.add(j0 * ld), m, nn, ld) };
-        let b_panel = match trans_b {
-            Trans::No => b.submatrix(0, j0, b.nrows(), nn),
-            Trans::Yes => b.submatrix(j0, 0, nn, b.ncols()),
-        };
-        gemm_naive(trans_a, trans_b, alpha, a, b_panel, beta, c_panel);
-    });
-}
+/// Below this many elements a fill stays on the calling thread: spawning
+/// costs more than hashing a few thousand values.
+const PAR_FILL_MIN_ELEMS: usize = 1 << 16;
 
 /// Parallel elementwise fill with a deterministic pseudo-random pattern —
 /// handy for building large reproducible test matrices quickly.
-/// `seed` selects the pattern; values are in `[-0.5, 0.5)`.
+/// `seed` selects the pattern; values are in `[-0.5, 0.5)`. Each element is
+/// a pure function of `(seed, i, j)`, so the result does not depend on how
+/// the columns are split over threads.
 pub fn par_fill_pattern<T: Scalar>(mut a: MatMut<'_, T>, seed: u64) {
-    let (m, ld) = (a.nrows(), a.ld());
-    let n = a.ncols();
+    let (m, n) = (a.nrows(), a.ncols());
     if m == 0 || n == 0 {
         return;
     }
-    let ptr = SendPtr(a.rb_mut().col_mut(0).as_mut_ptr());
-    (0..n).into_par_iter().for_each(move |j| {
-        let ptr = ptr; // capture the whole Send wrapper, not its field
-        // SAFETY: each iteration touches only column j.
-        let col = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(j * ld), m) };
-        for (i, v) in col.iter_mut().enumerate() {
-            *v = T::from_f64(hash01(seed, i as u64, j as u64) - 0.5);
+    let threads = if m * n < PAR_FILL_MIN_ELEMS {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |v| v.get()).min(n)
+    };
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let mut rest = a.rb_mut();
+        let mut j0 = 0;
+        while j0 < n {
+            let w = chunk.min(n - j0);
+            let (mut cols, tail) = rest.split_cols_at(w);
+            rest = tail;
+            let mut fill = move || {
+                for dj in 0..w {
+                    for (i, v) in cols.col_mut(dj).iter_mut().enumerate() {
+                        *v = T::from_f64(hash01(seed, i as u64, (j0 + dj) as u64) - 0.5);
+                    }
+                }
+            };
+            j0 += w;
+            if j0 < n {
+                scope.spawn(fill);
+            } else {
+                fill(); // the last chunk runs on the calling thread
+            }
         }
     });
 }
@@ -151,180 +66,21 @@ fn hash01(seed: u64, i: u64, j: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aux::max_abs_diff;
 
     #[test]
-    fn par_gemm_matches_sequential() {
-        let (m, n, k) = (67, 129, 43);
-        let mut a = vec![0.0f64; m * k];
-        let mut b = vec![0.0f64; k * n];
-        par_fill_pattern(MatMut::from_slice(&mut a, m, k, m), 1);
-        par_fill_pattern(MatMut::from_slice(&mut b, k, n, k), 2);
-        let mut c_par = vec![1.0f64; m * n];
-        let mut c_seq = vec![1.0f64; m * n];
-        par_gemm(
-            Trans::No,
-            Trans::No,
-            2.0,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            0.5,
-            MatMut::from_slice(&mut c_par, m, n, m),
-        );
-        gemm(
-            Trans::No,
-            Trans::No,
-            2.0,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            0.5,
-            MatMut::from_slice(&mut c_seq, m, n, m),
-        );
-        let d = max_abs_diff(
-            MatRef::from_slice(&c_par, m, n, m),
-            MatRef::from_slice(&c_seq, m, n, m),
-        );
-        assert!(d < 1e-12, "par/seq diverged by {d}");
-    }
-
-    #[test]
-    fn par_gemm_trans_b_matches_sequential() {
-        let (m, n, k) = (31, 57, 23);
-        let mut a = vec![0.0f64; m * k];
-        let mut b = vec![0.0f64; n * k]; // stored n x k for trans_b = Yes
-        par_fill_pattern(MatMut::from_slice(&mut a, m, k, m), 3);
-        par_fill_pattern(MatMut::from_slice(&mut b, n, k, n), 4);
-        let mut c_par = vec![0.0f64; m * n];
-        let mut c_seq = vec![0.0f64; m * n];
-        par_gemm(
-            Trans::No,
-            Trans::Yes,
-            1.0,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, n, k, n),
-            0.0,
-            MatMut::from_slice(&mut c_par, m, n, m),
-        );
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            1.0,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, n, k, n),
-            0.0,
-            MatMut::from_slice(&mut c_seq, m, n, m),
-        );
-        let d = max_abs_diff(
-            MatRef::from_slice(&c_par, m, n, m),
-            MatRef::from_slice(&c_seq, m, n, m),
-        );
-        assert!(d < 1e-12);
-    }
-
-    #[test]
-    fn par_gemm_row_split_matches_sequential() {
-        // Tall-skinny: m >> n triggers the row-panel split (the old
-        // column-only panelling serialized this shape).
-        let (m, n, k) = (301, 9, 37);
-        let mut a = vec![0.0f64; m * k];
-        let mut b = vec![0.0f64; k * n];
-        par_fill_pattern(MatMut::from_slice(&mut a, m, k, m), 11);
-        par_fill_pattern(MatMut::from_slice(&mut b, k, n, k), 12);
-        let mut c_par = vec![0.5f64; m * n];
-        let mut c_seq = vec![0.5f64; m * n];
-        par_gemm(
-            Trans::No,
-            Trans::No,
-            1.5,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            -1.0,
-            MatMut::from_slice(&mut c_par, m, n, m),
-        );
-        gemm(
-            Trans::No,
-            Trans::No,
-            1.5,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            -1.0,
-            MatMut::from_slice(&mut c_seq, m, n, m),
-        );
-        let d = max_abs_diff(
-            MatRef::from_slice(&c_par, m, n, m),
-            MatRef::from_slice(&c_seq, m, n, m),
-        );
-        assert!(d < 1e-12, "row-split par/seq diverged by {d}");
-    }
-
-    #[test]
-    fn par_gemm_row_split_trans_a_matches_sequential() {
-        // trans_a = Yes with m > n: the row panel pairs with a column
-        // range of the stored A.
-        let (m, n, k) = (129, 17, 31);
-        let mut a = vec![0.0f64; k * m]; // stored k x m for trans_a = Yes
-        let mut b = vec![0.0f64; k * n];
-        par_fill_pattern(MatMut::from_slice(&mut a, k, m, k), 13);
-        par_fill_pattern(MatMut::from_slice(&mut b, k, n, k), 14);
-        let mut c_par = vec![0.0f64; m * n];
-        let mut c_seq = vec![0.0f64; m * n];
-        par_gemm(
-            Trans::Yes,
-            Trans::No,
-            1.0,
-            MatRef::from_slice(&a, k, m, k),
-            MatRef::from_slice(&b, k, n, k),
-            0.0,
-            MatMut::from_slice(&mut c_par, m, n, m),
-        );
-        gemm(
-            Trans::Yes,
-            Trans::No,
-            1.0,
-            MatRef::from_slice(&a, k, m, k),
-            MatRef::from_slice(&b, k, n, k),
-            0.0,
-            MatMut::from_slice(&mut c_seq, m, n, m),
-        );
-        let d = max_abs_diff(
-            MatRef::from_slice(&c_par, m, n, m),
-            MatRef::from_slice(&c_seq, m, n, m),
-        );
-        assert!(d < 1e-12);
-    }
-
-    #[test]
-    fn par_gemm_naive_matches_blocked_par_gemm() {
-        let (m, n, k) = (83, 140, 29);
-        let mut a = vec![0.0f64; m * k];
-        let mut b = vec![0.0f64; k * n];
-        par_fill_pattern(MatMut::from_slice(&mut a, m, k, m), 21);
-        par_fill_pattern(MatMut::from_slice(&mut b, k, n, k), 22);
-        let mut c_new = vec![0.25f64; m * n];
-        let mut c_old = vec![0.25f64; m * n];
-        par_gemm(
-            Trans::No,
-            Trans::No,
-            1.0,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            2.0,
-            MatMut::from_slice(&mut c_new, m, n, m),
-        );
-        par_gemm_naive(
-            Trans::No,
-            Trans::No,
-            1.0,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            2.0,
-            MatMut::from_slice(&mut c_old, m, n, m),
-        );
-        let d = max_abs_diff(
-            MatRef::from_slice(&c_new, m, n, m),
-            MatRef::from_slice(&c_old, m, n, m),
-        );
-        assert!(d < 1e-10, "blocked and naive parallel paths diverged by {d}");
+    fn threaded_fill_matches_the_per_element_pattern() {
+        // Large enough to split over threads, with padding rows (`ld > m`)
+        // that no chunk may touch.
+        let (m, n, ld) = (300, 301, 304);
+        assert!(m * n >= PAR_FILL_MIN_ELEMS);
+        let mut x = vec![9.0f64; ld * n];
+        par_fill_pattern(MatMut::from_slice(&mut x, m, n, ld), 5);
+        for j in 0..n {
+            for i in 0..ld {
+                let want = if i < m { hash01(5, i as u64, j as u64) - 0.5 } else { 9.0 };
+                assert_eq!(x[i + j * ld], want, "({i},{j})");
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Deterministic grid validation of the blocked GEMM engine and every
 //! routine routed through it, at sizes that cross the blocking boundaries
 //! (`MR`/`NR` register tiles, `TB` triangular blocks, `MC`/`KC` cache
-//! blocks) — the shapes proptest's small sizes cannot reach.
+//! blocks) — the shapes the small random sweeps cannot reach.
 
 mod common;
 
 use xk_kernels::aux::{max_abs_diff, max_abs_diff_tri};
-use xk_kernels::parallel::{par_gemm, par_gemm_naive};
 use xk_kernels::reference as r;
 use xk_kernels::{
-    gemm, kernel_shape, symm, syr2k, syrk, trmm, trsm, Diag, MatMut, MatRef, Side, Trans, Uplo,
-    MR, NR, TB,
+    gemm, kernel_shape, symm, syr2k, syrk, trmm, trsm, Diag, MatMut, MatRef, Side, Trans, Uplo, TB,
 };
 
 const TOL: f64 = 1e-9;
@@ -352,49 +350,6 @@ fn trsm_inverts_trmm_at_blocked_sizes() {
                 assert!(d < 1e-8, "round-trip {side:?}/{uplo:?}/{trans:?}: diff {d}");
             }
         }
-    }
-}
-
-#[test]
-fn par_gemm_shapes_match_reference() {
-    // Wide (column split), tall (row split), and balanced shapes.
-    for &(m, n, k) in &[(33, 400, 50), (400, 33, 50), (150, 150, 75), (MR * 3, NR * 3, 16)] {
-        let a = det_vals(m * k, 61);
-        let b = det_vals(k * n, 62);
-        let c0 = det_vals(m * n, 63);
-        let want = r::ref_gemm(
-            Trans::No,
-            Trans::No,
-            0.75,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            -0.5,
-            MatRef::from_slice(&c0, m, n, m),
-        );
-        let mut c_new = c0.clone();
-        par_gemm(
-            Trans::No,
-            Trans::No,
-            0.75,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            -0.5,
-            MatMut::from_slice(&mut c_new, m, n, m),
-        );
-        let mut c_old = c0.clone();
-        par_gemm_naive(
-            Trans::No,
-            Trans::No,
-            0.75,
-            MatRef::from_slice(&a, m, k, m),
-            MatRef::from_slice(&b, k, n, k),
-            -0.5,
-            MatMut::from_slice(&mut c_old, m, n, m),
-        );
-        let dn = max_abs_diff(MatRef::from_slice(&c_new, m, n, m), want.view());
-        let do_ = max_abs_diff(MatRef::from_slice(&c_old, m, n, m), want.view());
-        assert!(dn < TOL, "par_gemm {m}x{n}x{k}: diff {dn}");
-        assert!(do_ < TOL, "par_gemm_naive {m}x{n}x{k}: diff {do_}");
     }
 }
 

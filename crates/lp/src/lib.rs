@@ -12,15 +12,19 @@
 //!
 //! The solver is intentionally minimal — `f64`, Bland's rule, explicit
 //! basis inverse — because every instance it sees is a few hundred rows.
-//! Correctness is pinned two ways: a plain-test regression corpus of
-//! known-optimum/degenerate/unbounded/infeasible instances (so offline CI
-//! keeps coverage without proptest), and property tests cross-checking
-//! random small LPs against [`brute_force`] vertex enumeration.
+//! Correctness is pinned two ways: a regression corpus of
+//! known-optimum/degenerate/unbounded/infeasible instances, and a seeded
+//! sweep cross-checking random small LPs against [`brute_force`] vertex
+//! enumeration (`tests/regression_corpus.rs`).
+//!
+//! [`SplitMix64`] and [`for_each_seed`] also drive the seeded property
+//! loops of the other crates' test suites — this crate has no dependencies,
+//! so any of them can take it as a dev-dependency.
 
 #![warn(missing_docs)]
 
 pub mod rng;
 pub mod simplex;
 
-pub use rng::SplitMix64;
+pub use rng::{for_each_seed, SplitMix64};
 pub use simplex::{brute_force, solve, solve_with_tol, Cmp, Lp, LpResult, Solution, DEFAULT_TOL};

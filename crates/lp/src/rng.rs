@@ -39,12 +39,44 @@ impl SplitMix64 {
         self.next_u64() % n
     }
 
+    /// Uniform draw in `[lo, hi)`.
+    pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + self.next_f64() * (hi - lo)
+    }
+
+    /// Uniform draw in `[lo, hi)`; the range must be non-empty.
+    pub fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
+        lo + self.next_below((hi - lo) as u64) as usize
+    }
+
+    /// One element of the non-empty `xs`, uniformly.
+    pub fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.usize_in(0, xs.len())]
+    }
+
     /// In-place Fisher–Yates shuffle — the permutation sampler of the
     /// Shapley estimator.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;
             xs.swap(i, j);
+        }
+    }
+}
+
+/// A seeded property loop: runs `property` once per seed in `0..cases`,
+/// each time on a fresh generator, and on a failure re-panics with the
+/// seed in the message — `SplitMix64::new(seed)` replays the case.
+pub fn for_each_seed(cases: u64, property: impl Fn(&mut SplitMix64)) {
+    for seed in 0..cases {
+        let case = std::panic::AssertUnwindSafe(|| property(&mut SplitMix64::new(seed)));
+        if let Err(panic) = std::panic::catch_unwind(case) {
+            let msg = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("(non-string panic)");
+            panic!("property failed at seed {seed} of {cases}: {msg}");
         }
     }
 }
@@ -89,6 +121,29 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..20).collect::<Vec<u32>>());
         assert_ne!(xs, (0..20).collect::<Vec<u32>>(), "20 elements left in place");
+    }
+
+    #[test]
+    fn ranged_draws_stay_in_range() {
+        let mut r = SplitMix64::new(11);
+        for _ in 0..1000 {
+            assert!((-2.0..2.0).contains(&r.f64_in(-2.0, 2.0)));
+            assert!((3..7).contains(&r.usize_in(3, 7)));
+            assert!([1u8, 5, 9].contains(&r.pick(&[1u8, 5, 9])));
+        }
+    }
+
+    #[test]
+    fn for_each_seed_names_the_failing_seed() {
+        for_each_seed(8, |rng| assert!(rng.next_f64() < 1.0));
+        let failed = std::panic::catch_unwind(|| {
+            for_each_seed(8, |rng| {
+                let seed_is_five = rng.next_u64() == SplitMix64::new(5).next_u64();
+                assert!(!seed_is_five, "boom");
+            })
+        });
+        let msg = *failed.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("seed 5 of 8") && msg.contains("boom"), "{msg}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Plain-test regression corpus for the simplex core: known-optimum,
-//! degenerate, unbounded-detected and infeasible-detected instances, plus
-//! a deterministic seeded sweep cross-checked against brute-force vertex
-//! enumeration. None of this depends on proptest, so the offline CI keeps
-//! full solver coverage even where the proptest crate is unavailable.
+//! Regression corpus for the simplex core: known-optimum, degenerate,
+//! unbounded-detected and infeasible-detected instances, plus a seeded
+//! sweep of random small LPs cross-checked against brute-force vertex
+//! enumeration.
 
-use xk_lp::{brute_force, solve, Lp, LpResult, SplitMix64, DEFAULT_TOL};
+use std::cell::Cell;
+
+use xk_lp::{brute_force, for_each_seed, solve, Lp, LpResult, SplitMix64, DEFAULT_TOL};
 
 fn optimal_value(lp: &Lp) -> f64 {
     match solve(lp) {
@@ -112,60 +113,85 @@ fn tiny_coefficient_spread_stays_within_tolerance() {
     assert_close(optimal_value(&lp), 0.25 * 0.039);
 }
 
-/// Deterministic random sweep: 200 seeded small LPs (boxed, so the region
-/// is a polytope and vertex enumeration is a complete oracle), simplex vs
-/// brute force. This is the plain-test twin of the proptest property.
+/// A random boxed LP: 1–3 variables, per-variable upper bounds (so the
+/// region is a polytope and vertex enumeration is a *complete* oracle: it
+/// finds the optimum iff one exists, and nothing iff the program is
+/// infeasible), 0–3 extra general rows. Coefficients sit on coarse grids,
+/// which makes degenerate and tied vertices — the interesting cases —
+/// common.
+fn boxed_lp(rng: &mut SplitMix64) -> Lp {
+    let n = rng.usize_in(1, 4);
+    let c = (0..n).map(|_| (rng.f64_in(-2.0, 2.0) * 2.0).round() / 2.0);
+    let mut lp = Lp::minimize(c.collect());
+    for j in 0..n {
+        let mut row = vec![0.0; n];
+        row[j] = 1.0;
+        lp.le(row, rng.usize_in(1, 5) as f64);
+    }
+    for _ in 0..rng.usize_in(0, 4) {
+        let row = (0..n).map(|_| rng.f64_in(-2.0, 2.0).round()).collect();
+        let rhs = rng.f64_in(-3.0, 3.0).round();
+        if rng.next_below(2) == 0 {
+            lp.le(row, rhs);
+        } else {
+            lp.ge(row, rhs);
+        }
+    }
+    lp
+}
+
+/// 256 seeded LPs, simplex vs brute force: they must agree on feasibility
+/// and, when feasible, on the optimal value; the reported solution must be
+/// non-negative, of the right arity and finite.
 #[test]
 fn seeded_sweep_matches_brute_force() {
-    let mut rng = SplitMix64::new(0x5eed_cafe);
-    let mut optima = 0usize;
-    for case in 0..200 {
-        let n = 1 + (rng.next_below(3)) as usize; // 1..=3 vars
-        let extra = rng.next_below(3) as usize; // 0..=2 extra rows
-        let mut c: Vec<f64> = (0..n).map(|_| rng.next_f64() * 4.0 - 2.0).collect();
-        // Round to a coarse grid: degenerate/tied instances show up often.
-        for v in &mut c {
-            *v = (*v * 2.0).round() / 2.0;
-        }
-        let mut lp = Lp::minimize(c);
-        for j in 0..n {
-            let mut row = vec![0.0; n];
-            row[j] = 1.0;
-            lp.le(row, 1.0 + rng.next_below(4) as f64); // box: polytope
-        }
-        for _ in 0..extra {
-            let row: Vec<f64> = (0..n)
-                .map(|_| (rng.next_f64() * 4.0 - 2.0).round())
-                .collect();
-            let rhs = (rng.next_f64() * 6.0 - 3.0).round();
-            if rng.next_below(2) == 0 {
-                lp.le(row, rhs);
-            } else {
-                lp.ge(row, rhs);
-            }
-        }
+    let optima = Cell::new(0usize);
+    for_each_seed(256, |rng| {
+        let lp = boxed_lp(rng);
         match solve(&lp) {
             LpResult::Optimal(s) => {
                 let bf = brute_force(&lp, DEFAULT_TOL)
-                    .unwrap_or_else(|| panic!("case {case}: simplex optimal, brute force infeasible"));
+                    .expect("simplex found an optimum, brute force must find a vertex");
                 assert!(
                     (s.value - bf.value).abs() < 1e-6 * (1.0 + bf.value.abs()),
-                    "case {case}: simplex {} != brute force {}",
+                    "simplex {} != brute force {}",
                     s.value,
                     bf.value,
                 );
-                optima += 1;
+                assert!(s.x.iter().all(|&v| v >= -1e-7), "negative variable: {:?}", s.x);
+                assert_eq!(s.x.len(), lp.n_vars());
+                assert!(s.value.is_finite());
+                optima.set(optima.get() + 1);
             }
-            LpResult::Infeasible => {
-                assert!(
-                    brute_force(&lp, DEFAULT_TOL).is_none(),
-                    "case {case}: simplex infeasible, brute force found a vertex",
-                );
-            }
-            LpResult::Unbounded => {
-                unreachable!("case {case}: boxed variables cannot be unbounded")
-            }
+            LpResult::Infeasible => assert!(
+                brute_force(&lp, DEFAULT_TOL).is_none(),
+                "simplex says infeasible but a feasible vertex exists",
+            ),
+            LpResult::Unbounded => panic!("boxed variables cannot be unbounded"),
         }
-    }
-    assert!(optima >= 100, "sweep degenerated: only {optima}/200 optimal instances");
+    });
+    let optima = optima.get();
+    assert!(optima >= 128, "sweep degenerated: only {optima}/256 optimal instances");
+}
+
+/// Scaling the objective by a positive constant scales the optimum by the
+/// same constant and preserves the feasibility classification.
+#[test]
+fn objective_scaling_is_linear() {
+    for_each_seed(256, |rng| {
+        let lp = boxed_lp(rng);
+        let k = rng.f64_in(1.0, 8.0);
+        let mut scaled = lp.clone();
+        scaled.scale_objective(k);
+        match (solve(&lp), solve(&scaled)) {
+            (LpResult::Optimal(a), LpResult::Optimal(b)) => assert!(
+                (a.value * k - b.value).abs() < 1e-6 * (1.0 + (a.value * k).abs()),
+                "k={k}: {} * k != {}",
+                a.value,
+                b.value,
+            ),
+            (LpResult::Infeasible, LpResult::Infeasible) => {}
+            (a, b) => panic!("classification changed under scaling: {a:?} vs {b:?}"),
+        }
+    });
 }

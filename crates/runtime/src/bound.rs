@@ -5,7 +5,7 @@
 //! simulator can produce, under any controller, heuristic set or event
 //! ordering — so `bound ≤ makespan` is a free correctness oracle for the
 //! DES (asserted across the whole differential matrix by `xk-check`) and
-//! the denominator of the optimality gap reported by `bench_snapshot`.
+//! the denominator of the optimality gap (`Run::optimality_gap`).
 //!
 //! The three components:
 //!

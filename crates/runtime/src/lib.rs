@@ -16,7 +16,7 @@
 //!   DGX-1), producing a makespan, an [`xk_trace::Trace`] and — when
 //!   observability is on — an [`ObsReport`] with link occupancy,
 //!   contention wait and the critical path;
-//! * [`run_parallel`] — a crossbeam work-stealing pool that actually
+//! * [`run_parallel`] — a work-stealing pool of host threads that actually
 //!   executes the tile kernels on host memory, validating the numerics.
 //!
 //! ```
@@ -70,8 +70,6 @@ pub use graph::TaskGraph;
 pub use obs::{CpSegment, CriticalPath, GpuObs, LinkStats, ObsLevel, ObsReport};
 pub use par_exec::{run_parallel, ParOutcome};
 pub use session::{Run, SimSession};
-#[allow(deprecated)]
-pub use sim_exec::{measure_bandwidth_matrix, simulate};
 pub use par_exec::run_controlled;
 pub use sim_exec::{LinkFault, SimExecutor, SimOutcome, SimPrep};
 pub use task::{Access, Task, TaskAccess, TaskAccesses, TaskId, TaskKind, TaskLabel};

@@ -3,7 +3,7 @@
 //! This is the numeric twin of [`crate::sim_exec`]: same graph, same
 //! dependency semantics, but each task's [`crate::task::TaskBody`] actually
 //! executes (calling the `xk-kernels` tile kernels on real memory), spread
-//! over a crossbeam-deque work-stealing pool. It turns the library into a
+//! over a work-stealing pool of host threads. It turns the library into a
 //! usable multicore tiled-BLAS and — more importantly here — lets the test
 //! suite verify that every tiled algorithm computes the right numbers
 //! under real concurrency.
@@ -16,6 +16,10 @@
 //! - When a task completes, its newly-ready successors are released in a
 //!   batch: all but one go to the worker's local deque (stealable by idle
 //!   peers), the last is run inline on the same worker for cache warmth.
+//! - The queues are the crate's own ([`Worker`] / [`Stealer`] /
+//!   [`Injector`]): `Mutex<VecDeque>`s rather than lock-free Chase-Lev
+//!   deques. A task here is a tile kernel of milliseconds, so an
+//!   uncontended lock per queue operation is noise.
 //! - A worker with nothing to run (local deque, global injector and every
 //!   *other* worker's stealer all empty — no self-steal) parks on an
 //!   eventcount instead of spinning: idle workers cost ~0 CPU. Producers
@@ -24,10 +28,8 @@
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 use crate::choice::{ChoicePoint, ScheduleController};
 use crate::graph::TaskGraph;
@@ -76,6 +78,70 @@ impl BodySlot {
         } else {
             None
         }
+    }
+}
+
+/// Largest batch [`Injector::steal_batch_and_pop`] hands to the thief.
+const MAX_BATCH: usize = 32;
+
+type Queue = Mutex<VecDeque<TaskId>>;
+
+fn lock(q: &Queue) -> MutexGuard<'_, VecDeque<TaskId>> {
+    // A queue of plain task ids is valid at every step, so a panic in
+    // another worker must not wedge the survivors.
+    q.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A worker's own FIFO queue.
+struct Worker(Arc<Queue>);
+
+impl Worker {
+    fn new() -> Self {
+        Worker(Arc::default())
+    }
+
+    fn push(&self, task: TaskId) {
+        lock(&self.0).push_back(task);
+    }
+
+    fn pop(&self) -> Option<TaskId> {
+        lock(&self.0).pop_front()
+    }
+
+    fn stealer(&self) -> Stealer {
+        Stealer(Arc::clone(&self.0))
+    }
+}
+
+/// The handle other workers steal through: the oldest task first, the
+/// same end the owner pops.
+struct Stealer(Arc<Queue>);
+
+impl Stealer {
+    fn steal(&self) -> Option<TaskId> {
+        lock(&self.0).pop_front()
+    }
+}
+
+/// The shared queue the graph's roots enter through.
+#[derive(Default)]
+struct Injector(Queue);
+
+impl Injector {
+    fn push(&self, task: TaskId) {
+        lock(&self.0).push_back(task);
+    }
+
+    /// Pops one task for the caller and moves up to half of the rest (at
+    /// most [`MAX_BATCH`]) into `dest`, so one visit feeds several steps.
+    fn steal_batch_and_pop(&self, dest: &Worker) -> Option<TaskId> {
+        let mut queue = lock(&self.0);
+        let first = queue.pop_front()?;
+        let batch = (queue.len() / 2).min(MAX_BATCH);
+        if batch > 0 {
+            lock(&dest.0).extend(queue.drain(..batch));
+        }
+        Some(first)
     }
 }
 
@@ -133,35 +199,21 @@ impl ParkLot {
     }
 }
 
-/// One steal sweep: the global injector first, then every *other* worker.
-/// Loops only while some source reported a racy `Retry`.
+/// One steal sweep: the global injector first, then every *other* worker
+/// (self-steal is wasted work: our deque is empty).
 fn steal_external(
     me: usize,
-    injector: &Injector<TaskId>,
-    stealers: &[Stealer<TaskId>],
-    worker: &Worker<TaskId>,
+    injector: &Injector,
+    stealers: &[Stealer],
+    worker: &Worker,
 ) -> Option<TaskId> {
-    loop {
-        let mut retry = false;
-        match injector.steal_batch_and_pop(worker) {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
-        }
-        for (i, s) in stealers.iter().enumerate() {
-            if i == me {
-                continue; // self-steal is wasted work: our deque is empty
-            }
-            match s.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-    }
+    injector.steal_batch_and_pop(worker).or_else(|| {
+        stealers
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != me)
+            .find_map(|(_, s)| s.steal())
+    })
 }
 
 /// Executes every task of `graph` respecting dependencies, on
@@ -196,13 +248,13 @@ pub fn run_parallel(graph: &mut TaskGraph, n_threads: usize) -> ParOutcome {
     let parks = AtomicUsize::new(0);
     let parklot = ParkLot::new();
 
-    let injector: Injector<TaskId> = Injector::new();
+    let injector = Injector::default();
     for t in graph.roots() {
         injector.push(t);
     }
 
-    let workers: Vec<Worker<TaskId>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<TaskId>> = workers.iter().map(Worker::stealer).collect();
+    let workers: Vec<Worker> = (0..threads).map(|_| Worker::new()).collect();
+    let stealers: Vec<Stealer> = workers.iter().map(Worker::stealer).collect();
 
     std::thread::scope(|scope| {
         for (me, worker) in workers.into_iter().enumerate() {
@@ -412,7 +464,6 @@ mod tests {
     use super::*;
     use crate::task::{Access, TaskAccess};
     use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
     use xk_kernels::perfmodel::TileOp;
 
     fn op() -> TileOp {
@@ -420,10 +471,71 @@ mod tests {
     }
 
     #[test]
+    fn deque_owner_pops_fifo_and_thief_takes_the_front() {
+        let w = Worker::new();
+        let thief = w.stealer();
+        for i in 0..4 {
+            w.push(TaskId(i));
+        }
+        assert_eq!(thief.steal(), Some(TaskId(0)), "thief takes the oldest");
+        assert_eq!(w.pop(), Some(TaskId(1)), "owner pops in push order");
+        assert_eq!(thief.steal(), Some(TaskId(2)));
+        assert_eq!(w.pop(), Some(TaskId(3)));
+        assert_eq!((w.pop(), thief.steal()), (None, None));
+    }
+
+    #[test]
+    fn injector_batch_is_half_the_rest_capped_at_32() {
+        let drained = |n: usize| {
+            let (inj, w) = (Injector::default(), Worker::new());
+            (0..n).for_each(|i| inj.push(TaskId(i)));
+            let first = inj.steal_batch_and_pop(&w);
+            let moved: Vec<TaskId> = std::iter::from_fn(|| w.pop()).collect();
+            // The batch is the ids right behind the popped one, in order.
+            assert!(moved.iter().enumerate().all(|(k, t)| t.0 == k + 1));
+            let left = lock(&inj.0).len();
+            (first, moved.len(), left)
+        };
+        assert_eq!(drained(0), (None, 0, 0));
+        assert_eq!(drained(1), (Some(TaskId(0)), 0, 0));
+        assert_eq!(drained(9), (Some(TaskId(0)), 4, 4));
+        assert_eq!(drained(200), (Some(TaskId(0)), MAX_BATCH, 199 - MAX_BATCH));
+    }
+
+    #[test]
+    fn every_pushed_id_is_popped_exactly_once_under_four_threads() {
+        const N: usize = 4000;
+        let injector = Injector::default();
+        (0..N).for_each(|i| injector.push(TaskId(i)));
+        let workers: Vec<Worker> = (0..4).map(|_| Worker::new()).collect();
+        let stealers: Vec<Stealer> = workers.iter().map(Worker::stealer).collect();
+        let seen: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+        // All four start together, so pops, batch moves and steals overlap.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for (me, worker) in workers.into_iter().enumerate() {
+                let (injector, stealers, seen, start) = (&injector, &stealers, &seen, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Nothing is pushed after the start, so one empty sweep
+                    // of every source means this worker is done.
+                    while let Some(t) = worker
+                        .pop()
+                        .or_else(|| steal_external(me, injector, stealers, &worker))
+                    {
+                        seen[t.0].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
     fn chain_runs_in_order() {
         let mut g = TaskGraph::new();
         let h = g.add_host_tile(64, false, "x");
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..10 {
             let log = log.clone();
             g.add_task_with_body(
@@ -433,12 +545,12 @@ mod tests {
                     access: Access::ReadWrite,
                 }],
                 format!("k{i}"),
-                Box::new(move || log.lock().push(i)),
+                Box::new(move || log.lock().unwrap().push(i)),
             );
         }
         let out = run_parallel(&mut g, 4);
         assert_eq!(out.tasks_run, 10);
-        assert_eq!(*log.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*log.lock().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -544,21 +656,21 @@ mod tests {
         for seed in 0..16u64 {
             let mut g = TaskGraph::new();
             let h = g.add_host_tile(64, false, "x");
-            let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let log = Arc::new(Mutex::new(Vec::new()));
             for i in 0..10 {
                 let log = log.clone();
                 g.add_task_with_body(
                     op(),
                     vec![TaskAccess { handle: h, access: Access::ReadWrite }],
                     format!("k{i}"),
-                    Box::new(move || log.lock().push(i)),
+                    Box::new(move || log.lock().unwrap().push(i)),
                 );
             }
             let mut ctrl = Scramble(seed);
             let out = run_controlled(&mut g, 4, &mut ctrl);
             assert_eq!(out.tasks_run, 10);
             // A chain admits exactly one legal order, whatever the schedule.
-            assert_eq!(*log.lock(), (0..10).collect::<Vec<_>>());
+            assert_eq!(*log.lock().unwrap(), (0..10).collect::<Vec<_>>());
         }
     }
 

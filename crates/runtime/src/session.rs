@@ -1,9 +1,8 @@
 //! The front-door API for simulated runs: [`SimSession`].
 //!
-//! Historically every caller wired the executor by hand — `simulate(graph,
-//! topo, cfg)` here, `measure_bandwidth_matrix(topo, bytes)` there, ad-hoc
-//! plumbing per bench binary. The session consolidates that into one
-//! builder:
+//! One builder wires the executor for every caller — runs, bounded runs,
+//! the Fig. 2 bandwidth matrix — instead of ad-hoc plumbing per bench
+//! binary:
 //!
 //! ```
 //! use xk_runtime::{ObsLevel, RuntimeConfig, SimSession};
@@ -233,25 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_legacy_entry_point() {
-        let topo = dgx1();
-        let cfg = RuntimeConfig::xkblas();
-        let run = SimSession::on(&topo)
-            .config(cfg.clone())
-            .observe(ObsLevel::Full)
-            .run(&graph());
-        // The deprecated wrapper must stay bit-identical to the session —
-        // this is the one intentional call site.
-        #[allow(deprecated)]
-        let legacy = crate::sim_exec::simulate(&graph(), &topo, &cfg);
-        assert_eq!(run.outcome().makespan.to_bits(), legacy.makespan.to_bits());
-        assert_eq!(run.trace().len(), legacy.trace.len());
-        assert_eq!(run.outcome().bytes_h2d, legacy.bytes_h2d);
-        assert!(legacy.obs.is_none());
-        assert!(run.metrics().is_some());
-    }
-
-    #[test]
     fn observe_level_controls_metrics() {
         let topo = dgx1();
         let g = graph();
@@ -263,15 +243,6 @@ mod tests {
         assert!(!m.links.is_empty());
         let full = SimSession::on(&topo).observe(ObsLevel::Full).run(&g);
         assert!(full.metrics().unwrap().critical_path.is_some());
-    }
-
-    #[test]
-    fn bandwidth_matrix_matches_legacy() {
-        let topo = dgx1();
-        let m = SimSession::on(&topo).bandwidth_matrix(64 << 20);
-        #[allow(deprecated)]
-        let legacy = crate::sim_exec::measure_bandwidth_matrix(&topo, 64 << 20);
-        assert_eq!(m, legacy);
     }
 
     #[test]

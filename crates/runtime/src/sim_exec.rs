@@ -1145,18 +1145,6 @@ impl<'a> SimExecutor<'a> {
     }
 }
 
-/// Convenience: simulate `graph` on `topo` under `cfg`.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `SimSession::on(topo).config(cfg.clone()).run(graph)` — the \
-            session front door also exposes observability (`Run::metrics`) \
-            and trace export"
-)]
-pub fn simulate(graph: &TaskGraph, topo: &FabricSpec, cfg: &RuntimeConfig) -> SimOutcome {
-    // The historical entry point recorded nothing beyond the trace.
-    SimExecutor::new(graph, topo, cfg).observe(ObsLevel::Off).run()
-}
-
 /// Point-to-point bandwidth matrix of a topology: one `bytes`-sized
 /// transfer between every device pair on an idle machine (Fig. 2).
 pub(crate) fn bandwidth_matrix_of(topo: &FabricSpec, bytes: u64) -> Vec<Vec<f64>> {
@@ -1170,17 +1158,6 @@ pub(crate) fn bandwidth_matrix_of(topo: &FabricSpec, bytes: u64) -> Vec<Vec<f64>
         }
     }
     out
-}
-
-/// Measures the point-to-point bandwidth matrix of a topology by timing a
-/// single `bytes`-sized transfer between every device pair on an idle
-/// machine (regenerates the paper's Fig. 2 from the model).
-#[deprecated(
-    since = "0.5.0",
-    note = "use `SimSession::on(topo).bandwidth_matrix(bytes)`"
-)]
-pub fn measure_bandwidth_matrix(topo: &FabricSpec, bytes: u64) -> Vec<Vec<f64>> {
-    bandwidth_matrix_of(topo, bytes)
 }
 
 #[cfg(test)]
@@ -1205,8 +1182,8 @@ mod tests {
         TileOp::Gemm { m: 512, n: 512, k: 512 }
     }
 
-    /// Shadows the deprecated free function: unit tests run at
-    /// [`ObsLevel::Full`] so every path also exercises the recorder.
+    /// Unit tests run at [`ObsLevel::Full`] so every path also exercises
+    /// the recorder.
     fn simulate(graph: &TaskGraph, topo: &FabricSpec, cfg: &RuntimeConfig) -> SimOutcome {
         SimExecutor::new(graph, topo, cfg).observe(ObsLevel::Full).run()
     }

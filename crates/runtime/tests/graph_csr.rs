@@ -7,9 +7,9 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
 use xk_kernels::perfmodel::TileOp;
-use xk_runtime::{Access, TaskAccess, TaskGraph, TaskId};
+use xk_lp::{for_each_seed, SplitMix64};
+use xk_runtime::{Access, HandleId, TaskAccess, TaskGraph, TaskId};
 
 fn op() -> TileOp {
     TileOp::Gemm { m: 8, n: 8, k: 8 }
@@ -80,25 +80,49 @@ impl Oracle {
     }
 }
 
-fn access_strategy() -> impl Strategy<Value = Access> {
-    prop_oneof![
-        Just(Access::Read),
-        Just(Access::Write),
-        Just(Access::ReadWrite),
-    ]
+/// A random program over `n_handles` handles: `1..120` ops, tasks (1–4
+/// accesses, duplicate handles allowed) four times as likely as flushes
+/// (1–3 handles).
+fn random_ops(rng: &mut SplitMix64, n_handles: usize) -> Vec<Op> {
+    (0..rng.usize_in(1, 120))
+        .map(|_| {
+            if rng.next_below(5) < 4 {
+                let accesses = (0..rng.usize_in(1, 5)).map(|_| {
+                    let access = rng.pick(&[Access::Read, Access::Write, Access::ReadWrite]);
+                    (rng.usize_in(0, n_handles), access)
+                });
+                Op::Task(accesses.collect())
+            } else {
+                Op::Flush((0..rng.usize_in(1, 4)).map(|_| rng.usize_in(0, n_handles)).collect())
+            }
+        })
+        .collect()
 }
 
-fn ops_strategy(n_handles: usize) -> impl Strategy<Value = Vec<Op>> {
-    let task = prop::collection::vec((0..n_handles, access_strategy()), 1..5).prop_map(Op::Task);
-    let flush = prop::collection::vec(0..n_handles, 1..4).prop_map(Op::Flush);
-    prop::collection::vec(prop_oneof![4 => task, 1 => flush], 1..120)
+/// Submits one op to the graph under test and to the oracle.
+fn submit(op_desc: &Op, g: &mut TaskGraph, handles: &[HandleId], oracle: &mut Oracle) {
+    match op_desc {
+        Op::Task(accs) => {
+            let accesses: Vec<TaskAccess> = accs
+                .iter()
+                .map(|&(h, access)| TaskAccess { handle: handles[h], access })
+                .collect();
+            g.add_task(op(), accesses, "t");
+            oracle.push(accs);
+        }
+        Op::Flush(hs) => {
+            let unique: Vec<_> = hs.iter().map(|&h| handles[h]).collect();
+            g.add_flush(&unique, "f");
+            let accs: Vec<(usize, Access)> = hs.iter().map(|&h| (h, Access::Read)).collect();
+            oracle.push(&accs);
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn csr_matches_per_task_vec_oracle(ops in ops_strategy(16)) {
+#[test]
+fn csr_matches_per_task_vec_oracle() {
+    for_each_seed(256, |rng| {
+        let ops = random_ops(rng, 16);
         let mut g = TaskGraph::new();
         let handles: Vec<_> = (0..16)
             .map(|i| g.add_host_tile(64, false, format!("h{i}")))
@@ -106,35 +130,19 @@ proptest! {
         let mut oracle = Oracle::default();
 
         for op_desc in &ops {
-            match op_desc {
-                Op::Task(accs) => {
-                    let accesses: Vec<TaskAccess> = accs
-                        .iter()
-                        .map(|&(h, access)| TaskAccess { handle: handles[h], access })
-                        .collect();
-                    g.add_task(op(), accesses, "t");
-                    oracle.push(accs);
-                }
-                Op::Flush(hs) => {
-                    let unique: Vec<_> = hs.iter().map(|&h| handles[h]).collect();
-                    g.add_flush(&unique, "f");
-                    let accs: Vec<(usize, Access)> =
-                        hs.iter().map(|&h| (h, Access::Read)).collect();
-                    oracle.push(&accs);
-                }
-            }
+            submit(op_desc, &mut g, &handles, &mut oracle);
         }
 
-        prop_assert_eq!(g.len(), oracle.successors.len());
-        prop_assert_eq!(g.n_edges(), oracle.n_edges);
+        assert_eq!(g.len(), oracle.successors.len());
+        assert_eq!(g.n_edges(), oracle.n_edges);
         let pred_counts: Vec<usize> = g.pred_counts().collect();
-        prop_assert_eq!(&pred_counts, &oracle.n_predecessors);
+        assert_eq!(&pred_counts, &oracle.n_predecessors);
         for t in 0..g.len() {
             let id = TaskId(t);
             let preds: Vec<usize> = g.predecessors(id).map(|p| p.0).collect();
-            prop_assert_eq!(&preds, &oracle.predecessors[t], "predecessors of task {}", t);
+            assert_eq!(&preds, &oracle.predecessors[t], "predecessors of task {t}");
             let succs: Vec<usize> = g.successors(id).iter().map(|s| s.0).collect();
-            prop_assert_eq!(&succs, &oracle.successors[t], "successors of task {}", t);
+            assert_eq!(&succs, &oracle.successors[t], "successors of task {t}");
         }
         let roots: Vec<usize> = g.roots().iter().map(|r| r.0).collect();
         let oracle_roots: Vec<usize> = oracle
@@ -144,43 +152,33 @@ proptest! {
             .filter(|(_, &n)| n == 0)
             .map(|(i, _)| i)
             .collect();
-        prop_assert_eq!(roots, oracle_roots);
-    }
+        assert_eq!(roots, oracle_roots);
+    });
+}
 
-    #[test]
-    fn interleaved_queries_stay_consistent(ops in ops_strategy(8)) {
-        // Query successors *between* pushes: the lazy successor cache must
-        // invalidate and rebuild correctly.
+#[test]
+fn interleaved_queries_stay_consistent() {
+    // Query successors *between* pushes: the lazy successor cache must
+    // invalidate and rebuild correctly.
+    for_each_seed(256, |rng| {
+        let ops = random_ops(rng, 8);
         let mut g = TaskGraph::new();
         let handles: Vec<_> = (0..8)
             .map(|i| g.add_host_tile(64, false, format!("h{i}")))
             .collect();
         let mut oracle = Oracle::default();
         for (step, op_desc) in ops.iter().enumerate() {
-            if let Op::Task(accs) = op_desc {
-                let accesses: Vec<TaskAccess> = accs
-                    .iter()
-                    .map(|&(h, access)| TaskAccess { handle: handles[h], access })
-                    .collect();
-                g.add_task(op(), accesses, "t");
-                oracle.push(accs);
-            } else if let Op::Flush(hs) = op_desc {
-                let unique: Vec<_> = hs.iter().map(|&h| handles[h]).collect();
-                g.add_flush(&unique, "f");
-                let accs: Vec<(usize, Access)> =
-                    hs.iter().map(|&h| (h, Access::Read)).collect();
-                oracle.push(&accs);
-            }
+            submit(op_desc, &mut g, &handles, &mut oracle);
             if step % 3 == 0 {
                 // Force a (to-be-invalidated) successor CSR build mid-stream.
                 let t = TaskId(step % g.len().max(1));
                 let succs: Vec<usize> = g.successors(t).iter().map(|s| s.0).collect();
-                prop_assert_eq!(&succs, &oracle.successors[t.0]);
+                assert_eq!(&succs, &oracle.successors[t.0]);
             }
         }
         for t in 0..g.len() {
             let succs: Vec<usize> = g.successors(TaskId(t)).iter().map(|s| s.0).collect();
-            prop_assert_eq!(&succs, &oracle.successors[t]);
+            assert_eq!(&succs, &oracle.successors[t]);
         }
-    }
+    });
 }

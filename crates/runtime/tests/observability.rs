@@ -57,28 +57,22 @@ fn broadcast(n: usize) -> TaskGraph {
 }
 
 /// The exported Chrome JSON of the 2-GPU GEMM is byte-identical to the
-/// checked-in golden file (and the golden is schema-valid). Regenerate
-/// with `cargo test -p xk-runtime --test observability -- --ignored
-/// regenerate_golden` after an intentional format change.
+/// checked-in golden file (and the golden is schema-valid). On a mismatch
+/// the fresh export is left in the temp directory; after an intentional
+/// format change, copy it over `tests/golden/two_gpu_gemm.trace.json`.
 #[test]
 fn golden_chrome_json_two_gpu_gemm() {
     let topo = nvlink_all_to_all(2);
     let run = SimSession::on(&topo).observe(ObsLevel::Full).run(&two_gpu_gemm());
     let json = chrome_json(run.trace());
     let golden = include_str!("golden/two_gpu_gemm.trace.json");
-    assert_eq!(json, golden, "chrome export drifted from the golden file");
+    if json != golden {
+        let fresh = std::env::temp_dir().join("two_gpu_gemm.trace.json");
+        std::fs::write(&fresh, &json).expect("fresh export written");
+        panic!("chrome export drifted from the golden file; fresh export: {}", fresh.display());
+    }
     let events = jsonck::validate_trace_events(&json).expect("golden is schema-valid");
     assert!(events > 0);
-}
-
-/// Writes the golden file; run manually after intentional format changes.
-#[test]
-#[ignore]
-fn regenerate_golden() {
-    let topo = nvlink_all_to_all(2);
-    let run = SimSession::on(&topo).observe(ObsLevel::Full).run(&two_gpu_gemm());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/two_gpu_gemm.trace.json");
-    std::fs::write(path, chrome_json(run.trace())).expect("golden written");
 }
 
 /// Every exported trace of a full DGX-1 run passes the `trace_event`

@@ -1,8 +1,8 @@
-//! Property-based tests of the runtime: dependency safety, cache protocol
+//! Seeded property tests of the runtime: dependency safety, cache protocol
 //! invariants, and simulator conservation laws on random task graphs.
 
-use proptest::prelude::*;
 use xk_kernels::perfmodel::TileOp;
+use xk_lp::{for_each_seed, SplitMix64};
 use xk_runtime::task::{Access, TaskAccess};
 use xk_runtime::{
     DataInfo, Heuristics, RuntimeConfig, SchedulerKind, SimOutcome, SimSession, TaskGraph,
@@ -64,29 +64,32 @@ fn build_graph(n_tiles: usize, ops: &[(usize, usize, u8)]) -> TaskGraph {
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// `1..max_ops` random `(tile a, tile b, mode)` accesses over `0..span`.
+fn random_ops(rng: &mut SplitMix64, span: usize, max_ops: usize) -> Vec<(usize, usize, u8)> {
+    (0..rng.usize_in(1, max_ops))
+        .map(|_| (rng.usize_in(0, span), rng.usize_in(0, span), rng.next_below(3) as u8))
+        .collect()
+}
 
-    /// Every random graph completes on every scheduler with no deadlock,
-    /// and per-engine spans never overlap.
-    #[test]
-    fn random_graphs_complete_everywhere(
-        n_tiles in 1usize..12,
-        ops in proptest::collection::vec((0usize..12, 0usize..12, 0u8..3), 1..40),
-        sched_pick in 0usize..4,
-    ) {
-        let topo = dgx1();
-        let sched = [
+/// Every random graph completes on every scheduler with no deadlock,
+/// and per-engine spans never overlap.
+#[test]
+fn random_graphs_complete_everywhere() {
+    let topo = dgx1();
+    for_each_seed(24, |rng| {
+        let n_tiles = rng.usize_in(1, 12);
+        let ops = random_ops(rng, 12, 40);
+        let sched = rng.pick(&[
             SchedulerKind::LocalityWorkStealing,
             SchedulerKind::Dmdas,
             SchedulerKind::RoundRobin,
             SchedulerKind::StaticOwner,
-        ][sched_pick];
+        ]);
         let g = build_graph(n_tiles, &ops);
         let n_tasks = g.len();
         let out = simulate(&g, &topo, &RuntimeConfig::default().with_scheduler(sched));
-        prop_assert_eq!(out.tasks_run, n_tasks);
-        prop_assert!(out.makespan >= 0.0);
+        assert_eq!(out.tasks_run, n_tasks);
+        assert!(out.makespan >= 0.0);
         // Kernel spans on one (gpu, lane) never overlap.
         let mut by_lane: std::collections::BTreeMap<(xk_trace::Place, u8), Vec<(f64, f64)>> =
             Default::default();
@@ -98,35 +101,37 @@ proptest! {
         for spans in by_lane.values_mut() {
             spans.sort_by(|a, b| a.partial_cmp(b).unwrap());
             for w in spans.windows(2) {
-                prop_assert!(w[0].1 <= w[1].0 + 1e-9, "kernel overlap {w:?}");
+                assert!(w[0].1 <= w[1].0 + 1e-9, "kernel overlap {w:?}");
             }
         }
-    }
+    });
+}
 
-    /// Determinism: identical graphs and configs produce identical traces.
-    #[test]
-    fn simulation_is_deterministic(
-        n_tiles in 1usize..10,
-        ops in proptest::collection::vec((0usize..10, 0usize..10, 0u8..3), 1..30),
-    ) {
-        let topo = dgx1();
-        let cfg = RuntimeConfig::default();
+/// Determinism: identical graphs and configs produce identical traces.
+#[test]
+fn simulation_is_deterministic() {
+    let topo = dgx1();
+    let cfg = RuntimeConfig::default();
+    for_each_seed(24, |rng| {
+        let n_tiles = rng.usize_in(1, 10);
+        let ops = random_ops(rng, 10, 30);
         let o1 = simulate(&build_graph(n_tiles, &ops), &topo, &cfg);
         let o2 = simulate(&build_graph(n_tiles, &ops), &topo, &cfg);
-        prop_assert_eq!(o1.makespan, o2.makespan);
-        prop_assert_eq!(o1.bytes_h2d, o2.bytes_h2d);
-        prop_assert_eq!(o1.bytes_p2p, o2.bytes_p2p);
-        prop_assert_eq!(o1.trace.len(), o2.trace.len());
-    }
+        assert_eq!(o1.makespan, o2.makespan);
+        assert_eq!(o1.bytes_h2d, o2.bytes_h2d);
+        assert_eq!(o1.bytes_p2p, o2.bytes_p2p);
+        assert_eq!(o1.trace.len(), o2.trace.len());
+    });
+}
 
-    /// The heuristics can only reduce host traffic, never break completion;
-    /// and disabling them never *reduces* H2D bytes on read-shared graphs.
-    #[test]
-    fn heuristics_never_increase_host_traffic(
-        n_readers in 2usize..8,
-        tile_mb in 1u64..32,
-    ) {
-        let topo = dgx1();
+/// The heuristics can only reduce host traffic, never break completion;
+/// and disabling them never *reduces* H2D bytes on read-shared graphs.
+#[test]
+fn heuristics_never_increase_host_traffic() {
+    let topo = dgx1();
+    for_each_seed(24, |rng| {
+        let n_readers = rng.usize_in(2, 8);
+        let tile_mb = 1 + rng.next_below(31);
         let build = || {
             let mut g = TaskGraph::new();
             let shared = g.add_host_tile(tile_mb * MB, true, "A");
@@ -149,24 +154,24 @@ proptest! {
             &topo,
             &RuntimeConfig::default().with_heuristics(Heuristics::none()),
         );
-        prop_assert!(on.bytes_h2d <= off.bytes_h2d,
+        assert!(on.bytes_h2d <= off.bytes_h2d,
             "heuristics increased H2D: {} > {}", on.bytes_h2d, off.bytes_h2d);
-        prop_assert_eq!(on.tasks_run, off.tasks_run);
-    }
+        assert_eq!(on.tasks_run, off.tasks_run);
+    });
+}
 
-    /// Makespan is never below the critical path (conservation law).
-    #[test]
-    fn makespan_at_least_critical_path(
-        n_tiles in 1usize..8,
-        ops in proptest::collection::vec((0usize..8, 0usize..8, 0u8..3), 1..25),
-    ) {
-        let topo = dgx1();
-        let cfg = RuntimeConfig::default();
-        let g = build_graph(n_tiles, &ops);
+/// Makespan is never below the critical path (conservation law).
+#[test]
+fn makespan_at_least_critical_path() {
+    let topo = dgx1();
+    let cfg = RuntimeConfig::default();
+    for_each_seed(24, |rng| {
+        let n_tiles = rng.usize_in(1, 8);
+        let g = build_graph(n_tiles, &random_ops(rng, 8, 25));
         let cp = g.critical_path_seconds(&cfg.gpu_model);
         let out = simulate(&g, &topo, &cfg);
-        prop_assert!(out.makespan >= cp - 1e-9, "makespan {} < cp {}", out.makespan, cp);
-    }
+        assert!(out.makespan >= cp - 1e-9, "makespan {} < cp {}", out.makespan, cp);
+    });
 }
 
 /// Transfer byte accounting matches the trace.

@@ -81,6 +81,7 @@ pub(crate) struct CalendarQueue<E> {
 }
 
 impl<E> CalendarQueue<E> {
+    #[cfg(test)]
     pub(crate) fn new() -> Self {
         Self::with_capacity(0)
     }

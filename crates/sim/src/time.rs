@@ -7,14 +7,12 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in seconds since the start of the simulation.
 ///
 /// `SimTime` is totally ordered; constructing one from NaN panics, and the
 /// arithmetic operators preserve the non-NaN invariant (panicking otherwise,
 /// which would indicate a modelling bug such as a zero-bandwidth link).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -124,7 +122,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of simulated time, in seconds.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct Duration(f64);
 
 impl Duration {

@@ -1,15 +1,17 @@
-//! Property-based tests of the DES core invariants, including the
-//! heap-vs-calendar differential property (the shrinking twin of the
-//! deterministic lockstep scripts in `tests/queue_diff.rs`).
+//! Seeded property tests of the DES core invariants, including the
+//! heap-vs-calendar differential property (free-form op scripts; the
+//! per-distribution lockstep scripts live in `tests/queue_diff.rs`).
 
-use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+use xk_lp::{for_each_seed, SplitMix64};
 use xk_sim::{Clock, Duration, EnginePool, EventQueue, QueueBackend, SimTime};
 
 /// One step of a differential op script. Times mix a dense uniform range,
 /// coarse quantized values (same-time tie bursts) and far-future outliers
 /// (overflow-ladder residents) — the distributions a calendar queue finds
 /// adversarial.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum QOp {
     Push(f64),
     PushBurst(u8, u8),
@@ -18,55 +20,60 @@ enum QOp {
     Peek,
 }
 
-fn qop() -> impl Strategy<Value = QOp> {
-    prop_oneof![
-        4 => prop_oneof![
-            3 => 0.0f64..1.0,
-            2 => (0u8..8).prop_map(|q| f64::from(q) * 0.25),
-            1 => 1e6f64..1e12,
-        ].prop_map(QOp::Push),
-        1 => (0u8..8, 1u8..16).prop_map(|(q, n)| QOp::PushBurst(q, n)),
-        3 => Just(QOp::Pop),
-        2 => any::<u64>().prop_map(QOp::PopTied),
-        1 => Just(QOp::Peek),
-    ]
+/// Weights: push 4, burst 1, pop 3, tied pop 2, peek 1; push times are
+/// dense 3 : quantized 2 : far-future 1.
+fn qop(rng: &mut SplitMix64) -> QOp {
+    match rng.next_below(11) {
+        0..=3 => QOp::Push(match rng.next_below(6) {
+            0..=2 => rng.next_f64(),
+            3..=4 => rng.next_below(8) as f64 * 0.25,
+            _ => rng.f64_in(1e6, 1e12),
+        }),
+        4 => QOp::PushBurst(rng.next_below(8) as u8, rng.usize_in(1, 16) as u8),
+        5..=7 => QOp::Pop,
+        8..=9 => QOp::PopTied(rng.next_u64()),
+        _ => QOp::Peek,
+    }
 }
 
-proptest! {
-    /// Events always pop in non-decreasing time order regardless of the
-    /// scheduling order.
-    #[test]
-    fn events_pop_monotonically(times in proptest::collection::vec(0.0f64..1e6, 1..200)) {
+/// Events always pop in non-decreasing time order regardless of the
+/// scheduling order.
+#[test]
+fn events_pop_monotonically() {
+    for_each_seed(256, |rng| {
         let mut clock: Clock<usize> = Clock::new();
-        for (i, t) in times.iter().enumerate() {
-            clock.schedule(SimTime::new(*t), i);
+        for i in 0..rng.usize_in(1, 200) {
+            clock.schedule(SimTime::new(rng.f64_in(0.0, 1e6)), i);
         }
         let mut last = SimTime::ZERO;
         while let Some((t, _)) = clock.next() {
-            prop_assert!(t >= last);
+            assert!(t >= last);
             last = t;
         }
-        prop_assert_eq!(clock.pending(), 0);
-    }
+        assert_eq!(clock.pending(), 0);
+    });
+}
 
-    /// Joint reservations never overlap on any engine: for a random sequence
-    /// of operations over a random engine subset, the reserved windows on
-    /// each engine are pairwise disjoint.
-    #[test]
-    fn reservations_never_overlap(
-        ops in proptest::collection::vec(
-            (proptest::collection::btree_set(0usize..6, 1..4), 0.0f64..10.0, 1e-6f64..5.0),
-            1..60
-        )
-    ) {
+/// Joint reservations never overlap on any engine: for a random sequence
+/// of operations over a random engine subset, the reserved windows on
+/// each engine are pairwise disjoint.
+#[test]
+fn reservations_never_overlap() {
+    for_each_seed(256, |rng| {
         let mut pool = EnginePool::new();
         let engines: Vec<_> = (0..6).map(|i| pool.add(format!("e{i}"))).collect();
         let mut windows: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 6];
-        for (subset, earliest, dur) in ops {
+        for _ in 0..rng.usize_in(1, 60) {
+            let mut subset = BTreeSet::new();
+            let size = rng.usize_in(1, 4);
+            while subset.len() < size {
+                subset.insert(rng.usize_in(0, 6));
+            }
+            let (earliest, dur) = (rng.f64_in(0.0, 10.0), rng.f64_in(1e-6, 5.0));
             let ids: Vec<_> = subset.iter().map(|&i| engines[i]).collect();
             let r = pool.reserve(&ids, SimTime::new(earliest), Duration::new(dur));
-            prop_assert!(r.start >= SimTime::new(earliest));
-            prop_assert!((r.end.seconds() - r.start.seconds() - dur).abs() < 1e-9);
+            assert!(r.start >= SimTime::new(earliest));
+            assert!((r.end.seconds() - r.start.seconds() - dur).abs() < 1e-9);
             for &i in &subset {
                 windows[i].push((r.start.seconds(), r.end.seconds()));
             }
@@ -74,40 +81,45 @@ proptest! {
         for w in &mut windows {
             w.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             for pair in w.windows(2) {
-                prop_assert!(pair[0].1 <= pair[1].0 + 1e-9,
-                    "overlapping reservations: {:?}", pair);
+                assert!(pair[0].1 <= pair[1].0 + 1e-9, "overlapping reservations: {pair:?}");
             }
         }
-    }
+    });
+}
 
-    /// Busy-time accounting equals the sum of requested durations.
-    #[test]
-    fn busy_accounting_is_exact(durs in proptest::collection::vec(1e-6f64..2.0, 1..50)) {
+/// Busy-time accounting equals the sum of requested durations.
+#[test]
+fn busy_accounting_is_exact() {
+    for_each_seed(256, |rng| {
         let mut pool = EnginePool::new();
         let e = pool.add("only");
+        let n = rng.usize_in(1, 50);
         let mut total = 0.0;
-        for d in &durs {
-            pool.reserve(&[e], SimTime::ZERO, Duration::new(*d));
+        for _ in 0..n {
+            let d = rng.f64_in(1e-6, 2.0);
+            pool.reserve(&[e], SimTime::ZERO, Duration::new(d));
             total += d;
         }
-        prop_assert!((pool.busy_total(e).seconds() - total).abs() < 1e-6);
-        prop_assert_eq!(pool.ops(e), durs.len() as u64);
+        assert!((pool.busy_total(e).seconds() - total).abs() < 1e-6);
+        assert_eq!(pool.ops(e), n as u64);
         // With all ops requested at t=0, a single engine back-to-back
         // schedule means free_at == total busy time.
-        prop_assert!((pool.free_at(e).seconds() - total).abs() < 1e-6);
-    }
+        assert!((pool.free_at(e).seconds() - total).abs() < 1e-6);
+    });
+}
 
-    /// The calendar backend is bit-for-bit interchangeable with the binary
-    /// heap: any interleaving of pushes (dense, tied, far-future), pops,
-    /// tied pops with arbitrary picks and peeks observes identical results
-    /// from both, and both drain to identical tails.
-    #[test]
-    fn calendar_matches_heap_bit_for_bit(ops in proptest::collection::vec(qop(), 1..400)) {
+/// The calendar backend is bit-for-bit interchangeable with the binary
+/// heap: any interleaving of pushes (dense, tied, far-future), pops,
+/// tied pops with arbitrary picks and peeks observes identical results
+/// from both, and both drain to identical tails.
+#[test]
+fn calendar_matches_heap_bit_for_bit() {
+    for_each_seed(256, |rng| {
         let mut heap = EventQueue::with_backend(QueueBackend::Heap);
         let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
         let mut next_id: u64 = 0;
-        for op in &ops {
-            match *op {
+        for _ in 0..rng.usize_in(1, 400) {
+            match qop(rng) {
                 QOp::Push(t) => {
                     let t = SimTime::new(t);
                     heap.push(t, next_id);
@@ -123,7 +135,7 @@ proptest! {
                     heap.push_batch(batch.iter().copied());
                     cal.push_batch(batch);
                 }
-                QOp::Pop => prop_assert_eq!(heap.pop(), cal.pop()),
+                QOp::Pop => assert_eq!(heap.pop(), cal.pop()),
                 QOp::PopTied(pick) => {
                     let mut sizes = (None, None);
                     let h = heap.pop_tied(&mut |n| {
@@ -134,23 +146,23 @@ proptest! {
                         sizes.1 = Some(n);
                         (pick % n as u64) as usize
                     });
-                    prop_assert_eq!(h, c);
-                    prop_assert_eq!(sizes.0, sizes.1, "tie-group sizes diverged");
+                    assert_eq!(h, c);
+                    assert_eq!(sizes.0, sizes.1, "tie-group sizes diverged");
                 }
                 QOp::Peek => {
-                    prop_assert_eq!(heap.peek_time(), cal.peek_time());
-                    prop_assert_eq!(heap.len(), cal.len());
+                    assert_eq!(heap.peek_time(), cal.peek_time());
+                    assert_eq!(heap.len(), cal.len());
                 }
             }
         }
         loop {
             let (h, c) = (heap.pop(), cal.pop());
-            prop_assert_eq!(&h, &c, "drain tail diverged");
+            assert_eq!(&h, &c, "drain tail diverged");
             if h.is_none() {
                 break;
             }
         }
-    }
+    });
 }
 
 /// Two identical simulations produce identical pop sequences (determinism).

@@ -3,9 +3,9 @@
 //! Runs identical randomized op scripts — pushes from adversarial time
 //! distributions, pops, tied pops with pseudo-random picks, peeks —
 //! against both [`QueueBackend`]s in lockstep and asserts every observable
-//! result is identical. This is the plain-`#[test]` twin of the proptest
-//! suite in `tests/properties.rs`, runnable without dev-dependencies; the
-//! proptest version explores the same space with shrinking on top.
+//! result is identical. `tests/properties.rs` explores the same space with
+//! free-form seeded op scripts; here each script targets one time
+//! distribution.
 
 use xk_sim::{EventQueue, QueueBackend, SimTime};
 

@@ -7,12 +7,10 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::link::{lat, LinkClass};
 
 /// A processing/memory resource of the platform.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum Device {
     /// Host CPUs + main memory (a single memory node in this model).
     Host,
@@ -53,7 +51,7 @@ impl std::fmt::Display for Device {
 /// segments either — the tier is non-blocking at full bisection, so the only
 /// contention point is each GPU's own port, which the per-GPU copy engines
 /// already model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum BusSegment {
     /// The x16 uplink between PCIe switch `sw` and its root complex. On a
     /// DGX-1 two GPUs hang off each switch, so their host traffic shares it.
@@ -66,7 +64,7 @@ pub enum BusSegment {
 }
 
 /// Physical characteristics of one point-to-point link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkSpec {
     /// Link classification (reporting + route segment derivation).
     pub class: LinkClass,
@@ -100,7 +98,7 @@ impl LinkSpec {
 /// (each same-node pair gets a [`LinkClass::NvSwitch`] link at the port
 /// bandwidth, crossing two hops); the spec keeps the tier itself so
 /// fingerprints, reports and relabeling tools can see the structure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SwitchTier {
     /// Bandwidth of one GPU's port into the plane, bytes/second. The plane
     /// itself is full-bisection, so the port is the only bottleneck.
@@ -110,7 +108,7 @@ pub struct SwitchTier {
 }
 
 /// A resolved route between two devices.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Route {
     /// Classification of the route (that of its weakest hop).
     pub class: LinkClass,
@@ -130,23 +128,18 @@ impl Route {
     }
 }
 
-fn default_n_nodes() -> usize {
-    1
-}
-
 /// A complete multi-GPU fabric description.
 ///
 /// Construct one with [`crate::FabricBuilder`], the named constructors in
-/// [`crate::fabrics`] / [`crate::builders`] / [`crate::dgx1()`], or
-/// deserialize a custom one; [`FabricSpec::validate`] checks internal
-/// consistency.
+/// [`crate::fabrics`] / [`crate::builders`] / [`crate::dgx1()`];
+/// [`FabricSpec::validate`] checks internal consistency.
 ///
 /// The spec is hierarchical: GPUs hang off PCIe switches, switches off
 /// sockets, and (for multi-node fabrics) GPUs belong to nodes joined by
 /// NIC/IB links. [`FabricSpec::route`] resolves any device pair against
 /// those tables; [`FabricSpec::route_ref`] serves the same answer from a
 /// lazily built routing table without allocating.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FabricSpec {
     name: String,
     n_gpus: usize,
@@ -158,30 +151,23 @@ pub struct FabricSpec {
     gpu_switch: Vec<usize>,
     /// Socket per PCIe switch.
     switch_socket: Vec<usize>,
-    /// Node per GPU; empty means "all on node 0" (single-node fabrics
-    /// serialized before nodes existed deserialize to that).
-    #[serde(default)]
+    /// Node per GPU; empty means "all on node 0" (what `from_tables`
+    /// passes for single-node fabrics).
     gpu_node: Vec<usize>,
     /// Number of nodes (1 for every single-node fabric).
-    #[serde(default = "default_n_nodes")]
     n_nodes: usize,
     /// The NIC/IB link joining nodes, when `n_nodes > 1`.
-    #[serde(default)]
     inter_node: Option<LinkSpec>,
     /// The NVSwitch plane the pairwise table was expanded from, if any.
-    #[serde(default)]
     switch_tier: Option<SwitchTier>,
     /// Sorted distinct GPU↔GPU route bandwidths; `perf_rank` is the index
-    /// into this ladder. Derived, never serialized.
-    #[serde(skip)]
+    /// into this ladder. Derived lazily.
     rank_levels: OnceLock<Vec<f64>>,
     /// Flattened routing table over all device pairs. Derived lazily.
-    #[serde(skip)]
     routes: OnceLock<Box<[Route]>>,
     /// Memoised [`FabricSpec::fingerprint`]. The tables are private and
     /// only [`FabricSpec::from_parts`] assembles them, so it cannot go
-    /// stale. Derived lazily, never serialized.
-    #[serde(skip)]
+    /// stale. Derived lazily.
     fingerprint: OnceLock<u64>,
 }
 
@@ -642,10 +628,6 @@ impl FabricSpec {
     }
 }
 
-/// The legacy name of [`FabricSpec`], kept as a thin shim for one release.
-#[deprecated(note = "renamed to FabricSpec; construct fabrics with FabricBuilder")]
-pub type Topology = FabricSpec;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,26 +755,6 @@ mod tests {
             };
             let cut = t.map_gpu_links(t.name(), halved).unwrap();
             assert_ne!(cut.fingerprint(), fp, "{}: one-link surgery", t.name());
-        }
-    }
-
-    #[test]
-    fn fingerprint_is_recomputed_after_deserialization() {
-        // Same runtime probe as the trace round-trips: skip under an inert
-        // offline serde_json shim.
-        if !serde_json::to_string(&1u32)
-            .map(|s| s == "1")
-            .unwrap_or(false)
-        {
-            return;
-        }
-        for t in crate::fabrics::gallery() {
-            let fp = t.fingerprint();
-            let json = serde_json::to_string(&t).unwrap();
-            assert!(!json.contains("fingerprint"), "the memo is not serialized");
-            let back: FabricSpec = serde_json::from_str(&json).unwrap();
-            assert!(back.fingerprint.get().is_none());
-            assert_eq!(back.fingerprint(), fp, "{}", t.name());
         }
     }
 

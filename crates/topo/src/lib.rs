@@ -44,6 +44,4 @@ pub use dgx1::{
     dgx1, DGX1_GPU_MEMORY, DGX1_NVLINK1_EDGES, DGX1_NVLINK2_EDGES, DGX1_TABLE1, V100_PEAK_DP,
 };
 pub use fabric::{BusSegment, Device, FabricSpec, LinkSpec, Route, SwitchTier};
-#[allow(deprecated)]
-pub use fabric::Topology;
 pub use link::{bw, lat, LinkClass};

@@ -1,14 +1,12 @@
 //! Link classes and physical constants of the modelled interconnects.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a point-to-point route, ordered by preference.
 ///
 /// The ordering mirrors the *performance rank* reported by CUDA's
 /// `cuDeviceGetP2PAttribute(CU_DEVICE_P2P_ATTRIBUTE_PERFORMANCE_RANK)`, which
 /// the paper's topology-aware heuristic consumes: a route over two bonded
 /// NVLinks beats one NVLink, which beats anything crossing PCIe.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum LinkClass {
     /// Route through host memory / PCIe fabric (lowest rank).
     Pcie,

@@ -4,21 +4,6 @@
 
 use xk_topo::{builders, dgx1, fabrics, Device, FabricSpec, LinkClass, LinkSpec};
 
-/// The deprecated alias is the same type: one intentional call site proving
-/// the shim keeps compiling (and producing identical answers) for existing
-/// downstream code.
-#[allow(deprecated)]
-#[test]
-fn deprecated_topology_alias_is_fabric_spec() {
-    let via_alias: xk_topo::Topology = dgx1();
-    let via_spec: FabricSpec = dgx1();
-    assert_eq!(via_alias.fingerprint(), via_spec.fingerprint());
-    assert_eq!(
-        via_alias.route(Device::Gpu(0), Device::Gpu(5)),
-        via_spec.route(Device::Gpu(0), Device::Gpu(5))
-    );
-}
-
 /// Replays the pre-redesign fingerprint algorithm (name, n_gpus, every link
 /// spec's class/bandwidth-bits/latency-bits, switch and socket tables, in
 /// that exact sequence) against the new `fingerprint()`. The extension

@@ -37,18 +37,6 @@ pub fn breakdown_to_csv(trace: &Trace) -> String {
     out
 }
 
-/// Serializes the whole trace to JSON (via serde; `serde` feature only).
-#[cfg(feature = "serde")]
-pub fn trace_to_json(trace: &Trace) -> serde_json::Result<String> {
-    serde_json::to_string(trace)
-}
-
-/// Parses a trace back from JSON (`serde` feature only).
-#[cfg(feature = "serde")]
-pub fn trace_from_json(json: &str) -> serde_json::Result<Trace> {
-    serde_json::from_str(json)
-}
-
 /// `trace_event` process id of a place: host is pid 0, `gpuN` is pid N+1.
 fn chrome_pid(place: Place) -> u32 {
     match place {
@@ -98,9 +86,6 @@ fn push_json_str(out: &mut String, s: &str) {
 /// H2D read, its device-to-device forwards and the kernels that consumed it
 /// render as one connected chain — the optimistic D2D heuristic made
 /// visible. The output is deterministic: same trace, same bytes.
-///
-/// Hand-rolled string building (no serde) so it stays available in builds
-/// where `serde_json` is stubbed out.
 pub fn chrome_json(trace: &Trace) -> String {
     let mut out = String::with_capacity(128 + trace.len() * 160);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -209,8 +194,8 @@ pub fn chrome_json(trace: &Trace) -> String {
 /// A minimal JSON parser + Chrome `trace_event` schema checker.
 ///
 /// Exists so tests (here and in dependent crates) can validate
-/// [`chrome_json`] output even in build environments where `serde_json` is
-/// stubbed out. Not a general-purpose parser — no number edge cases beyond
+/// [`chrome_json`] output without an external JSON crate. Not a
+/// general-purpose parser — no number edge cases beyond
 /// what `f64::from_str` accepts, no `\u` surrogate pairs.
 #[doc(hidden)]
 pub mod jsonck {
@@ -574,22 +559,6 @@ mod tests {
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("place,lane,kind"));
         assert!(csv.contains("gpu1,2,GPU Kernel"));
-    }
-
-    /// Gated on the real serde: the inert offline shim cannot round-trip
-    /// by construction, so the test compiles out instead of failing.
-    #[cfg(feature = "serde")]
-    #[test]
-    fn json_round_trips() {
-        // Same runtime probe as the trace-intern round-trip: skip under an
-        // inert offline serde_json shim.
-        if !serde_json::to_string(&1u32).map(|s| s == "1").unwrap_or(false) {
-            return;
-        }
-        let original = t();
-        let json = trace_to_json(&original).unwrap();
-        let back = trace_from_json(&json).unwrap();
-        assert_eq!(original.spans(), back.spans());
     }
 
     #[test]

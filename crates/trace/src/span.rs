@@ -1,12 +1,8 @@
 //! Trace spans: one timed operation on one engine of one device.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Category of a traced operation, matching the categories of the paper's
 /// nvprof-based figures (Fig. 6, 7, 9).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum SpanKind {
     /// `CUDA memcpy HtoD` — host to device transfer.
     H2D,
@@ -49,7 +45,6 @@ impl SpanKind {
 
 /// Location of a span: which device, or the host.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Place {
     /// Host CPU / main memory.
     Host,
@@ -75,7 +70,6 @@ impl std::fmt::Display for Place {
 /// loop allocation-free; the text is resolved once, at export, via
 /// [`crate::Trace::label`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Label(pub u32);
 
 impl Label {
@@ -98,7 +92,6 @@ impl Default for Label {
 /// `trace_event` export renders each chain as flow arrows, making the
 /// optimistic D2D forwarding (paper §III-C) directly visible in a viewer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FlowId(pub u32);
 
 impl FlowId {
@@ -114,7 +107,6 @@ impl Default for FlowId {
 
 /// One timed operation.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Span {
     /// Device the operation is attributed to. Transfers are attributed to
     /// their *destination* device (as nvprof attributes memcpys to the
@@ -135,9 +127,6 @@ pub struct Span {
     /// the owning [`crate::Trace`] — resolve with [`crate::Trace::label`].
     pub label: Label,
     /// Data-flow chain membership ([`FlowId::NONE`] when unlinked).
-    /// Defaults on deserialization so traces recorded before flow tracking
-    /// still load.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub flow: FlowId,
 }
 
