@@ -77,43 +77,6 @@ fn cached_sweep_matches_uncached_bitwise() {
     }
 }
 
-/// The event-queue backend must be invisible in simulation output: a full
-/// library run pinned to the heap oracle and one pinned to the calendar
-/// queue produce bit-identical traces, makespans and byte counters.
-#[test]
-fn traces_identical_across_queue_backends() {
-    struct Restore(Option<std::ffi::OsString>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            match self.0.take() {
-                Some(v) => std::env::set_var(xk_sim::QUEUE_ENV, v),
-                None => std::env::remove_var(xk_sim::QUEUE_ENV),
-            }
-        }
-    }
-    let _restore = Restore(std::env::var_os(xk_sim::QUEUE_ENV));
-
-    let topo = dgx1();
-    let lib = Library::XkBlas(XkVariant::Full);
-    let params = xk_baselines::RunParams {
-        routine: Routine::Gemm,
-        n: 8192,
-        tile: 2048,
-        data_on_device: false,
-    };
-    std::env::set_var(xk_sim::QUEUE_ENV, "heap");
-    let heap = xk_baselines::run(lib, &topo, &params).unwrap();
-    std::env::set_var(xk_sim::QUEUE_ENV, "calendar");
-    let calendar = xk_baselines::run(lib, &topo, &params).unwrap();
-
-    assert_eq!(heap.seconds.to_bits(), calendar.seconds.to_bits());
-    assert_eq!(heap.tflops.to_bits(), calendar.tflops.to_bits());
-    assert_eq!(heap.bytes_h2d, calendar.bytes_h2d);
-    assert_eq!(heap.bytes_d2h, calendar.bytes_d2h);
-    assert_eq!(heap.bytes_p2p, calendar.bytes_p2p);
-    assert_traces_identical(&heap.trace, &calendar.trace);
-}
-
 #[test]
 fn traces_identical_serial_vs_parallel_and_cached() {
     let topo = dgx1();

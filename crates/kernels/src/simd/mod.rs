@@ -313,9 +313,9 @@ pub fn run_tile<T: Scalar>(
 
 /// Measured throughput of `isa`'s bare microkernel for `T`, in GFLOP/s:
 /// repeated full-tile rank-`KC` updates over L1-resident packed panels.
-/// This is the "machine peak" proxy `BENCH_kernels.json` reports
-/// fractions against — it prices in loop overhead and the C-tile store,
-/// but no packing or cache misses.
+/// This is the "machine peak" proxy the benchmark's
+/// `kernels.gemm_fraction_of_peak` is a fraction of — it prices in loop
+/// overhead and the C-tile store, but no packing or cache misses.
 ///
 /// `budget_ms` is the measurement budget; the best batch wins.
 pub fn microkernel_peak_gflops<T: Scalar>(isa: Isa, budget_ms: u64) -> f64 {

@@ -331,10 +331,8 @@ impl<'a> SimExecutor<'a> {
             nics,
             cache,
             // Each task typically produces a TaskDone plus a handful of
-            // TryLaunch events; pre-reserving avoids queue regrowth
-            // mid-run (the heap backend sizes its array, the calendar
-            // backend its bucket ring — see `xk_sim::selected_backend`
-            // for how `XK_EVENT_QUEUE` picks between them).
+            // TryLaunch events; pre-reserving avoids heap regrowth
+            // mid-run.
             clock: Clock::with_capacity(graph.len().saturating_mul(4).max(64)),
             pending: prep.pending.clone(),
             assigned_to: vec![None; graph.len()],

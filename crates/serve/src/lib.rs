@@ -20,21 +20,17 @@
 //!   misses drain through the cross-seed replica driver
 //!   ([`xk_sim::run_replicas`]), and XKBlas-variant misses that share a
 //!   task graph simulate from one hoisted [`xk_runtime::SimPrep`].
-//! * [`loadgen`] — deterministic zipf traces and percentile helpers for
-//!   the `serve_load` harness (`BENCH_serve.json`).
 
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod interp;
 pub mod key;
-pub mod loadgen;
 pub mod shard;
 
 pub use engine::{Answer, AnswerSource, EngineStats, Query, QueryMode, ServeEngine};
 pub use interp::{Curve, CurveKey, CurveTable, MAX_BRACKET_RATIO, MIN_FIT_POINTS, SAFETY};
 pub use key::QueryKey;
-pub use loadgen::{percentile, zipf_trace, Rng64, Zipf};
 pub use shard::{
     Admission, CacheStats, Flight, LeadGuard, RunOutcome, ShardedCache, Source, DEFAULT_SHARDS,
 };

@@ -1,36 +1,20 @@
 //! Deterministic event queue.
 //!
-//! A classic discrete-event priority queue keyed by [`SimTime`]. Ties are
-//! broken by a monotonically increasing sequence number so that two events
-//! scheduled for the same instant always pop in scheduling order — this is
-//! what makes whole-simulation runs bit-for-bit reproducible.
-//!
-//! Two storage backends implement that contract:
-//!
-//! - [`QueueBackend::Calendar`] (the default): a calendar queue with a
-//!   far-future overflow ladder ([`crate::calendar`]), O(1) amortized on
-//!   the DES hot path.
-//! - [`QueueBackend::Heap`]: the classic `BinaryHeap`, kept as the
-//!   differential oracle the calendar backend is pinned against.
-//!
-//! The backend is chosen per queue at construction time from the
-//! [`QUEUE_ENV`] environment variable (`XK_EVENT_QUEUE`), mirroring the
-//! kernel crate's `XK_KERNEL_ISA` semantics: unset/empty/`auto` pick the
-//! best available backend, an explicit name pins it, a recognized-but-
-//! unavailable name falls back to the conservative heap, and garbage
-//! panics. Both backends pop the exact same `(time, seq)` sequence, so the
-//! choice never changes simulation output — only its speed.
+//! A classic discrete-event priority queue keyed by [`SimTime`], stored in
+//! a `BinaryHeap`. Ties are broken by a monotonically increasing sequence
+//! number so that two events scheduled for the same instant always pop in
+//! scheduling order — this is what makes whole-simulation runs bit-for-bit
+//! reproducible.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::CalendarQueue;
 use crate::time::SimTime;
 
-pub(crate) struct Entry<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -56,65 +40,32 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Environment variable selecting the event-queue backend
-/// (`auto`/`calendar`/`heap`; see [`selected_backend`]).
+/// Name of the environment variable that once selected an event-queue
+/// backend. Nothing reads the variable any more; the constant remains only
+/// because the frozen `benchmark/src/envstamp.rs` names it, and a
+/// `benchmark` PR removes it together with [`selected_backend`].
 pub const QUEUE_ENV: &str = "XK_EVENT_QUEUE";
 
-/// Storage backend behind an [`EventQueue`].
+/// The storage behind an [`EventQueue`]: only the binary heap. Kept, like
+/// [`QUEUE_ENV`], for the benchmark's environment stamp.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueueBackend {
-    /// `std::collections::BinaryHeap` — O(log n) per op, the differential
-    /// oracle.
+    /// `std::collections::BinaryHeap` — O(log n) per op.
     Heap,
-    /// Calendar queue with overflow ladder — O(1) amortized, the default.
-    Calendar,
 }
 
-/// Resolves [`QUEUE_ENV`] to a backend, with `XK_KERNEL_ISA`-style
-/// semantics:
-///
-/// - unset, empty or `auto`: the best available backend (calendar);
-/// - `calendar` or `heap`: that backend, pinned;
-/// - `ladder`: recognized (the calendar's overflow rung is a one-rung
-///   ladder queue; a full ladder backend is not built) but unavailable —
-///   falls back to the conservative [`QueueBackend::Heap`] oracle, so a
-///   pinned CI leg never silently runs the backend under test;
-/// - anything else: panics, so typos in CI matrices fail loudly.
-///
-/// Names are case-insensitive. Read at queue construction time, not once
-/// per process, so tests can flip the variable between queues.
+/// Always [`QueueBackend::Heap`]. The benchmark's environment stamp
+/// formats this with `{:?}`; a `benchmark` PR removes it.
 pub fn selected_backend() -> QueueBackend {
-    match std::env::var(QUEUE_ENV) {
-        Err(_) => QueueBackend::Calendar,
-        Ok(v) => {
-            let v = v.trim();
-            if v.is_empty() || v.eq_ignore_ascii_case("auto") || v.eq_ignore_ascii_case("calendar")
-            {
-                QueueBackend::Calendar
-            } else if v.eq_ignore_ascii_case("heap") || v.eq_ignore_ascii_case("ladder") {
-                // `ladder` is a valid name for a backend this build does
-                // not provide; fall back to the heap oracle rather than a
-                // different accelerated backend.
-                QueueBackend::Heap
-            } else {
-                panic!("{QUEUE_ENV}={v:?} is not a recognized event-queue backend (expected auto, calendar or heap)");
-            }
-        }
-    }
-}
-
-enum Storage<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(CalendarQueue<E>),
+    QueueBackend::Heap
 }
 
 /// A deterministic discrete-event queue.
 ///
 /// Events of type `E` are scheduled at absolute [`SimTime`]s and popped in
-/// non-decreasing time order, FIFO among equal times — regardless of which
-/// [`QueueBackend`] stores them.
+/// non-decreasing time order, FIFO among equal times.
 pub struct EventQueue<E> {
-    storage: Storage<E>,
+    heap: BinaryHeap<Entry<E>>,
     seq: u64,
     /// Scratch for `pop_tied` tie groups, reused across calls so tied pops
     /// under exploration controllers stay allocation-free after warm-up.
@@ -128,123 +79,36 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the backend selected by
-    /// [`selected_backend`].
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(selected_backend())
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with space for `capacity` events, so the hot
-    /// loop of a simulation never reallocates. Backend from
-    /// [`selected_backend`].
+    /// loop of a simulation never reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_backend_capacity(selected_backend(), capacity)
-    }
-
-    /// Creates an empty queue pinned to `backend`, ignoring [`QUEUE_ENV`].
-    /// This is how differential tests and benchmarks hold both backends in
-    /// one process.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        Self::with_backend_capacity(backend, 0)
-    }
-
-    /// Creates an empty queue pinned to `backend` with space for
-    /// `capacity` events.
-    pub fn with_backend_capacity(backend: QueueBackend, capacity: usize) -> Self {
-        let storage = match backend {
-            QueueBackend::Heap => Storage::Heap(BinaryHeap::with_capacity(capacity)),
-            QueueBackend::Calendar => Storage::Calendar(CalendarQueue::with_capacity(capacity)),
-        };
         EventQueue {
-            storage,
+            heap: BinaryHeap::with_capacity(capacity),
             seq: 0,
             tie_scratch: Vec::new(),
         }
     }
 
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.storage {
-            Storage::Heap(_) => QueueBackend::Heap,
-            Storage::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
     /// Pre-reserves space for at least `additional` more events.
     pub fn reserve(&mut self, additional: usize) {
-        match &mut self.storage {
-            Storage::Heap(h) => h.reserve(additional),
-            Storage::Calendar(c) => c.reserve(additional),
-        }
-    }
-
-    #[inline]
-    fn push_entry(&mut self, e: Entry<E>) {
-        match &mut self.storage {
-            Storage::Heap(h) => h.push(e),
-            Storage::Calendar(c) => c.push_entry(e),
-        }
+        self.heap.reserve(additional);
     }
 
     /// Schedules `event` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_entry(Entry { time, seq, event });
-    }
-
-    /// Schedules a batch of events in one call. Sequence numbers are
-    /// assigned in iteration order, so FIFO tie-breaking among equal times
-    /// is identical to pushing them one by one.
-    ///
-    /// Reserves from the iterator's upper `size_hint` bound when one is
-    /// reported — for `ExactSizeIterator`s (slices, `Vec`s, ranges) that is
-    /// the exact length, so the whole batch lands without reallocation.
-    pub fn push_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        /// Below this batch size (or when the batch is small next to what
-        /// is already queued), per-entry pushes beat a sort-and-distribute
-        /// pass over old plus new.
-        const BULK_MIN: usize = 256;
-        let it = events.into_iter();
-        let (lower, upper) = it.size_hint();
-        let hint = upper.unwrap_or(lower);
-        if hint >= BULK_MIN {
-            if let Storage::Calendar(c) = &mut self.storage {
-                let mut seq = self.seq;
-                let entries: Vec<Entry<E>> = it
-                    .map(|(time, event)| {
-                        let e = Entry { time, seq, event };
-                        seq += 1;
-                        e
-                    })
-                    .collect();
-                self.seq = seq;
-                // The size hint was only a hint; decide on the real length.
-                if entries.len() >= BULK_MIN && entries.len() >= c.len() / 4 {
-                    c.push_bulk(entries);
-                } else {
-                    for e in entries {
-                        c.push_entry(e);
-                    }
-                }
-                return;
-            }
-        }
-        self.reserve(hint);
-        for (time, event) in it {
-            self.push(time, event);
-        }
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = match &mut self.storage {
-            Storage::Heap(h) => h.pop(),
-            Storage::Calendar(c) => c.pop(),
-        }?;
+        let e = self.heap.pop()?;
         Some((e.time, e.event))
     }
 
@@ -258,77 +122,46 @@ impl<E> EventQueue<E> {
     /// only consulted when two or more events are tied; out-of-range picks
     /// are clamped to the last candidate.
     pub fn pop_tied(&mut self, tie: &mut dyn FnMut(usize) -> usize) -> Option<(SimTime, E)> {
-        match &mut self.storage {
-            Storage::Heap(h) => {
-                let first = h.pop()?;
-                let t = first.time;
-                if h.peek().is_none_or(|e| e.time != t) {
-                    return Some((first.time, first.event));
-                }
-                // Collect the whole tie group into the reused scratch;
-                // BinaryHeap pops it in seq order.
-                let tied = &mut self.tie_scratch;
-                debug_assert!(tied.is_empty());
-                tied.push(first);
-                while let Some(e) = h.peek() {
-                    if e.time != t {
-                        break;
-                    }
-                    tied.push(h.pop().expect("peeked entry"));
-                }
-                let pick = tie(tied.len()).min(tied.len() - 1);
-                let chosen = tied.swap_remove(pick);
-                // Re-insert the rest; their original `seq` values keep
-                // relative FIFO order stable for later pops.
-                for e in tied.drain(..) {
-                    h.push(e);
-                }
-                Some((chosen.time, chosen.event))
-            }
-            Storage::Calendar(c) => {
-                let tied = &mut self.tie_scratch;
-                debug_assert!(tied.is_empty());
-                c.drain_min_time_into(tied)?;
-                // The drain yields the bucket run and the overflow run,
-                // each already in seq order; one sort merges them (seqs
-                // are unique, so unstable is fine and usually a no-op).
-                tied.sort_unstable_by_key(|e| e.seq);
-                let chosen = if tied.len() == 1 {
-                    tied.pop().expect("single tied entry")
-                } else {
-                    let pick = tie(tied.len()).min(tied.len() - 1);
-                    tied.swap_remove(pick)
-                };
-                for e in tied.drain(..) {
-                    c.push_entry(e);
-                }
-                Some((chosen.time, chosen.event))
-            }
+        let h = &mut self.heap;
+        let first = h.pop()?;
+        let t = first.time;
+        if h.peek().is_none_or(|e| e.time != t) {
+            return Some((first.time, first.event));
         }
+        // Collect the whole tie group into the reused scratch; BinaryHeap
+        // pops it in seq order.
+        let tied = &mut self.tie_scratch;
+        debug_assert!(tied.is_empty());
+        tied.push(first);
+        while let Some(e) = h.peek() {
+            if e.time != t {
+                break;
+            }
+            tied.push(h.pop().expect("peeked entry"));
+        }
+        let pick = tie(tied.len()).min(tied.len() - 1);
+        let chosen = tied.swap_remove(pick);
+        // Re-insert the rest; their original `seq` values keep relative
+        // FIFO order stable for later pops.
+        for e in tied.drain(..) {
+            h.push(e);
+        }
+        Some((chosen.time, chosen.event))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.storage {
-            Storage::Heap(h) => h.peek().map(|e| e.time),
-            Storage::Calendar(c) => c.peek_time(),
-        }
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.storage {
-            Storage::Heap(h) => h.len(),
-            Storage::Calendar(c) => c.len(),
-        }
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        match &self.storage {
-            Storage::Heap(h) => h.is_empty(),
-            Storage::Calendar(c) => c.is_empty(),
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -348,8 +181,7 @@ impl<E> Default for Clock<E> {
 }
 
 impl<E> Clock<E> {
-    /// A clock at time zero with an empty queue (backend from
-    /// [`selected_backend`]).
+    /// A clock at time zero with an empty queue.
     pub fn new() -> Self {
         Clock {
             now: SimTime::ZERO,
@@ -358,20 +190,11 @@ impl<E> Clock<E> {
     }
 
     /// A clock at time zero whose queue pre-reserves space for `capacity`
-    /// pending events (backend from [`selected_backend`]).
+    /// pending events.
     pub fn with_capacity(capacity: usize) -> Self {
         Clock {
             now: SimTime::ZERO,
             queue: EventQueue::with_capacity(capacity),
-        }
-    }
-
-    /// A clock at time zero pinned to `backend` with space for `capacity`
-    /// pending events, ignoring [`QUEUE_ENV`].
-    pub fn with_backend_capacity(backend: QueueBackend, capacity: usize) -> Self {
-        Clock {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_backend_capacity(backend, capacity),
         }
     }
 
@@ -440,34 +263,26 @@ impl<E> Clock<E> {
 mod tests {
     use super::*;
 
-    /// Both backends, explicitly — unit tests must not depend on the
-    /// ambient `XK_EVENT_QUEUE` value.
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Heap, QueueBackend::Calendar];
-
     #[test]
     fn pops_in_time_order() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.push(SimTime::new(3.0), "c");
-            q.push(SimTime::new(1.0), "a");
-            q.push(SimTime::new(2.0), "b");
-            assert_eq!(q.pop(), Some((SimTime::new(1.0), "a")));
-            assert_eq!(q.pop(), Some((SimTime::new(2.0), "b")));
-            assert_eq!(q.pop(), Some((SimTime::new(3.0), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::new(3.0), "c");
+        q.push(SimTime::new(1.0), "a");
+        q.push(SimTime::new(2.0), "b");
+        assert_eq!(q.pop(), Some((SimTime::new(1.0), "a")));
+        assert_eq!(q.pop(), Some((SimTime::new(2.0), "b")));
+        assert_eq!(q.pop(), Some((SimTime::new(3.0), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn equal_times_pop_fifo() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            for i in 0..100 {
-                q.push(SimTime::new(1.0), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((SimTime::new(1.0), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(SimTime::new(1.0), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((SimTime::new(1.0), i)));
         }
     }
 
@@ -498,121 +313,83 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_matches_individual_pushes() {
-        for be in BACKENDS {
-            let mut a = EventQueue::with_backend(be);
-            let mut b = EventQueue::with_backend_capacity(be, 8);
-            let events = [
-                (SimTime::new(2.0), 'x'),
-                (SimTime::new(1.0), 'y'),
-                (SimTime::new(2.0), 'z'),
-                (SimTime::new(1.0), 'w'),
-            ];
-            for &(t, e) in &events {
-                a.push(t, e);
-            }
-            b.push_batch(events);
-            while let Some(ea) = a.pop() {
-                assert_eq!(Some(ea), b.pop());
-            }
-            assert!(b.is_empty());
-        }
-    }
-
-    #[test]
     fn reserve_does_not_disturb_order() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.push(SimTime::new(2.0), 1u8);
-            q.reserve(1000);
-            q.push(SimTime::new(1.0), 2u8);
-            assert_eq!(q.pop(), Some((SimTime::new(1.0), 2u8)));
-            assert_eq!(q.pop(), Some((SimTime::new(2.0), 1u8)));
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::new(2.0), 1u8);
+        q.reserve(1000);
+        q.push(SimTime::new(1.0), 2u8);
+        assert_eq!(q.pop(), Some((SimTime::new(1.0), 2u8)));
+        assert_eq!(q.pop(), Some((SimTime::new(2.0), 1u8)));
     }
 
     #[test]
     fn pop_tied_zero_is_fifo() {
-        for be in BACKENDS {
-            let mut a = EventQueue::with_backend(be);
-            let mut b = EventQueue::with_backend(be);
-            for (t, e) in [(1.0, 0), (1.0, 1), (2.0, 2), (1.0, 3), (2.0, 4)] {
-                a.push(SimTime::new(t), e);
-                b.push(SimTime::new(t), e);
-            }
-            let mut canonical = |_n: usize| 0;
-            while let Some(ea) = a.pop() {
-                assert_eq!(Some(ea), b.pop_tied(&mut canonical));
-            }
-            assert!(b.pop_tied(&mut canonical).is_none());
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        for (t, e) in [(1.0, 0), (1.0, 1), (2.0, 2), (1.0, 3), (2.0, 4)] {
+            a.push(SimTime::new(t), e);
+            b.push(SimTime::new(t), e);
         }
+        let mut canonical = |_n: usize| 0;
+        while let Some(ea) = a.pop() {
+            assert_eq!(Some(ea), b.pop_tied(&mut canonical));
+        }
+        assert!(b.pop_tied(&mut canonical).is_none());
     }
 
     #[test]
     fn pop_tied_picks_and_preserves_rest() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            for i in 0..4 {
-                q.push(SimTime::new(1.0), i);
-            }
-            q.push(SimTime::new(2.0), 9);
-            let mut ns = Vec::new();
-            let got = q
-                .pop_tied(&mut |n| {
-                    ns.push(n);
-                    2
-                })
-                .unwrap();
-            assert_eq!(got, (SimTime::new(1.0), 2));
-            assert_eq!(ns, vec![4]);
-            // Remaining tied events keep FIFO order among themselves.
-            assert_eq!(q.pop(), Some((SimTime::new(1.0), 0)));
-            assert_eq!(q.pop(), Some((SimTime::new(1.0), 1)));
-            assert_eq!(q.pop(), Some((SimTime::new(1.0), 3)));
-            assert_eq!(q.pop(), Some((SimTime::new(2.0), 9)));
+        let mut q = EventQueue::new();
+        for i in 0..4 {
+            q.push(SimTime::new(1.0), i);
         }
+        q.push(SimTime::new(2.0), 9);
+        let mut ns = Vec::new();
+        let got = q
+            .pop_tied(&mut |n| {
+                ns.push(n);
+                2
+            })
+            .unwrap();
+        assert_eq!(got, (SimTime::new(1.0), 2));
+        assert_eq!(ns, vec![4]);
+        // Remaining tied events keep FIFO order among themselves.
+        assert_eq!(q.pop(), Some((SimTime::new(1.0), 0)));
+        assert_eq!(q.pop(), Some((SimTime::new(1.0), 1)));
+        assert_eq!(q.pop(), Some((SimTime::new(1.0), 3)));
+        assert_eq!(q.pop(), Some((SimTime::new(2.0), 9)));
     }
 
     #[test]
     fn pop_tied_out_of_range_clamps_and_singleton_skips_tie() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.push(SimTime::new(1.0), 'a');
-            // Single candidate: tie must not be consulted.
-            let mut called = false;
-            let got = q.pop_tied(&mut |_| {
-                called = true;
-                0
-            });
-            assert_eq!(got, Some((SimTime::new(1.0), 'a')));
-            assert!(!called);
-            q.push(SimTime::new(3.0), 'x');
-            q.push(SimTime::new(3.0), 'y');
-            assert_eq!(q.pop_tied(&mut |_| 99), Some((SimTime::new(3.0), 'y')));
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::new(1.0), 'a');
+        // Single candidate: tie must not be consulted.
+        let mut called = false;
+        let got = q.pop_tied(&mut |_| {
+            called = true;
+            0
+        });
+        assert_eq!(got, Some((SimTime::new(1.0), 'a')));
+        assert!(!called);
+        q.push(SimTime::new(3.0), 'x');
+        q.push(SimTime::new(3.0), 'y');
+        assert_eq!(q.pop_tied(&mut |_| 99), Some((SimTime::new(3.0), 'y')));
     }
 
     #[test]
     fn peek_matches_pop() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.push(SimTime::new(4.0), 1u8);
-            q.push(SimTime::new(2.0), 2u8);
-            assert_eq!(q.peek_time(), Some(SimTime::new(2.0)));
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t, SimTime::new(2.0));
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::new(4.0), 1u8);
+        q.push(SimTime::new(2.0), 2u8);
+        assert_eq!(q.peek_time(), Some(SimTime::new(2.0)));
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t, SimTime::new(2.0));
     }
 
+    /// What `benchmark/src/envstamp.rs` prints as `queue_backend`.
     #[test]
     fn backend_reports_and_defaults() {
-        assert_eq!(
-            EventQueue::<u8>::with_backend(QueueBackend::Heap).backend(),
-            QueueBackend::Heap
-        );
-        assert_eq!(
-            EventQueue::<u8>::with_backend(QueueBackend::Calendar).backend(),
-            QueueBackend::Calendar
-        );
+        assert_eq!(format!("{:?}", selected_backend()).to_lowercase(), "heap");
     }
 }

@@ -9,11 +9,10 @@
 //!
 //! * [`SimTime`] / [`Duration`] — totally ordered `f64` seconds.
 //! * [`Clock`] / [`EventQueue`] — a deterministic event queue with FIFO
-//!   tie-breaking, so identical inputs always produce identical traces.
-//!   Two pop-identical backends (calendar queue and binary heap) are
-//!   selectable via the `XK_EVENT_QUEUE` environment variable; see
-//!   [`selected_backend`]. [`run_replicas`] fans independent replica
-//!   simulations (seed sweeps, tile sweeps) over a worker pool.
+//!   tie-breaking (a `BinaryHeap` keyed by `(time, sequence)`), so
+//!   identical inputs always produce identical traces. [`run_replicas`]
+//!   fans independent replica simulations (seed sweeps, tile sweeps) over
+//!   a worker pool.
 //! * [`EnginePool`] — resources (copy engines, kernel streams, PCIe
 //!   switches) that execute one operation at a time, with *joint
 //!   reservations* for operations that hold several resources at once.
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod calendar;
 mod engine;
 mod event;
 mod stats;

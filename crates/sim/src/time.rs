@@ -57,22 +57,6 @@ impl SimTime {
             self
         }
     }
-
-    /// Calendar-queue bucket math: the virtual bucket index of `self` on a
-    /// bucket calendar whose day zero starts at `start` and whose buckets
-    /// are `1.0 / inv_width` seconds wide.
-    ///
-    /// Times before `start` map to bucket 0, and indices saturate at
-    /// `u64::MAX` instead of wrapping, so callers can compare indices of
-    /// far-future outliers without overflow. Monotone in `self`: a later
-    /// time never maps to a smaller virtual bucket.
-    #[inline]
-    pub fn virtual_bucket(self, start: SimTime, inv_width: f64) -> u64 {
-        // `as` saturates on float-to-int casts (negative -> 0,
-        // too-large/inf -> u64::MAX), which is exactly the clamping the
-        // calendar queue needs.
-        ((self.0 - start.0) * inv_width) as u64
-    }
 }
 
 impl Eq for SimTime {}
@@ -204,29 +188,6 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_duration_rejected() {
         let _ = Duration::new(-1.0);
-    }
-
-    #[test]
-    fn virtual_bucket_math() {
-        let start = SimTime::new(1.0);
-        let inv_w = 10.0; // buckets 0.1 s wide
-        assert_eq!(SimTime::new(0.5).virtual_bucket(start, inv_w), 0);
-        assert_eq!(SimTime::new(1.0).virtual_bucket(start, inv_w), 0);
-        assert_eq!(SimTime::new(1.05).virtual_bucket(start, inv_w), 0);
-        assert_eq!(SimTime::new(1.1).virtual_bucket(start, inv_w), 1);
-        assert_eq!(SimTime::new(2.0).virtual_bucket(start, inv_w), 10);
-        // Far-future outliers saturate instead of wrapping.
-        assert_eq!(
-            SimTime::new(f64::MAX).virtual_bucket(start, 1e300),
-            u64::MAX
-        );
-        // Monotone: later times never map to a smaller bucket.
-        let mut prev = 0;
-        for i in 0..1000 {
-            let vb = SimTime::new(i as f64 * 0.037).virtual_bucket(start, inv_w);
-            assert!(vb >= prev);
-            prev = vb;
-        }
     }
 
     #[test]

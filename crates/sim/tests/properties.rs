@@ -1,39 +1,188 @@
-//! Seeded property tests of the DES core invariants, including the
-//! heap-vs-calendar differential property (free-form op scripts; the
-//! per-distribution lockstep scripts live in `tests/queue_diff.rs`).
+//! Seeded property tests of the DES core invariants. The event queue is
+//! checked against a model: a plain `Vec` searched for its `(time, seq)`
+//! minimum, run in lockstep with [`EventQueue`] over randomized op scripts.
 
 use std::collections::BTreeSet;
 
 use xk_lp::{for_each_seed, SplitMix64};
-use xk_sim::{Clock, Duration, EnginePool, EventQueue, QueueBackend, SimTime};
+use xk_sim::{Clock, Duration, EnginePool, EventQueue, SimTime};
 
-/// One step of a differential op script. Times mix a dense uniform range,
-/// coarse quantized values (same-time tie bursts) and far-future outliers
-/// (overflow-ladder residents) — the distributions a calendar queue finds
-/// adversarial.
-#[derive(Clone, Copy, Debug)]
-enum QOp {
-    Push(f64),
-    PushBurst(u8, u8),
-    Pop,
-    PopTied(u64),
-    Peek,
+/// The queue's contract, spelled out: entries are `(time, seq, payload)`
+/// in push order, the next event is the `(time, seq)` minimum, and a tied
+/// pop removes the `k`-th member (clamped) of the FIFO-ordered minimum-time
+/// group, leaving the others in place.
+#[derive(Default)]
+struct Model {
+    entries: Vec<(SimTime, u64, u64)>,
+    seq: u64,
 }
 
-/// Weights: push 4, burst 1, pop 3, tied pop 2, peek 1; push times are
-/// dense 3 : quantized 2 : far-future 1.
-fn qop(rng: &mut SplitMix64) -> QOp {
-    match rng.next_below(11) {
-        0..=3 => QOp::Push(match rng.next_below(6) {
-            0..=2 => rng.next_f64(),
-            3..=4 => rng.next_below(8) as f64 * 0.25,
-            _ => rng.f64_in(1e6, 1e12),
-        }),
-        4 => QOp::PushBurst(rng.next_below(8) as u8, rng.usize_in(1, 16) as u8),
-        5..=7 => QOp::Pop,
-        8..=9 => QOp::PopTied(rng.next_u64()),
-        _ => QOp::Peek,
+impl Model {
+    fn push(&mut self, time: SimTime, payload: u64) {
+        self.entries.push((time, self.seq, payload));
+        self.seq += 1;
     }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.entries.iter().map(|e| e.0).min()
+    }
+
+    /// Size of the minimum-time group and the event `pick` selects from it.
+    fn pop_tied(&mut self, pick: impl FnOnce(usize) -> usize) -> Option<(usize, (SimTime, u64))> {
+        let t = self.peek_time()?;
+        // `entries` is in seq order, so the filtered positions are FIFO.
+        let tied: Vec<usize> = (0..self.entries.len())
+            .filter(|&i| self.entries[i].0 == t)
+            .collect();
+        let k = if tied.len() == 1 {
+            0
+        } else {
+            pick(tied.len()).min(tied.len() - 1)
+        };
+        let (time, _, payload) = self.entries.remove(tied[k]);
+        Some((tied.len(), (time, payload)))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.pop_tied(|_| 0).map(|(_, e)| e)
+    }
+}
+
+/// Push-time distributions, each adversarial to a different shortcut a
+/// priority queue might take.
+#[derive(Clone, Copy, Debug)]
+enum Dist {
+    /// Uniform over one second.
+    Uniform,
+    /// A handful of distinct timestamps: large same-time tie groups.
+    Bursts,
+    /// Mostly a dense cluster, occasionally 6-9 orders of magnitude out.
+    FarFuture,
+    /// Tiny gaps around a huge base.
+    DenseClusterFarOrigin,
+    /// Monotonically shrinking times: every push is the new minimum.
+    Decreasing,
+    /// Dense 3 : quantized 2 : far-future 1.
+    Mixed,
+}
+
+impl Dist {
+    fn sample(self, rng: &mut SplitMix64, step: usize) -> SimTime {
+        SimTime::new(match self {
+            Dist::Uniform => rng.next_f64(),
+            Dist::Bursts => rng.next_below(7) as f64 * 0.125,
+            Dist::FarFuture if rng.next_below(16) == 0 => rng.f64_in(1e6, 1e9),
+            Dist::FarFuture => rng.next_f64() * 1e-3,
+            Dist::DenseClusterFarOrigin => 5e8 + rng.next_f64() * 1e-6,
+            Dist::Decreasing => 1e3 - step as f64 * 1e-3,
+            Dist::Mixed => match rng.next_below(6) {
+                0..=2 => rng.next_f64(),
+                3..=4 => rng.next_below(8) as f64 * 0.25,
+                _ => rng.f64_in(1e6, 1e12),
+            },
+        })
+    }
+}
+
+/// One lockstep script of `ops` steps — push 4, same-time burst 1, pop 2,
+/// tied pop with a random pick 2, observe 1, so queues grow and are drained
+/// at the end: every result of `queue` must equal the model's.
+fn lockstep(rng: &mut SplitMix64, dist: Dist, ops: usize, mut queue: EventQueue<u64>) {
+    let mut model = Model::default();
+    let mut next_id: u64 = 0;
+    for step in 0..ops {
+        match rng.next_below(10) {
+            0..=3 => {
+                let t = dist.sample(rng, step);
+                queue.push(t, next_id);
+                model.push(t, next_id);
+                next_id += 1;
+            }
+            4 => {
+                let t = dist.sample(rng, step);
+                for _ in 0..rng.usize_in(1, 33) {
+                    queue.push(t, next_id);
+                    model.push(t, next_id);
+                    next_id += 1;
+                }
+            }
+            5..=6 => assert_eq!(queue.pop(), model.pop(), "{dist:?} step {step}"),
+            7..=8 => {
+                let pick = rng.next_u64();
+                let mut offered = None;
+                let got = queue.pop_tied(&mut |n| {
+                    offered = Some(n);
+                    (pick % n as u64) as usize
+                });
+                let want = model.pop_tied(|n| (pick % n as u64) as usize);
+                assert_eq!(got, want.map(|(_, e)| e), "{dist:?} step {step}");
+                // `tie` sees the whole group, and only when it is a choice.
+                assert_eq!(offered, want.map(|(n, _)| n).filter(|&n| n > 1));
+            }
+            _ => {}
+        }
+        assert_eq!(queue.peek_time(), model.peek_time(), "{dist:?} step {step}");
+        assert_eq!(queue.len(), model.entries.len());
+        assert_eq!(queue.is_empty(), model.entries.is_empty());
+    }
+    while let Some(want) = model.pop() {
+        assert_eq!(queue.pop(), Some(want), "drain tail diverged ({dist:?})");
+    }
+    assert_eq!(queue.pop(), None);
+}
+
+#[test]
+fn lockstep_uniform() {
+    for_each_seed(8, |rng| {
+        lockstep(rng, Dist::Uniform, 2000, EventQueue::new())
+    });
+}
+
+#[test]
+fn lockstep_same_time_bursts() {
+    for_each_seed(8, |rng| {
+        lockstep(rng, Dist::Bursts, 2000, EventQueue::new())
+    });
+}
+
+#[test]
+fn lockstep_far_future_outliers() {
+    for_each_seed(8, |rng| {
+        lockstep(rng, Dist::FarFuture, 2000, EventQueue::new())
+    });
+}
+
+#[test]
+fn lockstep_dense_cluster_far_origin() {
+    for_each_seed(8, |rng| {
+        lockstep(rng, Dist::DenseClusterFarOrigin, 2000, EventQueue::new())
+    });
+}
+
+#[test]
+fn lockstep_decreasing_times() {
+    for_each_seed(4, |rng| {
+        lockstep(rng, Dist::Decreasing, 2000, EventQueue::new())
+    });
+}
+
+/// Many short free-form scripts over the mixed distribution.
+#[test]
+fn lockstep_mixed_short_scripts() {
+    for_each_seed(256, |rng| {
+        let ops = rng.usize_in(1, 400);
+        lockstep(rng, Dist::Mixed, ops, EventQueue::new());
+    });
+}
+
+/// A capacity hint, smaller or larger than the script needs, changes
+/// nothing observable.
+#[test]
+fn lockstep_with_capacity_hint() {
+    for_each_seed(8, |rng| {
+        let hint = rng.pick(&[1, 64, 4096]);
+        lockstep(rng, Dist::Uniform, 1000, EventQueue::with_capacity(hint));
+    });
 }
 
 /// Events always pop in non-decreasing time order regardless of the
@@ -105,63 +254,6 @@ fn busy_accounting_is_exact() {
         // With all ops requested at t=0, a single engine back-to-back
         // schedule means free_at == total busy time.
         assert!((pool.free_at(e).seconds() - total).abs() < 1e-6);
-    });
-}
-
-/// The calendar backend is bit-for-bit interchangeable with the binary
-/// heap: any interleaving of pushes (dense, tied, far-future), pops,
-/// tied pops with arbitrary picks and peeks observes identical results
-/// from both, and both drain to identical tails.
-#[test]
-fn calendar_matches_heap_bit_for_bit() {
-    for_each_seed(256, |rng| {
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut next_id: u64 = 0;
-        for _ in 0..rng.usize_in(1, 400) {
-            match qop(rng) {
-                QOp::Push(t) => {
-                    let t = SimTime::new(t);
-                    heap.push(t, next_id);
-                    cal.push(t, next_id);
-                    next_id += 1;
-                }
-                QOp::PushBurst(q, n) => {
-                    // Same-time burst through the batch path.
-                    let t = SimTime::new(f64::from(q) * 0.25);
-                    let batch: Vec<(SimTime, u64)> =
-                        (0..u64::from(n)).map(|i| (t, next_id + i)).collect();
-                    next_id += u64::from(n);
-                    heap.push_batch(batch.iter().copied());
-                    cal.push_batch(batch);
-                }
-                QOp::Pop => assert_eq!(heap.pop(), cal.pop()),
-                QOp::PopTied(pick) => {
-                    let mut sizes = (None, None);
-                    let h = heap.pop_tied(&mut |n| {
-                        sizes.0 = Some(n);
-                        (pick % n as u64) as usize
-                    });
-                    let c = cal.pop_tied(&mut |n| {
-                        sizes.1 = Some(n);
-                        (pick % n as u64) as usize
-                    });
-                    assert_eq!(h, c);
-                    assert_eq!(sizes.0, sizes.1, "tie-group sizes diverged");
-                }
-                QOp::Peek => {
-                    assert_eq!(heap.peek_time(), cal.peek_time());
-                    assert_eq!(heap.len(), cal.len());
-                }
-            }
-        }
-        loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            assert_eq!(&h, &c, "drain tail diverged");
-            if h.is_none() {
-                break;
-            }
-        }
     });
 }
 

@@ -5,6 +5,7 @@
 //! ([`crate::dgx1`]) is one instance of it, built through the same
 //! [`crate::FabricBuilder`] as every other fabric in [`crate::fabrics`].
 
+use std::fmt;
 use std::sync::OnceLock;
 
 use crate::link::{lat, LinkClass};
@@ -128,6 +129,19 @@ impl Route {
     }
 }
 
+/// `Err` naming `link` unless its bandwidth is finite and positive and its
+/// latency finite and non-negative: a simulation turns `bytes / bandwidth`
+/// and the latency into `xk_sim::Duration`s, which panic on anything else.
+fn check_link(link: fmt::Arguments<'_>, bandwidth: f64, latency: f64) -> Result<(), String> {
+    if !(bandwidth.is_finite() && bandwidth > 0.0) {
+        return Err(format!("{link}: bandwidth {bandwidth} is not finite and positive"));
+    }
+    if !(latency.is_finite() && latency >= 0.0) {
+        return Err(format!("{link}: latency {latency} is not finite and non-negative"));
+    }
+    Ok(())
+}
+
 /// A complete multi-GPU fabric description.
 ///
 /// Construct one with [`crate::FabricBuilder`], the named constructors in
@@ -236,8 +250,9 @@ impl FabricSpec {
     }
 
     /// Checks internal consistency: table sizes, symmetric GPU↔GPU links,
-    /// `Local` diagonal, valid switch/socket indices, and — for multi-node
-    /// fabrics — that exactly the cross-node pairs use NIC links.
+    /// `Local` diagonal, finite positive bandwidths and finite non-negative
+    /// latencies on every link, valid switch/socket indices, and — for
+    /// multi-node fabrics — that exactly the cross-node pairs use NIC links.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.n_gpus;
         if self.gpu_gpu.len() != n * n {
@@ -268,15 +283,17 @@ impl FabricSpec {
                 if (a.bandwidth - b.bandwidth).abs() > 1e-3 {
                     return Err(format!("asymmetric bandwidth between gpu{i} and gpu{j}"));
                 }
-                if !(a.bandwidth.is_finite() && a.bandwidth > 0.0) {
-                    return Err(format!("non-positive bandwidth between gpu{i} and gpu{j}"));
-                }
+                check_link(format_args!("link gpu{i}↔gpu{j}"), a.bandwidth, a.latency)?;
             }
         }
         for (i, h) in self.host_gpu.iter().enumerate() {
-            if !(h.bandwidth.is_finite() && h.bandwidth > 0.0) {
-                return Err(format!("non-positive host bandwidth for gpu{i}"));
-            }
+            check_link(format_args!("host link of gpu{i}"), h.bandwidth, h.latency)?;
+        }
+        if let Some(nic) = &self.inter_node {
+            check_link(format_args!("inter_node link"), nic.bandwidth, nic.latency)?;
+        }
+        if let Some(tier) = &self.switch_tier {
+            check_link(format_args!("switch_tier port"), tier.port_bandwidth, tier.hop_latency)?;
         }
         // Multi-node extension invariants.
         if self.n_nodes == 0 {

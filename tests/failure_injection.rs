@@ -171,6 +171,41 @@ fn invalid_topology_rejected() {
     assert!(result.is_err());
 }
 
+/// A host or peer link whose latency is NaN, negative or infinite used to
+/// build, and the first simulation on the fabric then panicked in
+/// `Duration::new` (from `acquire_inputs`, through `run`). Construction
+/// refuses it now, so there is no such fabric to hand to `run`.
+#[test]
+fn hostile_latency_rejected_before_any_run() {
+    use xkblas_repro::topo::LinkClass;
+    let local = LinkSpec::new(LinkClass::Local, 1e11);
+    let peer = LinkSpec::new(LinkClass::Pcie, 1e10);
+    for latency in [f64::NAN, -1e-6, f64::INFINITY] {
+        let host = LinkSpec {
+            latency,
+            ..LinkSpec::new(LinkClass::Pcie, 1e10)
+        };
+        let err = FabricSpec::from_parts(
+            "hostile-host".into(),
+            2,
+            vec![local, peer, peer, local],
+            vec![host, host],
+            vec![0, 0],
+            vec![0],
+            Vec::new(),
+            1,
+            None,
+            None,
+        )
+        .expect_err("a hostile host latency must not yield a fabric");
+        assert!(err.contains("host link of gpu0") && err.contains("latency"), "{err}");
+        let err = dgx1()
+            .map_gpu_links("hostile-peer", |_, _, l| LinkSpec { latency, ..*l })
+            .expect_err("a hostile peer latency must not yield a fabric");
+        assert!(err.contains("gpu0↔gpu1") && err.contains("latency"), "{err}");
+    }
+}
+
 /// A link dying while an optimistic-D2D forward would use it: the waiting
 /// task must surface `LinkDown` instead of hanging on the in-flight
 /// transfer, the unaffected task stays healthy, and the run drains.
