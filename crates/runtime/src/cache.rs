@@ -6,8 +6,6 @@
 //! specific GPU". Eviction follows XKaapi's policy: read-only (clean)
 //! replicas are evicted first, LRU within a class.
 
-use std::collections::HashMap;
-
 use xk_sim::SimTime;
 use xk_topo::Device;
 
@@ -26,12 +24,22 @@ pub enum ReplicaState {
     },
 }
 
+/// One `(gpu, handle)` cell of the replica table.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    state: Option<ReplicaState>,
+    /// LRU clock of the last use; meaningful only while `state` is `Some`.
+    last_use: u64,
+    /// Pin count: pinned replicas are never evicted (inputs of queued
+    /// tasks, prefetched but not yet consumed). Outlives the replica.
+    pins: u32,
+}
+
+/// Per-device totals over its row of the table.
 #[derive(Clone, Debug, Default)]
 struct DeviceCache {
-    replicas: HashMap<HandleId, ReplicaState>,
-    /// LRU clock per handle.
-    last_use: HashMap<HandleId, u64>,
     used_bytes: u64,
+    resident: usize,
     capacity: u64,
 }
 
@@ -68,13 +76,17 @@ pub enum CoherenceMutation {
 }
 
 /// The software cache over all devices.
+///
+/// Handles are dense, so the per-replica metadata is one flat table,
+/// device-major (`slots[g * n_handles + h]`): eviction — the only
+/// operation that walks many replicas — scans one contiguous row, and
+/// every other access is a single index.
 pub struct SoftwareCache {
+    slots: Vec<Slot>,
+    n_handles: usize,
     devices: Vec<DeviceCache>,
     coherence: Vec<Coherence>,
     clock: u64,
-    /// Pin counts per (handle, device): pinned replicas are never evicted
-    /// (inputs of queued tasks, prefetched but not yet consumed).
-    pins: HashMap<(HandleId, usize), u32>,
     /// Injected protocol bug for mutation testing (default: none).
     mutation: CoherenceMutation,
 }
@@ -84,28 +96,20 @@ impl SoftwareCache {
     /// with initial validity taken from each handle's `initial` placement.
     pub fn new(n_gpus: usize, capacity: u64, data: &DataRegistry) -> Self {
         let mut cache = SoftwareCache {
-            devices: (0..n_gpus)
-                .map(|_| DeviceCache {
-                    capacity,
-                    ..Default::default()
-                })
-                .collect(),
+            slots: vec![Slot::default(); n_gpus * data.len()],
+            n_handles: data.len(),
+            devices: vec![DeviceCache { capacity, ..Default::default() }; n_gpus],
             coherence: vec![Coherence::default(); data.len()],
             clock: 0,
-            pins: HashMap::new(),
             mutation: CoherenceMutation::default(),
         };
         for (h, info) in data.iter() {
             match info.initial {
                 Device::Host => cache.coherence[h.0].host_valid = true,
                 Device::Gpu(g) => {
-                    cache.coherence[h.0].host_valid = false;
-                    let dev = &mut cache.devices[g];
-                    dev.replicas.insert(h, ReplicaState::Valid);
-                    dev.used_bytes += info.bytes;
-                    dev.last_use.insert(h, 0);
                     // Device-initial data is considered dirty w.r.t. host so
                     // that a flush would move it back.
+                    cache.install(h, g, ReplicaState::Valid, info.bytes, 0);
                     cache.coherence[h.0].dirty_on = Some(g);
                 }
             }
@@ -116,6 +120,33 @@ impl SoftwareCache {
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
+    }
+
+    fn slot(&self, h: HandleId, g: usize) -> &Slot {
+        &self.slots[g * self.n_handles + h.0]
+    }
+
+    fn slot_mut(&mut self, h: HandleId, g: usize) -> &mut Slot {
+        &mut self.slots[g * self.n_handles + h.0]
+    }
+
+    /// Sets the replica of `h` on `g` to `state`, used at LRU time `t`;
+    /// `bytes` are charged only when no replica was resident.
+    fn install(&mut self, h: HandleId, g: usize, state: ReplicaState, bytes: u64, t: u64) {
+        let slot = self.slot_mut(h, g);
+        slot.last_use = t;
+        if slot.state.replace(state).is_none() {
+            self.devices[g].used_bytes += bytes;
+            self.devices[g].resident += 1;
+        }
+    }
+
+    /// Removes the replica of `h` on `g`, if any, refunding `bytes`.
+    fn evict(&mut self, h: HandleId, g: usize, bytes: u64) {
+        if self.slot_mut(h, g).state.take().is_some() {
+            self.devices[g].used_bytes -= bytes;
+            self.devices[g].resident -= 1;
+        }
     }
 
     /// Enables an injected protocol bug (mutation testing only).
@@ -136,7 +167,7 @@ impl SoftwareCache {
 
     /// Replica state of `h` on GPU `g`.
     pub fn replica(&self, h: HandleId, g: usize) -> Option<ReplicaState> {
-        self.devices[g].replicas.get(&h).copied()
+        self.slot(h, g).state
     }
 
     /// True when `h` is fully valid on GPU `g` at time `now`.
@@ -148,24 +179,34 @@ impl SoftwareCache {
         }
     }
 
+    /// GPUs holding a valid copy of `h` at `now`, ascending index, without
+    /// allocating — what the decision points iterate.
+    pub fn valid_holders(&self, h: HandleId, now: SimTime) -> impl Iterator<Item = usize> + '_ {
+        (0..self.devices.len()).filter(move |&g| self.valid_on(h, g, now))
+    }
+
     /// GPUs holding a valid copy of `h` at `now`, ascending index.
     pub fn valid_gpus(&self, h: HandleId, now: SimTime) -> Vec<usize> {
-        (0..self.devices.len())
-            .filter(|&g| self.valid_on(h, g, now))
-            .collect()
+        self.valid_holders(h, now).collect()
+    }
+
+    /// GPUs with `h` under transfer (not yet ready) at `now`, ascending
+    /// index, with their completion times, without allocating.
+    pub fn inbound_holders(
+        &self,
+        h: HandleId,
+        now: SimTime,
+    ) -> impl Iterator<Item = (usize, SimTime)> + '_ {
+        (0..self.devices.len()).filter_map(move |g| match self.replica(h, g) {
+            Some(ReplicaState::UnderTransfer { ready_at }) if ready_at > now => Some((g, ready_at)),
+            _ => None,
+        })
     }
 
     /// GPUs with `h` under transfer (not yet ready) at `now`, with their
     /// completion times — the optimistic heuristic's candidates.
     pub fn in_flight(&self, h: HandleId, now: SimTime) -> Vec<(usize, SimTime)> {
-        (0..self.devices.len())
-            .filter_map(|g| match self.replica(h, g) {
-                Some(ReplicaState::UnderTransfer { ready_at }) if ready_at > now => {
-                    Some((g, ready_at))
-                }
-                _ => None,
-            })
-            .collect()
+        self.inbound_holders(h, now).collect()
     }
 
     /// Bytes currently resident on GPU `g`.
@@ -182,22 +223,14 @@ impl SoftwareCache {
     /// `ready_at`. The caller must have ensured capacity first.
     pub fn begin_transfer(&mut self, h: HandleId, g: usize, bytes: u64, ready_at: SimTime) {
         let t = self.tick();
-        let dev = &mut self.devices[g];
-        if dev.replicas.insert(h, ReplicaState::UnderTransfer { ready_at }).is_none() {
-            dev.used_bytes += bytes;
-        }
-        dev.last_use.insert(h, t);
+        self.install(h, g, ReplicaState::UnderTransfer { ready_at }, bytes, t);
     }
 
     /// Marks `h` resident on `g` without any transfer (freshly allocated
     /// output tile that will be overwritten).
     pub fn allocate_output(&mut self, h: HandleId, g: usize, bytes: u64) {
         let t = self.tick();
-        let dev = &mut self.devices[g];
-        if dev.replicas.insert(h, ReplicaState::Valid).is_none() {
-            dev.used_bytes += bytes;
-        }
-        dev.last_use.insert(h, t);
+        self.install(h, g, ReplicaState::Valid, bytes, t);
     }
 
     /// Records that a kernel on GPU `g` produced a new version of `h`:
@@ -206,68 +239,50 @@ impl SoftwareCache {
     pub fn mark_written(&mut self, h: HandleId, g: usize, bytes: u64, data: &DataRegistry) {
         let t = self.tick();
         if self.mutation != CoherenceMutation::StaleRead {
-            for (gi, dev) in self.devices.iter_mut().enumerate() {
-                if gi != g {
-                    if dev.replicas.remove(&h).is_some() {
-                        dev.used_bytes -= data.info(h).bytes;
-                    }
-                    dev.last_use.remove(&h);
-                }
+            for gi in (0..self.devices.len()).filter(|&gi| gi != g) {
+                self.evict(h, gi, data.info(h).bytes);
             }
         }
-        let dev = &mut self.devices[g];
-        if dev.replicas.insert(h, ReplicaState::Valid).is_none() {
-            dev.used_bytes += bytes;
-        }
-        dev.last_use.insert(h, t);
-        self.coherence[h.0].host_valid = false;
-        self.coherence[h.0].dirty_on = Some(g);
+        self.install(h, g, ReplicaState::Valid, bytes, t);
+        self.coherence[h.0] = Coherence { host_valid: false, dirty_on: Some(g) };
     }
 
     /// Records a completed flush of `h` to the host: host becomes valid,
     /// the device copy stays valid but is now clean.
     pub fn mark_flushed(&mut self, h: HandleId) {
-        self.coherence[h.0].host_valid = true;
-        self.coherence[h.0].dirty_on = None;
+        self.coherence[h.0] = Coherence { host_valid: true, dirty_on: None };
     }
 
     /// Drops the replica of `h` on `g` if present, clean and unpinned
     /// (no-cache-inputs mode). Dirty or pinned replicas are kept.
     pub fn drop_replica(&mut self, h: HandleId, g: usize, data: &DataRegistry) {
-        if self.coherence[h.0].dirty_on == Some(g) || self.is_pinned(h, g) {
-            return;
-        }
-        if self.devices[g].replicas.remove(&h).is_some() {
-            self.devices[g].used_bytes -= data.info(h).bytes;
-            self.devices[g].last_use.remove(&h);
+        if self.coherence[h.0].dirty_on != Some(g) && !self.is_pinned(h, g) {
+            self.evict(h, g, data.info(h).bytes);
         }
     }
 
     /// Pins `h` on device `g` (eviction-exempt until unpinned).
     pub fn pin(&mut self, h: HandleId, g: usize) {
-        *self.pins.entry((h, g)).or_insert(0) += 1;
+        self.slot_mut(h, g).pins += 1;
     }
 
-    /// Releases one pin of `h` on `g`.
+    /// Releases one pin of `h` on `g`; a no-op when it holds none.
     pub fn unpin(&mut self, h: HandleId, g: usize) {
-        if let Some(c) = self.pins.get_mut(&(h, g)) {
-            *c -= 1;
-            if *c == 0 {
-                self.pins.remove(&(h, g));
-            }
-        }
+        let slot = self.slot_mut(h, g);
+        slot.pins = slot.pins.saturating_sub(1);
     }
 
     /// True when `h` is pinned on `g`.
     pub fn is_pinned(&self, h: HandleId, g: usize) -> bool {
-        self.pins.get(&(h, g)).copied().unwrap_or(0) > 0
+        self.slot(h, g).pins > 0
     }
 
     /// LRU touch (a kernel read `h` on `g`).
     pub fn touch(&mut self, h: HandleId, g: usize) {
         let t = self.tick();
-        if self.devices[g].replicas.contains_key(&h) {
-            self.devices[g].last_use.insert(h, t);
+        let slot = self.slot_mut(h, g);
+        if slot.state.is_some() {
+            slot.last_use = t;
         }
     }
 
@@ -303,37 +318,32 @@ impl SoftwareCache {
         if self.devices[g].used_bytes + bytes <= self.devices[g].capacity {
             return evictions;
         }
-        // Candidates: resident handles not in the pinned set, clean first,
-        // then LRU order.
-        let mut candidates: Vec<(bool, u64, HandleId)> = self.devices[g]
-            .replicas
-            .keys()
-            .filter(|h| !keep.contains(h) && !self.is_pinned(**h, g))
-            .map(|&h| {
-                let dirty = self.coherence[h.0].dirty_on == Some(g);
-                let lru = self.devices[g].last_use.get(&h).copied().unwrap_or(0);
-                (dirty, lru, h)
-            })
+        // Candidates: resident handles of this device's row, neither kept
+        // nor pinned; clean first, then LRU order. Sorted descending so the
+        // canonical victim pops off the tail in O(1).
+        let row = &self.slots[g * self.n_handles..(g + 1) * self.n_handles];
+        let mut candidates: Vec<(bool, u64, HandleId)> = row
+            .iter()
+            .enumerate()
+            .filter(|&(h, slot)| slot.state.is_some() && slot.pins == 0 && !keep.contains(&HandleId(h)))
+            .map(|(h, slot)| (self.coherence[h].dirty_on == Some(g), slot.last_use, HandleId(h)))
             .collect();
-        candidates.sort_unstable();
+        candidates.sort_unstable_by(|a, b| b.cmp(a));
         while self.devices[g].used_bytes + bytes > self.devices[g].capacity
             && !candidates.is_empty()
         {
+            let last = candidates.len() - 1;
             let idx = match pick.as_mut() {
-                Some(p) if candidates.len() >= 2 => p(candidates.len()).min(candidates.len() - 1),
+                Some(p) if last >= 1 => p(last + 1).min(last),
                 _ => 0,
             };
-            let (dirty, _, h) = candidates.remove(idx);
-            let sz = data.info(h).bytes;
-            self.devices[g].replicas.remove(&h);
-            self.devices[g].last_use.remove(&h);
-            self.devices[g].used_bytes -= sz;
+            let (dirty, _, h) = candidates.remove(last - idx);
+            self.evict(h, g, data.info(h).bytes);
             if dirty {
                 // The executor must issue the write-back; coherence moves to
                 // host once it completes, which we record eagerly here (the
                 // transfer is reserved before anything else can read it).
-                self.coherence[h.0].host_valid = true;
-                self.coherence[h.0].dirty_on = None;
+                self.mark_flushed(h);
                 evictions.push(Eviction::WriteBack(h));
             } else {
                 evictions.push(Eviction::Drop(h));
@@ -344,7 +354,7 @@ impl SoftwareCache {
 
     /// Number of resident replicas on GPU `g`.
     pub fn resident_count(&self, g: usize) -> usize {
-        self.devices[g].replicas.len()
+        self.devices[g].resident
     }
 
     /// Checks protocol invariants (used by tests): at most one dirty holder,
@@ -352,7 +362,7 @@ impl SoftwareCache {
     pub fn check_invariants(&self, data: &DataRegistry) -> Result<(), String> {
         for (h, _) in data.iter() {
             if let Some(g) = self.coherence[h.0].dirty_on {
-                if !self.devices[g].replicas.contains_key(&h) {
+                if self.replica(h, g).is_none() {
                     return Err(format!("dirty handle {h:?} not resident on gpu{g}"));
                 }
                 if self.coherence[h.0].host_valid {
@@ -361,11 +371,12 @@ impl SoftwareCache {
             }
         }
         for (g, dev) in self.devices.iter().enumerate() {
-            let sum: u64 = dev.replicas.keys().map(|h| data.info(*h).bytes).sum();
-            if sum != dev.used_bytes {
+            let resident = || data.iter().filter(|(h, _)| self.replica(*h, g).is_some());
+            let (sum, count) = (resident().map(|(_, i)| i.bytes).sum::<u64>(), resident().count());
+            if (sum, count) != (dev.used_bytes, dev.resident) {
                 return Err(format!(
-                    "gpu{g} byte accounting off: tracked {} actual {sum}",
-                    dev.used_bytes
+                    "gpu{g} accounting off: tracked {} bytes in {} replicas, actual {sum} in {count}",
+                    dev.used_bytes, dev.resident
                 ));
             }
             if dev.used_bytes > dev.capacity {

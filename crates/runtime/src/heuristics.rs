@@ -5,9 +5,9 @@
 //! that initiates input transfers. They decide **where a tile comes from**.
 
 use xk_sim::SimTime;
-use xk_topo::{Device, FabricSpec};
+use xk_topo::FabricSpec;
 
-use crate::cache::SoftwareCache;
+use crate::cache::{ReplicaState, SoftwareCache};
 use crate::config::Heuristics;
 use crate::data::HandleId;
 
@@ -49,6 +49,11 @@ pub enum SourceDecision {
 /// 3. No valid GPU replica, but one is in flight and `optimistic_d2d` is
 ///    on → wait for the best in-flight replica and forward D2D.
 /// 4. Fall back to the host.
+///
+/// `candidates` is caller-owned scratch (contents ignored and clobbered):
+/// the slice handed to `tie_break` lives there, so a decision allocates
+/// nothing once it has grown to the GPU count.
+#[allow(clippy::too_many_arguments)]
 pub fn select_source(
     h: HandleId,
     dst: usize,
@@ -56,14 +61,15 @@ pub fn select_source(
     cache: &SoftwareCache,
     topo: &FabricSpec,
     cfg: Heuristics,
+    candidates: &mut Vec<usize>,
     tie_break: &mut dyn FnMut(&[usize]) -> usize,
 ) -> SourceDecision {
     // 1. Local replica (valid now or inbound).
     match cache.replica(h, dst) {
-        Some(crate::cache::ReplicaState::Valid) => {
+        Some(ReplicaState::Valid) => {
             return SourceDecision::AlreadyThere { ready_at: now };
         }
-        Some(crate::cache::ReplicaState::UnderTransfer { ready_at }) => {
+        Some(ReplicaState::UnderTransfer { ready_at }) => {
             return SourceDecision::AlreadyThere {
                 ready_at: ready_at.max(now),
             };
@@ -78,49 +84,33 @@ pub fn select_source(
         }
         // Data only lives on a device (e.g. not yet flushed): the single
         // dirty holder is the only possible source.
-        let valid = cache.valid_gpus(h, now);
         return SourceDecision::FromGpu {
-            src: *valid.first().expect("some replica must exist"),
+            src: cache.valid_holders(h, now).next().expect("some replica must exist"),
         };
     }
-    let valid = cache.valid_gpus(h, now);
-    let peers: Vec<usize> = valid.into_iter().filter(|&g| g != dst).collect();
-    if !peers.is_empty() {
+    candidates.clear();
+    candidates.extend(cache.valid_holders(h, now).filter(|&g| g != dst));
+    if !candidates.is_empty() {
         let src = if cfg.topology_aware {
-            let best_rank = peers
-                .iter()
-                .map(|&g| topo.perf_rank(g, dst))
-                .max()
-                .expect("peers non-empty");
-            let best: Vec<usize> = peers
-                .iter()
-                .copied()
-                .filter(|&g| topo.perf_rank(g, dst) == best_rank)
-                .collect();
-            best[tie_break(&best).min(best.len() - 1)]
+            let rank = |g: usize| topo.perf_rank(g, dst);
+            let best_rank = candidates.iter().map(|&g| rank(g)).max().expect("peers non-empty");
+            candidates.retain(|&g| rank(g) == best_rank);
+            candidates[tie_break(candidates).min(candidates.len() - 1)]
         } else {
             // No topology awareness: arbitrary (first) valid source.
-            peers[0]
+            candidates[0]
         };
         return SourceDecision::FromGpu { src };
     }
 
-    // 3. Optimistic: in-flight replicas.
+    // 3. Optimistic: the best in-flight replica — best link first (when
+    // topology-aware), then earliest arrival, then lowest index.
     if cfg.optimistic_d2d {
-        let mut inflight = cache.in_flight(h, now);
-        if !inflight.is_empty() {
-            if cfg.topology_aware {
-                // Best link first, then earliest arrival.
-                inflight.sort_by(|a, b| {
-                    topo.perf_rank(b.0, dst)
-                        .cmp(&topo.perf_rank(a.0, dst))
-                        .then(a.1.cmp(&b.1))
-                        .then(a.0.cmp(&b.0))
-                });
-            } else {
-                inflight.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-            }
-            let (via, ready_at) = inflight[0];
+        let key = |&(g, ready_at): &(usize, SimTime)| {
+            let rank = if cfg.topology_aware { topo.perf_rank(g, dst) } else { 0 };
+            (std::cmp::Reverse(rank), ready_at, g)
+        };
+        if let Some((via, ready_at)) = cache.inbound_holders(h, now).min_by_key(key) {
             return SourceDecision::ForwardAfter { via, ready_at };
         }
     }
@@ -133,26 +123,11 @@ pub fn select_source(
     SourceDecision::FromHost
 }
 
-/// Convenience tie-breaker: always the first candidate (deterministic).
-pub fn first_candidate(_: &[usize]) -> usize {
-    0
-}
-
-/// The route device for a decision (used for trace attribution).
-pub fn decision_source_device(d: &SourceDecision) -> Option<Device> {
-    match d {
-        SourceDecision::AlreadyThere { .. } => None,
-        SourceDecision::FromGpu { src } => Some(Device::Gpu(*src)),
-        SourceDecision::ForwardAfter { via, .. } => Some(Device::Gpu(*via)),
-        SourceDecision::FromHost => Some(Device::Host),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{DataInfo, DataRegistry};
-    use xk_topo::dgx1;
+    use xk_topo::{dgx1, Device};
 
     fn setup(n: usize) -> (DataRegistry, SoftwareCache) {
         let mut reg = DataRegistry::new();
@@ -184,6 +159,7 @@ mod tests {
             &cache,
             &topo,
             Heuristics::full(),
+            &mut Vec::new(),
             &mut tb(),
         );
         assert_eq!(d, SourceDecision::FromHost);
@@ -202,6 +178,7 @@ mod tests {
             &cache,
             &topo,
             Heuristics::full(),
+            &mut Vec::new(),
             &mut tb(),
         );
         assert_eq!(
@@ -222,10 +199,10 @@ mod tests {
             cache.begin_transfer(h, g, 100, SimTime::ZERO);
         }
         let now = SimTime::new(1.0);
-        let d = select_source(h, 0, now, &cache, &topo, Heuristics::full(), &mut tb());
+        let d = select_source(h, 0, now, &cache, &topo, Heuristics::full(), &mut Vec::new(), &mut tb());
         assert_eq!(d, SourceDecision::FromGpu { src: 3 });
         // Without topology awareness: first valid index (gpu1).
-        let d2 = select_source(h, 0, now, &cache, &topo, Heuristics::none(), &mut tb());
+        let d2 = select_source(h, 0, now, &cache, &topo, Heuristics::none(), &mut Vec::new(), &mut tb());
         assert_eq!(d2, SourceDecision::FromGpu { src: 1 });
     }
 
@@ -237,7 +214,7 @@ mod tests {
         // In flight to gpu4 (rank 2 to gpu0), completes at t=5.
         cache.begin_transfer(h, 4, 100, SimTime::new(5.0));
         let now = SimTime::new(1.0);
-        let full = select_source(h, 0, now, &cache, &topo, Heuristics::full(), &mut tb());
+        let full = select_source(h, 0, now, &cache, &topo, Heuristics::full(), &mut Vec::new(), &mut tb());
         assert_eq!(
             full,
             SourceDecision::ForwardAfter {
@@ -253,6 +230,7 @@ mod tests {
             &cache,
             &topo,
             Heuristics::no_optimistic(),
+            &mut Vec::new(),
             &mut tb(),
         );
         assert_eq!(no_h, SourceDecision::FromHost);
@@ -273,6 +251,7 @@ mod tests {
             &cache,
             &topo,
             Heuristics::full(),
+            &mut Vec::new(),
             &mut tb(),
         );
         assert_eq!(
@@ -294,6 +273,7 @@ mod tests {
                 optimistic_d2d: true,
                 allow_d2d: true,
             },
+            &mut Vec::new(),
             &mut tb(),
         );
         assert_eq!(
@@ -319,6 +299,7 @@ mod tests {
             &cache,
             &topo,
             Heuristics::full(),
+            &mut Vec::new(),
             &mut tb(),
         );
         assert_eq!(d, SourceDecision::FromGpu { src: 7 });
@@ -334,7 +315,7 @@ mod tests {
         cache.begin_transfer(h, 4, 100, SimTime::ZERO);
         let now = SimTime::new(1.0);
         let mut pick_last = |c: &[usize]| c.len() - 1;
-        let d = select_source(h, 0, now, &cache, &topo, Heuristics::full(), &mut pick_last);
+        let d = select_source(h, 0, now, &cache, &topo, Heuristics::full(), &mut Vec::new(), &mut pick_last);
         assert_eq!(d, SourceDecision::FromGpu { src: 4 });
     }
 }

@@ -638,16 +638,11 @@ mod tests {
 
     /// A deterministic pseudo-random controller for exercising
     /// `run_controlled` without xk-check.
-    struct Scramble(u64);
+    struct Scramble(xk_lp::SplitMix64);
 
     impl crate::choice::ScheduleController for Scramble {
         fn choose(&mut self, _point: ChoicePoint, n: usize) -> usize {
-            // SplitMix64 step.
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) as usize % n
+            self.0.next_below(n as u64) as usize
         }
     }
 
@@ -666,7 +661,7 @@ mod tests {
                     Box::new(move || log.lock().unwrap().push(i)),
                 );
             }
-            let mut ctrl = Scramble(seed);
+            let mut ctrl = Scramble(xk_lp::SplitMix64::new(seed));
             let out = run_controlled(&mut g, 4, &mut ctrl);
             assert_eq!(out.tasks_run, 10);
             // A chain admits exactly one legal order, whatever the schedule.
@@ -708,7 +703,7 @@ mod tests {
                     assert_eq!(check.load(Ordering::SeqCst), 21, "w2 ran too early");
                 }),
             );
-            let mut ctrl = Scramble(seed);
+            let mut ctrl = Scramble(xk_lp::SplitMix64::new(seed));
             run_controlled(&mut g, 3, &mut ctrl);
         }
     }
@@ -729,7 +724,7 @@ mod tests {
                 }),
             );
         }
-        let mut ctrl = Scramble(7);
+        let mut ctrl = Scramble(xk_lp::SplitMix64::new(7));
         let out = run_controlled(&mut g, 8, &mut ctrl);
         assert_eq!(out.tasks_run, 50);
         assert_eq!(counter.load(Ordering::Relaxed), 50);

@@ -45,19 +45,26 @@ pub trait Scheduler {
 pub fn make_scheduler(kind: SchedulerKind, n_gpus: usize) -> Box<dyn Scheduler> {
     match kind {
         SchedulerKind::LocalityWorkStealing => Box::new(LocalityWorkStealing::new(n_gpus)),
-        SchedulerKind::Dmdas => Box::new(Dmdas),
+        SchedulerKind::Dmdas => Box::new(Dmdas::default()),
         SchedulerKind::RoundRobin => Box::new(RoundRobin::default()),
         SchedulerKind::StaticOwner => Box::new(StaticOwner::new(n_gpus)),
     }
 }
 
+/// Owner-computes placement: the `owner_hint` of the task's first written
+/// tile (the 2D-cyclic distribution chosen by the algorithm layer); tasks
+/// without a hint round-robin through `fallback`.
+fn owner_or_round_robin(task: &Task, graph: &TaskGraph, fallback: &mut usize, n_gpus: usize) -> usize {
+    match task.owner_handle().and_then(|h| graph.data().info(h).owner_hint) {
+        Some(owner) => owner % n_gpus,
+        None => std::mem::replace(fallback, (*fallback + 1) % n_gpus),
+    }
+}
+
 /// XKaapi-style owner-computes placement with stealing allowed.
 ///
-/// The owner of a task is the `owner_hint` of its first written tile (the
-/// 2D-cyclic distribution chosen by the algorithm layer). Tasks without a
-/// hint round-robin. Idle GPUs steal from the most loaded queue — the
-/// source of the SYR2K/SYRK load-vs-locality imbalance the paper observes
-/// (§IV-E).
+/// Idle GPUs steal from the most loaded queue — the source of the
+/// SYR2K/SYRK load-vs-locality imbalance the paper observes (§IV-E).
 pub struct LocalityWorkStealing {
     fallback: usize,
     n_gpus: usize,
@@ -75,15 +82,7 @@ impl LocalityWorkStealing {
 
 impl Scheduler for LocalityWorkStealing {
     fn assign(&mut self, task: &Task, graph: &TaskGraph, _view: &SchedView<'_>) -> usize {
-        if let Some(owner) = task
-            .owner_handle()
-            .and_then(|h| graph.data().info(h).owner_hint)
-        {
-            return owner % self.n_gpus;
-        }
-        let g = self.fallback;
-        self.fallback = (self.fallback + 1) % self.n_gpus;
-        g
+        owner_or_round_robin(task, graph, &mut self.fallback, self.n_gpus)
     }
 
     fn allows_stealing(&self) -> bool {
@@ -94,7 +93,13 @@ impl Scheduler for LocalityWorkStealing {
 /// StarPU `dmdas`-like policy: place each ready task on the GPU minimizing
 /// its estimated completion time (device availability + estimated transfer
 /// of the missing inputs + modelled kernel time). No stealing.
-pub struct Dmdas;
+#[derive(Default)]
+pub struct Dmdas {
+    /// Scratch reused across calls: per-GPU transfer estimate, and the
+    /// valid holders of the read handle being costed.
+    transfer: Vec<f64>,
+    holders: Vec<usize>,
+}
 
 impl Scheduler for Dmdas {
     fn assign(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
@@ -103,28 +108,35 @@ impl Scheduler for Dmdas {
             .op
             .map(|op| view.model.kernel_time(op))
             .unwrap_or(0.0);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for g in 0..n {
-            let mut transfer = 0.0;
-            for h in task.read_handles() {
+        // One pass per read handle: its holders and size are looked up once,
+        // then every GPU missing it adds the estimate from the "cheapest"
+        // valid location (first holder of maximal bandwidth, else the host).
+        self.transfer.clear();
+        self.transfer.resize(n, 0.0);
+        for h in task.read_handles() {
+            let bytes = graph.data().info(h).bytes;
+            self.holders.clear();
+            self.holders.extend(view.cache.valid_holders(h, view.now));
+            for (g, transfer) in self.transfer.iter_mut().enumerate() {
                 if view.cache.valid_on(h, g, view.now) {
                     continue;
                 }
-                let info = graph.data().info(h);
-                // Estimate from the "cheapest" valid location.
-                let route = view
-                    .cache
-                    .valid_gpus(h, view.now)
-                    .into_iter()
-                    .map(|src| view.topo.route(Device::Gpu(src), Device::Gpu(g)))
-                    .min_by(|a, b| a.bandwidth.partial_cmp(&b.bandwidth).unwrap().reverse())
-                    .unwrap_or_else(|| view.topo.route(Device::Host, Device::Gpu(g)));
-                transfer += route.transfer_time(info.bytes);
+                let dst = Device::Gpu(g);
+                let route = self
+                    .holders
+                    .iter()
+                    .map(|&src| view.topo.route_ref(Device::Gpu(src), dst))
+                    .reduce(|best, r| if r.bandwidth > best.bandwidth { r } else { best })
+                    .unwrap_or_else(|| view.topo.route_ref(Device::Host, dst));
+                *transfer += route.transfer_time(bytes);
             }
+        }
+        let mut best = 0usize;
+        let mut best_cost = f64::INFINITY;
+        for g in 0..n {
             let start = view.gpu_available[g].seconds().max(view.now.seconds())
                 + view.gpu_committed[g];
-            let cost = start + transfer + kernel;
+            let cost = start + self.transfer[g] + kernel;
             if cost < best_cost {
                 best_cost = cost;
                 best = g;
@@ -167,15 +179,7 @@ impl StaticOwner {
 
 impl Scheduler for StaticOwner {
     fn assign(&mut self, task: &Task, graph: &TaskGraph, _view: &SchedView<'_>) -> usize {
-        if let Some(owner) = task
-            .owner_handle()
-            .and_then(|h| graph.data().info(h).owner_hint)
-        {
-            return owner % self.n_gpus;
-        }
-        let g = self.fallback;
-        self.fallback = (self.fallback + 1) % self.n_gpus;
-        g
+        owner_or_round_robin(task, graph, &mut self.fallback, self.n_gpus)
     }
 }
 
@@ -261,7 +265,7 @@ mod tests {
         let lens = vec![0; 8];
         let model = GpuModel::v100();
         let v = view(&topo, &cache, &avail, &lens, &model);
-        let mut s = Dmdas;
+        let mut s = Dmdas::default();
         assert_eq!(s.assign(graph.task(t), &graph, &v), 6);
         assert!(!s.allows_stealing());
     }
@@ -276,7 +280,7 @@ mod tests {
         let lens = vec![0; 8];
         let model = GpuModel::v100();
         let v = view(&topo, &cache, &avail, &lens, &model);
-        let mut s = Dmdas;
+        let mut s = Dmdas::default();
         assert_ne!(s.assign(graph.task(t), &graph, &v), 0);
     }
 

@@ -163,6 +163,7 @@ pub struct SimExecutor<'a> {
     scratch_lens: Vec<usize>,
     scratch_handles: Vec<HandleId>,
     scratch_engines: Vec<EngineId>,
+    scratch_sources: Vec<usize>,
     /// Flow chain of each handle's current broadcast: set by the H2D (or
     /// first D2D) that brought the tile on device, inherited by forwards,
     /// consuming kernels and write-backs. Always maintained — flat `u32`
@@ -348,6 +349,7 @@ impl<'a> SimExecutor<'a> {
             scratch_lens: Vec::with_capacity(n),
             scratch_handles: Vec::new(),
             scratch_engines: Vec::new(),
+            scratch_sources: Vec::with_capacity(n),
             flow_root: vec![FlowId::NONE; graph.data().len()],
             obs,
             ctrl: None,
@@ -401,8 +403,11 @@ impl<'a> SimExecutor<'a> {
 
     /// Runs the graph to completion and returns the outcome.
     pub fn run(mut self) -> SimOutcome {
-        for t in self.graph.roots() {
-            self.on_ready(t);
+        // Roots: nothing decrements `pending` before the event loop starts.
+        for t in 0..self.pending.len() {
+            if self.pending[t] == 0 {
+                self.on_ready(TaskId(t));
+            }
         }
         loop {
             let next = match self.ctrl.as_mut() {
@@ -502,32 +507,18 @@ impl<'a> SimExecutor<'a> {
         // Serial task creation/scheduling on the host.
         self.submission_cursor = self.submission_cursor.max(self.clock.now())
             + xk_sim::Duration::new(self.cfg.task_overhead);
-        let submitted = self.submission_cursor;
-        if !self.cfg.prefetch_at_assign {
-            // StarPU-class runtimes fetch when the task nears execution:
-            // the deferred (launch-time) acquire path handles it.
-            self.gpus[g].queue.push_back(t);
-            self.gpus[g].max_queue = self.gpus[g].max_queue.max(self.gpus[g].queue.len());
-            self.clock.schedule(self.clock.now(), Ev::TryLaunch(g));
-            if self.scheduler.allows_stealing() {
-                for other in 0..self.gpus.len() {
-                    if other != g && self.gpus[other].in_flight == 0 {
-                        self.clock.schedule(self.clock.now(), Ev::TryLaunch(other));
-                    }
-                }
-            }
-            return;
-        }
-        // Prefetch at assignment: XKaapi initiates input transfers as soon
-        // as the scheduler maps a task, long before a kernel slot frees.
-        // This is what overlaps communication with computation — and what
-        // creates the simultaneous duplicate host reads that the optimistic
-        // heuristic removes (§III-C).
-        if let Some((ready, dep, flow)) = self.acquire_inputs(t, g, false) {
-            self.prefetched[t.0] = Some((g, ready.max(submitted), dep, flow));
-        } else {
-            // Remember the submission constraint for the deferred acquire.
-            self.prefetched[t.0] = None;
+        if self.cfg.prefetch_at_assign {
+            // XKaapi initiates input transfers as soon as the scheduler maps
+            // a task, long before a kernel slot frees. This is what overlaps
+            // communication with computation — and what creates the
+            // simultaneous duplicate host reads that the optimistic
+            // heuristic removes (§III-C). StarPU-class runtimes fetch when
+            // the task nears execution instead, as does a prefetch that
+            // does not fit: the deferred (launch-time) acquire handles both.
+            let submitted = self.submission_cursor;
+            self.prefetched[t.0] = self
+                .acquire_inputs(t, g, false)
+                .map(|(ready, dep, flow)| (g, ready.max(submitted), dep, flow));
         }
         self.gpus[g].queue.push_back(t);
         self.gpus[g].max_queue = self.gpus[g].max_queue.max(self.gpus[g].queue.len());
@@ -850,6 +841,7 @@ impl<'a> SimExecutor<'a> {
             &self.cache,
             self.topo,
             self.cfg.heuristics,
+            &mut self.scratch_sources,
             &mut tie,
         );
         let info = self.graph.data().info(h);

@@ -9,32 +9,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use xk_kernels::perfmodel::TileOp;
+use xk_lp::SplitMix64;
 use xk_runtime::{run_parallel, Access, TaskAccess, TaskGraph, TaskId};
 
 const N_TASKS: usize = 100_000;
 const N_HANDLES: usize = 4096;
 
-/// Deterministic xorshift64* — no rand dependency in the hot loop.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 #[test]
 fn hundred_thousand_task_random_dag_runs_in_dependency_order() {
-    let mut rng = Rng(0x9E3779B97F4A7C15);
+    let mut rng = SplitMix64::new(0x9E3779B97F4A7C15);
     let mut g = TaskGraph::new();
     let handles: Vec<_> = (0..N_HANDLES)
         .map(|i| g.add_host_tile(64, false, format!("h{i}")))
@@ -47,11 +30,11 @@ fn hundred_thousand_task_random_dag_runs_in_dependency_order() {
     for t in 0..N_TASKS {
         // 1-3 accesses; mostly reads plus one writer-ish access so the DAG
         // has both wide fan-out (shared reads) and serial chains.
-        let n_acc = 1 + rng.below(3);
+        let n_acc = rng.usize_in(1, 4);
         let mut accesses = [TaskAccess { handle: handles[0], access: Access::Read }; 3];
         for acc in accesses.iter_mut().take(n_acc) {
-            let h = handles[rng.below(N_HANDLES)];
-            let mode = match rng.below(10) {
+            let h = handles[rng.usize_in(0, N_HANDLES)];
+            let mode = match rng.next_below(10) {
                 0..=5 => Access::Read,
                 6..=7 => Access::ReadWrite,
                 _ => Access::Write,

@@ -7,6 +7,7 @@
 
 use xk_baselines::{Library, RunParams, XkVariant};
 use xk_kernels::Routine;
+use xk_lp::SplitMix64;
 use xk_topo::FabricSpec;
 
 /// Everything that determines a simulated run: the cache/query key.
@@ -65,13 +66,10 @@ fn library_code(lib: Library) -> u64 {
     }
 }
 
-/// SplitMix64 finalizer: a strong, platform-stable 64-bit mixer (the same
-/// reference construction `xk-check`'s seeded controllers use).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
+/// SplitMix64 finalizer: a strong, platform-stable 64-bit mixer — the first
+/// output of the workspace's one [`SplitMix64`] stream seeded with `x`.
+fn splitmix64(x: u64) -> u64 {
+    SplitMix64::new(x).next_u64()
 }
 
 #[cfg(test)]
@@ -108,6 +106,12 @@ mod tests {
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), Library::FIG5.len(), "family hash collision");
+    }
+
+    #[test]
+    fn shard_mixer_is_the_reference_splitmix64() {
+        // Published first output for seed 0: shard assignment must not move.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]
