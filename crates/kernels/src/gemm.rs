@@ -1,6 +1,9 @@
 //! General matrix-matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
 
+use crate::aux::Part;
+use crate::blocked::{gemm_packed, Operand};
 use crate::scalar::Scalar;
+use crate::simd::selected_isa;
 use crate::types::Trans;
 use crate::view::{MatMut, MatRef};
 
@@ -29,7 +32,8 @@ pub fn gemm<T: Scalar>(
     assert_eq!(am, m, "op(A) rows {am} != C rows {m}");
     assert_eq!(bn, n, "op(B) cols {bn} != C cols {n}");
     assert_eq!(ak, bk, "op(A) cols {ak} != op(B) rows {bk}");
-    crate::blocked::gemm_views(trans_a, trans_b, alpha, a, b, beta, c);
+    let (a, b) = (Operand::dense(a, trans_a), Operand::dense(b, trans_b));
+    gemm_packed(selected_isa(), alpha, a, b, beta, c, Part::All);
 }
 
 /// Scales a matrix in place: `C = beta * C` (handles `beta == 0` by writing

@@ -1,4 +1,6 @@
-//! Shared element accessors for symmetric/triangular storage.
+//! Element accessors for symmetric/triangular storage: what the reference
+//! path materializes operands with, and the oracle the packer is tested
+//! against.
 
 use crate::scalar::Scalar;
 use crate::types::{Diag, Uplo};

@@ -7,9 +7,10 @@
 //!   plus the `la*` auxiliaries and the thread-parallel matrix fill in
 //!   [`parallel`]. Every routine's bulk update runs on a BLIS-style
 //!   blocked, packed, register-tiled GEMM engine (MC/KC/NC cache blocking,
-//!   thread-local pack buffers, an `MR × NR` microkernel); triangular and
-//!   symmetric structure is handled by block partitioning around that
-//!   engine. The microkernel is picked per machine by the runtime ISA
+//!   thread-local pack buffers, an `MR × NR` microkernel): symmetric and
+//!   triangular operands are structure tags its one packer resolves, and
+//!   `trmm`/`trsm` halve their triangle recursively around it. The
+//!   microkernel is picked per machine by the runtime ISA
 //!   dispatcher in [`simd`] (AVX-512 / AVX2 / NEON `std::arch` kernels
 //!   with a portable scalar fallback, overridable via `XK_KERNEL_ISA`).
 //! * **Timing** — [`GpuModel`], a calibrated V100 kernel-time model used by
@@ -43,6 +44,7 @@ pub mod simd;
 mod symm;
 mod syr2k;
 mod syrk;
+mod tri;
 mod trmm;
 mod trsm;
 mod types;

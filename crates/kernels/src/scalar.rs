@@ -8,6 +8,8 @@ use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use crate::aux::Part;
+use crate::blocked::Operand;
 use crate::simd::{Isa, KernelShape};
 use crate::view::MatMut;
 
@@ -87,23 +89,18 @@ pub trait Scalar:
 
     /// Runs the blocked engine with `isa`'s microkernel. An unsupported
     /// `isa` is demoted to the scalar kernel, so this is safe to call with
-    /// any value; [`crate::blocked::gemm_with`] is the only intended
-    /// caller and always passes [`crate::simd::selected_isa`].
+    /// any value; [`crate::blocked::gemm_packed`] is the only intended
+    /// caller and is handed a [`crate::simd::selected_isa`].
     #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_engine<OA, OB>(
+    fn gemm_engine(
         isa: Isa,
-        m: usize,
-        n: usize,
-        k: usize,
         alpha: Self,
-        oa: OA,
-        ob: OB,
+        a: Operand<'_, Self>,
+        b: Operand<'_, Self>,
         beta: Self,
         c: MatMut<'_, Self>,
-    ) where
-        OA: Fn(usize, usize) -> Self,
-        OB: Fn(usize, usize) -> Self;
+        part: Part,
+    );
 
     /// One bare full-tile microkernel invocation of `isa`'s kernel — the
     /// hook behind [`crate::simd::run_tile`].
@@ -157,20 +154,15 @@ impl Scalar for f64 {
         with_f64_kernel!(isa, MK, { crate::simd::shape_of::<f64, MK>() })
     }
 
-    fn gemm_engine<OA, OB>(
+    fn gemm_engine(
         isa: Isa,
-        m: usize,
-        n: usize,
-        k: usize,
         alpha: Self,
-        oa: OA,
-        ob: OB,
+        a: Operand<'_, Self>,
+        b: Operand<'_, Self>,
         beta: Self,
         c: MatMut<'_, Self>,
-    ) where
-        OA: Fn(usize, usize) -> Self,
-        OB: Fn(usize, usize) -> Self,
-    {
+        part: Part,
+    ) {
         // Demote ISAs the host cannot execute (selected_isa never produces
         // one, but this method is reachable with arbitrary values).
         let isa = if crate::simd::supported_isas().contains(&isa) {
@@ -179,7 +171,7 @@ impl Scalar for f64 {
             Isa::Scalar
         };
         with_f64_kernel!(isa, MK, {
-            crate::blocked::engine::<f64, MK, OA, OB>(m, n, k, alpha, oa, ob, beta, c)
+            crate::blocked::engine::<f64, MK>(alpha, a, b, beta, c, part)
         })
     }
 
@@ -244,23 +236,17 @@ impl Scalar for f32 {
         crate::simd::shape_of::<f32, crate::simd::scalar_mk::ScalarMk>()
     }
 
-    fn gemm_engine<OA, OB>(
+    fn gemm_engine(
         _isa: Isa,
-        m: usize,
-        n: usize,
-        k: usize,
         alpha: Self,
-        oa: OA,
-        ob: OB,
+        a: Operand<'_, Self>,
+        b: Operand<'_, Self>,
         beta: Self,
         c: MatMut<'_, Self>,
-    ) where
-        OA: Fn(usize, usize) -> Self,
-        OB: Fn(usize, usize) -> Self,
-    {
-        crate::blocked::engine::<f32, crate::simd::scalar_mk::ScalarMk, OA, OB>(
-            m, n, k, alpha, oa, ob, beta, c,
-        )
+        part: Part,
+    ) {
+        type MK = crate::simd::scalar_mk::ScalarMk;
+        crate::blocked::engine::<f32, MK>(alpha, a, b, beta, c, part)
     }
 
     unsafe fn tile_raw(

@@ -2,18 +2,19 @@
 //! `C = alpha * A * B + beta * C` (left) or `C = alpha * B * A + beta * C`
 //! (right), with `A` symmetric and only its `uplo` triangle stored.
 
-use crate::blocked::gemm_with;
-use crate::helpers::sym_at;
+use crate::aux::Part;
+use crate::blocked::{gemm_packed, Operand, Structure};
 use crate::scalar::Scalar;
-use crate::types::{Side, Uplo};
+use crate::simd::selected_isa;
+use crate::types::{Side, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
 
 /// Sequential tile SYMM, routed through the blocked GEMM engine.
 ///
-/// `C` is `m × n`; `A` is `m × m` (left) or `n × n` (right). The symmetric
-/// operand is read through [`sym_at`] during packing, so the mirrored
-/// triangle never has to be materialized and the hot loop is the same
-/// register-tiled microkernel as [`crate::gemm`].
+/// `C` is `m × n`; `A` is `m × m` (left) or `n × n` (right). The packer
+/// mirrors the stored triangle of `A` run by run, so the other triangle is
+/// never read or materialized and the hot loop is the same register-tiled
+/// microkernel as [`crate::gemm`].
 ///
 /// # Panics
 /// Panics on inconsistent dimensions.
@@ -42,28 +43,13 @@ pub fn symm<T: Scalar>(
         }
     }
 
-    match side {
-        Side::Left => gemm_with(
-            m,
-            n,
-            m,
-            alpha,
-            |i, l| sym_at(&a, uplo, i, l),
-            |l, j| b.at(l, j),
-            beta,
-            c,
-        ),
-        Side::Right => gemm_with(
-            m,
-            n,
-            n,
-            alpha,
-            |i, l| b.at(i, l),
-            |l, j| sym_at(&a, uplo, l, j),
-            beta,
-            c,
-        ),
-    }
+    let a = Operand::new(a, Trans::No, Structure::Symmetric(uplo));
+    let b = Operand::dense(b, Trans::No);
+    let (x, y) = match side {
+        Side::Left => (a, b),
+        Side::Right => (b, a),
+    };
+    gemm_packed(selected_isa(), alpha, x, y, beta, c, Part::All);
 }
 
 #[cfg(test)]

@@ -2,20 +2,21 @@
 //! `C = alpha * (op(A) * op(B)^T + op(B) * op(A)^T) + beta * C`,
 //! updating only the `uplo` triangle of `C`.
 
-use crate::blocked::{gemm_with, TB};
+use crate::aux::Part;
+use crate::blocked::{gemm_packed, Operand};
 use crate::scalar::Scalar;
-use crate::syrk::{merge_triangle, scale_triangle};
+use crate::simd::selected_isa;
 use crate::types::{Trans, Uplo};
 use crate::view::{MatMut, MatRef};
 
-/// Sequential tile SYR2K, routed through the blocked GEMM engine.
+/// Sequential tile SYR2K: two triangle-restricted passes of the blocked
+/// GEMM engine.
 ///
 /// With `trans == No`, `A` and `B` are `n × k`; with `trans == Yes` they
 /// are `k × n` and the update is `A^T B + B^T A`. Like [`crate::syrk`],
-/// the stored triangle is partitioned into [`TB`]-order block columns whose
-/// rectangular parts are engine panel updates (two per block: the
-/// `op(A) op(B)^T` term with `beta`, the `op(B) op(A)^T` term
-/// accumulating) and whose diagonal blocks go through a dense scratch tile.
+/// only the `uplo` triangle of `C` is referenced and updated: the
+/// `op(A) op(B)^T` term carries `beta`, the `op(B) op(A)^T` term
+/// accumulates onto it.
 ///
 /// # Panics
 /// Panics on inconsistent dimensions or non-square `C`.
@@ -30,92 +31,20 @@ pub fn syr2k<T: Scalar>(
 ) {
     let n = c.nrows();
     assert_eq!(c.ncols(), n, "C must be square");
-    let k = match trans {
-        Trans::No => {
-            assert_eq!(a.nrows(), n);
-            assert_eq!(b.nrows(), n);
-            assert_eq!(a.ncols(), b.ncols());
-            a.ncols()
-        }
-        Trans::Yes => {
-            assert_eq!(a.ncols(), n);
-            assert_eq!(b.ncols(), n);
-            assert_eq!(a.nrows(), b.nrows());
-            a.nrows()
-        }
-    };
-
-    if alpha == T::ZERO || k == 0 {
-        scale_triangle(beta, uplo, c.rb_mut());
-        return;
-    }
-
-    let op_a = |i: usize, l: usize| -> T {
-        match trans {
-            Trans::No => a.at(i, l),
-            Trans::Yes => a.at(l, i),
-        }
-    };
-    let op_b = |i: usize, l: usize| -> T {
-        match trans {
-            Trans::No => b.at(i, l),
-            Trans::Yes => b.at(l, i),
-        }
-    };
-
-    let mut tmp = vec![T::ZERO; TB * TB];
-    for jb in (0..n).step_by(TB) {
-        let nb = TB.min(n - jb);
-        // Diagonal block: op(A) op(B)^T + op(B) op(A)^T into scratch.
-        gemm_with(
-            nb,
-            nb,
-            k,
-            T::ONE,
-            |i, p| op_a(jb + i, p),
-            |p, j| op_b(jb + j, p),
-            T::ZERO,
-            MatMut::from_slice(&mut tmp, nb, nb, nb),
-        );
-        gemm_with(
-            nb,
-            nb,
-            k,
-            T::ONE,
-            |i, p| op_b(jb + i, p),
-            |p, j| op_a(jb + j, p),
-            T::ONE,
-            MatMut::from_slice(&mut tmp, nb, nb, nb),
-        );
-        merge_triangle(uplo, alpha, &tmp, nb, beta, &mut c, jb);
-        // Rectangular remainder of the block column: two engine panels.
-        let (i0, mb) = match uplo {
-            Uplo::Lower => (jb + nb, n.saturating_sub(jb + nb)),
-            Uplo::Upper => (0, jb),
-        };
-        if mb > 0 {
-            gemm_with(
-                mb,
-                nb,
-                k,
-                alpha,
-                |i, p| op_a(i0 + i, p),
-                |p, j| op_b(jb + j, p),
-                beta,
-                c.submatrix_mut(i0, jb, mb, nb),
-            );
-            gemm_with(
-                mb,
-                nb,
-                k,
-                alpha,
-                |i, p| op_b(i0 + i, p),
-                |p, j| op_a(jb + j, p),
-                T::ONE,
-                c.submatrix_mut(i0, jb, mb, nb),
-            );
-        }
-    }
+    let (an, ak) = trans.apply_dims(a.nrows(), a.ncols());
+    assert_eq!(an, n, "op(A) rows must equal C order");
+    assert_eq!(
+        trans.apply_dims(b.nrows(), b.ncols()),
+        (n, ak),
+        "op(B) must match op(A)"
+    );
+    let (isa, part) = (selected_isa(), Part::Triangle(uplo));
+    let (ab, bt) = (Operand::dense(a, trans), Operand::dense(b, trans.flip()));
+    gemm_packed(isa, alpha, ab, bt, beta, c.rb_mut(), part);
+    // (With `alpha == 0` or `k == 0` the first pass scaled the triangle and
+    // this one, accumulating onto `1 * C`, changes nothing.)
+    let (ba, at) = (Operand::dense(b, trans), Operand::dense(a, trans.flip()));
+    gemm_packed(isa, alpha, ba, at, T::ONE, c, part);
 }
 
 #[cfg(test)]

@@ -2,20 +2,21 @@
 //! `C = alpha * op(A) * op(A)^T + beta * C`, updating only the `uplo`
 //! triangle of the symmetric `n × n` matrix `C`.
 
-use crate::blocked::{gemm_with, TB};
+use crate::aux::Part;
+use crate::blocked::{gemm_packed, Operand};
 use crate::scalar::Scalar;
+use crate::simd::selected_isa;
 use crate::types::{Trans, Uplo};
 use crate::view::{MatMut, MatRef};
 
-/// Sequential tile SYRK, routed through the blocked GEMM engine.
+/// Sequential tile SYRK: one triangle-restricted pass of the blocked GEMM
+/// engine.
 ///
 /// With `trans == No`, `A` is `n × k`; with `trans == Yes`, `A` is `k × n`
 /// and `op(A) = A^T`. Only the `uplo` triangle of `C` is referenced and
-/// updated. The triangle is partitioned into [`TB`]-order block columns:
-/// the rectangular part of each block column is one blocked GEMM panel
-/// update, and each diagonal block is computed into a dense scratch tile
-/// (also by the engine) whose stored triangle is then merged, so the
-/// opposite triangle of `C` is never touched.
+/// updated: `op(A)` is packed once as each operand, the engine skips the
+/// register tiles outside the triangle and masks the ones on its diagonal,
+/// so the opposite triangle of `C` is never touched.
 ///
 /// # Panics
 /// Panics on inconsistent dimensions or non-square `C`.
@@ -25,110 +26,14 @@ pub fn syrk<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
     beta: T,
-    mut c: MatMut<'_, T>,
+    c: MatMut<'_, T>,
 ) {
     let n = c.nrows();
     assert_eq!(c.ncols(), n, "C must be square");
-    let k = match trans {
-        Trans::No => {
-            assert_eq!(a.nrows(), n, "A rows must equal C order");
-            a.ncols()
-        }
-        Trans::Yes => {
-            assert_eq!(a.ncols(), n, "A cols must equal C order");
-            a.nrows()
-        }
-    };
-
-    if alpha == T::ZERO || k == 0 {
-        scale_triangle(beta, uplo, c.rb_mut());
-        return;
-    }
-
-    let op_a = |i: usize, l: usize| -> T {
-        match trans {
-            Trans::No => a.at(i, l),
-            Trans::Yes => a.at(l, i),
-        }
-    };
-
-    let mut tmp = vec![T::ZERO; TB * TB];
-    for jb in (0..n).step_by(TB) {
-        let nb = TB.min(n - jb);
-        // Diagonal block: dense product into scratch, merge stored triangle.
-        gemm_with(
-            nb,
-            nb,
-            k,
-            T::ONE,
-            |i, p| op_a(jb + i, p),
-            |p, j| op_a(jb + j, p),
-            T::ZERO,
-            MatMut::from_slice(&mut tmp, nb, nb, nb),
-        );
-        merge_triangle(uplo, alpha, &tmp, nb, beta, &mut c, jb);
-        // Rectangular remainder of the block column: one engine panel.
-        match uplo {
-            Uplo::Lower => {
-                if jb + nb < n {
-                    let i0 = jb + nb;
-                    let mb = n - i0;
-                    gemm_with(
-                        mb,
-                        nb,
-                        k,
-                        alpha,
-                        |i, p| op_a(i0 + i, p),
-                        |p, j| op_a(jb + j, p),
-                        beta,
-                        c.submatrix_mut(i0, jb, mb, nb),
-                    );
-                }
-            }
-            Uplo::Upper => {
-                if jb > 0 {
-                    gemm_with(
-                        jb,
-                        nb,
-                        k,
-                        alpha,
-                        op_a,
-                        |p, j| op_a(jb + j, p),
-                        beta,
-                        c.submatrix_mut(0, jb, jb, nb),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Merges the `uplo` triangle of a dense `nb × nb` scratch tile into `C` at
-/// diagonal offset `jb`: `C = beta * C + alpha * tmp` (triangle only;
-/// `beta == 0` overwrites without reading).
-pub(crate) fn merge_triangle<T: Scalar>(
-    uplo: Uplo,
-    alpha: T,
-    tmp: &[T],
-    nb: usize,
-    beta: T,
-    c: &mut MatMut<'_, T>,
-    jb: usize,
-) {
-    for j in 0..nb {
-        let (lo, hi) = match uplo {
-            Uplo::Lower => (j, nb),
-            Uplo::Upper => (0, j + 1),
-        };
-        for i in lo..hi {
-            let add = alpha * tmp[i + j * nb];
-            if beta == T::ZERO {
-                c.set(jb + i, jb + j, add);
-            } else {
-                c.update(jb + i, jb + j, |v| beta * v + add);
-            }
-        }
-    }
+    let (an, _) = trans.apply_dims(a.nrows(), a.ncols());
+    assert_eq!(an, n, "op(A) rows must equal C order");
+    let (a, at) = (Operand::dense(a, trans), Operand::dense(a, trans.flip()));
+    gemm_packed(selected_isa(), alpha, a, at, beta, c, Part::Triangle(uplo));
 }
 
 /// Scales only the `uplo` triangle of `C` by `beta` (writing zeros when

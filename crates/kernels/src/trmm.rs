@@ -2,10 +2,10 @@
 //! `B = alpha * op(A) * B` (left) or `B = alpha * B * op(A)` (right),
 //! with `A` triangular.
 
-use crate::blocked::TB;
-use crate::gemm::gemm;
-use crate::helpers::tri_at;
+use crate::aux::{lacpy, Part};
+use crate::blocked::{with_scratch, Operand, Structure, TB};
 use crate::scalar::Scalar;
+use crate::tri::TriOp;
 use crate::types::{Diag, Side, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
 
@@ -14,12 +14,13 @@ use crate::view::{MatMut, MatRef};
 /// `A` is `m × m` (left) or `n × n` (right) with only its `uplo` triangle
 /// referenced; `diag == Unit` treats the diagonal as ones.
 ///
-/// The triangular dimension is partitioned into [`TB`]-order blocks
-/// processed in an order where every cross-block contribution reads rows
-/// (columns) of `B` that still hold their *old* values: each block of `B`
-/// takes one unblocked triangular multiply against the diagonal block of
-/// `op(A)` plus one blocked-GEMM accumulation of the entire off-diagonal
-/// strip, so the bulk of the flops run on the packed engine.
+/// The triangular dimension is halved recursively: the half of `B` that the
+/// off-diagonal rectangle of `op(A)` feeds *into* is multiplied first, then
+/// takes one blocked-GEMM accumulation of the other half — which still
+/// holds its old values — and that half is multiplied last. Diagonal blocks
+/// of order [`TB`] or less are one engine call with a triangular operand
+/// over a copy of the old `B` block, so every flop runs on the packed
+/// engine.
 ///
 /// # Panics
 /// Panics on inconsistent dimensions.
@@ -32,163 +33,27 @@ pub fn trmm<T: Scalar>(
     a: MatRef<'_, T>,
     mut b: MatMut<'_, T>,
 ) {
-    let (m, n) = (b.nrows(), b.ncols());
-    match side {
-        Side::Left => {
-            assert_eq!(a.nrows(), m, "A must be m x m for Side::Left");
-            assert_eq!(a.ncols(), m);
-        }
-        Side::Right => {
-            assert_eq!(a.nrows(), n, "A must be n x n for Side::Right");
-            assert_eq!(a.ncols(), n);
-        }
-    }
-    if alpha == T::ZERO {
-        b.fill(T::ZERO);
-        return;
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-
-    // Is op(A) lower-triangular? (trans flips the triangle.)
-    let op_lower = matches!((uplo, trans), (Uplo::Lower, Trans::No) | (Uplo::Upper, Trans::Yes));
-    let ld = b.ld();
-    let bptr = b.rb_mut().col_mut(0).as_mut_ptr();
-
-    match side {
-        Side::Left => {
-            // new B_i = op(A)_ii B_i + sum over the off-diagonal strip of
-            // op(A)'s row block i, which reads B rows on the `op_lower` side
-            // of the diagonal — processing blocks away from that side leaves
-            // those rows untouched (old) until they are themselves updated.
-            let nblocks = m.div_ceil(TB);
-            for step in 0..nblocks {
-                let ib = if op_lower { nblocks - 1 - step } else { step };
-                let i0 = ib * TB;
-                let mb = TB.min(m - i0);
-                // SAFETY: the mutable row block [i0, i0+mb) and the read
-                // strip (strictly before/after it) are disjoint row ranges
-                // of B.
-                let mut b_i = unsafe { MatMut::from_raw(bptr.add(i0), mb, n, ld) };
-                trmm_unblocked(
-                    Side::Left,
-                    uplo,
-                    trans,
-                    diag,
-                    alpha,
-                    a.submatrix(i0, i0, mb, mb),
-                    b_i.rb_mut(),
-                );
-                let (lo, hi) = if op_lower { (0, i0) } else { (i0 + mb, m) };
-                if hi > lo {
-                    let lw = hi - lo;
-                    let b_old =
-                        unsafe { MatRef::from_raw(bptr.add(lo).cast_const(), lw, n, ld) };
-                    // op(A)[i0.., lo..] lies strictly off the diagonal, i.e.
-                    // entirely inside the stored triangle: read it densely.
-                    let a_strip = match trans {
-                        Trans::No => a.submatrix(i0, lo, mb, lw),
-                        Trans::Yes => a.submatrix(lo, i0, lw, mb),
-                    };
-                    gemm(trans, Trans::No, alpha, a_strip, b_old, T::ONE, b_i);
-                }
-            }
-        }
-        Side::Right => {
-            // new B_j = B_j op(A)_jj + sum of old B column blocks against
-            // op(A)'s column block j.
-            let nblocks = n.div_ceil(TB);
-            for step in 0..nblocks {
-                let jb = if op_lower { step } else { nblocks - 1 - step };
-                let j0 = jb * TB;
-                let nb = TB.min(n - j0);
-                // SAFETY: disjoint column ranges of B.
-                let mut b_j = unsafe { MatMut::from_raw(bptr.add(j0 * ld), m, nb, ld) };
-                trmm_unblocked(
-                    Side::Right,
-                    uplo,
-                    trans,
-                    diag,
-                    alpha,
-                    a.submatrix(j0, j0, nb, nb),
-                    b_j.rb_mut(),
-                );
-                let (lo, hi) = if op_lower { (j0 + nb, n) } else { (0, j0) };
-                if hi > lo {
-                    let lw = hi - lo;
-                    let b_old =
-                        unsafe { MatRef::from_raw(bptr.add(lo * ld).cast_const(), m, lw, ld) };
-                    let a_strip = match trans {
-                        Trans::No => a.submatrix(lo, j0, lw, nb),
-                        Trans::Yes => a.submatrix(j0, lo, nb, lw),
-                    };
-                    gemm(Trans::No, trans, alpha, b_old, a_strip, T::ONE, b_j);
-                }
-            }
-        }
+    if let Some(op) = TriOp::checked((side, uplo, trans, diag), alpha, a, &mut b) {
+        multiply(op, alpha, a, b);
     }
 }
 
-/// Unblocked TRMM used for the diagonal blocks of the blocked algorithm.
-fn trmm_unblocked<T: Scalar>(
-    side: Side,
-    uplo: Uplo,
-    trans: Trans,
-    diag: Diag,
-    alpha: T,
-    a: MatRef<'_, T>,
-    mut b: MatMut<'_, T>,
-) {
-    let (m, n) = (b.nrows(), b.ncols());
-
-    // op(A)(i, l): a triangular read honoring trans/uplo/diag.
-    let op_a = |i: usize, l: usize| -> T {
-        match trans {
-            Trans::No => tri_at(&a, uplo, diag, i, l),
-            Trans::Yes => tri_at(&a, uplo, diag, l, i),
-        }
-    };
-
-    match side {
-        Side::Left => {
-            // newB(:,j) = alpha * op(A) * oldB(:,j); use a column scratch so
-            // every read sees the old values regardless of traversal order.
-            let mut scratch = vec![T::ZERO; m];
-            for j in 0..n {
-                scratch.copy_from_slice(b.col_mut(j));
-                for i in 0..m {
-                    let mut acc = T::ZERO;
-                    for (l, &s) in scratch.iter().enumerate() {
-                        let v = op_a(i, l);
-                        if v != T::ZERO {
-                            acc += v * s;
-                        }
-                    }
-                    b.set(i, j, alpha * acc);
-                }
-            }
-        }
-        Side::Right => {
-            // newB(i,:) = alpha * oldB(i,:) * op(A); row scratch.
-            let mut scratch = vec![T::ZERO; n];
-            for i in 0..m {
-                for (l, s) in scratch.iter_mut().enumerate() {
-                    *s = b.at(i, l);
-                }
-                for j in 0..n {
-                    let mut acc = T::ZERO;
-                    for (l, &s) in scratch.iter().enumerate() {
-                        let v = op_a(l, j);
-                        if v != T::ZERO {
-                            acc += s * v;
-                        }
-                    }
-                    b.set(i, j, alpha * acc);
-                }
-            }
-        }
+/// `B = alpha * op(A) * B` or `alpha * B * op(A)` on a non-empty `B`.
+fn multiply<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
+    let na = a.nrows();
+    if na <= TB {
+        let (m, n) = (b.nrows(), b.ncols());
+        return with_scratch(m * n, |old: &mut [T]| {
+            lacpy(Part::All, b.as_ref(), MatMut::from_slice(old, m, n, m));
+            let tri = Operand::new(a, op.trans, Structure::Triangular(op.uplo, op.diag));
+            op.gemm(alpha, tri, MatRef::from_slice(old, m, n, m), T::ZERO, b);
+        });
     }
+    let mut s = op.split((na / 2).next_multiple_of(TB), a, b.rb_mut());
+    multiply(op, alpha, s.a_target, s.target.rb_mut());
+    let rect = Operand::dense(s.r, op.trans);
+    op.gemm(alpha, rect, s.source.as_ref(), T::ONE, s.target);
+    multiply(op, alpha, s.a_source, s.source);
 }
 
 #[cfg(test)]

@@ -2,24 +2,28 @@
 //! `B = alpha * inv(op(A)) * B` (left) or `B = alpha * B * inv(op(A))`
 //! (right), with `A` triangular.
 
-use crate::blocked::TB;
-use crate::gemm::gemm;
-use crate::helpers::tri_at;
+use crate::blocked::Operand;
 use crate::scalar::Scalar;
+use crate::tri::TriOp;
 use crate::types::{Diag, Side, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
+
+/// Order of the substitution leaf: small enough for one right-hand side's
+/// unknowns to live in registers.
+const LEAF: usize = 8;
 
 /// Sequential tile TRSM, updating `B` in place.
 ///
 /// Solves `op(A) * X = alpha * B` (left) or `X * op(A) = alpha * B` (right)
 /// and stores `X` in `B`.
 ///
-/// Classic blocked substitution: the triangular dimension is split into
-/// [`TB`]-order blocks; each block of `B` is first updated with a blocked-GEMM
-/// accumulation of the already-solved blocks (`B_i ← alpha B_i − strip · X`,
-/// with `alpha` folded in as the GEMM `beta`), then finished with an
-/// unblocked substitution against the diagonal block. The GEMM-update half
-/// of the flops therefore runs on the packed register-tiled engine.
+/// Recursive blocked substitution: the triangular dimension is halved, the
+/// half of `B` whose unknowns the off-diagonal rectangle of `op(A)` reads is
+/// solved first, the other half takes one blocked-GEMM update with it
+/// (`B_t ← alpha B_t − rect · X_s`, `alpha` folded in as the GEMM `beta`)
+/// and is solved in turn. The recursion ends in plain substitution against
+/// a register-sized dense copy of a diagonal block (eight rows), so all
+/// but a sliver of the flops run on the packed engine.
 ///
 /// # Panics
 /// Panics on inconsistent dimensions. Dividing by an (exactly) zero diagonal
@@ -33,186 +37,81 @@ pub fn trsm<T: Scalar>(
     a: MatRef<'_, T>,
     mut b: MatMut<'_, T>,
 ) {
-    let (m, n) = (b.nrows(), b.ncols());
-    match side {
-        Side::Left => {
-            assert_eq!(a.nrows(), m, "A must be m x m for Side::Left");
-            assert_eq!(a.ncols(), m);
-        }
-        Side::Right => {
-            assert_eq!(a.nrows(), n, "A must be n x n for Side::Right");
-            assert_eq!(a.ncols(), n);
-        }
-    }
-    if alpha == T::ZERO {
-        b.fill(T::ZERO);
-        return;
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-
-    // Is op(A) lower-triangular? (trans flips the triangle.)
-    let op_lower = matches!((uplo, trans), (Uplo::Lower, Trans::No) | (Uplo::Upper, Trans::Yes));
-    let ld = b.ld();
-    let bptr = b.rb_mut().col_mut(0).as_mut_ptr();
-
-    match side {
-        Side::Left => {
-            // Row-block substitution: op(A)_ii X_i = alpha B_i − sum of
-            // op(A)'s off-diagonal strip against already-solved X blocks.
-            // Lower op(A) solves top-down, upper bottom-up, so the strip
-            // always references finished blocks.
-            let nblocks = m.div_ceil(TB);
-            for step in 0..nblocks {
-                let ib = if op_lower { step } else { nblocks - 1 - step };
-                let i0 = ib * TB;
-                let mb = TB.min(m - i0);
-                // SAFETY: the mutable row block and the solved strip are
-                // disjoint row ranges of B.
-                let mut b_i = unsafe { MatMut::from_raw(bptr.add(i0), mb, n, ld) };
-                let (lo, hi) = if op_lower { (0, i0) } else { (i0 + mb, m) };
-                let eff_alpha = if hi > lo {
-                    let lw = hi - lo;
-                    let x_solved =
-                        unsafe { MatRef::from_raw(bptr.add(lo).cast_const(), lw, n, ld) };
-                    // Strictly off-diagonal strip of op(A): stored densely.
-                    let a_strip = match trans {
-                        Trans::No => a.submatrix(i0, lo, mb, lw),
-                        Trans::Yes => a.submatrix(lo, i0, lw, mb),
-                    };
-                    gemm(trans, Trans::No, -T::ONE, a_strip, x_solved, alpha, b_i.rb_mut());
-                    T::ONE
-                } else {
-                    alpha
-                };
-                trsm_unblocked(
-                    Side::Left,
-                    uplo,
-                    trans,
-                    diag,
-                    eff_alpha,
-                    a.submatrix(i0, i0, mb, mb),
-                    b_i,
-                );
-            }
-        }
-        Side::Right => {
-            // Column-block substitution: X_j op(A)_jj = alpha B_j − solved X
-            // blocks against op(A)'s column block j. Lower op(A) solves
-            // right-to-left, upper left-to-right.
-            let nblocks = n.div_ceil(TB);
-            for step in 0..nblocks {
-                let jb = if op_lower { nblocks - 1 - step } else { step };
-                let j0 = jb * TB;
-                let nb = TB.min(n - j0);
-                // SAFETY: disjoint column ranges of B.
-                let mut b_j = unsafe { MatMut::from_raw(bptr.add(j0 * ld), m, nb, ld) };
-                let (lo, hi) = if op_lower { (j0 + nb, n) } else { (0, j0) };
-                let eff_alpha = if hi > lo {
-                    let lw = hi - lo;
-                    let x_solved =
-                        unsafe { MatRef::from_raw(bptr.add(lo * ld).cast_const(), m, lw, ld) };
-                    let a_strip = match trans {
-                        Trans::No => a.submatrix(lo, j0, lw, nb),
-                        Trans::Yes => a.submatrix(j0, lo, nb, lw),
-                    };
-                    gemm(Trans::No, trans, -T::ONE, x_solved, a_strip, alpha, b_j.rb_mut());
-                    T::ONE
-                } else {
-                    alpha
-                };
-                trsm_unblocked(
-                    Side::Right,
-                    uplo,
-                    trans,
-                    diag,
-                    eff_alpha,
-                    a.submatrix(j0, j0, nb, nb),
-                    b_j,
-                );
-            }
-        }
+    if let Some(op) = TriOp::checked((side, uplo, trans, diag), alpha, a, &mut b) {
+        solve(op, alpha, a, b);
     }
 }
 
-/// Unblocked TRSM used for the diagonal blocks of the blocked algorithm.
-fn trsm_unblocked<T: Scalar>(
-    side: Side,
-    uplo: Uplo,
-    trans: Trans,
-    diag: Diag,
-    alpha: T,
-    a: MatRef<'_, T>,
-    mut b: MatMut<'_, T>,
-) {
-    let (m, n) = (b.nrows(), b.ncols());
+/// Solves `op(A) * X = alpha * B` or `X * op(A) = alpha * B` into a
+/// non-empty `B`.
+fn solve<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
+    let na = a.nrows();
+    if na <= LEAF {
+        return substitute(op, alpha, a, b);
+    }
+    let mut s = op.split((na / 2).next_multiple_of(LEAF), a, b.rb_mut());
+    solve(op, alpha, s.a_source, s.source.rb_mut());
+    let rect = Operand::dense(s.r, op.trans);
+    op.gemm(-T::ONE, rect, s.source.as_ref(), alpha, s.target.rb_mut());
+    solve(op, T::ONE, s.a_target, s.target);
+}
 
-    // Effective triangular element of op(A).
-    let op_a = |i: usize, l: usize| -> T {
-        match trans {
-            Trans::No => tri_at(&a, uplo, diag, i, l),
-            Trans::Yes => tri_at(&a, uplo, diag, l, i),
+/// Plain substitution against a diagonal block of at most [`LEAF`] rows.
+///
+/// The block is copied into a dense `LEAF × LEAF` array `d` laid out so that
+/// unknown `i` of every right-hand side obeys
+/// `x_i = (alpha b_i − Σ d[i][l] x_l) / d[i][i]` over the unknowns `l`
+/// solved before it — `op(A)` on the left, its transpose on the right —
+/// padded with the identity so the loops below have constant bounds.
+fn substitute<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
+    let s = a.nrows();
+    let unit = op.diag == Diag::Unit;
+    let transposed = (op.trans == Trans::Yes) != (op.side == Side::Right);
+    let mut d = [[T::ZERO; LEAF]; LEAF];
+    for (i, row) in d.iter_mut().enumerate() {
+        row[i] = T::ONE;
+    }
+    for j in 0..s {
+        let rows = match op.uplo {
+            Uplo::Lower => j..s,
+            Uplo::Upper => 0..j + 1,
+        };
+        for i in rows.filter(|&i| i != j || !unit) {
+            let (r, c) = if transposed { (j, i) } else { (i, j) };
+            d[r][c] = a.at(i, j);
+        }
+    }
+    // `d` lower-triangular: unknowns resolve first to last; upper: last to first.
+    let forward = (op.uplo == Uplo::Lower) != transposed;
+    let order = |t: usize| if forward { t } else { LEAF - 1 - t };
+    let solve_one = |x: &mut [T; LEAF]| {
+        for t in 0..LEAF {
+            let i = order(t);
+            let mut acc = alpha * x[i];
+            for l in (0..t).map(order) {
+                acc -= d[i][l] * x[l];
+            }
+            x[i] = if unit { acc } else { acc / d[i][i] };
         }
     };
-    // Is op(A) lower-triangular? (trans flips the triangle.)
-    let op_lower = match (uplo, trans) {
-        (Uplo::Lower, Trans::No) | (Uplo::Upper, Trans::Yes) => true,
-        (Uplo::Upper, Trans::No) | (Uplo::Lower, Trans::Yes) => false,
-    };
-
-    match side {
+    match op.side {
         Side::Left => {
-            // Solve op(A) x = alpha b column by column.
-            for j in 0..n {
-                if op_lower {
-                    // Forward substitution.
-                    for i in 0..m {
-                        let mut acc = alpha * b.at(i, j);
-                        for l in 0..i {
-                            acc -= op_a(i, l) * b.at(l, j);
-                        }
-                        let d = op_a(i, i);
-                        b.set(i, j, if diag == Diag::Unit { acc } else { acc / d });
-                    }
-                } else {
-                    // Backward substitution.
-                    for i in (0..m).rev() {
-                        let mut acc = alpha * b.at(i, j);
-                        for l in i + 1..m {
-                            acc -= op_a(i, l) * b.at(l, j);
-                        }
-                        let d = op_a(i, i);
-                        b.set(i, j, if diag == Diag::Unit { acc } else { acc / d });
-                    }
-                }
+            for j in 0..b.ncols() {
+                let (mut x, col) = ([T::ZERO; LEAF], b.col_mut(j));
+                x[..s].copy_from_slice(col);
+                solve_one(&mut x);
+                col.copy_from_slice(&x[..s]);
             }
         }
         Side::Right => {
-            // Solve x op(A) = alpha b row by row: x_j = (alpha b_j -
-            // sum_{l != j} x_l op(A)(l, j)) / op(A)(j, j), ordered so solved
-            // entries are the only ones referenced.
-            for i in 0..m {
-                if op_lower {
-                    // x B = b with lower op(A): solve j from n-1 down to 0,
-                    // using x_l for l > j.
-                    for j in (0..n).rev() {
-                        let mut acc = alpha * b.at(i, j);
-                        for l in j + 1..n {
-                            acc -= b.at(i, l) * op_a(l, j);
-                        }
-                        let d = op_a(j, j);
-                        b.set(i, j, if diag == Diag::Unit { acc } else { acc / d });
-                    }
-                } else {
-                    for j in 0..n {
-                        let mut acc = alpha * b.at(i, j);
-                        for l in 0..j {
-                            acc -= b.at(i, l) * op_a(l, j);
-                        }
-                        let d = op_a(j, j);
-                        b.set(i, j, if diag == Diag::Unit { acc } else { acc / d });
-                    }
+            for i in 0..b.nrows() {
+                let mut x = [T::ZERO; LEAF];
+                for (j, v) in x.iter_mut().enumerate().take(s) {
+                    *v = b.at(i, j);
+                }
+                solve_one(&mut x);
+                for (j, &v) in x.iter().enumerate().take(s) {
+                    b.set(i, j, v);
                 }
             }
         }

@@ -214,16 +214,15 @@ fn scalar_pin_is_bit_for_bit_pr2() {
     let _restore = common::EnvRestore::capture();
     std::env::set_var(ISA_ENV, "scalar");
     for &(m, n, k) in &shapes {
-        for trans in [Trans::No, Trans::Yes] {
+        for (ta, tb) in [
+            (Trans::No, Trans::No),
+            (Trans::No, Trans::Yes),
+            (Trans::Yes, Trans::No),
+            (Trans::Yes, Trans::Yes),
+        ] {
             for &(alpha, beta) in &scales {
-                let (am, an) = match trans {
-                    Trans::No => (m, k),
-                    Trans::Yes => (k, m),
-                };
-                let (bm, bn) = match trans {
-                    Trans::No => (k, n),
-                    Trans::Yes => (n, k),
-                };
+                let (am, an) = ta.apply_dims(m, k);
+                let (bm, bn) = tb.apply_dims(k, n);
                 let a = det_vals(am * an, 1 + m as u64);
                 let b = det_vals(bm * bn, 2 + n as u64);
                 let c0 = det_vals(m * n, 3 + k as u64);
@@ -231,36 +230,30 @@ fn scalar_pin_is_bit_for_bit_pr2() {
                 let br = MatRef::from_slice(&b, bm, bn, bm);
 
                 let mut want = c0.clone();
-                match trans {
-                    Trans::No => pr2_oracle::gemm_with(
-                        m,
-                        n,
-                        k,
-                        alpha,
-                        |i, p| ar.at(i, p),
-                        |p, j| br.at(p, j),
-                        beta,
-                        MatMut::from_slice(&mut want, m, n, m),
-                    ),
-                    Trans::Yes => pr2_oracle::gemm_with(
-                        m,
-                        n,
-                        k,
-                        alpha,
-                        |i, p| ar.at(p, i),
-                        |p, j| br.at(j, p),
-                        beta,
-                        MatMut::from_slice(&mut want, m, n, m),
-                    ),
-                }
+                pr2_oracle::gemm_with(
+                    m,
+                    n,
+                    k,
+                    alpha,
+                    |i, p| match ta {
+                        Trans::No => ar.at(i, p),
+                        Trans::Yes => ar.at(p, i),
+                    },
+                    |p, j| match tb {
+                        Trans::No => br.at(p, j),
+                        Trans::Yes => br.at(j, p),
+                    },
+                    beta,
+                    MatMut::from_slice(&mut want, m, n, m),
+                );
 
                 let mut c = c0.clone();
-                gemm(trans, trans, alpha, ar, br, beta, MatMut::from_slice(&mut c, m, n, m));
+                gemm(ta, tb, alpha, ar, br, beta, MatMut::from_slice(&mut c, m, n, m));
                 for (idx, (&got, &exp)) in c.iter().zip(&want).enumerate() {
                     assert!(
                         got.to_bits() == exp.to_bits(),
                         "scalar pin not bit-exact at flat index {idx} \
-                         ({m}x{n}x{k} {trans:?} a={alpha} b={beta}): \
+                         ({m}x{n}x{k} {ta:?}/{tb:?} a={alpha} b={beta}): \
                          got {got:?} ({:#x}), oracle {exp:?} ({:#x})",
                         got.to_bits(),
                         exp.to_bits()
