@@ -7,7 +7,6 @@
 //! routine reading tiles written by a previous one picks up point-to-point
 //! dependencies instead of a barrier (paper §IV-F).
 
-use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 
 use xk_kernels::perfmodel::TileOp;
@@ -21,13 +20,20 @@ use xk_topo::{Device, FabricSpec};
 
 use crate::matrix::{block_cyclic_owner, Matrix, TileMap};
 
-/// Where a matrix's tiles start out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Placement {
-    /// Valid in host memory (data-on-host methodology).
-    Host,
-    /// Distributed 2D block-cyclic over the GPUs (data-on-device).
-    BlockCyclic,
+/// What the pending graph knows about one matrix. A routine call touches at
+/// most three matrices, so the context keeps these in a short `Vec` scanned
+/// by id: a tile lookup is that scan plus one index, no hashing.
+struct MatEntry {
+    /// [`Matrix::id`] of the allocation.
+    id: u64,
+    /// Tiles start distributed 2D block-cyclic over the GPUs (data-on-device)
+    /// instead of valid in host memory (data-on-host).
+    distributed: bool,
+    /// The matrix's partition under the context's tile size.
+    map: TileMap,
+    /// Handle of tile `(i, j)` at `i * map.nt + j`; `None` until a routine
+    /// first touches the tile.
+    handles: Vec<Option<HandleId>>,
 }
 
 /// The asynchronous BLAS context.
@@ -37,9 +43,7 @@ pub struct Context<T: Scalar> {
     tile: usize,
     grid: (usize, usize),
     graph: TaskGraph,
-    handles: HashMap<(u64, usize, usize), HandleId>,
-    placements: HashMap<u64, Placement>,
-    registered_mats: HashSet<u64>,
+    mats: Vec<MatEntry>,
     calls: usize,
     sim_only: bool,
     tile_layout: bool,
@@ -63,9 +67,7 @@ impl<T: Scalar> Context<T> {
             tile,
             grid: (p, q),
             graph: TaskGraph::new(),
-            handles: HashMap::new(),
-            placements: HashMap::new(),
-            registered_mats: HashSet::new(),
+            mats: Vec::new(),
             calls: 0,
             sim_only: false,
             tile_layout: false,
@@ -162,13 +164,28 @@ impl<T: Scalar> Context<T> {
         self.calls += 1;
     }
 
+    /// Index in `mats` of the entry of `mat`, created host-resident and
+    /// without handles on first sight.
+    fn entry_index(&mut self, mat: &Matrix<T>) -> usize {
+        let known = self.mats.iter().position(|e| e.id == mat.id());
+        known.unwrap_or_else(|| {
+            let map = self.tile_map(mat);
+            let handles = vec![None; map.mt * map.nt];
+            self.mats.push(MatEntry { id: mat.id(), distributed: false, map, handles });
+            self.mats.len() - 1
+        })
+    }
+
     /// Registers (or retrieves) the runtime handle of tile `(i, j)`.
     pub(crate) fn handle(&mut self, mat: &Matrix<T>, i: usize, j: usize) -> HandleId {
-        let key = (mat.id(), i, j);
-        if let Some(&h) = self.handles.get(&key) {
+        let at = self.entry_index(mat);
+        let MatEntry { distributed, map, ref handles, .. } = self.mats[at];
+        let (mt, nt) = (map.mt, map.nt);
+        assert!(i < mt && j < nt, "tile ({i},{j}) outside the {mt}x{nt} partition");
+        let slot = i * nt + j;
+        if let Some(h) = handles[slot] {
             return h;
         }
-        let map = self.tile_map(mat);
         let (mb, nb) = (map.tile_rows(i), map.tile_cols(j));
         let bytes = (mb * nb * T::WORD) as u64;
         // A tile is pitched on the host whenever its rows don't span the
@@ -176,15 +193,7 @@ impl<T: Scalar> Context<T> {
         // store tiles contiguously instead.
         let pitched = !self.tile_layout && mb != mat.ld();
         let owner = block_cyclic_owner(i, j, self.grid.0, self.grid.1) % self.topo.n_gpus();
-        let placement = self
-            .placements
-            .get(&mat.id())
-            .copied()
-            .unwrap_or(Placement::Host);
-        let initial = match placement {
-            Placement::Host => Device::Host,
-            Placement::BlockCyclic => Device::Gpu(owner),
-        };
+        let initial = if distributed { Device::Gpu(owner) } else { Device::Host };
         let info = DataInfo {
             bytes,
             pitched,
@@ -193,8 +202,7 @@ impl<T: Scalar> Context<T> {
             owner_hint: Some(owner),
         };
         let h = self.graph.add_data(info);
-        self.handles.insert(key, h);
-        self.registered_mats.insert(mat.id());
+        self.mats[at].handles[slot] = Some(h);
         h
     }
 
@@ -222,11 +230,13 @@ impl<T: Scalar> Context<T> {
     /// # Panics
     /// Panics if tiles of the matrix were already registered host-resident.
     pub fn distribute_2d_block_cyclic_async(&mut self, mat: &Matrix<T>) {
+        let at = self.entry_index(mat);
+        let entry = &mut self.mats[at];
         assert!(
-            !self.registered_mats.contains(&mat.id()),
+            entry.handles.iter().all(Option::is_none),
             "distribute must precede the first use of the matrix"
         );
-        self.placements.insert(mat.id(), Placement::BlockCyclic);
+        entry.distributed = true;
     }
 
     /// `xkblas_memory_coherent_async`: enqueues a host-coherency task for
@@ -237,13 +247,14 @@ impl<T: Scalar> Context<T> {
         // writer, so write-backs stream out while other tiles still
         // compute (XKBlas makes memory coherence a per-tile data-flow
         // task, not a barrier).
-        let map = self.tile_map(mat);
-        for i in 0..map.mt {
-            for j in 0..map.nt {
-                if let Some(&h) = self.handles.get(&(mat.id(), i, j)) {
-                    self.graph
-                        .add_flush(&[h], TaskLabel::mat_tile("coherent", mat.id(), i, j));
-                }
+        let Some(entry) = self.mats.iter().find(|e| e.id == mat.id()) else {
+            return;
+        };
+        let nt = entry.map.nt;
+        for (slot, h) in entry.handles.iter().enumerate() {
+            if let Some(h) = *h {
+                let label = TaskLabel::mat_tile("coherent", mat.id(), slot / nt, slot % nt);
+                self.graph.add_flush(&[h], label);
             }
         }
     }
@@ -289,9 +300,7 @@ impl<T: Scalar> Context<T> {
     }
 
     fn take_graph(&mut self) -> TaskGraph {
-        self.handles.clear();
-        self.placements.clear();
-        self.registered_mats.clear();
+        self.mats.clear();
         self.calls = 0;
         std::mem::take(&mut self.graph)
     }
@@ -338,6 +347,78 @@ mod tests {
         let a = Matrix::<f64>::zeros(8, 8);
         ctx.memory_coherent_async(&a);
         assert_eq!(ctx.pending_tasks(), 0);
+    }
+
+    /// The dense table in lockstep with the three hash maps it replaced
+    /// (`handles`, `placements`, `registered_mats`): two ragged matrices of
+    /// different shapes, every entry point that reads or resets the table.
+    #[test]
+    fn handle_table_matches_hash_map_model() {
+        use std::collections::{HashMap, HashSet};
+        use xk_runtime::{TaskId, TaskKind};
+
+        xk_lp::for_each_seed(40, |rng| {
+            let mut ctx = Context::<f64>::new(dgx1(), RuntimeConfig::default(), 4);
+            let mats = [Matrix::<f64>::phantom(10, 7), Matrix::<f64>::phantom(5, 13)];
+            let mut handles: HashMap<(u64, usize, usize), HandleId> = HashMap::new();
+            let mut distributed: HashSet<u64> = HashSet::new();
+            let mut registered: HashSet<u64> = HashSet::new();
+            for _ in 0..120 {
+                let mat = &mats[rng.usize_in(0, 2)];
+                let map = ctx.tile_map(mat);
+                match rng.next_below(16) {
+                    0 => {
+                        let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            ctx.distribute_2d_block_cyclic_async(mat)
+                        }));
+                        assert_eq!(done.is_ok(), !registered.contains(&mat.id()));
+                        if done.is_ok() {
+                            distributed.insert(mat.id());
+                        }
+                    }
+                    1 => {
+                        let before = ctx.pending_tasks();
+                        ctx.memory_coherent_async(mat);
+                        // One flush per registered tile, row-major.
+                        let mut expected: Vec<_> =
+                            handles.iter().filter(|(k, _)| k.0 == mat.id()).collect();
+                        expected.sort();
+                        assert_eq!(ctx.pending_tasks(), before + expected.len());
+                        for (at, (_, &h)) in expected.into_iter().enumerate() {
+                            let task = ctx.graph().task(TaskId(before + at));
+                            assert_eq!(task.kind, TaskKind::Flush);
+                            assert_eq!(task.read_handles().collect::<Vec<_>>(), [h]);
+                        }
+                    }
+                    2 => {
+                        assert_eq!(ctx.finish_graph().data().len(), handles.len());
+                        handles.clear();
+                        distributed.clear();
+                        registered.clear();
+                    }
+                    _ => {
+                        let (i, j) = (rng.usize_in(0, map.mt), rng.usize_in(0, map.nt));
+                        let fresh = HandleId(handles.len());
+                        let expected = *handles.entry((mat.id(), i, j)).or_insert(fresh);
+                        registered.insert(mat.id());
+                        assert_eq!(ctx.handle(mat, i, j), expected);
+                        let info = ctx.graph().data().info(expected);
+                        assert_eq!(info.bytes, map.tile_bytes(i, j, 8));
+                        assert_eq!(info.label, format!("M{}({i},{j})", mat.id()));
+                        assert_eq!(info.initial.is_host(), !distributed.contains(&mat.id()));
+                    }
+                }
+                assert_eq!(ctx.graph().data().len(), handles.len());
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 2x2 partition")]
+    fn out_of_range_tile_is_refused() {
+        let mut ctx = Context::<f64>::new(dgx1(), RuntimeConfig::default(), 4);
+        // (0, 2) would alias (1, 0) in the row-major table.
+        ctx.handle(&Matrix::<f64>::zeros(8, 8), 0, 2);
     }
 
     #[test]

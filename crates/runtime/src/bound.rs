@@ -150,6 +150,7 @@ pub fn makespan_lower_bound(
     let mut d2h_mandatory: Vec<bool> = vec![false; n_handles];
 
     // Critical-path state, filled in the same submission-order pass.
+    let kernel_seconds = graph.kernel_seconds(&cfg.gpu_model);
     let mut finish = vec![0.0f64; graph.len()];
     let mut flush_tail = 0.0f64;
     // Cheapest H2D/D2H per handle, lazily materialized.
@@ -193,8 +194,7 @@ pub fn makespan_lower_bound(
                         ready = ready.max(floor(&mut h2d_floor, h, true));
                     }
                 }
-                let kernel = task.op.map_or(0.0, |op| cfg.gpu_model.kernel_time(op));
-                finish[t] = ready + kernel;
+                finish[t] = ready + kernel_seconds[t];
                 for h in task.written_handles() {
                     last_writer[h.0] = Some(t);
                     flushed[h.0] = false;
@@ -234,9 +234,9 @@ pub fn makespan_lower_bound(
         graph
             .tasks()
             .iter()
-            .filter(|t| t.kind == TaskKind::Kernel)
-            .filter_map(|t| t.op)
-            .map(|op| cfg.gpu_model.kernel_time(op))
+            .zip(&kernel_seconds)
+            .filter(|(t, _)| t.op.is_some())
+            .map(|(_, &secs)| secs)
             .sum::<f64>()
             / n as f64
     } else {

@@ -424,21 +424,37 @@ impl TaskGraph {
     /// only, transfers ignored): the lower bound on makespan with infinite
     /// GPUs. Flush tasks count as zero.
     pub fn critical_path_seconds(&self, model: &GpuModel) -> f64 {
-        let mut finish = vec![0.0f64; self.tasks.len()];
         // Tasks are in topological order by construction (dependencies only
         // point to earlier tasks), so one forward pass over predecessors
-        // suffices — and needs no successor CSR.
+        // suffices — and needs no successor CSR. The kernel-seconds table
+        // is overwritten in place with finish times.
+        let mut finish = self.kernel_seconds(model);
         let mut best = 0.0f64;
-        for t in &self.tasks {
-            let dur = t.op.map_or(0.0, |op| model.kernel_time(op));
+        for t in 0..finish.len() {
             let start = self
-                .predecessors(t.id)
+                .predecessors(TaskId(t))
                 .fold(0.0f64, |m, p| m.max(finish[p.0]));
-            let f = start + dur;
-            finish[t.id.0] = f;
-            best = best.max(f);
+            finish[t] += start;
+            best = best.max(finish[t]);
         }
         best
+    }
+
+    /// Modelled kernel seconds of every task, indexed by `TaskId.0`:
+    /// `model.kernel_time(op)` for a kernel, `0` for a flush. The model is
+    /// evaluated once per run of equal consecutive ops (a tiled routine
+    /// submits one tile shape thousands of times in a row), and the
+    /// executor, dmdas, the makespan bound and the critical path all read
+    /// this table instead of evaluating the model per task.
+    pub fn kernel_seconds(&self, model: &GpuModel) -> Vec<f64> {
+        let mut memo = (None, 0.0);
+        let seconds = self.tasks.iter().map(|t| {
+            if memo.0 != t.op {
+                memo = (t.op, t.op.map_or(0.0, |op| model.kernel_time(op)));
+            }
+            memo.1
+        });
+        seconds.collect()
     }
 
     /// Total kernel flops in the graph.

@@ -26,8 +26,10 @@ pub struct SchedView<'a> {
     pub topo: &'a FabricSpec,
     /// Software cache (for transfer estimates / locality).
     pub cache: &'a SoftwareCache,
-    /// GPU compute model.
-    pub model: &'a xk_kernels::GpuModel,
+    /// Modelled kernel seconds of the task being placed (`0` for a flush),
+    /// read from the executor's per-task table
+    /// ([`TaskGraph::kernel_seconds`]).
+    pub kernel_seconds: f64,
 }
 
 /// A placement policy.
@@ -104,10 +106,6 @@ pub struct Dmdas {
 impl Scheduler for Dmdas {
     fn assign(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
         let n = view.gpu_available.len();
-        let kernel = task
-            .op
-            .map(|op| view.model.kernel_time(op))
-            .unwrap_or(0.0);
         // One pass per read handle: its holders and size are looked up once,
         // then every GPU missing it adds the estimate from the "cheapest"
         // valid location (first holder of maximal bandwidth, else the host).
@@ -136,7 +134,7 @@ impl Scheduler for Dmdas {
         for g in 0..n {
             let start = view.gpu_available[g].seconds().max(view.now.seconds())
                 + view.gpu_committed[g];
-            let cost = start + self.transfer[g] + kernel;
+            let cost = start + self.transfer[g] + view.kernel_seconds;
             if cost < best_cost {
                 best_cost = cost;
                 best = g;
@@ -204,7 +202,6 @@ mod tests {
     use crate::data::DataInfo;
     use crate::task::{Access, TaskAccess, TaskId};
     use xk_kernels::perfmodel::TileOp;
-    use xk_kernels::GpuModel;
     use xk_topo::dgx1;
 
     fn graph_with_owned_tile(owner: usize) -> (TaskGraph, TaskId) {
@@ -226,7 +223,6 @@ mod tests {
         cache: &'a SoftwareCache,
         avail: &'a [SimTime],
         lens: &'a [usize],
-        model: &'a GpuModel,
     ) -> SchedView<'a> {
         SchedView {
             now: SimTime::ZERO,
@@ -235,7 +231,7 @@ mod tests {
             gpu_committed: &ZERO_COMMIT,
             topo,
             cache,
-            model,
+            kernel_seconds: 1e-3,
         }
     }
     static ZERO_COMMIT: [f64; 8] = [0.0; 8];
@@ -247,8 +243,7 @@ mod tests {
         let cache = SoftwareCache::new(8, 1 << 30, graph.data());
         let avail = vec![SimTime::ZERO; 8];
         let lens = vec![0; 8];
-        let model = GpuModel::v100();
-        let v = view(&topo, &cache, &avail, &lens, &model);
+        let v = view(&topo, &cache, &avail, &lens);
         let mut s = LocalityWorkStealing::new(8);
         assert_eq!(s.assign(graph.task(t), &graph, &v), 5);
         assert!(s.allows_stealing());
@@ -263,8 +258,7 @@ mod tests {
         cache.begin_transfer(crate::data::HandleId(0), 6, 1024, SimTime::ZERO);
         let avail = vec![SimTime::ZERO; 8];
         let lens = vec![0; 8];
-        let model = GpuModel::v100();
-        let v = view(&topo, &cache, &avail, &lens, &model);
+        let v = view(&topo, &cache, &avail, &lens);
         let mut s = Dmdas::default();
         assert_eq!(s.assign(graph.task(t), &graph, &v), 6);
         assert!(!s.allows_stealing());
@@ -278,8 +272,7 @@ mod tests {
         let mut avail = vec![SimTime::ZERO; 8];
         avail[0] = SimTime::new(100.0); // gpu0 deeply busy
         let lens = vec![0; 8];
-        let model = GpuModel::v100();
-        let v = view(&topo, &cache, &avail, &lens, &model);
+        let v = view(&topo, &cache, &avail, &lens);
         let mut s = Dmdas::default();
         assert_ne!(s.assign(graph.task(t), &graph, &v), 0);
     }
@@ -291,8 +284,7 @@ mod tests {
         let cache = SoftwareCache::new(8, 1 << 30, graph.data());
         let avail = vec![SimTime::ZERO; 8];
         let lens = vec![0; 8];
-        let model = GpuModel::v100();
-        let v = view(&topo, &cache, &avail, &lens, &model);
+        let v = view(&topo, &cache, &avail, &lens);
         let mut s = RoundRobin::default();
         let picks: Vec<usize> = (0..10).map(|_| s.assign(graph.task(t), &graph, &v)).collect();
         assert_eq!(picks[..8], (0..8).collect::<Vec<_>>()[..]);

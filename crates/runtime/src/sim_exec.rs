@@ -3,8 +3,8 @@
 //! This is the substitution for the paper's DGX-1 (see DESIGN.md §2): a
 //! deterministic discrete-event simulation where
 //!
-//! * each GPU has one inbound and one outbound copy engine plus
-//!   `kernel_streams` kernel engines,
+//! * each GPU has one inbound and one outbound copy engine plus one kernel
+//!   engine,
 //! * each PCIe switch uplink and the inter-socket link are shared engines
 //!   (so host traffic of two GPUs on one switch *actually* contends),
 //! * transfer sources are chosen by the paper's heuristics
@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use xk_sim::{Clock, Duration, EngineId, EnginePool, SimTime};
+use xk_sim::{Clock, Duration, EngineId, EnginePool, Reservation, SimTime};
 use xk_topo::{BusSegment, Device, FabricSpec};
 use xk_trace::{FlowId, Label, Place, Span, SpanKind, Trace};
 
@@ -34,6 +34,8 @@ use xk_kernels::PITCHED_COPY_FACTOR;
 
 /// Sentinel for "no observability node".
 const NO_NODE: u32 = u32::MAX;
+/// Sentinel for "no GPU" in [`TaskState`].
+const NO_GPU: u16 = u16::MAX;
 
 /// Result of a simulated run.
 #[derive(Clone, Debug)]
@@ -98,12 +100,79 @@ enum Ev {
     TryLaunch(usize),
 }
 
+/// Everything the event loop reads or writes per task, packed into half a
+/// cache line so readiness, launch and completion touch one line per task.
+#[derive(Clone, Copy)]
+struct TaskState {
+    /// Modelled kernel seconds ([`TaskGraph::kernel_seconds`]; 0 for a flush).
+    kernel_seconds: f64,
+    /// When the acquired inputs are all usable on `inputs_on`.
+    input_ready: SimTime,
+    /// Unsatisfied predecessors.
+    pending: u32,
+    /// Observability node of the binding input transfer.
+    dep: u32,
+    /// Flow chain the binding input belongs to.
+    flow: FlowId,
+    /// GPU the task is queued or running on ([`NO_GPU`] until assigned).
+    assigned: u16,
+    /// GPU whose cache holds the task's pinned working set, recorded when
+    /// the inputs are acquired ([`NO_GPU`] until then).
+    inputs_on: u16,
+}
+
+/// Fault-injection state. Exists only on runs started with
+/// [`SimExecutor::with_fault`]: without it no transfer can fail, so no
+/// replica is ever poisoned and no task ever completes as failed.
+struct FaultState {
+    fault: LinkFault,
+    /// Replicas poisoned by a failed transfer: `(handle, gpu) -> error`.
+    failed_replicas: HashMap<(usize, usize), Error>,
+    /// Per-task failure state (inherited along dependencies).
+    task_failed: Vec<Option<Error>>,
+}
+
+impl FaultState {
+    /// Marks `t` failed with the poison of replica `(h, g)`, if any and if
+    /// `t` has not already failed for another reason.
+    fn fail_on_poison(&mut self, t: TaskId, h: HandleId, g: usize) -> bool {
+        let Some(e) = self.failed_replicas.get(&(h.0, g)) else {
+            return false;
+        };
+        if self.task_failed[t.0].is_none() {
+            self.task_failed[t.0] = Some(e.clone());
+        }
+        true
+    }
+
+    /// Settles the destination replica of a D2D transfer ending at `end`;
+    /// returns whether it delivered good data. A transfer sourced from a
+    /// poisoned replica carries the poison (an optimistic forward of a dead
+    /// transfer is dead too), and a transfer still on the wire when its own
+    /// link dies fails outright. A good transfer refreshes the destination.
+    fn settle_p2p(&mut self, h: HandleId, src: usize, dst: usize, end: SimTime) -> bool {
+        let f = self.fault;
+        let error = match self.failed_replicas.get(&(h.0, src)) {
+            Some(inherited) => inherited.clone(),
+            None if f.src == src && f.dst == dst && end.seconds() > f.at => {
+                Error::LinkDown { src, dst }
+            }
+            None => {
+                self.failed_replicas.remove(&(h.0, dst));
+                return true;
+            }
+        };
+        self.failed_replicas.insert((h.0, dst), error);
+        false
+    }
+}
+
 struct GpuState {
     /// PCIe receive path (host reads and PCIe peer traffic).
     pcie_in: EngineId,
     /// PCIe send path (write-backs and PCIe peer traffic).
     pcie_out: EngineId,
-    kernel_streams: Vec<EngineId>,
+    kernel: EngineId,
     queue: VecDeque<TaskId>,
     in_flight: usize,
     /// High-water mark of `queue.len()` (queue-depth-over-time summary).
@@ -137,12 +206,8 @@ pub struct SimExecutor<'a> {
     nics: Vec<EngineId>,
     cache: SoftwareCache,
     clock: Clock<Ev>,
-    pending: Vec<usize>,
-    assigned_to: Vec<Option<usize>>,
-    /// Per task, recorded at assignment time: prefetch target GPU, input
-    /// completion time, the observability node of the binding input
-    /// transfer and the flow chain it belongs to.
-    prefetched: Vec<Option<(usize, SimTime, u32, FlowId)>>,
+    /// Per-task run state, indexed by `TaskId.0`.
+    tasks: Vec<TaskState>,
     /// Final writer of each handle (eager flush only writes back the last
     /// version, like Chameleon's flush-on-release annotations).
     final_writer: Vec<Option<TaskId>>,
@@ -175,12 +240,8 @@ pub struct SimExecutor<'a> {
     /// and observes semantic effects. `None` (the default) keeps every
     /// canonical tie-break, byte-identical to the pre-hook executor.
     ctrl: Option<&'a mut dyn ScheduleController>,
-    /// Injected link fault, if any.
-    fault: Option<LinkFault>,
-    /// Replicas poisoned by a failed transfer: `(handle, gpu) -> error`.
-    failed_replicas: HashMap<(usize, usize), Error>,
-    /// Per-task failure state (inherited along dependencies).
-    task_failed: Vec<Option<Error>>,
+    /// Injected link fault and the failures it caused, if any.
+    fault: Option<FaultState>,
     bytes_h2d: u64,
     bytes_d2h: u64,
     bytes_p2p: u64,
@@ -191,12 +252,12 @@ pub struct SimExecutor<'a> {
 /// Shared per-graph precomputation for batched replica runs.
 ///
 /// `SimExecutor::new` re-derives the same graph-shaped vectors — rendered
-/// task labels, final-writer table, predecessor counts — on every run. A
-/// seed matrix or tile sweep runs the *same* graph hundreds of times, so
-/// [`SimPrep::new`] hoists that work out once and
-/// [`SimExecutor::with_prep`] stamps executors from it (a few memcpys per
-/// replica). Prep is plain immutable data: one instance is shared by
-/// reference across replica threads.
+/// task labels, final-writer table — on every run. A seed matrix or tile
+/// sweep runs the *same* graph hundreds of times, so [`SimPrep::new`]
+/// hoists that work out once and [`SimExecutor::with_prep`] stamps
+/// executors from it. (The per-task records are built per run: their
+/// kernel seconds depend on the run's GPU model.) Prep is plain immutable
+/// data: one instance is shared by reference across replica threads.
 ///
 /// Byte-identity: `with_prep` interns the pre-rendered labels in exactly
 /// the order `new` renders them (tasks first, then data handles), so
@@ -206,8 +267,6 @@ pub struct SimPrep {
     task_label_strings: Vec<String>,
     /// Final writer of each handle, indexed by `HandleId.0`.
     final_writer: Vec<Option<TaskId>>,
-    /// Unsatisfied-predecessor counts, indexed by `TaskId.0`.
-    pending: Vec<usize>,
 }
 
 impl SimPrep {
@@ -231,11 +290,7 @@ impl SimPrep {
                 label_buf.clone()
             })
             .collect();
-        SimPrep {
-            task_label_strings,
-            final_writer,
-            pending: graph.pred_counts().collect(),
-        }
+        SimPrep { task_label_strings, final_writer }
     }
 }
 
@@ -253,14 +308,36 @@ impl<'a> SimExecutor<'a> {
     ///
     /// `prep` must have been built from this same `graph`; the executor is
     /// byte-identical to one from [`SimExecutor::new`].
+    ///
+    /// # Panics
+    /// Panics if `prep` was built from a graph with another task or handle
+    /// count, or if the fabric has `u16::MAX` GPUs or more.
     pub fn with_prep(
         graph: &'a TaskGraph,
         topo: &'a FabricSpec,
         cfg: &'a RuntimeConfig,
         prep: &SimPrep,
     ) -> Self {
-        debug_assert_eq!(prep.pending.len(), graph.len(), "prep built from another graph?");
+        assert_eq!(
+            (prep.task_label_strings.len(), prep.final_writer.len()),
+            (graph.len(), graph.data().len()),
+            "SimPrep built from another graph: (tasks, handles) of prep and graph differ"
+        );
         let n = topo.n_gpus();
+        assert!(n < NO_GPU as usize, "{n} GPUs do not fit the per-task record");
+        let tasks = graph
+            .pred_counts()
+            .zip(graph.kernel_seconds(&cfg.gpu_model))
+            .map(|(pending, kernel_seconds)| TaskState {
+                kernel_seconds,
+                input_ready: SimTime::ZERO,
+                pending: pending as u32,
+                dep: NO_NODE,
+                flow: FlowId::NONE,
+                assigned: NO_GPU,
+                inputs_on: NO_GPU,
+            })
+            .collect();
         let mut pool = EnginePool::new();
         let gpus = (0..n)
             .map(|g| GpuState {
@@ -270,7 +347,7 @@ impl<'a> SimExecutor<'a> {
                 // so concurrent kernels time-share rather than multiply
                 // throughput. Streams still matter for transfer/compute
                 // overlap, which the separate copy engines provide.
-                kernel_streams: vec![pool.add(format!("gpu{g}.kernel"))],
+                kernel: pool.add(format!("gpu{g}.kernel")),
                 queue: VecDeque::new(),
                 in_flight: 0,
                 max_queue: 0,
@@ -335,9 +412,7 @@ impl<'a> SimExecutor<'a> {
             // TryLaunch events; pre-reserving avoids heap regrowth
             // mid-run.
             clock: Clock::with_capacity(graph.len().saturating_mul(4).max(64)),
-            pending: prep.pending.clone(),
-            assigned_to: vec![None; graph.len()],
-            prefetched: vec![None; graph.len()],
+            tasks,
             final_writer: prep.final_writer.clone(),
             committed: vec![0.0; n],
             submission_cursor: SimTime::ZERO,
@@ -354,8 +429,6 @@ impl<'a> SimExecutor<'a> {
             obs,
             ctrl: None,
             fault: None,
-            failed_replicas: HashMap::new(),
-            task_failed: vec![None; graph.len()],
             bytes_h2d: 0,
             bytes_d2h: 0,
             bytes_p2p: 0,
@@ -389,7 +462,11 @@ impl<'a> SimExecutor<'a> {
 
     /// Injects a link fault for this run (see [`LinkFault`]).
     pub fn with_fault(mut self, fault: LinkFault) -> Self {
-        self.fault = Some(fault);
+        self.fault = Some(FaultState {
+            fault,
+            failed_replicas: HashMap::new(),
+            task_failed: vec![None; self.graph.len()],
+        });
         self
     }
 
@@ -404,8 +481,8 @@ impl<'a> SimExecutor<'a> {
     /// Runs the graph to completion and returns the outcome.
     pub fn run(mut self) -> SimOutcome {
         // Roots: nothing decrements `pending` before the event loop starts.
-        for t in 0..self.pending.len() {
-            if self.pending[t] == 0 {
+        for t in 0..self.tasks.len() {
+            if self.tasks[t].pending == 0 {
                 self.on_ready(TaskId(t));
             }
         }
@@ -437,11 +514,7 @@ impl<'a> SimExecutor<'a> {
                 .enumerate()
                 .map(|(g, s)| GpuObs {
                     gpu: g,
-                    kernel_busy: s
-                        .kernel_streams
-                        .iter()
-                        .map(|&e| self.pool.busy_total(e).seconds())
-                        .sum(),
+                    kernel_busy: self.pool.busy_total(s.kernel).seconds(),
                     max_queue: s.max_queue,
                     max_in_flight: s.max_in_flight,
                 })
@@ -454,12 +527,10 @@ impl<'a> SimExecutor<'a> {
         } else {
             None
         };
-        let failures: Vec<(usize, Error)> = self
-            .task_failed
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e.clone())))
-            .collect();
+        let failures: Vec<(usize, Error)> = self.fault.map_or_else(Vec::new, |f| {
+            let failed = f.task_failed.into_iter().enumerate();
+            failed.filter_map(|(i, e)| Some((i, e?))).collect()
+        });
         SimOutcome {
             makespan,
             trace: self.trace,
@@ -483,7 +554,7 @@ impl<'a> SimExecutor<'a> {
             let mut avail = std::mem::take(&mut self.scratch_avail);
             let mut lens = std::mem::take(&mut self.scratch_lens);
             avail.clear();
-            avail.extend(self.gpus.iter().map(|s| self.min_stream_free(s)));
+            avail.extend(self.gpus.iter().map(|s| self.pool.free_at(s.kernel)));
             lens.clear();
             lens.extend(self.gpus.iter().map(|s| s.queue.len()));
             let view = SchedView {
@@ -493,17 +564,15 @@ impl<'a> SimExecutor<'a> {
                 gpu_committed: &self.committed,
                 topo: self.topo,
                 cache: &self.cache,
-                model: &self.cfg.gpu_model,
+                kernel_seconds: self.tasks[t.0].kernel_seconds,
             };
             let g = self.scheduler.assign(task, self.graph, &view);
             self.scratch_avail = avail;
             self.scratch_lens = lens;
             g
         };
-        self.assigned_to[t.0] = Some(g);
-        if let Some(op) = task.op {
-            self.committed[g] += self.cfg.gpu_model.kernel_time(op);
-        }
+        self.tasks[t.0].assigned = g as u16;
+        self.committed[g] += self.tasks[t.0].kernel_seconds;
         // Serial task creation/scheduling on the host.
         self.submission_cursor = self.submission_cursor.max(self.clock.now())
             + xk_sim::Duration::new(self.cfg.task_overhead);
@@ -516,9 +585,9 @@ impl<'a> SimExecutor<'a> {
             // the task nears execution instead, as does a prefetch that
             // does not fit: the deferred (launch-time) acquire handles both.
             let submitted = self.submission_cursor;
-            self.prefetched[t.0] = self
-                .acquire_inputs(t, g, false)
-                .map(|(ready, dep, flow)| (g, ready.max(submitted), dep, flow));
+            if let Some((ready, dep, flow)) = self.acquire_inputs(t, g, false) {
+                self.record_inputs(t, g, ready.max(submitted), dep, flow);
+            }
         }
         self.gpus[g].queue.push_back(t);
         self.gpus[g].max_queue = self.gpus[g].max_queue.max(self.gpus[g].queue.len());
@@ -532,14 +601,6 @@ impl<'a> SimExecutor<'a> {
                 }
             }
         }
-    }
-
-    fn min_stream_free(&self, s: &GpuState) -> SimTime {
-        s.kernel_streams
-            .iter()
-            .map(|&e| self.pool.free_at(e))
-            .min()
-            .expect("at least one stream")
     }
 
     fn try_launch(&mut self, g: usize) {
@@ -557,7 +618,7 @@ impl<'a> SimExecutor<'a> {
                         // Steal the most recently pushed task (cold end).
                         let t = self.gpus[v].queue.pop_back().expect("victim non-empty");
                         self.steals += 1;
-                        self.assigned_to[t.0] = Some(g);
+                        self.tasks[t.0].assigned = g as u16;
                         t
                     }
                     None => return,
@@ -692,6 +753,15 @@ impl<'a> SimExecutor<'a> {
         Some((input_ready, dep, flow))
     }
 
+    /// Records that `t`'s working set is pinned on `g` and usable at `ready`.
+    fn record_inputs(&mut self, t: TaskId, g: usize, ready: SimTime, dep: u32, flow: FlowId) {
+        let state = &mut self.tasks[t.0];
+        state.inputs_on = g as u16;
+        state.input_ready = ready;
+        state.dep = dep;
+        state.flow = flow;
+    }
+
     fn unpin_task(&mut self, t: TaskId, g: usize) {
         let graph = self.graph;
         for a in &graph.task(t).accesses {
@@ -703,96 +773,50 @@ impl<'a> SimExecutor<'a> {
     /// assignment; a stolen task re-acquires them on the thief).
     fn launch(&mut self, t: TaskId, g: usize) {
         let task = self.graph.task(t);
-        let (input_ready, dep, flow) = match self.prefetched[t.0] {
-            Some((pg, ready, dep, flow)) if pg == g => (ready, dep, flow),
-            other => {
-                // Stolen (prefetched elsewhere) or deferred by memory
-                // pressure: acquire on this GPU now, releasing any stale
-                // pins on the original target.
-                if let Some((pg, ..)) = other {
-                    self.unpin_task(t, pg);
-                }
-                let (ready, dep, flow) = self
-                    .acquire_inputs(t, g, true)
-                    .expect("forced acquire always succeeds");
-                self.prefetched[t.0] = Some((g, ready, dep, flow));
-                (ready, dep, flow)
+        let mut state = self.tasks[t.0];
+        if state.inputs_on != g as u16 {
+            // Stolen (prefetched elsewhere) or deferred by memory pressure:
+            // acquire on this GPU now, releasing any stale pins on the
+            // original target.
+            if state.inputs_on != NO_GPU {
+                self.unpin_task(t, state.inputs_on as usize);
             }
-        };
+            let (ready, dep, flow) = self
+                .acquire_inputs(t, g, true)
+                .expect("forced acquire always succeeds");
+            self.record_inputs(t, g, ready, dep, flow);
+            state = self.tasks[t.0];
+        }
+        let TaskState { input_ready, dep, flow, .. } = state;
 
         // Complete-as-failed: a task whose dependency failed, or whose
         // input replica was poisoned by a dead link, skips its kernel but
         // still schedules TaskDone (with the usual in-flight bookkeeping)
         // so the run drains instead of deadlocking a waiter on a transfer
         // that will never deliver.
-        let mut failure = self.task_failed[t.0].clone();
-        if failure.is_none() {
-            for h in task.read_handles() {
-                if let Some(e) = self.failed_replicas.get(&(h.0, g)) {
-                    failure = Some(e.clone());
-                    break;
+        let failed = self.fault.as_mut().is_some_and(|f| {
+            f.task_failed[t.0].is_some() || task.read_handles().any(|h| f.fail_on_poison(t, h, g))
+        });
+        let done_at = if failed {
+            self.clock.now().max(input_ready)
+        } else {
+            let dur = Duration::new(state.kernel_seconds);
+            let span = span_on(g, 3, SpanKind::Kernel, 0, self.task_labels[t.0], flow);
+            let (res, idx) = self.occupy(&[self.gpus[g].kernel], input_ready, dur, span, dep);
+            if self.obs.full() {
+                // This kernel is now the op that makes its outputs valid here.
+                for h in task.written_handles() {
+                    self.obs.set_valid_node(h.0, g, idx);
                 }
             }
-        }
-        if let Some(e) = failure {
-            self.task_failed[t.0] = Some(e);
-            self.gpus[g].in_flight += 1;
-            self.gpus[g].max_in_flight =
-                self.gpus[g].max_in_flight.max(self.gpus[g].in_flight);
-            self.clock
-                .schedule(self.clock.now().max(input_ready), Ev::TaskDone(t));
-            return;
-        }
-
-        // Kernel execution on the least-busy stream.
-        let op = task.op.expect("kernel task has an op");
-        let dur = Duration::new(self.cfg.gpu_model.kernel_time(op));
-        let stream_idx = self
-            .gpus[g]
-            .kernel_streams
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &e)| self.pool.free_at(e))
-            .map(|(i, _)| i)
-            .expect("stream");
-        let stream = self.gpus[g].kernel_streams[stream_idx];
-        let bound = if self.obs.enabled() {
-            self.pool.bottleneck(&[stream], input_ready)
-        } else {
-            None
-        };
-        let res = self.pool.reserve(&[stream], input_ready, dur);
-        let idx = self.trace.len() as u32;
-        self.trace.push(Span {
-            place: Place::Gpu(g as u32),
-            lane: (3 + stream_idx) as u8,
-            kind: SpanKind::Kernel,
-            start: res.start.seconds(),
-            end: res.end.seconds(),
-            bytes: 0,
-            label: self.task_labels[t.0],
-            flow,
-        });
-        self.obs.record(
-            idx,
-            &[stream],
-            bound,
-            res.start.seconds() - input_ready.seconds(),
-            0,
-            dep,
-        );
-        if self.obs.full() {
-            // This kernel is now the op that makes its outputs valid here.
-            for h in task.written_handles() {
-                self.obs.set_valid_node(h.0, g, idx);
+            if let Some(c) = self.ctrl.as_mut() {
+                c.on_kernel(t.0, g, res.start.seconds(), res.end.seconds());
             }
-        }
-        if let Some(c) = self.ctrl.as_mut() {
-            c.on_kernel(t.0, g, res.start.seconds(), res.end.seconds());
-        }
+            res.end
+        };
         self.gpus[g].in_flight += 1;
         self.gpus[g].max_in_flight = self.gpus[g].max_in_flight.max(self.gpus[g].in_flight);
-        self.clock.schedule(res.end, Ev::TaskDone(t));
+        self.clock.schedule(done_at, Ev::TaskDone(t));
     }
 
     /// Ensures `h` is (or will be) valid on `g`; returns when it is usable,
@@ -866,41 +890,21 @@ impl<'a> SimExecutor<'a> {
                 engines.clear();
                 engines.push(self.gpus[g].pcie_in);
                 self.push_segment_engines(&route.segments, &mut engines);
-                let bound = if self.obs.enabled() {
-                    self.pool.bottleneck(&engines, now)
-                } else {
-                    None
-                };
-                let res = self.pool.reserve(&engines, now, dur);
+                // An H2D read roots a fresh broadcast chain for this tile.
+                let flow = FlowId(self.trace.len() as u32);
+                self.flow_root[h.0] = flow;
+                let span = span_on(g, 0, SpanKind::H2D, info.bytes, self.data_labels[h.0], flow);
+                // The source is host memory: no simulated predecessor.
+                let (res, idx) = self.occupy(&engines, now, dur, span, NO_NODE);
+                self.scratch_engines = engines;
                 self.cache.begin_transfer(h, g, info.bytes, res.end);
                 self.bytes_h2d += info.bytes;
-                let idx = self.trace.len() as u32;
-                // An H2D read roots a fresh broadcast chain for this tile.
-                let flow = FlowId(idx);
-                self.flow_root[h.0] = flow;
-                self.trace.push(Span {
-                    place: Place::Gpu(g as u32),
-                    lane: 0,
-                    kind: SpanKind::H2D,
-                    start: res.start.seconds(),
-                    end: res.end.seconds(),
-                    bytes: info.bytes,
-                    label: self.data_labels[h.0],
-                    flow,
-                });
-                self.obs.record(
-                    idx,
-                    &engines,
-                    bound,
-                    res.start.seconds() - now.seconds(),
-                    info.bytes,
-                    NO_NODE, // source is host memory: no simulated predecessor
-                );
-                self.scratch_engines = engines;
                 self.obs.set_valid_node(h.0, g, idx);
                 // A fresh host copy replaces whatever poison a dead link
                 // left on this replica (host links never fail in the model).
-                self.failed_replicas.remove(&(h.0, g));
+                if let Some(f) = self.fault.as_mut() {
+                    f.failed_replicas.remove(&(h.0, g));
+                }
                 if let Some(c) = self.ctrl.as_mut() {
                     c.on_h2d(h.0, g, res.start.seconds(), res.end.seconds());
                 }
@@ -937,57 +941,24 @@ impl<'a> SimExecutor<'a> {
         // for `ForwardAfter` that is the still-in-flight inbound H2D, i.e.
         // exactly the optimistic H2D → P2P chain of §III-C.
         let dep = self.obs.valid_node(h.0, src);
-        let bound = if self.obs.enabled() {
-            self.pool.bottleneck(&engines, earliest)
-        } else {
-            None
-        };
-        let res = self.pool.reserve(&engines, earliest, dur);
-        self.cache.begin_transfer(h, dst, bytes, res.end);
-        self.bytes_p2p += bytes;
-        let idx = self.trace.len() as u32;
         let mut flow = self.flow_root[h.0];
         if flow == FlowId::NONE {
             // Data-on-device tile never read from the host: the first
             // forward roots its chain.
-            flow = FlowId(idx);
+            flow = FlowId(self.trace.len() as u32);
             self.flow_root[h.0] = flow;
         }
-        self.trace.push(Span {
-            place: Place::Gpu(dst as u32),
-            lane: 0,
-            kind: SpanKind::P2P,
-            start: res.start.seconds(),
-            end: res.end.seconds(),
-            bytes,
-            label: self.data_labels[h.0],
-            flow,
-        });
-        self.obs.record(
-            idx,
-            &engines,
-            bound,
-            res.start.seconds() - earliest.seconds(),
-            bytes,
-            dep,
-        );
+        let span = span_on(dst, 0, SpanKind::P2P, bytes, self.data_labels[h.0], flow);
+        let (res, idx) = self.occupy(&engines, earliest, dur, span, dep);
         self.scratch_engines = engines;
+        self.cache.begin_transfer(h, dst, bytes, res.end);
+        self.bytes_p2p += bytes;
         self.obs.set_valid_node(h.0, dst, idx);
-        // Fault model: a transfer sourced from a poisoned replica carries
-        // the poison (an optimistic forward of a dead transfer is dead
-        // too), and a transfer still on the wire when its own link dies
-        // fails outright. A good transfer refreshes the destination.
-        let inherited = self.failed_replicas.get(&(h.0, src)).cloned();
-        let fault_hit = self
-            .fault
-            .is_some_and(|f| f.src == src && f.dst == dst && res.end.seconds() > f.at);
-        if let Some(e) = inherited {
-            self.failed_replicas.insert((h.0, dst), e);
-        } else if fault_hit {
-            self.failed_replicas
-                .insert((h.0, dst), Error::LinkDown { src, dst });
-        } else {
-            self.failed_replicas.remove(&(h.0, dst));
+        let delivered = match self.fault.as_mut() {
+            Some(f) => f.settle_p2p(h, src, dst, res.end),
+            None => true,
+        };
+        if delivered {
             if let Some(c) = self.ctrl.as_mut() {
                 c.on_p2p(h.0, src, dst, res.start.seconds(), res.end.seconds());
             }
@@ -1008,39 +979,41 @@ impl<'a> SimExecutor<'a> {
         engines.push(self.gpus[g].pcie_out);
         self.push_segment_engines(&route.segments, &mut engines);
         let dep = self.obs.valid_node(h.0, g);
-        let bound = if self.obs.enabled() {
-            self.pool.bottleneck(&engines, earliest)
-        } else {
-            None
-        };
-        let res = self.pool.reserve(&engines, earliest, dur);
-        self.bytes_d2h += info.bytes;
-        let idx = self.trace.len() as u32;
-        self.trace.push(Span {
-            place: Place::Gpu(g as u32),
-            lane: 2,
-            kind: SpanKind::D2H,
-            start: res.start.seconds(),
-            end: res.end.seconds(),
-            bytes: info.bytes,
-            label: self.data_labels[h.0],
-            flow: self.flow_root[h.0],
-        });
-        self.obs.record(
-            idx,
-            &engines,
-            bound,
-            res.start.seconds() - earliest.seconds(),
-            info.bytes,
-            dep,
-        );
+        let (label, flow) = (self.data_labels[h.0], self.flow_root[h.0]);
+        let span = span_on(g, 2, SpanKind::D2H, info.bytes, label, flow);
+        let (res, _) = self.occupy(&engines, earliest, dur, span, dep);
         self.scratch_engines = engines;
-        if !self.failed_replicas.contains_key(&(h.0, g)) {
+        self.bytes_d2h += info.bytes;
+        if !self.fault.as_ref().is_some_and(|f| f.failed_replicas.contains_key(&(h.0, g))) {
             if let Some(c) = self.ctrl.as_mut() {
                 c.on_d2h(h.0, g, res.start.seconds(), res.end.seconds());
             }
         }
         res.end
+    }
+
+    /// Reserves `engines` for `dur` from `earliest` on, then records `span`
+    /// (its times taken from the reservation) and the observability node
+    /// that waited on `dep`. Returns the reservation and the span's index.
+    fn occupy(
+        &mut self,
+        engines: &[EngineId],
+        earliest: SimTime,
+        dur: Duration,
+        span: Span,
+        dep: u32,
+    ) -> (Reservation, u32) {
+        let bound = if self.obs.enabled() {
+            self.pool.bottleneck(engines, earliest)
+        } else {
+            None
+        };
+        let res = self.pool.reserve(engines, earliest, dur);
+        let (start, end) = (res.start.seconds(), res.end.seconds());
+        let idx = self.trace.len() as u32;
+        self.obs.record(idx, engines, bound, start - earliest.seconds(), span.bytes, dep);
+        self.trace.push(Span { start, end, ..span });
+        (res, idx)
     }
 
     fn push_segment_engines(&self, segments: &[BusSegment], out: &mut Vec<EngineId>) {
@@ -1058,12 +1031,9 @@ impl<'a> SimExecutor<'a> {
         let mut done = now;
         for h in graph.task(t).read_handles() {
             if let Some(g) = self.cache.dirty_on(h) {
-                if let Some(e) = self.failed_replicas.get(&(h.0, g)) {
-                    // A poisoned replica cannot be written back: the flush
-                    // surfaces the failure instead of shipping garbage.
-                    if self.task_failed[t.0].is_none() {
-                        self.task_failed[t.0] = Some(e.clone());
-                    }
+                // A poisoned replica cannot be written back: the flush
+                // surfaces the failure instead of shipping garbage.
+                if self.fault.as_mut().is_some_and(|f| f.fail_on_poison(t, h, g)) {
                     continue;
                 }
                 let end = self.issue_d2h(h, g, now);
@@ -1077,20 +1047,23 @@ impl<'a> SimExecutor<'a> {
     fn on_done(&mut self, t: TaskId) {
         let graph = self.graph;
         let task = graph.task(t);
-        let failed = self.task_failed[t.0].clone();
+        let failed = self.fault.as_ref().is_some_and(|f| f.task_failed[t.0].is_some());
         if task.kind == TaskKind::Kernel {
-            let g = self.assigned_to[t.0].expect("kernel was assigned");
-            if let Some((pg, ..)) = self.prefetched[t.0] {
-                self.unpin_task(t, pg);
+            let state = self.tasks[t.0];
+            let g = state.assigned as usize;
+            if state.inputs_on != NO_GPU {
+                self.unpin_task(t, state.inputs_on as usize);
             }
-            if failed.is_none() {
+            if !failed {
                 for h in task.written_handles() {
                     let bytes = graph.data().info(h).bytes;
                     self.cache.mark_written(h, g, bytes, graph.data());
                     // A successful write produces a fresh version: stale
                     // poison on any replica of this handle is obsolete
                     // (the writer's copy is now the only valid one).
-                    self.failed_replicas.retain(|&(hh, _), _| hh != h.0);
+                    if let Some(f) = self.fault.as_mut() {
+                        f.failed_replicas.retain(|&(hh, _), _| hh != h.0);
+                    }
                 }
                 if self.cfg.eager_flush {
                     // Chameleon/StarPU behaviour: a computed tile goes
@@ -1107,10 +1080,8 @@ impl<'a> SimExecutor<'a> {
                     }
                 }
             }
-            if let Some(op) = task.op {
-                self.committed[g] -= self.cfg.gpu_model.kernel_time(op);
-            }
-            if failed.is_none() && !self.cfg.cache_inputs {
+            self.committed[g] -= state.kernel_seconds;
+            if !failed && !self.cfg.cache_inputs {
                 // Re-read runtimes drop clean inputs right after use.
                 for h in task.read_handles() {
                     self.cache.drop_replica(h, g, graph.data());
@@ -1120,19 +1091,26 @@ impl<'a> SimExecutor<'a> {
             self.clock.schedule(self.clock.now(), Ev::TryLaunch(g));
         }
         self.tasks_done += 1;
-        for &s in graph.successors(t) {
-            // A dependent of a failed task fails with the same error.
-            if let Some(e) = &failed {
-                if self.task_failed[s.0].is_none() {
-                    self.task_failed[s.0] = Some(e.clone());
+        if let Some(f) = self.fault.as_mut().filter(|_| failed) {
+            // Dependents of a failed task fail with the same error.
+            for &s in graph.successors(t) {
+                if f.task_failed[s.0].is_none() {
+                    f.task_failed[s.0] = f.task_failed[t.0].clone();
                 }
             }
-            self.pending[s.0] -= 1;
-            if self.pending[s.0] == 0 {
+        }
+        for &s in graph.successors(t) {
+            self.tasks[s.0].pending -= 1;
+            if self.tasks[s.0].pending == 0 {
                 self.on_ready(s);
             }
         }
     }
+}
+
+/// A span on GPU `g` whose times [`SimExecutor::occupy`] fills in.
+fn span_on(g: usize, lane: u8, kind: SpanKind, bytes: u64, label: Label, flow: FlowId) -> Span {
+    Span { place: Place::Gpu(g as u32), lane, kind, start: 0.0, end: 0.0, bytes, label, flow }
 }
 
 /// Point-to-point bandwidth matrix of a topology: one `bytes`-sized
@@ -1487,6 +1465,32 @@ mod tests {
             vec![(1, Error::LinkDown { src: 0, dst: 4 })],
             "t1 surfaces the dead forward, t0 stays healthy"
         );
+    }
+
+    #[test]
+    fn task_record_fits_half_a_cache_line() {
+        assert!(std::mem::size_of::<TaskState>() <= 32);
+    }
+
+    /// A prep from another graph would index the per-task and per-handle
+    /// tables out of step: refused by a real check, not a `debug_assert`.
+    #[test]
+    fn foreign_prep_is_refused_naming_both_counts() {
+        let topo = dgx1();
+        let cfg = RuntimeConfig::default();
+        let graph = broadcast_graph(4); // 4 tasks, 5 handles
+        let mut same_tasks = broadcast_graph(4);
+        same_tasks.add_host_tile(MB, true, "extra");
+        for (foreign, counts) in [(broadcast_graph(8), "(8, 9)"), (same_tasks, "(4, 6)")] {
+            let prep = SimPrep::new(&foreign);
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                SimExecutor::with_prep(&graph, &topo, &cfg, &prep);
+            }));
+            let payload = refused.expect_err("a foreign prep must be refused");
+            let msg = payload.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("SimPrep built from another graph"), "{msg}");
+            assert!(msg.contains(&format!("left: {counts}\n right: (4, 5)")), "{msg}");
+        }
     }
 
     #[test]

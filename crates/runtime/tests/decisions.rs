@@ -54,7 +54,7 @@ fn random_state(rng: &mut SplitMix64, n_gpus: usize) -> (TaskGraph, SoftwareCach
 /// costs a transfer from its fastest valid holder (first of equals), else
 /// from the host.
 fn dmdas_reference(task: &xk_runtime::Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
-    let kernel = task.op.map(|op| view.model.kernel_time(op)).unwrap_or(0.0);
+    let kernel = task.op.map(|op| GpuModel::v100().kernel_time(op)).unwrap_or(0.0);
     let mut best = 0usize;
     let mut best_cost = f64::INFINITY;
     for g in 0..view.gpu_available.len() {
@@ -105,6 +105,8 @@ fn dmdas_assign_matches_the_textbook_formula() {
             // Mostly idle GPUs, so transfer estimates (and their ties) decide.
             let committed: Vec<f64> =
                 (0..n).map(|_| if rng.next_below(4) == 0 { rng.f64_in(0.0, 0.02) } else { 0.0 }).collect();
+            // Every task is the same GEMM tile, so one table entry serves all.
+            let kernel_seconds = graph.kernel_seconds(&GpuModel::v100())[tasks[0].0];
             let view = SchedView {
                 now: SimTime::new(rng.f64_in(0.0, 10.0)),
                 gpu_available: &available,
@@ -112,7 +114,7 @@ fn dmdas_assign_matches_the_textbook_formula() {
                 gpu_committed: &committed,
                 topo: &topo,
                 cache: &cache,
-                model: &GpuModel::v100(),
+                kernel_seconds,
             };
             let mut dmdas = Dmdas::default();
             for &t in &tasks {

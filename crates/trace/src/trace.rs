@@ -1,6 +1,7 @@
 //! The trace container and its aggregations.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::span::{FlowId, Label, Place, Span, SpanKind};
 
@@ -32,9 +33,10 @@ fn longest_interval_gap(mut intervals: Vec<(f64, f64)>) -> f64 {
 pub struct Trace {
     spans: Vec<Span>,
     /// Symbol table: `Label(i)` resolves to `labels[i]`.
-    labels: Vec<String>,
-    /// Reverse lookup for `intern`.
-    index: HashMap<String, u32>,
+    labels: Vec<Arc<str>>,
+    /// Reverse lookup for `intern`; each key shares its allocation with the
+    /// table entry it indexes.
+    index: HashMap<Arc<str>, u32>,
 }
 
 /// Per-kind cumulated busy time, in seconds.
@@ -106,22 +108,20 @@ impl Trace {
             return Label(id);
         }
         let id = self.labels.len() as u32;
-        self.labels.push(label.to_string());
-        self.index.insert(label.to_string(), id);
+        let text: Arc<str> = Arc::from(label);
+        self.labels.push(Arc::clone(&text));
+        self.index.insert(text, id);
         Label(id)
     }
 
     /// Resolves an interned label back to its text. [`Label::NONE`] and
     /// out-of-range labels resolve to `""`.
     pub fn label(&self, l: Label) -> &str {
-        self.labels
-            .get(l.0 as usize)
-            .map(String::as_str)
-            .unwrap_or("")
+        self.labels.get(l.0 as usize).map_or("", |s| s)
     }
 
     /// The symbol table, indexed by `Label(i)`.
-    pub fn labels(&self) -> &[String] {
+    pub fn labels(&self) -> &[Arc<str>] {
         &self.labels
     }
 
@@ -413,6 +413,8 @@ mod tests {
         assert_eq!(t.label(a), "gemm(0,1)");
         assert_eq!(t.label(b), "gemm(2,3)");
         assert_eq!(t.labels().len(), 2);
+        // Table and reverse index hold one allocation per label, not two.
+        assert!(t.labels().iter().all(|l| Arc::strong_count(l) == 2));
     }
 
     #[test]
