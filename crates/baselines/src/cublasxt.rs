@@ -33,7 +33,7 @@ struct Driver<'t> {
 impl<'t> Driver<'t> {
     fn new(topo: &'t FabricSpec, n: usize, b: usize) -> Self {
         Driver {
-            fabric: Fabric::new(topo, STREAMS),
+            fabric: Fabric::new(topo),
             model: GpuModel::v100(),
             cursors: vec![vec![SimTime::ZERO; STREAMS]; topo.n_gpus()],
             topo,
@@ -68,7 +68,7 @@ impl<'t> Driver<'t> {
     /// In-stream kernel.
     fn kernel(&mut self, g: usize, s: usize, op: TileOp, label: &str) {
         let t = self.cursors[g][s];
-        let res = self.fabric.kernel(g, s, t, self.model.kernel_time(op), label);
+        let res = self.fabric.kernel(g, t, self.model.kernel_time(op), label);
         self.cursors[g][s] = res.end;
     }
 

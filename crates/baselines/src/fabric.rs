@@ -12,7 +12,8 @@ pub struct Fabric {
     pool: EnginePool,
     per_gpu_in: Vec<EngineId>,
     per_gpu_out: Vec<EngineId>,
-    streams: Vec<Vec<EngineId>>,
+    /// One compute engine per GPU: CUDA streams share the SMs.
+    kernels: Vec<EngineId>,
     uplinks: Vec<EngineId>,
     intersocket: EngineId,
     /// One NIC engine per node (empty on single-node fabrics, keeping
@@ -25,18 +26,13 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds the fabric with `streams_per_gpu` kernel engines per GPU.
-    pub fn new(topo: &FabricSpec, streams_per_gpu: usize) -> Self {
+    /// Builds the fabric of `topo`.
+    pub fn new(topo: &FabricSpec) -> Self {
         let mut pool = EnginePool::new();
         let n = topo.n_gpus();
         let per_gpu_in = (0..n).map(|g| pool.add(format!("gpu{g}.in"))).collect();
         let per_gpu_out = (0..n).map(|g| pool.add(format!("gpu{g}.out"))).collect();
-        // One compute engine per GPU: CUDA streams share the SMs. The
-        // `streams_per_gpu` parameter is kept for lane labelling only.
-        let _ = streams_per_gpu;
-        let streams = (0..n)
-            .map(|g| vec![pool.add(format!("gpu{g}.kernel"))])
-            .collect();
+        let kernels = (0..n).map(|g| pool.add(format!("gpu{g}.kernel"))).collect();
         let uplinks = (0..topo.n_switches())
             .map(|s| pool.add(format!("switch{s}.uplink")))
             .collect();
@@ -52,7 +48,7 @@ impl Fabric {
             pool,
             per_gpu_in,
             per_gpu_out,
-            streams,
+            kernels,
             uplinks,
             intersocket,
             nics,
@@ -128,21 +124,20 @@ impl Fabric {
         res
     }
 
-    /// Reserves a kernel of `seconds` on the given stream of `gpu`.
+    /// Reserves a kernel of `seconds` on `gpu`'s compute engine.
     pub fn kernel(
         &mut self,
         gpu: usize,
-        stream: usize,
         earliest: SimTime,
         seconds: f64,
         label: &str,
     ) -> Reservation {
-        let s = self.streams[gpu][stream % self.streams[gpu].len()];
-        let res = self.pool.reserve(&[s], earliest, Duration::new(seconds));
+        let engine = [self.kernels[gpu]];
+        let res = self.pool.reserve(&engine, earliest, Duration::new(seconds));
         let label = self.trace.intern(label);
         self.trace.push(Span {
             place: Place::Gpu(gpu as u32),
-            lane: (3 + stream % self.streams[gpu].len()) as u8,
+            lane: 3,
             kind: SpanKind::Kernel,
             start: res.start.seconds(),
             end: res.end.seconds(),
@@ -167,7 +162,7 @@ mod tests {
     #[test]
     fn transfers_contend_on_shared_uplink() {
         let topo = dgx1();
-        let mut f = Fabric::new(&topo, 2);
+        let mut f = Fabric::new(&topo);
         // GPUs 0 and 1 share switch 0: their H2D transfers serialize.
         let r0 = f.transfer(&topo, Device::Host, Device::Gpu(0), 1 << 28, SimTime::ZERO, false, "a");
         let r1 = f.transfer(&topo, Device::Host, Device::Gpu(1), 1 << 28, SimTime::ZERO, false, "b");
@@ -181,13 +176,12 @@ mod tests {
     #[test]
     fn kernels_serialize_per_gpu() {
         // One compute engine per GPU: streams time-share the SMs, so two
-        // kernels on gpu0 serialize regardless of their stream tag, while
-        // another GPU overlaps freely.
+        // kernels on gpu0 serialize, while another GPU overlaps freely.
         let topo = dgx1();
-        let mut f = Fabric::new(&topo, 2);
-        let r0 = f.kernel(0, 0, SimTime::ZERO, 1.0, "k0");
-        let r1 = f.kernel(0, 1, SimTime::ZERO, 1.0, "k1");
-        let r2 = f.kernel(1, 0, SimTime::ZERO, 1.0, "k2");
+        let mut f = Fabric::new(&topo);
+        let r0 = f.kernel(0, SimTime::ZERO, 1.0, "k0");
+        let r1 = f.kernel(0, SimTime::ZERO, 1.0, "k1");
+        let r2 = f.kernel(1, SimTime::ZERO, 1.0, "k2");
         assert_eq!(r1.start, r0.end);
         assert_eq!(r2.start, SimTime::ZERO);
         assert!((f.makespan() - 2.0).abs() < 1e-12);
@@ -199,7 +193,7 @@ mod tests {
         // the inter-node link serialize on the shared NIC engines, while a
         // same-node transfer on untouched engines overlaps.
         let topo = xk_topo::fabrics::dual_node_ib(4);
-        let mut f = Fabric::new(&topo, 1);
+        let mut f = Fabric::new(&topo);
         let r0 = f.transfer(&topo, Device::Gpu(0), Device::Gpu(4), 1 << 28, SimTime::ZERO, false, "a");
         let r1 = f.transfer(&topo, Device::Gpu(1), Device::Gpu(5), 1 << 28, SimTime::ZERO, false, "b");
         assert!(r1.start >= r0.end, "both cross the NICs: must serialize");
@@ -210,7 +204,7 @@ mod tests {
     #[test]
     fn pitched_transfers_are_slower() {
         let topo = dgx1();
-        let mut f = Fabric::new(&topo, 1);
+        let mut f = Fabric::new(&topo);
         let plain = f.transfer(&topo, Device::Host, Device::Gpu(4), 1 << 28, SimTime::ZERO, false, "p");
         let t_plain = plain.end.seconds() - plain.start.seconds();
         let pitched = f.transfer(&topo, Device::Host, Device::Gpu(6), 1 << 28, SimTime::ZERO, true, "q");

@@ -215,7 +215,6 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
                     optimistic_d2d: true,
                     allow_d2d: true,
                 });
-            cfg.kernel_streams = 2;
             cfg.window = 8;
             let dev_params = RunParams {
                 data_on_device: true,
@@ -271,7 +270,6 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
             let mut cfg = RuntimeConfig::xkblas()
                 .with_scheduler(SchedulerKind::StaticOwner)
                 .with_heuristics(Heuristics::host_only());
-            cfg.kernel_streams = 2;
             // PaRSEC's GPU path ca. 2021: one manager thread per device,
             // shallow pipelining, operands re-read per task (largest HtoD
             // volume in Fig. 6).
@@ -294,7 +292,6 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
                 optimistic_d2d: false,
                 allow_d2d: true,
             });
-            cfg.kernel_streams = 2;
             cfg.window = 4;
             Ok(run_on_runtime(topo, params, cfg, false))
         }
@@ -311,7 +308,6 @@ fn run_chameleon(topo: &FabricSpec, params: &RunParams, tile_layout: bool) -> Ru
     let mut cfg = RuntimeConfig::xkblas()
         .with_scheduler(SchedulerKind::Dmdas)
         .with_heuristics(Heuristics::host_only());
-    cfg.kernel_streams = 2;
     cfg.window = 8;
     cfg.eager_flush = !params.data_on_device;
     // StarPU task insertion + dmdas model lookups are far heavier than

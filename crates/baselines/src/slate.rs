@@ -19,7 +19,7 @@ use crate::{RunParams, RunResult};
 /// Simulates one SLATE routine call on `topo`.
 pub fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
     let n_gpus = topo.n_gpus();
-    let mut fabric = Fabric::new(topo, 2);
+    let mut fabric = Fabric::new(topo);
     let model = GpuModel::v100();
     let b = params.tile;
     let n = params.n;
@@ -76,7 +76,7 @@ pub fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
                 // Batched GEMM reaches the big-tile efficiency tier.
                 let eff_op = TileOp::Gemm { m: b, n: b, k: b };
                 let rate = model.rate(eff_op);
-                let res = fabric.kernel(g, k % 2, *ready, flops / rate, "batched gemm");
+                let res = fabric.kernel(g, *ready, flops / rate, "batched gemm");
                 *ready = res.end;
             }
         }

@@ -64,7 +64,6 @@ pub fn run_chameleon_composition(topo: &FabricSpec, n: usize, tile: usize) -> Co
         let mut cfg = RuntimeConfig::xkblas()
             .with_scheduler(SchedulerKind::Dmdas)
             .with_heuristics(Heuristics::host_only());
-        cfg.kernel_streams = 2;
         cfg.window = 8;
         cfg.eager_flush = true;
         cfg.task_overhead = 60.0e-6;

@@ -5,25 +5,13 @@
 //! random, DFS, PCT — can be replayed exactly with a
 //! [`ReplayController`], and distinct schedules can be counted by log
 //! fingerprint.
+//!
+//! Every seed is expanded by the workspace's one [`SplitMix64`] stream,
+//! stable across platforms, so a failing seed printed on one machine
+//! reproduces on every other.
 
+use xk_lp::SplitMix64;
 use xk_runtime::{ChoicePoint, ScheduleController};
-
-/// SplitMix64: the seed expander used throughout the checker. Stable
-/// across platforms and free of dependencies, so a failing seed printed
-/// on one machine reproduces on every other.
-#[derive(Clone, Copy, Debug)]
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    /// Next pseudo-random value.
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// One recorded decision: at `point`, `choice` of `n` candidates was taken.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,12 +45,15 @@ impl ChoiceLog {
     /// fingerprints made the same choices at the same points, i.e. they
     /// are the same explored schedule.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = SplitMix64(0x5EED_CAFE);
+        let mut state = 0x5EED_CAFE_u64;
         let mut acc = 0u64;
         for r in &self.0 {
             let word = Self::tag(r.point) ^ ((r.n as u64) << 8) ^ ((r.choice as u64) << 40);
-            h.0 ^= word;
-            acc = acc.rotate_left(7) ^ h.next();
+            // `word` is mixed into the SplitMix64 stream's state before
+            // each step.
+            state ^= word;
+            acc = acc.rotate_left(7) ^ SplitMix64::new(state).next_u64();
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         }
         acc ^ self.0.len() as u64
     }
@@ -83,13 +74,13 @@ pub struct RandomController {
 impl RandomController {
     /// Controller for `seed`.
     pub fn new(seed: u64) -> Self {
-        RandomController { rng: SplitMix64(seed), log: ChoiceLog::default() }
+        RandomController { rng: SplitMix64::new(seed), log: ChoiceLog::default() }
     }
 }
 
 impl ScheduleController for RandomController {
     fn choose(&mut self, point: ChoicePoint, n: usize) -> usize {
-        let c = (self.rng.next() % n as u64) as usize;
+        let c = self.rng.next_below(n as u64) as usize;
         self.log.0.push(ChoiceRec { point, n: n as u32, choice: c as u32 });
         c
     }
@@ -134,7 +125,8 @@ impl ScheduleController for PctController {
         // preferred at every decision of the same arity.
         let c = (0..n)
             .max_by_key(|&i| {
-                SplitMix64(self.seed ^ self.epoch.rotate_left(17) ^ (i as u64) << 3).next()
+                let key = self.seed ^ self.epoch.rotate_left(17) ^ (i as u64) << 3;
+                SplitMix64::new(key).next_u64()
             })
             .unwrap_or(0);
         self.log.0.push(ChoiceRec { point, n: n as u32, choice: c as u32 });
@@ -225,9 +217,9 @@ mod tests {
     fn splitmix_is_stable() {
         // Reference values of SplitMix64 from the published algorithm —
         // seeds must mean the same schedule on every platform forever.
-        let mut r = SplitMix64(0);
-        assert_eq!(r.next(), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(r.next(), 0x6E78_9E6A_A1B9_65F4);
+        let mut r = SplitMix64::new(0);
+        assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod witness;
 
 pub use controllers::{
     ChoiceLog, ChoiceRec, DfsController, PctController, RandomController, ReplayController,
-    SplitMix64,
 };
 pub use explore::{
     explore_dfs, explore_pct, explore_pct_batch, explore_random, explore_random_batch, replay,

@@ -22,16 +22,13 @@
 //! - wrong write-back (a flush racing the kernel that produces the final
 //!   version).
 
-use std::collections::HashMap;
-
+use xk_lp::SplitMix64;
 use xk_runtime::{ChoicePoint, ScheduleController, TaskGraph, TaskKind};
-
-use crate::controllers::SplitMix64;
 
 /// Value mixer for shadow state: collision-resistant enough that a stale
 /// version virtually never aliases the correct one.
 fn mix(a: u64, b: u64) -> u64 {
-    SplitMix64(a.rotate_left(29) ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next()
+    SplitMix64::new(a.rotate_left(29) ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
 /// Initial shadow value of handle `h`.
@@ -133,21 +130,30 @@ impl<'c> Witness<'c> {
     /// the initial one by construction).
     pub fn check(&self, graph: &TaskGraph) -> Result<(), WitnessError> {
         let reference = serial_reference(graph);
+        let n_h = graph.data().len();
+        let initial = |h| graph.data().info(xk_runtime::HandleId(h)).initial;
+        let n_gpus = (0..n_h)
+            .filter_map(|h| match initial(h) {
+                xk_topo::Device::Gpu(g) => Some(g),
+                xk_topo::Device::Host => None,
+            })
+            .chain(self.events.iter().map(|e| match *e {
+                Ev::H2d { dst: g, .. } | Ev::D2h { src: g, .. } | Ev::Kernel { gpu: g, .. } => g,
+                Ev::P2p { src, dst, .. } => src.max(dst),
+            }))
+            .max()
+            .map_or(0, |g| g + 1);
 
-        // Shadow state. Host starts holding every host-resident tile;
+        // Shadow state: `host[h]` and `dev[g * n_h + h]`, `None` where no
+        // value has arrived. Host starts holding every host-resident tile;
         // device-resident tiles (the paper's Fig. 4 protocol) start on
         // their initial GPU instead.
-        let mut host: HashMap<usize, u64> = HashMap::new();
-        let mut dev: HashMap<(usize, usize), u64> = HashMap::new();
-        for h in 0..graph.data().len() {
-            let info = graph.data().info(xk_runtime::HandleId(h));
-            match info.initial {
-                xk_topo::Device::Host => {
-                    host.insert(h, initial_value(h));
-                }
-                xk_topo::Device::Gpu(g) => {
-                    dev.insert((g, h), initial_value(h));
-                }
+        let mut host: Vec<Option<u64>> = vec![None; n_h];
+        let mut dev: Vec<Option<u64>> = vec![None; n_gpus * n_h];
+        for h in 0..n_h {
+            match initial(h) {
+                xk_topo::Device::Host => host[h] = Some(initial_value(h)),
+                xk_topo::Device::Gpu(g) => dev[g * n_h + h] = Some(initial_value(h)),
             }
         }
 
@@ -155,12 +161,10 @@ impl<'c> Witness<'c> {
         // events in time order; at equal times commits land before samples
         // (a kernel starting exactly when its input transfer ends must see
         // the transferred value), event order breaking the remaining ties.
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        enum Phase {
-            Commit,
-            Sample,
-        }
-        let mut actions: Vec<(f64, Phase, usize)> = Vec::with_capacity(self.events.len() * 2);
+        // An instantaneous event samples just before its own commit, so it
+        // too sees every earlier event's commit at that time.
+        // Sort key after the time: (late sample?, event, commit?).
+        let mut actions: Vec<(f64, bool, usize, bool)> = Vec::with_capacity(self.events.len() * 2);
         for (i, e) in self.events.iter().enumerate() {
             let (s, t) = match *e {
                 Ev::H2d { start, end, .. }
@@ -168,105 +172,80 @@ impl<'c> Witness<'c> {
                 | Ev::D2h { start, end, .. }
                 | Ev::Kernel { start, end, .. } => (start, end),
             };
-            actions.push((s, Phase::Sample, i));
-            actions.push((t, Phase::Commit, i));
+            actions.push((s, s != t, i, false));
+            actions.push((t, false, i, true));
         }
-        actions.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| match (a.1, b.1) {
-                    (Phase::Commit, Phase::Sample) => std::cmp::Ordering::Less,
-                    (Phase::Sample, Phase::Commit) => std::cmp::Ordering::Greater,
-                    _ => std::cmp::Ordering::Equal,
-                })
-                .then(a.2.cmp(&b.2))
+        actions.sort_unstable_by(|a, b| {
+            a.0.total_cmp(&b.0).then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
         });
 
-        // Per-event sampled values, filled at sample time, consumed at
-        // commit time.
-        let mut sampled: Vec<Option<Vec<u64>>> = vec![None; self.events.len()];
+        // Per event: the sampled source value of a copy, or the output a
+        // kernel folds from its sampled inputs; written at sample time,
+        // consumed at commit time.
+        let mut value = vec![0u64; self.events.len()];
         // Last kernel-committed value per handle, in action order.
-        let mut kernel_final: HashMap<usize, u64> = HashMap::new();
+        let mut kernel_final: Vec<Option<u64>> = vec![None; n_h];
         // Handles whose host copy was refreshed after their last kernel.
-        let mut host_after_kernel: HashMap<usize, bool> = HashMap::new();
+        let mut host_after_kernel = vec![false; n_h];
+        let missing = |handle, gpu, reader: String, at| WitnessError::UseBeforeArrival {
+            handle,
+            gpu,
+            reader,
+            at,
+        };
 
-        for (time, phase, i) in actions {
-            match (phase, &self.events[i]) {
-                (Phase::Sample, &Ev::H2d { h, .. }) => {
-                    let v = *host.get(&h).ok_or(WitnessError::UseBeforeArrival {
-                        handle: h,
-                        gpu: None,
-                        reader: "h2d".into(),
-                        at: time,
-                    })?;
-                    sampled[i] = Some(vec![v]);
+        for (time, _, i, commit) in actions {
+            match (commit, self.events[i]) {
+                (false, Ev::H2d { h, .. }) => {
+                    value[i] = host[h].ok_or_else(|| missing(h, None, "h2d".into(), time))?;
                 }
-                (Phase::Commit, &Ev::H2d { h, dst, .. }) => {
-                    dev.insert((dst, h), sampled[i].as_ref().expect("sampled")[0]);
+                (false, Ev::P2p { h, src, .. }) => {
+                    value[i] = dev[src * n_h + h]
+                        .ok_or_else(|| missing(h, Some(src), "p2p".into(), time))?;
                 }
-                (Phase::Sample, &Ev::P2p { h, src, .. }) => {
-                    let v = *dev.get(&(src, h)).ok_or(WitnessError::UseBeforeArrival {
-                        handle: h,
-                        gpu: Some(src),
-                        reader: "p2p".into(),
-                        at: time,
-                    })?;
-                    sampled[i] = Some(vec![v]);
+                (false, Ev::D2h { h, src, .. }) => {
+                    value[i] = dev[src * n_h + h]
+                        .ok_or_else(|| missing(h, Some(src), "d2h".into(), time))?;
                 }
-                (Phase::Commit, &Ev::P2p { h, dst, .. }) => {
-                    dev.insert((dst, h), sampled[i].as_ref().expect("sampled")[0]);
-                }
-                (Phase::Sample, &Ev::D2h { h, src, .. }) => {
-                    let v = *dev.get(&(src, h)).ok_or(WitnessError::UseBeforeArrival {
-                        handle: h,
-                        gpu: Some(src),
-                        reader: "d2h".into(),
-                        at: time,
-                    })?;
-                    sampled[i] = Some(vec![v]);
-                }
-                (Phase::Commit, &Ev::D2h { h, .. }) => {
-                    host.insert(h, sampled[i].as_ref().expect("sampled")[0]);
-                    host_after_kernel.insert(h, true);
-                }
-                (Phase::Sample, &Ev::Kernel { t, gpu, .. }) => {
-                    let task = graph.task(xk_runtime::TaskId(t));
-                    let mut vals = Vec::new();
-                    for h in task.read_handles() {
-                        let v = *dev.get(&(gpu, h.0)).ok_or(WitnessError::UseBeforeArrival {
-                            handle: h.0,
-                            gpu: Some(gpu),
-                            reader: format!("kernel task {t}"),
-                            at: time,
+                (false, Ev::Kernel { t, gpu, .. }) => {
+                    let mut out = mix(0xC0DE, t as u64);
+                    for h in graph.task(xk_runtime::TaskId(t)).read_handles() {
+                        let v = dev[gpu * n_h + h.0].ok_or_else(|| {
+                            missing(h.0, Some(gpu), format!("kernel task {t}"), time)
                         })?;
-                        vals.push(v);
+                        out = mix(out, v);
                     }
-                    sampled[i] = Some(vals);
+                    value[i] = out;
                 }
-                (Phase::Commit, &Ev::Kernel { t, gpu, .. }) => {
-                    let task = graph.task(xk_runtime::TaskId(t));
-                    let vals = sampled[i].as_ref().expect("sampled");
-                    let out = vals.iter().fold(mix(0xC0DE, t as u64), |acc, &v| mix(acc, v));
-                    for h in task.written_handles() {
-                        dev.insert((gpu, h.0), out);
-                        kernel_final.insert(h.0, out);
-                        host_after_kernel.insert(h.0, false);
+                (true, Ev::H2d { h, dst, .. } | Ev::P2p { h, dst, .. }) => {
+                    dev[dst * n_h + h] = Some(value[i]);
+                }
+                (true, Ev::D2h { h, .. }) => {
+                    host[h] = Some(value[i]);
+                    host_after_kernel[h] = true;
+                }
+                (true, Ev::Kernel { t, gpu, .. }) => {
+                    for h in graph.task(xk_runtime::TaskId(t)).written_handles() {
+                        dev[gpu * n_h + h.0] = Some(value[i]);
+                        kernel_final[h.0] = Some(value[i]);
+                        host_after_kernel[h.0] = false;
                     }
                 }
             }
         }
 
         // Lowest handle id first, so the reported mismatch is the same on
-        // every replay of the same schedule (a HashMap walk is not).
-        for h in 0..graph.data().len() {
-            let Some(&got) = kernel_final.get(&h) else {
+        // every replay of the same schedule.
+        for h in 0..n_h {
+            let Some(got) = kernel_final[h] else {
                 continue;
             };
             let want = reference[h];
             if got != want {
                 return Err(WitnessError::FinalMismatch { handle: h, got, want });
             }
-            if host_after_kernel.get(&h) == Some(&true) {
-                let hv = *host.get(&h).expect("host copy written");
+            if host_after_kernel[h] {
+                let hv = host[h].expect("host copy written");
                 if hv != want {
                     return Err(WitnessError::HostMismatch { handle: h, got: hv, want });
                 }
@@ -410,6 +389,27 @@ mod tests {
         let mut inner = CanonicalController;
         let mut w = Witness::new(&mut inner);
         w.on_h2d(0, 0, 0.0, 1.0);
+        w.on_kernel(0, 0, 1.0, 2.0);
+        assert_eq!(w.check(&g), Ok(()));
+    }
+
+    #[test]
+    fn zero_duration_event_samples_before_it_commits() {
+        // An instantaneous H2D: its own sample must precede its commit,
+        // and the kernel starting at that instant sees the value.
+        let mut g = TaskGraph::new();
+        let h0 = g.add_host_tile(64, false, "h0");
+        use xk_kernels::perfmodel::TileOp;
+        use xk_runtime::{Access, TaskAccess};
+        g.add_task(
+            TileOp::Gemm { m: 8, n: 8, k: 8 },
+            [TaskAccess { handle: h0, access: Access::ReadWrite }],
+            "t0",
+        );
+        g.finalize();
+        let mut inner = CanonicalController;
+        let mut w = Witness::new(&mut inner);
+        w.on_h2d(0, 0, 1.0, 1.0);
         w.on_kernel(0, 0, 1.0, 2.0);
         assert_eq!(w.check(&g), Ok(()));
     }

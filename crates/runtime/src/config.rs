@@ -80,9 +80,6 @@ pub struct RuntimeConfig {
     pub heuristics: Heuristics,
     /// Scheduler policy.
     pub scheduler: SchedulerKind,
-    /// Concurrent kernel streams per GPU (XKaapi runs one operation type
-    /// per stream with several kernel streams; 4 by default).
-    pub kernel_streams: usize,
     /// In-flight task window per GPU (fetch/compute pipeline depth).
     pub window: usize,
     /// GPU memory capacity in bytes (32 GB on the paper's V100s).
@@ -117,7 +114,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             heuristics: Heuristics::full(),
             scheduler: SchedulerKind::LocalityWorkStealing,
-            kernel_streams: 4,
             window: 4,
             gpu_memory: 32 * (1 << 30),
             gpu_model: GpuModel::v100(),
@@ -165,8 +161,7 @@ mod tests {
     fn default_config_sane() {
         let c = RuntimeConfig::default();
         assert_eq!(c.scheduler, SchedulerKind::LocalityWorkStealing);
-        assert!(c.kernel_streams >= 1);
-        assert!(c.window >= c.kernel_streams);
+        assert!(c.window >= 1);
         assert_eq!(c.gpu_memory, 32 * (1 << 30));
         assert!(!c.eager_flush);
     }

@@ -652,18 +652,15 @@ impl<'a> SimExecutor<'a> {
         let mut lens = std::mem::take(&mut self.scratch_lens);
         lens.clear();
         lens.extend(self.gpus.iter().map(|s| s.queue.len()));
-        let victim = if self.ctrl.is_some() {
-            let mut candidates: Vec<usize> = (0..lens.len())
-                .filter(|&v| v != g && lens[v] > 0)
-                .collect();
-            candidates.sort_by_key(|&v| (std::cmp::Reverse(lens[v]), v));
+        let victim = if let Some(c) = self.ctrl.as_mut() {
+            let candidates = &mut self.scratch_sources;
+            candidates.clear();
+            candidates.extend((0..lens.len()).filter(|&v| v != g && lens[v] > 0));
+            candidates.sort_unstable_by_key(|&v| (std::cmp::Reverse(lens[v]), v));
             match candidates.len() {
                 0 => None,
                 1 => Some(candidates[0]),
-                n => {
-                    let c = self.ctrl.as_mut().expect("controller present");
-                    Some(candidates[c.choose(ChoicePoint::StealVictim, n).min(n - 1)])
-                }
+                n => Some(candidates[c.choose(ChoicePoint::StealVictim, n).min(n - 1)]),
             }
         } else {
             pick_victim(&lens, g)

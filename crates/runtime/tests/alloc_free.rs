@@ -7,9 +7,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xk_kernels::perfmodel::TileOp;
+use xk_lp::SplitMix64;
 use xk_runtime::{
-    Access, DataInfo, Heuristics, ObsLevel, RuntimeConfig, SchedulerKind, SimExecutor, TaskAccess,
-    TaskGraph,
+    Access, ChoicePoint, DataInfo, Heuristics, ObsLevel, RuntimeConfig, ScheduleController,
+    SchedulerKind, SimExecutor, TaskAccess, TaskGraph,
 };
 use xk_topo::{dgx1, Device, FabricSpec};
 
@@ -84,9 +85,27 @@ fn tiled_gemm(nt: usize) -> TaskGraph {
     g
 }
 
-/// Allocator calls made by one run at `ObsLevel::Off`, construction excluded.
-fn run_allocations(graph: &TaskGraph, topo: &FabricSpec, cfg: &RuntimeConfig) -> u64 {
-    let exec = SimExecutor::new(graph, topo, cfg).observe(ObsLevel::Off);
+/// Uniformly random picks at every choice point.
+struct Uniform(SplitMix64);
+
+impl ScheduleController for Uniform {
+    fn choose(&mut self, _point: ChoicePoint, n: usize) -> usize {
+        self.0.next_below(n as u64) as usize
+    }
+}
+
+/// Allocator calls made by one run at `ObsLevel::Off`, construction
+/// excluded; under `ctrl` when given.
+fn run_allocations(
+    graph: &TaskGraph,
+    topo: &FabricSpec,
+    cfg: &RuntimeConfig,
+    ctrl: Option<&mut dyn ScheduleController>,
+) -> u64 {
+    let mut exec = SimExecutor::new(graph, topo, cfg).observe(ObsLevel::Off);
+    if let Some(c) = ctrl {
+        exec = exec.control(c);
+    }
     let before = CALLS.with(Cell::get);
     let out = exec.run();
     let calls = CALLS.with(Cell::get) - before;
@@ -115,13 +134,36 @@ fn hot_loop_allocations_do_not_scale_with_tasks() {
     let (small, large) = (tiled_gemm(4), tiled_gemm(8));
     assert_eq!((small.len(), large.len()), (64, 512));
     for (name, cfg) in [("xkblas", &xkblas), ("chameleon", &chameleon)] {
-        let few = run_allocations(&small, &topo, cfg);
-        let many = run_allocations(&large, &topo, cfg);
+        let few = run_allocations(&small, &topo, cfg, None);
+        let many = run_allocations(&large, &topo, cfg, None);
         assert!(
             (many as f64) < 0.1 * large.len() as f64,
             "{name}: {many} allocator calls for {} tasks",
             large.len()
         );
         assert!(many <= few + 16, "{name}: {few} calls at 64 tasks, {many} at 512");
+    }
+}
+
+/// The same two GEMMs under a uniform-random controller: tied event pops,
+/// ready-task picks and steal-victim choices allocate nothing per task
+/// either.
+#[test]
+fn controlled_runs_do_not_allocate_per_task() {
+    let topo = dgx1();
+    topo.route_ref(Device::Host, Device::Gpu(0));
+    topo.perf_rank(0, 1);
+    let (small, large) = (tiled_gemm(4), tiled_gemm(8));
+    let cfg = RuntimeConfig::xkblas();
+    for seed in 0..4 {
+        let few = run_allocations(&small, &topo, &cfg, Some(&mut Uniform(SplitMix64::new(seed))));
+        let many = run_allocations(&large, &topo, &cfg, Some(&mut Uniform(SplitMix64::new(seed))));
+        eprintln!("seed {seed}: {few} calls at 64 tasks, {many} at 512");
+        assert!(
+            (many as f64) < 0.1 * large.len() as f64,
+            "seed {seed}: {many} allocator calls for {} tasks",
+            large.len()
+        );
+        assert!(many <= few + 16, "seed {seed}: {few} calls at 64 tasks, {many} at 512");
     }
 }

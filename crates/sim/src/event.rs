@@ -7,7 +7,7 @@
 //! reproducible.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -64,12 +64,16 @@ pub fn selected_backend() -> QueueBackend {
 ///
 /// Events of type `E` are scheduled at absolute [`SimTime`]s and popped in
 /// non-decreasing time order, FIFO among equal times.
+///
+/// A tied pop ([`EventQueue::pop_tied`]) moves the whole minimum-time group
+/// out of the heap into `group`, in FIFO order, where it stays until it is
+/// drained: later picks from it are a `VecDeque::remove`, not a heap
+/// round-trip per loser. Invariant: while `group` is non-empty it holds
+/// every pending event at its time, and the heap holds only later ones.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    group: VecDeque<Entry<E>>,
     seq: u64,
-    /// Scratch for `pop_tied` tie groups, reused across calls so tied pops
-    /// under exploration controllers stay allocation-free after warm-up.
-    tie_scratch: Vec<Entry<E>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -89,8 +93,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            group: VecDeque::new(),
             seq: 0,
-            tie_scratch: Vec::new(),
         }
     }
 
@@ -103,12 +107,25 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let entry = Entry { time, seq, event };
+        match self.group.front().map(|e| e.time) {
+            // Its seq is the largest yet: appending keeps the group FIFO.
+            Some(t) if time == t => self.group.push_back(entry),
+            // A new minimum: the group is no longer the earliest events.
+            Some(t) if time < t => {
+                self.heap.extend(self.group.drain(..));
+                self.heap.push(entry);
+            }
+            _ => self.heap.push(entry),
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
+        let e = match self.group.pop_front() {
+            Some(e) => e,
+            None => self.heap.pop()?,
+        };
         Some((e.time, e.event))
     }
 
@@ -116,52 +133,42 @@ impl<E> EventQueue<E> {
     /// pick among them when several share the minimum timestamp.
     ///
     /// The tied events are presented to `tie` in FIFO (sequence) order, so
-    /// `tie(_) == 0` reproduces [`EventQueue::pop`] exactly. Events not
-    /// picked are re-inserted with their original sequence numbers, so
-    /// future pops keep the deterministic FIFO order among them. `tie` is
-    /// only consulted when two or more events are tied; out-of-range picks
-    /// are clamped to the last candidate.
+    /// `tie(_) == 0` reproduces [`EventQueue::pop`] exactly, and the events
+    /// not picked keep that order for later pops. `tie` is only consulted
+    /// when two or more events are tied; out-of-range picks are clamped to
+    /// the last candidate.
     pub fn pop_tied(&mut self, tie: &mut dyn FnMut(usize) -> usize) -> Option<(SimTime, E)> {
-        let h = &mut self.heap;
-        let first = h.pop()?;
-        let t = first.time;
-        if h.peek().is_none_or(|e| e.time != t) {
-            return Some((first.time, first.event));
-        }
-        // Collect the whole tie group into the reused scratch; BinaryHeap
-        // pops it in seq order.
-        let tied = &mut self.tie_scratch;
-        debug_assert!(tied.is_empty());
-        tied.push(first);
-        while let Some(e) = h.peek() {
-            if e.time != t {
-                break;
+        if self.group.is_empty() {
+            let first = self.heap.pop()?;
+            let t = first.time;
+            if self.heap.peek().is_none_or(|e| e.time != t) {
+                return Some((first.time, first.event));
             }
-            tied.push(h.pop().expect("peeked entry"));
+            // BinaryHeap pops the tie group in seq order.
+            self.group.push_back(first);
+            while self.heap.peek().is_some_and(|e| e.time == t) {
+                self.group.push_back(self.heap.pop().expect("peeked entry"));
+            }
         }
-        let pick = tie(tied.len()).min(tied.len() - 1);
-        let chosen = tied.swap_remove(pick);
-        // Re-insert the rest; their original `seq` values keep relative
-        // FIFO order stable for later pops.
-        for e in tied.drain(..) {
-            h.push(e);
-        }
-        Some((chosen.time, chosen.event))
+        let n = self.group.len();
+        let pick = if n == 1 { 0 } else { tie(n).min(n - 1) };
+        let e = self.group.remove(pick).expect("pick is in range");
+        Some((e.time, e.event))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.group.front().or_else(|| self.heap.peek()).map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.group.len() + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.group.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -375,6 +382,24 @@ mod tests {
         q.push(SimTime::new(3.0), 'x');
         q.push(SimTime::new(3.0), 'y');
         assert_eq!(q.pop_tied(&mut |_| 99), Some((SimTime::new(3.0), 'y')));
+    }
+
+    #[test]
+    fn pushes_beside_an_open_tie_group_keep_the_order() {
+        let mut q = EventQueue::new();
+        for i in 0..3 {
+            q.push(SimTime::new(2.0), i);
+        }
+        // Opens the group {0, 1, 2} at t = 2 and takes 1.
+        assert_eq!(q.pop_tied(&mut |_| 1), Some((SimTime::new(2.0), 1)));
+        q.push(SimTime::new(2.0), 3); // joins the group, last
+        q.push(SimTime::new(3.0), 4); // stays in the heap
+        assert_eq!(q.pop_tied(&mut |n| n - 1), Some((SimTime::new(2.0), 3)));
+        q.push(SimTime::new(1.0), 5); // earlier: the group goes back
+        assert_eq!((q.len(), q.peek_time()), (4, Some(SimTime::new(1.0))));
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, [5, 0, 2, 4]);
+        assert!(q.is_empty());
     }
 
     #[test]
