@@ -13,14 +13,13 @@ use xk_sim::SimTime;
 use xk_topo::{Device, FabricSpec};
 
 use crate::fabric::Fabric;
-use crate::xkblas_like::outcome_to_result;
+use crate::xkblas_like::trace_to_result;
 use crate::{RunParams, RunResult};
 
 const STREAMS: usize = 2;
 
 struct Driver<'t> {
-    topo: &'t FabricSpec,
-    fabric: Fabric,
+    fabric: Fabric<'t>,
     model: GpuModel,
     /// Per-(gpu, stream) cursor: end of the last in-stream operation.
     cursors: Vec<Vec<SimTime>>,
@@ -36,7 +35,6 @@ impl<'t> Driver<'t> {
             fabric: Fabric::new(topo),
             model: GpuModel::v100(),
             cursors: vec![vec![SimTime::ZERO; STREAMS]; topo.n_gpus()],
-            topo,
             n,
             b,
             bt: n.div_ceil(b).max(1),
@@ -61,7 +59,7 @@ impl<'t> Driver<'t> {
         let t = self.cursors[g][s];
         let res = self
             .fabric
-            .transfer(self.topo, Device::Host, Device::Gpu(g), bytes, t, true, label);
+            .transfer(Device::Host, Device::Gpu(g), bytes, t, true, label);
         self.cursors[g][s] = res.end;
     }
 
@@ -77,7 +75,7 @@ impl<'t> Driver<'t> {
         let t = self.cursors[g][s];
         let res = self
             .fabric
-            .transfer(self.topo, Device::Gpu(g), Device::Host, bytes, t, true, label);
+            .transfer(Device::Gpu(g), Device::Host, bytes, t, true, label);
         self.cursors[g][s] = res.end;
     }
 
@@ -215,19 +213,7 @@ pub fn run_cublasxt(topo: &FabricSpec, params: &RunParams) -> RunResult {
         }
     }
 
-    let fabric = d.fabric;
-    let sim = xk_runtime::SimOutcome {
-        makespan: fabric.makespan(),
-        bytes_h2d: fabric.bytes.0,
-        bytes_d2h: fabric.bytes.1,
-        bytes_p2p: fabric.bytes.2,
-        trace: fabric.trace,
-        tasks_run: 0,
-        steals: 0,
-        obs: None,
-        failures: Vec::new(),
-    };
-    outcome_to_result(sim, params)
+    trace_to_result(d.fabric.trace, params)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use xk_sim::SimTime;
 use xk_topo::{Device, FabricSpec};
 
 use crate::fabric::Fabric;
-use crate::xkblas_like::outcome_to_result;
+use crate::xkblas_like::trace_to_result;
 use crate::{RunParams, RunResult};
 
 /// Simulates one SLATE routine call on `topo`.
@@ -39,7 +39,7 @@ pub fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
         let g = j % n_gpus;
         for i in 0..bt {
             let bytes = (dim(i) * dim(j)) as u64 * word;
-            let res = fabric.transfer(topo, Device::Host, Device::Gpu(g), bytes, gpu_ready[g], false, "C");
+            let res = fabric.transfer(Device::Host, Device::Gpu(g), bytes, gpu_ready[g], false, "C");
             gpu_ready[g] = res.end;
         }
     }
@@ -57,8 +57,8 @@ pub fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
         let panel_a: u64 = (0..bt).map(|i| (dim(i) * dim(k)) as u64 * word).sum();
         let panel_b: u64 = (0..bt).map(|j| (dim(k) * dim(j)) as u64 * word).sum();
         for (g, ready) in gpu_ready.iter_mut().enumerate() {
-            let ra = fabric.transfer(topo, Device::Host, Device::Gpu(g), panel_a, *ready, false, "Apanel");
-            let rb = fabric.transfer(topo, Device::Host, Device::Gpu(g), panel_b, ra.end, false, "Bpanel");
+            let ra = fabric.transfer(Device::Host, Device::Gpu(g), panel_a, *ready, false, "Apanel");
+            let rb = fabric.transfer(Device::Host, Device::Gpu(g), panel_b, ra.end, false, "Bpanel");
             *ready = rb.end;
         }
         // Batched GEMM per GPU over its local tiles.
@@ -84,9 +84,7 @@ pub fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
         // every GPU finishes step k before the next panel broadcast
         // starts (no lookahead in its accelerator path).
         let latest = gpu_ready.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        for r in &mut gpu_ready {
-            *r = latest;
-        }
+        gpu_ready.fill(latest);
     }
 
     // Results home.
@@ -94,23 +92,12 @@ pub fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
         let g = j % n_gpus;
         for i in 0..bt {
             let bytes = (dim(i) * dim(j)) as u64 * word;
-            let res = fabric.transfer(topo, Device::Gpu(g), Device::Host, bytes, gpu_ready[g], false, "C back");
+            let res = fabric.transfer(Device::Gpu(g), Device::Host, bytes, gpu_ready[g], false, "C back");
             gpu_ready[g] = res.end;
         }
     }
 
-    let sim = xk_runtime::SimOutcome {
-        makespan: fabric.makespan(),
-        bytes_h2d: fabric.bytes.0,
-        bytes_d2h: fabric.bytes.1,
-        bytes_p2p: fabric.bytes.2,
-        trace: fabric.trace,
-        tasks_run: 0,
-        steals: 0,
-        obs: None,
-        failures: Vec::new(),
-    };
-    outcome_to_result(sim, params)
+    trace_to_result(fabric.trace, params)
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 
 use xk_runtime::{ObsLevel, RuntimeConfig, SimOutcome};
 use xk_topo::FabricSpec;
+use xk_trace::{SpanKind, Trace};
 use xkblas_core::{
     gemm_async, symm_async, syr2k_async, syrk_async, trmm_async, trsm_async, Context, Diag,
     Matrix, Routine, Side, Trans, Uplo,
@@ -129,6 +130,25 @@ pub fn outcome_to_result(sim: SimOutcome, params: &RunParams) -> RunResult {
         bytes_p2p: sim.bytes_p2p,
         obs: sim.obs,
     }
+}
+
+/// The harness result of a custom driver's run (cuBLAS-XT, SLATE): makespan
+/// and bytes moved are read off its trace; it ran no task graph.
+pub(crate) fn trace_to_result(trace: Trace, params: &RunParams) -> RunResult {
+    let bytes = trace.bytes_by_kind();
+    let moved = |kind| bytes.get(&kind).copied().unwrap_or(0);
+    let sim = SimOutcome {
+        makespan: trace.makespan(),
+        bytes_h2d: moved(SpanKind::H2D),
+        bytes_d2h: moved(SpanKind::D2H),
+        bytes_p2p: moved(SpanKind::P2P),
+        trace,
+        tasks_run: 0,
+        steals: 0,
+        obs: None,
+        failures: Vec::new(),
+    };
+    outcome_to_result(sim, params)
 }
 
 #[cfg(test)]

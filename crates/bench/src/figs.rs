@@ -260,7 +260,7 @@ pub fn fig5_libraries(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table)
 /// Asserts the critical-path invariant on one finished run and hands back
 /// its observability report: the chain reconstructed from the span DAG
 /// must end exactly (bit-for-bit) at the makespan.
-fn checked_obs<'r>(lib: Library, r: &'r xk_baselines::RunResult) -> Option<&'r ObsReport> {
+fn checked_obs(lib: Library, r: &xk_baselines::RunResult) -> Option<&ObsReport> {
     let obs = r.obs.as_ref()?;
     if let Some(cp) = &obs.critical_path {
         assert_eq!(

@@ -124,10 +124,12 @@ fn bandwidth_matrix_is_symmetric_positive() {
         .skip(1)
         .map(|l| l.split(',').skip(1).map(|c| c.parse().unwrap()).collect())
         .collect();
-    for i in 0..8 {
-        for j in 0..8 {
-            assert!(rows[i][j] > 0.0);
-            assert!((rows[i][j] - rows[j][i]).abs() < 1e-6);
+    assert_eq!(rows.len(), 8);
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(row.len(), 8);
+        for (j, &v) in row.iter().enumerate() {
+            assert!(v > 0.0);
+            assert!((v - rows[j][i]).abs() < 1e-6);
         }
     }
 }

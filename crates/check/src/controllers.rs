@@ -117,7 +117,7 @@ impl PctController {
 impl ScheduleController for PctController {
     fn choose(&mut self, point: ChoicePoint, n: usize) -> usize {
         self.step += 1;
-        if self.step % self.change_every == 0 {
+        if self.step.is_multiple_of(self.change_every) {
             self.epoch += 1;
         }
         // Highest hashed priority wins; the hash depends on the epoch and

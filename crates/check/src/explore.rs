@@ -88,7 +88,9 @@ fn structural_check(graph: &TaskGraph, out: &SimOutcome) -> Result<(), String> {
     if out.tasks_run != graph.len() {
         return Err(format!("{} of {} tasks ran", out.tasks_run, graph.len()));
     }
-    if !graph.is_empty() && !(out.makespan > 0.0) {
+    // NaN is not positive either.
+    let positive = out.makespan.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+    if !graph.is_empty() && !positive {
         return Err(format!("makespan {} not positive", out.makespan));
     }
     if !out.failures.is_empty() {

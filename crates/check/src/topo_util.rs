@@ -136,8 +136,7 @@ fn extends(t: &FabricSpec, perm: &[usize], i: usize) -> bool {
     if t.gpu_link(pi, pi) != t.gpu_link(i, i) || t.host_link(pi) != t.host_link(i) {
         return false;
     }
-    for j in 0..i {
-        let pj = perm[j];
+    for (j, &pj) in perm.iter().enumerate().take(i) {
         if t.gpu_link(pi, pj) != t.gpu_link(i, j)
             || t.gpu_link(pj, pi) != t.gpu_link(j, i)
             || (t.switch_of(pi) == t.switch_of(pj)) != (t.switch_of(i) == t.switch_of(j))

@@ -159,7 +159,7 @@ fn tiled_trsm_solves_the_system() {
         trsm_async(&mut cx, side, uplo, transa, diag, alpha, &a, &b);
         cx.run_numeric(0);
         let res = r::trsm_residual(
-            side, uplo, transa, diag, alpha,
+            (side, uplo, transa, diag), alpha,
             view(&a), view(&b),
             MatRef::from_slice(&b0, m, n, m),
         );

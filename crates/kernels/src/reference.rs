@@ -222,12 +222,10 @@ pub fn ref_trmm<T: Scalar>(
 /// Residual of a TRSM solution: `max|op(A) * X - alpha * B|` (left) or
 /// `max|X * op(A) - alpha * B|` (right), normalized by `max(1, |B|_max)`.
 /// A correct solve has a residual near machine epsilon times the problem
-/// size.
+/// size. The triangle is described as `trsm` takes it: side, uplo,
+/// trans, diag.
 pub fn trsm_residual<T: Scalar>(
-    side: Side,
-    uplo: Uplo,
-    trans: Trans,
-    diag: Diag,
+    (side, uplo, trans, diag): (Side, Uplo, Trans, Diag),
     alpha: T,
     a: MatRef<'_, T>,
     x: MatRef<'_, T>,
@@ -318,10 +316,7 @@ mod tests {
         let b = vec![2.0, 9.0];
         let wrong = vec![1.0, 1.0]; // correct is [1, 2]
         let r = trsm_residual(
-            Side::Left,
-            Uplo::Lower,
-            Trans::No,
-            Diag::NonUnit,
+            (Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit),
             1.0,
             MatRef::from_slice(&a, 2, 2, 2),
             MatRef::from_slice(&wrong, 2, 1, 2),

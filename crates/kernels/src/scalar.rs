@@ -110,7 +110,10 @@ pub trait Scalar:
     /// full `MR`/`NR` (see [`crate::simd::kernel_shape`]), and the host
     /// must support `isa`.
     #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "microkernel ABI: raw packed panels, two scalars and a strided C tile"
+    )]
     unsafe fn tile_raw(
         isa: Isa,
         kc: usize,

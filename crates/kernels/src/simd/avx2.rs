@@ -42,7 +42,10 @@ impl MicroKernel<f64> for Avx2Mk {
 }
 
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: raw packed panels, two scalars and a strided C tile"
+)]
 unsafe fn tile_4x8(
     kc: usize,
     pa: *const f64,

@@ -51,7 +51,10 @@ impl MicroKernel<f64> for Avx512Mk {
 }
 
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: raw packed panels, two scalars and a strided C tile"
+)]
 unsafe fn tile_8x8(
     kc: usize,
     pa: *const f64,

@@ -39,6 +39,7 @@
 use std::sync::OnceLock;
 
 use crate::scalar::Scalar;
+use crate::view::MatMut;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
@@ -224,6 +225,10 @@ pub(crate) trait MicroKernel<T: Scalar> {
     /// the `mr × nr` column-major region with leading dimension `ld`;
     /// `0 < mr <= MR`, `0 < nr <= NR`, and the host must support the
     /// kernel's ISA.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "microkernel ABI: raw packed panels, two scalars and a strided C tile"
+    )]
     unsafe fn tile(
         kc: usize,
         pa: *const T,
@@ -247,6 +252,10 @@ pub(crate) trait MicroKernel<T: Scalar> {
 /// valid for the `mr × nr` region with leading dimension `ld`; `mr` must
 /// not exceed `buf_mr`.
 #[allow(dead_code)] // unused on targets with no SIMD kernel compiled in
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: raw packed panels, two scalars and a strided C tile"
+)]
 #[inline]
 pub(crate) unsafe fn store_spill_clipped<T: Scalar>(
     buf: *const T,
@@ -282,11 +291,12 @@ pub(crate) unsafe fn store_spill_clipped<T: Scalar>(
 /// isolates register-tile throughput from blocking effects.
 ///
 /// `pa`/`pb` must hold `kc * mr` / `kc * nr` elements of packed panels
-/// and `c` an `mr × nr` column-major tile with leading dimension `ld`
-/// (`mr`/`nr` from [`kernel_shape`]).
+/// and `c` must view (at least) an `mr × nr` tile (`mr`/`nr` from
+/// [`kernel_shape`]); the kernel writes its `mr × nr` corner.
 ///
 /// # Panics
-/// Panics if a slice is too short or the host does not support `isa`.
+/// Panics if a panel or the tile is too small or the host does not
+/// support `isa`.
 pub fn run_tile<T: Scalar>(
     isa: Isa,
     kc: usize,
@@ -294,8 +304,7 @@ pub fn run_tile<T: Scalar>(
     pb: &[T],
     alpha: T,
     beta: T,
-    c: &mut [T],
-    ld: usize,
+    mut c: MatMut<'_, T>,
 ) {
     let shape = kernel_shape::<T>(isa);
     assert!(
@@ -304,10 +313,11 @@ pub fn run_tile<T: Scalar>(
     );
     assert!(pa.len() >= kc * shape.mr, "packed A panel too short");
     assert!(pb.len() >= kc * shape.nr, "packed B panel too short");
-    assert!(ld >= shape.mr && c.len() >= ld * (shape.nr - 1) + shape.mr, "C tile too short");
+    assert!(c.nrows() >= shape.mr && c.ncols() >= shape.nr, "C tile too small");
+    let ld = c.ld();
     // SAFETY: panel/tile sizes asserted above, ISA support asserted above.
     unsafe {
-        T::tile_raw(isa, kc, pa.as_ptr(), pb.as_ptr(), alpha, beta, c.as_mut_ptr(), ld);
+        T::tile_raw(isa, kc, pa.as_ptr(), pb.as_ptr(), alpha, beta, c.ptr_at_mut(0, 0), ld);
     }
 }
 
@@ -334,7 +344,8 @@ pub fn microkernel_peak_gflops<T: Scalar>(isa: Isa, budget_ms: u64) -> f64 {
     loop {
         let t0 = std::time::Instant::now();
         for _ in 0..batch {
-            run_tile(isa, kc, &pa, &pb, T::ONE, T::ONE, &mut c, shape.mr);
+            let c = MatMut::from_slice(&mut c, shape.mr, shape.nr, shape.mr);
+            run_tile(isa, kc, &pa, &pb, T::ONE, T::ONE, c);
         }
         if t0.elapsed().as_secs_f64() > 1e-3 || batch >= 1 << 20 {
             break;
@@ -346,7 +357,8 @@ pub fn microkernel_peak_gflops<T: Scalar>(isa: Isa, budget_ms: u64) -> f64 {
     while std::time::Instant::now() < deadline {
         let t0 = std::time::Instant::now();
         for _ in 0..batch {
-            run_tile(isa, kc, &pa, &pb, T::ONE, T::ONE, &mut c, shape.mr);
+            let c = MatMut::from_slice(&mut c, shape.mr, shape.nr, shape.mr);
+            run_tile(isa, kc, &pa, &pb, T::ONE, T::ONE, c);
         }
         best = best.min(t0.elapsed().as_secs_f64() / batch as f64);
     }
@@ -399,7 +411,8 @@ mod tests {
             let pb: Vec<f64> = (0..kc * shape.nr).map(|i| (i % 5) as f64 - 2.0).collect();
             let ld = shape.mr + 3;
             let mut c = vec![1.0f64; ld * shape.nr];
-            run_tile(isa, kc, &pa, &pb, 2.0, -1.0, &mut c, ld);
+            let tile = MatMut::from_slice(&mut c, shape.mr, shape.nr, ld);
+            run_tile(isa, kc, &pa, &pb, 2.0, -1.0, tile);
             for j in 0..shape.nr {
                 for r in 0..shape.mr {
                     let dot: f64 = (0..kc)

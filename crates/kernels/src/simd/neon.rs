@@ -41,7 +41,10 @@ impl MicroKernel<f64> for NeonMk {
 }
 
 #[target_feature(enable = "neon")]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "microkernel ABI: raw packed panels, two scalars and a strided C tile"
+)]
 unsafe fn tile_4x4(
     kc: usize,
     pa: *const f64,

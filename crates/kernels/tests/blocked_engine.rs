@@ -293,10 +293,7 @@ fn trsm_all_16_variants_cross_tb_blocks() {
                     let mut x = b0.clone();
                     trsm(side, uplo, trans, diag, 0.5, ar, MatMut::from_slice(&mut x, m, n, m));
                     let res = r::trsm_residual(
-                        side,
-                        uplo,
-                        trans,
-                        diag,
+                        (side, uplo, trans, diag),
                         0.5,
                         ar,
                         MatRef::from_slice(&x, m, n, m),

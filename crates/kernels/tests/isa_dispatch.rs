@@ -154,10 +154,9 @@ mod pr2_oracle {
         }
     }
 
-    /// The PR 2 `gemm_with` loop nest, verbatim (alpha != 0, k > 0 path).
+    /// The original `gemm_with` loop nest, verbatim (alpha != 0, k > 0
+    /// path); `m × n` is the shape of `c`.
     pub fn gemm_with(
-        m: usize,
-        n: usize,
         k: usize,
         alpha: f64,
         oa: impl Fn(usize, usize) -> f64,
@@ -165,6 +164,7 @@ mod pr2_oracle {
         beta: f64,
         mut c: MatMut<'_, f64>,
     ) {
+        let (m, n) = (c.nrows(), c.ncols());
         assert!(alpha != 0.0 && k > 0, "oracle covers the engine path only");
         let kc_max = KC.min(k);
         let a_elems = MC.min(m).div_ceil(MR) * MR * kc_max;
@@ -231,8 +231,6 @@ fn scalar_pin_is_bit_for_bit_pr2() {
 
                 let mut want = c0.clone();
                 pr2_oracle::gemm_with(
-                    m,
-                    n,
                     k,
                     alpha,
                     |i, p| match ta {

@@ -209,7 +209,7 @@ fn trsm_all_variants_satisfy_equation() {
         let mut x = b0.clone();
         trsm(side, uplo, trans, diag, alpha, ar, MatMut::from_slice(&mut x, m, n, m));
         let res = r::trsm_residual(
-            side, uplo, trans, diag, alpha, ar,
+            (side, uplo, trans, diag), alpha, ar,
             MatRef::from_slice(&x, m, n, m),
             MatRef::from_slice(&b0, m, n, m),
         );
@@ -306,7 +306,7 @@ fn tr_routines_blocked_boundaries() {
         let mut x = b0.clone();
         trsm(side, uplo, trans, diag, 1.5, ar, MatMut::from_slice(&mut x, m, n, m));
         let res = r::trsm_residual(
-            side, uplo, trans, diag, 1.5, ar,
+            (side, uplo, trans, diag), 1.5, ar,
             MatRef::from_slice(&x, m, n, m),
             MatRef::from_slice(&b0, m, n, m),
         );

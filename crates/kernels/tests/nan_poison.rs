@@ -154,10 +154,7 @@ fn trsm_reads_only_its_triangle() {
                         trsm(side, uplo, trans, diag, 0.5, a.view(), x.view_mut());
                         x.assert_finite_and_poison_untouched(&b0, &format!("{what}[{isa}]"));
                         let res = r::trsm_residual(
-                            side,
-                            uplo,
-                            trans,
-                            diag,
+                            (side, uplo, trans, diag),
                             0.5,
                             a.view(),
                             x.view(),
@@ -239,6 +236,6 @@ fn f32_trmm_trsm_at_a_blocked_size() {
     let mut x = b0.clone();
     trsm(side, uplo, trans, diag, 0.5, a.view(), x.view_mut());
     x.assert_finite_and_poison_untouched(&b0, "trsm f32");
-    let res = r::trsm_residual(side, uplo, trans, diag, 0.5, a.view(), x.view(), b0.view());
+    let res = r::trsm_residual((side, uplo, trans, diag), 0.5, a.view(), x.view(), b0.view());
     assert!(res < 1e-4, "trsm f32: residual {res}");
 }

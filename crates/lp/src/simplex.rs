@@ -228,12 +228,12 @@ impl Tableau {
     /// `B⁻¹` and `x_B` by the standard elementary row operations.
     fn pivot(&mut self, r: usize, q: usize, u: &[f64]) {
         let theta = self.xb[r] / u[r];
-        for i in 0..self.m {
+        for (i, (xb, &ui)) in self.xb.iter_mut().zip(u).enumerate() {
             if i != r {
-                self.xb[i] -= theta * u[i];
+                *xb -= theta * ui;
                 // Clamp f64 drift: Bland keeps x_B ≥ 0 in exact arithmetic.
-                if self.xb[i] < 0.0 && self.xb[i] > -self.tol {
-                    self.xb[i] = 0.0;
+                if *xb < 0.0 && *xb > -self.tol {
+                    *xb = 0.0;
                 }
             }
         }
@@ -242,9 +242,8 @@ impl Tableau {
         for k in 0..self.m {
             self.binv[r * self.m + k] *= inv_ur;
         }
-        for i in 0..self.m {
-            if i != r && u[i] != 0.0 {
-                let f = u[i];
+        for (i, &f) in u.iter().enumerate() {
+            if i != r && f != 0.0 {
                 for k in 0..self.m {
                     self.binv[i * self.m + k] -= f * self.binv[r * self.m + k];
                 }
@@ -280,11 +279,11 @@ impl Tableau {
             }
             // Entering column: smallest index with negative reduced cost.
             let mut entering = None;
-            for j in 0..enter_below {
+            for (j, &cost_j) in cost.iter().enumerate().take(enter_below) {
                 if self.in_basis[j] {
                     continue;
                 }
-                let mut rc = cost[j];
+                let mut rc = cost_j;
                 for (i, &yi) in y.iter().enumerate() {
                     rc -= yi * self.a[i * self.ncols + j];
                 }
@@ -300,9 +299,9 @@ impl Tableau {
             // Leaving row: min ratio; ties by smallest basic column index.
             let mut leave: Option<usize> = None;
             let mut best = f64::INFINITY;
-            for i in 0..self.m {
-                if u[i] > self.tol {
-                    let ratio = self.xb[i] / u[i];
+            for (i, &ui) in u.iter().enumerate() {
+                if ui > self.tol {
+                    let ratio = self.xb[i] / ui;
                     let better = ratio < best - self.tol
                         || (ratio < best + self.tol
                             && leave.is_some_and(|l| self.basis[i] < self.basis[l]));

@@ -135,10 +135,10 @@ pub fn link_attribution(
                 continue;
             }
             let base = value_of(mask, &mut evaluations);
-            for i in 0..p {
+            for (i, phi_i) in phi.iter_mut().enumerate() {
                 if mask & (1 << i) == 0 {
                     let with = value_of(mask | (1 << i), &mut evaluations);
-                    phi[i] += weights[s] * (with - base);
+                    *phi_i += weights[s] * (with - base);
                 }
             }
         }
@@ -212,8 +212,8 @@ fn subset_weights(p: usize) -> Vec<f64> {
     let mut w = vec![0.0; p];
     // w(0) = (p-1)!/p! = 1/p; w(s+1) = w(s) · (s+1)/(p−1−s).
     let mut cur = 1.0 / p as f64;
-    for s in 0..p {
-        w[s] = cur;
+    for (s, ws) in w.iter_mut().enumerate() {
+        *ws = cur;
         if s + 1 < p {
             cur *= (s + 1) as f64 / (p - 1 - s) as f64;
         }
@@ -320,8 +320,8 @@ mod tests {
             // each position sums over positions).
             let mut total = 0.0;
             let mut binom = 1.0;
-            for s in 0..p {
-                total += binom * w[s];
+            for (s, &ws) in w.iter().enumerate() {
+                total += binom * ws;
                 binom *= (p - 1 - s) as f64 / (s + 1) as f64;
             }
             assert!((total - 1.0).abs() < 1e-12, "p={p}: {total}");

@@ -17,9 +17,9 @@
 //!   read of host data must cross some host uplink once; dirty flush
 //!   reads must cross back) scheduled fractionally over GPUs to minimize
 //!   the bottleneck engine's busy time. Solved with `xk-lp`'s revised
-//!   simplex; rows are the executor's actual engines (PCIe in/out per
-//!   GPU, switch uplinks, inter-socket, NICs) with coefficients from the
-//!   exact route tables including the pitched-copy derating. A tile's
+//!   simplex; rows are the executor's actual [`Machine`] engines (PCIe
+//!   in/out per GPU, switch uplinks, inter-socket, NICs) with coefficients
+//!   from its duration rule, pitched-copy derating included. A tile's
 //!   column depends only on its direction, byte size and pitch (the route
 //!   depends on the GPU alone), so variables are per-(tile *class*, GPU)
 //!   delivered fractions and engine coefficients carry the class's tile
@@ -38,13 +38,13 @@
 
 use std::collections::BTreeMap;
 
-use xk_kernels::perfmodel::PITCHED_COPY_FACTOR;
 use xk_lp::{Lp, LpResult};
-use xk_topo::{BusSegment, Device, FabricSpec, Route};
+use xk_topo::{Device, FabricSpec};
 
 use crate::config::RuntimeConfig;
 use crate::data::{DataInfo, HandleId};
 use crate::graph::TaskGraph;
+use crate::machine::Machine;
 use crate::task::TaskKind;
 
 /// A makespan lower bound, broken into its component relaxations.
@@ -83,46 +83,6 @@ impl MakespanBound {
     }
 }
 
-/// Effective bandwidth of a route for one tile: pitched host transfers
-/// are derated exactly like the executor derates them.
-fn route_seconds(route: &Route, bytes: u64, pitched: bool) -> f64 {
-    let mut bw = route.bandwidth;
-    if pitched {
-        bw *= PITCHED_COPY_FACTOR;
-    }
-    bytes as f64 / bw
-}
-
-/// Index space of the shared engines the LP rows model, mirroring the
-/// executor's engine pool (minus the per-GPU kernel streams, which the
-/// `compute` component covers).
-struct Engines {
-    n_gpus: usize,
-    n_switches: usize,
-}
-
-impl Engines {
-    fn count(&self, n_nodes: usize) -> usize {
-        2 * self.n_gpus + self.n_switches + 1 + n_nodes
-    }
-
-    fn pcie_in(&self, g: usize) -> usize {
-        g
-    }
-
-    fn pcie_out(&self, g: usize) -> usize {
-        self.n_gpus + g
-    }
-
-    fn segment(&self, s: &BusSegment) -> usize {
-        match s {
-            BusSegment::HostUplink(sw) => 2 * self.n_gpus + sw,
-            BusSegment::InterSocket => 2 * self.n_gpus + self.n_switches,
-            BusSegment::InterNode(nd) => 2 * self.n_gpus + self.n_switches + 1 + nd,
-        }
-    }
-}
-
 /// Computes the schedule-free lower bound on the makespan of `graph` on
 /// `topo` under `cfg`'s performance model.
 ///
@@ -135,6 +95,7 @@ pub fn makespan_lower_bound(
     cfg: &RuntimeConfig,
 ) -> MakespanBound {
     let n = topo.n_gpus();
+    let machine = Machine::new(topo);
     let data = graph.data();
     let n_handles = data.len();
 
@@ -156,19 +117,13 @@ pub fn makespan_lower_bound(
     // Cheapest H2D/D2H per handle, lazily materialized.
     let mut h2d_floor: Vec<f64> = vec![f64::NAN; n_handles];
     let mut d2h_floor: Vec<f64> = vec![f64::NAN; n_handles];
-    let floor = |cache: &mut Vec<f64>, h: usize, to_gpu: bool| -> f64 {
+    let floor = |cache: &mut Vec<f64>, h: usize, is_d2h: bool| -> f64 {
         if cache[h].is_nan() {
             let info = data.info(HandleId(h));
             let mut best = f64::INFINITY;
             for g in 0..n {
-                let (src, dst) = if to_gpu {
-                    (Device::Host, Device::Gpu(g))
-                } else {
-                    (Device::Gpu(g), Device::Host)
-                };
-                let route = topo.route_ref(src, dst);
-                let t = route.latency + route_seconds(route, info.bytes, info.pitched);
-                best = best.min(t);
+                let (src, dst) = host_route(is_d2h, g);
+                best = best.min(machine.transfer_seconds(src, dst, info.bytes, info.pitched));
             }
             cache[h] = best;
         }
@@ -191,7 +146,7 @@ pub fn makespan_lower_bound(
                         && last_writer[h].is_none()
                         && data.info(a.handle).initial.is_host()
                     {
-                        ready = ready.max(floor(&mut h2d_floor, h, true));
+                        ready = ready.max(floor(&mut h2d_floor, h, false));
                     }
                 }
                 finish[t] = ready + kernel_seconds[t];
@@ -219,7 +174,7 @@ pub fn makespan_lower_bound(
                     if let Some(since) = dirty_since {
                         d2h_mandatory[hi] = true;
                         flushed[hi] = true;
-                        flush_tail = flush_tail.max(since + floor(&mut d2h_floor, hi, false));
+                        flush_tail = flush_tail.max(since + floor(&mut d2h_floor, hi, true));
                     }
                 }
             }
@@ -230,18 +185,15 @@ pub fn makespan_lower_bound(
         .fold(flush_tail, |acc, &f| acc.max(f));
 
     // ---- Aggregate compute ---------------------------------------------
-    let compute = if n > 0 {
-        graph
-            .tasks()
-            .iter()
-            .zip(&kernel_seconds)
-            .filter(|(t, _)| t.op.is_some())
-            .map(|(_, &secs)| secs)
-            .sum::<f64>()
-            / n as f64
-    } else {
-        0.0
-    };
+    // A validated fabric has at least one GPU.
+    let compute = graph
+        .tasks()
+        .iter()
+        .zip(&kernel_seconds)
+        .filter(|(t, _)| t.op.is_some())
+        .map(|(_, &secs)| secs)
+        .sum::<f64>()
+        / n as f64;
 
     // ---- Link LP --------------------------------------------------------
     let info = |h: usize| data.info(HandleId(h));
@@ -249,66 +201,79 @@ pub fn makespan_lower_bound(
         .filter(|&h| first_touch_reads[h] == Some(true) && info(h).initial.is_host())
         .map(|h| (false, info(h)));
     let d2h = (0..n_handles).filter(|&h| d2h_mandatory[h]).map(|h| (true, info(h)));
-    let (link_lp, lp_iterations) = link_lp_bound(topo, h2d.chain(d2h));
+    let (link_lp, lp_iterations) = link_lp_bound(&machine, h2d.chain(d2h));
 
     let total = critical_path.max(compute).max(link_lp);
     MakespanBound { total, critical_path, link_lp, compute, lp_iterations }
+}
+
+/// `(src, dst)` of a transfer between the host and GPU `g`: H2D, or D2H
+/// when `is_d2h`.
+fn host_route(is_d2h: bool, g: usize) -> (Device, Device) {
+    if is_d2h {
+        (Device::Gpu(g), Device::Host)
+    } else {
+        (Device::Host, Device::Gpu(g))
+    }
+}
+
+/// Adds `busy ≤ M` for every engine that carries traffic, `M` being the
+/// last column. Row order fixes the simplex's pivot path, so it stays what
+/// it was before the rows were indexed by [`Machine`] ids: every
+/// `pcie_in`, every `pcie_out`, then uplinks, inter-socket and NICs (the
+/// kernel and brick rows are empty for host traffic).
+fn bottleneck_rows(machine: &Machine, lp: &mut Lp, mut rows: Vec<Vec<f64>>) {
+    let n = machine.topo().n_gpus();
+    let pcie_in = (0..n).map(|g| machine.pcie_in(g));
+    let pcie_out = (0..n).map(|g| machine.pcie_out(g));
+    for e in pcie_in.chain(pcie_out).chain(machine.fabric_engines()) {
+        let mut row = std::mem::take(&mut rows[e.0]);
+        if row.iter().any(|&c| c != 0.0) {
+            *row.last_mut().expect("M column") = -1.0;
+            lp.le(row, 0.0);
+        }
+    }
 }
 
 /// Builds and solves the bottleneck-engine LP over the mandatory `(is D2H,
 /// tile)` transfers, one column per (tile class, GPU): minimize `M` with
 /// every class fully delivered and every shared engine busy at most `M`.
 fn link_lp_bound<'a>(
-    topo: &FabricSpec,
+    machine: &Machine,
     transfers: impl Iterator<Item = (bool, &'a DataInfo)>,
 ) -> (f64, usize) {
-    let n = topo.n_gpus();
+    let n = machine.topo().n_gpus();
     // (is D2H, bytes, pitched) → number of tiles; ordered, so the LP and
     // its pivot count repeat from run to run.
     let mut classes = BTreeMap::new();
     for (is_d2h, tile) in transfers {
         *classes.entry((is_d2h, tile.bytes, tile.pitched)).or_insert(0.0) += 1.0;
     }
-    if n == 0 || classes.is_empty() {
+    if classes.is_empty() {
         return (0.0, 0);
     }
-    let engines = Engines { n_gpus: n, n_switches: topo.n_switches() };
     let n_vars = classes.len() * n + 1;
-    let m_col = n_vars - 1;
 
     // Variables are delivered *fractions* of each class (well-scaled into
     // [0, 1]); engine-row coefficients are whole-class seconds.
     let mut objective = vec![0.0; n_vars];
-    objective[m_col] = 1.0;
+    objective[n_vars - 1] = 1.0;
     let mut lp = Lp::minimize(objective);
-    let mut engine_rows = vec![vec![0.0; n_vars]; engines.count(topo.n_nodes())];
-
+    let mut engine_rows = vec![vec![0.0; n_vars]; machine.n_engines()];
     for (c, (&(is_d2h, bytes, pitched), &tiles)) in classes.iter().enumerate() {
         let mut row = vec![0.0; n_vars];
         for g in 0..n {
-            let var = c * n + g;
-            row[var] = 1.0;
-            let (src, dst, endpoint) = if is_d2h {
-                (Device::Gpu(g), Device::Host, engines.pcie_out(g))
-            } else {
-                (Device::Host, Device::Gpu(g), engines.pcie_in(g))
-            };
-            let route = topo.route_ref(src, dst);
-            let secs = tiles * route_seconds(route, bytes, pitched);
-            engine_rows[endpoint][var] += secs;
-            for s in &route.segments {
-                engine_rows[engines.segment(s)][var] += secs;
+            row[c * n + g] = 1.0;
+            // Latency is dropped: transfers could be batched.
+            let (src, dst) = host_route(is_d2h, g);
+            let secs = tiles * machine.wire_seconds(src, dst, bytes, pitched);
+            for e in machine.transfer_engines(src, dst) {
+                engine_rows[e.0][c * n + g] += secs;
             }
         }
         lp.ge(row, 1.0);
     }
-
-    for mut row in engine_rows {
-        if row.iter().any(|&c| c != 0.0) {
-            row[m_col] = -1.0;
-            lp.le(row, 0.0);
-        }
-    }
+    bottleneck_rows(machine, &mut lp, engine_rows);
 
     match xk_lp::solve(&lp) {
         LpResult::Optimal(s) => (s.value.max(0.0), s.iterations),
@@ -339,41 +304,28 @@ mod tests {
     /// differential test compares against.
     fn per_tile_link_lp(topo: &FabricSpec, transfers: &[(bool, &DataInfo)]) -> f64 {
         let n = topo.n_gpus();
-        if n == 0 || transfers.is_empty() {
+        if transfers.is_empty() {
             return 0.0;
         }
-        let engines = Engines { n_gpus: n, n_switches: topo.n_switches() };
+        let machine = Machine::new(topo);
         let n_vars = transfers.len() * n + 1;
-        let m_col = n_vars - 1;
         let mut objective = vec![0.0; n_vars];
-        objective[m_col] = 1.0;
+        objective[n_vars - 1] = 1.0;
         let mut lp = Lp::minimize(objective);
-        let mut engine_rows = vec![vec![0.0; n_vars]; engines.count(topo.n_nodes())];
+        let mut engine_rows = vec![vec![0.0; n_vars]; machine.n_engines()];
         for (t, &(is_d2h, info)) in transfers.iter().enumerate() {
             let mut row = vec![0.0; n_vars];
             for g in 0..n {
-                let var = t * n + g;
-                row[var] = 1.0;
-                let (src, dst, endpoint) = if is_d2h {
-                    (Device::Gpu(g), Device::Host, engines.pcie_out(g))
-                } else {
-                    (Device::Host, Device::Gpu(g), engines.pcie_in(g))
-                };
-                let route = topo.route_ref(src, dst);
-                let secs = route_seconds(route, info.bytes, info.pitched);
-                engine_rows[endpoint][var] += secs;
-                for s in &route.segments {
-                    engine_rows[engines.segment(s)][var] += secs;
+                row[t * n + g] = 1.0;
+                let (src, dst) = host_route(is_d2h, g);
+                let secs = machine.wire_seconds(src, dst, info.bytes, info.pitched);
+                for e in machine.transfer_engines(src, dst) {
+                    engine_rows[e.0][t * n + g] += secs;
                 }
             }
             lp.ge(row, 1.0);
         }
-        for mut row in engine_rows {
-            if row.iter().any(|&c| c != 0.0) {
-                row[m_col] = -1.0;
-                lp.le(row, 0.0);
-            }
-        }
+        bottleneck_rows(&machine, &mut lp, engine_rows);
         xk_lp::solve(&lp).optimal().expect("reference link LP is feasible and bounded").value
     }
 
@@ -554,7 +506,7 @@ mod tests {
                 let b = makespan_lower_bound(&g, &topo, &cfg);
                 // The transfers the construction implies are the ones the bound derives.
                 assert_eq!(
-                    link_lp_bound(&topo, transfers.iter().copied()),
+                    link_lp_bound(&Machine::new(&topo), transfers.iter().copied()),
                     (b.link_lp, b.lp_iterations)
                 );
                 let want = per_tile_link_lp(&topo, &transfers);
@@ -573,7 +525,7 @@ mod tests {
         let cfg = RuntimeConfig::xkblas();
         for topo in fabrics() {
             // No mandatory traffic at all.
-            assert_eq!(link_lp_bound(&topo, std::iter::empty()), (0.0, 0));
+            assert_eq!(link_lp_bound(&Machine::new(&topo), std::iter::empty()), (0.0, 0));
             // A single tile, and one class per tile (all sizes distinct).
             for tiles in [1usize, 7] {
                 let sizes: Vec<u64> = (1..=tiles as u64).map(|k| k << 20).collect();

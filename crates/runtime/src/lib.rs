@@ -52,6 +52,7 @@ pub mod data;
 pub mod error;
 pub mod graph;
 pub mod heuristics;
+pub mod machine;
 pub mod obs;
 pub mod par_exec;
 pub mod sched;
@@ -67,6 +68,7 @@ pub use config::{Heuristics, RuntimeConfig, SchedulerKind};
 pub use data::{DataInfo, DataRegistry, HandleId};
 pub use error::Error;
 pub use graph::TaskGraph;
+pub use machine::Machine;
 pub use obs::{CpSegment, CriticalPath, GpuObs, LinkStats, ObsLevel, ObsReport};
 pub use par_exec::{run_parallel, ParOutcome};
 pub use session::{Run, SimSession};

@@ -30,6 +30,8 @@ use std::collections::BTreeMap;
 use xk_sim::{EngineId, EnginePool, SimTime};
 use xk_trace::{Place, SpanKind, Trace};
 
+use crate::machine::Machine;
+
 /// Sentinel for "no node" in the flat observability tables.
 const NONE: u32 = u32::MAX;
 
@@ -50,8 +52,8 @@ pub enum ObsLevel {
 /// inter-socket link, NVLink brick or kernel stream).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkStats {
-    /// Engine name as registered in the pool (e.g. `"switch0.uplink"`,
-    /// `"nvlink0->3"`, `"gpu2.kernel"`).
+    /// Engine name, as [`Machine::name`] renders it (e.g.
+    /// `"switch0.uplink"`, `"nvlink0->3"`, `"gpu2.kernel"`).
     pub name: String,
     /// Total busy seconds.
     pub busy: f64,
@@ -145,7 +147,7 @@ pub struct ObsReport {
     /// Makespan of the run, seconds (duplicated here so the report is
     /// self-contained even when the caller post-processes the trace).
     pub makespan: f64,
-    /// One entry per engine, in pool registration order.
+    /// One entry per engine, in [`Machine`] id order.
     pub links: Vec<LinkStats>,
     /// One entry per GPU.
     pub gpus: Vec<GpuObs>,
@@ -307,21 +309,22 @@ impl ObsRecorder {
         self.nodes.push(node);
     }
 
-    /// Consumes the recorder into the final report. `gpus` is prebuilt by
-    /// the executor (it owns the engine-to-GPU mapping).
+    /// Consumes the recorder into the final report: one row per engine of
+    /// `machine`, named by it. `gpus` is prebuilt by the executor.
     pub(crate) fn into_report(
         self,
         trace: &Trace,
         pool: &EnginePool,
+        machine: &Machine,
         makespan: f64,
         gpus: Vec<GpuObs>,
     ) -> ObsReport {
-        let mut links: Vec<LinkStats> = pool
-            .report()
-            .map(|(id, name, busy, ops)| LinkStats {
-                name: name.to_string(),
-                busy: busy.seconds(),
-                ops,
+        let mut links: Vec<LinkStats> = (0..pool.len())
+            .map(EngineId)
+            .map(|id| LinkStats {
+                name: machine.name(id),
+                busy: pool.busy_total(id).seconds(),
+                ops: pool.ops(id),
                 wait: self.wait.get(id.0).copied().unwrap_or(0.0),
                 bytes: self.bytes.get(id.0).copied().unwrap_or(0),
                 utilization: pool.utilization(id, SimTime::new(makespan.max(0.0))),

@@ -401,8 +401,8 @@ pub fn run_controlled(
             if !injector.is_empty() {
                 sources.push(None);
             }
-            for v in 0..workers_n {
-                if v != w && !deques[v].is_empty() {
+            for (v, d) in deques.iter().enumerate() {
+                if v != w && !d.is_empty() {
                     sources.push(Some(v));
                 }
             }

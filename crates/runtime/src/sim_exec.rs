@@ -17,8 +17,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use xk_sim::{Clock, Duration, EngineId, EnginePool, Reservation, SimTime};
-use xk_topo::{BusSegment, Device, FabricSpec};
-use xk_trace::{FlowId, Label, Place, Span, SpanKind, Trace};
+use xk_topo::{Device, FabricSpec};
+use xk_trace::{FlowId, Label, Span, SpanKind, Trace};
 
 use crate::cache::{Eviction, SoftwareCache};
 use crate::choice::{ChoicePoint, ScheduleController};
@@ -27,10 +27,10 @@ use crate::data::HandleId;
 use crate::error::Error;
 use crate::graph::TaskGraph;
 use crate::heuristics::{select_source, SourceDecision};
+use crate::machine::Machine;
 use crate::obs::{GpuObs, ObsLevel, ObsRecorder, ObsReport};
 use crate::sched::{make_scheduler, pick_victim, SchedView, Scheduler};
 use crate::task::{TaskId, TaskKind};
-use xk_kernels::PITCHED_COPY_FACTOR;
 
 /// Sentinel for "no observability node".
 const NO_NODE: u32 = u32::MAX;
@@ -168,11 +168,6 @@ impl FaultState {
 }
 
 struct GpuState {
-    /// PCIe receive path (host reads and PCIe peer traffic).
-    pcie_in: EngineId,
-    /// PCIe send path (write-backs and PCIe peer traffic).
-    pcie_out: EngineId,
-    kernel: EngineId,
     queue: VecDeque<TaskId>,
     in_flight: usize,
     /// High-water mark of `queue.len()` (queue-depth-over-time summary).
@@ -184,26 +179,11 @@ struct GpuState {
 /// The simulated executor.
 pub struct SimExecutor<'a> {
     graph: &'a TaskGraph,
-    topo: &'a FabricSpec,
     cfg: &'a RuntimeConfig,
+    /// The fabric's engines and transfer rules; `pool` is laid out by it.
+    machine: Machine<'a>,
     pool: EnginePool,
     gpus: Vec<GpuState>,
-    uplinks: Vec<EngineId>,
-    intersocket: EngineId,
-    /// Directional engine per NVLink-connected ordered GPU pair: each
-    /// brick is an independent channel, so a GPU can fan a tile out to
-    /// several peers concurrently (this is what makes the optimistic
-    /// forwarding profitable on the real machine).
-    ///
-    /// Stored as a flat `n×n` table indexed `src * n + dst` (`None` when the
-    /// pair has no NVLink) — the lookup sits on the per-transfer hot path
-    /// and a flat index beats hashing a tuple key.
-    nvlinks: Vec<Option<EngineId>>,
-    /// One NIC engine per node on multi-node fabrics (empty on single-node
-    /// machines, so DGX-1-era engine tables are untouched). Inter-node
-    /// routes reserve the NICs of both endpoints: the IB card is a shared
-    /// serialization point the way a PCIe switch uplink is.
-    nics: Vec<EngineId>,
     cache: SoftwareCache,
     clock: Clock<Ev>,
     /// Per-task run state, indexed by `TaskId.0`.
@@ -338,43 +318,16 @@ impl<'a> SimExecutor<'a> {
                 inputs_on: NO_GPU,
             })
             .collect();
-        let mut pool = EnginePool::new();
+        let machine = Machine::new(topo);
+        let pool = EnginePool::new(machine.n_engines());
         let gpus = (0..n)
-            .map(|g| GpuState {
-                pcie_in: pool.add(format!("gpu{g}.pcie_in")),
-                pcie_out: pool.add(format!("gpu{g}.pcie_out")),
-                // One compute engine per GPU: CUDA streams share the SMs,
-                // so concurrent kernels time-share rather than multiply
-                // throughput. Streams still matter for transfer/compute
-                // overlap, which the separate copy engines provide.
-                kernel: pool.add(format!("gpu{g}.kernel")),
+            .map(|_| GpuState {
                 queue: VecDeque::new(),
                 in_flight: 0,
                 max_queue: 0,
                 max_in_flight: 0,
             })
             .collect();
-        let uplinks: Vec<EngineId> = (0..topo.n_switches())
-            .map(|s| pool.add(format!("switch{s}.uplink")))
-            .collect();
-        let intersocket = pool.add("intersocket");
-        // Engines must be added in the same deterministic order as the
-        // historical HashMap-based construction so EngineIds (and therefore
-        // whole simulations) stay bit-identical.
-        let mut nvlinks: Vec<Option<EngineId>> = vec![None; n * n];
-        for (a, b, _) in topo.nvlink_edges() {
-            nvlinks[a * n + b] = Some(pool.add(format!("nvlink{a}->{b}")));
-            nvlinks[b * n + a] = Some(pool.add(format!("nvlink{b}->{a}")));
-        }
-        // NIC engines are appended *after* every legacy engine and only on
-        // multi-node fabrics, so single-node EngineIds stay bit-identical.
-        let nics: Vec<EngineId> = if topo.n_nodes() > 1 {
-            (0..topo.n_nodes())
-                .map(|nd| pool.add(format!("node{nd}.nic")))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let cache = SoftwareCache::new(n, cfg.gpu_memory, graph.data());
         // Intern every label up front: the event loop then records spans
         // with a copyable u32 instead of cloning a String per span. The
@@ -399,14 +352,10 @@ impl<'a> SimExecutor<'a> {
         );
         SimExecutor {
             graph,
-            topo,
             cfg,
+            machine,
             pool,
             gpus,
-            uplinks,
-            intersocket,
-            nvlinks,
-            nics,
             cache,
             // Each task typically produces a TaskDone plus a handful of
             // TryLaunch events; pre-reserving avoids heap regrowth
@@ -514,7 +463,7 @@ impl<'a> SimExecutor<'a> {
                 .enumerate()
                 .map(|(g, s)| GpuObs {
                     gpu: g,
-                    kernel_busy: self.pool.busy_total(s.kernel).seconds(),
+                    kernel_busy: self.pool.busy_total(self.machine.kernel(g)).seconds(),
                     max_queue: s.max_queue,
                     max_in_flight: s.max_in_flight,
                 })
@@ -523,7 +472,7 @@ impl<'a> SimExecutor<'a> {
                 &mut self.obs,
                 ObsRecorder::new(ObsLevel::Off, 0, 0, 0, 0),
             );
-            Some(recorder.into_report(&self.trace, &self.pool, makespan, gpu_rows))
+            Some(recorder.into_report(&self.trace, &self.pool, &self.machine, makespan, gpu_rows))
         } else {
             None
         };
@@ -554,7 +503,7 @@ impl<'a> SimExecutor<'a> {
             let mut avail = std::mem::take(&mut self.scratch_avail);
             let mut lens = std::mem::take(&mut self.scratch_lens);
             avail.clear();
-            avail.extend(self.gpus.iter().map(|s| self.pool.free_at(s.kernel)));
+            avail.extend((0..self.gpus.len()).map(|g| self.pool.free_at(self.machine.kernel(g))));
             lens.clear();
             lens.extend(self.gpus.iter().map(|s| s.queue.len()));
             let view = SchedView {
@@ -562,7 +511,7 @@ impl<'a> SimExecutor<'a> {
                 gpu_available: &avail,
                 queue_lens: &lens,
                 gpu_committed: &self.committed,
-                topo: self.topo,
+                topo: self.machine.topo(),
                 cache: &self.cache,
                 kernel_seconds: self.tasks[t.0].kernel_seconds,
             };
@@ -798,8 +747,8 @@ impl<'a> SimExecutor<'a> {
             self.clock.now().max(input_ready)
         } else {
             let dur = Duration::new(state.kernel_seconds);
-            let span = span_on(g, 3, SpanKind::Kernel, 0, self.task_labels[t.0], flow);
-            let (res, idx) = self.occupy(&[self.gpus[g].kernel], input_ready, dur, span, dep);
+            let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.task_labels[t.0], flow);
+            let (res, idx) = self.occupy(&[self.machine.kernel(g)], input_ready, dur, span, dep);
             if self.obs.full() {
                 // This kernel is now the op that makes its outputs valid here.
                 for h in task.written_handles() {
@@ -819,10 +768,8 @@ impl<'a> SimExecutor<'a> {
     /// Ensures `h` is (or will be) valid on `g`; returns when it is usable,
     /// the observability node that makes it so, and its flow chain.
     fn fetch(&mut self, h: HandleId, g: usize, now: SimTime) -> (SimTime, u32, FlowId) {
-        let n = self.gpus.len();
-        let nvlinks = &self.nvlinks;
+        let machine = &self.machine;
         let pool = &self.pool;
-        let gpus = &self.gpus;
         let mut ctrl = self.ctrl.as_deref_mut();
         let mut tie = |candidates: &[usize]| -> usize {
             // Prefer the candidate whose outgoing channel to us frees first.
@@ -830,7 +777,7 @@ impl<'a> SimExecutor<'a> {
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, &c)| {
-                    let engine = nvlinks[c * n + g].unwrap_or(gpus[c].pcie_out);
+                    let engine = machine.brick(c, g).unwrap_or(machine.pcie_out(c));
                     (pool.free_at(engine), c)
                 })
                 .map(|(i, _)| i)
@@ -860,7 +807,7 @@ impl<'a> SimExecutor<'a> {
             g,
             now,
             &self.cache,
-            self.topo,
+            self.machine.topo(),
             self.cfg.heuristics,
             &mut self.scratch_sources,
             &mut tie,
@@ -877,23 +824,14 @@ impl<'a> SimExecutor<'a> {
                 self.issue_p2p(h, via, g, now.max(ready_at), info.bytes)
             }
             SourceDecision::FromHost => {
-                let route = self.topo.route_ref(Device::Host, Device::Gpu(g));
-                let mut bw = route.bandwidth;
-                if info.pitched {
-                    bw *= PITCHED_COPY_FACTOR;
-                }
-                let dur = Duration::new(route.latency + info.bytes as f64 / bw);
-                let mut engines = std::mem::take(&mut self.scratch_engines);
-                engines.clear();
-                engines.push(self.gpus[g].pcie_in);
-                self.push_segment_engines(&route.segments, &mut engines);
                 // An H2D read roots a fresh broadcast chain for this tile.
                 let flow = FlowId(self.trace.len() as u32);
                 self.flow_root[h.0] = flow;
-                let span = span_on(g, 0, SpanKind::H2D, info.bytes, self.data_labels[h.0], flow);
+                let label = self.data_labels[h.0];
+                let span = Span::on_gpu(g, 0, SpanKind::H2D, info.bytes, label, flow);
                 // The source is host memory: no simulated predecessor.
-                let (res, idx) = self.occupy(&engines, now, dur, span, NO_NODE);
-                self.scratch_engines = engines;
+                let (host, gpu) = (Device::Host, Device::Gpu(g));
+                let (res, idx) = self.occupy_transfer(host, gpu, info.pitched, now, span, NO_NODE);
                 self.cache.begin_transfer(h, g, info.bytes, res.end);
                 self.bytes_h2d += info.bytes;
                 self.obs.set_valid_node(h.0, g, idx);
@@ -918,22 +856,6 @@ impl<'a> SimExecutor<'a> {
         earliest: SimTime,
         bytes: u64,
     ) -> (SimTime, u32, FlowId) {
-        let n = self.gpus.len();
-        let route = self.topo.route_ref(Device::Gpu(src), Device::Gpu(dst));
-        // Device copies are compacted tiles (§III-A): full link bandwidth.
-        let dur = Duration::new(route.latency + bytes as f64 / route.bandwidth);
-        // NVLink routes use the dedicated directional brick; PCIe peer
-        // routes share the PCIe send/receive paths and the switch fabric.
-        let mut engines = std::mem::take(&mut self.scratch_engines);
-        engines.clear();
-        match self.nvlinks[src * n + dst] {
-            Some(link) => engines.push(link),
-            None => {
-                engines.push(self.gpus[src].pcie_out);
-                engines.push(self.gpus[dst].pcie_in);
-            }
-        }
-        self.push_segment_engines(&route.segments, &mut engines);
         // The forward depends on whatever put the tile on the source GPU —
         // for `ForwardAfter` that is the still-in-flight inbound H2D, i.e.
         // exactly the optimistic H2D → P2P chain of §III-C.
@@ -945,9 +867,10 @@ impl<'a> SimExecutor<'a> {
             flow = FlowId(self.trace.len() as u32);
             self.flow_root[h.0] = flow;
         }
-        let span = span_on(dst, 0, SpanKind::P2P, bytes, self.data_labels[h.0], flow);
-        let (res, idx) = self.occupy(&engines, earliest, dur, span, dep);
-        self.scratch_engines = engines;
+        let span = Span::on_gpu(dst, 0, SpanKind::P2P, bytes, self.data_labels[h.0], flow);
+        // Device copies are compacted tiles (§III-A): never pitched.
+        let (a, b) = (Device::Gpu(src), Device::Gpu(dst));
+        let (res, idx) = self.occupy_transfer(a, b, false, earliest, span, dep);
         self.cache.begin_transfer(h, dst, bytes, res.end);
         self.bytes_p2p += bytes;
         self.obs.set_valid_node(h.0, dst, idx);
@@ -965,21 +888,11 @@ impl<'a> SimExecutor<'a> {
 
     fn issue_d2h(&mut self, h: HandleId, g: usize, earliest: SimTime) -> SimTime {
         let info = self.graph.data().info(h);
-        let route = self.topo.route_ref(Device::Gpu(g), Device::Host);
-        let mut bw = route.bandwidth;
-        if info.pitched {
-            bw *= PITCHED_COPY_FACTOR;
-        }
-        let dur = Duration::new(route.latency + info.bytes as f64 / bw);
-        let mut engines = std::mem::take(&mut self.scratch_engines);
-        engines.clear();
-        engines.push(self.gpus[g].pcie_out);
-        self.push_segment_engines(&route.segments, &mut engines);
         let dep = self.obs.valid_node(h.0, g);
         let (label, flow) = (self.data_labels[h.0], self.flow_root[h.0]);
-        let span = span_on(g, 2, SpanKind::D2H, info.bytes, label, flow);
-        let (res, _) = self.occupy(&engines, earliest, dur, span, dep);
-        self.scratch_engines = engines;
+        let span = Span::on_gpu(g, 2, SpanKind::D2H, info.bytes, label, flow);
+        let (gpu, host) = (Device::Gpu(g), Device::Host);
+        let (res, _) = self.occupy_transfer(gpu, host, info.pitched, earliest, span, dep);
         self.bytes_d2h += info.bytes;
         if !self.fault.as_ref().is_some_and(|f| f.failed_replicas.contains_key(&(h.0, g))) {
             if let Some(c) = self.ctrl.as_mut() {
@@ -1013,12 +926,25 @@ impl<'a> SimExecutor<'a> {
         (res, idx)
     }
 
-    fn push_segment_engines(&self, segments: &[BusSegment], out: &mut Vec<EngineId>) {
-        out.extend(segments.iter().map(|s| match s {
-            BusSegment::HostUplink(sw) => self.uplinks[*sw],
-            BusSegment::InterSocket => self.intersocket,
-            BusSegment::InterNode(nd) => self.nics[*nd],
-        }));
+    /// Reserves the engines of a `src → dst` transfer of `span.bytes` for
+    /// its modelled duration (both as [`Machine`] rules them), from
+    /// `earliest` on; records it like [`SimExecutor::occupy`].
+    fn occupy_transfer(
+        &mut self,
+        src: Device,
+        dst: Device,
+        pitched: bool,
+        earliest: SimTime,
+        span: Span,
+        dep: u32,
+    ) -> (Reservation, u32) {
+        let secs = self.machine.transfer_seconds(src, dst, span.bytes, pitched);
+        let mut engines = std::mem::take(&mut self.scratch_engines);
+        engines.clear();
+        engines.extend(self.machine.transfer_engines(src, dst));
+        let out = self.occupy(&engines, earliest, Duration::new(secs), span, dep);
+        self.scratch_engines = engines;
+        out
     }
 
     /// Executes a flush task: DtoH for every dirty read handle.
@@ -1103,11 +1029,6 @@ impl<'a> SimExecutor<'a> {
             }
         }
     }
-}
-
-/// A span on GPU `g` whose times [`SimExecutor::occupy`] fills in.
-fn span_on(g: usize, lane: u8, kind: SpanKind, bytes: u64, label: Label, flow: FlowId) -> Span {
-    Span { place: Place::Gpu(g as u32), lane, kind, start: 0.0, end: 0.0, bytes, label, flow }
 }
 
 /// Point-to-point bandwidth matrix of a topology: one `bytes`-sized
@@ -1254,8 +1175,7 @@ mod tests {
             let c = g.add_data(DataInfo::host(MB, true, format!("c{i}")).with_owner(0));
             g.add_task(tiny_op(), vec![rw(c)], format!("t{i}"));
         }
-        let mut cfg = RuntimeConfig::default();
-        cfg.window = 4;
+        let cfg = RuntimeConfig { window: 4, ..RuntimeConfig::default() };
         let out = simulate(&g, &topo, &cfg);
         assert!(out.steals > 0, "expected steals on imbalanced ownership");
         let loads = out.trace.kernel_load_per_gpu(8);
@@ -1329,8 +1249,7 @@ mod tests {
             let c = g.add_data(DataInfo::host(MB, true, format!("c{i}")).with_owner(i));
             g.add_task(tiny_op(), vec![rw(c)], format!("t{i}"));
         }
-        let mut cfg = RuntimeConfig::default();
-        cfg.eager_flush = true;
+        let cfg = RuntimeConfig { eager_flush: true, ..RuntimeConfig::default() };
         let out = simulate(&g, &topo, &cfg);
         assert!(out.bytes_d2h >= 4 * MB);
     }

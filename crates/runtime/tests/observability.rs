@@ -4,7 +4,9 @@
 
 use xk_kernels::perfmodel::TileOp;
 use xk_runtime::task::{Access, TaskAccess};
-use xk_runtime::{DataInfo, Heuristics, ObsLevel, RuntimeConfig, SchedulerKind, SimSession, TaskGraph};
+use xk_runtime::{
+    DataInfo, Heuristics, Machine, ObsLevel, RuntimeConfig, SchedulerKind, SimSession, TaskGraph,
+};
 use xk_topo::builders::nvlink_all_to_all;
 use xk_topo::dgx1;
 use xk_trace::export::{chrome_json, jsonck};
@@ -96,6 +98,7 @@ fn link_busy_matches_span_duration_sums() {
     let topo = dgx1();
     let run = SimSession::on(&topo).observe(ObsLevel::Full).run(&broadcast(8));
     let obs = run.metrics().expect("full observability");
+    let machine = Machine::new(&topo);
     for g in 0..topo.n_gpus() {
         let spans_sum: f64 = run
             .trace()
@@ -104,7 +107,8 @@ fn link_busy_matches_span_duration_sums() {
             .filter(|s| s.kind == SpanKind::Kernel && s.place == Place::Gpu(g as u32))
             .map(|s| s.duration())
             .sum();
-        let link = obs.link(&format!("gpu{g}.kernel")).expect("kernel engine reported");
+        let kernel = machine.name(machine.kernel(g));
+        let link = obs.link(&kernel).expect("kernel engine reported");
         assert!(
             (link.busy - spans_sum).abs() <= 1e-9 * spans_sum.max(1.0),
             "gpu{g}: busy {} != span sum {spans_sum}",

@@ -301,8 +301,8 @@ impl ServeEngine {
 
         // Group XKBlas-variant leads that share a task graph: same
         // (routine, n, tile, methodology), different heuristics.
-        let mut groups: HashMap<(u8, usize, usize, bool), Vec<(QueryKey, LeadGuard<'_>)>> =
-            HashMap::new();
+        type GraphKey = (u8, usize, usize, bool);
+        let mut groups: HashMap<GraphKey, Vec<(QueryKey, LeadGuard<'_>)>> = HashMap::new();
         let mut solos: Vec<(QueryKey, LeadGuard<'_>)> = Vec::new();
         for (key, guard) in leads {
             // Only checked parameters may reach `build_run_graph`; a

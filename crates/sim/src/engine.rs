@@ -20,14 +20,16 @@ pub struct EngineId(pub usize);
 
 #[derive(Clone, Debug)]
 struct Engine {
-    name: String,
     free_at: SimTime,
     busy_total: Duration,
     ops: u64,
 }
 
 /// A pool of serially reusable engines with joint-reservation semantics.
-#[derive(Clone, Debug, Default)]
+///
+/// Engines are bare ids: what each one models, and its display name, is
+/// the business of whoever lays the pool out (`xk_runtime::Machine`).
+#[derive(Clone, Debug)]
 pub struct EnginePool {
     engines: Vec<Engine>,
 }
@@ -42,37 +44,20 @@ pub struct Reservation {
 }
 
 impl EnginePool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        EnginePool::default()
+    /// Creates a pool of `n` idle engines, ids `EngineId(0)..EngineId(n)`.
+    pub fn new(n: usize) -> Self {
+        let idle = Engine { free_at: SimTime::ZERO, busy_total: Duration::ZERO, ops: 0 };
+        EnginePool { engines: vec![idle; n] }
     }
 
-    /// Registers a new engine and returns its id. `name` is used in traces
-    /// and utilization reports.
-    pub fn add(&mut self, name: impl Into<String>) -> EngineId {
-        let id = EngineId(self.engines.len());
-        self.engines.push(Engine {
-            name: name.into(),
-            free_at: SimTime::ZERO,
-            busy_total: Duration::ZERO,
-            ops: 0,
-        });
-        id
-    }
-
-    /// Number of registered engines.
+    /// Number of engines.
     pub fn len(&self) -> usize {
         self.engines.len()
     }
 
-    /// True when no engine has been registered.
+    /// True when the pool has no engine.
     pub fn is_empty(&self) -> bool {
         self.engines.is_empty()
-    }
-
-    /// Engine display name.
-    pub fn name(&self, id: EngineId) -> &str {
-        &self.engines[id.0].name
     }
 
     /// Earliest time at which `id` is free.
@@ -152,14 +137,6 @@ impl EnginePool {
         }
         (self.engines[id.0].busy_total.seconds() / horizon.seconds()).min(1.0)
     }
-
-    /// Iterates over `(id, name, busy_total, ops)` for reporting.
-    pub fn report(&self) -> impl Iterator<Item = (EngineId, &str, Duration, u64)> + '_ {
-        self.engines
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (EngineId(i), e.name.as_str(), e.busy_total, e.ops))
-    }
 }
 
 #[cfg(test)]
@@ -168,8 +145,8 @@ mod tests {
 
     #[test]
     fn single_engine_serializes() {
-        let mut pool = EnginePool::new();
-        let e = pool.add("copy");
+        let mut pool = EnginePool::new(1);
+        let e = EngineId(0);
         let r1 = pool.reserve(&[e], SimTime::ZERO, Duration::new(2.0));
         assert_eq!(r1.start, SimTime::ZERO);
         assert_eq!(r1.end, SimTime::new(2.0));
@@ -183,9 +160,8 @@ mod tests {
 
     #[test]
     fn joint_reservation_waits_for_all() {
-        let mut pool = EnginePool::new();
-        let a = pool.add("a");
-        let b = pool.add("b");
+        let mut pool = EnginePool::new(2);
+        let (a, b) = (EngineId(0), EngineId(1));
         pool.reserve(&[a], SimTime::ZERO, Duration::new(5.0));
         // Joint op on (a, b) requested at t=0 must wait for a.
         let r = pool.reserve(&[a, b], SimTime::ZERO, Duration::new(1.0));
@@ -195,8 +171,8 @@ mod tests {
 
     #[test]
     fn earliest_start_respects_request_time() {
-        let mut pool = EnginePool::new();
-        let a = pool.add("a");
+        let pool = EnginePool::new(1);
+        let a = EngineId(0);
         assert_eq!(
             pool.earliest_start(&[a], SimTime::new(7.0)),
             SimTime::new(7.0)
@@ -205,8 +181,8 @@ mod tests {
 
     #[test]
     fn utilization_bounds() {
-        let mut pool = EnginePool::new();
-        let a = pool.add("a");
+        let mut pool = EnginePool::new(1);
+        let a = EngineId(0);
         pool.reserve(&[a], SimTime::ZERO, Duration::new(1.0));
         assert!((pool.utilization(a, SimTime::new(2.0)) - 0.5).abs() < 1e-12);
         assert_eq!(pool.utilization(a, SimTime::ZERO), 0.0);
@@ -215,9 +191,8 @@ mod tests {
 
     #[test]
     fn bottleneck_identifies_binding_engine() {
-        let mut pool = EnginePool::new();
-        let a = pool.add("a");
-        let b = pool.add("b");
+        let mut pool = EnginePool::new(2);
+        let (a, b) = (EngineId(0), EngineId(1));
         pool.reserve(&[a], SimTime::ZERO, Duration::new(2.0));
         pool.reserve(&[b], SimTime::ZERO, Duration::new(5.0));
         // b frees last: it binds a joint request at t=0.
@@ -230,9 +205,8 @@ mod tests {
 
     #[test]
     fn independent_engines_overlap() {
-        let mut pool = EnginePool::new();
-        let a = pool.add("a");
-        let b = pool.add("b");
+        let mut pool = EnginePool::new(2);
+        let (a, b) = (EngineId(0), EngineId(1));
         let ra = pool.reserve(&[a], SimTime::ZERO, Duration::new(2.0));
         let rb = pool.reserve(&[b], SimTime::ZERO, Duration::new(2.0));
         assert_eq!(ra.start, rb.start);

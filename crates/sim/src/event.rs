@@ -230,14 +230,6 @@ impl<E> Clock<E> {
         self.queue.push(time, event);
     }
 
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now, "event queue returned a past event");
-        self.now = t;
-        Some((t, e))
-    }
-
     /// Pops one of the earliest-time events, advancing the clock to its
     /// timestamp; `tie` picks among same-time candidates (see
     /// [`EventQueue::pop_tied`]). With `tie(_) == 0` this is exactly
@@ -263,6 +255,19 @@ impl<E> Clock<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
+    }
+}
+
+/// A clock is the stream of its events in delivery order.
+impl<E> Iterator for Clock<E> {
+    type Item = (SimTime, E);
+
+    /// Pops the next event, advancing the clock to its timestamp.
+    fn next(&mut self) -> Option<(SimTime, E)> {
+        let (t, e) = self.queue.pop()?;
+        debug_assert!(t >= self.now, "event queue returned a past event");
+        self.now = t;
+        Some((t, e))
     }
 }
 

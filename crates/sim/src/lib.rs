@@ -20,11 +20,11 @@
 //! ## Example
 //!
 //! ```
-//! use xk_sim::{Clock, EnginePool, SimTime, Duration};
+//! use xk_sim::{Clock, EngineId, EnginePool, SimTime, Duration};
 //!
 //! // Two transfers contending for one copy engine serialize.
-//! let mut pool = EnginePool::new();
-//! let engine = pool.add("gpu0.h2d");
+//! let mut pool = EnginePool::new(1);
+//! let engine = EngineId(0);
 //! let first = pool.reserve(&[engine], SimTime::ZERO, Duration::new(1.0));
 //! let second = pool.reserve(&[engine], SimTime::ZERO, Duration::new(1.0));
 //! assert_eq!(second.start, first.end);

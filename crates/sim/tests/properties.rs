@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use xk_lp::{for_each_seed, SplitMix64};
-use xk_sim::{Clock, Duration, EnginePool, EventQueue, SimTime};
+use xk_sim::{Clock, Duration, EngineId, EnginePool, EventQueue, SimTime};
 
 /// The queue's contract, spelled out: entries are `(time, seq, payload)`
 /// in push order, the next event is the `(time, seq)` minimum, and a tied
@@ -195,7 +195,7 @@ fn events_pop_monotonically() {
             clock.schedule(SimTime::new(rng.f64_in(0.0, 1e6)), i);
         }
         let mut last = SimTime::ZERO;
-        while let Some((t, _)) = clock.next() {
+        for (t, _) in clock.by_ref() {
             assert!(t >= last);
             last = t;
         }
@@ -209,8 +209,8 @@ fn events_pop_monotonically() {
 #[test]
 fn reservations_never_overlap() {
     for_each_seed(256, |rng| {
-        let mut pool = EnginePool::new();
-        let engines: Vec<_> = (0..6).map(|i| pool.add(format!("e{i}"))).collect();
+        let mut pool = EnginePool::new(6);
+        let engines: Vec<_> = (0..6).map(EngineId).collect();
         let mut windows: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 6];
         for _ in 0..rng.usize_in(1, 60) {
             let mut subset = BTreeSet::new();
@@ -240,8 +240,8 @@ fn reservations_never_overlap() {
 #[test]
 fn busy_accounting_is_exact() {
     for_each_seed(256, |rng| {
-        let mut pool = EnginePool::new();
-        let e = pool.add("only");
+        let mut pool = EnginePool::new(1);
+        let e = EngineId(0);
         let n = rng.usize_in(1, 50);
         let mut total = 0.0;
         for _ in 0..n {
@@ -266,11 +266,7 @@ fn determinism_same_inputs_same_order() {
             // Lots of ties on purpose.
             clock.schedule(SimTime::new(f64::from(i % 7)), i);
         }
-        let mut order = Vec::new();
-        while let Some((_, e)) = clock.next() {
-            order.push(e);
-        }
-        order
+        clock.map(|(_, e)| e).collect::<Vec<_>>()
     };
     assert_eq!(build(), build());
 }

@@ -196,13 +196,10 @@ impl FabricBuilder {
     /// Assembles and validates the fabric.
     pub fn try_build(self) -> Result<FabricSpec, String> {
         let n = self.n_gpus;
-        if n == 0 {
-            return Err("fabric needs at least one GPU (call .gpus(n))".into());
-        }
         let node_map = match &self.node_map {
             Some(m) => m.clone(),
             None if self.n_nodes > 1 => {
-                if n % self.n_nodes != 0 {
+                if !n.is_multiple_of(self.n_nodes) {
                     return Err(format!(
                         "{n} GPUs do not split evenly over {} nodes",
                         self.n_nodes
@@ -361,14 +358,19 @@ mod tests {
             gg[b * n + a] = s;
         }
         let host = LinkSpec::new(LinkClass::Pcie, bw::PCIE_HOST);
-        let reference = FabricSpec::from_tables(
-            "dgx1",
+        let reference = FabricSpec::from_parts(
+            "dgx1".into(),
             n,
             gg,
             vec![host; n],
             vec![0, 0, 1, 1, 2, 2, 3, 3],
             vec![0, 0, 1, 1],
-        );
+            Vec::new(),
+            1,
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(crate::dgx1().fingerprint(), reference.fingerprint());
     }
 

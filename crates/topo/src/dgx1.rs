@@ -110,9 +110,9 @@ mod tests {
         // Diagonal: device memory ~747 GB/s.
         assert!((m[6][6] - 747.0).abs() < 5.0);
         // Symmetry.
-        for i in 0..8 {
-            for j in 0..8 {
-                assert!((m[i][j] - m[j][i]).abs() < 1e-9);
+        for (i, row) in m.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                assert!((v - m[j][i]).abs() < 1e-9);
             }
         }
     }

@@ -165,8 +165,7 @@ pub struct FabricSpec {
     gpu_switch: Vec<usize>,
     /// Socket per PCIe switch.
     switch_socket: Vec<usize>,
-    /// Node per GPU; empty means "all on node 0" (what `from_tables`
-    /// passes for single-node fabrics).
+    /// Node per GPU; empty means "all on node 0" (single-node fabrics).
     gpu_node: Vec<usize>,
     /// Number of nodes (1 for every single-node fabric).
     n_nodes: usize,
@@ -186,34 +185,6 @@ pub struct FabricSpec {
 }
 
 impl FabricSpec {
-    /// Builds a single-node fabric from its raw tables (the legacy
-    /// `Topology` constructor). Prefer [`crate::FabricBuilder`].
-    ///
-    /// # Panics
-    /// Panics if the tables are inconsistent (see [`FabricSpec::validate`]).
-    pub fn from_tables(
-        name: impl Into<String>,
-        n_gpus: usize,
-        gpu_gpu: Vec<LinkSpec>,
-        host_gpu: Vec<LinkSpec>,
-        gpu_switch: Vec<usize>,
-        switch_socket: Vec<usize>,
-    ) -> Self {
-        Self::from_parts(
-            name.into(),
-            n_gpus,
-            gpu_gpu,
-            host_gpu,
-            gpu_switch,
-            switch_socket,
-            Vec::new(),
-            1,
-            None,
-            None,
-        )
-        .expect("inconsistent topology tables")
-    }
-
     /// Builds a fabric from every table, including the multi-node and
     /// switch-tier extensions. This is the single assembly point used by
     /// [`crate::FabricBuilder::try_build`] and topology-surgery tools.
@@ -249,12 +220,16 @@ impl FabricSpec {
         Ok(t)
     }
 
-    /// Checks internal consistency: table sizes, symmetric GPU↔GPU links,
+    /// Checks internal consistency: at least one GPU, table sizes,
+    /// symmetric GPU↔GPU links,
     /// `Local` diagonal, finite positive bandwidths and finite non-negative
     /// latencies on every link, valid switch/socket indices, and — for
     /// multi-node fabrics — that exactly the cross-node pairs use NIC links.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.n_gpus;
+        if n == 0 {
+            return Err("fabric needs at least one GPU".into());
+        }
         if self.gpu_gpu.len() != n * n {
             return Err(format!("gpu_gpu has {} entries, want {}", self.gpu_gpu.len(), n * n));
         }
@@ -655,14 +630,19 @@ mod tests {
         let local = LinkSpec::new(LinkClass::Local, bw::DEVICE_MEMORY);
         let nv2 = LinkSpec::new(LinkClass::NvLink2, bw::NVLINK2);
         let host = LinkSpec::new(LinkClass::Pcie, bw::PCIE_HOST);
-        FabricSpec::from_tables(
-            "tiny",
+        FabricSpec::from_parts(
+            "tiny".into(),
             2,
             vec![local, nv2, nv2, local],
             vec![host, host],
             vec![0, 0],
             vec![0],
+            Vec::new(),
+            1,
+            None,
+            None,
         )
+        .unwrap()
     }
 
     #[test]

@@ -89,14 +89,19 @@ fn legacy_dgx1_tables() -> FabricSpec {
         gg[b * n + a] = s;
     }
     let host = LinkSpec::new(LinkClass::Pcie, bw::PCIE_HOST);
-    FabricSpec::from_tables(
-        "dgx1",
+    FabricSpec::from_parts(
+        "dgx1".into(),
         n,
         gg,
         vec![host; n],
         vec![0, 0, 1, 1, 2, 2, 3, 3],
         vec![0, 0, 1, 1],
+        Vec::new(),
+        1,
+        None,
+        None,
     )
+    .unwrap()
 }
 
 /// Satellite regression: the derived (bandwidth-ladder) perf ranks must pin

@@ -476,7 +476,8 @@ pub mod jsonck {
                             .get(field)
                             .and_then(Value::as_num)
                             .ok_or_else(|| format!("event {i}: X without {field}"))?;
-                        if !(v >= 0.0) {
+                        // NaN is refused with the negatives.
+                        if v.is_nan() || v < 0.0 {
                             return Err(format!("event {i}: negative {field}"));
                         }
                     }

@@ -131,6 +131,20 @@ pub struct Span {
 }
 
 impl Span {
+    /// A span on GPU `gpu` whose `start`/`end` are still to be filled in
+    /// (executors take them from the engine reservation).
+    pub fn on_gpu(
+        gpu: usize,
+        lane: u8,
+        kind: SpanKind,
+        bytes: u64,
+        label: Label,
+        flow: FlowId,
+    ) -> Span {
+        let place = Place::Gpu(gpu as u32);
+        Span { place, lane, kind, start: 0.0, end: 0.0, bytes, label, flow }
+    }
+
     /// Span duration in seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start

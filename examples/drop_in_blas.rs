@@ -67,10 +67,7 @@ fn main() {
         trsm_async(&mut ctx, Side::Right, Uplo::Lower, Trans::No, Diag::NonUnit, 3.0, &a, &b);
         ctx.run_numeric(0);
         let res = r::trsm_residual(
-            Side::Right,
-            Uplo::Lower,
-            Trans::No,
-            Diag::NonUnit,
+            (Side::Right, Uplo::Lower, Trans::No, Diag::NonUnit),
             3.0,
             a.view(),
             b.view(),

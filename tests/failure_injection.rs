@@ -158,17 +158,41 @@ fn invalid_topology_rejected() {
     let local = LinkSpec::new(xkblas_repro::topo::LinkClass::Local, 1e11);
     let dead = LinkSpec::new(xkblas_repro::topo::LinkClass::Pcie, 0.0);
     let host = LinkSpec::new(xkblas_repro::topo::LinkClass::Pcie, 1e10);
-    let result = std::panic::catch_unwind(|| {
-        FabricSpec::from_tables(
-            "dead-link",
-            2,
-            vec![local, dead, dead, local],
-            vec![host, host],
-            vec![0, 0],
-            vec![0],
-        )
-    });
+    let result = FabricSpec::from_parts(
+        "dead-link".into(),
+        2,
+        vec![local, dead, dead, local],
+        vec![host, host],
+        vec![0, 0],
+        vec![0],
+        Vec::new(),
+        1,
+        None,
+        None,
+    );
     assert!(result.is_err());
+}
+
+/// A fabric without GPUs used to construct, and then `SimSession::run`
+/// divided by zero placing the first task while the LP bound came back
+/// infinite. Construction refuses it now, through both constructors.
+#[test]
+fn zero_gpu_fabric_rejected() {
+    let err = FabricSpec::from_parts(
+        "empty".into(),
+        0,
+        Vec::new(),
+        Vec::new(),
+        Vec::new(),
+        Vec::new(),
+        Vec::new(),
+        1,
+        None,
+        None,
+    )
+    .expect_err("a fabric without GPUs must not construct");
+    assert!(err.contains("at least one GPU"), "{err}");
+    assert!(FabricBuilder::named("empty").try_build().is_err());
 }
 
 /// A host or peer link whose latency is NaN, negative or infinite used to
