@@ -244,6 +244,8 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
                         bytes: 3 * (params.n * params.n) as u64 / topo.n_gpus() as u64,
                         label: l_distribute,
                         flow: xk_trace::FlowId::NONE,
+                        subject: xk_trace::Span::NO_SUBJECT,
+                        peer: xk_trace::Span::NO_PEER,
                     });
                     r.trace.push(xk_trace::Span {
                         place: xk_trace::Place::Gpu(g),
@@ -254,6 +256,8 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
                         bytes: (params.n * params.n) as u64 / topo.n_gpus() as u64,
                         label: l_gather,
                         flow: xk_trace::FlowId::NONE,
+                        subject: xk_trace::Span::NO_SUBJECT,
+                        peer: xk_trace::Span::NO_PEER,
                     });
                 }
                 r.seconds += t_in + t_out;

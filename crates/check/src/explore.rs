@@ -22,7 +22,7 @@ use xk_sim::run_replicas;
 use xk_topo::FabricSpec;
 
 use crate::controllers::{DfsController, RandomController, ReplayController};
-use crate::witness::Witness;
+use crate::witness;
 
 /// One failing schedule, fully replayable.
 #[derive(Clone, Debug)]
@@ -82,8 +82,9 @@ fn run_one(
 }
 
 /// Checks one outcome against the structural part of the differential
-/// oracle (every task ran; the simulated clock advanced for non-empty
-/// graphs).
+/// oracle (every task ran, none failed; the simulated clock advanced for
+/// non-empty graphs). It runs first: the witness is defined for fault-free
+/// runs only.
 fn structural_check(graph: &TaskGraph, out: &SimOutcome) -> Result<(), String> {
     if out.tasks_run != graph.len() {
         return Err(format!("{} of {} tasks ran", out.tasks_run, graph.len()));
@@ -117,6 +118,13 @@ fn bound_check(bound: &MakespanBound, out: &SimOutcome) -> Result<(), String> {
             out.makespan, bound.total, bound.critical_path, bound.link_lp, bound.compute
         ))
     }
+}
+
+/// The three oracles on one outcome: structure, bound, witness.
+fn verdict(graph: &TaskGraph, bound: &MakespanBound, out: &SimOutcome) -> Result<(), String> {
+    structural_check(graph, out)?;
+    bound_check(bound, out)?;
+    witness::check(graph, &out.trace).map_err(|e| e.to_string())
 }
 
 /// Per-seed replica result: the SoA element [`run_replicas`] hands back in
@@ -181,20 +189,16 @@ pub fn explore_random_batch(
     merge_seed_results(run_replicas(seeds.len(), threads, |i| {
         let seed = seeds[i];
         let mut rng = RandomController::new(seed);
-        let mut w = Witness::new(&mut rng);
         let mut ex = SimExecutor::with_prep(graph, topo, cfg, &prep);
         if let Some(m) = mutation {
             ex = ex.inject_cache_mutation(m);
         }
-        let out = ex.control(&mut w).run();
-        let verdict = structural_check(graph, &out)
-            .and_then(|()| bound_check(&bound, &out))
-            .and_then(|()| w.check(graph).map_err(|e| e.to_string()));
+        let out = ex.control(&mut rng).run();
         let log = &rng.log;
         SeedResult {
             fingerprint: log.fingerprint(),
             makespan: out.makespan,
-            failure: verdict
+            failure: verdict(graph, &bound, &out)
                 .err()
                 .map(|error| Failure { seed, choices: log.choices(), error }),
         }
@@ -230,17 +234,13 @@ pub fn explore_pct_batch(
     merge_seed_results(run_replicas(seeds.len(), threads, |i| {
         let seed = seeds[i];
         let mut pct = crate::controllers::PctController::new(seed, change_every);
-        let mut w = Witness::new(&mut pct);
         let out = SimExecutor::with_prep(graph, topo, cfg, &prep)
-            .control(&mut w)
+            .control(&mut pct)
             .run();
-        let verdict = structural_check(graph, &out)
-            .and_then(|()| bound_check(&bound, &out))
-            .and_then(|()| w.check(graph).map_err(|e| e.to_string()));
         SeedResult {
             fingerprint: pct.log.fingerprint(),
             makespan: out.makespan,
-            failure: verdict
+            failure: verdict(graph, &bound, &out)
                 .err()
                 .map(|error| Failure { seed, choices: pct.log.choices(), error }),
         }
@@ -264,18 +264,14 @@ pub fn explore_dfs(
             return report; // budget exhausted, tree not.
         }
         let mut dfs = DfsController::new(p);
-        let mut w = Witness::new(&mut dfs);
-        let out = run_one(graph, topo, cfg, None, &mut w);
-        let verdict = structural_check(graph, &out)
-            .and_then(|()| bound_check(&bound, &out))
-            .and_then(|()| w.check(graph).map_err(|e| e.to_string()));
+        let out = run_one(graph, topo, cfg, None, &mut dfs);
         report.runs += 1;
         report.min_makespan = Some(match report.min_makespan {
             Some(m) => m.min(out.makespan),
             None => out.makespan,
         });
         fingerprints.insert(dfs.log.fingerprint());
-        if let Err(error) = verdict {
+        if let Err(error) = verdict(graph, &bound, &out) {
             report.failures.push(Failure {
                 seed: u64::MAX,
                 choices: dfs.log.choices(),
@@ -300,12 +296,9 @@ pub fn replay(
 ) -> (SimOutcome, Result<(), String>) {
     let bound = makespan_lower_bound(graph, topo, cfg);
     let mut rep = ReplayController::new(choices.to_vec());
-    let mut w = Witness::new(&mut rep);
-    let out = run_one(graph, topo, cfg, mutation, &mut w);
-    let verdict = structural_check(graph, &out)
-        .and_then(|()| bound_check(&bound, &out))
-        .and_then(|()| w.check(graph).map_err(|e| e.to_string()));
-    (out, verdict)
+    let out = run_one(graph, topo, cfg, mutation, &mut rep);
+    let v = verdict(graph, &bound, &out);
+    (out, v)
 }
 
 #[cfg(test)]

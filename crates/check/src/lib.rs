@@ -12,9 +12,9 @@
 //!   the controller, so one failing interleaving is a replayable `u64`
 //!   seed plus choice string.
 //! - [`witness`] — the differential oracle: a semantic shadow execution
-//!   fed by the controller's observer callbacks, checked against a serial
-//!   single-stream reference. Catches stale reads, lost forwards and
-//!   use-before-arrival in *any* explored schedule.
+//!   of the run's trace, checked against a serial single-stream reference.
+//!   Catches stale reads, lost forwards and use-before-arrival in *any*
+//!   explored schedule.
 //! - [`explore`] — the loops tying the two together, with
 //!   distinct-schedule counting and the standing *bound oracle*: no
 //!   explored schedule may beat the schedule-free LP makespan lower bound
@@ -43,4 +43,4 @@ pub use explore::{
     DfsReport, ExploreReport, Failure, BOUND_RTOL,
 };
 pub use shrink::{load_regressions, shrink_case, write_regression, ReplayCase};
-pub use witness::{Witness, WitnessError};
+pub use witness::WitnessError;

@@ -1,16 +1,17 @@
-//! The differential oracle: a semantic shadow execution.
+//! The differential oracle: a semantic shadow execution of a run's trace.
 //!
-//! [`Witness`] wraps any inner [`ScheduleController`] and records the
-//! executor's observer callbacks — every H2D/P2P/D2H transfer and every
-//! kernel, with simulated start/end times. After the run,
-//! [`Witness::check`] replays that data flow over *shadow values*: each
-//! `(location, handle)` replica carries a `u64` value, transfers copy the
-//! source value sampled at transfer start into the destination at transfer
-//! end, and kernels fold their sampled input values (plus the task id)
-//! into every written replica. The shadow values the schedule actually
-//! produces are compared against a serial single-stream reference
-//! (topological task order, host-only values) — the executor equivalent of
-//! comparing output tiles bit for bit, at a cost independent of tile size.
+//! [`check`] reads every H2D/P2P/D2H transfer and every kernel of a
+//! simulated run from its [`Trace`] — the span's task or handle
+//! (`subject`), its GPU (`place`, and `peer` for the source of a P2P copy)
+//! and its simulated start/end — and replays that data flow over *shadow
+//! values*: each `(location, handle)` replica carries a `u64` value,
+//! transfers copy the source value sampled at transfer start into the
+//! destination at transfer end, and kernels fold their sampled input values
+//! (plus the task id) into every written replica. The shadow values the
+//! schedule actually produces are compared against a serial single-stream
+//! reference (topological task order, host-only values) — the executor
+//! equivalent of comparing output tiles bit for bit, at a cost independent
+//! of tile size.
 //!
 //! What this catches, for *any* explored schedule:
 //! - stale reads (a kernel consuming a replica that missed an
@@ -21,9 +22,16 @@
 //!   committed — the sampled value is the pre-transfer one, or missing),
 //! - wrong write-back (a flush racing the kernel that produces the final
 //!   version).
+//!
+//! The witness is defined for fault-free runs only: under an injected link
+//! fault the trace also holds the spans of transfers that delivered
+//! poison. The exploration loops never get that far — their structural
+//! check rejects any outcome with task failures first.
 
 use xk_lp::SplitMix64;
-use xk_runtime::{ChoicePoint, ScheduleController, TaskGraph, TaskKind};
+use xk_runtime::{HandleId, TaskGraph, TaskId, TaskKind};
+use xk_topo::Device;
+use xk_trace::{Place, Span, SpanKind, Trace};
 
 /// Value mixer for shadow state: collision-resistant enough that a stale
 /// version virtually never aliases the correct one.
@@ -36,13 +44,37 @@ fn initial_value(h: usize) -> u64 {
     mix(0xD1EA_5EED, h as u64)
 }
 
-/// One observed semantic event.
-#[derive(Clone, Copy, Debug)]
-enum Ev {
-    H2d { h: usize, dst: usize, start: f64, end: f64 },
-    P2p { h: usize, src: usize, dst: usize, start: f64, end: f64 },
-    D2h { h: usize, src: usize, start: f64, end: f64 },
-    Kernel { t: usize, gpu: usize, start: f64, end: f64 },
+/// What one span does to the shadow state, decoded from its kind, place,
+/// subject and peer.
+#[derive(Clone, Copy)]
+enum Op {
+    H2d { h: usize, dst: usize },
+    P2p { h: usize, src: usize, dst: usize },
+    D2h { h: usize, src: usize },
+    Kernel { t: usize, gpu: usize },
+}
+
+impl Op {
+    /// The data-flow operation of `s`; `None` for host-side work.
+    fn of(s: &Span) -> Option<Op> {
+        let Place::Gpu(g) = s.place else { return None };
+        let (g, x) = (g as usize, s.subject as usize);
+        Some(match s.kind {
+            SpanKind::H2D => Op::H2d { h: x, dst: g },
+            SpanKind::P2P => Op::P2p { h: x, src: s.peer as usize, dst: g },
+            SpanKind::D2H => Op::D2h { h: x, src: g },
+            SpanKind::Kernel => Op::Kernel { t: x, gpu: g },
+            SpanKind::HostWork => return None,
+        })
+    }
+
+    /// Highest GPU index the operation touches.
+    fn max_gpu(self) -> usize {
+        match self {
+            Op::H2d { dst: g, .. } | Op::D2h { src: g, .. } | Op::Kernel { gpu: g, .. } => g,
+            Op::P2p { src, dst, .. } => src.max(dst),
+        }
+    }
 }
 
 /// A witness failure: the schedule produced values the serial reference
@@ -102,179 +134,132 @@ impl std::fmt::Display for WitnessError {
     }
 }
 
-/// Controller wrapper recording semantic events for the differential
-/// oracle. Choice points pass through to the inner controller untouched.
-pub struct Witness<'c> {
-    inner: &'c mut dyn ScheduleController,
-    events: Vec<Ev>,
-}
+/// Replays the data flow of `trace`, the trace of a fault-free simulated
+/// run of `graph`, over shadow values and compares the outcome against the
+/// serial single-stream reference for `graph`.
+///
+/// Checks, per handle: the last kernel-committed value equals the
+/// reference's final value, and — when a write-back to host happened after
+/// that last kernel — the host copy does too. Handles never written by a
+/// kernel are exempt from the final check (their value is the initial one
+/// by construction).
+pub fn check(graph: &TaskGraph, trace: &Trace) -> Result<(), WitnessError> {
+    let reference = serial_reference(graph);
+    let spans = trace.spans();
+    let n_h = graph.data().len();
+    let initial = |h| graph.data().info(HandleId(h)).initial;
+    let n_gpus = (0..n_h)
+        .filter_map(|h| match initial(h) {
+            Device::Gpu(g) => Some(g),
+            Device::Host => None,
+        })
+        .chain(spans.iter().filter_map(Op::of).map(Op::max_gpu))
+        .max()
+        .map_or(0, |g| g + 1);
 
-impl<'c> Witness<'c> {
-    /// Wraps `inner`.
-    pub fn new(inner: &'c mut dyn ScheduleController) -> Self {
-        Witness { inner, events: Vec::new() }
+    // Shadow state: `host[h]` and `dev[g * n_h + h]`, `None` where no
+    // value has arrived. Host starts holding every host-resident tile;
+    // device-resident tiles (the paper's Fig. 4 protocol) start on their
+    // initial GPU instead.
+    let mut host: Vec<Option<u64>> = vec![None; n_h];
+    let mut dev: Vec<Option<u64>> = vec![None; n_gpus * n_h];
+    for h in 0..n_h {
+        match initial(h) {
+            Device::Host => host[h] = Some(initial_value(h)),
+            Device::Gpu(g) => dev[g * n_h + h] = Some(initial_value(h)),
+        }
     }
 
-    /// Number of semantic events observed.
-    pub fn n_events(&self) -> usize {
-        self.events.len()
+    // Interleave sample (at start) and commit (at end) actions of all
+    // spans in time order; at equal times commits land before samples (a
+    // kernel starting exactly when its input transfer ends must see the
+    // transferred value), span order breaking the remaining ties. An
+    // instantaneous span samples just before its own commit, so it too
+    // sees every earlier span's commit at that time.
+    // Sort key after the time: (late sample?, span, commit?).
+    let mut actions: Vec<(f64, bool, usize, bool)> = Vec::with_capacity(spans.len() * 2);
+    for (i, s) in spans.iter().enumerate() {
+        actions.push((s.start, s.start != s.end, i, false));
+        actions.push((s.end, false, i, true));
     }
+    actions.sort_unstable_by(|a, b| {
+        a.0.total_cmp(&b.0).then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
+    });
 
-    /// Replays the observed data flow over shadow values and compares the
-    /// outcome against the serial single-stream reference for `graph`.
-    ///
-    /// Checks, per handle: the last kernel-committed value equals the
-    /// reference's final value, and — when a write-back to host happened
-    /// after that last kernel — the host copy does too. Handles never
-    /// written by a kernel are exempt from the final check (their value is
-    /// the initial one by construction).
-    pub fn check(&self, graph: &TaskGraph) -> Result<(), WitnessError> {
-        let reference = serial_reference(graph);
-        let n_h = graph.data().len();
-        let initial = |h| graph.data().info(xk_runtime::HandleId(h)).initial;
-        let n_gpus = (0..n_h)
-            .filter_map(|h| match initial(h) {
-                xk_topo::Device::Gpu(g) => Some(g),
-                xk_topo::Device::Host => None,
-            })
-            .chain(self.events.iter().map(|e| match *e {
-                Ev::H2d { dst: g, .. } | Ev::D2h { src: g, .. } | Ev::Kernel { gpu: g, .. } => g,
-                Ev::P2p { src, dst, .. } => src.max(dst),
-            }))
-            .max()
-            .map_or(0, |g| g + 1);
+    // Per span: the sampled source value of a copy, or the output a kernel
+    // folds from its sampled inputs; written at sample time, consumed at
+    // commit time.
+    let mut value = vec![0u64; spans.len()];
+    // Last kernel-committed value per handle, in action order.
+    let mut kernel_final: Vec<Option<u64>> = vec![None; n_h];
+    // Handles whose host copy was refreshed after their last kernel.
+    let mut host_after_kernel = vec![false; n_h];
+    let missing = |handle, gpu, reader: String, at| WitnessError::UseBeforeArrival {
+        handle,
+        gpu,
+        reader,
+        at,
+    };
 
-        // Shadow state: `host[h]` and `dev[g * n_h + h]`, `None` where no
-        // value has arrived. Host starts holding every host-resident tile;
-        // device-resident tiles (the paper's Fig. 4 protocol) start on
-        // their initial GPU instead.
-        let mut host: Vec<Option<u64>> = vec![None; n_h];
-        let mut dev: Vec<Option<u64>> = vec![None; n_gpus * n_h];
-        for h in 0..n_h {
-            match initial(h) {
-                xk_topo::Device::Host => host[h] = Some(initial_value(h)),
-                xk_topo::Device::Gpu(g) => dev[g * n_h + h] = Some(initial_value(h)),
+    for (time, _, i, commit) in actions {
+        let Some(op) = Op::of(&spans[i]) else { continue };
+        match (commit, op) {
+            (false, Op::H2d { h, .. }) => {
+                value[i] = host[h].ok_or_else(|| missing(h, None, "h2d".into(), time))?;
+            }
+            (false, Op::P2p { h, src, .. }) => {
+                value[i] =
+                    dev[src * n_h + h].ok_or_else(|| missing(h, Some(src), "p2p".into(), time))?;
+            }
+            (false, Op::D2h { h, src }) => {
+                value[i] =
+                    dev[src * n_h + h].ok_or_else(|| missing(h, Some(src), "d2h".into(), time))?;
+            }
+            (false, Op::Kernel { t, gpu }) => {
+                let mut out = mix(0xC0DE, t as u64);
+                for h in graph.task(TaskId(t)).read_handles() {
+                    let v = dev[gpu * n_h + h.0].ok_or_else(|| {
+                        missing(h.0, Some(gpu), format!("kernel task {t}"), time)
+                    })?;
+                    out = mix(out, v);
+                }
+                value[i] = out;
+            }
+            (true, Op::H2d { h, dst } | Op::P2p { h, dst, .. }) => {
+                dev[dst * n_h + h] = Some(value[i]);
+            }
+            (true, Op::D2h { h, .. }) => {
+                host[h] = Some(value[i]);
+                host_after_kernel[h] = true;
+            }
+            (true, Op::Kernel { t, gpu }) => {
+                for h in graph.task(TaskId(t)).written_handles() {
+                    dev[gpu * n_h + h.0] = Some(value[i]);
+                    kernel_final[h.0] = Some(value[i]);
+                    host_after_kernel[h.0] = false;
+                }
             }
         }
+    }
 
-        // Interleave sample (at start) and commit (at end) actions of all
-        // events in time order; at equal times commits land before samples
-        // (a kernel starting exactly when its input transfer ends must see
-        // the transferred value), event order breaking the remaining ties.
-        // An instantaneous event samples just before its own commit, so it
-        // too sees every earlier event's commit at that time.
-        // Sort key after the time: (late sample?, event, commit?).
-        let mut actions: Vec<(f64, bool, usize, bool)> = Vec::with_capacity(self.events.len() * 2);
-        for (i, e) in self.events.iter().enumerate() {
-            let (s, t) = match *e {
-                Ev::H2d { start, end, .. }
-                | Ev::P2p { start, end, .. }
-                | Ev::D2h { start, end, .. }
-                | Ev::Kernel { start, end, .. } => (start, end),
-            };
-            actions.push((s, s != t, i, false));
-            actions.push((t, false, i, true));
-        }
-        actions.sort_unstable_by(|a, b| {
-            a.0.total_cmp(&b.0).then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
-        });
-
-        // Per event: the sampled source value of a copy, or the output a
-        // kernel folds from its sampled inputs; written at sample time,
-        // consumed at commit time.
-        let mut value = vec![0u64; self.events.len()];
-        // Last kernel-committed value per handle, in action order.
-        let mut kernel_final: Vec<Option<u64>> = vec![None; n_h];
-        // Handles whose host copy was refreshed after their last kernel.
-        let mut host_after_kernel = vec![false; n_h];
-        let missing = |handle, gpu, reader: String, at| WitnessError::UseBeforeArrival {
-            handle,
-            gpu,
-            reader,
-            at,
+    // Lowest handle id first, so the reported mismatch is the same on
+    // every replay of the same schedule.
+    for h in 0..n_h {
+        let Some(got) = kernel_final[h] else {
+            continue;
         };
-
-        for (time, _, i, commit) in actions {
-            match (commit, self.events[i]) {
-                (false, Ev::H2d { h, .. }) => {
-                    value[i] = host[h].ok_or_else(|| missing(h, None, "h2d".into(), time))?;
-                }
-                (false, Ev::P2p { h, src, .. }) => {
-                    value[i] = dev[src * n_h + h]
-                        .ok_or_else(|| missing(h, Some(src), "p2p".into(), time))?;
-                }
-                (false, Ev::D2h { h, src, .. }) => {
-                    value[i] = dev[src * n_h + h]
-                        .ok_or_else(|| missing(h, Some(src), "d2h".into(), time))?;
-                }
-                (false, Ev::Kernel { t, gpu, .. }) => {
-                    let mut out = mix(0xC0DE, t as u64);
-                    for h in graph.task(xk_runtime::TaskId(t)).read_handles() {
-                        let v = dev[gpu * n_h + h.0].ok_or_else(|| {
-                            missing(h.0, Some(gpu), format!("kernel task {t}"), time)
-                        })?;
-                        out = mix(out, v);
-                    }
-                    value[i] = out;
-                }
-                (true, Ev::H2d { h, dst, .. } | Ev::P2p { h, dst, .. }) => {
-                    dev[dst * n_h + h] = Some(value[i]);
-                }
-                (true, Ev::D2h { h, .. }) => {
-                    host[h] = Some(value[i]);
-                    host_after_kernel[h] = true;
-                }
-                (true, Ev::Kernel { t, gpu, .. }) => {
-                    for h in graph.task(xk_runtime::TaskId(t)).written_handles() {
-                        dev[gpu * n_h + h.0] = Some(value[i]);
-                        kernel_final[h.0] = Some(value[i]);
-                        host_after_kernel[h.0] = false;
-                    }
-                }
+        let want = reference[h];
+        if got != want {
+            return Err(WitnessError::FinalMismatch { handle: h, got, want });
+        }
+        if host_after_kernel[h] {
+            let hv = host[h].expect("host copy written");
+            if hv != want {
+                return Err(WitnessError::HostMismatch { handle: h, got: hv, want });
             }
         }
-
-        // Lowest handle id first, so the reported mismatch is the same on
-        // every replay of the same schedule.
-        for h in 0..n_h {
-            let Some(got) = kernel_final[h] else {
-                continue;
-            };
-            let want = reference[h];
-            if got != want {
-                return Err(WitnessError::FinalMismatch { handle: h, got, want });
-            }
-            if host_after_kernel[h] {
-                let hv = host[h].expect("host copy written");
-                if hv != want {
-                    return Err(WitnessError::HostMismatch { handle: h, got: hv, want });
-                }
-            }
-        }
-        Ok(())
     }
-}
-
-impl ScheduleController for Witness<'_> {
-    fn choose(&mut self, point: ChoicePoint, n: usize) -> usize {
-        self.inner.choose(point, n)
-    }
-
-    fn on_h2d(&mut self, h: usize, dst: usize, start: f64, end: f64) {
-        self.events.push(Ev::H2d { h, dst, start, end });
-    }
-
-    fn on_p2p(&mut self, h: usize, src: usize, dst: usize, start: f64, end: f64) {
-        self.events.push(Ev::P2p { h, src, dst, start, end });
-    }
-
-    fn on_d2h(&mut self, h: usize, src: usize, start: f64, end: f64) {
-        self.events.push(Ev::D2h { h, src, start, end });
-    }
-
-    fn on_kernel(&mut self, t: usize, gpu: usize, start: f64, end: f64) {
-        self.events.push(Ev::Kernel { t, gpu, start, end });
-    }
+    Ok(())
 }
 
 /// The serial single-stream reference: tasks in topological (id) order,
@@ -284,7 +269,7 @@ impl ScheduleController for Witness<'_> {
 pub(crate) fn serial_reference(graph: &TaskGraph) -> Vec<u64> {
     let mut vals: Vec<u64> = (0..graph.data().len()).map(initial_value).collect();
     for t in 0..graph.len() {
-        let task = graph.task(xk_runtime::TaskId(t));
+        let task = graph.task(TaskId(t));
         if task.kind != TaskKind::Kernel {
             continue;
         }
@@ -301,7 +286,57 @@ pub(crate) fn serial_reference(graph: &TaskGraph) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xk_runtime::CanonicalController;
+    use xk_kernels::perfmodel::TileOp;
+    use xk_runtime::{Access, TaskAccess};
+    use xk_trace::{FlowId, Label};
+
+    /// A `kind` span on GPU `gpu` acting on `subject` over `[start, end]`.
+    fn span(kind: SpanKind, subject: u32, gpu: u32, (start, end): (f64, f64)) -> Span {
+        let (label, flow, peer) = (Label::NONE, FlowId::NONE, Span::NO_PEER);
+        let place = Place::Gpu(gpu);
+        Span { place, lane: 0, kind, start, end, bytes: 64, label, flow, subject, peer }
+    }
+    fn h2d(h: u32, dst: u32, at: (f64, f64)) -> Span {
+        span(SpanKind::H2D, h, dst, at)
+    }
+    fn p2p(h: u32, src: u16, dst: u32, at: (f64, f64)) -> Span {
+        Span { peer: src, ..span(SpanKind::P2P, h, dst, at) }
+    }
+    fn d2h(h: u32, src: u32, at: (f64, f64)) -> Span {
+        span(SpanKind::D2H, h, src, at)
+    }
+    fn kernel(t: u32, gpu: u32, at: (f64, f64)) -> Span {
+        span(SpanKind::Kernel, t, gpu, at)
+    }
+
+    /// The witness verdict on a trace of `spans`, in recording order.
+    fn verdict(graph: &TaskGraph, spans: impl IntoIterator<Item = Span>) -> Result<(), WitnessError> {
+        let mut trace = Trace::new();
+        spans.into_iter().for_each(|s| trace.push(s));
+        check(graph, &trace)
+    }
+
+    /// A graph of host tiles `0..n_tiles` and one task per `accesses` entry.
+    fn graph(n_tiles: usize, tasks: &[&[(usize, Access)]]) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        for h in 0..n_tiles {
+            g.add_host_tile(64, false, format!("h{h}"));
+        }
+        for (t, accesses) in tasks.iter().enumerate() {
+            let accesses: Vec<TaskAccess> = accesses
+                .iter()
+                .map(|&(h, access)| TaskAccess { handle: HandleId(h), access })
+                .collect();
+            g.add_task(TileOp::Gemm { m: 8, n: 8, k: 8 }, accesses, format!("t{t}"));
+        }
+        g.finalize();
+        g
+    }
+
+    /// One tile, one task updating it.
+    fn one_update() -> TaskGraph {
+        graph(1, &[&[(0, Access::ReadWrite)]])
+    }
 
     #[test]
     fn mix_separates_versions() {
@@ -311,63 +346,28 @@ mod tests {
 
     #[test]
     fn empty_run_on_empty_graph_passes() {
-        let g = TaskGraph::new();
-        g.finalize();
-        let mut inner = CanonicalController;
-        let w = Witness::new(&mut inner);
-        assert_eq!(w.check(&g), Ok(()));
+        assert_eq!(verdict(&graph(0, &[]), []), Ok(()));
     }
 
     #[test]
     fn hand_built_correct_flow_passes_and_stale_read_fails() {
-        // Graph: t0 writes h0 on some GPU; t1 reads h0 and writes h1.
-        let mut g = TaskGraph::new();
-        let h0 = g.add_host_tile(64, false, "h0");
-        let h1 = g.add_host_tile(64, false, "h1");
-        use xk_kernels::perfmodel::TileOp;
-        use xk_runtime::{Access, TaskAccess};
-        g.add_task(
-            TileOp::Gemm { m: 8, n: 8, k: 8 },
-            [TaskAccess { handle: h0, access: Access::ReadWrite }],
-            "t0",
-        );
-        g.add_task(
-            TileOp::Gemm { m: 8, n: 8, k: 8 },
-            [
-                TaskAccess { handle: h1, access: Access::ReadWrite },
-                TaskAccess { handle: h0, access: Access::Read },
-            ],
-            "t1",
-        );
-        g.finalize();
+        // t0 writes h0; t1 reads h0 and writes h1.
+        let g = graph(2, &[&[(0, Access::ReadWrite)], &[(1, Access::ReadWrite), (0, Access::Read)]]);
 
         // Correct flow on one GPU: h2d both tiles, run t0 then t1.
-        let mut inner = CanonicalController;
-        let mut w = Witness::new(&mut inner);
-        w.on_h2d(0, 0, 0.0, 1.0);
-        w.on_h2d(1, 0, 0.0, 1.0);
-        w.on_kernel(0, 0, 1.0, 2.0);
-        w.on_kernel(1, 0, 2.0, 3.0);
-        assert_eq!(w.check(&g), Ok(()));
+        let loads = [h2d(0, 0, (0.0, 1.0)), h2d(1, 0, (0.0, 1.0))];
+        let run = [kernel(0, 0, (1.0, 2.0)), kernel(1, 0, (2.0, 3.0))];
+        assert_eq!(verdict(&g, loads.iter().chain(&run).cloned()), Ok(()));
 
-        // Stale read: t1 consumes h0 *before* t0's commit (kernel overlap).
-        let mut inner2 = CanonicalController;
-        let mut w2 = Witness::new(&mut inner2);
-        w2.on_h2d(0, 0, 0.0, 1.0);
-        w2.on_h2d(1, 0, 0.0, 1.0);
-        w2.on_kernel(0, 0, 1.0, 2.5);
-        w2.on_kernel(1, 0, 2.0, 3.0); // samples h0 at t=2.0 < 2.5
-        match w2.check(&g) {
+        // Stale read: t1 samples h0 at t=2.0, before t0 commits at 2.5.
+        let overlap = [kernel(0, 0, (1.0, 2.5)), kernel(1, 0, (2.0, 3.0))];
+        match verdict(&g, loads.iter().chain(&overlap).cloned()) {
             Err(WitnessError::FinalMismatch { handle: 1, .. }) => {}
             other => panic!("want FinalMismatch on h1, got {other:?}"),
         }
 
         // Use before arrival: kernel on a GPU that never received h0.
-        let mut inner3 = CanonicalController;
-        let mut w3 = Witness::new(&mut inner3);
-        w3.on_h2d(1, 1, 0.0, 1.0);
-        w3.on_kernel(1, 1, 1.0, 2.0);
-        match w3.check(&g) {
+        match verdict(&g, [h2d(1, 1, (0.0, 1.0)), kernel(1, 1, (1.0, 2.0))]) {
             Err(WitnessError::UseBeforeArrival { handle: 0, .. }) => {}
             other => panic!("want UseBeforeArrival on h0, got {other:?}"),
         }
@@ -376,81 +376,49 @@ mod tests {
     #[test]
     fn commit_at_sample_time_is_visible() {
         // A kernel starting exactly when its transfer ends sees the value.
-        let mut g = TaskGraph::new();
-        let h0 = g.add_host_tile(64, false, "h0");
-        use xk_kernels::perfmodel::TileOp;
-        use xk_runtime::{Access, TaskAccess};
-        g.add_task(
-            TileOp::Gemm { m: 8, n: 8, k: 8 },
-            [TaskAccess { handle: h0, access: Access::ReadWrite }],
-            "t0",
-        );
-        g.finalize();
-        let mut inner = CanonicalController;
-        let mut w = Witness::new(&mut inner);
-        w.on_h2d(0, 0, 0.0, 1.0);
-        w.on_kernel(0, 0, 1.0, 2.0);
-        assert_eq!(w.check(&g), Ok(()));
+        let spans = [h2d(0, 0, (0.0, 1.0)), kernel(0, 0, (1.0, 2.0))];
+        assert_eq!(verdict(&one_update(), spans), Ok(()));
     }
 
     #[test]
     fn zero_duration_event_samples_before_it_commits() {
         // An instantaneous H2D: its own sample must precede its commit,
         // and the kernel starting at that instant sees the value.
-        let mut g = TaskGraph::new();
-        let h0 = g.add_host_tile(64, false, "h0");
-        use xk_kernels::perfmodel::TileOp;
-        use xk_runtime::{Access, TaskAccess};
-        g.add_task(
-            TileOp::Gemm { m: 8, n: 8, k: 8 },
-            [TaskAccess { handle: h0, access: Access::ReadWrite }],
-            "t0",
-        );
-        g.finalize();
-        let mut inner = CanonicalController;
-        let mut w = Witness::new(&mut inner);
-        w.on_h2d(0, 0, 1.0, 1.0);
-        w.on_kernel(0, 0, 1.0, 2.0);
-        assert_eq!(w.check(&g), Ok(()));
+        let spans = [h2d(0, 0, (1.0, 1.0)), kernel(0, 0, (1.0, 2.0))];
+        assert_eq!(verdict(&one_update(), spans), Ok(()));
     }
 
     #[test]
     fn wrong_writeback_is_flagged() {
-        // d2h of the *pre-kernel* value after the kernel: host ends stale.
-        let mut g = TaskGraph::new();
-        let h0 = g.add_host_tile(64, false, "h0");
-        use xk_kernels::perfmodel::TileOp;
-        use xk_runtime::{Access, TaskAccess};
-        g.add_task(
-            TileOp::Gemm { m: 8, n: 8, k: 8 },
-            [TaskAccess { handle: h0, access: Access::ReadWrite }],
-            "t0",
-        );
-        g.finalize();
-        let mut inner = CanonicalController;
-        let mut w = Witness::new(&mut inner);
-        w.on_h2d(0, 0, 0.0, 1.0);
-        w.on_kernel(0, 0, 1.0, 2.0);
-        // Write-back sampled the replica before the kernel committed but
-        // lands after it: host holds the stale version.
-        w.on_d2h(0, 0, 0.5, 2.5);
-        match w.check(&g) {
-            // The d2h sample at t=0.5 happens before the kernel ran, so the
-            // replica exists (h2d committed at 1.0)? No: sample at 0.5 is
-            // before the h2d commit at 1.0 -> use-before-arrival.
+        let g = one_update();
+        let run = [h2d(0, 0, (0.0, 1.0)), kernel(0, 0, (1.0, 2.0))];
+        // The write-back samples at t=0.5, before the h2d commits at 1.0.
+        match verdict(&g, run.iter().cloned().chain([d2h(0, 0, (0.5, 2.5))])) {
             Err(WitnessError::UseBeforeArrival { .. }) => {}
             other => panic!("want UseBeforeArrival, got {other:?}"),
         }
-        // Same shape, but the d2h samples between h2d-commit and
-        // kernel-commit: host ends with the pre-kernel value.
-        let mut inner2 = CanonicalController;
-        let mut w2 = Witness::new(&mut inner2);
-        w2.on_h2d(0, 0, 0.0, 1.0);
-        w2.on_kernel(0, 0, 1.0, 2.0);
-        w2.on_d2h(0, 0, 1.5, 2.5);
-        match w2.check(&g) {
+        // The write-back samples between the h2d and the kernel commits:
+        // host ends with the pre-kernel value.
+        match verdict(&g, run.iter().cloned().chain([d2h(0, 0, (1.5, 2.5))])) {
             Err(WitnessError::HostMismatch { handle: 0, .. }) => {}
             other => panic!("want HostMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_forward_carries_the_value_to_its_destination() {
+        let spans = [h2d(0, 0, (0.0, 1.0)), p2p(0, 0, 1, (1.0, 2.0)), kernel(0, 1, (2.0, 3.0))];
+        assert_eq!(verdict(&one_update(), spans), Ok(()));
+    }
+
+    #[test]
+    fn a_forward_reads_its_source_gpu() {
+        // The forward samples gpu0 at t=0.5, before gpu0's h2d commits:
+        // the missing replica is named on the *source*, read from `peer`.
+        let spans = [h2d(0, 0, (0.0, 1.0)), p2p(0, 0, 1, (0.5, 1.5)), kernel(0, 1, (1.5, 2.5))];
+        match verdict(&one_update(), spans) {
+            Err(WitnessError::UseBeforeArrival { handle: 0, gpu: Some(0), .. }) => {}
+            other => panic!("want UseBeforeArrival on gpu0, got {other:?}"),
         }
     }
 }

@@ -18,13 +18,15 @@
 //! 4. Disabling optimistic device-to-device forwarding never changes the
 //!    computed values and never deadlocks a waiter on an in-flight
 //!    transfer: every explored schedule drains and passes the oracle.
+//! 5. On one GPU there is no peer to fetch from, so every heuristic preset
+//!    runs the same schedule: same choices, same spans.
 
 use xk_bench::graphgen::{build_random_dag, build_random_dag_placed, RandomDagSpec};
-use xk_check::topo_util::{scaled_bandwidth, DGX1_AUTOMORPHISMS};
-use xk_check::{explore_random, replay};
+use xk_check::topo_util::{scaled_bandwidth, subtopo, DGX1_AUTOMORPHISMS};
+use xk_check::{explore_random, replay, RandomController};
 use xk_runtime::{
     link_attribution, makespan_lower_bound, HandleId, Heuristics, RuntimeConfig, SchedulerKind,
-    TaskAccess, TaskGraph, TaskKind, TaskLabel,
+    SimExecutor, SimPrep, TaskAccess, TaskGraph, TaskKind, TaskLabel,
 };
 use xk_topo::{bw, dgx1, FabricBuilder, FabricSpec, LinkClass};
 
@@ -374,6 +376,52 @@ fn disabling_optimistic_d2d_preserves_results_and_liveness() {
                 "{h:?} on_device={on_device:?}: {:#?}",
                 &r.failures[..r.failures.len().min(3)],
             );
+        }
+    }
+}
+
+#[test]
+fn on_one_gpu_every_heuristic_preset_runs_the_same_schedule() {
+    // The heuristics only choose *which GPU* supplies a tile; with one GPU
+    // there is none to choose, so the presets must not even differ in the
+    // choice points they offer a controller.
+    let topo = subtopo(&dgx1(), 1);
+    let presets = [
+        ("full", Heuristics::full()),
+        ("no_optimistic", Heuristics::no_optimistic()),
+        ("none", Heuristics::none()),
+        ("host_only", Heuristics::host_only()),
+    ];
+    for on_device in [None, Some(1)] {
+        let spec = RandomDagSpec { on_device, flush: true, ..RandomDagSpec::default() };
+        let graph = build_random_dag(1, &spec);
+        let prep = SimPrep::new(&graph);
+        for seed in 0..50 {
+            let run = |h: Heuristics| {
+                let cfg = RuntimeConfig::default().with_heuristics(h);
+                let mut rng = RandomController::new(seed);
+                let out = SimExecutor::with_prep(&graph, &topo, &cfg, &prep)
+                    .control(&mut rng)
+                    .run();
+                let spans: Vec<_> = out
+                    .trace
+                    .spans()
+                    .iter()
+                    .map(|s| {
+                        let times = (s.start.to_bits(), s.end.to_bits());
+                        (s.place, s.lane, s.kind, times, s.bytes, s.label, s.flow, s.subject, s.peer)
+                    })
+                    .collect();
+                (rng.log.fingerprint(), spans)
+            };
+            let (fingerprint, spans) = run(presets[0].1);
+            assert!(!spans.is_empty());
+            for (name, h) in &presets[1..] {
+                let (f, s) = run(*h);
+                let what = format!("{name} vs full, on_device={on_device:?}, seed {seed}");
+                assert_eq!(f, fingerprint, "{what}: choice fingerprint");
+                assert_eq!(s, spans, "{what}: spans");
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use xk_bench::graphgen::{build_random_dag, RandomDagSpec};
 use xk_check::topo_util::subtopo;
-use xk_check::{RandomController, Witness};
+use xk_check::{witness, RandomController};
 use xk_runtime::{Heuristics, RuntimeConfig, SimExecutor, SimPrep};
 
 /// Digest of seeds `0..200` of the cell (DAG seed 1, as `check_matrix`
@@ -25,11 +25,10 @@ fn digest(n_gpus: usize, heuristics: Heuristics, on_device: bool) -> u64 {
     let mut acc = 0u64;
     for seed in 0..200 {
         let mut rng = RandomController::new(seed);
-        let mut w = Witness::new(&mut rng);
         let out = SimExecutor::with_prep(&graph, &topo, &cfg, &prep)
-            .control(&mut w)
+            .control(&mut rng)
             .run();
-        let verdict = u64::from(w.check(&graph).is_err()) << 63;
+        let verdict = u64::from(witness::check(&graph, &out.trace).is_err()) << 63;
         acc = acc.rotate_left(5) ^ rng.log.fingerprint() ^ out.makespan.to_bits() ^ verdict;
     }
     acc

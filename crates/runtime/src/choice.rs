@@ -13,12 +13,9 @@
 //! controller is exactly as deterministic as the controller itself, so one
 //! failing interleaving is a replayable seed plus choice string.
 //!
-//! The controller doubles as a *semantic witness*: the executors report
-//! every data movement and kernel execution (with simulated start/end
-//! times) through the `on_*` observer methods, which default to no-ops.
-//! `xk-check` uses them to replay the run's data flow against a serial
-//! reference and catch stale reads, lost forwards and use-before-arrival —
-//! without the executors knowing anything about the oracle.
+//! A controller only chooses. What the run then did — every transfer and
+//! kernel, with its task or handle and simulated times — is in the run's
+//! trace, which `xk-check` replays against a serial reference.
 
 /// The kind of nondeterministic decision being resolved.
 ///
@@ -54,48 +51,17 @@ pub enum ChoicePoint {
     InlineSuccessor,
 }
 
-/// Resolves nondeterministic choice points and observes semantic effects.
+/// Resolves nondeterministic choice points.
 ///
 /// `choose` is only consulted when two or more candidates exist; returning
 /// an out-of-range index is clamped to the last candidate by every caller.
-/// The `on_*` observers fire as the corresponding operation is *reserved*
-/// (simulated start/end times are final at that point) and default to
-/// no-ops, so a pure exploration controller only implements `choose`.
 pub trait ScheduleController {
     /// Picks one of `n >= 2` canonically-ordered candidates at `point`.
     fn choose(&mut self, point: ChoicePoint, n: usize) -> usize;
-
-    /// A host→device transfer of handle `h` into GPU `dst` over
-    /// `[start, end]` seconds: samples host memory at `start`, makes the
-    /// replica valid at `end`.
-    fn on_h2d(&mut self, h: usize, dst: usize, start: f64, end: f64) {
-        let _ = (h, dst, start, end);
-    }
-
-    /// A device→device transfer of `h` from `src` to `dst` over
-    /// `[start, end]`: samples the source replica at `start`, makes the
-    /// destination replica valid at `end`.
-    fn on_p2p(&mut self, h: usize, src: usize, dst: usize, start: f64, end: f64) {
-        let _ = (h, src, dst, start, end);
-    }
-
-    /// A device→host write-back of `h` from `src` over `[start, end]`:
-    /// samples the device replica at `start`, makes host memory valid at
-    /// `end`.
-    fn on_d2h(&mut self, h: usize, src: usize, start: f64, end: f64) {
-        let _ = (h, src, start, end);
-    }
-
-    /// Kernel of task `t` on GPU `gpu` over `[start, end]`: samples its
-    /// read replicas at `start`, commits its written replicas at `end`.
-    fn on_kernel(&mut self, t: usize, gpu: usize, start: f64, end: f64) {
-        let _ = (t, gpu, start, end);
-    }
 }
 
-/// The canonical controller: always picks candidate 0 and observes
-/// nothing — byte-identical to running without a controller. Useful as a
-/// replay fallback and in tests.
+/// The canonical controller: always picks candidate 0 — byte-identical to
+/// running without a controller. Useful as a replay fallback and in tests.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CanonicalController;
 
@@ -113,10 +79,5 @@ mod tests {
     fn canonical_controller_picks_first() {
         let mut c = CanonicalController;
         assert_eq!(c.choose(ChoicePoint::EventTieBreak, 5), 0);
-        // Observer defaults are callable no-ops.
-        c.on_h2d(0, 1, 0.0, 1.0);
-        c.on_p2p(0, 1, 2, 0.0, 1.0);
-        c.on_d2h(0, 1, 0.0, 1.0);
-        c.on_kernel(0, 1, 0.0, 1.0);
     }
 }

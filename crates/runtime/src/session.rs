@@ -109,7 +109,7 @@ impl<'t> SimSession<'t> {
     /// `prep` must have been built from this same `graph` (see
     /// [`SimPrep::new`]); the run is byte-identical to [`SimSession::run`].
     /// Batched replica drivers build the prep once and stamp every run
-    /// from it, skipping the per-run label rendering and CSR derivation.
+    /// from it, sharing its label table and skipping the CSR derivation.
     pub fn run_prepped(&self, graph: &TaskGraph, prep: &SimPrep) -> Run {
         let mut exec = SimExecutor::with_prep(graph, self.topo, &self.cfg, prep).observe(self.obs);
         if let Some(fault) = self.fault {
@@ -119,8 +119,8 @@ impl<'t> SimSession<'t> {
     }
 
     /// Simulates `graph` under a [`ScheduleController`]: every
-    /// nondeterministic tie is resolved by `ctrl`, and data movements are
-    /// reported to its observers (see [`SimExecutor::control`]).
+    /// nondeterministic tie is resolved by `ctrl` (see
+    /// [`SimExecutor::control`]). The run's trace records what happened.
     pub fn run_controlled(&self, graph: &TaskGraph, ctrl: &mut dyn ScheduleController) -> Run {
         let mut exec = SimExecutor::new(graph, self.topo, &self.cfg)
             .observe(self.obs)

@@ -15,6 +15,7 @@
 //! paper's figures are regenerated.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use xk_sim::{Clock, Duration, EngineId, EnginePool, Reservation, SimTime};
 use xk_topo::{Device, FabricSpec};
@@ -145,12 +146,12 @@ impl FaultState {
         true
     }
 
-    /// Settles the destination replica of a D2D transfer ending at `end`;
-    /// returns whether it delivered good data. A transfer sourced from a
-    /// poisoned replica carries the poison (an optimistic forward of a dead
-    /// transfer is dead too), and a transfer still on the wire when its own
-    /// link dies fails outright. A good transfer refreshes the destination.
-    fn settle_p2p(&mut self, h: HandleId, src: usize, dst: usize, end: SimTime) -> bool {
+    /// Settles the destination replica of a D2D transfer ending at `end`.
+    /// A transfer sourced from a poisoned replica carries the poison (an
+    /// optimistic forward of a dead transfer is dead too), and a transfer
+    /// still on the wire when its own link dies fails outright. A good
+    /// transfer refreshes the destination.
+    fn settle_p2p(&mut self, h: HandleId, src: usize, dst: usize, end: SimTime) {
         let f = self.fault;
         let error = match self.failed_replicas.get(&(h.0, src)) {
             Some(inherited) => inherited.clone(),
@@ -159,11 +160,10 @@ impl FaultState {
             }
             None => {
                 self.failed_replicas.remove(&(h.0, dst));
-                return true;
+                return;
             }
         };
         self.failed_replicas.insert((h.0, dst), error);
-        false
     }
 }
 
@@ -198,10 +198,9 @@ pub struct SimExecutor<'a> {
     submission_cursor: SimTime,
     scheduler: Box<dyn Scheduler>,
     trace: Trace,
-    /// Interned trace label per task (indexed by `TaskId.0`).
-    task_labels: Vec<Label>,
-    /// Interned trace label per data handle (indexed by `HandleId.0`).
-    data_labels: Vec<Label>,
+    /// The prep's trace label of each task by `TaskId.0`, then of each
+    /// data handle by `HandleId.0`.
+    labels: Arc<[Label]>,
     /// Scratch buffers reused across scheduling steps so the event loop
     /// stays allocation-free after warm-up.
     scratch_avail: Vec<SimTime>,
@@ -216,9 +215,9 @@ pub struct SimExecutor<'a> {
     flow_root: Vec<FlowId>,
     /// Occupancy/contention/critical-path recorder.
     obs: ObsRecorder,
-    /// Schedule-space controller: resolves nondeterministic choice points
-    /// and observes semantic effects. `None` (the default) keeps every
-    /// canonical tie-break, byte-identical to the pre-hook executor.
+    /// Schedule-space controller: resolves nondeterministic choice points.
+    /// `None` (the default) keeps every canonical tie-break, byte-identical
+    /// to the pre-hook executor.
     ctrl: Option<&'a mut dyn ScheduleController>,
     /// Injected link fault and the failures it caused, if any.
     fault: Option<FaultState>,
@@ -231,20 +230,21 @@ pub struct SimExecutor<'a> {
 
 /// Shared per-graph precomputation for batched replica runs.
 ///
-/// `SimExecutor::new` re-derives the same graph-shaped vectors — rendered
-/// task labels, final-writer table — on every run. A seed matrix or tile
-/// sweep runs the *same* graph hundreds of times, so [`SimPrep::new`]
+/// `SimExecutor::new` re-derives the same graph-shaped state — the
+/// interned trace labels, the final-writer table — on every run. A seed matrix or
+/// tile sweep runs the *same* graph hundreds of times, so [`SimPrep::new`]
 /// hoists that work out once and [`SimExecutor::with_prep`] stamps
 /// executors from it. (The per-task records are built per run: their
 /// kernel seconds depend on the run's GPU model.) Prep is plain immutable
-/// data: one instance is shared by reference across replica threads.
-///
-/// Byte-identity: `with_prep` interns the pre-rendered labels in exactly
-/// the order `new` renders them (tasks first, then data handles), so
-/// traces — and therefore whole simulations — are unchanged.
+/// data: one instance is shared by reference across replica threads, and
+/// every run's trace shares its label table.
 pub struct SimPrep {
-    /// Task labels rendered from their lazy patterns, indexed by `TaskId.0`.
-    task_label_strings: Vec<String>,
+    /// The graph's distinct trace labels, interned tasks first, then data
+    /// handles: the symbol table of every run's trace.
+    table: Arc<Vec<Arc<str>>>,
+    /// Label of each task by `TaskId.0`, then of each handle by
+    /// `HandleId.0`.
+    labels: Arc<[Label]>,
     /// Final writer of each handle, indexed by `HandleId.0`.
     final_writer: Vec<Option<TaskId>>,
 }
@@ -260,17 +260,17 @@ impl SimPrep {
                 final_writer[h.0] = Some(task.id);
             }
         }
-        let mut label_buf = String::new();
-        let task_label_strings: Vec<String> = graph
-            .tasks()
-            .iter()
-            .map(|t| {
-                label_buf.clear();
-                t.label.render_into(&mut label_buf);
-                label_buf.clone()
-            })
-            .collect();
-        SimPrep { task_label_strings, final_writer }
+        let mut table = Trace::new();
+        let mut labels = Vec::with_capacity(graph.len() + graph.data().len());
+        let mut buf = String::new();
+        for t in graph.tasks() {
+            buf.clear();
+            t.label.render_into(&mut buf);
+            labels.push(table.intern(&buf));
+        }
+        labels.extend(graph.data().iter().map(|(_, info)| table.intern(&info.label)));
+        let table = Arc::clone(table.labels());
+        SimPrep { table, labels: labels.into(), final_writer }
     }
 }
 
@@ -298,8 +298,9 @@ impl<'a> SimExecutor<'a> {
         cfg: &'a RuntimeConfig,
         prep: &SimPrep,
     ) -> Self {
+        let n_handles = prep.final_writer.len();
         assert_eq!(
-            (prep.task_label_strings.len(), prep.final_writer.len()),
+            (prep.labels.len() - n_handles, n_handles),
             (graph.len(), graph.data().len()),
             "SimPrep built from another graph: (tasks, handles) of prep and graph differ"
         );
@@ -329,20 +330,6 @@ impl<'a> SimExecutor<'a> {
             })
             .collect();
         let cache = SoftwareCache::new(n, cfg.gpu_memory, graph.data());
-        // Intern every label up front: the event loop then records spans
-        // with a copyable u32 instead of cloning a String per span. The
-        // prep holds the rendered pattern text; interning here follows the
-        // exact order the eager-String era used (tasks first, then data
-        // handles), keeping traces bit-identical.
-        let mut trace = Trace::new();
-        let task_labels: Vec<Label> = prep
-            .task_label_strings
-            .iter()
-            .map(|s| trace.intern(s))
-            .collect();
-        let data_labels: Vec<Label> = (0..graph.data().len())
-            .map(|i| trace.intern(&graph.data().info(HandleId(i)).label))
-            .collect();
         let obs = ObsRecorder::new(
             ObsLevel::default(),
             pool.len(),
@@ -366,9 +353,8 @@ impl<'a> SimExecutor<'a> {
             committed: vec![0.0; n],
             submission_cursor: SimTime::ZERO,
             scheduler: make_scheduler(cfg.scheduler, n),
-            trace,
-            task_labels,
-            data_labels,
+            trace: Trace::with_labels(Arc::clone(&prep.table)),
+            labels: Arc::clone(&prep.labels),
             scratch_avail: Vec::with_capacity(n),
             scratch_lens: Vec::with_capacity(n),
             scratch_handles: Vec::new(),
@@ -401,9 +387,8 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Attaches a [`ScheduleController`]: the executor consults it at every
-    /// nondeterministic choice point and reports every transfer/kernel to
-    /// its observers. A controller that always picks candidate 0 reproduces
-    /// the canonical (no-controller) run bit for bit.
+    /// nondeterministic choice point. A controller that always picks
+    /// candidate 0 reproduces the canonical (no-controller) run bit for bit.
     pub fn control(mut self, ctrl: &'a mut dyn ScheduleController) -> Self {
         self.ctrl = Some(ctrl);
         self
@@ -747,16 +732,14 @@ impl<'a> SimExecutor<'a> {
             self.clock.now().max(input_ready)
         } else {
             let dur = Duration::new(state.kernel_seconds);
-            let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.task_labels[t.0], flow);
+            let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.labels[t.0], flow);
+            let span = Span { subject: t.0 as u32, ..span };
             let (res, idx) = self.occupy(&[self.machine.kernel(g)], input_ready, dur, span, dep);
             if self.obs.full() {
                 // This kernel is now the op that makes its outputs valid here.
                 for h in task.written_handles() {
                     self.obs.set_valid_node(h.0, g, idx);
                 }
-            }
-            if let Some(c) = self.ctrl.as_mut() {
-                c.on_kernel(t.0, g, res.start.seconds(), res.end.seconds());
             }
             res.end
         };
@@ -827,8 +810,7 @@ impl<'a> SimExecutor<'a> {
                 // An H2D read roots a fresh broadcast chain for this tile.
                 let flow = FlowId(self.trace.len() as u32);
                 self.flow_root[h.0] = flow;
-                let label = self.data_labels[h.0];
-                let span = Span::on_gpu(g, 0, SpanKind::H2D, info.bytes, label, flow);
+                let span = self.transfer_span(g, 0, SpanKind::H2D, h, info.bytes, flow);
                 // The source is host memory: no simulated predecessor.
                 let (host, gpu) = (Device::Host, Device::Gpu(g));
                 let (res, idx) = self.occupy_transfer(host, gpu, info.pitched, now, span, NO_NODE);
@@ -839,9 +821,6 @@ impl<'a> SimExecutor<'a> {
                 // left on this replica (host links never fail in the model).
                 if let Some(f) = self.fault.as_mut() {
                     f.failed_replicas.remove(&(h.0, g));
-                }
-                if let Some(c) = self.ctrl.as_mut() {
-                    c.on_h2d(h.0, g, res.start.seconds(), res.end.seconds());
                 }
                 (res.end, idx, flow)
             }
@@ -867,21 +846,16 @@ impl<'a> SimExecutor<'a> {
             flow = FlowId(self.trace.len() as u32);
             self.flow_root[h.0] = flow;
         }
-        let span = Span::on_gpu(dst, 0, SpanKind::P2P, bytes, self.data_labels[h.0], flow);
+        let span = self.transfer_span(dst, 0, SpanKind::P2P, h, bytes, flow);
+        let span = Span { peer: src as u16, ..span };
         // Device copies are compacted tiles (§III-A): never pitched.
         let (a, b) = (Device::Gpu(src), Device::Gpu(dst));
         let (res, idx) = self.occupy_transfer(a, b, false, earliest, span, dep);
         self.cache.begin_transfer(h, dst, bytes, res.end);
         self.bytes_p2p += bytes;
         self.obs.set_valid_node(h.0, dst, idx);
-        let delivered = match self.fault.as_mut() {
-            Some(f) => f.settle_p2p(h, src, dst, res.end),
-            None => true,
-        };
-        if delivered {
-            if let Some(c) = self.ctrl.as_mut() {
-                c.on_p2p(h.0, src, dst, res.start.seconds(), res.end.seconds());
-            }
+        if let Some(f) = self.fault.as_mut() {
+            f.settle_p2p(h, src, dst, res.end);
         }
         (res.end, idx, flow)
     }
@@ -889,17 +863,25 @@ impl<'a> SimExecutor<'a> {
     fn issue_d2h(&mut self, h: HandleId, g: usize, earliest: SimTime) -> SimTime {
         let info = self.graph.data().info(h);
         let dep = self.obs.valid_node(h.0, g);
-        let (label, flow) = (self.data_labels[h.0], self.flow_root[h.0]);
-        let span = Span::on_gpu(g, 2, SpanKind::D2H, info.bytes, label, flow);
+        let span = self.transfer_span(g, 2, SpanKind::D2H, h, info.bytes, self.flow_root[h.0]);
         let (gpu, host) = (Device::Gpu(g), Device::Host);
         let (res, _) = self.occupy_transfer(gpu, host, info.pitched, earliest, span, dep);
         self.bytes_d2h += info.bytes;
-        if !self.fault.as_ref().is_some_and(|f| f.failed_replicas.contains_key(&(h.0, g))) {
-            if let Some(c) = self.ctrl.as_mut() {
-                c.on_d2h(h.0, g, res.start.seconds(), res.end.seconds());
-            }
-        }
         res.end
+    }
+
+    /// A transfer span of handle `h` into (H2D, P2P) or out of (D2H) `gpu`.
+    fn transfer_span(
+        &self,
+        gpu: usize,
+        lane: u8,
+        kind: SpanKind,
+        h: HandleId,
+        bytes: u64,
+        flow: FlowId,
+    ) -> Span {
+        let label = self.labels[self.tasks.len() + h.0];
+        Span { subject: h.0 as u32, ..Span::on_gpu(gpu, lane, kind, bytes, label, flow) }
     }
 
     /// Reserves `engines` for `dur` from `earliest` on, then records `span`
@@ -1407,6 +1389,33 @@ mod tests {
             assert!(msg.contains("SimPrep built from another graph"), "{msg}");
             assert!(msg.contains(&format!("left: {counts}\n right: (4, 5)")), "{msg}");
         }
+    }
+
+    /// Every span names what it acts on — and its label is that task's or
+    /// handle's text — and every forward names its source GPU.
+    #[test]
+    fn spans_name_their_task_handle_and_source() {
+        let graph = broadcast_graph(8);
+        let out = simulate(&graph, &dgx1(), &RuntimeConfig::default());
+        let mut forwards = 0;
+        for s in out.trace.spans() {
+            let (x, text) = (s.subject as usize, out.trace.label(s.label));
+            if s.kind == SpanKind::Kernel {
+                assert!(x < graph.len(), "{s:?}");
+                assert_eq!(text, graph.task(TaskId(x)).label.to_text());
+            } else {
+                assert!(x < graph.data().len(), "{s:?}");
+                let info = graph.data().info(HandleId(x));
+                assert_eq!((s.bytes, text), (info.bytes, info.label.as_str()));
+            }
+            if s.kind == SpanKind::P2P {
+                forwards += 1;
+                assert_ne!(xk_trace::Place::Gpu(u32::from(s.peer)), s.place, "{s:?}");
+            } else {
+                assert_eq!(s.peer, Span::NO_PEER, "{s:?}");
+            }
+        }
+        assert!(forwards > 0, "no P2P span to check");
     }
 
     #[test]

@@ -539,6 +539,8 @@ mod tests {
             bytes: 128,
             label: tile,
             flow: FlowId(0),
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         });
         let dgemm = t.intern("dgemm");
         t.push(Span {
@@ -550,6 +552,8 @@ mod tests {
             bytes: 0,
             label: dgemm,
             flow: FlowId(0),
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         });
         t
     }
@@ -594,6 +598,8 @@ mod tests {
             bytes: 0,
             label,
             flow: FlowId::NONE,
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         });
         let csv = trace_to_csv(&tr);
         let data_line = csv.lines().nth(1).unwrap();
@@ -625,6 +631,8 @@ mod tests {
             bytes: 0,
             label,
             flow: FlowId(7),
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         });
         let json = chrome_json(&tr);
         let n = jsonck::validate_trace_events(&json).unwrap();
@@ -655,6 +663,8 @@ mod tests {
             bytes: 1,
             label: Label::NONE,
             flow: FlowId(3),
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         };
         tr.push(mk(2.0, 3.0, SpanKind::Kernel));
         tr.push(mk(0.0, 1.0, SpanKind::H2D));

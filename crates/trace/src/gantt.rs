@@ -131,6 +131,8 @@ mod tests {
             bytes: 10,
             label: Label::NONE,
             flow: FlowId::NONE,
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         });
         t.push(Span {
             place: Place::Gpu(0),
@@ -141,6 +143,8 @@ mod tests {
             bytes: 0,
             label: Label::NONE,
             flow: FlowId::NONE,
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         });
         t.push(Span {
             place: Place::Gpu(1),
@@ -151,6 +155,8 @@ mod tests {
             bytes: 0,
             label: Label::NONE,
             flow: FlowId::NONE,
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         });
         t
     }

@@ -12,10 +12,13 @@
 //! * [`Trace::longest_global_gap`] — quantifies the synchronization holes
 //!   visible in Chameleon's composition Gantt.
 //!
-//! Span labels are interned in the owning [`Trace`] ([`Trace::intern`] /
-//! [`Trace::label`]): each [`Span`] stores a `u32` [`Label`] instead of a
-//! cloned `String`, keeping span recording allocation-free in the DES hot
-//! loop.
+//! Each [`Span`] stores a `u32` [`Label`] into the owning [`Trace`]'s
+//! symbol table instead of a cloned `String`, keeping span recording
+//! allocation-free in the DES hot loop: the table is shared in whole
+//! ([`Trace::with_labels`]) or grown by [`Trace::intern`], and resolved at
+//! export ([`Trace::label`]). A span's `subject` names the task (kernels) or
+//! data handle (transfers) it acts on, and `peer` the source GPU of a P2P
+//! copy, so the trace alone carries a run's data flow.
 //!
 //! ```
 //! use xk_trace::{Trace, Span, SpanKind, Place, FlowId};
@@ -24,11 +27,11 @@
 //! let a00 = trace.intern("A(0,0)");
 //! trace.push(Span { place: Place::Gpu(0), lane: 0, kind: SpanKind::H2D,
 //!                   start: 0.0, end: 0.1, bytes: 1 << 20, label: a00,
-//!                   flow: FlowId(0) });
+//!                   flow: FlowId(0), subject: 0, peer: Span::NO_PEER });
 //! let dgemm = trace.intern("dgemm");
 //! trace.push(Span { place: Place::Gpu(0), lane: 1, kind: SpanKind::Kernel,
 //!                   start: 0.1, end: 0.5, bytes: 0, label: dgemm,
-//!                   flow: FlowId(0) });
+//!                   flow: FlowId(0), subject: 0, peer: Span::NO_PEER });
 //! assert!(trace.breakdown().transfer_ratio() < 0.5);
 //! assert_eq!(trace.label(dgemm), "dgemm");
 //! // One click in ui.perfetto.dev away:

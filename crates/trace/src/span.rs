@@ -61,11 +61,10 @@ impl std::fmt::Display for Place {
     }
 }
 
-/// An interned span label: an index into the owning [`crate::Trace`]'s
-/// symbol table.
+/// A span label: an index into the owning [`crate::Trace`]'s symbol table.
 ///
 /// Simulated executors record hundreds of thousands of spans whose labels
-/// repeat a few hundred distinct strings (tile coordinates, kernel names).
+/// come from a fixed set of strings (tile coordinates, kernel names).
 /// Storing a `u32` per span instead of a cloned `String` keeps the DES hot
 /// loop allocation-free; the text is resolved once, at export, via
 /// [`crate::Trace::label`].
@@ -123,16 +122,31 @@ pub struct Span {
     pub end: f64,
     /// Payload size for transfers, 0 for kernels.
     pub bytes: u64,
-    /// Short description (kernel name, tile coordinates...), interned in
-    /// the owning [`crate::Trace`] — resolve with [`crate::Trace::label`].
+    /// Short description (kernel name, tile coordinates...), an index into
+    /// the owning [`crate::Trace`]'s table — resolve with
+    /// [`crate::Trace::label`].
     pub label: Label,
     /// Data-flow chain membership ([`FlowId::NONE`] when unlinked).
     pub flow: FlowId,
+    /// What the operation acts on: the task id of a kernel span, the data
+    /// handle id of a transfer span, [`Span::NO_SUBJECT`] when the recorder
+    /// tracks neither. With it a checker replays a run's data flow from
+    /// the trace alone.
+    pub subject: u32,
+    /// Source GPU of a P2P span (`place` is the destination);
+    /// [`Span::NO_PEER`] on every other span.
+    pub peer: u16,
 }
 
 impl Span {
-    /// A span on GPU `gpu` whose `start`/`end` are still to be filled in
-    /// (executors take them from the engine reservation).
+    /// `subject` of a span that acts on no task or handle.
+    pub const NO_SUBJECT: u32 = u32::MAX;
+    /// `peer` of a span that is not a P2P transfer.
+    pub const NO_PEER: u16 = u16::MAX;
+
+    /// A span on GPU `gpu`, with no subject or peer, whose `start`/`end`
+    /// are still to be filled in (executors take them from the engine
+    /// reservation).
     pub fn on_gpu(
         gpu: usize,
         lane: u8,
@@ -142,7 +156,8 @@ impl Span {
         flow: FlowId,
     ) -> Span {
         let place = Place::Gpu(gpu as u32);
-        Span { place, lane, kind, start: 0.0, end: 0.0, bytes, label, flow }
+        let (subject, peer) = (Span::NO_SUBJECT, Span::NO_PEER);
+        Span { place, lane, kind, start: 0.0, end: 0.0, bytes, label, flow, subject, peer }
     }
 
     /// Span duration in seconds.
@@ -174,8 +189,17 @@ mod tests {
             bytes: 0,
             label: Label::NONE,
             flow: FlowId::NONE,
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         };
         assert!((s.duration() - 2.5).abs() < 1e-12);
+    }
+
+    /// The subject and the peer live in what was the struct's padding: the
+    /// span list of a large run costs no more than before they existed.
+    #[test]
+    fn span_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<Span>(), 48);
     }
 
     #[test]

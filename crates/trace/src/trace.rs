@@ -26,16 +26,18 @@ fn longest_interval_gap(mut intervals: Vec<(f64, f64)>) -> f64 {
 
 /// A complete execution trace: every engine operation of a simulated run.
 ///
-/// Span labels are interned: each [`Span`] carries a [`Label`] index into
-/// this trace's symbol table ([`Trace::intern`] / [`Trace::label`]), so
-/// recording a span never clones a `String`.
+/// Each [`Span`] carries a [`Label`] index into this trace's symbol table
+/// ([`Trace::label`]), so recording a span never clones a `String`. The
+/// table is either handed in whole ([`Trace::with_labels`]) or grown by
+/// [`Trace::intern`].
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     spans: Vec<Span>,
-    /// Symbol table: `Label(i)` resolves to `labels[i]`.
-    labels: Vec<Arc<str>>,
-    /// Reverse lookup for `intern`; each key shares its allocation with the
-    /// table entry it indexes.
+    /// Symbol table: `Label(i)` resolves to `labels[i]`. A table from
+    /// `with_labels` stays shared until `intern` adds to it.
+    labels: Arc<Vec<Arc<str>>>,
+    /// Reverse lookup for `intern`, built on its first call; each key
+    /// shares its allocation with the table entry it indexes.
     index: HashMap<Arc<str>, u32>,
 }
 
@@ -97,19 +99,32 @@ impl Trace {
         Trace::default()
     }
 
+    /// Empty trace whose symbol table is `labels`, shared rather than
+    /// copied: an executor that interned every label of a graph once
+    /// records each run's spans against that table without interning.
+    pub fn with_labels(labels: Arc<Vec<Arc<str>>>) -> Self {
+        Trace { spans: Vec::new(), labels, index: HashMap::new() }
+    }
+
     /// Interns `label`, returning its stable [`Label`] index. Interning the
-    /// same string twice returns the same index; the empty string maps to
-    /// [`Label::NONE`] without occupying a table slot.
+    /// same string twice returns the same index (the first one, in a table
+    /// from [`Trace::with_labels`] that repeats it); the empty string maps
+    /// to [`Label::NONE`] without occupying a table slot.
     pub fn intern(&mut self, label: &str) -> Label {
         if label.is_empty() {
             return Label::NONE;
+        }
+        if self.index.is_empty() {
+            for (id, text) in self.labels.iter().enumerate().rev() {
+                self.index.insert(Arc::clone(text), id as u32);
+            }
         }
         if let Some(&id) = self.index.get(label) {
             return Label(id);
         }
         let id = self.labels.len() as u32;
         let text: Arc<str> = Arc::from(label);
-        self.labels.push(Arc::clone(&text));
+        Arc::make_mut(&mut self.labels).push(Arc::clone(&text));
         self.index.insert(text, id);
         Label(id)
     }
@@ -120,8 +135,9 @@ impl Trace {
         self.labels.get(l.0 as usize).map_or("", |s| s)
     }
 
-    /// The symbol table, indexed by `Label(i)`.
-    pub fn labels(&self) -> &[Arc<str>] {
+    /// The symbol table, indexed by `Label(i)`; clone the `Arc` to share
+    /// it with [`Trace::with_labels`].
+    pub fn labels(&self) -> &Arc<Vec<Arc<str>>> {
         &self.labels
     }
 
@@ -296,6 +312,8 @@ mod tests {
             bytes: if kind.is_transfer() { 100 } else { 0 },
             label: Label::NONE,
             flow: FlowId::NONE,
+            subject: Span::NO_SUBJECT,
+            peer: Span::NO_PEER,
         }
     }
 
@@ -415,6 +433,17 @@ mod tests {
         assert_eq!(t.labels().len(), 2);
         // Table and reverse index hold one allocation per label, not two.
         assert!(t.labels().iter().all(|l| Arc::strong_count(l) == 2));
+    }
+
+    #[test]
+    fn a_shared_table_resolves_and_interns_copy_on_write() {
+        let table: Arc<Vec<Arc<str>>> = Arc::new(vec!["t0".into(), "A".into(), "t0".into()]);
+        let mut t = Trace::with_labels(Arc::clone(&table));
+        assert_eq!(t.label(Label(1)), "A");
+        assert_eq!(t.intern("t0"), Label(0), "a repeated text interns to its first slot");
+        assert_eq!(t.intern("B"), Label(3));
+        assert_eq!(t.labels().len(), 4);
+        assert_eq!(table.len(), 3, "the shared table is never written");
     }
 
     #[test]
