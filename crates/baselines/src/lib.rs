@@ -21,7 +21,7 @@ pub use cublasxt::run_cublasxt;
 pub use slate::run_slate;
 pub use xkblas_like::{build_routine_graph, build_run_graph, run_on_runtime, run_prepped};
 
-use xk_kernels::Routine;
+use xk_kernels::{GpuModel, Routine};
 use xk_runtime::{Heuristics, ObsReport, RuntimeConfig, SchedulerKind};
 use xk_topo::FabricSpec;
 use xk_trace::Trace;
@@ -120,12 +120,38 @@ impl Library {
         }
     }
 
-    /// Candidate block sizes swept per library (§IV-A: {1024, 2048, 4096},
-    /// extended to 8192/16384 for cuBLAS-XT and SLATE).
+    /// Candidate block sizes swept per library, ascending (§IV-A: {1024,
+    /// 2048, 4096}, extended to 8192/16384 for cuBLAS-XT and SLATE).
     pub fn tile_candidates(self) -> &'static [usize] {
         match self {
             Library::CublasXt | Library::Slate => &[1024, 2048, 4096, 8192, 16384],
             _ => &[1024, 2048, 4096],
+        }
+    }
+
+    /// A TFlop/s no [`run`] of this library with block size `tile` on
+    /// `topo` can exceed, for any routine and `n`:
+    /// `n_gpus × peak × eff(tile)`. `None` for cuBLAS-XT and SLATE, whose
+    /// drivers schedule their own kernels. For the libraries simulated on
+    /// the shared runtime:
+    /// - each GPU runs its kernels one at a time, so the makespan is at
+    ///   least `Σ kernel_time / n_gpus` (the `compute` term of
+    ///   [`xk_runtime::makespan_lower_bound`]);
+    /// - no kernel of a tile-`t` decomposition runs faster than
+    ///   `peak · eff(t)`: its effective size is at most `t`, except SYR2K's
+    ///   diagonal kernel at `t · (1 + 1/t)^(1/3)`, which its 0.93 routine
+    ///   factor more than absorbs;
+    /// - the tile kernels' flops sum to `flops_square(n)`;
+    /// - host conversion (Chameleon LAPACK) and staging (cuBLAS-MG) only
+    ///   add seconds.
+    pub fn tflops_ceiling(self, topo: &FabricSpec, tile: usize) -> Option<f64> {
+        match self {
+            Library::CublasXt | Library::Slate => None,
+            _ => {
+                let peak = RuntimeConfig::xkblas().gpu_model.peak_flops;
+                let eff = GpuModel::gemm_efficiency(tile as f64);
+                Some(topo.n_gpus() as f64 * peak * eff / 1e12)
+            }
         }
     }
 }

@@ -6,7 +6,8 @@
 //! - `--small`  uses the paper grid truncated at N = 24576 (the
 //!   `PAPER_DIMS_SMALL` sweep the benchmark snapshot times).
 //! - `--serial` disables the run cache: the reference configuration the
-//!   cached output must match byte for byte.
+//!   cached output must match byte for byte. The best-tile search still
+//!   skips tiles that provably cannot win; that never changes a result.
 
 use xk_bench::{figs, runcache, write_csv, PAPER_DIMS_SMALL};
 

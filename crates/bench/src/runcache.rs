@@ -1,9 +1,9 @@
 //! Memoization of simulated runs.
 //!
 //! The paper's evaluation re-derives many identical configurations: the
-//! best-tile selection re-runs every `(library, routine, n, tile)` point,
-//! Table II re-runs Fig. 3/4 points, and the trace figures re-simulate the
-//! winners. Every simulation is deterministic in its inputs, so a run is
+//! best-tile selection re-runs the `(library, routine, n, tile)` points it
+//! cannot rule out, Table II re-runs Fig. 3/4 points, and the trace
+//! figures re-simulate the winners. Every simulation is deterministic in its inputs, so a run is
 //! fully identified by `(library, routine, n, tile, data_on_device,
 //! topology fingerprint)` — the [`RunCache`] maps that key to the finished
 //! [`xk_baselines::RunResult`] and never simulates the same configuration

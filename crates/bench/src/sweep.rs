@@ -1,9 +1,13 @@
 //! Parameter sweeps with the paper's best-tile selection.
 //!
-//! Every simulated run is deterministic, so evaluating a dimension's tile
-//! candidates on several threads ([`best_tile_run_with`] with `parallel`)
-//! still picks the same winner as the serial loop: candidate results are
-//! placed in candidate order and reduced by one strict-`>` fold.
+//! The search runs the largest candidate tile first and skips every smaller
+//! one whose [`Library::tflops_ceiling`] lies below that run's TFlop/s: its
+//! kernels alone are too slow to win or tie. Every simulated run is
+//! deterministic, so evaluating the rest on several threads
+//! ([`best_tile_run_with`] with `parallel`) still picks the same winner as
+//! the serial loop: candidate results are placed in candidate order and
+//! reduced by one strict-`>` fold. The winner, and every result, is the one
+//! trying every candidate would give.
 
 use std::sync::Arc;
 
@@ -83,7 +87,7 @@ fn fold_best(outcomes: Vec<(usize, RunOutcome)>) -> Result<(usize, Arc<RunResult
 }
 
 /// [`best_tile_run`] with optional memoization and, with `parallel`, the
-/// tile candidates evaluated as replicas on every core
+/// surviving candidates evaluated as replicas on every core
 /// ([`xk_sim::run_replicas`]). The winner is identical to the serial pick.
 pub fn best_tile_run_with(
     lib: Library,
@@ -106,21 +110,37 @@ pub fn best_tile_run_with(
         .copied()
         .filter(|&t| t <= n)
         .collect();
-    if candidates.is_empty() {
+    let Some((&largest, rest)) = candidates.split_last() else {
         // Tiny problems where every candidate exceeds n: run one fallback
         // tile and propagate *its* error — not a blanket `Unsupported`.
         let tile = n.max(1);
         return run_point(lib, topo, &params(tile), cache).map(|r| (tile, r));
-    }
+    };
+    // The largest tile first: a smaller one whose throughput ceiling is
+    // below that run's TFlop/s can neither win nor tie, so it is not run.
+    // The 1e-9 slack keeps a candidate in the race when rounding alone
+    // puts its ceiling under that result.
+    let first = run_point(lib, topo, &params(largest), cache);
+    let to_beat = first.as_ref().map_or(0.0, |r| r.tflops);
+    let survivors: Vec<usize> = rest
+        .iter()
+        .copied()
+        .filter(|&t| lib.tflops_ceiling(topo, t).is_none_or(|c| c * (1.0 + 1e-9) >= to_beat))
+        .collect();
     let threads = if parallel { 0 } else { 1 };
-    fold_best(xk_sim::run_replicas(candidates.len(), threads, |i| {
-        let tile = candidates[i];
+    let mut outcomes = xk_sim::run_replicas(survivors.len(), threads, |i| {
+        let tile = survivors[i];
         (tile, run_point(lib, topo, &params(tile), cache))
-    }))
+    });
+    outcomes.push((largest, first));
+    fold_best(outcomes)
 }
 
-/// Runs `lib` at dimension `n`, trying every candidate tile size and
-/// keeping the best (§IV-A block-size selection).
+/// Runs `lib` at dimension `n` and keeps the best candidate tile size
+/// (§IV-A block-size selection). Candidates whose
+/// [`Library::tflops_ceiling`] is below the largest tile's result are
+/// skipped; they could not have won, so the answer is the one trying every
+/// candidate gives.
 pub fn best_tile_run(
     lib: Library,
     topo: &FabricSpec,

@@ -3,10 +3,12 @@
 //! the uncached serial reference bit for bit (modulo process-global matrix
 //! ids in labels).
 
-use xk_baselines::{Library, XkVariant};
-use xk_bench::{best_tile_run, best_tile_run_with, sweep_series, RunCache};
+use std::sync::Arc;
+
+use xk_baselines::{Library, RunParams, RunResult, XkVariant};
+use xk_bench::{best_tile_run, best_tile_run_with, fmt_tflops, sweep_series, RunCache};
 use xk_kernels::Routine;
-use xk_topo::dgx1;
+use xk_topo::{dgx1, fabrics, FabricSpec};
 use xk_trace::Trace;
 
 const DIMS: [usize; 2] = [4096, 8192];
@@ -92,4 +94,85 @@ fn traces_identical_serial_vs_parallel_and_cached() {
         best_tile_run_with(lib, &topo, Routine::Gemm, 4096, false, Some(&cache), true).unwrap();
     assert!(cache.stats().hits > 0, "second evaluation must hit the memo");
     assert!(std::sync::Arc::ptr_eq(&par, &cached), "shared, not copied");
+}
+
+/// The search without pruning: every candidate tile run, the first strictly
+/// best kept.
+fn every_candidate(
+    lib: Library,
+    topo: &FabricSpec,
+    routine: Routine,
+    n: usize,
+    data_on_device: bool,
+    cache: &RunCache,
+) -> (usize, Arc<RunResult>) {
+    let mut best: Option<(usize, Arc<RunResult>)> = None;
+    for &tile in lib.tile_candidates().iter().filter(|&&t| t <= n) {
+        let r = cache.run(lib, topo, &RunParams { routine, n, tile, data_on_device }).unwrap();
+        if best.as_ref().is_none_or(|(_, b)| r.tflops > b.tflops) {
+            best = Some((tile, r));
+        }
+    }
+    best.expect("some candidate runs")
+}
+
+fn assert_same_pick(got: &(usize, Arc<RunResult>), want: &(usize, Arc<RunResult>), what: &str) {
+    assert_eq!(got.0, want.0, "{what}: tile");
+    assert_eq!(got.1.seconds.to_bits(), want.1.seconds.to_bits(), "{what}: seconds");
+    assert_eq!(got.1.tflops.to_bits(), want.1.tflops.to_bits(), "{what}: tflops");
+    assert_eq!(
+        (got.1.bytes_h2d, got.1.bytes_d2h, got.1.bytes_p2p),
+        (want.1.bytes_h2d, want.1.bytes_d2h, want.1.bytes_p2p),
+        "{what}: bytes"
+    );
+    assert_eq!(got.1.trace.len(), want.1.trace.len(), "{what}: spans");
+}
+
+#[test]
+fn pruned_search_equals_trying_every_candidate() {
+    let libs = Library::FIG5.into_iter().chain([
+        Library::XkBlas(XkVariant::NoHeuristic),
+        Library::XkBlas(XkVariant::NoHeuristicNoTopo),
+    ]);
+    // A one-GPU box reaches its ceiling with data on device, so the small
+    // tiles really are skipped there.
+    let topos = [dgx1(), fabrics::pcie_box(4), fabrics::pcie_box(1)];
+    let cache = RunCache::new();
+    let (mut candidates, mut simulated) = (0, 0);
+    for lib in libs {
+        for routine in Routine::ALL.into_iter().filter(|&r| lib.supports(r)) {
+            for topo in &topos {
+                for n in [4096, 8192] {
+                    for dod in [false, true] {
+                        let what = format!("{lib:?} {routine:?} {} n={n} dod={dod}", topo.name());
+                        let before = cache.stats().misses;
+                        let serial = best_tile_run_with(lib, topo, routine, n, dod, Some(&cache), false)
+                            .unwrap();
+                        simulated += cache.stats().misses - before;
+                        candidates += lib.tile_candidates().iter().filter(|&&t| t <= n).count() as u64;
+                        let parallel = best_tile_run_with(lib, topo, routine, n, dod, Some(&cache), true)
+                            .unwrap();
+                        let reference = every_candidate(lib, topo, routine, n, dod, &cache);
+                        assert_same_pick(&serial, &reference, &what);
+                        assert_same_pick(&parallel, &reference, &what);
+                    }
+                }
+            }
+        }
+    }
+    assert!(simulated < candidates, "nothing pruned: {simulated} of {candidates} simulated");
+}
+
+#[test]
+fn large_gemm_search_skips_the_tile_1024_run() {
+    // At N = 49152 the tile-4096 run (54.53 TFlop/s, Fig. 3) beats what
+    // eight GPUs can reach with 1024 tiles (52.42), so only two of the three
+    // candidates are simulated.
+    let cache = RunCache::new();
+    let lib = Library::XkBlas(XkVariant::Full);
+    let (tile, r) = best_tile_run_with(lib, &dgx1(), Routine::Gemm, 49152, false, Some(&cache), false)
+        .unwrap();
+    assert_eq!(tile, 4096);
+    assert_eq!(fmt_tflops(Some(r.tflops)), "54.53");
+    assert_eq!(cache.stats().misses, 2);
 }

@@ -45,7 +45,8 @@ pub enum SourceDecision {
 ///    `topology_aware`, sort by descending P2P performance rank to `dst`
 ///    (ties broken by `tie_break`, typically the GPU whose outbound engine
 ///    frees first); without it, take the lowest-index valid GPU —
-///    the "no topo" ablation of Fig. 3.
+///    the "no topo" ablation of Fig. 3. Where every peer has the same
+///    rank, the two paths differ only in that tie-break.
 /// 3. No valid GPU replica, but one is in flight and `optimistic_d2d` is
 ///    on → wait for the best in-flight replica and forward D2D.
 /// 4. Fall back to the host.
@@ -317,5 +318,31 @@ mod tests {
         let mut pick_last = |c: &[usize]| c.len() - 1;
         let d = select_source(h, 0, now, &cache, &topo, Heuristics::full(), &mut Vec::new(), &mut pick_last);
         assert_eq!(d, SourceDecision::FromGpu { src: 4 });
+    }
+
+    #[test]
+    fn equal_ranks_reach_the_tie_break_only_when_topology_aware() {
+        // Every NVSwitch peer has the same rank, so the rank filter keeps
+        // every holder. What then separates "no heuristic" from "no
+        // heuristic, no topo" is who breaks the tie, not the topology.
+        let (_, mut cache) = setup(1);
+        let topo = xk_topo::fabrics::dgx2(16);
+        let h = HandleId(0);
+        for g in [2, 5, 7] {
+            cache.begin_transfer(h, g, 100, SimTime::ZERO);
+        }
+        let now = SimTime::new(1.0);
+        let mut offered = Vec::new();
+        let mut pick_last = |c: &[usize]| {
+            offered = c.to_vec();
+            c.len() - 1
+        };
+        let aware = Heuristics::no_optimistic();
+        let d = select_source(h, 0, now, &cache, &topo, aware, &mut Vec::new(), &mut pick_last);
+        assert_eq!(offered, [2, 5, 7]);
+        assert_eq!(d, SourceDecision::FromGpu { src: 7 });
+        let mut never = |_: &[usize]| -> usize { panic!("the no-topo path took a tie-break") };
+        let d = select_source(h, 0, now, &cache, &topo, Heuristics::none(), &mut Vec::new(), &mut never);
+        assert_eq!(d, SourceDecision::FromGpu { src: 2 });
     }
 }
