@@ -11,11 +11,13 @@
 
 pub mod composition;
 pub mod figs;
-pub mod graphgen;
 pub mod kernelbench;
 pub mod report;
 pub mod runcache;
 pub mod sweep;
+
+/// The random DAGs of `xk-check`, re-exported under their former path.
+pub use xk_check::graphgen;
 
 pub use composition::{
     composition_flops, run_chameleon_composition, run_xkblas_composition, CompositionResult,

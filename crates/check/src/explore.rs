@@ -304,7 +304,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xk_bench::graphgen::{build_random_dag, RandomDagSpec};
+    use crate::graphgen::{build_random_dag, RandomDagSpec};
 
     #[test]
     fn canonical_schedule_passes_the_oracle() {

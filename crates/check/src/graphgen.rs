@@ -1,4 +1,4 @@
-//! Seeded random task-graph generators: the DAGs `xk-check` explores and
+//! Seeded random task-graph generators: the DAGs this crate explores and
 //! the benchmark's `check_matrix` workload replays.
 
 use xk_kernels::perfmodel::TileOp;

@@ -24,6 +24,7 @@
 //!   writes a replay file under `crates/check/regressions/`.
 //! - [`topo_util`] — topology surgery for the metamorphic properties
 //!   (GPU-id permutation, uniform bandwidth scaling, DGX-1 sub-machines).
+//! - [`graphgen`] — the seeded random DAGs every exploration runs on.
 //!
 //! See `DESIGN.md` §6g for the full picture and the seed-replay workflow.
 
@@ -31,6 +32,7 @@
 
 pub mod controllers;
 pub mod explore;
+pub mod graphgen;
 pub mod shrink;
 pub mod topo_util;
 pub mod witness;

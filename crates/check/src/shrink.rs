@@ -9,10 +9,10 @@
 
 use std::path::{Path, PathBuf};
 
-use xk_bench::graphgen::{build_random_dag, RandomDagSpec};
 use xk_runtime::{Heuristics, RuntimeConfig, TaskGraph};
 use xk_topo::FabricSpec;
 
+use crate::graphgen::{build_random_dag, RandomDagSpec};
 use crate::topo_util::subtopo;
 
 /// A fully replayable failing case.
@@ -20,7 +20,7 @@ use crate::topo_util::subtopo;
 pub struct ReplayCase {
     /// Short kebab-case name (file stem under `regressions/`).
     pub name: String,
-    /// Graph-structure seed for [`xk_bench::graphgen::build_random_dag`].
+    /// Graph-structure seed for [`build_random_dag`].
     pub seed: u64,
     /// Graph shape.
     pub spec: RandomDagSpec,

@@ -13,7 +13,7 @@
 //! loops, which `serial_and_batched_reports_agree` pins on a full matrix
 //! cell.
 
-use xk_bench::graphgen::{build_random_dag, RandomDagSpec};
+use xk_check::graphgen::{build_random_dag, RandomDagSpec};
 use xk_check::topo_util::subtopo;
 use xk_check::{
     explore_random, explore_random_batch, explore_pct_batch, replay, shrink_case,

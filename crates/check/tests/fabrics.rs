@@ -5,7 +5,7 @@
 //! `differential.rs` / `metamorphic.rs`; this suite proves the redesigned
 //! fabric layer did not bake DGX-1 assumptions into the runtime.
 
-use xk_bench::graphgen::{build_random_dag, build_random_dag_placed, RandomDagSpec};
+use xk_check::graphgen::{build_random_dag, build_random_dag_placed, RandomDagSpec};
 use xk_check::topo_util::automorphisms;
 use xk_check::{explore_random_batch, replay, Failure};
 use xk_runtime::{Heuristics, RuntimeConfig, SchedulerKind};

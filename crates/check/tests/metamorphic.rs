@@ -21,7 +21,7 @@
 //! 5. On one GPU there is no peer to fetch from, so every heuristic preset
 //!    runs the same schedule: same choices, same spans.
 
-use xk_bench::graphgen::{build_random_dag, build_random_dag_placed, RandomDagSpec};
+use xk_check::graphgen::{build_random_dag, build_random_dag_placed, RandomDagSpec};
 use xk_check::topo_util::{scaled_bandwidth, subtopo, DGX1_AUTOMORPHISMS};
 use xk_check::{explore_random, replay, RandomController};
 use xk_runtime::{

@@ -5,7 +5,7 @@
 //! the failing case, and that the regression file round-trips through the
 //! replay machinery.
 
-use xk_bench::graphgen::RandomDagSpec;
+use xk_check::graphgen::RandomDagSpec;
 use xk_check::shrink::{from_text, to_text};
 use xk_check::{
     explore_random, load_regressions, replay, shrink_case, write_regression, ReplayCase,

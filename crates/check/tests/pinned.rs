@@ -5,7 +5,7 @@
 //! change to a tie order, a controller stream or an oracle verdict moves
 //! it.
 
-use xk_bench::graphgen::{build_random_dag, RandomDagSpec};
+use xk_check::graphgen::{build_random_dag, RandomDagSpec};
 use xk_check::topo_util::subtopo;
 use xk_check::{witness, RandomController};
 use xk_runtime::{Heuristics, RuntimeConfig, SimExecutor, SimPrep};

@@ -8,7 +8,7 @@ use crate::types::Trans;
 use crate::view::{MatMut, MatRef};
 
 /// Sequential tile GEMM, routed through the blocked/packed engine
-/// ([`crate::blocked`]).
+/// (the crate's `blocked` module).
 ///
 /// `C` is `m × n`, `op(A)` is `m × k`, `op(B)` is `k × n`. When
 /// `beta == 1` the engine never re-reads `C` for scaling; for other betas

@@ -1,7 +1,7 @@
 //! Explicit SIMD microkernels with runtime ISA dispatch.
 //!
-//! The blocked engine ([`crate::blocked`]) is generic over a
-//! [`MicroKernel`]: a register-tile update (`MR × NR` accumulator over a
+//! The blocked engine (the crate's `blocked` module) is generic over a
+//! `MicroKernel`: a register-tile update (`MR × NR` accumulator over a
 //! `kc`-deep packed panel pair, fringe-clipped `alpha`/`beta` store) plus
 //! the cache-blocking parameters (`KC`/`MC`/`NC`) tuned for that tile.
 //! Four kernels exist today, all for `f64` (the paper's evaluation is

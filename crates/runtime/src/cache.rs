@@ -288,31 +288,21 @@ impl SoftwareCache {
 
     /// Ensures `bytes` fit on GPU `g` next to the pinned set `keep` (the
     /// working set of the launching task, never evicted). Returns the
-    /// eviction actions, already applied to the cache state. XKaapi policy:
-    /// clean replicas first (LRU), dirty ones (write-back) last.
+    /// eviction actions, already applied to the cache state.
+    ///
+    /// The candidates are presented in XKaapi's order — clean replicas
+    /// first (LRU), dirty ones (write-back) last — and `pick(n)` chooses
+    /// which of the `n` remaining ones goes next: the eviction choice
+    /// point. It is consulted only while two or more candidates remain, and
+    /// an out-of-range pick is clamped to the last; a `pick` that answers 0
+    /// is the canonical policy.
     pub fn make_room(
         &mut self,
         g: usize,
         bytes: u64,
         keep: &[HandleId],
         data: &DataRegistry,
-    ) -> Vec<Eviction> {
-        self.make_room_with(g, bytes, keep, data, None)
-    }
-
-    /// Like [`SoftwareCache::make_room`], but an optional `pick` closure
-    /// chooses which of the remaining eviction candidates (canonical
-    /// clean-first / LRU order) goes next — the schedule-space checker's
-    /// eviction choice point. `pick(n)` is consulted only while two or more
-    /// candidates remain; `None` (and out-of-range picks clamped to the
-    /// canonical head) reproduce `make_room` exactly.
-    pub fn make_room_with(
-        &mut self,
-        g: usize,
-        bytes: u64,
-        keep: &[HandleId],
-        data: &DataRegistry,
-        mut pick: Option<&mut dyn FnMut(usize) -> usize>,
+        pick: &mut dyn FnMut(usize) -> usize,
     ) -> Vec<Eviction> {
         let mut evictions = Vec::new();
         if self.devices[g].used_bytes + bytes <= self.devices[g].capacity {
@@ -333,10 +323,7 @@ impl SoftwareCache {
             && !candidates.is_empty()
         {
             let last = candidates.len() - 1;
-            let idx = match pick.as_mut() {
-                Some(p) if last >= 1 => p(last + 1).min(last),
-                _ => 0,
-            };
+            let idx = if last == 0 { 0 } else { pick(last + 1).min(last) };
             let (dirty, _, h) = candidates.remove(last - idx);
             self.evict(h, g, data.info(h).bytes);
             if dirty {
@@ -391,6 +378,11 @@ impl SoftwareCache {
 mod tests {
     use super::*;
     use crate::data::DataInfo;
+
+    /// The canonical eviction pick.
+    fn first(_: usize) -> usize {
+        0
+    }
 
     fn registry(n: usize, bytes: u64) -> DataRegistry {
         let mut reg = DataRegistry::new();
@@ -469,7 +461,7 @@ mod tests {
         c.begin_transfer(h0, 0, 400, SimTime::ZERO); // oldest clean
         c.mark_written(h1, 0, 400, &reg); // dirty
         // Need room for h2: must evict h0 (clean LRU), not h1 (dirty).
-        let ev = c.make_room(0, 400, &[h2], &reg);
+        let ev = c.make_room(0, 400, &[h2], &reg, &mut first);
         assert_eq!(ev, vec![Eviction::Drop(h0)]);
         assert_eq!(c.resident_count(0), 1);
         c.check_invariants(&reg).unwrap();
@@ -481,7 +473,7 @@ mod tests {
         let mut c = SoftwareCache::new(1, 1000, &reg);
         let (h0, h1) = (HandleId(0), HandleId(1));
         c.mark_written(h0, 0, 600, &reg);
-        let ev = c.make_room(0, 600, &[h1], &reg);
+        let ev = c.make_room(0, 600, &[h1], &reg, &mut first);
         assert_eq!(ev, vec![Eviction::WriteBack(h0)]);
         assert!(c.host_valid(h0));
         c.check_invariants(&reg).unwrap();
@@ -493,7 +485,7 @@ mod tests {
         let mut c = SoftwareCache::new(1, 1000, &reg);
         let (h0, h1) = (HandleId(0), HandleId(1));
         c.begin_transfer(h0, 0, 600, SimTime::ZERO);
-        let ev = c.make_room(0, 600, &[h0, h1], &reg);
+        let ev = c.make_room(0, 600, &[h0, h1], &reg, &mut first);
         // Nothing evictable: h0 pinned. Room not made — executor treats
         // this as capacity pressure (over-subscription is reported by
         // check_invariants in tests, real runs size tiles to fit).
@@ -510,12 +502,12 @@ mod tests {
         c.begin_transfer(h2, 0, 400, SimTime::ZERO);
         // Canonical would evict h0 first; the chooser picks the LRU tail.
         let mut last = |n: usize| n - 1;
-        let ev = c.make_room_with(0, 400, &[], &reg, Some(&mut last));
+        let ev = c.make_room(0, 400, &[], &reg, &mut last);
         assert_eq!(ev, vec![Eviction::Drop(h2)]);
         assert!(c.replica(h0, 0).is_some());
         c.check_invariants(&reg).unwrap();
-        // And `None` delegates to the canonical policy (clean LRU first).
-        let ev2 = c.make_room_with(0, 800, &[], &reg, None);
+        // And picking 0 is the canonical policy (clean LRU first).
+        let ev2 = c.make_room(0, 800, &[], &reg, &mut first);
         assert_eq!(ev2, vec![Eviction::Drop(h0)]);
     }
 

@@ -13,6 +13,11 @@
 //! controller is exactly as deterministic as the controller itself, so one
 //! failing interleaving is a replayable seed plus choice string.
 //!
+//! Each choice point is one code path. It lists its candidates in the
+//! canonical order and takes the one chosen; "no controller" means
+//! candidate 0 on that same path, which is why [`CanonicalController`]
+//! reproduces an uncontrolled run bit for bit.
+//!
 //! A controller only chooses. What the run then did — every transfer and
 //! kernel, with its task or handle and simulated times — is in the run's
 //! trace, which `xk-check` replays against a serial reference.
@@ -35,8 +40,9 @@ pub enum ChoicePoint {
     /// (ascending index on ties) so candidate 0 is the canonical victim.
     StealVictim,
     /// Which equally-ranked source GPU supplies a tile
-    /// ([`crate::heuristics::select_source`] tie). Candidates ascending by
-    /// GPU index.
+    /// ([`crate::heuristics::select_source`] tie). Candidate 0 is the GPU
+    /// whose outgoing channel to the destination frees first (lowest index
+    /// on ties); the rest follow ascending by GPU index.
     SourceTieBreak,
     /// Which evictable replica leaves a full cache first. Candidates in the
     /// canonical eviction order (clean before dirty, LRU within a class).
@@ -60,8 +66,9 @@ pub trait ScheduleController {
     fn choose(&mut self, point: ChoicePoint, n: usize) -> usize;
 }
 
-/// The canonical controller: always picks candidate 0 — byte-identical to
-/// running without a controller. Useful as a replay fallback and in tests.
+/// The canonical controller: always picks candidate 0, the answer every
+/// choice point takes without a controller — so byte-identical to running
+/// without one. Useful as a replay fallback and in tests.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CanonicalController;
 

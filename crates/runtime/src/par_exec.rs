@@ -10,14 +10,14 @@
 //!
 //! # Executor design
 //!
-//! - Each task body sits in a [`BodySlot`]: an atomic claim flag plus an
+//! - Each task body sits in a `BodySlot`: an atomic claim flag plus an
 //!   `UnsafeCell` — claiming the flag grants exclusive access to the slot,
 //!   with no per-task mutex.
 //! - When a task completes, its newly-ready successors are released in a
 //!   batch: all but one go to the worker's local deque (stealable by idle
 //!   peers), the last is run inline on the same worker for cache warmth.
-//! - The queues are the crate's own ([`Worker`] / [`Stealer`] /
-//!   [`Injector`]): `Mutex<VecDeque>`s rather than lock-free Chase-Lev
+//! - The queues are the crate's own (`Worker` / `Stealer` /
+//!   `Injector`): `Mutex<VecDeque>`s rather than lock-free Chase-Lev
 //!   deques. A task here is a tile kernel of milliseconds, so an
 //!   uncontended lock per queue operation is noise.
 //! - A worker with nothing to run (local deque, global injector and every

@@ -1,8 +1,10 @@
-//! Task-to-GPU placement policies for the simulated executor.
+//! Task-to-GPU placement for the simulated executor.
 //!
 //! The paper's XKBlas uses XKaapi work stealing with a locality heuristic;
-//! Chameleon/StarPU uses `dmdas`. Both are modelled here behind one trait
-//! so the comparison isolates exactly what the paper varies.
+//! Chameleon/StarPU uses `dmdas`. Both are one [`Placement`] value, a
+//! `match` on [`SchedulerKind`], so the comparison isolates exactly the
+//! policy the paper varies: the executor around it is the same for every
+//! kind.
 
 use xk_sim::SimTime;
 use xk_topo::{Device, FabricSpec};
@@ -12,14 +14,12 @@ use crate::config::SchedulerKind;
 use crate::graph::TaskGraph;
 use crate::task::Task;
 
-/// Snapshot of executor state a scheduler may consult.
+/// Snapshot of executor state a placement may consult.
 pub struct SchedView<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// Per-GPU earliest kernel-stream availability.
     pub gpu_available: &'a [SimTime],
-    /// Per-GPU ready-queue lengths.
-    pub queue_lens: &'a [usize],
     /// Kernel seconds already assigned to each GPU and not yet finished.
     pub gpu_committed: &'a [f64],
     /// Platform topology.
@@ -32,79 +32,63 @@ pub struct SchedView<'a> {
     pub kernel_seconds: f64,
 }
 
-/// A placement policy.
-pub trait Scheduler {
-    /// Chooses the GPU for a task that just became ready.
-    fn assign(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize;
-
-    /// Whether idle GPUs may steal queued tasks from loaded peers.
-    fn allows_stealing(&self) -> bool {
-        false
-    }
-}
-
-/// Builds the scheduler named by the configuration.
-pub fn make_scheduler(kind: SchedulerKind, n_gpus: usize) -> Box<dyn Scheduler> {
-    match kind {
-        SchedulerKind::LocalityWorkStealing => Box::new(LocalityWorkStealing::new(n_gpus)),
-        SchedulerKind::Dmdas => Box::new(Dmdas::default()),
-        SchedulerKind::RoundRobin => Box::new(RoundRobin::default()),
-        SchedulerKind::StaticOwner => Box::new(StaticOwner::new(n_gpus)),
-    }
-}
-
-/// Owner-computes placement: the `owner_hint` of the task's first written
-/// tile (the 2D-cyclic distribution chosen by the algorithm layer); tasks
-/// without a hint round-robin through `fallback`.
-fn owner_or_round_robin(task: &Task, graph: &TaskGraph, fallback: &mut usize, n_gpus: usize) -> usize {
-    match task.owner_handle().and_then(|h| graph.data().info(h).owner_hint) {
-        Some(owner) => owner % n_gpus,
-        None => std::mem::replace(fallback, (*fallback + 1) % n_gpus),
-    }
-}
-
-/// XKaapi-style owner-computes placement with stealing allowed.
+/// The placement policy named by a [`SchedulerKind`], with its run state.
 ///
-/// Idle GPUs steal from the most loaded queue — the source of the
-/// SYR2K/SYRK load-vs-locality imbalance the paper observes (§IV-E).
-pub struct LocalityWorkStealing {
-    fallback: usize,
-    n_gpus: usize,
-}
-
-impl LocalityWorkStealing {
-    /// Creates the policy for `n_gpus` devices.
-    pub fn new(n_gpus: usize) -> Self {
-        LocalityWorkStealing {
-            fallback: 0,
-            n_gpus,
-        }
-    }
-}
-
-impl Scheduler for LocalityWorkStealing {
-    fn assign(&mut self, task: &Task, graph: &TaskGraph, _view: &SchedView<'_>) -> usize {
-        owner_or_round_robin(task, graph, &mut self.fallback, self.n_gpus)
-    }
-
-    fn allows_stealing(&self) -> bool {
-        true
-    }
-}
-
-/// StarPU `dmdas`-like policy: place each ready task on the GPU minimizing
-/// its estimated completion time (device availability + estimated transfer
-/// of the missing inputs + modelled kernel time). No stealing.
-#[derive(Default)]
-pub struct Dmdas {
-    /// Scratch reused across calls: per-GPU transfer estimate, and the
-    /// valid holders of the read handle being costed.
+/// - `LocalityWorkStealing` (XKaapi) and `StaticOwner` (cuBLAS-MG /
+///   ScaLAPACK) place owner-computes: the `owner_hint` of the task's first
+///   written tile (the 2D-cyclic distribution chosen by the algorithm
+///   layer); tasks without a hint round-robin. They differ only in
+///   [`Placement::steals`].
+/// - `RoundRobin` spreads tasks in ready order.
+/// - `Dmdas` (StarPU) places each ready task on the GPU minimizing its
+///   estimated completion time: device availability + committed work +
+///   estimated transfer of the missing inputs + modelled kernel time.
+pub struct Placement {
+    kind: SchedulerKind,
+    /// The next round-robin GPU.
+    next: usize,
+    /// Dmdas scratch reused across calls: per-GPU transfer estimate, and
+    /// the valid holders of the read handle being costed.
     transfer: Vec<f64>,
     holders: Vec<usize>,
 }
 
-impl Scheduler for Dmdas {
-    fn assign(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
+impl Placement {
+    /// The policy of `kind`, before any task is placed.
+    pub fn new(kind: SchedulerKind) -> Self {
+        Placement { kind, next: 0, transfer: Vec::new(), holders: Vec::new() }
+    }
+
+    /// Whether idle GPUs may steal queued tasks from loaded peers: only
+    /// under XKaapi-style work stealing, whose victim choice is the source
+    /// of the SYR2K/SYRK load-vs-locality imbalance the paper observes
+    /// (§IV-E).
+    pub fn steals(&self) -> bool {
+        self.kind == SchedulerKind::LocalityWorkStealing
+    }
+
+    /// Chooses the GPU for a task that just became ready.
+    pub fn assign(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
+        let n = view.gpu_available.len();
+        match self.kind {
+            SchedulerKind::LocalityWorkStealing | SchedulerKind::StaticOwner => {
+                match task.owner_handle().and_then(|h| graph.data().info(h).owner_hint) {
+                    Some(owner) => owner % n,
+                    None => self.round_robin(n),
+                }
+            }
+            SchedulerKind::RoundRobin => self.round_robin(n),
+            SchedulerKind::Dmdas => self.dmdas(task, graph, view),
+        }
+    }
+
+    fn round_robin(&mut self, n: usize) -> usize {
+        let g = self.next;
+        self.next = (g + 1) % n;
+        g
+    }
+
+    fn dmdas(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
         let n = view.gpu_available.len();
         // One pass per read handle: its holders and size are looked up once,
         // then every GPU missing it adds the estimate from the "cheapest"
@@ -144,61 +128,9 @@ impl Scheduler for Dmdas {
     }
 }
 
-/// Plain round-robin in ready order.
-#[derive(Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl Scheduler for RoundRobin {
-    fn assign(&mut self, _task: &Task, _graph: &TaskGraph, view: &SchedView<'_>) -> usize {
-        let n = view.gpu_available.len();
-        let g = self.next % n;
-        self.next = (self.next + 1) % n;
-        g
-    }
-}
-
-/// Strict owner-computes (no stealing): ScaLAPACK / cuBLAS-MG style.
-pub struct StaticOwner {
-    fallback: usize,
-    n_gpus: usize,
-}
-
-impl StaticOwner {
-    /// Creates the policy for `n_gpus` devices.
-    pub fn new(n_gpus: usize) -> Self {
-        StaticOwner {
-            fallback: 0,
-            n_gpus,
-        }
-    }
-}
-
-impl Scheduler for StaticOwner {
-    fn assign(&mut self, task: &Task, graph: &TaskGraph, _view: &SchedView<'_>) -> usize {
-        owner_or_round_robin(task, graph, &mut self.fallback, self.n_gpus)
-    }
-}
-
-/// Chooses a steal victim: the GPU with the longest non-empty queue.
-pub fn pick_victim(queue_lens: &[usize], thief: usize) -> Option<usize> {
-    let (victim, &len) = queue_lens
-        .iter()
-        .enumerate()
-        .filter(|&(g, _)| g != thief)
-        .max_by_key(|&(g, &l)| (l, std::cmp::Reverse(g)))?;
-    if len >= 1 {
-        Some(victim)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SchedulerKind;
     use crate::data::DataInfo;
     use crate::task::{Access, TaskAccess, TaskId};
     use xk_kernels::perfmodel::TileOp;
@@ -222,12 +154,10 @@ mod tests {
         topo: &'a xk_topo::FabricSpec,
         cache: &'a SoftwareCache,
         avail: &'a [SimTime],
-        lens: &'a [usize],
     ) -> SchedView<'a> {
         SchedView {
             now: SimTime::ZERO,
             gpu_available: avail,
-            queue_lens: lens,
             gpu_committed: &ZERO_COMMIT,
             topo,
             cache,
@@ -242,11 +172,10 @@ mod tests {
         let (graph, t) = graph_with_owned_tile(5);
         let cache = SoftwareCache::new(8, 1 << 30, graph.data());
         let avail = vec![SimTime::ZERO; 8];
-        let lens = vec![0; 8];
-        let v = view(&topo, &cache, &avail, &lens);
-        let mut s = LocalityWorkStealing::new(8);
+        let v = view(&topo, &cache, &avail);
+        let mut s = Placement::new(SchedulerKind::LocalityWorkStealing);
         assert_eq!(s.assign(graph.task(t), &graph, &v), 5);
-        assert!(s.allows_stealing());
+        assert!(s.steals());
     }
 
     #[test]
@@ -257,11 +186,10 @@ mod tests {
         // Tile valid on gpu6 — dmdas should place the reader there.
         cache.begin_transfer(crate::data::HandleId(0), 6, 1024, SimTime::ZERO);
         let avail = vec![SimTime::ZERO; 8];
-        let lens = vec![0; 8];
-        let v = view(&topo, &cache, &avail, &lens);
-        let mut s = Dmdas::default();
+        let v = view(&topo, &cache, &avail);
+        let mut s = Placement::new(SchedulerKind::Dmdas);
         assert_eq!(s.assign(graph.task(t), &graph, &v), 6);
-        assert!(!s.allows_stealing());
+        assert!(!s.steals());
     }
 
     #[test]
@@ -271,9 +199,8 @@ mod tests {
         let cache = SoftwareCache::new(8, 1 << 30, graph.data());
         let mut avail = vec![SimTime::ZERO; 8];
         avail[0] = SimTime::new(100.0); // gpu0 deeply busy
-        let lens = vec![0; 8];
-        let v = view(&topo, &cache, &avail, &lens);
-        let mut s = Dmdas::default();
+        let v = view(&topo, &cache, &avail);
+        let mut s = Placement::new(SchedulerKind::Dmdas);
         assert_ne!(s.assign(graph.task(t), &graph, &v), 0);
     }
 
@@ -283,31 +210,11 @@ mod tests {
         let (graph, t) = graph_with_owned_tile(3);
         let cache = SoftwareCache::new(8, 1 << 30, graph.data());
         let avail = vec![SimTime::ZERO; 8];
-        let lens = vec![0; 8];
-        let v = view(&topo, &cache, &avail, &lens);
-        let mut s = RoundRobin::default();
+        let v = view(&topo, &cache, &avail);
+        let mut s = Placement::new(SchedulerKind::RoundRobin);
         let picks: Vec<usize> = (0..10).map(|_| s.assign(graph.task(t), &graph, &v)).collect();
         assert_eq!(picks[..8], (0..8).collect::<Vec<_>>()[..]);
         assert_eq!(picks[8], 0);
-    }
-
-    #[test]
-    fn victim_is_longest_queue() {
-        assert_eq!(pick_victim(&[0, 3, 1, 0], 0), Some(1));
-        assert_eq!(pick_victim(&[0, 0, 0, 0], 2), None);
-        // Thief excluded even if longest.
-        assert_eq!(pick_victim(&[5, 2, 0, 0], 0), Some(1));
-    }
-
-    #[test]
-    fn factory_builds_all_kinds() {
-        for kind in [
-            SchedulerKind::LocalityWorkStealing,
-            SchedulerKind::Dmdas,
-            SchedulerKind::RoundRobin,
-            SchedulerKind::StaticOwner,
-        ] {
-            let _ = make_scheduler(kind, 8);
-        }
+        assert!(!s.steals());
     }
 }

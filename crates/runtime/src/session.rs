@@ -97,11 +97,7 @@ impl<'t> SimSession<'t> {
 
     /// Simulates `graph` to completion.
     pub fn run(&self, graph: &TaskGraph) -> Run {
-        let mut exec = SimExecutor::new(graph, self.topo, &self.cfg).observe(self.obs);
-        if let Some(fault) = self.fault {
-            exec = exec.with_fault(fault);
-        }
-        Run { outcome: exec.run(), bound: None }
+        self.execute(SimExecutor::new(graph, self.topo, &self.cfg))
     }
 
     /// Simulates `graph` from shared precomputed per-graph state.
@@ -111,20 +107,20 @@ impl<'t> SimSession<'t> {
     /// Batched replica drivers build the prep once and stamp every run
     /// from it, sharing its label table and skipping the CSR derivation.
     pub fn run_prepped(&self, graph: &TaskGraph, prep: &SimPrep) -> Run {
-        let mut exec = SimExecutor::with_prep(graph, self.topo, &self.cfg, prep).observe(self.obs);
-        if let Some(fault) = self.fault {
-            exec = exec.with_fault(fault);
-        }
-        Run { outcome: exec.run(), bound: None }
+        self.execute(SimExecutor::with_prep(graph, self.topo, &self.cfg, prep))
     }
 
     /// Simulates `graph` under a [`ScheduleController`]: every
     /// nondeterministic tie is resolved by `ctrl` (see
     /// [`SimExecutor::control`]). The run's trace records what happened.
     pub fn run_controlled(&self, graph: &TaskGraph, ctrl: &mut dyn ScheduleController) -> Run {
-        let mut exec = SimExecutor::new(graph, self.topo, &self.cfg)
-            .observe(self.obs)
-            .control(ctrl);
+        self.execute(SimExecutor::new(graph, self.topo, &self.cfg).control(ctrl))
+    }
+
+    /// Runs `exec` at the session's observability level and with its fault,
+    /// if any: the one path behind every `run*` entry point.
+    fn execute(&self, exec: SimExecutor<'_>) -> Run {
+        let mut exec = exec.observe(self.obs);
         if let Some(fault) = self.fault {
             exec = exec.with_fault(fault);
         }
@@ -262,6 +258,37 @@ mod tests {
             plain.outcome().makespan.to_bits(),
             bounded.outcome().makespan.to_bits()
         );
+    }
+
+    /// A controller and a fault share one run path: the canonical
+    /// controller under a dead link is the uncontrolled faulty run.
+    #[test]
+    fn canonical_controller_under_a_link_fault_is_the_plain_run() {
+        let topo = dgx1();
+        let mut g = TaskGraph::new();
+        let shared = g.add_host_tile(32 << 20, true, "A");
+        for owner in [0, 4] {
+            let c = g.add_data(DataInfo::host(32 << 20, true, format!("C{owner}")).with_owner(owner));
+            g.add_task(
+                TileOp::Gemm { m: 512, n: 512, k: 512 },
+                vec![
+                    TaskAccess { handle: shared, access: Access::Read },
+                    TaskAccess { handle: c, access: Access::ReadWrite },
+                ],
+                format!("t{owner}"),
+            );
+        }
+        let session = SimSession::on(&topo)
+            .config(RuntimeConfig::xkblas().with_scheduler(crate::SchedulerKind::StaticOwner))
+            .link_fault(LinkFault { src: 0, dst: 4, at: 0.0 });
+        let plain = session.run(&g).into_outcome();
+        let controlled =
+            session.run_controlled(&g, &mut crate::CanonicalController).into_outcome();
+        let dead = crate::Error::LinkDown { src: 0, dst: 4 };
+        assert_eq!(plain.failures, vec![(1, dead)], "the fault must bite");
+        assert_eq!(controlled.failures, plain.failures);
+        assert_eq!(controlled.makespan.to_bits(), plain.makespan.to_bits());
+        assert_eq!(controlled.trace.spans(), plain.trace.spans());
     }
 
     #[test]

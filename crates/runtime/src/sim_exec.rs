@@ -30,7 +30,7 @@ use crate::graph::TaskGraph;
 use crate::heuristics::{select_source, SourceDecision};
 use crate::machine::Machine;
 use crate::obs::{GpuObs, ObsLevel, ObsRecorder, ObsReport};
-use crate::sched::{make_scheduler, pick_victim, SchedView, Scheduler};
+use crate::sched::{Placement, SchedView};
 use crate::task::{TaskId, TaskKind};
 
 /// Sentinel for "no observability node".
@@ -167,6 +167,23 @@ impl FaultState {
     }
 }
 
+/// The executor's one decision path. Every choice point builds its
+/// candidates in canonical order and asks [`Decider::choose`]; without a
+/// [`ScheduleController`] the answer is candidate 0, the canonical rule.
+struct Decider<'a>(Option<&'a mut dyn ScheduleController>);
+
+impl Decider<'_> {
+    /// Picks one of `n` candidates at `point`: the controller's answer
+    /// (clamped to the last) when one is attached and there is a choice,
+    /// else 0.
+    fn choose(&mut self, point: ChoicePoint, n: usize) -> usize {
+        match &mut self.0 {
+            Some(c) if n >= 2 => c.choose(point, n).min(n - 1),
+            _ => 0,
+        }
+    }
+}
+
 struct GpuState {
     queue: VecDeque<TaskId>,
     in_flight: usize,
@@ -196,7 +213,7 @@ pub struct SimExecutor<'a> {
     /// Host submission-thread cursor: tasks are activated serially at
     /// `task_overhead` apiece.
     submission_cursor: SimTime,
-    scheduler: Box<dyn Scheduler>,
+    placement: Placement,
     trace: Trace,
     /// The prep's trace label of each task by `TaskId.0`, then of each
     /// data handle by `HandleId.0`.
@@ -204,7 +221,6 @@ pub struct SimExecutor<'a> {
     /// Scratch buffers reused across scheduling steps so the event loop
     /// stays allocation-free after warm-up.
     scratch_avail: Vec<SimTime>,
-    scratch_lens: Vec<usize>,
     scratch_handles: Vec<HandleId>,
     scratch_engines: Vec<EngineId>,
     scratch_sources: Vec<usize>,
@@ -215,10 +231,9 @@ pub struct SimExecutor<'a> {
     flow_root: Vec<FlowId>,
     /// Occupancy/contention/critical-path recorder.
     obs: ObsRecorder,
-    /// Schedule-space controller: resolves nondeterministic choice points.
-    /// `None` (the default) keeps every canonical tie-break, byte-identical
-    /// to the pre-hook executor.
-    ctrl: Option<&'a mut dyn ScheduleController>,
+    /// Resolves every choice point; canonical unless a controller is
+    /// attached ([`SimExecutor::control`]).
+    ctrl: Decider<'a>,
     /// Injected link fault and the failures it caused, if any.
     fault: Option<FaultState>,
     bytes_h2d: u64,
@@ -352,17 +367,16 @@ impl<'a> SimExecutor<'a> {
             final_writer: prep.final_writer.clone(),
             committed: vec![0.0; n],
             submission_cursor: SimTime::ZERO,
-            scheduler: make_scheduler(cfg.scheduler, n),
+            placement: Placement::new(cfg.scheduler),
             trace: Trace::with_labels(Arc::clone(&prep.table)),
             labels: Arc::clone(&prep.labels),
             scratch_avail: Vec::with_capacity(n),
-            scratch_lens: Vec::with_capacity(n),
             scratch_handles: Vec::new(),
             scratch_engines: Vec::new(),
             scratch_sources: Vec::with_capacity(n),
             flow_root: vec![FlowId::NONE; graph.data().len()],
             obs,
-            ctrl: None,
+            ctrl: Decider(None),
             fault: None,
             bytes_h2d: 0,
             bytes_d2h: 0,
@@ -387,10 +401,11 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Attaches a [`ScheduleController`]: the executor consults it at every
-    /// nondeterministic choice point. A controller that always picks
-    /// candidate 0 reproduces the canonical (no-controller) run bit for bit.
+    /// choice point with two or more candidates. The candidates and the
+    /// code path are the same as without one, so a controller that always
+    /// picks candidate 0 reproduces the canonical run bit for bit.
     pub fn control(mut self, ctrl: &'a mut dyn ScheduleController) -> Self {
-        self.ctrl = Some(ctrl);
+        self.ctrl = Decider(Some(ctrl));
         self
     }
 
@@ -421,13 +436,9 @@ impl<'a> SimExecutor<'a> {
             }
         }
         loop {
-            let next = match self.ctrl.as_mut() {
-                Some(c) => self
-                    .clock
-                    .next_with(&mut |n| c.choose(ChoicePoint::EventTieBreak, n)),
-                None => self.clock.next(),
-            };
-            let Some((_, ev)) = next else { break };
+            let ctrl = &mut self.ctrl;
+            let tie = &mut |n| ctrl.choose(ChoicePoint::EventTieBreak, n);
+            let Some((_, ev)) = self.clock.next_with(tie) else { break };
             match ev {
                 Ev::TryLaunch(g) => self.try_launch(g),
                 Ev::TaskDone(t) => self.on_done(t),
@@ -486,23 +497,18 @@ impl<'a> SimExecutor<'a> {
         }
         let g = {
             let mut avail = std::mem::take(&mut self.scratch_avail);
-            let mut lens = std::mem::take(&mut self.scratch_lens);
             avail.clear();
             avail.extend((0..self.gpus.len()).map(|g| self.pool.free_at(self.machine.kernel(g))));
-            lens.clear();
-            lens.extend(self.gpus.iter().map(|s| s.queue.len()));
             let view = SchedView {
                 now: self.clock.now(),
                 gpu_available: &avail,
-                queue_lens: &lens,
                 gpu_committed: &self.committed,
                 topo: self.machine.topo(),
                 cache: &self.cache,
                 kernel_seconds: self.tasks[t.0].kernel_seconds,
             };
-            let g = self.scheduler.assign(task, self.graph, &view);
+            let g = self.placement.assign(task, self.graph, &view);
             self.scratch_avail = avail;
-            self.scratch_lens = lens;
             g
         };
         self.tasks[t.0].assigned = g as u16;
@@ -528,7 +534,7 @@ impl<'a> SimExecutor<'a> {
         self.clock.schedule(self.clock.now(), Ev::TryLaunch(g));
         // Under work stealing, idle peers must get a chance to pick this
         // task up if the owner is saturated.
-        if self.scheduler.allows_stealing() {
+        if self.placement.steals() {
             for other in 0..self.gpus.len() {
                 if other != g && self.gpus[other].in_flight == 0 {
                     self.clock.schedule(self.clock.now(), Ev::TryLaunch(other));
@@ -544,7 +550,7 @@ impl<'a> SimExecutor<'a> {
             }
             let next = if let Some(t) = self.pop_ready(g) {
                 t
-            } else if self.scheduler.allows_stealing() && self.gpus[g].in_flight == 0 {
+            } else if self.placement.steals() && self.gpus[g].in_flight == 0 {
                 // Steal only when truly idle, one task at a time — XKaapi
                 // steals on idleness, it does not hoard.
                 match self.pick_steal_victim(g) {
@@ -564,43 +570,24 @@ impl<'a> SimExecutor<'a> {
         }
     }
 
-    /// Takes the next ready task from `g`'s queue: the front canonically, a
-    /// controller-chosen entry under exploration.
+    /// Takes the next ready task from `g`'s queue, candidates in queue
+    /// order: canonically the front.
     fn pop_ready(&mut self, g: usize) -> Option<TaskId> {
-        let qlen = self.gpus[g].queue.len();
-        if qlen == 0 {
-            return None;
-        }
-        let idx = match self.ctrl.as_mut() {
-            Some(c) if qlen >= 2 => c.choose(ChoicePoint::ReadyTaskPick, qlen).min(qlen - 1),
-            _ => 0,
-        };
+        let idx = self.ctrl.choose(ChoicePoint::ReadyTaskPick, self.gpus[g].queue.len());
         self.gpus[g].queue.remove(idx)
     }
 
-    /// Picks a steal victim for idle GPU `g`: canonically the longest
-    /// non-empty peer queue (lowest index on ties); under a controller, a
-    /// choice among all non-empty peers presented in that canonical order
-    /// (so candidate 0 is the canonical victim).
+    /// Picks a steal victim for idle GPU `g` among the non-empty peer
+    /// queues, longest first (lowest index on ties): canonically the
+    /// longest.
     fn pick_steal_victim(&mut self, g: usize) -> Option<usize> {
-        let mut lens = std::mem::take(&mut self.scratch_lens);
-        lens.clear();
-        lens.extend(self.gpus.iter().map(|s| s.queue.len()));
-        let victim = if let Some(c) = self.ctrl.as_mut() {
-            let candidates = &mut self.scratch_sources;
-            candidates.clear();
-            candidates.extend((0..lens.len()).filter(|&v| v != g && lens[v] > 0));
-            candidates.sort_unstable_by_key(|&v| (std::cmp::Reverse(lens[v]), v));
-            match candidates.len() {
-                0 => None,
-                1 => Some(candidates[0]),
-                n => Some(candidates[c.choose(ChoicePoint::StealVictim, n).min(n - 1)]),
-            }
-        } else {
-            pick_victim(&lens, g)
-        };
-        self.scratch_lens = lens;
-        victim
+        let gpus = &self.gpus;
+        let candidates = &mut self.scratch_sources;
+        candidates.clear();
+        candidates.extend((0..gpus.len()).filter(|&v| v != g && !gpus[v].queue.is_empty()));
+        candidates.sort_unstable_by_key(|&v| (std::cmp::Reverse(gpus[v].queue.len()), v));
+        let k = self.ctrl.choose(ChoicePoint::StealVictim, candidates.len());
+        candidates.get(k).copied()
     }
 
     /// Acquires all inputs of `t` on GPU `g` (capacity, transfers, output
@@ -635,14 +622,9 @@ impl<'a> SimExecutor<'a> {
             .map(|&h| graph.data().info(h).bytes)
             .sum();
         if needed > 0 {
-            let evictions = match self.ctrl.as_mut() {
-                Some(c) => {
-                    let mut pick = |n: usize| c.choose(ChoicePoint::EvictionPick, n);
-                    self.cache
-                        .make_room_with(g, needed, &pins, graph.data(), Some(&mut pick))
-                }
-                None => self.cache.make_room(g, needed, &pins, graph.data()),
-            };
+            let ctrl = &mut self.ctrl;
+            let pick = &mut |n| ctrl.choose(ChoicePoint::EvictionPick, n);
+            let evictions = self.cache.make_room(g, needed, &pins, graph.data(), pick);
             for ev in evictions {
                 if let Eviction::WriteBack(h) = ev {
                     self.issue_d2h(h, g, now);
@@ -753,7 +735,7 @@ impl<'a> SimExecutor<'a> {
     fn fetch(&mut self, h: HandleId, g: usize, now: SimTime) -> (SimTime, u32, FlowId) {
         let machine = &self.machine;
         let pool = &self.pool;
-        let mut ctrl = self.ctrl.as_deref_mut();
+        let ctrl = &mut self.ctrl;
         let mut tie = |candidates: &[usize]| -> usize {
             // Prefer the candidate whose outgoing channel to us frees first.
             let canonical = candidates
@@ -765,24 +747,11 @@ impl<'a> SimExecutor<'a> {
                 })
                 .map(|(i, _)| i)
                 .expect("non-empty candidates");
-            match ctrl.as_mut() {
-                Some(c) if candidates.len() >= 2 => {
-                    // Candidate 0 of the choice is the canonical pick; the
-                    // rest keep ascending order with the canonical removed,
-                    // so choosing 0 reproduces the default run exactly.
-                    let k = c
-                        .choose(ChoicePoint::SourceTieBreak, candidates.len())
-                        .min(candidates.len() - 1);
-                    if k == 0 {
-                        canonical
-                    } else {
-                        (0..candidates.len())
-                            .filter(|&i| i != canonical)
-                            .nth(k - 1)
-                            .expect("k < candidates.len()")
-                    }
-                }
-                _ => canonical,
+            // Candidate 0 of the choice is the canonical pick; the rest
+            // keep ascending order with the canonical removed.
+            match ctrl.choose(ChoicePoint::SourceTieBreak, candidates.len()) {
+                0 => canonical,
+                k => (0..candidates.len()).filter(|&i| i != canonical).nth(k - 1).expect("k < n"),
             }
         };
         let decision = select_source(

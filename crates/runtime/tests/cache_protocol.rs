@@ -75,7 +75,7 @@ fn protocol_invariants_hold() {
                 }
                 Op::Touch { h, g } => cache.touch(HandleId(h), g),
                 Op::MakeRoom { g, bytes } => {
-                    let _ = cache.make_room(g, bytes, &[], &reg);
+                    let _ = cache.make_room(g, bytes, &[], &reg, &mut |_| 0);
                 }
                 Op::PinUnpin { h, g } => {
                     let h = HandleId(h);
@@ -113,7 +113,7 @@ fn make_room_respects_pins() {
         for &h in &pinned {
             cache.pin(HandleId(h), 0);
         }
-        let _ = cache.make_room(0, request, &[], &reg);
+        let _ = cache.make_room(0, request, &[], &reg, &mut |_| 0);
         cache.check_invariants(&reg).unwrap();
         for &h in pinned.intersection(&resident) {
             assert!(cache.replica(HandleId(h), 0).is_some(), "pinned handle {h} evicted");
@@ -218,7 +218,7 @@ impl Model {
         bytes: u64,
         keep: &[HandleId],
         reg: &DataRegistry,
-        mut pick: Option<&mut dyn FnMut(usize) -> usize>,
+        pick: &mut dyn FnMut(usize) -> usize,
     ) -> Vec<Eviction> {
         let mut out = Vec::new();
         let mut candidates: Vec<(bool, u64, usize)> = self
@@ -229,10 +229,8 @@ impl Model {
             .collect();
         candidates.sort_unstable();
         while self.used[g] + bytes > self.capacity && !candidates.is_empty() {
-            let idx = match pick.as_mut() {
-                Some(p) if candidates.len() >= 2 => p(candidates.len()).min(candidates.len() - 1),
-                _ => 0,
-            };
+            let n = candidates.len();
+            let idx = if n >= 2 { pick(n).min(n - 1) } else { 0 };
             let (dirty, _, h) = candidates.remove(idx);
             self.remove(h, g, reg.info(HandleId(h)).bytes);
             if dirty {
@@ -309,21 +307,14 @@ fn dense_table_matches_hash_map_model() {
                     let keep: Vec<HandleId> =
                         handle_set(rng, 0, 3).into_iter().filter(|&k| k < n).map(HandleId).collect();
                     let request = 1 + rng.next_below(capacity);
+                    // Op 8 evicts canonically, op 9 by a seeded pick.
                     let picks = SplitMix64::new(rng.next_u64());
                     let (mut a, mut b) = (picks, picks);
-                    let mut pick_a = |c: usize| a.usize_in(0, c + 2);
-                    let mut pick_b = |c: usize| b.usize_in(0, c + 2);
-                    let (got, want) = if op == 8 {
-                        (
-                            cache.make_room(g, request, &keep, &reg),
-                            model.make_room(g, request, &keep, &reg, None),
-                        )
-                    } else {
-                        (
-                            cache.make_room_with(g, request, &keep, &reg, Some(&mut pick_a)),
-                            model.make_room(g, request, &keep, &reg, Some(&mut pick_b)),
-                        )
-                    };
+                    let canonical = op == 8;
+                    let mut pick_a = |c: usize| if canonical { 0 } else { a.usize_in(0, c + 2) };
+                    let mut pick_b = |c: usize| if canonical { 0 } else { b.usize_in(0, c + 2) };
+                    let got = cache.make_room(g, request, &keep, &reg, &mut pick_a);
+                    let want = model.make_room(g, request, &keep, &reg, &mut pick_b);
                     assert_eq!(got, want, "evictions on gpu{g} for {request} bytes");
                 }
             }

@@ -10,9 +10,10 @@ use xk_kernels::perfmodel::TileOp;
 use xk_kernels::GpuModel;
 use xk_lp::{for_each_seed, SplitMix64};
 use xk_runtime::heuristics::{select_source, SourceDecision};
-use xk_runtime::sched::{Dmdas, SchedView, Scheduler};
+use xk_runtime::sched::{Placement, SchedView};
 use xk_runtime::{
-    Access, DataInfo, HandleId, Heuristics, ReplicaState, SoftwareCache, TaskAccess, TaskGraph,
+    Access, DataInfo, HandleId, Heuristics, ReplicaState, SchedulerKind, SoftwareCache,
+    TaskAccess, TaskGraph,
 };
 use xk_sim::SimTime;
 use xk_topo::builders::pcie_only;
@@ -110,13 +111,12 @@ fn dmdas_assign_matches_the_textbook_formula() {
             let view = SchedView {
                 now: SimTime::new(rng.f64_in(0.0, 10.0)),
                 gpu_available: &available,
-                queue_lens: &vec![0; n],
                 gpu_committed: &committed,
                 topo: &topo,
                 cache: &cache,
                 kernel_seconds,
             };
-            let mut dmdas = Dmdas::default();
+            let mut dmdas = Placement::new(SchedulerKind::Dmdas);
             for &t in &tasks {
                 let task = graph.task(t);
                 assert_eq!(

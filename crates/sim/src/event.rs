@@ -152,7 +152,13 @@ impl<E> EventQueue<E> {
         }
         let n = self.group.len();
         let pick = if n == 1 { 0 } else { tie(n).min(n - 1) };
-        let e = self.group.remove(pick).expect("pick is in range");
+        // The canonical pick is the common one; `pop_front` costs less
+        // than the general `remove(0)`.
+        let e = match pick {
+            0 => self.group.pop_front(),
+            k => self.group.remove(k),
+        };
+        let e = e.expect("pick is in range");
         Some((e.time, e.event))
     }
 
@@ -232,9 +238,9 @@ impl<E> Clock<E> {
 
     /// Pops one of the earliest-time events, advancing the clock to its
     /// timestamp; `tie` picks among same-time candidates (see
-    /// [`EventQueue::pop_tied`]). With `tie(_) == 0` this is exactly
-    /// [`Clock::next`] — the hook schedule-space checkers use to explore
-    /// event orderings without giving up determinism.
+    /// [`EventQueue::pop_tied`]). With `tie(_) == 0` events come in
+    /// `(time, FIFO)` order; other picks are how schedule-space checkers
+    /// explore event orderings without giving up determinism.
     pub fn next_with(&mut self, tie: &mut dyn FnMut(usize) -> usize) -> Option<(SimTime, E)> {
         let (t, e) = self.queue.pop_tied(tie)?;
         debug_assert!(t >= self.now, "event queue returned a past event");
@@ -258,22 +264,14 @@ impl<E> Clock<E> {
     }
 }
 
-/// A clock is the stream of its events in delivery order.
-impl<E> Iterator for Clock<E> {
-    type Item = (SimTime, E);
-
-    /// Pops the next event, advancing the clock to its timestamp.
-    fn next(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now, "event queue returned a past event");
-        self.now = t;
-        Some((t, e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The canonical tie pick: FIFO.
+    fn fifo(_: usize) -> usize {
+        0
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -306,11 +304,11 @@ mod tests {
         assert_eq!(c.now(), SimTime::ZERO);
         assert_eq!(c.peek_time(), Some(SimTime::new(2.0)));
         assert!(!c.is_empty());
-        c.next();
+        c.next_with(&mut fifo);
         assert_eq!(c.now(), SimTime::new(2.0));
-        c.next();
+        c.next_with(&mut fifo);
         assert_eq!(c.now(), SimTime::new(5.0));
-        assert!(c.next().is_none());
+        assert!(c.next_with(&mut fifo).is_none());
         assert!(c.is_empty());
         assert_eq!(c.peek_time(), None);
     }
@@ -320,7 +318,7 @@ mod tests {
     fn scheduling_in_the_past_panics() {
         let mut c = Clock::new();
         c.schedule(SimTime::new(2.0), ());
-        c.next();
+        c.next_with(&mut fifo);
         c.schedule(SimTime::new(1.0), ());
     }
 

@@ -29,11 +29,12 @@
 //! let second = pool.reserve(&[engine], SimTime::ZERO, Duration::new(1.0));
 //! assert_eq!(second.start, first.end);
 //!
-//! // Events pop in time order, FIFO among ties.
+//! // Events pop in time order; the closure picks among same-time ties,
+//! // and picking 0 is FIFO.
 //! let mut clock: Clock<&str> = Clock::new();
 //! clock.schedule(SimTime::new(2.0), "later");
 //! clock.schedule(SimTime::new(1.0), "sooner");
-//! assert_eq!(clock.next().unwrap().1, "sooner");
+//! assert_eq!(clock.next_with(&mut |_| 0).unwrap().1, "sooner");
 //! ```
 
 #![warn(missing_docs)]

@@ -46,7 +46,7 @@ impl std::fmt::Display for Device {
 /// A shared bus resource that a route may cross.
 ///
 /// Transfers whose routes cross the same segment contend for it (the
-/// simulated executors map each segment to an [`xk_sim`] engine). NVLink
+/// simulated executors map each segment to an `xk_sim` engine). NVLink
 /// bricks are *not* segments: they are dedicated point-to-point and already
 /// serialized by the per-device copy engines. NVSwitch planes are not
 /// segments either — the tier is non-blocking at full bisection, so the only

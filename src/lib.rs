@@ -17,7 +17,7 @@
 //! * [`baselines`] — policy models of the competing libraries.
 //! * [`serve`] — the planner-as-a-service query engine (sharded
 //!   single-flight cache + interpolation fast tier).
-//! * [`bench`] — the table/figure reproduction harness.
+//! * [`bench`](mod@bench) — the table/figure reproduction harness.
 //! * [`trace`] — execution traces, breakdowns and Gantt charts.
 //!
 //! ## Quickstart
