@@ -5,9 +5,12 @@
 //! - `--quick`  trims the dimension grid for tests/CI.
 //! - `--small`  uses the paper grid truncated at N = 24576 (the
 //!   `PAPER_DIMS_SMALL` sweep the benchmark snapshot times).
-//! - `--serial` disables the run cache: the reference configuration the
-//!   cached output must match byte for byte. The best-tile search still
-//!   skips tiles that provably cannot win; that never changes a result.
+//! - `--serial` is the fully serial reference: the run cache is off, and
+//!   with it the fan-out of each figure's series over every core, so every
+//!   point simulates on the calling thread. The default (cached, fanned
+//!   out) stdout and CSVs must match it byte for byte; CI compares the two
+//!   `--small` outputs. The best-tile search still skips tiles that
+//!   provably cannot win; that never changes a result.
 
 use xk_bench::{figs, runcache, write_csv, PAPER_DIMS_SMALL};
 

@@ -1,6 +1,13 @@
 //! One reproduction function per table/figure of the paper. The binaries
 //! in `src/bin/` are thin wrappers so that `run_all` and the integration
 //! tests can drive the same code.
+//!
+//! The sweep figures (Fig. 3–5, Table II, the fabric gallery) are lists of
+//! independent series, and while the run cache is on they fan out over
+//! every core ([`xk_sim::run_replicas`]). On two cores the fan-out alone
+//! took a `paper_small` pass from ~0.6 to ~0.45 s for +9 % peak RSS (the
+//! second worker's runs in flight); storing trace labels in one buffer
+//! ([`xk_trace::LabelTable`]) pays that memory back.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -14,16 +21,14 @@ use xk_trace::SpanKind;
 use crate::composition::{run_chameleon_composition, run_xkblas_composition};
 use crate::report::{fmt_tflops, Table};
 use crate::runcache;
-use crate::sweep::{best_tile_run_with, run_point, sweep_series};
+use crate::sweep::{best_tile_run_with, run_point, sweep_series, SeriesPoint};
 
 /// The process-wide cache, unless `run_all --serial` disabled it.
 fn cache() -> Option<&'static runcache::RunCache> {
     runcache::global_if_enabled()
 }
 
-/// Best-tile run through the shared cache. Like every sweep here it runs
-/// on the calling thread: the cache already removes the repeated work, and
-/// fanning the grid over threads costs more peak memory than it saves time.
+/// Best-tile run through the shared cache, on the calling thread.
 fn best(
     lib: Library,
     topo: &FabricSpec,
@@ -33,6 +38,76 @@ fn best(
 ) -> Result<(usize, Arc<xk_baselines::RunResult>), xk_baselines::RunError> {
     best_tile_run_with(lib, topo, routine, n, data_on_device, cache(), false)
 }
+
+/// One series of a figure: a best-tile sweep, or Fig. 4's XKBlas
+/// data-on-device row at the paper's tile rule.
+#[derive(Clone, Copy)]
+enum Series<'t> {
+    /// `sweep_series(library, fabric, routine, grid, data_on_device)`.
+    BestTile(Library, &'t FabricSpec, Routine, bool),
+    /// XKBlas data-on-device at tile = ceil(N / (2·#gpus)) (at least 256).
+    PaperTileDod(&'t FabricSpec, Routine),
+}
+
+/// Sweeps every series over `dims` and returns their points in series
+/// order. With the run cache on, the series fan out over every core
+/// ([`xk_sim::run_replicas`]); `run_all --serial` (cache off) runs them one
+/// after another on the calling thread. Every run is deterministic, so the
+/// points are the same either way.
+fn sweep_all(series: &[Series], dims: &[usize]) -> Vec<Vec<SeriesPoint>> {
+    let cache = cache();
+    let threads = if cache.is_some() { 0 } else { 1 };
+    xk_sim::run_replicas(series.len(), threads, |i| match series[i] {
+        Series::BestTile(lib, topo, routine, dod) => {
+            sweep_series(lib, topo, routine, dims, dod, cache)
+        }
+        Series::PaperTileDod(topo, routine) => dims
+            .iter()
+            .map(|&n| {
+                let tile = n.div_ceil(2 * topo.n_gpus()).max(256);
+                let params = RunParams {
+                    routine,
+                    n,
+                    tile,
+                    data_on_device: true,
+                };
+                let r = run_point(Library::XkBlas(XkVariant::Full), topo, &params, cache)
+                    .expect("xkblas dod runs");
+                SeriesPoint {
+                    n,
+                    tile,
+                    tflops: Some(r.tflops),
+                    result: Some(r),
+                }
+            })
+            .collect(),
+    })
+}
+
+/// An empty table whose columns are `first` and then one per dimension.
+fn grid_table(first: &str, dims: &[usize]) -> Table {
+    let mut header = vec![first.to_string()];
+    header.extend(dims.iter().map(|n| n.to_string()));
+    Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
+/// Appends the row `name` with one TFlop/s cell per point.
+fn series_row(t: &mut Table, name: &str, pts: &[SeriesPoint]) {
+    let mut row = vec![name.to_string()];
+    row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
+    t.row(row);
+}
+
+/// Libraries of the heuristics ablation (Fig. 3 and the fabric gallery).
+const ABLATION_LIBS: [Library; 4] = [
+    Library::CublasXt,
+    Library::XkBlas(XkVariant::Full),
+    Library::XkBlas(XkVariant::NoHeuristic),
+    Library::XkBlas(XkVariant::NoHeuristicNoTopo),
+];
+
+/// Routines of Fig. 3, Fig. 4 and Table II.
+const FIG3_ROUTINES: [Routine; 3] = [Routine::Gemm, Routine::Syr2k, Routine::Trsm];
 
 /// Dimensions to sweep: `quick` trims the grid for tests/CI.
 pub fn dims(quick: bool) -> Vec<usize> {
@@ -81,23 +156,18 @@ pub fn fig2_bandwidth(topo: &FabricSpec) -> Table {
 /// Fig. 3: GEMM/SYR2K/TRSM data-on-host with the heuristics ablated, plus
 /// cuBLAS-XT as the reference. Returns one table per routine.
 pub fn fig3_heuristics(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table)> {
-    let libs = [
-        Library::CublasXt,
-        Library::XkBlas(XkVariant::Full),
-        Library::XkBlas(XkVariant::NoHeuristic),
-        Library::XkBlas(XkVariant::NoHeuristicNoTopo),
-    ];
-    [Routine::Gemm, Routine::Syr2k, Routine::Trsm]
+    let series: Vec<Series> = FIG3_ROUTINES
+        .iter()
+        .flat_map(|&routine| ABLATION_LIBS.map(|lib| Series::BestTile(lib, topo, routine, false)))
+        .collect();
+    let points = sweep_all(&series, dims);
+    FIG3_ROUTINES
         .into_iter()
-        .map(|routine| {
-            let mut header = vec!["library".to_string()];
-            header.extend(dims.iter().map(|n| n.to_string()));
-            let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-            for lib in libs {
-                let pts = sweep_series(lib, topo, routine, dims, false, cache());
-                let mut row = vec![lib.name().to_string()];
-                row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
-                t.row(row);
+        .zip(points.chunks(ABLATION_LIBS.len()))
+        .map(|(routine, rows)| {
+            let mut t = grid_table("library", dims);
+            for (lib, pts) in ABLATION_LIBS.iter().zip(rows) {
+                series_row(&mut t, lib.name(), pts);
             }
             (routine, t)
         })
@@ -112,35 +182,25 @@ pub fn fig3_heuristics(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table
 /// PCIe-only box every peer ranks the same and only the optimistic
 /// forwarding (or nothing) is left to win.
 pub fn fabric_gallery_gemm(dims: &[usize]) -> Vec<(String, Table)> {
-    let libs = [
-        Library::CublasXt,
-        Library::XkBlas(XkVariant::Full),
-        Library::XkBlas(XkVariant::NoHeuristic),
-        Library::XkBlas(XkVariant::NoHeuristicNoTopo),
-    ];
-    xk_topo::fabrics::gallery()
+    let gallery = xk_topo::fabrics::gallery();
+    let full = Library::XkBlas(XkVariant::Full);
+    let series: Vec<Series> = gallery
         .iter()
-        .map(|topo| {
-            let mut header = vec!["series".to_string()];
-            header.extend(dims.iter().map(|n| n.to_string()));
-            let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-            for lib in libs {
-                let pts = sweep_series(lib, topo, Routine::Gemm, dims, false, cache());
-                let mut row = vec![lib.name().to_string()];
-                row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
-                t.row(row);
+        .flat_map(|topo| {
+            let doh = ABLATION_LIBS.map(|lib| Series::BestTile(lib, topo, Routine::Gemm, false));
+            doh.into_iter().chain([Series::BestTile(full, topo, Routine::Gemm, true)])
+        })
+        .collect();
+    let points = sweep_all(&series, dims);
+    gallery
+        .iter()
+        .zip(points.chunks(ABLATION_LIBS.len() + 1))
+        .map(|(topo, rows)| {
+            let mut t = grid_table("series", dims);
+            for (lib, pts) in ABLATION_LIBS.iter().zip(rows) {
+                series_row(&mut t, lib.name(), pts);
             }
-            let pts = sweep_series(
-                Library::XkBlas(XkVariant::Full),
-                topo,
-                Routine::Gemm,
-                dims,
-                true,
-                cache(),
-            );
-            let mut row = vec!["XKBlas DoD".to_string()];
-            row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
-            t.row(row);
+            series_row(&mut t, "XKBlas DoD", &rows[ABLATION_LIBS.len()]);
             (
                 format!("{} ({} GPUs, {} node(s))", topo.name(), topo.n_gpus(), topo.n_nodes()),
                 t,
@@ -152,34 +212,32 @@ pub fn fabric_gallery_gemm(dims: &[usize]) -> Vec<(String, Table)> {
 /// Table II: maximum loss/gain vs baseline XKBlas for N ≥ 16384.
 pub fn table2_gains(topo: &FabricSpec, dims: &[usize]) -> Table {
     let big: Vec<usize> = dims.iter().copied().filter(|&n| n >= 16384).collect();
+    let full = Library::XkBlas(XkVariant::Full);
+    let series: Vec<Series> = FIG3_ROUTINES
+        .iter()
+        .flat_map(|&routine| {
+            [
+                Series::BestTile(full, topo, routine, false),
+                Series::BestTile(full, topo, routine, true),
+                Series::BestTile(Library::XkBlas(XkVariant::NoHeuristic), topo, routine, false),
+                Series::BestTile(Library::XkBlas(XkVariant::NoHeuristicNoTopo), topo, routine, false),
+            ]
+        })
+        .collect();
+    let points = sweep_all(&series, &big);
     let mut t = Table::new(&["Kernel", "data-on-device", "no heuristic", "no heuristic, no topo"]);
-    for routine in [Routine::Gemm, Routine::Syr2k, Routine::Trsm] {
+    for (routine, rows) in FIG3_ROUTINES.into_iter().zip(points.chunks(4)) {
+        let [base, dod, noh, notopo] = rows else {
+            unreachable!("four series per routine")
+        };
         let mut max_dod: f64 = f64::NEG_INFINITY;
         let mut max_noh: f64 = f64::INFINITY;
         let mut max_notopo: f64 = f64::INFINITY;
-        for &n in &big {
-            let base = best(Library::XkBlas(XkVariant::Full), topo, routine, n, false)
-                .expect("xkblas always runs")
-                .1
-                .tflops;
-            let dod = best(Library::XkBlas(XkVariant::Full), topo, routine, n, true)
-                .expect("dod runs")
-                .1
-                .tflops;
-            let noh = best(Library::XkBlas(XkVariant::NoHeuristic), topo, routine, n, false)
-                .expect("variant runs")
-                .1
-                .tflops;
-            let notopo = best(
-                Library::XkBlas(XkVariant::NoHeuristicNoTopo),
-                topo,
-                routine,
-                n,
-                false,
-            )
-            .expect("variant runs")
-            .1
-            .tflops;
+        for k in 0..big.len() {
+            let base = base[k].tflops.expect("xkblas always runs");
+            let dod = dod[k].tflops.expect("dod runs");
+            let noh = noh[k].tflops.expect("variant runs");
+            let notopo = notopo[k].tflops.expect("variant runs");
             max_dod = max_dod.max((dod / base - 1.0) * 100.0);
             max_noh = max_noh.min((noh / base - 1.0) * 100.0);
             max_notopo = max_notopo.min((notopo / base - 1.0) * 100.0);
@@ -197,38 +255,27 @@ pub fn table2_gains(topo: &FabricSpec, dims: &[usize]) -> Table {
 /// Fig. 4: data-on-device (paper: tile = ceil(N / (2·#gpus)), (4,2) grid)
 /// vs the data-on-host references.
 pub fn fig4_data_on_device(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table)> {
-    [Routine::Gemm, Routine::Syr2k, Routine::Trsm]
+    let refs = [
+        Library::XkBlas(XkVariant::Full),
+        Library::ChameleonTile,
+        Library::CublasXt,
+    ];
+    let series: Vec<Series> = FIG3_ROUTINES
+        .iter()
+        .flat_map(|&routine| {
+            let doh = refs.map(|lib| Series::BestTile(lib, topo, routine, false));
+            [Series::PaperTileDod(topo, routine)].into_iter().chain(doh)
+        })
+        .collect();
+    let points = sweep_all(&series, dims);
+    FIG3_ROUTINES
         .into_iter()
-        .map(|routine| {
-            let mut header = vec!["series".to_string()];
-            header.extend(dims.iter().map(|n| n.to_string()));
-            let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-
-            // XKBlas DoD with the paper's tile rule.
-            let mut dod_row = vec!["XKBlas DoD".to_string()];
-            for &n in dims {
-                let tile = n.div_ceil(2 * topo.n_gpus()).max(256);
-                let params = RunParams {
-                    routine,
-                    n,
-                    tile,
-                    data_on_device: true,
-                };
-                let r = run_point(Library::XkBlas(XkVariant::Full), topo, &params, cache())
-                    .expect("xkblas dod runs");
-                dod_row.push(format!("{:.2}", r.tflops));
-            }
-            t.row(dod_row);
-
-            for lib in [
-                Library::XkBlas(XkVariant::Full),
-                Library::ChameleonTile,
-                Library::CublasXt,
-            ] {
-                let pts = sweep_series(lib, topo, routine, dims, false, cache());
-                let mut row = vec![lib.name().to_string()];
-                row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
-                t.row(row);
+        .zip(points.chunks(refs.len() + 1))
+        .map(|(routine, rows)| {
+            let mut t = grid_table("series", dims);
+            series_row(&mut t, "XKBlas DoD", &rows[0]);
+            for (lib, pts) in refs.iter().zip(&rows[1..]) {
+                series_row(&mut t, lib.name(), pts);
             }
             (routine, t)
         })
@@ -237,20 +284,23 @@ pub fn fig4_data_on_device(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, T
 
 /// Fig. 5: all six routines across the eight libraries.
 pub fn fig5_libraries(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table)> {
+    let series: Vec<Series> = Routine::ALL
+        .iter()
+        .flat_map(|&routine| {
+            Library::FIG5
+                .into_iter()
+                .filter(move |lib| lib.supports(routine))
+                .map(move |lib| Series::BestTile(lib, topo, routine, false))
+        })
+        .collect();
+    let mut points = sweep_all(&series, dims).into_iter();
     Routine::ALL
         .into_iter()
         .map(|routine| {
-            let mut header = vec!["library".to_string()];
-            header.extend(dims.iter().map(|n| n.to_string()));
-            let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-            for lib in Library::FIG5 {
-                if !lib.supports(routine) {
-                    continue;
-                }
-                let pts = sweep_series(lib, topo, routine, dims, false, cache());
-                let mut row = vec![lib.name().to_string()];
-                row.extend(pts.iter().map(|p| fmt_tflops(p.tflops)));
-                t.row(row);
+            let mut t = grid_table("library", dims);
+            for lib in Library::FIG5.into_iter().filter(|lib| lib.supports(routine)) {
+                let pts = points.next().expect("one series per supported pair");
+                series_row(&mut t, lib.name(), &pts);
             }
             (routine, t)
         })

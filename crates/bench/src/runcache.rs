@@ -32,7 +32,8 @@ pub fn global() -> &'static RunCache {
 }
 
 /// Enables or disables the global cache (the `--serial` baseline mode of
-/// `run_all` turns it off so every point really simulates).
+/// `run_all` turns it off so every point really simulates; the figure
+/// sweeps then also run on the calling thread).
 pub fn set_global_enabled(enabled: bool) {
     GLOBAL_ENABLED.store(enabled, Ordering::Relaxed);
 }

@@ -14,9 +14,9 @@
 //!
 //! Each [`Span`] stores a `u32` [`Label`] into the owning [`Trace`]'s
 //! symbol table instead of a cloned `String`, keeping span recording
-//! allocation-free in the DES hot loop: the table is shared in whole
-//! ([`Trace::with_labels`]) or grown by [`Trace::intern`], and resolved at
-//! export ([`Trace::label`]). A span's `subject` names the task (kernels) or
+//! allocation-free in the DES hot loop: the table (a [`LabelTable`], every
+//! text in one buffer) is shared in whole ([`Trace::with_labels`]) or grown
+//! by [`Trace::intern`], and resolved at export ([`Trace::label`]). A span's `subject` names the task (kernels) or
 //! data handle (transfers) it acts on, and `peer` the source GPU of a P2P
 //! copy, so the trace alone carries a run's data flow.
 //!
@@ -43,10 +43,12 @@
 
 pub mod export;
 pub mod gantt;
+mod labels;
 mod span;
 #[allow(clippy::module_inception)]
 mod trace;
 
 pub use gantt::GanttOptions;
+pub use labels::LabelTable;
 pub use span::{FlowId, Label, Place, Span, SpanKind};
 pub use trace::{Breakdown, Trace};

@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use crate::labels::LabelTable;
 use crate::span::{FlowId, Label, Place, Span, SpanKind};
 
 /// Longest hole in a set of `(start, end)` intervals, ignoring the idle
@@ -33,12 +34,12 @@ fn longest_interval_gap(mut intervals: Vec<(f64, f64)>) -> f64 {
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     spans: Vec<Span>,
-    /// Symbol table: `Label(i)` resolves to `labels[i]`. A table from
+    /// Symbol table: `Label(i)` resolves to `labels.get(i)`. A table from
     /// `with_labels` stays shared until `intern` adds to it.
-    labels: Arc<Vec<Arc<str>>>,
-    /// Reverse lookup for `intern`, built on its first call; each key
-    /// shares its allocation with the table entry it indexes.
-    index: HashMap<Arc<str>, u32>,
+    labels: Arc<LabelTable>,
+    /// Reverse lookup for `intern`, built on its first call and dropped by
+    /// `compact`.
+    index: HashMap<Box<str>, u32>,
 }
 
 /// Per-kind cumulated busy time, in seconds.
@@ -102,7 +103,7 @@ impl Trace {
     /// Empty trace whose symbol table is `labels`, shared rather than
     /// copied: an executor that interned every label of a graph once
     /// records each run's spans against that table without interning.
-    pub fn with_labels(labels: Arc<Vec<Arc<str>>>) -> Self {
+    pub fn with_labels(labels: Arc<LabelTable>) -> Self {
         Trace { spans: Vec::new(), labels, index: HashMap::new() }
     }
 
@@ -115,29 +116,27 @@ impl Trace {
             return Label::NONE;
         }
         if self.index.is_empty() {
-            for (id, text) in self.labels.iter().enumerate().rev() {
-                self.index.insert(Arc::clone(text), id as u32);
+            for (id, text) in self.labels.iter().enumerate() {
+                self.index.entry(text.into()).or_insert(id as u32);
             }
         }
         if let Some(&id) = self.index.get(label) {
             return Label(id);
         }
-        let id = self.labels.len() as u32;
-        let text: Arc<str> = Arc::from(label);
-        Arc::make_mut(&mut self.labels).push(Arc::clone(&text));
-        self.index.insert(text, id);
+        let id = Arc::make_mut(&mut self.labels).push(label);
+        self.index.insert(label.into(), id);
         Label(id)
     }
 
     /// Resolves an interned label back to its text. [`Label::NONE`] and
     /// out-of-range labels resolve to `""`.
     pub fn label(&self, l: Label) -> &str {
-        self.labels.get(l.0 as usize).map_or("", |s| s)
+        self.labels.get(l.0 as usize).unwrap_or("")
     }
 
     /// The symbol table, indexed by `Label(i)`; clone the `Arc` to share
     /// it with [`Trace::with_labels`].
-    pub fn labels(&self) -> &Arc<Vec<Arc<str>>> {
+    pub fn labels(&self) -> &Arc<LabelTable> {
         &self.labels
     }
 
@@ -285,16 +284,22 @@ impl Trace {
         }
     }
 
-    /// Moves the span table into an exact-fit allocation: call it on a
-    /// finished trace that is about to be kept for long. A trace is built
-    /// by `push`, so up to half its span storage is spare. This copies
-    /// once rather than `Vec::shrink_to_fit`, which trims in place and
-    /// leaves the freed tails scattered between the blocks that stay (a
-    /// run cache refilled a few times held 6 % more resident memory so).
+    /// Moves the span table (and a symbol table no other trace shares)
+    /// into exact-fit allocations and drops the `intern` index, which the
+    /// next `intern` rebuilds: call it on a finished trace that is about to
+    /// be kept for long. A trace is built by `push`, so up to half its span
+    /// storage is spare. This copies once rather than `Vec::shrink_to_fit`,
+    /// which trims in place and leaves the freed tails scattered between
+    /// the blocks that stay (a run cache refilled a few times held 6 % more
+    /// resident memory so).
     pub fn compact(&mut self) {
         if self.spans.capacity() > self.spans.len() {
             self.spans = self.spans.as_slice().into();
         }
+        if let Some(table) = Arc::get_mut(&mut self.labels) {
+            table.compact();
+        }
+        self.index = HashMap::new();
     }
 }
 
@@ -420,6 +425,14 @@ mod tests {
         assert!(t.is_empty());
     }
 
+    fn table(texts: &[&str]) -> Arc<LabelTable> {
+        let mut table = LabelTable::new();
+        for text in texts {
+            table.push(text);
+        }
+        Arc::new(table)
+    }
+
     #[test]
     fn intern_deduplicates_and_resolves() {
         let mut t = Trace::new();
@@ -431,19 +444,57 @@ mod tests {
         assert_eq!(t.label(a), "gemm(0,1)");
         assert_eq!(t.label(b), "gemm(2,3)");
         assert_eq!(t.labels().len(), 2);
-        // Table and reverse index hold one allocation per label, not two.
-        assert!(t.labels().iter().all(|l| Arc::strong_count(l) == 2));
+        assert_eq!(t.labels().iter().collect::<Vec<_>>(), ["gemm(0,1)", "gemm(2,3)"]);
+    }
+
+    #[test]
+    fn with_labels_shares_one_allocation() {
+        let shared = table(&["t0", "A"]);
+        let a = Trace::with_labels(Arc::clone(&shared));
+        let b = a.clone();
+        assert!(Arc::ptr_eq(a.labels(), &shared));
+        assert!(Arc::ptr_eq(b.labels(), &shared));
+        assert_eq!(Arc::strong_count(&shared), 3);
     }
 
     #[test]
     fn a_shared_table_resolves_and_interns_copy_on_write() {
-        let table: Arc<Vec<Arc<str>>> = Arc::new(vec!["t0".into(), "A".into(), "t0".into()]);
-        let mut t = Trace::with_labels(Arc::clone(&table));
+        let shared = table(&["t0", "A", "t0"]);
+        let mut t = Trace::with_labels(Arc::clone(&shared));
         assert_eq!(t.label(Label(1)), "A");
         assert_eq!(t.intern("t0"), Label(0), "a repeated text interns to its first slot");
         assert_eq!(t.intern("B"), Label(3));
-        assert_eq!(t.labels().len(), 4);
-        assert_eq!(table.len(), 3, "the shared table is never written");
+        assert!(!Arc::ptr_eq(t.labels(), &shared), "the write copied the table");
+        assert_eq!(shared.len(), 3, "the shared table is never written");
+        // Every earlier id resolves as before in the copy.
+        for (i, text) in shared.iter().enumerate() {
+            assert_eq!(t.label(Label(i as u32)), text);
+        }
+        assert_eq!(t.label(Label(3)), "B");
+    }
+
+    #[test]
+    fn none_and_out_of_range_labels_resolve_to_empty() {
+        let t = Trace::with_labels(table(&["", "x"]));
+        assert_eq!(t.label(Label::NONE), "");
+        assert_eq!(t.label(Label(0)), "");
+        assert_eq!(t.label(Label(1)), "x");
+        assert_eq!(t.label(Label(2)), "");
+        assert_eq!(t.labels().get(2), None);
+    }
+
+    #[test]
+    fn compact_drops_the_index_and_intern_still_dedups() {
+        let mut t = Trace::new();
+        let a = t.intern("a");
+        let b = t.intern("bb");
+        assert!(!t.index.is_empty());
+        t.compact();
+        assert!(t.index.is_empty());
+        assert_eq!(t.labels().iter().collect::<Vec<_>>(), ["a", "bb"]);
+        assert_eq!((t.intern("bb"), t.intern("a")), (b, a));
+        assert_eq!(t.intern("c"), Label(2));
+        assert_eq!(t.labels().len(), 3);
     }
 
     #[test]
@@ -475,6 +526,7 @@ mod tests {
         for s in a.spans() {
             assert_eq!(a.label(s.label), "shared");
         }
+        assert_eq!(a.labels().iter().collect::<Vec<_>>(), ["shared", "only-in-b"]);
     }
 
     #[test]
