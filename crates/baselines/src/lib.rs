@@ -211,17 +211,34 @@ pub struct RunResult {
 
 /// Runs `lib` on `topo` with `params`.
 pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunResult, RunError> {
+    run_within(lib, topo, params, f64::INFINITY)
+}
+
+/// [`run`] under a makespan budget: `Err(RunError::OverBudget)` only when
+/// the run's `seconds` exceed `budget` (by more than a relative 1e-9);
+/// every `Ok` is the result [`run`] gives, bit for bit. The budget goes to
+/// the simulation ([`xk_runtime::SimSession::run_within`]), which stops
+/// as soon as a lower bound on its makespan proves the verdict. Seconds a
+/// model adds after the simulation (Chameleon LAPACK's conversions,
+/// cuBLAS-MG's staging) only lengthen the run, and cuBLAS-XT and SLATE,
+/// which schedule their own kernels, always run to the end.
+pub fn run_within(
+    lib: Library,
+    topo: &FabricSpec,
+    params: &RunParams,
+    budget: f64,
+) -> Result<RunResult, RunError> {
     params.validate()?;
     if !lib.supports(params.routine) {
         return Err(RunError::Unsupported);
     }
     match lib {
         Library::XkBlas(variant) => {
-            Ok(run_on_runtime(topo, params, variant.runtime_config(), false))
+            run_on_runtime(topo, params, variant.runtime_config(), false, budget)
         }
-        Library::ChameleonTile => Ok(run_chameleon(topo, params, true)),
+        Library::ChameleonTile => run_chameleon(topo, params, true, budget),
         Library::ChameleonLapack => {
-            let mut r = run_chameleon(topo, params, false);
+            let mut r = run_chameleon(topo, params, false, budget)?;
             // Host-side LAPACK↔tile conversion before and after the call
             // (§IV-D: "the penalty, on the host, to convert operands and
             // result to/from tile matrix representation").
@@ -246,7 +263,7 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
                 data_on_device: true,
                 ..*params
             };
-            let mut r = run_on_runtime(topo, &dev_params, cfg, true);
+            let mut r = run_on_runtime(topo, &dev_params, cfg, true, budget)?;
             if !params.data_on_device {
                 // Synchronous distribute (3 operands in) + gather (result
                 // out) over the 4 PCIe uplinks in parallel.
@@ -308,7 +325,7 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
             cfg.task_overhead = 40.0e-6;
             cfg.prefetch_at_assign = false;
             cfg.cache_inputs = false;
-            Ok(run_on_runtime(topo, params, cfg, true))
+            run_on_runtime(topo, params, cfg, true, budget)
         }
         Library::Blasx => {
             // BLASX fails to allocate above N = 45000 (Fig. 5 caption).
@@ -323,14 +340,19 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
                 allow_d2d: true,
             });
             cfg.window = 4;
-            Ok(run_on_runtime(topo, params, cfg, false))
+            run_on_runtime(topo, params, cfg, false, budget)
         }
         Library::CublasXt => Ok(run_cublasxt(topo, params)),
         Library::Slate => Ok(run_slate(topo, params)),
     }
 }
 
-fn run_chameleon(topo: &FabricSpec, params: &RunParams, tile_layout: bool) -> RunResult {
+fn run_chameleon(
+    topo: &FabricSpec,
+    params: &RunParams,
+    tile_layout: bool,
+    budget: f64,
+) -> Result<RunResult, RunError> {
     // Chameleon/StarPU: dmdas scheduler, 2 workers per GPU (§IV-A), eager
     // flush-back of computed tiles, no topology-aware source selection.
     // StarPU 1.3.5 on this machine stages transfers through the host (the
@@ -345,7 +367,7 @@ fn run_chameleon(topo: &FabricSpec, params: &RunParams, tile_layout: bool) -> Ru
     // at submission.
     cfg.task_overhead = 60.0e-6;
     cfg.prefetch_at_assign = false;
-    run_on_runtime(topo, params, cfg, tile_layout)
+    run_on_runtime(topo, params, cfg, tile_layout, budget)
 }
 
 #[cfg(test)]

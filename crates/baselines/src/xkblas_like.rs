@@ -11,7 +11,7 @@ use xkblas_core::{
     Matrix, Routine, Side, Trans, Uplo,
 };
 
-use crate::{RunParams, RunResult};
+use crate::{RunError, RunParams, RunResult};
 
 /// Builds the standard square instance of `routine` (the paper's benchmark
 /// shapes: all operands `n × n`, lower/left/no-trans/non-unit) into `ctx`,
@@ -53,15 +53,18 @@ pub fn build_routine_graph(ctx: &mut Context<f64>, routine: Routine, n: usize, d
     }
 }
 
-/// Simulates one routine call under `cfg`. Data-on-host runs end with a
-/// `memory_coherent` of the output (§IV-A end-to-end methodology);
-/// data-on-device runs leave results on the GPUs (§IV-C).
+/// Simulates one routine call under `cfg` within a makespan `budget`
+/// (`f64::INFINITY` for none; see [`Context::run_simulated_within`]).
+/// Data-on-host runs end with a `memory_coherent` of the output (§IV-A
+/// end-to-end methodology); data-on-device runs leave results on the GPUs
+/// (§IV-C).
 pub fn run_on_runtime(
     topo: &FabricSpec,
     params: &RunParams,
     cfg: RuntimeConfig,
     tile_layout: bool,
-) -> RunResult {
+    budget: f64,
+) -> Result<RunResult, RunError> {
     let mut ctx = Context::<f64>::new(topo.clone(), cfg, params.tile);
     ctx.set_simulation_only(true);
     ctx.set_tile_layout(tile_layout);
@@ -70,8 +73,8 @@ pub fn run_on_runtime(
     if !params.data_on_device && !ctx.config().eager_flush {
         ctx.memory_coherent_async(&out);
     }
-    let sim = ctx.run_simulated();
-    outcome_to_result(sim, params)
+    let sim = ctx.run_simulated_within(budget)?;
+    Ok(outcome_to_result(sim, params))
 }
 
 /// Builds the task graph of one routine call exactly as [`run_on_runtime`]
@@ -167,7 +170,7 @@ mod tests {
                 tile: 1024,
                 data_on_device: false,
             };
-            let r = run_on_runtime(&topo, &params, RuntimeConfig::xkblas(), false);
+            let r = run_on_runtime(&topo, &params, RuntimeConfig::xkblas(), false, f64::INFINITY).unwrap();
             assert!(r.seconds > 0.0, "{routine:?} zero time");
             assert!(r.tflops > 0.1, "{routine:?} unreasonably slow");
             assert!(r.bytes_h2d > 0, "{routine:?} must read inputs");
@@ -195,7 +198,7 @@ mod tests {
             crate::XkVariant::NoHeuristicNoTopo,
         ] {
             let cfg = variant.runtime_config();
-            let direct = run_on_runtime(&topo, &params, cfg.clone(), false);
+            let direct = run_on_runtime(&topo, &params, cfg.clone(), false, f64::INFINITY).unwrap();
             let prepped = run_prepped(&topo, &params, cfg, &graph, &prep);
             assert_eq!(direct.seconds.to_bits(), prepped.seconds.to_bits(), "{variant:?}");
             assert_eq!(direct.tflops.to_bits(), prepped.tflops.to_bits(), "{variant:?}");
@@ -215,7 +218,7 @@ mod tests {
             tile: 512,
             data_on_device: true,
         };
-        let r = run_on_runtime(&topo, &params, RuntimeConfig::xkblas(), false);
+        let r = run_on_runtime(&topo, &params, RuntimeConfig::xkblas(), false, f64::INFINITY).unwrap();
         assert_eq!(r.bytes_h2d, 0);
         assert_eq!(r.bytes_d2h, 0);
         assert!(r.bytes_p2p > 0, "cross-GPU reads still occur");

@@ -10,7 +10,8 @@
 //!   point simulates on the calling thread. The default (cached, fanned
 //!   out) stdout and CSVs must match it byte for byte; CI compares the two
 //!   `--small` outputs. The best-tile search still skips tiles that
-//!   provably cannot win; that never changes a result.
+//!   provably cannot win, and uncached it also stops a candidate's run once
+//!   it provably loses; neither changes a result.
 
 use xk_bench::{figs, runcache, write_csv, PAPER_DIMS_SMALL};
 

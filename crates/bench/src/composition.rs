@@ -76,8 +76,11 @@ pub fn run_chameleon_composition(topo: &FabricSpec, n: usize, tile: usize) -> Co
         tile,
         data_on_device: false,
     };
-    let r1 = xk_baselines::run_on_runtime(topo, &params(Routine::Trsm), cfg(), true);
-    let r2 = xk_baselines::run_on_runtime(topo, &params(Routine::Gemm), cfg(), true);
+    let run = |routine| {
+        xk_baselines::run_on_runtime(topo, &params(routine), cfg(), true, f64::INFINITY)
+            .expect("an infinite budget is never exceeded")
+    };
+    let (r1, r2) = (run(Routine::Trsm), run(Routine::Gemm));
     let obs = r1.obs.into_iter().chain(r2.obs).collect();
     let mut trace = r1.trace;
     let mut second = r2.trace;

@@ -71,7 +71,8 @@ fn sweep_all(series: &[Series], dims: &[usize]) -> Vec<Vec<SeriesPoint>> {
                     tile,
                     data_on_device: true,
                 };
-                let r = run_point(Library::XkBlas(XkVariant::Full), topo, &params, cache)
+                let xkblas = Library::XkBlas(XkVariant::Full);
+                let r = run_point(xkblas, topo, &params, cache, f64::INFINITY)
                     .expect("xkblas dod runs");
                 SeriesPoint {
                     n,

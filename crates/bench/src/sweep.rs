@@ -2,7 +2,13 @@
 //!
 //! The search runs the largest candidate tile first and skips every smaller
 //! one whose [`Library::tflops_ceiling`] lies below that run's TFlop/s: its
-//! kernels alone are too slow to win or tie. Every simulated run is
+//! kernels alone are too slow to win or tie. Without the memo cache, each
+//! remaining candidate runs under a makespan budget, the time the largest
+//! tile's TFlop/s allows ([`run_within`]): the simulation stops as soon as
+//! a lower bound on its makespan passes the budget, and such a provable
+//! loser (`RunError::OverBudget`) is never picked or reported — the largest
+//! tile's finished run beats it. The cache memoizes whole runs only, so
+//! cached searches run every survivor to the end. Every simulated run is
 //! deterministic, so evaluating the rest on several threads
 //! ([`best_tile_run_with`] with `parallel`) still picks the same winner as
 //! the serial loop: candidate results are placed in candidate order and
@@ -11,7 +17,7 @@
 
 use std::sync::Arc;
 
-use xk_baselines::{run, Library, RunError, RunParams, RunResult};
+use xk_baselines::{run_within, Library, RunError, RunParams, RunResult};
 use xk_kernels::Routine;
 use xk_serve::RunOutcome;
 use xk_topo::FabricSpec;
@@ -40,16 +46,19 @@ pub struct SeriesPoint {
 }
 
 /// One run, through the memo cache when one is given (the answer is the
-/// cache's own copy); an uncached run is wrapped once, here.
+/// cache's own copy); an uncached run is wrapped once, here. The cache
+/// memoizes whole runs only, so `budget` (see [`run_within`]) binds
+/// uncached runs alone.
 pub(crate) fn run_point(
     lib: Library,
     topo: &FabricSpec,
     params: &RunParams,
     cache: Option<&RunCache>,
+    budget: f64,
 ) -> RunOutcome {
     match cache {
         Some(c) => c.run(lib, topo, params),
-        None => run(lib, topo, params).map(Arc::new),
+        None => run_within(lib, topo, params, budget).map(Arc::new),
     }
 }
 
@@ -114,23 +123,28 @@ pub fn best_tile_run_with(
         // Tiny problems where every candidate exceeds n: run one fallback
         // tile and propagate *its* error — not a blanket `Unsupported`.
         let tile = n.max(1);
-        return run_point(lib, topo, &params(tile), cache).map(|r| (tile, r));
+        return run_point(lib, topo, &params(tile), cache, f64::INFINITY).map(|r| (tile, r));
     };
     // The largest tile first: a smaller one whose throughput ceiling is
     // below that run's TFlop/s can neither win nor tie, so it is not run.
     // The 1e-9 slack keeps a candidate in the race when rounding alone
     // puts its ceiling under that result.
-    let first = run_point(lib, topo, &params(largest), cache);
+    let first = run_point(lib, topo, &params(largest), cache, f64::INFINITY);
     let to_beat = first.as_ref().map_or(0.0, |r| r.tflops);
     let survivors: Vec<usize> = rest
         .iter()
         .copied()
         .filter(|&t| lib.tflops_ceiling(topo, t).is_none_or(|c| c * (1.0 + 1e-9) >= to_beat))
         .collect();
+    // A survivor reaches `to_beat` only within the makespan that rate
+    // takes (infinite when the largest tile failed); past it, its run
+    // stops as `OverBudget`. The fold never reports that error: the
+    // largest tile's run is then a finished winner.
+    let budget = routine.flops_square(n as u64) / (to_beat * 1e12);
     let threads = if parallel { 0 } else { 1 };
     let mut outcomes = xk_sim::run_replicas(survivors.len(), threads, |i| {
         let tile = survivors[i];
-        (tile, run_point(lib, topo, &params(tile), cache))
+        (tile, run_point(lib, topo, &params(tile), cache, budget))
     });
     outcomes.push((largest, first));
     fold_best(outcomes)

@@ -128,6 +128,8 @@ fn assert_same_pick(got: &(usize, Arc<RunResult>), want: &(usize, Arc<RunResult>
     assert_eq!(got.1.trace.len(), want.1.trace.len(), "{what}: spans");
 }
 
+/// The cached search skips tiles by their ceiling; the uncached one also
+/// budgets every survivor, which stops the provable losers mid-run.
 #[test]
 fn pruned_search_equals_trying_every_candidate() {
     let libs = Library::FIG5.into_iter().chain([
@@ -150,17 +152,32 @@ fn pruned_search_equals_trying_every_candidate() {
                             .unwrap();
                         simulated += cache.stats().misses - before;
                         candidates += lib.tile_candidates().iter().filter(|&&t| t <= n).count() as u64;
-                        let parallel = best_tile_run_with(lib, topo, routine, n, dod, Some(&cache), true)
-                            .unwrap();
                         let reference = every_candidate(lib, topo, routine, n, dod, &cache);
                         assert_same_pick(&serial, &reference, &what);
-                        assert_same_pick(&parallel, &reference, &what);
+                        for (cache, parallel) in [(Some(&cache), true), (None, false), (None, true)] {
+                            let got = best_tile_run_with(lib, topo, routine, n, dod, cache, parallel)
+                                .unwrap();
+                            let how = format!("{what} cached={} parallel={parallel}", cache.is_some());
+                            assert_same_pick(&got, &reference, &how);
+                        }
                     }
                 }
             }
         }
     }
     assert!(simulated < candidates, "nothing pruned: {simulated} of {candidates} simulated");
+}
+
+#[test]
+fn large_uncached_search_stops_the_losing_tile_1024_run() {
+    // At N = 49152 the NoHeuristic GEMM's tile-4096 run (50.88 TFlop/s,
+    // Fig. 3) is below what eight GPUs can reach with 1024 tiles (52.42),
+    // so tile 1024 runs — under a budget it overruns (it reaches 35.05).
+    let (lib, topo) = (Library::XkBlas(XkVariant::NoHeuristic), dgx1());
+    let (tile, r) = best_tile_run_with(lib, &topo, Routine::Gemm, 49152, false, None, false).unwrap();
+    assert_eq!(tile, 4096);
+    assert_eq!(fmt_tflops(Some(r.tflops)), "50.88");
+    assert!(lib.tflops_ceiling(&topo, 1024).unwrap() > r.tflops, "tile 1024 must survive the ceiling");
 }
 
 #[test]

@@ -20,13 +20,18 @@
 //!    transfer: every explored schedule drains and passes the oracle.
 //! 5. On one GPU there is no peer to fetch from, so every heuristic preset
 //!    runs the same schedule: same choices, same spans.
+//! 6. With data on device, owner placement and every task touching only
+//!    its own GPU's tiles, nothing has to move: no schedule has a transfer.
 
 use xk_check::graphgen::{build_random_dag, build_random_dag_placed, RandomDagSpec};
 use xk_check::topo_util::{scaled_bandwidth, subtopo, DGX1_AUTOMORPHISMS};
 use xk_check::{explore_random, replay, RandomController};
+use xk_kernels::perfmodel::TileOp;
+use xk_lp::SplitMix64;
 use xk_runtime::{
-    link_attribution, makespan_lower_bound, HandleId, Heuristics, RuntimeConfig, SchedulerKind,
-    SimExecutor, SimPrep, TaskAccess, TaskGraph, TaskKind, TaskLabel,
+    link_attribution, makespan_lower_bound, Access, DataInfo, HandleId, Heuristics,
+    RuntimeConfig, SchedulerKind, SimExecutor, SimPrep, TaskAccess, TaskGraph, TaskKind,
+    TaskLabel,
 };
 use xk_topo::{bw, dgx1, FabricBuilder, FabricSpec, LinkClass};
 
@@ -423,5 +428,51 @@ fn on_one_gpu_every_heuristic_preset_runs_the_same_schedule() {
                 assert_eq!(s, spans, "{what}: spans");
             }
         }
+    }
+}
+
+/// 24 tasks on a data-on-device graph of three tiles per GPU, tile `i` on
+/// GPU `i % n_gpus`: each task read-writes one tile of a random GPU and
+/// reads up to two more tiles of that same GPU.
+fn gpu_local_graph(seed: u64, n_gpus: usize) -> TaskGraph {
+    let mut rng = SplitMix64::new(seed);
+    let mut g = TaskGraph::new();
+    let handles: Vec<HandleId> = (0..3 * n_gpus)
+        .map(|i| g.add_data(DataInfo::on_gpu(1 << 20, i % n_gpus, format!("d{i}"))))
+        .collect();
+    for t in 0..24 {
+        let gpu = rng.next_below(n_gpus as u64) as usize;
+        let local = |rng: &mut SplitMix64| handles[gpu + n_gpus * rng.next_below(3) as usize];
+        let target = local(&mut rng);
+        let mut accesses = vec![TaskAccess { handle: target, access: Access::ReadWrite }];
+        for _ in 0..rng.next_below(3) {
+            let h = local(&mut rng);
+            if accesses.iter().all(|a| a.handle != h) {
+                accesses.push(TaskAccess { handle: h, access: Access::Read });
+            }
+        }
+        g.add_task(TileOp::Gemm { m: 256, n: 256, k: 256 }, accesses, TaskLabel::tile("loc", 't', t, 0));
+    }
+    g
+}
+
+#[test]
+fn gpu_local_work_on_device_moves_no_byte_under_any_schedule() {
+    let cfg = RuntimeConfig::default().with_scheduler(SchedulerKind::StaticOwner);
+    for topo in xk_topo::fabrics::gallery() {
+        let graph = gpu_local_graph(topo.n_gpus() as u64, topo.n_gpus());
+        let prep = SimPrep::new(&graph);
+        let mut choices = 0;
+        for seed in 0..50 {
+            let mut rng = RandomController::new(seed);
+            let out = SimExecutor::with_prep(&graph, &topo, &cfg, &prep).control(&mut rng).run();
+            let what = format!("{} seed {seed}", topo.name());
+            assert_eq!(out.tasks_run, graph.len(), "{what}");
+            let moved: Vec<_> = out.trace.spans().iter().filter(|s| s.kind.is_transfer()).collect();
+            assert!(moved.is_empty(), "{what}: {moved:?}");
+            assert_eq!((out.bytes_h2d, out.bytes_p2p, out.bytes_d2h), (0, 0, 0), "{what}");
+            choices += rng.log.0.len();
+        }
+        assert!(choices > 0, "{}: no schedule choice was offered", topo.name());
     }
 }

@@ -13,8 +13,8 @@ use xk_kernels::perfmodel::TileOp;
 use xk_kernels::Scalar;
 use xk_runtime::task::TaskBody;
 use xk_runtime::{
-    run_parallel, DataInfo, HandleId, ObsLevel, ParOutcome, RuntimeConfig, SimOutcome, SimSession,
-    TaskAccess, TaskGraph, TaskLabel,
+    run_parallel, DataInfo, Error, HandleId, ObsLevel, ParOutcome, Run, RuntimeConfig, SimOutcome,
+    SimSession, TaskAccess, TaskGraph, TaskLabel,
 };
 use xk_topo::{Device, FabricSpec};
 
@@ -269,8 +269,16 @@ impl<T: Scalar> Context<T> {
     /// Executes the composed graph on the simulated platform and resets
     /// the context.
     pub fn run_simulated(&mut self) -> SimOutcome {
+        self.run_simulated_within(f64::INFINITY).expect("an infinite budget is never exceeded")
+    }
+
+    /// [`Context::run_simulated`] under a makespan budget:
+    /// `Err(Error::OverBudget)` when the run's makespan exceeds `budget`
+    /// seconds, found out as soon as a lower bound proves it
+    /// ([`SimSession::run_within`]).
+    pub fn run_simulated_within(&mut self, budget: f64) -> Result<SimOutcome, Error> {
         let graph = self.take_graph();
-        self.session().run(&graph).into_outcome()
+        self.session().run_within(&graph, budget).map(Run::into_outcome)
     }
 
     /// Detaches the composed graph without running it and resets the

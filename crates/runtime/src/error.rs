@@ -34,6 +34,11 @@ pub enum Error {
         /// Destination GPU of the failed directed link.
         dst: usize,
     },
+    /// A budgeted run stopped: its makespan exceeds the budget it was given
+    /// ([`crate::SimSession::run_within`]). The best-tile search budgets
+    /// the candidates that must beat an already finished run, so this marks
+    /// a provable loser, not a failure of the library.
+    OverBudget,
     /// A harness I/O operation failed (writing a CSV, a trace export...).
     Io {
         /// What was being done, usually the file path involved.
@@ -59,7 +64,9 @@ impl Error {
     /// beats both (it means the harness, not the library, broke).
     fn rank(&self) -> u8 {
         match self {
-            Error::Unsupported => 0,
+            // A candidate slower than one already finished says nothing
+            // about the platform either.
+            Error::Unsupported | Error::OverBudget => 0,
             // A malformed request names its own defect, but says nothing
             // about the platform.
             Error::InvalidParams { .. } => 1,
@@ -89,6 +96,7 @@ impl PartialEq for Error {
         match (self, other) {
             (Error::Unsupported, Error::Unsupported) => true,
             (Error::OutOfMemory, Error::OutOfMemory) => true,
+            (Error::OverBudget, Error::OverBudget) => true,
             (
                 Error::InvalidParams { n: na, tile: ta },
                 Error::InvalidParams { n: nb, tile: tb },
@@ -115,6 +123,7 @@ impl std::fmt::Display for Error {
         match self {
             Error::Unsupported => write!(f, "routine not implemented by this library"),
             Error::OutOfMemory => write!(f, "memory allocation error"),
+            Error::OverBudget => write!(f, "makespan over budget"),
             Error::InvalidParams { n, tile } => {
                 write!(
                     f,

@@ -34,6 +34,7 @@ use crate::config::RuntimeConfig;
 use crate::graph::TaskGraph;
 use crate::obs::{ObsLevel, ObsReport};
 use crate::choice::ScheduleController;
+use crate::error::Error;
 use crate::sim_exec::{bandwidth_matrix_of, LinkFault, SimExecutor, SimOutcome, SimPrep};
 use xk_trace::Trace;
 
@@ -97,7 +98,15 @@ impl<'t> SimSession<'t> {
 
     /// Simulates `graph` to completion.
     pub fn run(&self, graph: &TaskGraph) -> Run {
-        self.execute(SimExecutor::new(graph, self.topo, &self.cfg))
+        self.complete(SimExecutor::new(graph, self.topo, &self.cfg))
+    }
+
+    /// Simulates `graph` under a makespan budget:
+    /// `Err(Error::OverBudget)` when its makespan exceeds `budget` seconds,
+    /// as soon as a lower bound on it proves so; else the run
+    /// [`SimSession::run`] gives (see [`SimExecutor::run_within`]).
+    pub fn run_within(&self, graph: &TaskGraph, budget: f64) -> Result<Run, Error> {
+        self.execute(SimExecutor::new(graph, self.topo, &self.cfg), budget)
     }
 
     /// Simulates `graph` from shared precomputed per-graph state.
@@ -107,24 +116,29 @@ impl<'t> SimSession<'t> {
     /// Batched replica drivers build the prep once and stamp every run
     /// from it, sharing its label table and skipping the CSR derivation.
     pub fn run_prepped(&self, graph: &TaskGraph, prep: &SimPrep) -> Run {
-        self.execute(SimExecutor::with_prep(graph, self.topo, &self.cfg, prep))
+        self.complete(SimExecutor::with_prep(graph, self.topo, &self.cfg, prep))
     }
 
     /// Simulates `graph` under a [`ScheduleController`]: every
     /// nondeterministic tie is resolved by `ctrl` (see
     /// [`SimExecutor::control`]). The run's trace records what happened.
     pub fn run_controlled(&self, graph: &TaskGraph, ctrl: &mut dyn ScheduleController) -> Run {
-        self.execute(SimExecutor::new(graph, self.topo, &self.cfg).control(ctrl))
+        self.complete(SimExecutor::new(graph, self.topo, &self.cfg).control(ctrl))
     }
 
     /// Runs `exec` at the session's observability level and with its fault,
-    /// if any: the one path behind every `run*` entry point.
-    fn execute(&self, exec: SimExecutor<'_>) -> Run {
+    /// if any, under `budget`: the one path behind every `run*` entry point.
+    fn execute(&self, exec: SimExecutor<'_>, budget: f64) -> Result<Run, Error> {
         let mut exec = exec.observe(self.obs);
         if let Some(fault) = self.fault {
             exec = exec.with_fault(fault);
         }
-        Run { outcome: exec.run(), bound: None }
+        Ok(Run { outcome: exec.run_within(budget)?, bound: None })
+    }
+
+    /// [`SimSession::execute`] without a budget.
+    fn complete(&self, exec: SimExecutor<'_>) -> Run {
+        self.execute(exec, f64::INFINITY).expect("an infinite budget is never exceeded")
     }
 
     /// Point-to-point bandwidth matrix of the session's topology, GB/s,
@@ -289,6 +303,42 @@ mod tests {
         assert_eq!(controlled.failures, plain.failures);
         assert_eq!(controlled.makespan.to_bits(), plain.makespan.to_bits());
         assert_eq!(controlled.trace.spans(), plain.trace.spans());
+    }
+
+    /// Under a link fault a failed task completes without its kernel, so
+    /// the progress bound would count seconds that never run: the budget's
+    /// verdict is read off the finished run instead. Here t2's big kernel
+    /// is still unlaunched when t1 completes, and it never runs.
+    #[test]
+    fn under_a_link_fault_a_budget_judges_the_finished_run() {
+        let topo = dgx1();
+        let mut g = TaskGraph::new();
+        let shared = g.add_host_tile(32 << 20, true, "A");
+        let c0 = g.add_data(DataInfo::host(32 << 20, true, "C0").with_owner(0));
+        let c4 = g.add_data(DataInfo::host(32 << 20, true, "C4").with_owner(4));
+        let small = TileOp::Gemm { m: 512, n: 512, k: 512 };
+        let rw = |handle| TaskAccess { handle, access: Access::ReadWrite };
+        let read = |handle| TaskAccess { handle, access: Access::Read };
+        g.add_task(small, vec![read(shared), rw(c0)], "t0");
+        g.add_task(small, vec![rw(c4)], "t1");
+        let big = TileOp::Gemm { m: 8192, n: 8192, k: 8192 };
+        g.add_task(big, vec![read(shared), rw(c4)], "t2");
+        let session = SimSession::on(&topo)
+            .config(RuntimeConfig::xkblas().with_scheduler(crate::SchedulerKind::StaticOwner))
+            .link_fault(LinkFault { src: 0, dst: 4, at: 0.0 });
+        let plain = session.run(&g).into_outcome();
+        let dead = crate::Error::LinkDown { src: 0, dst: 4 };
+        assert_eq!(plain.failures, vec![(2, dead)], "the fault must bite");
+        // What the bound would have read after t1: t2's kernel alone,
+        // spread over eight GPUs, outlasts the whole run.
+        let t2_alone = g.kernel_seconds(&RuntimeConfig::xkblas().gpu_model)[2];
+        assert!(t2_alone / 8.0 > plain.makespan, "{t2_alone} vs {}", plain.makespan);
+        let within = session.run_within(&g, plain.makespan).unwrap().into_outcome();
+        assert_eq!(within.makespan.to_bits(), plain.makespan.to_bits());
+        assert_eq!(within.trace.spans(), plain.trace.spans());
+        assert_eq!(within.failures, plain.failures);
+        let short = session.run_within(&g, plain.makespan * (1.0 - 1e-6));
+        assert_eq!(short.err(), Some(crate::Error::OverBudget));
     }
 
     #[test]

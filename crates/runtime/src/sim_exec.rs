@@ -236,6 +236,9 @@ pub struct SimExecutor<'a> {
     ctrl: Decider<'a>,
     /// Injected link fault and the failures it caused, if any.
     fault: Option<FaultState>,
+    /// Kernel seconds of the tasks not launched yet: the `unstarted` term
+    /// of [`SimExecutor::run_within`]'s progress bound.
+    unstarted: f64,
     bytes_h2d: u64,
     bytes_d2h: u64,
     bytes_p2p: u64,
@@ -338,7 +341,7 @@ impl<'a> SimExecutor<'a> {
         );
         let n = topo.n_gpus();
         assert!(n < NO_GPU as usize, "{n} GPUs do not fit the per-task record");
-        let tasks = graph
+        let tasks: Vec<TaskState> = graph
             .pred_counts()
             .zip(graph.kernel_seconds(&cfg.gpu_model))
             .map(|(pending, kernel_seconds)| TaskState {
@@ -351,6 +354,7 @@ impl<'a> SimExecutor<'a> {
                 inputs_on: NO_GPU,
             })
             .collect();
+        let unstarted = tasks.iter().map(|s| s.kernel_seconds).sum();
         let machine = Machine::new(topo);
         let pool = EnginePool::new(machine.n_engines());
         let gpus = (0..n)
@@ -395,6 +399,7 @@ impl<'a> SimExecutor<'a> {
             obs,
             ctrl: Decider(None),
             fault: None,
+            unstarted,
             bytes_h2d: 0,
             bytes_d2h: 0,
             bytes_p2p: 0,
@@ -445,7 +450,28 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Runs the graph to completion and returns the outcome.
-    pub fn run(mut self) -> SimOutcome {
+    pub fn run(self) -> SimOutcome {
+        self.run_within(f64::INFINITY).expect("an infinite budget is never exceeded")
+    }
+
+    /// Runs the graph under a makespan budget: `Err(Error::OverBudget)`
+    /// when the makespan exceeds `budget` seconds by more than a relative
+    /// 1e-9, else the outcome [`SimExecutor::run`] gives, bit for bit.
+    ///
+    /// The run stops as soon as its progress bound proves the verdict.
+    /// After every completed task that bound is
+    /// `(Σ_g max(free_g, now) + unstarted) / n_gpus`, with `free_g` the
+    /// time GPU `g`'s kernel engine frees and `unstarted` the kernel
+    /// seconds of the tasks not launched yet. Kernel engines never
+    /// back-fill and no kernel starts before the event that reserves it,
+    /// so GPU `g` ends its kernels no earlier than `max(free_g, now)` plus
+    /// those it has yet to run, and the last GPU to finish ends no earlier
+    /// than their average. Under a [`LinkFault`] a failed task completes
+    /// without its kernel, so `unstarted` over-counts: there the bound is
+    /// off and the verdict is read off the finished run.
+    pub fn run_within(mut self, budget: f64) -> Result<SimOutcome, Error> {
+        let limit = budget * (1.0 + 1e-9);
+        let bounded = limit.is_finite() && self.fault.is_none();
         // Roots: nothing decrements `pending` before the event loop starts.
         for t in 0..self.tasks.len() {
             if self.tasks[t].pending == 0 {
@@ -458,7 +484,12 @@ impl<'a> SimExecutor<'a> {
             let Some((_, ev)) = self.clock.next_with(tie) else { break };
             match ev {
                 Ev::TryLaunch(g) => self.try_launch(g),
-                Ev::TaskDone(t) => self.on_done(t),
+                Ev::TaskDone(t) => {
+                    self.on_done(t);
+                    if bounded && self.progress_bound() > limit {
+                        return Err(Error::OverBudget);
+                    }
+                }
             }
         }
         assert_eq!(
@@ -469,6 +500,9 @@ impl<'a> SimExecutor<'a> {
             self.graph.len()
         );
         let makespan = self.trace.makespan();
+        if makespan > limit {
+            return Err(Error::OverBudget);
+        }
         let obs = if self.obs.enabled() {
             let gpu_rows: Vec<GpuObs> = self
                 .gpus
@@ -493,7 +527,7 @@ impl<'a> SimExecutor<'a> {
             let failed = f.task_failed.into_iter().enumerate();
             failed.filter_map(|(i, e)| Some((i, e?))).collect()
         });
-        SimOutcome {
+        Ok(SimOutcome {
             makespan,
             trace: self.trace,
             bytes_h2d: self.bytes_h2d,
@@ -503,7 +537,16 @@ impl<'a> SimExecutor<'a> {
             steals: self.steals,
             obs,
             failures,
-        }
+        })
+    }
+
+    /// A lower bound on the final makespan (see [`SimExecutor::run_within`]).
+    fn progress_bound(&self) -> f64 {
+        let now = self.clock.now();
+        let engaged: f64 = (0..self.gpus.len())
+            .map(|g| self.pool.free_at(self.machine.kernel(g)).max(now).seconds())
+            .sum();
+        (engaged + self.unstarted) / self.gpus.len() as f64
     }
 
     fn on_ready(&mut self, t: TaskId) {
@@ -718,6 +761,7 @@ impl<'a> SimExecutor<'a> {
             state = self.tasks[t.0];
         }
         let TaskState { input_ready, dep, flow, .. } = state;
+        self.unstarted -= state.kernel_seconds;
 
         // Complete-as-failed: a task whose dependency failed, or whose
         // input replica was poisoned by a dead link, skips its kernel but
@@ -734,6 +778,17 @@ impl<'a> SimExecutor<'a> {
             let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.labels[t.0], flow);
             let span = Span { subject: t.0 as u32, ..span };
             let (res, idx) = self.occupy(&[self.machine.kernel(g)], input_ready, dur, span, dep);
+            // The progress bound of `run_within` rests on this. A failed
+            // task frees its window slot without a kernel, so under a fault
+            // a task prefetched earlier can start on an idle engine in the
+            // past; the bound is off there.
+            debug_assert!(
+                self.fault.is_some() || res.start >= self.clock.now(),
+                "task {} reserved at {:?} a kernel starting at {:?}",
+                t.0,
+                self.clock.now(),
+                res.start
+            );
             if self.obs.full() {
                 // This kernel is now the op that makes its outputs valid here.
                 for h in task.written_handles() {
