@@ -10,7 +10,7 @@ use xk_kernels::Routine;
 
 /// Effective host conversion bandwidth, bytes/second. Strided packing of a
 /// large matrix on a two-socket Broadwell lands far below stream bandwidth.
-pub const CONVERSION_BW: f64 = 6.0e9;
+pub(crate) const CONVERSION_BW: f64 = 6.0e9;
 
 /// Number of matrix-sized conversions per routine: inputs converted in,
 /// outputs converted out.
@@ -26,7 +26,7 @@ fn conversions(routine: Routine) -> (f64, f64) {
 }
 
 /// Seconds spent converting layouts for one call on square dimension `n`.
-pub fn layout_conversion_seconds(routine: Routine, n: usize) -> f64 {
+pub(crate) fn layout_conversion_seconds(routine: Routine, n: usize) -> f64 {
     let (inputs, outputs) = conversions(routine);
     let matrix_bytes = (n * n * 8) as f64;
     (inputs + outputs) * matrix_bytes / CONVERSION_BW

@@ -97,7 +97,7 @@ impl<'t> Driver<'t> {
 }
 
 /// Simulates one cuBLAS-XT routine call.
-pub fn run_cublasxt(topo: &FabricSpec, params: &RunParams) -> RunResult {
+pub(crate) fn run_cublasxt(topo: &FabricSpec, params: &RunParams) -> RunResult {
     let mut d = Driver::new(topo, params.n, params.tile);
     let n_gpus = topo.n_gpus();
     let mut rr = 0usize; // round-robin slot counter

@@ -7,7 +7,7 @@ use xk_topo::{Device, FabricSpec};
 use xk_trace::{FlowId, Span, SpanKind, Trace};
 
 /// The engine fabric of a custom baseline simulation.
-pub struct Fabric<'t> {
+pub(crate) struct Fabric<'t> {
     machine: Machine<'t>,
     pool: EnginePool,
     /// Recorded spans.
@@ -16,14 +16,14 @@ pub struct Fabric<'t> {
 
 impl<'t> Fabric<'t> {
     /// Builds the fabric of `topo`.
-    pub fn new(topo: &'t FabricSpec) -> Self {
+    pub(crate) fn new(topo: &'t FabricSpec) -> Self {
         let machine = Machine::new(topo);
         Fabric { pool: EnginePool::new(machine.n_engines()), machine, trace: Trace::new() }
     }
 
     /// Reserves a transfer between two GPUs or a GPU and the host from `at`
     /// on; `pitched` applies the `cudaMemcpy2D` derating on host routes.
-    pub fn transfer(
+    pub(crate) fn transfer(
         &mut self,
         src: Device,
         dst: Device,
@@ -45,7 +45,13 @@ impl<'t> Fabric<'t> {
     }
 
     /// Reserves a kernel of `secs` on `gpu`'s compute engine from `at` on.
-    pub fn kernel(&mut self, gpu: usize, at: SimTime, secs: f64, label: &str) -> Reservation {
+    pub(crate) fn kernel(
+        &mut self,
+        gpu: usize,
+        at: SimTime,
+        secs: f64,
+        label: &str,
+    ) -> Reservation {
         let label = self.trace.intern(label);
         let span = Span::on_gpu(gpu, 3, SpanKind::Kernel, 0, label, FlowId::NONE);
         self.record(&[self.machine.kernel(gpu)], at, secs, span)

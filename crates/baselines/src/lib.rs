@@ -16,10 +16,10 @@ mod fabric;
 mod slate;
 mod xkblas_like;
 
-pub use conversion::layout_conversion_seconds;
-pub use cublasxt::run_cublasxt;
-pub use slate::run_slate;
-pub use xkblas_like::{build_routine_graph, build_run_graph, run_on_runtime, run_prepped};
+pub(crate) use conversion::layout_conversion_seconds;
+pub(crate) use cublasxt::run_cublasxt;
+pub(crate) use slate::run_slate;
+pub use xkblas_like::{build_run_graph, run_on_runtime, run_prepped};
 
 use xk_kernels::{GpuModel, Routine};
 use xk_runtime::{Heuristics, ObsReport, RuntimeConfig, SchedulerKind};
@@ -65,7 +65,7 @@ pub enum XkVariant {
 
 impl XkVariant {
     /// The heuristic set this Fig. 3 ablation simulates under.
-    pub fn heuristics(self) -> Heuristics {
+    pub(crate) fn heuristics(self) -> Heuristics {
         match self {
             XkVariant::Full => Heuristics::full(),
             XkVariant::NoHeuristic => Heuristics::no_optimistic(),

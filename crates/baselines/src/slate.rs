@@ -17,7 +17,7 @@ use crate::xkblas_like::trace_to_result;
 use crate::{RunParams, RunResult};
 
 /// Simulates one SLATE routine call on `topo`.
-pub fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
+pub(crate) fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
     let n_gpus = topo.n_gpus();
     let mut fabric = Fabric::new(topo);
     let model = GpuModel::v100();

@@ -16,7 +16,12 @@ use crate::{RunError, RunParams, RunResult};
 /// Builds the standard square instance of `routine` (the paper's benchmark
 /// shapes: all operands `n × n`, lower/left/no-trans/non-unit) into `ctx`,
 /// returning the output matrix whose coherence closes the run.
-pub fn build_routine_graph(ctx: &mut Context<f64>, routine: Routine, n: usize, dod: bool) -> Matrix<f64> {
+pub(crate) fn build_routine_graph(
+    ctx: &mut Context<f64>,
+    routine: Routine,
+    n: usize,
+    dod: bool,
+) -> Matrix<f64> {
     let a = Matrix::<f64>::phantom(n, n);
     let b = Matrix::<f64>::phantom(n, n);
     let c = Matrix::<f64>::phantom(n, n);
@@ -122,7 +127,7 @@ pub fn run_prepped(
 }
 
 /// Converts a simulation outcome into the harness result type.
-pub fn outcome_to_result(sim: SimOutcome, params: &RunParams) -> RunResult {
+pub(crate) fn outcome_to_result(sim: SimOutcome, params: &RunParams) -> RunResult {
     let flops = params.routine.flops_square(params.n as u64);
     RunResult {
         seconds: sim.makespan,

@@ -4,7 +4,7 @@
 //!
 //! Every configuration simulates independently, so each knob sweep runs its
 //! values as replicas on every core; rows are placed in value order, so the
-//! printed tables are identical to the serial ones.
+//! printed tables are identical to the serial ones. It takes no arguments.
 
 use xk_bench::Table;
 use xk_kernels::Routine;
@@ -38,8 +38,11 @@ fn knob_table<V: Sync>(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (n, tile) = if quick { (16384, 2048) } else { (24576, 2048) };
+    if let Some(bad) = std::env::args().nth(1) {
+        eprintln!("ablations: unknown argument {bad:?} (it takes none)");
+        std::process::exit(2);
+    }
+    let (n, tile) = (24576, 2048);
     println!("Ablations on DGEMM N={n}, tile {tile}, data-on-host (TFlop/s)\n");
 
     // (1) In-flight window depth. With assignment-time prefetch the window

@@ -26,7 +26,7 @@ pub struct CompositionResult {
 }
 
 /// Combined flop count of the composition at dimension `n`.
-pub fn composition_flops(n: usize) -> f64 {
+pub(crate) fn composition_flops(n: usize) -> f64 {
     Routine::Trsm.flops_square(n as u64) + Routine::Gemm.flops_square(n as u64)
 }
 

@@ -1,6 +1,5 @@
-//! One reproduction function per table/figure of the paper. The binaries
-//! in `src/bin/` are thin wrappers so that `run_all` and the integration
-//! tests can drive the same code.
+//! One reproduction function per table/figure of the paper, so that
+//! `run_all`, the integration tests and the benchmark drive the same code.
 //!
 //! The sweep figures (Fig. 3–5, Table II, the fabric gallery) are lists of
 //! independent series, and while the run cache is on they fan out over
@@ -19,7 +18,7 @@ use xk_topo::{dgx1, FabricSpec, DGX1_TABLE1};
 use xk_trace::SpanKind;
 
 use crate::composition::{run_chameleon_composition, run_xkblas_composition};
-use crate::report::{fmt_tflops, Table};
+use crate::report::{fmt_tflops, write_result, Table};
 use crate::runcache;
 use crate::sweep::{best_tile_run_with, run_point, sweep_series, SeriesPoint};
 
@@ -109,15 +108,6 @@ const ABLATION_LIBS: [Library; 4] = [
 
 /// Routines of Fig. 3, Fig. 4 and Table II.
 const FIG3_ROUTINES: [Routine; 3] = [Routine::Gemm, Routine::Syr2k, Routine::Trsm];
-
-/// Dimensions to sweep: `quick` trims the grid for tests/CI.
-pub fn dims(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![8192, 16384, 24576]
-    } else {
-        crate::sweep::PAPER_DIMS.to_vec()
-    }
-}
 
 /// Table I + Fig. 1: platform description and NVLink adjacency.
 pub fn table1_platform() -> String {
@@ -328,7 +318,7 @@ fn checked_obs(lib: Library, r: &xk_baselines::RunResult) -> Option<&ObsReport> 
 
 /// Renders one run's observability summary: the top-3 hot links and the
 /// critical-path composition.
-pub fn obs_summary(obs: &ObsReport) -> String {
+pub(crate) fn obs_summary(obs: &ObsReport) -> String {
     let mut out = String::new();
     for l in obs.hot_links(3) {
         let _ = writeln!(
@@ -542,11 +532,11 @@ pub fn fig9_export_traces(
     let x = run_xkblas_composition(topo, n, tile);
     let c = run_chameleon_composition(topo, n, tile);
     Ok(vec![
-        crate::report::write_result(
+        write_result(
             "fig9_xkblas_composition.trace.json",
             &xk_trace::export::chrome_json(&x.trace),
         )?,
-        crate::report::write_result(
+        write_result(
             "fig9_chameleon_composition.trace.json",
             &xk_trace::export::chrome_json(&c.trace),
         )?,

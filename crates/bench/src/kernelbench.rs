@@ -10,9 +10,9 @@ use xk_kernels::{
 };
 
 /// Problem sizes reported per routine (the repo's serial acceptance sizes).
-pub const SIZES: [usize; 3] = [256, 512, 1024];
+pub(crate) const SIZES: [usize; 3] = [256, 512, 1024];
 
-/// GFLOP/s of one routine at all [`SIZES`], best of `reps`.
+/// GFLOP/s of one routine at all `SIZES`, best of `reps`.
 #[derive(Debug, Clone)]
 pub struct RoutinePerf {
     /// Which BLAS-3 routine was timed.
@@ -31,14 +31,14 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Times all six routines at [`SIZES`] under whatever ISA is currently
+/// Times all six routines at `SIZES` under whatever ISA is currently
 /// selected by the dispatcher.
 pub fn measure_routines(reps: usize) -> Vec<RoutinePerf> {
     measure_routines_at(reps, SIZES)
 }
 
 /// [`measure_routines`] at caller-chosen sizes (tests use tiny ones).
-pub fn measure_routines_at(reps: usize, sizes: [usize; 3]) -> Vec<RoutinePerf> {
+pub(crate) fn measure_routines_at(reps: usize, sizes: [usize; 3]) -> Vec<RoutinePerf> {
     Routine::ALL
         .into_iter()
         .map(|routine| {

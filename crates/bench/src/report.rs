@@ -88,11 +88,6 @@ pub fn write_result(name: &str, content: &str) -> Result<std::path::PathBuf, xk_
     Ok(path)
 }
 
-/// Writes CSV content under `results/` (see [`write_result`]).
-pub fn write_csv(name: &str, content: &str) -> Result<std::path::PathBuf, xk_runtime::Error> {
-    write_result(name, content)
-}
-
 /// Formats an optional TFlop/s value ("-" when absent, e.g. OOM).
 pub fn fmt_tflops(v: Option<f64>) -> String {
     match v {

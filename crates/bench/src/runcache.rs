@@ -9,7 +9,7 @@
 //! [`xk_baselines::RunResult`] and never simulates the same configuration
 //! twice.
 //!
-//! The table is `xk-serve`'s lock-striped, single-flight [`ShardedCache`]
+//! The table is `xk-serve`'s lock-striped, single-flight [`xk_serve::ShardedCache`]
 //! itself (the same exact tier the planner service uses; `RunCache` is its
 //! name on this side): lookups of different configuration families take
 //! different locks, concurrent misses of the *same* key coalesce onto one
@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-pub use xk_serve::{CacheStats, QueryKey as RunKey, ShardedCache, ShardedCache as RunCache};
+pub use xk_serve::{CacheStats, ShardedCache as RunCache};
 
 static GLOBAL: OnceLock<RunCache> = OnceLock::new();
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(true);

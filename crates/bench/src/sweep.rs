@@ -27,7 +27,7 @@ use crate::runcache::RunCache;
 /// Matrix dimensions of the paper's x-axes (Fig. 3–5: 4096 … 49152).
 pub const PAPER_DIMS: [usize; 7] = [4096, 8192, 16384, 24576, 32768, 40960, 49152];
 
-/// A reduced sweep for quick runs / CI.
+/// The paper grid truncated at N = 24576 (`run_all --small`).
 pub const PAPER_DIMS_SMALL: [usize; 4] = [4096, 8192, 16384, 24576];
 
 /// One point of a performance series.

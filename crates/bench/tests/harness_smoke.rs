@@ -172,20 +172,35 @@ fn heuristics_rank_differently_across_fabrics() {
     );
 }
 
-/// A figure binary that cannot write its CSV must fail loudly: with
-/// `results` occupied by a regular file, `fig2_bandwidth` exits non-zero
-/// and names the path, instead of exiting 0 with nothing written.
+/// The figure driver must fail loudly when it cannot write a CSV: with
+/// `results` occupied by a regular file, `run_all` exits non-zero at its
+/// first CSV (Fig. 2, before any sweep) and names the path, instead of
+/// exiting 0 with nothing written.
 #[test]
 fn unwritable_results_dir_is_a_nonzero_exit() {
     let cwd = std::env::temp_dir().join(format!("xk-bench-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&cwd).expect("temp cwd");
     std::fs::write(cwd.join("results"), "not a directory").expect("occupy results");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig2_bandwidth"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_run_all"))
         .current_dir(&cwd)
         .output()
-        .expect("fig2_bandwidth runs");
+        .expect("run_all runs");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     std::fs::remove_dir_all(&cwd).expect("temp cwd removed");
     assert!(!out.status.success(), "exit status {:?}", out.status);
     assert!(stderr.contains("results"), "stderr names the path: {stderr}");
+}
+
+/// `--quick` is gone: `run_all` refuses it (and any other unknown argument)
+/// before running anything, instead of silently running the full grid.
+#[test]
+fn unknown_argument_is_a_nonzero_exit() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .arg("--quick")
+        .output()
+        .expect("run_all runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--quick"), "stderr names the argument: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing printed before the check");
 }

@@ -3,7 +3,7 @@
 //!
 //! Every controller records its decisions in a [`ChoiceLog`], so any run —
 //! random, DFS, PCT — can be replayed exactly with a
-//! [`ReplayController`], and distinct schedules can be counted by log
+//! `ReplayController`, and distinct schedules can be counted by log
 //! fingerprint.
 //!
 //! Every seed is expanded by the workspace's one [`SplitMix64`] stream,
@@ -91,7 +91,7 @@ impl ScheduleController for RandomController {
 /// probabilistic concurrency testing recipe — it reaches deep orderings a
 /// uniform sampler needs many more runs to hit (e.g. "always last" for a
 /// hundred consecutive decisions).
-pub struct PctController {
+pub(crate) struct PctController {
     seed: u64,
     epoch: u64,
     step: u64,
@@ -103,7 +103,7 @@ pub struct PctController {
 impl PctController {
     /// Controller for `seed`; priorities reshuffle every `change_every`
     /// decisions (>= 1).
-    pub fn new(seed: u64, change_every: u64) -> Self {
+    pub(crate) fn new(seed: u64, change_every: u64) -> Self {
         PctController {
             seed,
             epoch: 0,
@@ -183,7 +183,7 @@ impl ScheduleController for DfsController {
 /// Replays a recorded choice sequence; canonical-0 once exhausted (so a
 /// truncated sequence is still a complete, deterministic schedule — the
 /// property the shrinker leans on).
-pub struct ReplayController {
+pub(crate) struct ReplayController {
     choices: Vec<u32>,
     cursor: usize,
     /// Decisions taken so far.
@@ -192,7 +192,7 @@ pub struct ReplayController {
 
 impl ReplayController {
     /// Controller replaying `choices`.
-    pub fn new(choices: Vec<u32>) -> Self {
+    pub(crate) fn new(choices: Vec<u32>) -> Self {
         ReplayController { choices, cursor: 0, log: ChoiceLog::default() }
     }
 }

@@ -21,14 +21,13 @@ use xk_runtime::{
 use xk_sim::run_replicas;
 use xk_topo::FabricSpec;
 
-use crate::controllers::{DfsController, RandomController, ReplayController};
+use crate::controllers::{RandomController, ReplayController};
 use crate::witness;
 
 /// One failing schedule, fully replayable.
 #[derive(Clone, Debug)]
 pub struct Failure {
-    /// Seed of the random controller that found it (`u64::MAX` for DFS
-    /// runs — replay from `choices` instead).
+    /// Seed of the random or PCT controller that found it.
     pub seed: u64,
     /// The exact decision sequence; [`replay`] reproduces the schedule.
     pub choices: Vec<u32>,
@@ -48,22 +47,6 @@ pub struct ExploreReport {
     /// Best (smallest) makespan seen across the explored schedules —
     /// with the scenario's [`MakespanBound`], the empirical optimality
     /// gap of the whole explored schedule space. `None` for empty runs.
-    pub min_makespan: Option<f64>,
-}
-
-/// Result of a DFS enumeration.
-#[derive(Clone, Debug, Default)]
-pub struct DfsReport {
-    /// Schedules run.
-    pub runs: usize,
-    /// Distinct schedules among them (always equals `runs` for a correct
-    /// enumeration).
-    pub distinct: usize,
-    /// True when the whole choice tree was visited within the budget.
-    pub exhausted: bool,
-    /// Oracle failures.
-    pub failures: Vec<Failure>,
-    /// Best (smallest) makespan across the enumerated schedules.
     pub min_makespan: Option<f64>,
 }
 
@@ -205,21 +188,11 @@ pub fn explore_random_batch(
     }))
 }
 
-/// Like [`explore_random`] but with PCT-style controllers (hashed
+/// Like [`explore_random_batch`] but with PCT-style controllers (hashed
 /// priorities, reshuffled every `change_every` decisions): reaches
 /// systematically-skewed orderings a uniform sampler is unlikely to hit.
-pub fn explore_pct(
-    graph: &TaskGraph,
-    topo: &FabricSpec,
-    cfg: &RuntimeConfig,
-    seeds: impl IntoIterator<Item = u64>,
-    change_every: u64,
-) -> ExploreReport {
-    explore_pct_batch(graph, topo, cfg, seeds, change_every, 1)
-}
-
-/// [`explore_pct`] fanned over `threads` replica workers (0 = one per
-/// available core), batched like [`explore_random_batch`].
+/// Seeds fan out over `threads` replica workers (0 = one per available
+/// core; 1 = the serial loop).
 pub fn explore_pct_batch(
     graph: &TaskGraph,
     topo: &FabricSpec,
@@ -247,44 +220,6 @@ pub fn explore_pct_batch(
     }))
 }
 
-/// Enumerates the choice tree depth-first, up to `max_runs` schedules,
-/// checking each against the differential oracle.
-pub fn explore_dfs(
-    graph: &TaskGraph,
-    topo: &FabricSpec,
-    cfg: &RuntimeConfig,
-    max_runs: usize,
-) -> DfsReport {
-    let mut report = DfsReport::default();
-    let mut fingerprints = HashSet::new();
-    let bound = makespan_lower_bound(graph, topo, cfg);
-    let mut prefix = Some(Vec::new());
-    while let Some(p) = prefix {
-        if report.runs >= max_runs {
-            return report; // budget exhausted, tree not.
-        }
-        let mut dfs = DfsController::new(p);
-        let out = run_one(graph, topo, cfg, None, &mut dfs);
-        report.runs += 1;
-        report.min_makespan = Some(match report.min_makespan {
-            Some(m) => m.min(out.makespan),
-            None => out.makespan,
-        });
-        fingerprints.insert(dfs.log.fingerprint());
-        if let Err(error) = verdict(graph, &bound, &out) {
-            report.failures.push(Failure {
-                seed: u64::MAX,
-                choices: dfs.log.choices(),
-                error,
-            });
-        }
-        prefix = DfsController::next_prefix(&dfs.log);
-    }
-    report.exhausted = true;
-    report.distinct = fingerprints.len();
-    report
-}
-
 /// Replays a recorded decision sequence and re-runs the differential
 /// oracle. Returns the outcome and the oracle verdict.
 pub fn replay(
@@ -304,6 +239,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controllers::DfsController;
     use crate::graphgen::{build_random_dag, RandomDagSpec};
 
     #[test]
@@ -335,10 +271,22 @@ mod tests {
         );
         let topo = xk_topo::builders::pcie_only(2);
         let cfg = RuntimeConfig::default();
-        let r = explore_dfs(&g, &topo, &cfg, 50_000);
-        assert!(r.exhausted, "tiny tree not exhausted in {} runs", r.runs);
-        assert_eq!(r.distinct, r.runs, "DFS repeated a schedule");
-        assert!(r.failures.is_empty(), "failures: {:?}", r.failures);
+        // Enumerate the choice tree depth-first: every schedule passes the
+        // oracle and none repeats.
+        let bound = makespan_lower_bound(&g, &topo, &cfg);
+        let mut fingerprints = HashSet::new();
+        let mut runs = 0usize;
+        let mut prefix = Some(Vec::new());
+        while let Some(p) = prefix {
+            assert!(runs < 50_000, "tiny tree not exhausted in {runs} runs");
+            let mut dfs = DfsController::new(p);
+            let out = run_one(&g, &topo, &cfg, None, &mut dfs);
+            assert_eq!(verdict(&g, &bound, &out), Ok(()), "schedule {:?}", dfs.log.choices());
+            runs += 1;
+            fingerprints.insert(dfs.log.fingerprint());
+            prefix = DfsController::next_prefix(&dfs.log);
+        }
+        assert_eq!(fingerprints.len(), runs, "DFS repeated a schedule");
     }
 
     #[test]
@@ -351,7 +299,7 @@ mod tests {
         assert_eq!(serial.runs, batched.runs);
         assert_eq!(serial.distinct, batched.distinct);
         assert_eq!(serial.failures.len(), batched.failures.len());
-        let sp = explore_pct(&g, &topo, &cfg, 0..12, 7);
+        let sp = explore_pct_batch(&g, &topo, &cfg, 0..12, 7, 1);
         let bp = explore_pct_batch(&g, &topo, &cfg, 0..12, 7, 4);
         assert_eq!(sp.runs, bp.runs);
         assert_eq!(sp.distinct, bp.distinct);

@@ -37,12 +37,10 @@ pub mod shrink;
 pub mod topo_util;
 pub mod witness;
 
-pub use controllers::{
-    ChoiceLog, ChoiceRec, DfsController, PctController, RandomController, ReplayController,
-};
+pub use controllers::{ChoiceLog, ChoiceRec, DfsController, RandomController};
 pub use explore::{
-    explore_dfs, explore_pct, explore_pct_batch, explore_random, explore_random_batch, replay,
-    DfsReport, ExploreReport, Failure, BOUND_RTOL,
+    explore_pct_batch, explore_random, explore_random_batch, replay, ExploreReport, Failure,
+    BOUND_RTOL,
 };
 pub use shrink::{load_regressions, shrink_case, write_regression, ReplayCase};
 pub use witness::WitnessError;

@@ -36,7 +36,7 @@ pub struct ReplayCase {
 
 impl ReplayCase {
     /// The [`Heuristics`] preset this case names.
-    pub fn heuristics_preset(&self) -> Heuristics {
+    pub(crate) fn heuristics_preset(&self) -> Heuristics {
         match self.heuristics.as_str() {
             "full" => Heuristics::full(),
             "no_optimistic" => Heuristics::no_optimistic(),

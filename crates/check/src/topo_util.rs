@@ -48,8 +48,10 @@ pub fn subtopo(t: &FabricSpec, n: usize) -> FabricSpec {
 
 /// Relabels GPUs: new GPU `i` is `t`'s GPU `perm[i]`. The machine is
 /// physically unchanged — only the ids move — which is exactly what the
-/// permutation metamorphic property wants to vary.
-pub fn permuted(t: &FabricSpec, perm: &[usize]) -> FabricSpec {
+/// permutation metamorphic property wants to vary. The tests' oracle for
+/// [`automorphisms`].
+#[cfg(test)]
+pub(crate) fn permuted(t: &FabricSpec, perm: &[usize]) -> FabricSpec {
     let n = t.n_gpus();
     assert_eq!(perm.len(), n, "permutation arity");
     let mut seen = vec![false; n];
@@ -151,8 +153,8 @@ fn extends(t: &FabricSpec, perm: &[usize], i: usize) -> bool {
 
 /// Enumerates nontrivial automorphisms of any fabric by backtracking
 /// search, in lexicographic order, stopping after `cap` results. An
-/// automorphism here is a GPU relabeling under which [`permuted`] yields a
-/// machine with identical link tables and co-location structure — the
+/// automorphism here is a GPU relabeling that yields a machine with
+/// identical link tables and co-location structure — the
 /// generalization of the hand-derived [`DGX1_AUTOMORPHISMS`] list to
 /// arbitrary fabrics (vertex-transitive ones like an NVSwitch all-to-all
 /// have factorially many, hence the cap).

@@ -76,22 +76,12 @@ impl<T: Scalar> Context<T> {
         }
     }
 
-    /// Tile side used by the tiled algorithms.
-    pub fn tile_size(&self) -> usize {
-        self.tile
-    }
-
     /// Switches the context to *simulation-only* mode: `*_async` calls
     /// record tasks with timing shapes but drop the numeric bodies, so
     /// [`Matrix::phantom`] operands work and nothing touches real memory.
     /// `run_numeric` on such a graph is a dependency-ordered no-op.
     pub fn set_simulation_only(&mut self, on: bool) {
         self.sim_only = on;
-    }
-
-    /// True when the context drops numeric bodies.
-    pub fn simulation_only(&self) -> bool {
-        self.sim_only
     }
 
     /// Sets the observability level for simulated runs. Counters and the
@@ -125,18 +115,13 @@ impl<T: Scalar> Context<T> {
         self.grid = (p, q);
     }
 
-    /// The platform topology.
-    pub fn topology(&self) -> &FabricSpec {
-        &self.topo
-    }
-
     /// The runtime configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.cfg
     }
 
     /// The tile partition a matrix gets in this context.
-    pub fn tile_map(&self, mat: &Matrix<T>) -> TileMap {
+    pub(crate) fn tile_map(&self, mat: &Matrix<T>) -> TileMap {
         TileMap::new(mat.nrows(), mat.ncols(), self.tile)
     }
 

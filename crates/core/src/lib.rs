@@ -33,7 +33,7 @@ mod matrix;
 
 pub use algorithms::{gemm_async, symm_async, syr2k_async, syrk_async, trmm_async, trsm_async};
 pub use ctx::Context;
-pub use matrix::{block_cyclic_owner, Matrix, TileMap};
+pub use matrix::Matrix;
 
 // Re-export the parameter enums so users need only this crate.
-pub use xk_kernels::{Diag, Routine, Scalar, Side, Trans, Uplo};
+pub use xk_kernels::{Diag, Routine, Side, Trans, Uplo};

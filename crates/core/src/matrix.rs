@@ -63,7 +63,7 @@ impl<T: Scalar> Matrix<T> {
     /// simulation-only contexts (the performance harness sweeps matrices up
     /// to N = 49152 — 19 GB each — that never need real values).
     ///
-    /// Calling [`Matrix::view`]/[`Matrix::tile_view`] on a phantom panics.
+    /// Calling [`Matrix::view`]/`Matrix::tile_view` on a phantom panics.
     pub fn phantom(m: usize, n: usize) -> Self {
         Matrix {
             storage: Arc::new(Storage {
@@ -75,25 +75,6 @@ impl<T: Scalar> Matrix<T> {
             }),
             id: NEXT_MATRIX_ID.fetch_add(1, Ordering::Relaxed),
         }
-    }
-
-    /// True for storage-less matrices created by [`Matrix::phantom`].
-    pub fn is_phantom(&self) -> bool {
-        self.storage.phantom
-    }
-
-    /// Allocates and fills with `f(i, j)`.
-    pub fn from_fn(m: usize, n: usize, f: impl Fn(usize, usize) -> T) -> Self {
-        let mat = Matrix::zeros(m, n);
-        {
-            let mut v = mat.view_mut();
-            for j in 0..n {
-                for i in 0..m {
-                    v.set(i, j, f(i, j));
-                }
-            }
-        }
-        mat
     }
 
     /// Allocates and fills with a reproducible pseudo-random pattern in
@@ -134,7 +115,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Leading dimension.
-    pub fn ld(&self) -> usize {
+    pub(crate) fn ld(&self) -> usize {
         self.storage.ld
     }
 
@@ -173,7 +154,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Immutable view of the tile starting at `(i0, j0)` of size `mb × nb`.
-    pub fn tile_view(&self, i0: usize, j0: usize, mb: usize, nb: usize) -> MatRef<'_, T> {
+    pub(crate) fn tile_view(&self, i0: usize, j0: usize, mb: usize, nb: usize) -> MatRef<'_, T> {
         assert!(!self.storage.phantom, "phantom matrices have no values");
         assert!(i0 + mb <= self.nrows() && j0 + nb <= self.ncols());
         // SAFETY: in-bounds offset of the storage.
@@ -188,7 +169,13 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Mutable view of a tile.
-    pub fn tile_view_mut(&self, i0: usize, j0: usize, mb: usize, nb: usize) -> MatMut<'_, T> {
+    pub(crate) fn tile_view_mut(
+        &self,
+        i0: usize,
+        j0: usize,
+        mb: usize,
+        nb: usize,
+    ) -> MatMut<'_, T> {
         assert!(!self.storage.phantom, "phantom matrices have no values");
         assert!(i0 + mb <= self.nrows() && j0 + nb <= self.ncols());
         // SAFETY: as above.
@@ -213,17 +200,12 @@ impl<T: Scalar> Matrix<T> {
     pub fn at(&self, i: usize, j: usize) -> T {
         self.view().at(i, j)
     }
-
-    /// Total payload bytes.
-    pub fn bytes(&self) -> u64 {
-        (self.nrows() * self.ncols() * T::WORD) as u64
-    }
 }
 
 /// A tile partition of an `m × n` matrix with square tiles of side `tile`
 /// (edge tiles are smaller).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TileMap {
+pub(crate) struct TileMap {
     /// Matrix rows.
     pub m: usize,
     /// Matrix columns.
@@ -241,7 +223,7 @@ impl TileMap {
     ///
     /// # Panics
     /// Panics on a zero tile size.
-    pub fn new(m: usize, n: usize, tile: usize) -> Self {
+    pub(crate) fn new(m: usize, n: usize, tile: usize) -> Self {
         assert!(tile > 0, "tile size must be positive");
         TileMap {
             m,
@@ -253,7 +235,7 @@ impl TileMap {
     }
 
     /// Rows of tile row `i`.
-    pub fn tile_rows(&self, i: usize) -> usize {
+    pub(crate) fn tile_rows(&self, i: usize) -> usize {
         debug_assert!(i < self.mt);
         if i + 1 == self.mt {
             self.m - i * self.tile
@@ -263,7 +245,7 @@ impl TileMap {
     }
 
     /// Columns of tile column `j`.
-    pub fn tile_cols(&self, j: usize) -> usize {
+    pub(crate) fn tile_cols(&self, j: usize) -> usize {
         debug_assert!(j < self.nt);
         if j + 1 == self.nt {
             self.n - j * self.tile
@@ -273,12 +255,13 @@ impl TileMap {
     }
 
     /// Element origin of tile `(i, j)`.
-    pub fn origin(&self, i: usize, j: usize) -> (usize, usize) {
+    pub(crate) fn origin(&self, i: usize, j: usize) -> (usize, usize) {
         (i * self.tile, j * self.tile)
     }
 
     /// Payload bytes of tile `(i, j)` for scalar word size `word`.
-    pub fn tile_bytes(&self, i: usize, j: usize, word: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tile_bytes(&self, i: usize, j: usize, word: usize) -> u64 {
         (self.tile_rows(i) * self.tile_cols(j) * word) as u64
     }
 }
@@ -287,7 +270,7 @@ impl TileMap {
 /// cyclic block size (1,1) — the distribution of the paper's data-on-device
 /// experiments (§IV-C, "(4,2)-grid ... block sizes of the distribution set
 /// to (1,1)").
-pub fn block_cyclic_owner(i: usize, j: usize, p: usize, q: usize) -> usize {
+pub(crate) fn block_cyclic_owner(i: usize, j: usize, p: usize, q: usize) -> usize {
     (i % p) * q + (j % q)
 }
 
@@ -297,10 +280,11 @@ mod tests {
 
     #[test]
     fn zeros_and_fill() {
-        let a = Matrix::<f64>::from_fn(3, 2, |i, j| (i * 10 + j) as f64);
+        let a = Matrix::<f64>::zeros(3, 2);
+        assert_eq!(a.at(2, 1), 0.0);
+        a.view_mut().set(2, 1, 21.0);
         assert_eq!(a.at(2, 1), 21.0);
         assert_eq!(a.nrows(), 3);
-        assert_eq!(a.bytes(), 48);
     }
 
     #[test]
@@ -321,7 +305,7 @@ mod tests {
 
     #[test]
     fn tile_views_alias_parent() {
-        let a = Matrix::<f64>::from_fn(4, 4, |i, j| (i + 4 * j) as f64);
+        let a = Matrix::<f64>::random(4, 4, 7);
         let t = a.tile_view(2, 2, 2, 2);
         assert_eq!(t.at(0, 0), a.at(2, 2));
         let mut tm = a.tile_view_mut(0, 0, 2, 2);

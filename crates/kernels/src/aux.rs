@@ -1,5 +1,5 @@
-//! Auxiliary kernels: copies, initialization, additions and norms
-//! (the LAPACK `la*` helpers the tiled algorithms and tests rely on).
+//! Auxiliary kernels: copies, norms and error metrics (the LAPACK `la*`
+//! helpers the tiled algorithms and tests rely on).
 
 use crate::scalar::Scalar;
 use crate::types::Uplo;
@@ -42,44 +42,8 @@ pub fn lacpy<T: Scalar>(part: Part, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
     }
 }
 
-/// Sets off-diagonal elements to `off` and diagonal elements to `diag`
-/// (`dlaset` over the full rectangle).
-pub fn laset<T: Scalar>(off: T, diag: T, mut a: MatMut<'_, T>) {
-    let (m, n) = (a.nrows(), a.ncols());
-    for j in 0..n {
-        for i in 0..m {
-            a.set(i, j, if i == j { diag } else { off });
-        }
-    }
-}
-
-/// `B = alpha * A + beta * B` elementwise (`dgeadd`).
-pub fn geadd<T: Scalar>(alpha: T, a: MatRef<'_, T>, beta: T, mut b: MatMut<'_, T>) {
-    assert_eq!(a.nrows(), b.nrows());
-    assert_eq!(a.ncols(), b.ncols());
-    let n = a.ncols();
-    for j in 0..n {
-        let acol = a.col(j);
-        for (bv, &av) in b.col_mut(j).iter_mut().zip(acol) {
-            *bv = alpha * av + beta * *bv;
-        }
-    }
-}
-
-/// Frobenius norm of a general matrix (`dlange('F', ...)`).
-pub fn norm_fro<T: Scalar>(a: MatRef<'_, T>) -> f64 {
-    let mut acc = 0.0f64;
-    for j in 0..a.ncols() {
-        for &v in a.col(j) {
-            let x = v.to_f64();
-            acc += x * x;
-        }
-    }
-    acc.sqrt()
-}
-
 /// Max-absolute-value norm of a general matrix (`dlange('M', ...)`).
-pub fn norm_max<T: Scalar>(a: MatRef<'_, T>) -> f64 {
+pub(crate) fn norm_max<T: Scalar>(a: MatRef<'_, T>) -> f64 {
     let mut acc = 0.0f64;
     for j in 0..a.ncols() {
         for &v in a.col(j) {
@@ -151,23 +115,6 @@ pub fn ulp_distance(x: f64, y: f64) -> u64 {
     key(x).abs_diff(key(y))
 }
 
-/// Max ULP distance between two equally sized `f64` matrices — the metric
-/// the per-ISA kernel tests use: FMA contraction and the different
-/// summation shapes of the SIMD microkernels move results by a few ULPs
-/// relative to the scalar oracle, a bound that (unlike an absolute
-/// tolerance) is independent of the magnitude of `C`.
-pub fn max_ulp_diff(a: MatRef<'_, f64>, b: MatRef<'_, f64>) -> u64 {
-    assert_eq!(a.nrows(), b.nrows());
-    assert_eq!(a.ncols(), b.ncols());
-    let mut acc = 0u64;
-    for j in 0..a.ncols() {
-        for (x, y) in a.col(j).iter().zip(b.col(j)) {
-            acc = acc.max(ulp_distance(*x, *y));
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,30 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn laset_writes_diag_and_off() {
-        let mut a = vec![9.0; 6];
-        laset(0.5, 2.0, MatMut::from_slice(&mut a, 2, 3, 2));
-        assert_eq!(a, vec![2.0, 0.5, 0.5, 2.0, 0.5, 0.5]);
-    }
-
-    #[test]
-    fn geadd_combines() {
-        let a = vec![1.0, 2.0];
-        let mut b = vec![10.0, 20.0];
-        geadd(
-            2.0,
-            MatRef::from_slice(&a, 2, 1, 2),
-            0.5,
-            MatMut::from_slice(&mut b, 2, 1, 2),
-        );
-        assert_eq!(b, vec![7.0, 14.0]);
-    }
-
-    #[test]
     fn norms() {
         let a = vec![3.0, -4.0];
         let ar = MatRef::from_slice(&a, 2, 1, 2);
-        assert!((norm_fro(ar) - 5.0).abs() < 1e-12);
         assert!((norm_max(ar) - 4.0).abs() < 1e-12);
     }
 
@@ -248,14 +174,5 @@ mod tests {
         assert_eq!(ulp_distance(f64::from_bits(1), -f64::from_bits(1)), 2);
         assert_eq!(ulp_distance(-1.0, f64::from_bits(1.0f64.to_bits() + 1).copysign(-1.0)), 1);
         assert_eq!(ulp_distance(f64::NAN, 1.0), u64::MAX);
-
-        let a = vec![1.0f64, -2.0, 3.0, 4.0];
-        let mut b = a.clone();
-        b[2] = f64::from_bits(b[2].to_bits() + 3);
-        let d = max_ulp_diff(
-            MatRef::from_slice(&a, 2, 2, 2),
-            MatRef::from_slice(&b, 2, 2, 2),
-        );
-        assert_eq!(d, 3);
     }
 }

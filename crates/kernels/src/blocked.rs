@@ -29,7 +29,7 @@
 //! the `KC`/`MC`/`NC` blocking are associated constants of the dispatched
 //! kernel, the packer produces micro-panels of whatever width that kernel
 //! wants, and [`gemm_packed`] routes through the runtime ISA dispatcher so
-//! an AVX-512, AVX2, NEON or scalar kernel is chosen per machine (override
+//! an AVX-512, AVX2 or scalar kernel is chosen per machine (override
 //! with `XK_KERNEL_ISA`). Fringe tiles are zero-padded in the packed
 //! panels and clipped at the store, so boundary shapes stay exact on every
 //! path. Pack buffers and routine scratch are reused thread-locally across
@@ -109,7 +109,7 @@ impl<'a, T: Scalar> Operand<'a, T> {
     }
 
     /// `op(mat)` with every element stored.
-    pub fn dense(mat: MatRef<'a, T>, trans: Trans) -> Self {
+    pub(crate) fn dense(mat: MatRef<'a, T>, trans: Trans) -> Self {
         Self::new(mat, trans, Structure::Dense)
     }
 

@@ -38,7 +38,7 @@ pub fn gemm<T: Scalar>(
 
 /// Scales a matrix in place: `C = beta * C` (handles `beta == 0` by writing
 /// zeros, so uninitialized-NaN inputs behave like BLAS).
-pub fn scale_in_place<T: Scalar>(beta: T, mut c: MatMut<'_, T>) {
+pub(crate) fn scale_in_place<T: Scalar>(beta: T, mut c: MatMut<'_, T>) {
     if beta == T::ONE {
         return;
     }

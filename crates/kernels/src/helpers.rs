@@ -9,7 +9,7 @@ use crate::view::MatRef;
 /// Reads element `(i, j)` of a symmetric matrix of which only the `uplo`
 /// triangle is stored (the other triangle mirrors it).
 #[inline]
-pub fn sym_at<T: Scalar>(a: &MatRef<'_, T>, uplo: Uplo, i: usize, j: usize) -> T {
+pub(crate) fn sym_at<T: Scalar>(a: &MatRef<'_, T>, uplo: Uplo, i: usize, j: usize) -> T {
     let stored = match uplo {
         Uplo::Lower => i >= j,
         Uplo::Upper => i <= j,
@@ -24,7 +24,13 @@ pub fn sym_at<T: Scalar>(a: &MatRef<'_, T>, uplo: Uplo, i: usize, j: usize) -> T
 /// Reads element `(i, j)` of a triangular matrix: zero outside the `uplo`
 /// triangle, one on the diagonal when `diag` is [`Diag::Unit`].
 #[inline]
-pub fn tri_at<T: Scalar>(a: &MatRef<'_, T>, uplo: Uplo, diag: Diag, i: usize, j: usize) -> T {
+pub(crate) fn tri_at<T: Scalar>(
+    a: &MatRef<'_, T>,
+    uplo: Uplo,
+    diag: Diag,
+    i: usize,
+    j: usize,
+) -> T {
     if i == j {
         return match diag {
             Diag::Unit => T::ONE,

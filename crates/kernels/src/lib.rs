@@ -11,7 +11,7 @@
 //!   triangular operands are structure tags its one packer resolves, and
 //!   `trmm`/`trsm` halve their triangle recursively around it. The
 //!   microkernel is picked per machine by the runtime ISA
-//!   dispatcher in [`simd`] (AVX-512 / AVX2 / NEON `std::arch` kernels
+//!   dispatcher in [`simd`] (AVX-512 / AVX2 `std::arch` kernels
 //!   with a portable scalar fallback, overridable via `XK_KERNEL_ISA`).
 //! * **Timing** — [`GpuModel`], a calibrated V100 kernel-time model used by
 //!   the simulated executors: the same tile task that *computes* on the CPU
@@ -51,14 +51,13 @@ mod types;
 mod view;
 
 pub use blocked::{KC, MC, MR, NC, NR, TB};
-pub use gemm::{gemm, scale_in_place};
+pub use gemm::gemm;
 pub use simd::{detected_isa, kernel_shape, selected_isa, Isa, KernelShape, ISA_ENV};
-pub use helpers::{sym_at, tri_at};
 pub use perfmodel::{GpuModel, TileOp, PITCHED_COPY_FACTOR};
 pub use scalar::Scalar;
 pub use symm::symm;
 pub use syr2k::syr2k;
-pub use syrk::{scale_triangle, syrk};
+pub use syrk::syrk;
 pub use trmm::trmm;
 pub use trsm::trsm;
 pub use types::{Diag, Routine, Side, Trans, Uplo};

@@ -73,13 +73,13 @@ impl TileOp {
 
     /// Effective cubic dimension: side of the cube with the same flop
     /// volume as this kernel (drives the efficiency lookup).
-    pub fn effective_dim(self) -> f64 {
+    pub(crate) fn effective_dim(self) -> f64 {
         (self.flops() / 2.0).cbrt()
     }
 
     /// Which routine family the kernel belongs to (for the per-routine
     /// efficiency factor).
-    pub fn family(self) -> Routine {
+    pub(crate) fn family(self) -> Routine {
         match self {
             TileOp::Gemm { .. } => Routine::Gemm,
             TileOp::Symm { .. } => Routine::Symm,

@@ -32,7 +32,7 @@ impl<T: Scalar> Dense<T> {
     }
 
     /// Copies a view into an owned dense matrix.
-    pub fn from_view(v: MatRef<'_, T>) -> Self {
+    pub(crate) fn from_view(v: MatRef<'_, T>) -> Self {
         Dense {
             m: v.nrows(),
             n: v.ncols(),
@@ -68,7 +68,7 @@ impl<T: Scalar> Dense<T> {
 }
 
 /// Materializes `op(A)` as a dense matrix.
-pub fn materialize_op<T: Scalar>(a: MatRef<'_, T>, trans: Trans) -> Dense<T> {
+pub(crate) fn materialize_op<T: Scalar>(a: MatRef<'_, T>, trans: Trans) -> Dense<T> {
     let d = Dense::from_view(a);
     match trans {
         Trans::No => d,
@@ -77,7 +77,7 @@ pub fn materialize_op<T: Scalar>(a: MatRef<'_, T>, trans: Trans) -> Dense<T> {
 }
 
 /// Materializes a symmetric matrix stored in one triangle into a full one.
-pub fn materialize_sym<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo) -> Dense<T> {
+pub(crate) fn materialize_sym<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo) -> Dense<T> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
     let mut d = Dense::zeros(n, n);
@@ -92,7 +92,7 @@ pub fn materialize_sym<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo) -> Dense<T> {
 
 /// Materializes a triangular matrix (with optional unit diagonal) into a
 /// full dense matrix with explicit zeros.
-pub fn materialize_tri<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo, diag: Diag) -> Dense<T> {
+pub(crate) fn materialize_tri<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo, diag: Diag) -> Dense<T> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
     let mut d = Dense::zeros(n, n);
@@ -106,7 +106,13 @@ pub fn materialize_tri<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo, diag: Diag) -> D
 
 /// Plain triple-loop GEMM on dense matrices:
 /// `C = alpha * A * B + beta * C`.
-pub fn ref_gemm_dense<T: Scalar>(alpha: T, a: &Dense<T>, b: &Dense<T>, beta: T, c: &mut Dense<T>) {
+pub(crate) fn ref_gemm_dense<T: Scalar>(
+    alpha: T,
+    a: &Dense<T>,
+    b: &Dense<T>,
+    beta: T,
+    c: &mut Dense<T>,
+) {
     assert_eq!(a.n, b.m);
     assert_eq!(c.m, a.m);
     assert_eq!(c.n, b.n);

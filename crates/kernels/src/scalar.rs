@@ -29,11 +29,6 @@ macro_rules! with_f64_kernel {
                 type $MK = crate::simd::avx2::Avx2Mk;
                 $body
             }
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => {
-                type $MK = crate::simd::neon::NeonMk;
-                $body
-            }
             _ => {
                 type $MK = crate::simd::scalar_mk::ScalarMk;
                 $body

@@ -4,26 +4,25 @@
 //! `MicroKernel`: a register-tile update (`MR × NR` accumulator over a
 //! `kc`-deep packed panel pair, fringe-clipped `alpha`/`beta` store) plus
 //! the cache-blocking parameters (`KC`/`MC`/`NC`) tuned for that tile.
-//! Four kernels exist today, all for `f64` (the paper's evaluation is
+//! Three kernels exist today, all for `f64` (the paper's evaluation is
 //! FP64; `f32` always rides the portable scalar kernel):
 //!
 //! | ISA | register tile | intrinsics |
 //! |---|---|---|
 //! | AVX-512 | 8 × 8 (one zmm per column, unrolled ×4) | `_mm512_fmadd_pd`, masked fringe stores |
 //! | AVX2+FMA | 4 × 8 (one ymm per column, unrolled ×4) | `_mm256_fmadd_pd` |
-//! | NEON | 4 × 4 (two d-regs per column) | `vfmaq_f64` |
 //! | scalar | 8 × 4 autovectorized | none (portable fallback + differential oracle) |
 //!
 //! # Selection
 //!
 //! [`selected_isa`] picks the kernel for every engine invocation: the best
 //! ISA the host supports (cached CPUID probe via
-//! `is_x86_feature_detected!` / `is_aarch64_feature_detected!`), unless
+//! `is_x86_feature_detected!`; other targets run the scalar kernel), unless
 //! the `XK_KERNEL_ISA` environment variable overrides it. The override is
 //! re-read on every call so test suites can iterate ISAs in-process:
 //!
 //! * unset or `auto` — best supported ISA;
-//! * `avx512` / `avx2` / `neon` / `scalar` — that kernel, **if** the host
+//! * `avx512` / `avx2` / `scalar` — that kernel, **if** the host
 //!   supports it; a valid-but-unsupported request falls back to `scalar`
 //!   (never to a different SIMD path, so a pinned CI leg stays pinned);
 //! * anything else — panic (a silently misread knob would quietly bench
@@ -33,7 +32,7 @@
 //! same pack layout, same accumulation order, same store expressions. The
 //! SIMD kernels contract multiply-adds into FMAs and change the summation
 //! shape, so results differ from scalar by a few ULPs (see
-//! `max_ulp_diff` in [`crate::aux`] and DESIGN.md §6d for the tolerance
+//! `ulp_distance` in [`crate::aux`] and DESIGN.md §6d for the tolerance
 //! model the test suites use).
 
 use std::sync::OnceLock;
@@ -45,12 +44,10 @@ use crate::view::MatMut;
 pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod neon;
 pub(crate) mod scalar_mk;
 
 /// Environment variable that overrides the dispatched ISA
-/// (`auto`/`avx512`/`avx2`/`neon`/`scalar`).
+/// (`auto`/`avx512`/`avx2`/`scalar`).
 pub const ISA_ENV: &str = "XK_KERNEL_ISA";
 
 /// An instruction-set architecture a microkernel may target.
@@ -67,13 +64,11 @@ pub enum Isa {
     Avx2,
     /// AVX-512F (512-bit, masked fringe stores) on x86-64.
     Avx512,
-    /// NEON/ASIMD (128-bit) on aarch64.
-    Neon,
 }
 
 impl Isa {
     /// All variants, best-first in the order detection prefers them.
-    pub const ALL: [Isa; 4] = [Isa::Avx512, Isa::Avx2, Isa::Neon, Isa::Scalar];
+    pub const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Scalar];
 
     /// Lower-case name, as accepted by [`ISA_ENV`] and reported by the
     /// benches.
@@ -82,7 +77,6 @@ impl Isa {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
-            Isa::Neon => "neon",
         }
     }
 
@@ -115,12 +109,6 @@ pub fn supported_isas() -> &'static [Isa] {
                 isas.push(Isa::Avx2);
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                isas.push(Isa::Neon);
-            }
-        }
         isas.push(Isa::Scalar);
         isas
     })
@@ -145,7 +133,7 @@ pub fn selected_isa() -> Isa {
         Ok(v) if v.is_empty() || v == "auto" => detected_isa(),
         Ok(v) => {
             let isa = Isa::parse(&v).unwrap_or_else(|| {
-                panic!("{ISA_ENV}={v:?}: expected auto, avx512, avx2, neon or scalar")
+                panic!("{ISA_ENV}={v:?}: expected auto, avx512, avx2 or scalar")
             });
             if supported_isas().contains(&isa) {
                 isa
@@ -297,7 +285,7 @@ pub(crate) unsafe fn store_spill_clipped<T: Scalar>(
 /// # Panics
 /// Panics if a panel or the tile is too small or the host does not
 /// support `isa`.
-pub fn run_tile<T: Scalar>(
+pub(crate) fn run_tile<T: Scalar>(
     isa: Isa,
     kc: usize,
     pa: &[T],

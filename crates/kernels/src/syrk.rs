@@ -38,7 +38,7 @@ pub fn syrk<T: Scalar>(
 
 /// Scales only the `uplo` triangle of `C` by `beta` (writing zeros when
 /// `beta == 0`).
-pub fn scale_triangle<T: Scalar>(beta: T, uplo: Uplo, mut c: MatMut<'_, T>) {
+pub(crate) fn scale_triangle<T: Scalar>(beta: T, uplo: Uplo, mut c: MatMut<'_, T>) {
     if beta == T::ONE {
         return;
     }

@@ -42,7 +42,7 @@ impl TriOp {
     ///
     /// # Panics
     /// Panics on inconsistent dimensions.
-    pub fn checked<T: Scalar>(
+    pub(crate) fn checked<T: Scalar>(
         (side, uplo, trans, diag): (Side, Uplo, Trans, Diag),
         alpha: T,
         a: MatRef<'_, T>,
@@ -69,7 +69,7 @@ impl TriOp {
 
     /// `C = alpha * x * B + beta * C` (left) or `alpha * B * x + beta * C`
     /// (right) on the blocked engine.
-    pub fn gemm<T: Scalar>(
+    pub(crate) fn gemm<T: Scalar>(
         &self,
         alpha: T,
         x: Operand<'_, T>,
@@ -86,7 +86,7 @@ impl TriOp {
     }
 
     /// Splits the triangular dimension at `h` (`0 < h < a.nrows()`).
-    pub fn split<'a, 'b, T: Scalar>(
+    pub(crate) fn split<'a, 'b, T: Scalar>(
         &self,
         h: usize,
         a: MatRef<'a, T>,

@@ -19,7 +19,7 @@ impl Trans {
     }
 
     /// Flips the transposition.
-    pub fn flip(self) -> Trans {
+    pub(crate) fn flip(self) -> Trans {
         match self {
             Trans::No => Trans::Yes,
             Trans::Yes => Trans::No,

@@ -96,11 +96,6 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     pub fn ld(&self) -> usize {
         self.ld
     }
-    /// True when the view stores its columns contiguously (`ld == m`).
-    #[inline]
-    pub fn is_contiguous(&self) -> bool {
-        self.ld == self.m
-    }
     /// Payload size in bytes (excludes the inter-column padding).
     #[inline]
     pub fn bytes(&self) -> u64 {
@@ -125,7 +120,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     }
 
     /// Sub-matrix view of size `mm × nn` starting at `(i, j)`.
-    pub fn submatrix(&self, i: usize, j: usize, mm: usize, nn: usize) -> MatRef<'a, T> {
+    pub(crate) fn submatrix(&self, i: usize, j: usize, mm: usize, nn: usize) -> MatRef<'a, T> {
         assert!(i + mm <= self.m && j + nn <= self.n, "submatrix out of bounds");
         MatRef {
             // SAFETY: offset stays within the parent region.
@@ -235,7 +230,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
 
     /// Mutable column `j`.
     #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [T] {
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [T] {
         debug_assert!(j < self.n);
         // SAFETY: column in bounds; exclusive borrow of self.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(j * self.ld), self.m) }
@@ -253,7 +248,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Mutable re-borrow with a shorter lifetime.
-    pub fn rb_mut(&mut self) -> MatMut<'_, T> {
+    pub(crate) fn rb_mut(&mut self) -> MatMut<'_, T> {
         MatMut {
             ptr: self.ptr,
             m: self.m,
@@ -263,22 +258,8 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         }
     }
 
-    /// Mutable sub-matrix view (consumes the borrow's exclusivity; use
-    /// [`MatMut::split_cols_at`]/[`MatMut::split_rows_at`] to get several
-    /// disjoint mutable views at once).
-    pub fn submatrix_mut(&mut self, i: usize, j: usize, mm: usize, nn: usize) -> MatMut<'_, T> {
-        assert!(i + mm <= self.m && j + nn <= self.n, "submatrix out of bounds");
-        MatMut {
-            ptr: unsafe { self.ptr.add(i + j * self.ld) },
-            m: mm,
-            n: nn,
-            ld: self.ld,
-            _life: PhantomData,
-        }
-    }
-
     /// Splits into `(left, right)` disjoint mutable views at column `j`.
-    pub fn split_cols_at(self, j: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
+    pub(crate) fn split_cols_at(self, j: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
         assert!(j <= self.n);
         let left = MatMut {
             ptr: self.ptr,
@@ -298,7 +279,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Splits into `(top, bottom)` disjoint mutable views at row `i`.
-    pub fn split_rows_at(self, i: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
+    pub(crate) fn split_rows_at(self, i: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
         assert!(i <= self.m);
         let top = MatMut {
             ptr: self.ptr,
@@ -352,7 +333,6 @@ mod tests {
         assert_eq!(s.ld(), 4);
         assert_eq!(s.at(0, 0), a.at(1, 2));
         assert_eq!(s.at(1, 1), a.at(2, 3));
-        assert!(!s.is_contiguous());
     }
 
     #[test]
@@ -368,8 +348,9 @@ mod tests {
     fn mutation_visible_through_parent() {
         let mut data = numbered(3, 3);
         {
-            let mut a = MatMut::from_slice(&mut data, 3, 3, 3);
-            let mut s = a.submatrix_mut(1, 1, 2, 2);
+            let a = MatMut::from_slice(&mut data, 3, 3, 3);
+            let (_, right) = a.split_cols_at(1);
+            let (_, mut s) = right.split_rows_at(1);
             s.set(0, 0, 100.0);
             s.update(1, 1, |v| v + 0.5);
         }

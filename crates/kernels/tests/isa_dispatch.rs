@@ -356,12 +356,16 @@ fn env_selection_semantics() {
         );
     }
 
-    std::env::set_var(ISA_ENV, "sse9");
-    let prev_hook = panic::take_hook();
-    panic::set_hook(Box::new(|_| {}));
-    let result = panic::catch_unwind(AssertUnwindSafe(selected_isa));
-    panic::set_hook(prev_hook);
-    assert!(result.is_err(), "garbage ISA name must panic");
+    // `neon` names no kernel (aarch64 runs the scalar one), so it is as
+    // unknown as any other garbage value.
+    for bad in ["sse9", "neon"] {
+        std::env::set_var(ISA_ENV, bad);
+        let prev_hook = panic::take_hook();
+        panic::set_hook(Box::new(|_| {}));
+        let result = panic::catch_unwind(AssertUnwindSafe(selected_isa));
+        panic::set_hook(prev_hook);
+        assert!(result.is_err(), "unknown ISA name {bad:?} must panic");
+    }
 }
 
 /// `kernel_shape` reports the shape that will actually be dispatched:

@@ -27,4 +27,4 @@ pub mod rng;
 pub mod simplex;
 
 pub use rng::{for_each_seed, SplitMix64};
-pub use simplex::{brute_force, solve, solve_with_tol, Cmp, Lp, LpResult, Solution, DEFAULT_TOL};
+pub use simplex::{brute_force, solve, Lp, LpResult, Solution, DEFAULT_TOL};

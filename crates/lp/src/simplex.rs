@@ -34,7 +34,7 @@ const MAX_ITERS_BASE: usize = 50_000;
 
 /// Constraint sense.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cmp {
+pub(crate) enum Cmp {
     /// `coeffs · x ≤ rhs`
     Le,
     /// `coeffs · x ≥ rhs`
@@ -59,11 +59,6 @@ impl Lp {
     /// Number of structural variables.
     pub fn n_vars(&self) -> usize {
         self.objective.len()
-    }
-
-    /// Number of constraint rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
     }
 
     fn push(&mut self, coeffs: Vec<f64>, cmp: Cmp, rhs: f64) {
@@ -392,7 +387,7 @@ pub fn solve(lp: &Lp) -> LpResult {
 }
 
 /// Solves `lp` with an explicit feasibility/optimality tolerance.
-pub fn solve_with_tol(lp: &Lp, tol: f64) -> LpResult {
+pub(crate) fn solve_with_tol(lp: &Lp, tol: f64) -> LpResult {
     assert!(tol > 0.0 && tol.is_finite(), "tolerance must be positive");
     for c in &lp.objective {
         assert!(c.is_finite(), "non-finite objective coefficient");

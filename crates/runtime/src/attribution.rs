@@ -30,12 +30,12 @@ use crate::sim_exec::{SimExecutor, SimPrep};
 
 /// Exhaustive coalition enumeration is used up to this many NVLink edges
 /// (`2^12 = 4096` DES runs); beyond it, permutation sampling kicks in.
-pub const EXACT_ATTRIBUTION_EDGES: usize = 12;
+pub(crate) const EXACT_ATTRIBUTION_EDGES: usize = 12;
 
 /// Hard cap on the number of players: fabrics with more NVLink edges than
 /// bits in the coalition bitmask keep only the first 64 (in `(a, b)`
 /// lexicographic order) and lump the rest into the always-on background.
-pub const MAX_ATTRIBUTION_EDGES: usize = 64;
+pub(crate) const MAX_ATTRIBUTION_EDGES: usize = 64;
 
 /// Shapley value of one NVLink edge.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,7 +84,7 @@ impl Attribution {
 /// DES achieves for `graph` on `topo` under `cfg`.
 ///
 /// `samples` requests that many sampled permutations; pass `0` to let the
-/// module pick (exhaustive for `p ≤` [`EXACT_ATTRIBUTION_EDGES`], else
+/// module pick (exhaustive for `p ≤` `EXACT_ATTRIBUTION_EDGES`, else
 /// `8·p` permutations). `seed` feeds the [`SplitMix64`] stream and only
 /// matters in the sampled regime. A fabric with no NVLink edges yields an
 /// empty `links` list with `full_value == baseline_value`.

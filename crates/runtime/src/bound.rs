@@ -71,7 +71,7 @@ impl MakespanBound {
     /// Relative optimality gap of an achieved `makespan` against this
     /// bound: `makespan / total − 1` (`0` = provably optimal schedule).
     /// Returns `None` for empty workloads with a zero bound.
-    pub fn gap(&self, makespan: f64) -> Option<f64> {
+    pub(crate) fn gap(&self, makespan: f64) -> Option<f64> {
         (self.total > 0.0).then(|| makespan / self.total - 1.0)
     }
 

@@ -151,7 +151,7 @@ impl SoftwareCache {
 
     /// Enables an injected protocol bug (mutation testing only).
     #[doc(hidden)]
-    pub fn inject_mutation(&mut self, m: CoherenceMutation) {
+    pub(crate) fn inject_mutation(&mut self, m: CoherenceMutation) {
         self.mutation = m;
     }
 
@@ -181,7 +181,11 @@ impl SoftwareCache {
 
     /// GPUs holding a valid copy of `h` at `now`, ascending index, without
     /// allocating — what the decision points iterate.
-    pub fn valid_holders(&self, h: HandleId, now: SimTime) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn valid_holders(
+        &self,
+        h: HandleId,
+        now: SimTime,
+    ) -> impl Iterator<Item = usize> + '_ {
         (0..self.devices.len()).filter(move |&g| self.valid_on(h, g, now))
     }
 
@@ -192,7 +196,7 @@ impl SoftwareCache {
 
     /// GPUs with `h` under transfer (not yet ready) at `now`, ascending
     /// index, with their completion times, without allocating.
-    pub fn inbound_holders(
+    pub(crate) fn inbound_holders(
         &self,
         h: HandleId,
         now: SimTime,

@@ -15,8 +15,8 @@
 //!
 //! Each choice point is one code path. It lists its candidates in the
 //! canonical order and takes the one chosen; "no controller" means
-//! candidate 0 on that same path, which is why [`CanonicalController`]
-//! reproduces an uncontrolled run bit for bit.
+//! candidate 0 on that same path, which is why a controller that always
+//! answers 0 reproduces an uncontrolled run bit for bit.
 //!
 //! A controller only chooses. What the run then did — every transfer and
 //! kernel, with its task or handle and simulated times — is in the run's
@@ -68,10 +68,12 @@ pub trait ScheduleController {
 
 /// The canonical controller: always picks candidate 0, the answer every
 /// choice point takes without a controller — so byte-identical to running
-/// without one. Useful as a replay fallback and in tests.
+/// without one: the tests' oracle for "no controller = candidate 0".
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct CanonicalController;
+pub(crate) struct CanonicalController;
 
+#[cfg(test)]
 impl ScheduleController for CanonicalController {
     fn choose(&mut self, _point: ChoicePoint, _n: usize) -> usize {
         0

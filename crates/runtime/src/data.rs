@@ -90,11 +90,6 @@ impl DataRegistry {
         self.infos.is_empty()
     }
 
-    /// Total bytes over all tiles.
-    pub fn total_bytes(&self) -> u64 {
-        self.infos.iter().map(|i| i.bytes).sum()
-    }
-
     /// Iterates over `(handle, info)`.
     pub fn iter(&self) -> impl Iterator<Item = (HandleId, &DataInfo)> {
         self.infos
@@ -129,7 +124,6 @@ mod tests {
         assert_eq!(reg.info(h).bytes, 1024);
         assert_eq!(reg.info(h2).initial, Device::Gpu(3));
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.total_bytes(), 3072);
         assert_eq!(reg.iter().count(), 2);
     }
 }

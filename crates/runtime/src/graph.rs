@@ -161,24 +161,6 @@ impl TaskGraph {
         )
     }
 
-    /// Adds a kernel task with an explicit priority.
-    pub fn add_task_prio(
-        &mut self,
-        op: TileOp,
-        accesses: impl Into<TaskAccesses>,
-        label: impl Into<TaskLabel>,
-        priority: i32,
-    ) -> TaskId {
-        self.push_task(
-            TaskKind::Kernel,
-            Some(op),
-            accesses.into(),
-            label.into(),
-            None,
-            priority,
-        )
-    }
-
     /// Adds a host-coherency (flush) task reading `handles`: the model of
     /// `xkblas_memory_coherent_async`. It depends on the last writers of
     /// every handle and, in the simulator, triggers the DtoH transfers.
@@ -335,7 +317,7 @@ impl TaskGraph {
     }
 
     /// Mutable task by id (the parallel executor takes bodies out).
-    pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
+    pub(crate) fn task_mut(&mut self, id: TaskId) -> &mut Task {
         &mut self.tasks[id.0]
     }
 
@@ -354,11 +336,6 @@ impl TaskGraph {
         let a = self.pred_offsets[id.0] as usize;
         let b = self.pred_offsets[id.0 + 1] as usize;
         self.pred_targets[a..b].iter().map(|&p| TaskId(p as usize))
-    }
-
-    /// Number of predecessors of a task.
-    pub fn pred_count(&self, id: TaskId) -> usize {
-        (self.pred_offsets[id.0 + 1] - self.pred_offsets[id.0]) as usize
     }
 
     /// Predecessor counts of all tasks, in id order.
@@ -466,25 +443,6 @@ impl TaskGraph {
             .sum()
     }
 
-    /// Approximate retained bytes of the graph structure (task table,
-    /// CSR arrays, histories, reader pool, successor cache). Excludes
-    /// heap-spilled access lists / text labels, which the tiled builders
-    /// never produce.
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut bytes = self.tasks.capacity() * size_of::<Task>()
-            + self.pred_offsets.capacity() * size_of::<u32>()
-            + self.pred_targets.capacity() * size_of::<u32>()
-            + self.history.capacity() * size_of::<HandleHistory>()
-            + self.reader_nodes.capacity() * size_of::<ReaderNode>()
-            + self.data.len() * size_of::<DataInfo>();
-        if let Some(csr) = self.succ.get() {
-            bytes += csr.offsets.capacity() * size_of::<u32>()
-                + csr.targets.capacity() * size_of::<TaskId>();
-        }
-        bytes
-    }
-
     /// Graphviz DOT rendering (small graphs; debugging aid).
     pub fn to_dot(&self) -> String {
         use std::fmt::Write as _;
@@ -542,7 +500,7 @@ mod tests {
         let w = g.add_task(op(), vec![write(h)], "w");
         let r = g.add_task(op(), vec![read(h)], "r");
         assert_eq!(g.successors(w), &[r]);
-        assert_eq!(g.pred_count(r), 1);
+        assert_eq!(g.predecessors(r).len(), 1);
         assert_eq!(g.predecessors(r).collect::<Vec<_>>(), vec![w]);
         assert_eq!(g.roots(), vec![w]);
     }
@@ -556,7 +514,7 @@ mod tests {
         let r2 = g.add_task(op(), vec![read(h)], "r2");
         let w2 = g.add_task(op(), vec![write(h)], "w2");
         // w2 depends on w1 (output dep) and r1, r2 (anti-deps).
-        assert_eq!(g.pred_count(w2), 3);
+        assert_eq!(g.predecessors(w2).len(), 3);
         assert_eq!(g.predecessors(w2).collect::<Vec<_>>(), vec![w1, r1, r2]);
         assert!(g.successors(r1).contains(&w2));
         assert!(g.successors(r2).contains(&w2));
@@ -584,8 +542,8 @@ mod tests {
         let t2 = g.add_task(op(), vec![rw(c)], "k2");
         assert_eq!(g.successors(t0), &[t1]);
         assert_eq!(g.successors(t1), &[t2]);
-        assert_eq!(g.pred_count(t1), 1);
-        assert_eq!(g.pred_count(t2), 1);
+        assert_eq!(g.predecessors(t1).len(), 1);
+        assert_eq!(g.predecessors(t2).len(), 1);
     }
 
     #[test]
@@ -596,7 +554,7 @@ mod tests {
         let w = g.add_task(op(), vec![write(a), write(b)], "w");
         let r = g.add_task(op(), vec![read(a), read(b)], "r");
         // Both deps point at w but must count once.
-        assert_eq!(g.pred_count(r), 1);
+        assert_eq!(g.predecessors(r).len(), 1);
         assert_eq!(g.successors(w), &[r]);
     }
 
@@ -608,7 +566,7 @@ mod tests {
         let w1 = g.add_task(op(), vec![write(a)], "w1");
         let w2 = g.add_task(op(), vec![write(b)], "w2");
         let f = g.add_flush(&[a, b], "flush");
-        assert_eq!(g.pred_count(f), 2);
+        assert_eq!(g.predecessors(f).len(), 2);
         assert!(g.successors(w1).contains(&f));
         assert!(g.successors(w2).contains(&f));
         assert_eq!(g.task(f).kind, TaskKind::Flush);
@@ -679,6 +637,5 @@ mod tests {
             g.add_task(op(), vec![read(h)], "r2");
         }
         assert!(g.reader_nodes.len() <= 2, "pool grew: {}", g.reader_nodes.len());
-        assert!(g.memory_bytes() > 0);
     }
 }

@@ -57,13 +57,15 @@ pub mod obs;
 pub mod par_exec;
 pub mod sched;
 pub mod session;
-pub mod sim_exec;
+pub(crate) mod sim_exec;
 pub mod task;
 
 pub use attribution::{link_attribution, Attribution, LinkValue};
 pub use bound::{makespan_lower_bound, MakespanBound};
 pub use cache::{Eviction, ReplicaState, SoftwareCache};
-pub use choice::{CanonicalController, ChoicePoint, ScheduleController};
+pub use choice::{ChoicePoint, ScheduleController};
+#[cfg(test)]
+pub(crate) use choice::CanonicalController;
 pub use config::{Heuristics, RuntimeConfig, SchedulerKind};
 pub use data::{DataInfo, DataRegistry, HandleId};
 pub use error::Error;

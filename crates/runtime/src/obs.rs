@@ -1,7 +1,7 @@
 //! Deep observability for simulated runs: per-link occupancy/contention
 //! counters and a critical-path analysis over the executed span DAG.
 //!
-//! The DES (see [`crate::sim_exec`]) makes every operation a joint
+//! The DES (see `sim_exec`) makes every operation a joint
 //! reservation over a set of engines (copy paths, switch uplinks, NVLink
 //! bricks, kernel streams). The recorder in this module piggybacks on those
 //! reservations with flat per-engine tables — no per-event heap allocation —
@@ -113,7 +113,7 @@ pub struct CriticalPath {
     /// Chain seconds covered by no span: host-side submission
     /// serialization, scheduler latency, event plumbing.
     pub runtime_gap: f64,
-    /// The chain in time order, truncated to [`CriticalPath::MAX_SEGMENTS`]
+    /// The chain in time order, truncated to `CriticalPath::MAX_SEGMENTS`
     /// entries so reports stay cheap to clone and cache.
     pub segments: Vec<CpSegment>,
     /// Untruncated chain length in spans.
@@ -122,7 +122,7 @@ pub struct CriticalPath {
 
 impl CriticalPath {
     /// Cap on retained [`CriticalPath::segments`].
-    pub const MAX_SEGMENTS: usize = 64;
+    pub(crate) const MAX_SEGMENTS: usize = 64;
 
     /// Seconds the chain spends in one kind.
     pub fn kind_seconds(&self, kind: SpanKind) -> f64 {

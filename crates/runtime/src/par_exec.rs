@@ -1,6 +1,6 @@
 //! The parallel executor: runs a task graph *for real* on host threads.
 //!
-//! This is the numeric twin of [`crate::sim_exec`]: same graph, same
+//! This is the numeric twin of `sim_exec`: same graph, same
 //! dependency semantics, but each task's [`crate::task::TaskBody`] actually
 //! executes (calling the `xk-kernels` tile kernels on real memory), spread
 //! over a work-stealing pool of host threads. It turns the library into a

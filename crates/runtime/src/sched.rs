@@ -38,7 +38,7 @@ pub struct SchedView<'a> {
 ///   ScaLAPACK) place owner-computes: the `owner_hint` of the task's first
 ///   written tile (the 2D-cyclic distribution chosen by the algorithm
 ///   layer); tasks without a hint round-robin. They differ only in
-///   [`Placement::steals`].
+///   `Placement::steals`.
 /// - `RoundRobin` spreads tasks in ready order.
 /// - `Dmdas` (StarPU) places each ready task on the GPU minimizing its
 ///   estimated completion time: device availability + committed work +
@@ -63,7 +63,7 @@ impl Placement {
     /// under XKaapi-style work stealing, whose victim choice is the source
     /// of the SYR2K/SYRK load-vs-locality imbalance the paper observes
     /// (§IV-E).
-    pub fn steals(&self) -> bool {
+    pub(crate) fn steals(&self) -> bool {
         self.kind == SchedulerKind::LocalityWorkStealing
     }
 

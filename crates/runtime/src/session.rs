@@ -83,11 +83,6 @@ impl<'t> SimSession<'t> {
         &self.cfg
     }
 
-    /// The session's observability level.
-    pub fn obs_level(&self) -> ObsLevel {
-        self.obs
-    }
-
     /// Injects a [`LinkFault`] into subsequent runs: the modelled link dies
     /// mid-simulation, and affected tasks complete as failed
     /// ([`SimOutcome::failures`]) instead of deadlocking their waiters.

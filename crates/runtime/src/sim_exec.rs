@@ -60,7 +60,7 @@ pub struct SimOutcome {
     /// run was recorded at [`ObsLevel::Off`].
     pub obs: Option<ObsReport>,
     /// Tasks that completed *as failed* (task id, error), in task order.
-    /// Empty unless a fault was injected ([`SimExecutor::with_fault`]): a
+    /// Empty unless a fault was injected (`SimExecutor::with_fault`): a
     /// waiter on a transfer that died mid-flight surfaces the transfer's
     /// error here instead of hanging, and the failure cascades to
     /// dependents.
@@ -432,7 +432,7 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Injects a link fault for this run (see [`LinkFault`]).
-    pub fn with_fault(mut self, fault: LinkFault) -> Self {
+    pub(crate) fn with_fault(mut self, fault: LinkFault) -> Self {
         self.fault = Some(FaultState {
             fault,
             failed_replicas: HashMap::new(),

@@ -44,7 +44,7 @@ pub struct TaskAccess {
 /// task touches at most three tiles (two reads plus the output), and the
 /// per-tile coherency flushes touch one; four covers them all without a
 /// heap allocation.
-pub const INLINE_ACCESSES: usize = 3;
+pub(crate) const INLINE_ACCESSES: usize = 3;
 
 /// The access list of a task.
 ///
@@ -55,20 +55,20 @@ pub const INLINE_ACCESSES: usize = 3;
 /// allocations the CSR graph rework removed.
 #[derive(Clone, Debug)]
 pub enum TaskAccesses {
-    /// Up to [`INLINE_ACCESSES`] accesses stored in place.
+    /// Up to `INLINE_ACCESSES` accesses stored in place.
     Inline {
         /// Number of live entries in `buf`.
         len: u8,
         /// Inline storage; entries past `len` are unspecified.
         buf: [TaskAccess; INLINE_ACCESSES],
     },
-    /// More than [`INLINE_ACCESSES`] accesses, heap-allocated.
+    /// More than `INLINE_ACCESSES` accesses, heap-allocated.
     Heap(Vec<TaskAccess>),
 }
 
 impl TaskAccesses {
     /// Empty access list.
-    pub const fn empty() -> Self {
+    pub(crate) const fn empty() -> Self {
         const NO_ACCESS: TaskAccess = TaskAccess {
             handle: HandleId(0),
             access: Access::Read,
@@ -242,7 +242,7 @@ impl TaskLabel {
 
     /// Appends the rendered text to `out` (reuse one buffer to render many
     /// labels without reallocating).
-    pub fn render_into(&self, out: &mut String) {
+    pub(crate) fn render_into(&self, out: &mut String) {
         use std::fmt::Write as _;
         match self {
             TaskLabel::None => {}
@@ -306,7 +306,7 @@ pub struct Task {
 
 impl Task {
     /// The first handle this task writes, if any (owner-computes anchor).
-    pub fn owner_handle(&self) -> Option<HandleId> {
+    pub(crate) fn owner_handle(&self) -> Option<HandleId> {
         self.accesses
             .iter()
             .find(|a| a.access.writes())

@@ -179,12 +179,6 @@ impl ServeEngine {
         &self.cache
     }
 
-    /// Number of configuration families with at least one interpolation
-    /// observation.
-    pub fn curves_tracked(&self) -> usize {
-        self.curves.families()
-    }
-
     /// Current counters.
     pub fn stats(&self) -> EngineStats {
         let c = self.cache.stats();

@@ -24,7 +24,7 @@ use crate::key::QueryKey;
 
 /// The curve family: everything of [`QueryKey`] except N.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CurveKey {
+pub(crate) struct CurveKey {
     /// Library policy model.
     pub library: Library,
     /// BLAS-3 routine.
@@ -39,7 +39,7 @@ pub struct CurveKey {
 
 impl CurveKey {
     /// The curve family of one exact-run key.
-    pub fn of(key: &QueryKey) -> Self {
+    pub(crate) fn of(key: &QueryKey) -> Self {
         CurveKey {
             library: key.library,
             routine: key.routine,
@@ -56,7 +56,7 @@ pub const MIN_FIT_POINTS: usize = 4;
 /// Widest bracketing gap the fit will interpolate across: the two exact
 /// points around the query must satisfy `hi_n <= MAX_BRACKET_RATIO * lo_n`
 /// (sparser data falls back to the exact tier).
-pub const MAX_BRACKET_RATIO: f64 = 2.0;
+pub(crate) const MAX_BRACKET_RATIO: f64 = 2.0;
 
 /// The fit serves only when `SAFETY * leave-one-out error <= tolerance`:
 /// the held-out error is an estimate at the sampled points, and the safety
@@ -65,40 +65,25 @@ pub const SAFETY: f64 = 2.0;
 
 /// A GFLOP/s-vs-N curve built from exact DES runs of one [`CurveKey`].
 #[derive(Clone, Debug, Default)]
-pub struct Curve {
+pub(crate) struct Curve {
     /// `(n, gflops)` sorted ascending by n, unique n.
     pts: Vec<(f64, f64)>,
 }
 
 impl Curve {
-    /// An empty curve.
-    pub fn new() -> Self {
-        Curve::default()
-    }
-
     /// Records one exact observation (replacing any previous observation
     /// at the same N — exact reruns are deterministic, so this is a no-op
     /// for an existing point).
-    pub fn insert(&mut self, n: f64, gflops: f64) {
+    pub(crate) fn insert(&mut self, n: f64, gflops: f64) {
         match self.pts.binary_search_by(|p| p.0.total_cmp(&n)) {
             Ok(i) => self.pts[i].1 = gflops,
             Err(i) => self.pts.insert(i, (n, gflops)),
         }
     }
 
-    /// Number of exact observations.
-    pub fn len(&self) -> usize {
-        self.pts.len()
-    }
-
-    /// True when no observation was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pts.is_empty()
-    }
-
     /// Piecewise-linear prediction at `n`; `None` outside the observed
     /// range or when fewer than two points exist.
-    pub fn predict(&self, n: f64) -> Option<f64> {
+    pub(crate) fn predict(&self, n: f64) -> Option<f64> {
         let (lo, hi) = self.bracket(n)?;
         let (x0, y0) = self.pts[lo];
         let (x1, y1) = self.pts[hi];
@@ -124,7 +109,7 @@ impl Curve {
     /// from its two neighbours (leave-one-out): the curve's own estimate
     /// of how wrong linear interpolation is at this sampling density.
     /// Infinity with fewer than three points.
-    pub fn max_loo_rel_err(&self) -> f64 {
+    pub(crate) fn max_loo_rel_err(&self) -> f64 {
         if self.pts.len() < 3 {
             return f64::INFINITY;
         }
@@ -144,7 +129,7 @@ impl Curve {
     /// Whether the fit may answer at `n` within relative tolerance `tol`:
     /// enough points, `n` in range, a tight enough bracket, and the
     /// safety-scaled leave-one-out error within `tol`.
-    pub fn can_serve(&self, n: f64, tol: f64) -> bool {
+    pub(crate) fn can_serve(&self, n: f64, tol: f64) -> bool {
         if self.pts.len() < MIN_FIT_POINTS || !tol.is_finite() || tol <= 0.0 {
             return false;
         }
@@ -160,18 +145,18 @@ impl Curve {
 
 /// The per-family curve table (one fit per [`CurveKey`]).
 #[derive(Debug, Default)]
-pub struct CurveTable {
+pub(crate) struct CurveTable {
     curves: std::sync::Mutex<HashMap<CurveKey, Curve>>,
 }
 
 impl CurveTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CurveTable::default()
     }
 
     /// Feeds one exact observation into its family's curve.
-    pub fn observe(&self, key: &QueryKey, gflops: f64) {
+    pub(crate) fn observe(&self, key: &QueryKey, gflops: f64) {
         self.curves
             .lock()
             .unwrap()
@@ -182,18 +167,13 @@ impl CurveTable {
 
     /// Predicts GFLOP/s at `key.n` when the family's fit can serve within
     /// `tol`; `None` (caller falls back to exact) otherwise.
-    pub fn predict_within(&self, key: &QueryKey, tol: f64) -> Option<f64> {
+    pub(crate) fn predict_within(&self, key: &QueryKey, tol: f64) -> Option<f64> {
         let curves = self.curves.lock().unwrap();
         let curve = curves.get(&CurveKey::of(key))?;
         if !curve.can_serve(key.n as f64, tol) {
             return None;
         }
         curve.predict(key.n as f64)
-    }
-
-    /// Number of families with at least one observation.
-    pub fn families(&self) -> usize {
-        self.curves.lock().unwrap().len()
     }
 }
 
@@ -202,7 +182,7 @@ mod tests {
     use super::*;
 
     fn linearish() -> Curve {
-        let mut c = Curve::new();
+        let mut c = Curve::default();
         for n in [2048.0, 3072.0, 4096.0, 5120.0, 6144.0] {
             c.insert(n, 10.0 + n / 1024.0); // exactly linear in n
         }
@@ -228,7 +208,7 @@ mod tests {
 
     #[test]
     fn sparse_data_is_refused() {
-        let mut c = Curve::new();
+        let mut c = Curve::default();
         c.insert(2048.0, 12.0);
         c.insert(4096.0, 14.0);
         c.insert(8192.0, 16.0); // 3 points < MIN_FIT_POINTS
@@ -242,7 +222,7 @@ mod tests {
 
     #[test]
     fn wiggly_data_fails_the_loo_gate() {
-        let mut c = Curve::new();
+        let mut c = Curve::default();
         for (i, n) in [2048.0, 3072.0, 4096.0, 5120.0, 6144.0].iter().enumerate() {
             let wiggle = if i % 2 == 0 { 1.0 } else { -1.0 };
             c.insert(*n, 20.0 + 8.0 * wiggle);
@@ -253,10 +233,10 @@ mod tests {
 
     #[test]
     fn duplicate_n_replaces() {
-        let mut c = Curve::new();
+        let mut c = Curve::default();
         c.insert(2048.0, 10.0);
         c.insert(2048.0, 11.0);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.pts.len(), 1);
         assert_eq!(c.predict(2048.0), Some(11.0));
     }
 }

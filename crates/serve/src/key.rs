@@ -44,7 +44,7 @@ impl QueryKey {
     /// `(library, routine)` pair — and nothing else, so every `(N, tile)`
     /// point of one configuration family lands in the same shard (a sweep
     /// over N walks one lock while sweeps of other families walk others).
-    pub fn shard_hash(&self) -> u64 {
+    pub(crate) fn shard_hash(&self) -> u64 {
         let family = (library_code(self.library) << 3) | self.routine as u64;
         splitmix64(self.topo_fingerprint ^ splitmix64(family))
     }

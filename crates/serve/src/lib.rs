@@ -24,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod interp;
+pub(crate) mod interp;
 pub mod key;
 pub mod shard;
 
 pub use engine::{Answer, AnswerSource, EngineStats, Query, QueryMode, ServeEngine};
-pub use interp::{Curve, CurveKey, CurveTable, MAX_BRACKET_RATIO, MIN_FIT_POINTS, SAFETY};
+pub use interp::{MIN_FIT_POINTS, SAFETY};
 pub use key::QueryKey;
-pub use shard::{
-    Admission, CacheStats, Flight, LeadGuard, RunOutcome, ShardedCache, Source, DEFAULT_SHARDS,
-};
+pub use shard::{CacheStats, RunOutcome, ShardedCache, Source};

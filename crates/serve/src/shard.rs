@@ -5,13 +5,13 @@
 //! the *same* key each pay a full DES run. [`ShardedCache`] fixes both:
 //!
 //! * **Lock striping** — the table is split over [`ShardedCache::n_shards`]
-//!   independent mutexes, indexed by [`QueryKey::shard_hash`] (topology
+//!   independent mutexes, indexed by `QueryKey::shard_hash` (topology
 //!   fingerprint, then `(library, routine)`). Lookups of different
 //!   configuration families proceed in parallel; a lock is only ever held
 //!   for a hash-map probe, never across a simulation.
 //! * **Single-flight admission** — the first thread to miss a key becomes
 //!   its *leader* and simulates; concurrent lookups of the same key park on
-//!   the leader's [`Flight`] and observe the leader's exact result
+//!   the leader's `Flight` and observe the leader's exact result
 //!   (bit-identical: the result object is shared, not recomputed). A
 //!   thundering herd of N identical queries costs one DES run.
 //! * **One replica, many readers** — a finished run is wrapped in an `Arc`
@@ -88,7 +88,7 @@ enum FlightState {
 
 /// Rendezvous point of one in-flight computation.
 #[derive(Debug)]
-pub struct Flight {
+pub(crate) struct Flight {
     state: Mutex<FlightState>,
     cv: Condvar,
 }
@@ -104,7 +104,7 @@ impl Flight {
     /// Parks until the leader resolves this flight. `Some(outcome)` is the
     /// leader's result; `None` means the leader abandoned the computation
     /// and the caller must re-admit.
-    pub fn wait(&self) -> Option<RunOutcome> {
+    pub(crate) fn wait(&self) -> Option<RunOutcome> {
         let mut st = self.state.lock().unwrap();
         loop {
             match &*st {
@@ -129,7 +129,7 @@ enum Slot {
 }
 
 /// Outcome of [`ShardedCache::admit`].
-pub enum Admission<'c> {
+pub(crate) enum Admission<'c> {
     /// The key is resident: here is its outcome.
     Hit(RunOutcome),
     /// Another thread is computing this key: park on the flight.
@@ -141,7 +141,7 @@ pub enum Admission<'c> {
 /// Leadership of one in-flight key. Fill it with the computed outcome;
 /// dropping it unfilled (e.g. a panic during the simulation) marks the
 /// flight abandoned so parked waiters wake up and retry admission.
-pub struct LeadGuard<'c> {
+pub(crate) struct LeadGuard<'c> {
     cache: &'c ShardedCache,
     key: QueryKey,
     flight: Arc<Flight>,
@@ -149,16 +149,11 @@ pub struct LeadGuard<'c> {
 }
 
 impl LeadGuard<'_> {
-    /// The key this guard leads.
-    pub fn key(&self) -> QueryKey {
-        self.key
-    }
-
     /// Publishes the computed outcome: the entry becomes resident and
     /// every parked waiter observes exactly this value. This is the one
     /// place a run is moved to the heap (trimmed of the slack its trace
     /// grew with, since it now stays); everything after shares it.
-    pub fn fill(mut self, outcome: Result<RunResult, RunError>) -> RunOutcome {
+    pub(crate) fn fill(mut self, outcome: Result<RunResult, RunError>) -> RunOutcome {
         let outcome = outcome.map(|mut run| {
             run.trace.compact();
             Arc::new(run)
@@ -204,7 +199,7 @@ pub struct ShardedCache {
 /// Default shard count: enough stripes that the full `(library, routine)`
 /// cross product of one topology spreads out, cheap enough to sit in every
 /// figure driver.
-pub const DEFAULT_SHARDS: usize = 64;
+pub(crate) const DEFAULT_SHARDS: usize = 64;
 
 impl Default for ShardedCache {
     fn default() -> Self {
@@ -213,13 +208,13 @@ impl Default for ShardedCache {
 }
 
 impl ShardedCache {
-    /// An empty cache with [`DEFAULT_SHARDS`] stripes.
+    /// An empty cache with `DEFAULT_SHARDS` stripes.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
     /// An empty cache with `shards` stripes (rounded up to a power of two).
-    pub fn with_shards(shards: usize) -> Self {
+    pub(crate) fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         let shards: Vec<Mutex<HashMap<QueryKey, Slot>>> =
             (0..n).map(|_| Mutex::new(HashMap::new())).collect();
@@ -250,7 +245,7 @@ impl ShardedCache {
     /// counters — [`ShardedCache::get_or_compute`] (and the batch driver)
     /// count at resolution so an abandoned-leader retry is not counted
     /// twice.
-    pub fn admit(&self, key: QueryKey) -> Admission<'_> {
+    pub(crate) fn admit(&self, key: QueryKey) -> Admission<'_> {
         let mut map = self.shard(&key).lock().unwrap();
         match map.get(&key) {
             Some(Slot::Ready(outcome)) => Admission::Hit(outcome.clone()),
@@ -322,7 +317,7 @@ impl ShardedCache {
 
     /// Bumps the counter for one resolved lookup (the batch driver
     /// resolves admissions itself and records through this).
-    pub fn record(&self, source: Source) {
+    pub(crate) fn record(&self, source: Source) {
         match source {
             Source::Hit => &self.hits,
             Source::Coalesced => &self.coalesced,

@@ -21,14 +21,14 @@ use std::sync::mpsc;
 /// Number of worker threads [`run_replicas`] uses when the caller passes
 /// `0` ("auto"): the machine's available parallelism, or 1 when that is
 /// unknown.
-pub fn default_replica_threads() -> usize {
+pub(crate) fn default_replica_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
 /// Runs `f(0..replicas)` over a pool of `threads` workers (0 = auto via
-/// [`default_replica_threads`]) and returns the results indexed by replica.
+/// `default_replica_threads`) and returns the results indexed by replica.
 ///
 /// `f` must be a pure function of the replica index over shared immutable
 /// state — that is what makes the batched result identical to the serial

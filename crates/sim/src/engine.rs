@@ -67,7 +67,7 @@ impl EnginePool {
 
     /// Earliest time at which *all* of `ids` are simultaneously free, but not
     /// before `earliest`.
-    pub fn earliest_start(&self, ids: &[EngineId], earliest: SimTime) -> SimTime {
+    pub(crate) fn earliest_start(&self, ids: &[EngineId], earliest: SimTime) -> SimTime {
         ids.iter()
             .fold(earliest, |acc, id| acc.max(self.engines[id.0].free_at))
     }

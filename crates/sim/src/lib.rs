@@ -45,7 +45,7 @@ mod event;
 mod stats;
 mod time;
 
-pub use batch::{default_replica_threads, run_replicas};
+pub use batch::run_replicas;
 pub use engine::{EngineId, EnginePool, Reservation};
 pub use event::{selected_backend, Clock, EventQueue, QueueBackend, QUEUE_ENV};
 pub use stats::{imbalance, Summary};

@@ -1,11 +1,10 @@
 //! Small statistics helpers shared by the reproduction harness.
 
-/// Online mean/min/max accumulator (Welford variance).
+/// Online mean/min/max accumulator.
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -16,7 +15,6 @@ impl Summary {
         Summary {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -25,9 +23,7 @@ impl Summary {
     /// Adds one observation.
     pub fn add(&mut self, x: f64) {
         self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -46,15 +42,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation (0 for fewer than two observations).
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-
     /// Smallest observation (+inf when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -63,16 +50,6 @@ impl Summary {
     /// Largest observation (-inf when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Half-width of the 95% confidence interval of the mean, using the
-    /// normal approximation (the paper reports 95% CIs over 8 runs).
-    pub fn ci95(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.stddev() / (self.n as f64).sqrt()
-        }
     }
 }
 
@@ -104,20 +81,15 @@ mod tests {
         assert!((s.mean() - 2.5).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);
-        let var = ((1.5f64).powi(2) + 0.25 + 0.25 + 2.25) / 3.0;
-        assert!((s.stddev() - var.sqrt()).abs() < 1e-12);
-        assert!(s.ci95() > 0.0);
     }
 
     #[test]
     fn summary_empty_and_single() {
         let mut s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         s.add(5.0);
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.ci95(), 0.0);
+        assert_eq!((s.min(), s.max()), (5.0, 5.0));
     }
 
     #[test]

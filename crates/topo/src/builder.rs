@@ -33,14 +33,11 @@ pub struct FabricBuilder {
     links: Vec<(usize, usize, LinkSpec)>,
     peer_table: Option<Vec<LinkSpec>>,
     host: LinkSpec,
-    host_table: Option<Vec<LinkSpec>>,
     gpus_per_switch: usize,
     switches_per_socket: usize,
-    switch_map: Option<Vec<usize>>,
     socket_map: Option<Vec<usize>>,
     switch_tier: Option<SwitchTier>,
     n_nodes: usize,
-    node_map: Option<Vec<usize>>,
     inter_node: Option<LinkSpec>,
 }
 
@@ -59,14 +56,11 @@ impl FabricBuilder {
             links: Vec::new(),
             peer_table: None,
             host: LinkSpec::new(LinkClass::Pcie, bw::PCIE_HOST),
-            host_table: None,
             gpus_per_switch: 2,
             switches_per_socket: 2,
-            switch_map: None,
             socket_map: None,
             switch_tier: None,
             n_nodes: 1,
-            node_map: None,
             inter_node: None,
         }
     }
@@ -77,15 +71,9 @@ impl FabricBuilder {
         self
     }
 
-    /// Bandwidth of same-device copies (the `Local` diagonal).
-    pub fn local_bandwidth(mut self, bandwidth: f64) -> Self {
-        self.local = LinkSpec::new(LinkClass::Local, bandwidth);
-        self
-    }
-
     /// Default link for GPU pairs not covered by an override (PCIe P2P
     /// unless changed).
-    pub fn peer_default(mut self, class: LinkClass, bandwidth: f64) -> Self {
+    pub(crate) fn peer_default(mut self, class: LinkClass, bandwidth: f64) -> Self {
         self.peer_default = LinkSpec::new(class, bandwidth);
         self
     }
@@ -106,7 +94,7 @@ impl FabricBuilder {
 
     /// Full `n × n` pairwise link table, overriding every per-pair setting
     /// (topology-surgery tools use this to carry a table verbatim).
-    pub fn peer_table(mut self, table: Vec<LinkSpec>) -> Self {
+    pub(crate) fn peer_table(mut self, table: Vec<LinkSpec>) -> Self {
         self.peer_table = Some(table);
         self
     }
@@ -117,33 +105,21 @@ impl FabricBuilder {
         self
     }
 
-    /// Full per-GPU host link table, overriding the uniform host link.
-    pub fn host_table(mut self, table: Vec<LinkSpec>) -> Self {
-        self.host_table = Some(table);
-        self
-    }
-
     /// Consecutive GPUs per PCIe switch (default 2, the DGX-1 layout).
-    pub fn gpus_per_switch(mut self, k: usize) -> Self {
+    pub(crate) fn gpus_per_switch(mut self, k: usize) -> Self {
         self.gpus_per_switch = k;
         self
     }
 
     /// Consecutive switches per socket (default 2, the DGX-1 layout).
-    pub fn switches_per_socket(mut self, k: usize) -> Self {
+    pub(crate) fn switches_per_socket(mut self, k: usize) -> Self {
         self.switches_per_socket = k;
-        self
-    }
-
-    /// Explicit GPU→switch table, overriding [`FabricBuilder::gpus_per_switch`].
-    pub fn switch_map(mut self, map: Vec<usize>) -> Self {
-        self.switch_map = Some(map);
         self
     }
 
     /// Explicit switch→socket table, overriding
     /// [`FabricBuilder::switches_per_socket`].
-    pub fn socket_map(mut self, map: Vec<usize>) -> Self {
+    pub(crate) fn socket_map(mut self, map: Vec<usize>) -> Self {
         self.socket_map = Some(map);
         self
     }
@@ -161,16 +137,8 @@ impl FabricBuilder {
 
     /// Splits the GPUs evenly over `k` nodes (consecutive blocks). Requires
     /// an [`FabricBuilder::inter_node`] link when `k > 1`.
-    pub fn nodes(mut self, k: usize) -> Self {
+    pub(crate) fn nodes(mut self, k: usize) -> Self {
         self.n_nodes = k;
-        self
-    }
-
-    /// Explicit GPU→node table, overriding the even split of
-    /// [`FabricBuilder::nodes`]. `n_nodes` becomes `max + 1`.
-    pub fn node_map(mut self, map: Vec<usize>) -> Self {
-        self.n_nodes = map.iter().copied().max().map_or(1, |m| m + 1);
-        self.node_map = Some(map);
         self
     }
 
@@ -187,27 +155,19 @@ impl FabricBuilder {
         self
     }
 
-    /// Explicit inter-node link spec (topology-surgery tools).
-    pub fn inter_node_spec(mut self, spec: LinkSpec) -> Self {
-        self.inter_node = Some(spec);
-        self
-    }
-
     /// Assembles and validates the fabric.
     pub fn try_build(self) -> Result<FabricSpec, String> {
         let n = self.n_gpus;
-        let node_map = match &self.node_map {
-            Some(m) => m.clone(),
-            None if self.n_nodes > 1 => {
-                if !n.is_multiple_of(self.n_nodes) {
-                    return Err(format!(
-                        "{n} GPUs do not split evenly over {} nodes",
-                        self.n_nodes
-                    ));
-                }
-                (0..n).map(|g| g / (n / self.n_nodes)).collect()
+        let node_map: Vec<usize> = if self.n_nodes > 1 {
+            if !n.is_multiple_of(self.n_nodes) {
+                return Err(format!(
+                    "{n} GPUs do not split evenly over {} nodes",
+                    self.n_nodes
+                ));
             }
-            None => Vec::new(),
+            (0..n).map(|g| g / (n / self.n_nodes)).collect()
+        } else {
+            Vec::new()
         };
         let node_of = |g: usize| node_map.get(g).copied().unwrap_or(0);
         if self.n_nodes > 1 && self.inter_node.is_none() {
@@ -263,35 +223,27 @@ impl FabricBuilder {
             }
         };
 
-        let host = match self.host_table {
-            Some(t) => t,
-            None => (0..n)
-                .map(|g| {
-                    if node_of(g) != 0 {
-                        // Host memory lives on node 0: remote reads are
-                        // NIC-bound end to end.
-                        let nic = self.inter_node.as_ref().expect("checked above");
-                        LinkSpec {
-                            class: LinkClass::InterNode,
-                            bandwidth: nic.bandwidth.min(self.host.bandwidth),
-                            latency: self.host.latency + nic.latency,
-                        }
-                    } else {
-                        self.host
+        let host: Vec<LinkSpec> = (0..n)
+            .map(|g| {
+                if node_of(g) != 0 {
+                    // Host memory lives on node 0: remote reads are
+                    // NIC-bound end to end.
+                    let nic = self.inter_node.as_ref().expect("checked above");
+                    LinkSpec {
+                        class: LinkClass::InterNode,
+                        bandwidth: nic.bandwidth.min(self.host.bandwidth),
+                        latency: self.host.latency + nic.latency,
                     }
-                })
-                .collect(),
-        };
-
-        let switch_map = match self.switch_map {
-            Some(m) => m,
-            None => {
-                if self.gpus_per_switch == 0 {
-                    return Err("gpus_per_switch must be at least 1".into());
+                } else {
+                    self.host
                 }
-                (0..n).map(|g| g / self.gpus_per_switch).collect()
-            }
-        };
+            })
+            .collect();
+
+        if self.gpus_per_switch == 0 {
+            return Err("gpus_per_switch must be at least 1".into());
+        }
+        let switch_map: Vec<usize> = (0..n).map(|g| g / self.gpus_per_switch).collect();
         let n_switches = switch_map.iter().copied().max().map_or(0, |m| m + 1);
         let socket_map = match self.socket_map {
             Some(m) => m,
@@ -455,12 +407,13 @@ mod tests {
     fn explicit_maps_override_grouping() {
         let t = FabricBuilder::named("mapped")
             .gpus(4)
-            .switch_map(vec![0, 1, 1, 2])
-            .socket_map(vec![0, 1, 1])
+            .gpus_per_switch(1)
+            .socket_map(vec![0, 1, 1, 0])
             .build();
-        assert_eq!(t.n_switches(), 3);
-        assert_eq!(t.switch_of(2), 1);
+        assert_eq!(t.n_switches(), 4);
+        assert_eq!(t.switch_of(2), 2);
         assert_eq!(t.socket_of(0), 0);
-        assert_eq!(t.socket_of(3), 1);
+        assert_eq!(t.socket_of(2), 1);
+        assert_eq!(t.socket_of(3), 0);
     }
 }

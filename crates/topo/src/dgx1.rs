@@ -31,12 +31,6 @@ pub const DGX1_NVLINK1_EDGES: [(usize, usize); 8] = [
     (5, 7),
 ];
 
-/// GPU memory capacity per V100-SXM2 of the paper's machine, in bytes.
-pub const DGX1_GPU_MEMORY: u64 = 32 * 1024 * 1024 * 1024;
-
-/// Double-precision peak of one V100-SXM2, in FLOP/s (paper: 7.8 TFlop/s).
-pub const V100_PEAK_DP: f64 = 7.8e12;
-
 /// Human-readable platform summary matching the paper's Table I.
 pub const DGX1_TABLE1: &[(&str, &str)] = &[
     ("Name", "Gemini (NVIDIA DGX-1)"),

@@ -40,8 +40,6 @@ pub mod fabrics;
 mod link;
 
 pub use builder::FabricBuilder;
-pub use dgx1::{
-    dgx1, DGX1_GPU_MEMORY, DGX1_NVLINK1_EDGES, DGX1_NVLINK2_EDGES, DGX1_TABLE1, V100_PEAK_DP,
-};
+pub use dgx1::{dgx1, DGX1_NVLINK1_EDGES, DGX1_NVLINK2_EDGES, DGX1_TABLE1};
 pub use fabric::{BusSegment, Device, FabricSpec, LinkSpec, Route, SwitchTier};
-pub use link::{bw, lat, LinkClass};
+pub use link::{bw, LinkClass};

@@ -73,30 +73,28 @@ pub mod bw {
     /// V100 device-memory bandwidth as seen by same-device copies
     /// (~744–750 GB/s measured in Fig. 2's diagonal).
     pub const DEVICE_MEMORY: f64 = 747.0e9;
-    /// QPI between the two Xeon sockets.
-    pub const QPI: f64 = 19.2e9;
     /// POWER9-style NVLink between CPU and GPU (Summit node).
-    pub const NVLINK_HOST: f64 = 50.0e9;
+    pub(crate) const NVLINK_HOST: f64 = 50.0e9;
     /// One GPU port into a DGX-2-style NVSwitch plane: 6 NVLink-2 bricks
     /// bonded through the switch, ~150 GB/s per GPU.
-    pub const NVSWITCH_PORT: f64 = 150.0e9;
+    pub(crate) const NVSWITCH_PORT: f64 = 150.0e9;
     /// One EDR-InfiniBand-class NIC (~100 Gb/s signalling, ~12 GB/s
     /// sustained for GPUDirect-style transfers).
-    pub const IB_NIC: f64 = 12.0e9;
+    pub(crate) const IB_NIC: f64 = 12.0e9;
 }
 
 /// Link latencies, in seconds.
-pub mod lat {
+pub(crate) mod lat {
     /// One-way NVLink latency.
-    pub const NVLINK: f64 = 3.0e-6;
+    pub(crate) const NVLINK: f64 = 3.0e-6;
     /// One-way PCIe latency (includes DMA setup).
-    pub const PCIE: f64 = 10.0e-6;
+    pub(crate) const PCIE: f64 = 10.0e-6;
     /// Same-device copy launch overhead.
-    pub const LOCAL: f64 = 1.0e-6;
+    pub(crate) const LOCAL: f64 = 1.0e-6;
     /// One hop through an NVSwitch plane (a GPU↔GPU route crosses two).
-    pub const NVSWITCH_HOP: f64 = 1.0e-6;
+    pub(crate) const NVSWITCH_HOP: f64 = 1.0e-6;
     /// One hop of an inter-node IB path (NIC, switch, NIC...).
-    pub const IB_HOP: f64 = 1.5e-6;
+    pub(crate) const IB_HOP: f64 = 1.5e-6;
 }
 
 #[cfg(test)]

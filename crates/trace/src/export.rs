@@ -1,41 +1,11 @@
-//! CSV / JSON export of traces and breakdowns, including Chrome
-//! `trace_event` JSON for ui.perfetto.dev / `chrome://tracing`.
+//! Chrome `trace_event` JSON export of traces for ui.perfetto.dev /
+//! `chrome://tracing`, and the minimal JSON checker that validates it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::span::{FlowId, Place, SpanKind};
+use crate::span::{FlowId, Place};
 use crate::trace::Trace;
-
-/// Serializes the full trace to CSV
-/// (`place,lane,kind,start,end,bytes,label`).
-pub fn trace_to_csv(trace: &Trace) -> String {
-    let mut out = String::from("place,lane,kind,start,end,bytes,label\n");
-    for s in trace.spans() {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.9},{:.9},{},{}",
-            s.place,
-            s.lane,
-            s.kind.label(),
-            s.start,
-            s.end,
-            s.bytes,
-            trace.label(s.label).replace(',', ";")
-        );
-    }
-    out
-}
-
-/// Serializes the per-kind breakdown to CSV (`kind,seconds,share`).
-pub fn breakdown_to_csv(trace: &Trace) -> String {
-    let b = trace.breakdown();
-    let mut out = String::from("kind,seconds,share\n");
-    for (kind, share) in b.normalized() {
-        let _ = writeln!(out, "{},{:.9},{:.6}", kind.label(), b.get(kind), share);
-    }
-    out
-}
 
 /// `trace_event` process id of a place: host is pid 0, `gpuN` is pid N+1.
 fn chrome_pid(place: Place) -> u32 {
@@ -503,29 +473,10 @@ pub mod jsonck {
     }
 }
 
-/// Renders a per-device stacked table: one row per device, one column per
-/// span kind, seconds (the numbers behind Fig. 7).
-pub fn per_device_table(trace: &Trace) -> String {
-    let per = trace.breakdown_per_device();
-    let mut out = String::from("device");
-    for k in SpanKind::ALL {
-        let _ = write!(out, ",{}", k.label());
-    }
-    out.push('\n');
-    for (place, b) in per {
-        let _ = write!(out, "{place}");
-        for k in SpanKind::ALL {
-            let _ = write!(out, ",{:.6}", b.get(k));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Label, Place, Span};
+    use crate::span::{Label, Place, Span, SpanKind};
 
     fn t() -> Trace {
         let mut t = Trace::new();
@@ -556,54 +507,6 @@ mod tests {
             peer: Span::NO_PEER,
         });
         t
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = trace_to_csv(&t());
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("place,lane,kind"));
-        assert!(csv.contains("gpu1,2,GPU Kernel"));
-    }
-
-    #[test]
-    fn breakdown_csv_shares_sum_to_one() {
-        let csv = breakdown_to_csv(&t());
-        let total: f64 = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.rsplit(',').next().unwrap().parse::<f64>().unwrap())
-            .sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_device_table_rows() {
-        let table = per_device_table(&t());
-        assert!(table.lines().count() >= 3);
-        assert!(table.contains("gpu0"));
-        assert!(table.contains("gpu1"));
-    }
-
-    #[test]
-    fn labels_with_commas_are_sanitized() {
-        let mut tr = Trace::new();
-        let label = tr.intern("a,b");
-        tr.push(Span {
-            place: Place::Gpu(0),
-            lane: 0,
-            kind: SpanKind::Kernel,
-            start: 0.0,
-            end: 1.0,
-            bytes: 0,
-            label,
-            flow: FlowId::NONE,
-            subject: Span::NO_SUBJECT,
-            peer: Span::NO_PEER,
-        });
-        let csv = trace_to_csv(&tr);
-        let data_line = csv.lines().nth(1).unwrap();
-        assert_eq!(data_line.matches(',').count(), 6);
     }
 
     #[test]

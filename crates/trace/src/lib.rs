@@ -9,7 +9,7 @@
 //!   ratio of Fig. 6.
 //! * [`Trace::breakdown_per_device`] — the per-GPU stacked bars of Fig. 7.
 //! * [`gantt::render`] — the ASCII Gantt chart standing in for Fig. 9.
-//! * [`Trace::longest_global_gap`] — quantifies the synchronization holes
+//! * [`Trace::longest_kernel_gap`] — quantifies the synchronization holes
 //!   visible in Chameleon's composition Gantt.
 //!
 //! Each [`Span`] stores a `u32` [`Label`] into the owning [`Trace`]'s

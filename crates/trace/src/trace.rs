@@ -224,18 +224,10 @@ impl Trace {
     }
 
     /// Spans of one device sorted by start time (Gantt input).
-    pub fn device_spans_sorted(&self, place: Place) -> Vec<&Span> {
+    pub(crate) fn device_spans_sorted(&self, place: Place) -> Vec<&Span> {
         let mut v: Vec<&Span> = self.spans.iter().filter(|s| s.place == place).collect();
         v.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
         v
-    }
-
-    /// The longest gap with *no* span active anywhere, within `[0, makespan]`.
-    /// The composition analysis (Fig. 9) uses this: XKBlas keeps GPUs busy
-    /// across routine calls while Chameleon shows synchronization gaps.
-    /// Idle time before the first span starts does not count as a gap.
-    pub fn longest_global_gap(&self) -> f64 {
-        longest_interval_gap(self.spans.iter().map(|s| (s.start, s.end)).collect())
     }
 
     /// The longest interval with no *kernel* running on any device, within
@@ -380,7 +372,7 @@ mod tests {
         t.push(span(Place::Gpu(0), SpanKind::Kernel, 0.0, 1.0));
         t.push(span(Place::Gpu(1), SpanKind::Kernel, 0.5, 1.2));
         t.push(span(Place::Gpu(0), SpanKind::Kernel, 3.0, 4.0));
-        assert!((t.longest_global_gap() - 1.8).abs() < 1e-12);
+        assert!((t.longest_kernel_gap() - 1.8).abs() < 1e-12);
     }
 
     #[test]
@@ -390,11 +382,9 @@ mod tests {
         let mut t = Trace::new();
         t.push(span(Place::Gpu(0), SpanKind::Kernel, 5.0, 6.0));
         t.push(span(Place::Gpu(0), SpanKind::Kernel, 6.0, 7.0));
-        assert_eq!(t.longest_global_gap(), 0.0);
         assert_eq!(t.longest_kernel_gap(), 0.0);
         // A genuine hole after the first span still registers.
         t.push(span(Place::Gpu(0), SpanKind::Kernel, 9.0, 10.0));
-        assert!((t.longest_global_gap() - 2.0).abs() < 1e-12);
         assert!((t.longest_kernel_gap() - 2.0).abs() < 1e-12);
     }
 
@@ -403,7 +393,7 @@ mod tests {
         let mut t = Trace::new();
         t.push(span(Place::Gpu(0), SpanKind::Kernel, 0.0, 2.0));
         t.push(span(Place::Gpu(1), SpanKind::Kernel, 1.0, 3.0));
-        assert_eq!(t.longest_global_gap(), 0.0);
+        assert_eq!(t.longest_kernel_gap(), 0.0);
     }
 
     #[test]
@@ -420,7 +410,7 @@ mod tests {
     fn empty_trace_is_safe() {
         let t = Trace::new();
         assert_eq!(t.makespan(), 0.0);
-        assert_eq!(t.longest_global_gap(), 0.0);
+        assert_eq!(t.longest_kernel_gap(), 0.0);
         assert_eq!(t.breakdown().transfer_ratio(), 0.0);
         assert!(t.is_empty());
     }
