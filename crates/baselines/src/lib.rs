@@ -19,7 +19,8 @@ mod xkblas_like;
 pub(crate) use conversion::layout_conversion_seconds;
 pub(crate) use cublasxt::run_cublasxt;
 pub(crate) use slate::run_slate;
-pub use xkblas_like::{build_run_graph, run_on_runtime, run_prepped};
+pub(crate) use xkblas_like::run_on_runtime;
+pub use xkblas_like::{build_run_graph, run_prepped};
 
 use xk_kernels::{GpuModel, Routine};
 use xk_runtime::{Heuristics, ObsReport, RuntimeConfig, SchedulerKind};

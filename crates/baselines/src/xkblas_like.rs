@@ -63,7 +63,7 @@ pub(crate) fn build_routine_graph(
 /// Data-on-host runs end with a `memory_coherent` of the output (§IV-A
 /// end-to-end methodology); data-on-device runs leave results on the GPUs
 /// (§IV-C).
-pub fn run_on_runtime(
+pub(crate) fn run_on_runtime(
     topo: &FabricSpec,
     params: &RunParams,
     cfg: RuntimeConfig,
@@ -82,8 +82,9 @@ pub fn run_on_runtime(
     Ok(outcome_to_result(sim, params))
 }
 
-/// Builds the task graph of one routine call exactly as [`run_on_runtime`]
-/// would, returning it unexecuted.
+/// Builds the task graph of one routine call exactly as the libraries
+/// [`crate::run`] simulates on the shared runtime do, returning it
+/// unexecuted.
 ///
 /// The graph depends on `cfg` only through `eager_flush` (whether a final
 /// per-tile coherency flush is appended), never on the scheduler or
@@ -108,9 +109,9 @@ pub fn build_run_graph(
 
 /// Simulates a pre-built routine graph under `cfg` with shared per-graph
 /// prep: the timing, byte counters and observability are byte-identical to
-/// [`run_on_runtime`] with the same parameters (only the process-global
-/// matrix ids inside trace labels differ, as they do between any two
-/// context builds).
+/// simulating the call from scratch under `cfg`, as [`crate::run`] does
+/// for each [`crate::XkVariant`] (only the process-global matrix ids inside
+/// trace labels differ, as they do between any two context builds).
 pub fn run_prepped(
     topo: &FabricSpec,
     params: &RunParams,

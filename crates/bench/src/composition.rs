@@ -1,9 +1,9 @@
 //! The TRSM + GEMM composition benchmark of the paper's §IV-F
 //! (Fig. 8 performance sweep, Fig. 9 Gantt).
 
-use xk_baselines::RunParams;
+use xk_baselines::{Library, RunParams};
 use xk_kernels::{Diag, Routine, Side, Trans, Uplo};
-use xk_runtime::{Heuristics, ObsLevel, ObsReport, RuntimeConfig, SchedulerKind};
+use xk_runtime::{ObsLevel, ObsReport, RuntimeConfig};
 use xk_topo::FabricSpec;
 use xk_trace::Trace;
 use xkblas_core::{gemm_async, trsm_async, Context, Matrix};
@@ -60,25 +60,15 @@ pub fn run_xkblas_composition(topo: &FabricSpec, n: usize, tile: usize) -> Compo
 /// to host coherence before the GEMM starts re-distributing it (the
 /// synchronization gap of Fig. 9).
 pub fn run_chameleon_composition(topo: &FabricSpec, n: usize, tile: usize) -> CompositionResult {
-    let cfg = || {
-        let mut cfg = RuntimeConfig::xkblas()
-            .with_scheduler(SchedulerKind::Dmdas)
-            .with_heuristics(Heuristics::host_only());
-        cfg.window = 8;
-        cfg.eager_flush = true;
-        cfg.task_overhead = 60.0e-6;
-        cfg.prefetch_at_assign = false;
-        cfg
-    };
-    let params = |routine| RunParams {
-        routine,
-        n,
-        tile,
-        data_on_device: false,
-    };
     let run = |routine| {
-        xk_baselines::run_on_runtime(topo, &params(routine), cfg(), true, f64::INFINITY)
-            .expect("an infinite budget is never exceeded")
+        let params = RunParams {
+            routine,
+            n,
+            tile,
+            data_on_device: false,
+        };
+        xk_baselines::run(Library::ChameleonTile, topo, &params)
+            .expect("Chameleon runs TRSM and GEMM at any valid size")
     };
     let (r1, r2) = (run(Routine::Trsm), run(Routine::Gemm));
     let obs = r1.obs.into_iter().chain(r2.obs).collect();

@@ -1,7 +1,9 @@
 //! # xk-check — deterministic schedule-space checking
 //!
-//! The simulated executor and the parallel executor are deterministic by
-//! default: every tie is broken by a fixed canonical rule. That is perfect
+//! The simulated executor is deterministic by default: every tie is broken
+//! by a fixed canonical rule. So is [`xk_runtime::run_controlled`], the
+//! single-threaded interpretation of the parallel pool's discipline (one
+//! FIFO ready queue, one inline successor per worker). That is perfect
 //! for reproducing the paper's figures and terrible for finding the
 //! schedules a real machine would produce. This crate drives the
 //! [`xk_runtime::ScheduleController`] hook to *explore* the schedule space

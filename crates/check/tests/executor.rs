@@ -1,15 +1,19 @@
 //! Schedule-space exploration of the *parallel* executor: `run_controlled`
-//! interprets the work-stealing discipline deterministically under a
+//! interprets `run_parallel`'s pool (one FIFO ready queue, one inline
+//! successor per worker) deterministically under a
 //! [`xk_runtime::ScheduleController`], with real task bodies. These tests
-//! drive it through random and exhaustive (DFS) interleavings and check
-//! the dependency protocol holds in every one.
+//! pin the twin to the pool, then drive it through random and exhaustive
+//! (DFS) interleavings and check the dependency protocol holds in every one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xk_check::{ChoiceLog, DfsController, RandomController};
 use xk_kernels::perfmodel::TileOp;
-use xk_runtime::{run_controlled, Access, TaskAccess, TaskGraph};
+use xk_lp::SplitMix64;
+use xk_runtime::{
+    run_controlled, run_parallel, Access, ChoicePoint, ScheduleController, TaskAccess, TaskGraph,
+};
 
 fn op() -> TileOp {
     TileOp::Gemm { m: 4, n: 4, k: 4 }
@@ -72,6 +76,59 @@ fn fan_graph(n: usize) -> (TaskGraph, Arc<AtomicU64>) {
         }),
     );
     (g, state)
+}
+
+/// A seeded random DAG of 2 000 tasks over 32 host tiles, 1-3 accesses
+/// each, mostly reads; every body appends its task index to the log.
+fn logged_dag(seed: u64) -> (TaskGraph, Arc<Mutex<Vec<usize>>>) {
+    let mut rng = SplitMix64::new(seed);
+    let mut g = TaskGraph::new();
+    let tiles: Vec<_> = (0..32).map(|i| g.add_host_tile(64, false, format!("h{i}"))).collect();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for t in 0..2000 {
+        let accesses: Vec<TaskAccess> = (0..rng.usize_in(1, 4))
+            .map(|_| TaskAccess {
+                handle: tiles[rng.usize_in(0, tiles.len())],
+                access: match rng.next_below(10) {
+                    0..=5 => Access::Read,
+                    6..=7 => Access::ReadWrite,
+                    _ => Access::Write,
+                },
+            })
+            .collect();
+        let log = log.clone();
+        g.add_task_with_body(
+            op(),
+            accesses,
+            format!("t{t}"),
+            Box::new(move || log.lock().unwrap().push(t)),
+        );
+    }
+    (g, log)
+}
+
+/// Answers candidate 0 at every choice point.
+struct Canonical;
+
+impl ScheduleController for Canonical {
+    fn choose(&mut self, _point: ChoicePoint, _n: usize) -> usize {
+        0
+    }
+}
+
+#[test]
+fn one_worker_twin_runs_bodies_in_the_pools_order() {
+    // With one thread the pool has no timing left to decide, so its twin
+    // under the canonical controller must run the very same order.
+    for seed in 0..20u64 {
+        let (mut pool_graph, pool_log) = logged_dag(seed);
+        run_parallel(&mut pool_graph, 1);
+        let (mut twin_graph, twin_log) = logged_dag(seed);
+        run_controlled(&mut twin_graph, 1, &mut Canonical);
+        let (pool, twin) = (pool_log.lock().unwrap(), twin_log.lock().unwrap());
+        assert_eq!(pool.len(), 2000, "seed {seed}");
+        assert!(*pool == *twin, "seed {seed}: the twin left the pool's order");
+    }
 }
 
 #[test]

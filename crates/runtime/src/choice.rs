@@ -35,9 +35,11 @@ pub enum ChoicePoint {
     /// Which queued ready task a GPU launches next. Candidates in queue
     /// (submission) order.
     ReadyTaskPick,
-    /// Which victim an idle GPU steals from. Candidates are the GPUs with
-    /// non-empty queues, the thief excluded, sorted longest queue first
-    /// (ascending index on ties) so candidate 0 is the canonical victim.
+    /// Which victim an idle GPU steals from (DES only: the parallel
+    /// executor has one shared queue and nothing to steal). Candidates are
+    /// the GPUs with non-empty queues, the thief excluded, sorted longest
+    /// queue first (ascending index on ties) so candidate 0 is the
+    /// canonical victim.
     StealVictim,
     /// Which equally-ranked source GPU supplies a tile
     /// ([`crate::heuristics::select_source`] tie). Candidate 0 is the GPU
@@ -48,10 +50,12 @@ pub enum ChoicePoint {
     /// canonical eviction order (clean before dirty, LRU within a class).
     EvictionPick,
     /// Which virtual worker of the controlled parallel executor takes the
-    /// next step. Candidates are the runnable workers, ascending index.
+    /// next step. Candidates are the runnable workers (those holding an
+    /// inline task, or every worker while the ready queue is non-empty),
+    /// ascending index.
     WorkerStep,
     /// Which newly-ready successor a finishing worker runs inline (the
-    /// rest become stealable). Candidate 0 is the canonical inline pick
+    /// rest join the ready queue). Candidate 0 is the canonical inline pick
     /// (the *last* newly-ready successor, matching [`crate::run_parallel`]);
     /// the rest follow in successor (CSR) order.
     InlineSuccessor,

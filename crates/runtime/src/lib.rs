@@ -16,8 +16,9 @@
 //!   DGX-1), producing a makespan, an [`xk_trace::Trace`] and — when
 //!   observability is on — an [`ObsReport`] with link occupancy,
 //!   contention wait and the critical path;
-//! * [`run_parallel`] — a work-stealing pool of host threads that actually
-//!   executes the tile kernels on host memory, validating the numerics.
+//! * [`run_parallel`] — a pool of host threads sharing one ready queue
+//!   that actually executes the tile kernels on host memory, validating
+//!   the numerics.
 //!
 //! ```
 //! use xk_runtime::{ObsLevel, RuntimeConfig, SimSession, TaskGraph};

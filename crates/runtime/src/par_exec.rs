@@ -3,33 +3,33 @@
 //! This is the numeric twin of `sim_exec`: same graph, same
 //! dependency semantics, but each task's [`crate::task::TaskBody`] actually
 //! executes (calling the `xk-kernels` tile kernels on real memory), spread
-//! over a work-stealing pool of host threads. It turns the library into a
-//! usable multicore tiled-BLAS and — more importantly here — lets the test
-//! suite verify that every tiled algorithm computes the right numbers
-//! under real concurrency.
+//! over a pool of host threads. It turns the library into a usable
+//! multicore tiled-BLAS and — more importantly here — lets the test suite
+//! verify that every tiled algorithm computes the right numbers under real
+//! concurrency. The paper's work stealing between GPUs is modelled in the
+//! DES (`SchedulerKind::LocalityWorkStealing`), not here.
 //!
 //! # Executor design
 //!
-//! - Each task body sits in a `BodySlot`: an atomic claim flag plus an
-//!   `UnsafeCell` — claiming the flag grants exclusive access to the slot,
-//!   with no per-task mutex.
-//! - When a task completes, its newly-ready successors are released in a
-//!   batch: all but one go to the worker's local deque (stealable by idle
-//!   peers), the last is run inline on the same worker for cache warmth.
-//! - The queues are the crate's own (`Worker` / `Stealer` /
-//!   `Injector`): `Mutex<VecDeque>`s rather than lock-free Chase-Lev
-//!   deques. A task here is a tile kernel of milliseconds, so an
-//!   uncontended lock per queue operation is noise.
-//! - A worker with nothing to run (local deque, global injector and every
-//!   *other* worker's stealer all empty — no self-steal) parks on an
-//!   eventcount instead of spinning: idle workers cost ~0 CPU. Producers
-//!   bump the epoch and wake sleepers whenever they make work stealable.
+//! - One `Mutex` guards the run state: a FIFO queue of ready task ids,
+//!   each task's count of unfinished predecessors, the completion count
+//!   and an `aborted` flag. One `Condvar` wakes idle workers. A task here
+//!   is a tile kernel of milliseconds, so one lock per completion is noise.
+//! - A worker runs the task it kept inline, else pops the queue front,
+//!   else waits on the condvar (an idle worker costs no CPU).
+//! - When a task completes, its worker keeps the last successor it made
+//!   ready to run inline (its inputs are warm in this core's cache) and
+//!   appends the others to the queue, waking the idle workers.
+//! - Each body sits in its own `Mutex<Option<TaskBody>>`. Every id is
+//!   popped once, so these locks are never contended.
+//! - A worker unwinding out of a panicking body sets `aborted` and wakes
+//!   the others, which return; [`run_parallel`] then re-raises the panic.
+//! - [`run_controlled`] interprets this same queue on one thread, with a
+//!   [`ScheduleController`] deciding what thread timing decides here.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::panic::resume_unwind;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::choice::{ChoicePoint, ScheduleController};
 use crate::graph::TaskGraph;
@@ -42,178 +42,103 @@ pub struct ParOutcome {
     pub tasks_run: usize,
     /// Number of worker threads used.
     pub threads: usize,
-    /// Number of times an idle worker parked (0 under saturation).
+    /// Number of times an idle worker waited for work (0 under saturation).
     pub parks: usize,
 }
 
-/// One task's body, claimable by exactly one worker.
-struct BodySlot {
-    claimed: AtomicBool,
-    body: UnsafeCell<Option<TaskBody>>,
+/// The run state all workers share, behind one lock.
+struct State {
+    /// Ready tasks no worker has taken yet, oldest first.
+    ready: VecDeque<TaskId>,
+    /// Unfinished predecessors of each task.
+    pending: Vec<usize>,
+    /// Tasks finished so far.
+    completed: usize,
+    /// Set when a worker unwinds: the others stop taking work.
+    aborted: bool,
 }
 
-// SAFETY: the body cell is only accessed by the worker that wins the
-// `claimed` compare-exchange, which happens at most once per slot.
-unsafe impl Sync for BodySlot {}
+struct Pool {
+    state: Mutex<State>,
+    wake: Condvar,
+}
 
-impl BodySlot {
-    fn new(body: Option<TaskBody>) -> Self {
-        BodySlot {
-            claimed: AtomicBool::new(false),
-            body: UnsafeCell::new(body),
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // Bodies run outside this lock, so none is expected to poison it.
+        // Should one, the panicking worker's guard sets `aborted`, and
+        // that flag is all the others read from then on.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Stops the other workers when its worker unwinds out of a panicking
+/// body, so they return instead of waiting for a task that never ends.
+struct AbortOnUnwind<'a>(&'a Pool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.wake.notify_all();
         }
     }
+}
 
-    /// Takes the body if this caller is the first to claim the slot.
-    /// Returns `None` both for already-claimed and bodyless tasks; use the
-    /// claim result to distinguish.
-    fn claim(&self) -> Option<Option<TaskBody>> {
-        if self
-            .claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: we won the claim; no other thread touches the cell.
-            Some(unsafe { (*self.body.get()).take() })
-        } else {
-            None
+/// One worker's loop; returns how many times it waited for work.
+fn work(pool: &Pool, graph: &TaskGraph, bodies: &[Mutex<Option<TaskBody>>]) -> usize {
+    let _abort = AbortOnUnwind(pool);
+    let n = bodies.len();
+    let mut parks = 0;
+    // The successor kept to run right after its parent, on this worker.
+    let mut inline: Option<TaskId> = None;
+    loop {
+        let t = match inline.take() {
+            Some(t) => t,
+            None => {
+                let mut state = pool.lock();
+                loop {
+                    if state.aborted || state.completed == n {
+                        return parks;
+                    }
+                    if let Some(t) = state.ready.pop_front() {
+                        break t;
+                    }
+                    parks += 1;
+                    state = pool
+                        .wake
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        };
+        let body = bodies[t.0]
+            .lock()
+            .expect("a body slot is never locked across a panic")
+            .take();
+        if let Some(body) = body {
+            body();
         }
-    }
-}
 
-/// Largest batch [`Injector::steal_batch_and_pop`] hands to the thief.
-const MAX_BATCH: usize = 32;
-
-type Queue = Mutex<VecDeque<TaskId>>;
-
-fn lock(q: &Queue) -> MutexGuard<'_, VecDeque<TaskId>> {
-    // A queue of plain task ids is valid at every step, so a panic in
-    // another worker must not wedge the survivors.
-    q.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// A worker's own FIFO queue.
-struct Worker(Arc<Queue>);
-
-impl Worker {
-    fn new() -> Self {
-        Worker(Arc::default())
-    }
-
-    fn push(&self, task: TaskId) {
-        lock(&self.0).push_back(task);
-    }
-
-    fn pop(&self) -> Option<TaskId> {
-        lock(&self.0).pop_front()
-    }
-
-    fn stealer(&self) -> Stealer {
-        Stealer(Arc::clone(&self.0))
-    }
-}
-
-/// The handle other workers steal through: the oldest task first, the
-/// same end the owner pops.
-struct Stealer(Arc<Queue>);
-
-impl Stealer {
-    fn steal(&self) -> Option<TaskId> {
-        lock(&self.0).pop_front()
-    }
-}
-
-/// The shared queue the graph's roots enter through.
-#[derive(Default)]
-struct Injector(Queue);
-
-impl Injector {
-    fn push(&self, task: TaskId) {
-        lock(&self.0).push_back(task);
-    }
-
-    /// Pops one task for the caller and moves up to half of the rest (at
-    /// most [`MAX_BATCH`]) into `dest`, so one visit feeds several steps.
-    fn steal_batch_and_pop(&self, dest: &Worker) -> Option<TaskId> {
-        let mut queue = lock(&self.0);
-        let first = queue.pop_front()?;
-        let batch = (queue.len() / 2).min(MAX_BATCH);
-        if batch > 0 {
-            lock(&dest.0).extend(queue.drain(..batch));
+        let mut guard = pool.lock();
+        let state = &mut *guard;
+        if state.aborted {
+            return parks;
         }
-        Some(first)
-    }
-}
-
-/// An eventcount: idle workers park here; producers bump the epoch to
-/// publish "there may be new work" and wake sleepers.
-struct ParkLot {
-    epoch: AtomicUsize,
-    sleepers: AtomicUsize,
-    mutex: Mutex<()>,
-    cv: Condvar,
-}
-
-impl ParkLot {
-    fn new() -> Self {
-        ParkLot {
-            epoch: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            mutex: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Epoch snapshot; take it *before* the final scan for work, so a
-    /// concurrent `wake_all` between scan and park is not lost.
-    fn prepare(&self) -> usize {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Publishes new work / completion and wakes all parked workers.
-    fn wake_all(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.mutex.lock().unwrap();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Parks until the epoch moves past `seen` (or a timeout, as a
-    /// liveness net: a spurious re-scan is cheap and harmless).
-    fn park(&self, seen: usize) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.mutex.lock().unwrap();
-        while self.epoch.load(Ordering::Acquire) == seen {
-            let (g, timeout) = self
-                .cv
-                .wait_timeout(guard, Duration::from_millis(10))
-                .unwrap();
-            guard = g;
-            if timeout.timed_out() {
-                break;
+        let queued = state.ready.len();
+        for &s in graph.successors(t) {
+            state.pending[s.0] -= 1;
+            if state.pending[s.0] == 0 {
+                if let Some(prev) = inline.replace(s) {
+                    state.ready.push_back(prev);
+                }
             }
         }
-        drop(guard);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        state.completed += 1;
+        if state.ready.len() > queued || state.completed == n {
+            pool.wake.notify_all();
+        }
     }
-}
-
-/// One steal sweep: the global injector first, then every *other* worker
-/// (self-steal is wasted work: our deque is empty).
-fn steal_external(
-    me: usize,
-    injector: &Injector,
-    stealers: &[Stealer],
-    worker: &Worker,
-) -> Option<TaskId> {
-    injector.steal_batch_and_pop(worker).or_else(|| {
-        stealers
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != me)
-            .find_map(|(_, s)| s.steal())
-    })
 }
 
 /// Executes every task of `graph` respecting dependencies, on
@@ -222,6 +147,7 @@ fn steal_external(
 /// Bodies are taken out of the graph (each runs exactly once). Tasks
 /// without a body are treated as no-ops with dependencies (e.g. flush
 /// tasks: on the host executor, host memory is already the truth).
+/// A panicking body stops the run, and its panic is re-raised here.
 pub fn run_parallel(graph: &mut TaskGraph, n_threads: usize) -> ParOutcome {
     let n = graph.len();
     if n == 0 {
@@ -236,118 +162,57 @@ pub fn run_parallel(graph: &mut TaskGraph, n_threads: usize) -> ParOutcome {
     };
 
     // Take the bodies out so workers can consume them without aliasing the
-    // graph; an atomic claim flag per slot replaces the old per-task mutex.
-    let slots: Vec<BodySlot> = (0..n)
-        .map(|i| BodySlot::new(graph.task_mut(TaskId(i)).body.take()))
+    // graph.
+    let bodies: Vec<Mutex<Option<TaskBody>>> = (0..n)
+        .map(|i| Mutex::new(graph.task_mut(TaskId(i)).body.take()))
         .collect();
-
     graph.finalize(); // build the successor CSR once, outside the hot loop
+    let graph: &TaskGraph = graph;
+    let pool = Pool {
+        state: Mutex::new(State {
+            ready: graph.roots().into(),
+            pending: graph.pred_counts().collect(),
+            completed: 0,
+            aborted: false,
+        }),
+        wake: Condvar::new(),
+    };
 
-    let pending: Vec<AtomicUsize> = graph.pred_counts().map(AtomicUsize::new).collect();
-    let completed = AtomicUsize::new(0);
-    let parks = AtomicUsize::new(0);
-    let parklot = ParkLot::new();
-
-    let injector = Injector::default();
-    for t in graph.roots() {
-        injector.push(t);
-    }
-
-    let workers: Vec<Worker> = (0..threads).map(|_| Worker::new()).collect();
-    let stealers: Vec<Stealer> = workers.iter().map(Worker::stealer).collect();
-
-    std::thread::scope(|scope| {
-        for (me, worker) in workers.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let pending = &pending;
-            let completed = &completed;
-            let slots = &slots;
-            let parks = &parks;
-            let parklot = &parklot;
-            let graph: &TaskGraph = graph;
-            scope.spawn(move || {
-                // The task chosen to run inline right after its parent.
-                let mut next: Option<TaskId> = None;
-                let mut my_parks = 0usize;
-                loop {
-                    let task = next
-                        .take()
-                        .or_else(|| worker.pop())
-                        .or_else(|| steal_external(me, injector, stealers, &worker));
-                    let Some(t) = task else {
-                        if completed.load(Ordering::Acquire) >= n {
-                            break;
-                        }
-                        let seen = parklot.prepare();
-                        // Re-scan between the epoch snapshot and parking:
-                        // work published before `seen` cannot wake us.
-                        if let Some(t) =
-                            steal_external(me, injector, stealers, &worker)
-                        {
-                            next = Some(t);
-                            continue;
-                        }
-                        if completed.load(Ordering::Acquire) >= n {
-                            break;
-                        }
-                        parklot.park(seen);
-                        my_parks += 1;
-                        continue;
-                    };
-
-                    let Some(body) = slots[t.0].claim() else {
-                        continue; // lost a (structurally impossible) race
-                    };
-                    if let Some(body) = body {
-                        body();
-                    }
-
-                    // Release successors in a batch: earlier-ready ones go
-                    // to the local deque (stealable), the last runs inline.
-                    let mut made_stealable = false;
-                    for &s in graph.successors(t) {
-                        if pending[s.0].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            if let Some(prev) = next.replace(s) {
-                                worker.push(prev);
-                                made_stealable = true;
-                            }
-                        }
-                    }
-                    let done = completed.fetch_add(1, Ordering::AcqRel) + 1;
-                    if done >= n || made_stealable {
-                        parklot.wake_all();
-                    }
-                }
-                if my_parks > 0 {
-                    parks.fetch_add(my_parks, Ordering::Relaxed);
-                }
-            });
-        }
+    let parks = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| scope.spawn(|| work(&pool, graph, &bodies)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .sum()
     });
-
-    let done = completed.load(Ordering::Acquire);
-    assert_eq!(done, n, "parallel executor deadlocked: {done}/{n}");
+    let state = pool
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     ParOutcome {
-        tasks_run: done,
+        tasks_run: state.completed,
         threads,
-        parks: parks.load(Ordering::Relaxed),
+        parks,
     }
 }
 
 /// Executes every task of `graph` on `n_workers` *virtual* workers under a
 /// [`ScheduleController`]: a single-threaded, fully deterministic
-/// interpretation of the same work-stealing discipline as
-/// [`run_parallel`] — per-worker FIFO deques, a global injector that
-/// outranks peer steals, and inline execution of the last newly-ready
-/// successor. The controller is consulted at every point where the real
-/// pool's outcome depends on thread timing: which runnable worker steps
-/// ([`ChoicePoint::WorkerStep`]), which source an empty worker steals from
-/// ([`ChoicePoint::StealVictim`]), and which newly-ready successor runs
-/// inline ([`ChoicePoint::InlineSuccessor`]). Task bodies really execute,
-/// so `xk-check` can drive the executor's dependency protocol through
-/// adversarial interleavings and compare the numerics against a serial
-/// run — with any failure replayable from the controller's choices.
+/// interpretation of [`run_parallel`]'s pool — one FIFO ready queue, and
+/// inline execution of one newly-ready successor on the worker that
+/// released it. A worker is runnable when it holds an inline task or the
+/// queue is non-empty; it runs its inline task, else the queue front. The
+/// controller is consulted at every point where the real pool's outcome
+/// depends on thread timing: which runnable worker steps
+/// ([`ChoicePoint::WorkerStep`]) and which newly-ready successor runs
+/// inline ([`ChoicePoint::InlineSuccessor`]; the rest join the queue).
+/// Under a controller that always answers 0, one worker runs the bodies
+/// in exactly `run_parallel(graph, 1)`'s order. Task bodies really
+/// execute, so `xk-check` can drive the executor's dependency protocol
+/// through adversarial interleavings and compare the numerics against a
+/// serial run — with any failure replayable from the controller's choices.
 ///
 /// Panics (rather than hangs) if the dependency protocol deadlocks.
 pub fn run_controlled(
@@ -365,95 +230,50 @@ pub fn run_controlled(
         .collect();
     graph.finalize();
     let mut pending: Vec<usize> = graph.pred_counts().collect();
-    let mut injector: VecDeque<TaskId> = graph.roots().into_iter().collect();
-    let mut deques: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); workers_n];
+    let mut ready: VecDeque<TaskId> = graph.roots().into();
     let mut inline: Vec<Option<TaskId>> = vec![None; workers_n];
     let mut runnable: Vec<usize> = Vec::with_capacity(workers_n);
-    let mut done = 0usize;
-    while done < n {
-        // A worker is runnable when it can acquire a task this step: a
-        // pending inline task, local work, or something to steal.
+    let mut released: Vec<TaskId> = Vec::new();
+    for done in 0..n {
         runnable.clear();
-        for w in 0..workers_n {
-            let external = !injector.is_empty()
-                || deques.iter().enumerate().any(|(v, d)| v != w && !d.is_empty());
-            if inline[w].is_some() || !deques[w].is_empty() || external {
-                runnable.push(w);
-            }
-        }
-        assert!(
-            !runnable.is_empty(),
-            "controlled executor deadlocked: {done}/{n} tasks done"
-        );
+        runnable.extend((0..workers_n).filter(|&w| inline[w].is_some() || !ready.is_empty()));
         let w = match runnable.len() {
+            0 => panic!("controlled executor deadlocked: {done}/{n} tasks done"),
             1 => runnable[0],
             m => runnable[ctrl.choose(ChoicePoint::WorkerStep, m).min(m - 1)],
         };
-        // Acquire: inline slot, then local deque, then an external steal
-        // (injector outranks peers, peers ascending — the order the real
-        // pool's steal sweep visits them).
-        let t = if let Some(t) = inline[w].take() {
-            t
-        } else if let Some(t) = deques[w].pop_front() {
-            t
-        } else {
-            let mut sources: Vec<Option<usize>> = Vec::new(); // None = injector
-            if !injector.is_empty() {
-                sources.push(None);
-            }
-            for (v, d) in deques.iter().enumerate() {
-                if v != w && !d.is_empty() {
-                    sources.push(Some(v));
-                }
-            }
-            let pick = match sources.len() {
-                0 => unreachable!("runnable worker has a steal source"),
-                1 => 0,
-                m => ctrl.choose(ChoicePoint::StealVictim, m).min(m - 1),
-            };
-            match sources[pick] {
-                None => injector.pop_front().expect("injector non-empty"),
-                Some(v) => deques[v].pop_front().expect("victim non-empty"),
-            }
-        };
+        let t = inline[w]
+            .take()
+            .or_else(|| ready.pop_front())
+            .expect("a runnable worker has a task");
         if let Some(body) = bodies[t.0].take() {
             body();
         }
-        // Release newly-ready successors: one runs inline on this worker,
-        // the rest go to its deque (stealable by the other workers).
-        let mut ready: Vec<TaskId> = Vec::new();
+        released.clear();
         for &s in graph.successors(t) {
             pending[s.0] -= 1;
             if pending[s.0] == 0 {
-                ready.push(s);
+                released.push(s);
             }
         }
-        if !ready.is_empty() {
-            let m = ready.len();
+        let m = released.len();
+        if m > 0 {
             // Candidate 0 = the canonical inline pick (the last
             // newly-ready, what run_parallel keeps); 1..m = the rest in
             // CSR order.
             let idx = match m {
                 1 => 0,
-                _ => {
-                    let k = ctrl.choose(ChoicePoint::InlineSuccessor, m).min(m - 1);
-                    if k == 0 {
-                        m - 1
-                    } else {
-                        k - 1
-                    }
-                }
+                _ => match ctrl.choose(ChoicePoint::InlineSuccessor, m).min(m - 1) {
+                    0 => m - 1,
+                    k => k - 1,
+                },
             };
-            let chosen = ready.remove(idx);
-            for s in ready {
-                deques[w].push_back(s);
-            }
-            inline[w] = Some(chosen);
+            inline[w] = Some(released.remove(idx));
+            ready.extend(&released);
         }
-        done += 1;
     }
     ParOutcome {
-        tasks_run: done,
+        tasks_run: n,
         threads: workers_n,
         parks: 0,
     }
@@ -463,72 +283,13 @@ pub fn run_controlled(
 mod tests {
     use super::*;
     use crate::task::{Access, TaskAccess};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
     use xk_kernels::perfmodel::TileOp;
 
     fn op() -> TileOp {
         TileOp::Gemm { m: 4, n: 4, k: 4 }
-    }
-
-    #[test]
-    fn deque_owner_pops_fifo_and_thief_takes_the_front() {
-        let w = Worker::new();
-        let thief = w.stealer();
-        for i in 0..4 {
-            w.push(TaskId(i));
-        }
-        assert_eq!(thief.steal(), Some(TaskId(0)), "thief takes the oldest");
-        assert_eq!(w.pop(), Some(TaskId(1)), "owner pops in push order");
-        assert_eq!(thief.steal(), Some(TaskId(2)));
-        assert_eq!(w.pop(), Some(TaskId(3)));
-        assert_eq!((w.pop(), thief.steal()), (None, None));
-    }
-
-    #[test]
-    fn injector_batch_is_half_the_rest_capped_at_32() {
-        let drained = |n: usize| {
-            let (inj, w) = (Injector::default(), Worker::new());
-            (0..n).for_each(|i| inj.push(TaskId(i)));
-            let first = inj.steal_batch_and_pop(&w);
-            let moved: Vec<TaskId> = std::iter::from_fn(|| w.pop()).collect();
-            // The batch is the ids right behind the popped one, in order.
-            assert!(moved.iter().enumerate().all(|(k, t)| t.0 == k + 1));
-            let left = lock(&inj.0).len();
-            (first, moved.len(), left)
-        };
-        assert_eq!(drained(0), (None, 0, 0));
-        assert_eq!(drained(1), (Some(TaskId(0)), 0, 0));
-        assert_eq!(drained(9), (Some(TaskId(0)), 4, 4));
-        assert_eq!(drained(200), (Some(TaskId(0)), MAX_BATCH, 199 - MAX_BATCH));
-    }
-
-    #[test]
-    fn every_pushed_id_is_popped_exactly_once_under_four_threads() {
-        const N: usize = 4000;
-        let injector = Injector::default();
-        (0..N).for_each(|i| injector.push(TaskId(i)));
-        let workers: Vec<Worker> = (0..4).map(|_| Worker::new()).collect();
-        let stealers: Vec<Stealer> = workers.iter().map(Worker::stealer).collect();
-        let seen: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        // All four start together, so pops, batch moves and steals overlap.
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for (me, worker) in workers.into_iter().enumerate() {
-                let (injector, stealers, seen, start) = (&injector, &stealers, &seen, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    // Nothing is pushed after the start, so one empty sweep
-                    // of every source means this worker is done.
-                    while let Some(t) = worker
-                        .pop()
-                        .or_else(|| steal_external(me, injector, stealers, &worker))
-                    {
-                        seen[t.0].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -551,6 +312,34 @@ mod tests {
         let out = run_parallel(&mut g, 4);
         assert_eq!(out.tasks_run, 10);
         assert_eq!(*log.lock().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panicking_body_ends_the_run_with_its_panic() {
+        // An 8-task chain whose fourth body panics: the other workers wait
+        // for a successor that is never released, so they must be told to
+        // leave. The run goes on its own thread so a hang fails the test.
+        let mut g = TaskGraph::new();
+        let h = g.add_host_tile(64, false, "x");
+        for i in 0..8 {
+            g.add_task_with_body(
+                op(),
+                vec![TaskAccess { handle: h, access: Access::ReadWrite }],
+                format!("k{i}"),
+                Box::new(move || assert_ne!(i, 3, "body 3 fails")),
+            );
+        }
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::thread::spawn(move || run_parallel(&mut g, 4));
+            let _ = tx.send(run.join());
+        });
+        let joined = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run_parallel still running 30 s after a body panicked");
+        let panic = joined.expect_err("the body's panic did not reach the caller");
+        let message = panic.downcast_ref::<String>().expect("an assert_ne! message");
+        assert!(message.contains("body 3 fails"), "{message}");
     }
 
     #[test]

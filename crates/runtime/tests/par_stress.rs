@@ -2,8 +2,8 @@
 //!
 //! Every task stamps a global completion sequence number; afterwards each
 //! task's stamp must be later than all of its predecessors' — a full
-//! topological-order witness for the claim-flag executor, the batched
-//! successor release and the parking protocol at scale.
+//! topological-order witness for the shared ready queue, the inline
+//! successor and the condvar waits at scale.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -48,5 +48,5 @@ mod time;
 pub use batch::run_replicas;
 pub use engine::{EngineId, EnginePool, Reservation};
 pub use event::{selected_backend, Clock, EventQueue, QueueBackend, QUEUE_ENV};
-pub use stats::{imbalance, Summary};
+pub use stats::imbalance;
 pub use time::{Duration, SimTime};
