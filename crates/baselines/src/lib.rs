@@ -313,8 +313,8 @@ pub fn run_within(
         }
         Library::Dplasma => {
             // PaRSEC's accelerator support stages all data through the host
-            // (its GEMM trace in Fig. 6 shows no PtoP) and flushes results
-            // eagerly.
+            // (its GEMM trace in Fig. 6 shows no PtoP); a data-on-host run
+            // writes each result tile back by its flush task.
             let mut cfg = RuntimeConfig::xkblas()
                 .with_scheduler(SchedulerKind::StaticOwner)
                 .with_heuristics(Heuristics::host_only());
@@ -322,9 +322,6 @@ pub fn run_within(
             // shallow pipelining, operands re-read per task (largest HtoD
             // volume in Fig. 6).
             cfg.window = 3;
-            cfg.eager_flush = !params.data_on_device;
-            cfg.task_overhead = 40.0e-6;
-            cfg.prefetch_at_assign = false;
             cfg.cache_inputs = false;
             run_on_runtime(topo, params, cfg, true, budget)
         }
@@ -354,20 +351,15 @@ fn run_chameleon(
     tile_layout: bool,
     budget: f64,
 ) -> Result<RunResult, RunError> {
-    // Chameleon/StarPU: dmdas scheduler, 2 workers per GPU (§IV-A), eager
-    // flush-back of computed tiles, no topology-aware source selection.
+    // Chameleon/StarPU: dmdas scheduler, 2 workers per GPU (§IV-A),
+    // per-tile flush tasks writing results back, no topology-aware source
+    // selection.
     // StarPU 1.3.5 on this machine stages transfers through the host (the
     // Chameleon trace of Fig. 6 shows DtoH/HtoD only).
     let mut cfg = RuntimeConfig::xkblas()
         .with_scheduler(SchedulerKind::Dmdas)
         .with_heuristics(Heuristics::host_only());
     cfg.window = 8;
-    cfg.eager_flush = !params.data_on_device;
-    // StarPU task insertion + dmdas model lookups are far heavier than
-    // XKaapi's task spawn, and data prefetch happens near execution, not
-    // at submission.
-    cfg.task_overhead = 60.0e-6;
-    cfg.prefetch_at_assign = false;
     run_on_runtime(topo, params, cfg, tile_layout, budget)
 }
 

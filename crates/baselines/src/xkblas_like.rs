@@ -75,7 +75,7 @@ pub(crate) fn run_on_runtime(
     ctx.set_tile_layout(tile_layout);
     ctx.set_observability(ObsLevel::Full);
     let out = build_routine_graph(&mut ctx, params.routine, params.n, params.data_on_device);
-    if !params.data_on_device && !ctx.config().eager_flush {
+    if !params.data_on_device {
         ctx.memory_coherent_async(&out);
     }
     let sim = ctx.run_simulated_within(budget)?;
@@ -86,11 +86,11 @@ pub(crate) fn run_on_runtime(
 /// [`crate::run`] simulates on the shared runtime do, returning it
 /// unexecuted.
 ///
-/// The graph depends on `cfg` only through `eager_flush` (whether a final
-/// per-tile coherency flush is appended), never on the scheduler or
-/// heuristic fields — so one graph built here can be simulated under every
-/// [`crate::XkVariant`] configuration via [`run_prepped`], sharing the
-/// hoisted [`xk_runtime::SimPrep`] across those runs.
+/// A data-on-host graph ends with one flush task per output tile. The
+/// graph does not depend on `cfg`'s scheduler or heuristic fields, so one
+/// graph built here can be simulated under every [`crate::XkVariant`]
+/// configuration via [`run_prepped`], sharing the hoisted
+/// [`xk_runtime::SimPrep`] across those runs.
 pub fn build_run_graph(
     topo: &FabricSpec,
     params: &RunParams,
@@ -101,7 +101,7 @@ pub fn build_run_graph(
     ctx.set_simulation_only(true);
     ctx.set_tile_layout(tile_layout);
     let out = build_routine_graph(&mut ctx, params.routine, params.n, params.data_on_device);
-    if !params.data_on_device && !ctx.config().eager_flush {
+    if !params.data_on_device {
         ctx.memory_coherent_async(&out);
     }
     ctx.finish_graph()

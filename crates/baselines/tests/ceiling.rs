@@ -29,19 +29,15 @@ fn ceiling_is_never_tighter_than_the_compute_bound() {
         for (n, tile) in shapes {
             let ceiling = Library::XkBlas(XkVariant::Full).tflops_ceiling(&topo, tile).unwrap();
             for data_on_device in [false, true] {
-                for eager_flush in [false, true] {
-                    let params = RunParams { routine, n, tile, data_on_device };
-                    let mut cfg = XkVariant::Full.runtime_config();
-                    cfg.eager_flush = eager_flush;
-                    let graph = build_run_graph(&topo, &params, &cfg, false);
-                    let compute = makespan_lower_bound(&graph, &topo, &cfg).compute;
-                    let reachable = routine.flops_square(n as u64) / (compute * 1e12);
-                    assert!(
-                        reachable <= ceiling,
-                        "{routine:?} n={n} tile={tile} dod={data_on_device} eager={eager_flush}: \
-                         {reachable} > {ceiling}"
-                    );
-                }
+                let params = RunParams { routine, n, tile, data_on_device };
+                let cfg = XkVariant::Full.runtime_config();
+                let graph = build_run_graph(&topo, &params, &cfg, false);
+                let compute = makespan_lower_bound(&graph, &topo, &cfg).compute;
+                let reachable = routine.flops_square(n as u64) / (compute * 1e12);
+                assert!(
+                    reachable <= ceiling,
+                    "{routine:?} n={n} tile={tile} dod={data_on_device}: {reachable} > {ceiling}"
+                );
             }
         }
     }

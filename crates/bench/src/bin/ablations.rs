@@ -1,6 +1,6 @@
 //! Ablations of the reproduction's own design choices (beyond the paper's
-//! Fig. 3): prefetch depth/policy, scheduler, task overhead — the knobs
-//! DESIGN.md calls out. Each sweep isolates one knob on DGEMM data-on-host.
+//! Fig. 3): window depth, scheduler, input caching — the knobs DESIGN.md
+//! calls out. Each sweep isolates one knob on DGEMM data-on-host.
 //!
 //! Every configuration simulates independently, so each knob sweep runs its
 //! values as replicas on every core; rows are placed in value order, so the
@@ -45,30 +45,16 @@ fn main() {
     let (n, tile) = (24576, 2048);
     println!("Ablations on DGEMM N={n}, tile {tile}, data-on-host (TFlop/s)\n");
 
-    // (1) In-flight window depth. With assignment-time prefetch the window
-    // only gates kernels (which serialize anyway), so this sweep uses
-    // launch-time fetching, where the window is the pipeline depth.
+    // (1) In-flight window depth: inputs are fetched at launch, so the
+    // window is the fetch/compute pipeline depth.
     let t = knob_table(&["window", "TFlop/s"], &[1usize, 2, 4, 8, 16, 32], |&w| {
         let mut cfg = RuntimeConfig::xkblas();
         cfg.window = w;
-        cfg.prefetch_at_assign = false;
         vec![w.to_string(), format!("{:.2}", run_with(cfg, n, tile))]
     });
-    println!("window depth (launch-time fetching)\n{}", t.render());
+    println!("window depth\n{}", t.render());
 
-    // (2) Prefetch at assignment vs at launch.
-    let t = knob_table(
-        &["prefetch", "TFlop/s"],
-        &[("at assignment (XKaapi)", true), ("at launch (StarPU-like)", false)],
-        |&(name, at_assign)| {
-            let mut cfg = RuntimeConfig::xkblas();
-            cfg.prefetch_at_assign = at_assign;
-            vec![name.to_string(), format!("{:.2}", run_with(cfg, n, tile))]
-        },
-    );
-    println!("prefetch policy\n{}", t.render());
-
-    // (3) Scheduler.
+    // (2) Scheduler.
     let t = knob_table(
         &["scheduler", "TFlop/s"],
         &[
@@ -84,21 +70,7 @@ fn main() {
     );
     println!("scheduler\n{}", t.render());
 
-    // (4) Per-task submission overhead — at a fine tile size where the
-    // task count makes the serial submission thread visible.
-    let fine = tile / 4;
-    let t = knob_table(
-        &["task overhead", "TFlop/s"],
-        &[0.0f64, 6.0, 20.0, 60.0, 200.0],
-        |&us| {
-            let mut cfg = RuntimeConfig::xkblas();
-            cfg.task_overhead = us * 1e-6;
-            vec![format!("{us} us"), format!("{:.2}", run_with(cfg, n, fine))]
-        },
-    );
-    println!("task creation/scheduling overhead (tile {fine})\n{}", t.render());
-
-    // (5) Input caching — measured without D2D so that every re-read hits
+    // (3) Input caching — measured without D2D so that every re-read hits
     // the host (the PaRSEC-like configuration of DESIGN.md §6).
     let t = knob_table(
         &["software cache", "TFlop/s"],
@@ -106,23 +78,10 @@ fn main() {
         |&(name, cache)| {
             let mut cfg = RuntimeConfig::xkblas();
             cfg.heuristics = xk_runtime::Heuristics::host_only();
-            cfg.prefetch_at_assign = false;
             cfg.window = 4;
             cfg.cache_inputs = cache;
             vec![name.to_string(), format!("{:.2}", run_with(cfg, n, tile))]
         },
     );
     println!("input caching (host-staged transfers)\n{}", t.render());
-
-    // (6) Eager flush-back.
-    let t = knob_table(
-        &["write-back policy", "TFlop/s"],
-        &[("lazy (explicit coherency)", false), ("eager per final tile", true)],
-        |&(name, eager)| {
-            let mut cfg = RuntimeConfig::xkblas();
-            cfg.eager_flush = eager;
-            vec![name.to_string(), format!("{:.2}", run_with(cfg, n, tile))]
-        },
-    );
-    println!("write-back policy\n{}", t.render());
 }

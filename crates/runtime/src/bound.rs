@@ -157,9 +157,9 @@ pub fn makespan_lower_bound(
             }
             TaskKind::Flush => {
                 // The flush itself completes at `ready`; the write-backs it
-                // (or eager flushing) forces end at least one cheapest-D2H
-                // after the last writer, bounding the *makespan* rather
-                // than the flush's successors (eager mode drains early).
+                // forces end at least one cheapest-D2H after the last
+                // writer, bounding the *makespan* rather than the flush's
+                // successors.
                 finish[t] = ready;
                 for h in task.read_handles() {
                     let hi = h.0;

@@ -30,8 +30,8 @@ struct Slot {
     state: Option<ReplicaState>,
     /// LRU clock of the last use; meaningful only while `state` is `Some`.
     last_use: u64,
-    /// Pin count: pinned replicas are never evicted (inputs of queued
-    /// tasks, prefetched but not yet consumed). Outlives the replica.
+    /// Pin count: pinned replicas are never evicted (the working sets of
+    /// launched tasks, pinned until they complete). Outlives the replica.
     pins: u32,
 }
 

@@ -86,27 +86,11 @@ pub struct RuntimeConfig {
     pub gpu_memory: u64,
     /// GPU compute model.
     pub gpu_model: GpuModel,
-    /// Whether every written tile is eagerly flushed back to the host as
-    /// soon as produced (Chameleon/StarPU behaviour); XKBlas flushes only
-    /// at explicit `memory_coherent` tasks.
-    pub eager_flush: bool,
     /// Keep fetched read-only inputs cached on the device for reuse
     /// (XKaapi software cache). Off models runtimes that re-read operands
     /// from the host for every task (PaRSEC's GPU support in the paper's
     /// Fig. 6 shows the largest HtoD volume of all stacks).
     pub cache_inputs: bool,
-    /// Initiate input transfers the moment a task is *assigned*, instead of
-    /// when it enters the execution window. Calibration on the DGX-1 model
-    /// showed a shallow window with launch-time fetching tracks the paper's
-    /// XKBlas best (assignment-time prefetch floods the PCIe queues in
-    /// ready order); the flag is kept for the ablation harness.
-    pub prefetch_at_assign: bool,
-    /// Host-side cost of creating + scheduling one dynamic task, seconds.
-    /// Paid serially on the submission thread — the "overhead of creation
-    /// and scheduling of dynamic tasks" the paper's abstract credits
-    /// XKBlas with keeping small. XKaapi ≈ 6 µs; StarPU's dmdas with its
-    /// model lookups is an order of magnitude above.
-    pub task_overhead: f64,
 }
 
 impl Default for RuntimeConfig {
@@ -117,10 +101,7 @@ impl Default for RuntimeConfig {
             window: 4,
             gpu_memory: 32 * (1 << 30),
             gpu_model: GpuModel::v100(),
-            eager_flush: false,
             cache_inputs: true,
-            prefetch_at_assign: false,
-            task_overhead: 6.0e-6,
         }
     }
 }
@@ -163,7 +144,6 @@ mod tests {
         assert_eq!(c.scheduler, SchedulerKind::LocalityWorkStealing);
         assert!(c.window >= 1);
         assert_eq!(c.gpu_memory, 32 * (1 << 30));
-        assert!(!c.eager_flush);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   (`SimTime::max` returns an operand bit-for-bit), so "predecessor ends
 //!   exactly when this span starts" is an equality test, not a tolerance.
 //!   Chain time not covered by any span is reported as `runtime_gap`
-//!   (host-side submission serialization, scheduling).
+//!   (scheduling: a task waiting for a window slot).
 //!
 //! The invariant `critical_path.length == report.makespan` is what
 //! validates the walk: the chain's span durations plus the runtime gap must
@@ -108,10 +108,11 @@ pub struct CriticalPath {
     /// invariant).
     pub length: f64,
     /// Seconds the chain spends in each span kind (the chain's
-    /// *composition*: is the run compute-, transfer- or submission-bound?).
+    /// *composition*: is the run compute- or transfer-bound?).
     pub by_kind: BTreeMap<SpanKind, f64>,
-    /// Chain seconds covered by no span: host-side submission
-    /// serialization, scheduler latency, event plumbing.
+    /// Chain seconds covered by no span: scheduler latency (a task waiting
+    /// for a window slot) and event plumbing. The model charges no
+    /// host-side task submission cost.
     pub runtime_gap: f64,
     /// The chain in time order, truncated to `CriticalPath::MAX_SEGMENTS`
     /// entries so reports stay cheap to clone and cache.
@@ -356,7 +357,7 @@ impl ObsRecorder {
     ///    engine was busy until then — contention bound the start);
     /// 3. otherwise the latest-ending candidate before this start: the
     ///    interval between its end and this start is *runtime gap*
-    ///    (submission serialization, scheduling). With no candidate at all
+    ///    (scheduling). With no candidate at all
     ///    the remaining `[0, start)` is charged to the runtime.
     fn critical_path(&self, trace: &Trace, links: &mut [LinkStats]) -> CriticalPath {
         let spans = trace.spans();

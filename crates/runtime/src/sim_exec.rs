@@ -101,25 +101,18 @@ enum Ev {
     TryLaunch(usize),
 }
 
-/// Everything the event loop reads or writes per task, packed into half a
-/// cache line so readiness, launch and completion touch one line per task.
+/// Everything the event loop reads or writes per task, packed into a
+/// quarter of a cache line so readiness, launch and completion touch one
+/// line per task.
 #[derive(Clone, Copy)]
 struct TaskState {
     /// Modelled kernel seconds ([`TaskGraph::kernel_seconds`]; 0 for a flush).
     kernel_seconds: f64,
-    /// When the acquired inputs are all usable on `inputs_on`.
-    input_ready: SimTime,
     /// Unsatisfied predecessors.
     pending: u32,
-    /// Observability node of the binding input transfer.
-    dep: u32,
-    /// Flow chain the binding input belongs to.
-    flow: FlowId,
-    /// GPU the task is queued or running on ([`NO_GPU`] until assigned).
+    /// GPU the task is queued or running on ([`NO_GPU`] until assigned);
+    /// from launch to completion its working set is pinned there.
     assigned: u16,
-    /// GPU whose cache holds the task's pinned working set, recorded when
-    /// the inputs are acquired ([`NO_GPU`] until then).
-    inputs_on: u16,
 }
 
 /// Fault-injection state. Exists only on runs started with
@@ -205,14 +198,8 @@ pub struct SimExecutor<'a> {
     clock: Clock<Ev>,
     /// Per-task run state, indexed by `TaskId.0`.
     tasks: Vec<TaskState>,
-    /// Final writer of each handle (eager flush only writes back the last
-    /// version, like Chameleon's flush-on-release annotations).
-    final_writer: Vec<Option<TaskId>>,
     /// Kernel seconds assigned-but-not-finished per GPU (dmdas input).
     committed: Vec<f64>,
-    /// Host submission-thread cursor: tasks are activated serially at
-    /// `task_overhead` apiece.
-    submission_cursor: SimTime,
     placement: Placement,
     trace: Trace,
     /// The prep's trace label of each task by `TaskId.0`, then of each
@@ -249,8 +236,8 @@ pub struct SimExecutor<'a> {
 /// Shared per-graph precomputation for batched replica runs.
 ///
 /// `SimExecutor::new` re-derives the same graph-shaped state — the
-/// interned trace labels, the final-writer table — on every run. A seed matrix or
-/// tile sweep runs the *same* graph hundreds of times, so [`SimPrep::new`]
+/// interned trace labels — on every run. A seed matrix or tile sweep runs
+/// the *same* graph hundreds of times, so [`SimPrep::new`]
 /// hoists that work out once and [`SimExecutor::with_prep`] stamps
 /// executors from it. (The per-task records are built per run: their
 /// kernel seconds depend on the run's GPU model.) Prep is plain immutable
@@ -263,8 +250,8 @@ pub struct SimPrep {
     /// Label of each task by `TaskId.0`, then of each handle by
     /// `HandleId.0`.
     labels: Arc<[Label]>,
-    /// Final writer of each handle, indexed by `HandleId.0`.
-    final_writer: Vec<Option<TaskId>>,
+    /// Number of data handles of the graph.
+    n_handles: usize,
 }
 
 impl SimPrep {
@@ -272,12 +259,6 @@ impl SimPrep {
     /// successor CSR, so replica threads never race to build it).
     pub fn new(graph: &TaskGraph) -> Self {
         graph.finalize();
-        let mut final_writer = vec![None; graph.data().len()];
-        for task in graph.tasks() {
-            for h in task.written_handles() {
-                final_writer[h.0] = Some(task.id);
-            }
-        }
         // A tiled graph repeats few label patterns (4 608 distinct among a
         // tile-1024 GEMM's 112 896 tasks), mostly back to back along the
         // reduction loop: a task reuses its predecessor's label when the
@@ -305,7 +286,7 @@ impl SimPrep {
         labels.extend(graph.data().iter().map(|(_, info)| table.intern(&info.label)));
         table.compact();
         let table = Arc::clone(table.labels());
-        SimPrep { table, labels: labels.into(), final_writer }
+        SimPrep { table, labels: labels.into(), n_handles: graph.data().len() }
     }
 }
 
@@ -333,7 +314,7 @@ impl<'a> SimExecutor<'a> {
         cfg: &'a RuntimeConfig,
         prep: &SimPrep,
     ) -> Self {
-        let n_handles = prep.final_writer.len();
+        let n_handles = prep.n_handles;
         assert_eq!(
             (prep.labels.len() - n_handles, n_handles),
             (graph.len(), graph.data().len()),
@@ -346,12 +327,8 @@ impl<'a> SimExecutor<'a> {
             .zip(graph.kernel_seconds(&cfg.gpu_model))
             .map(|(pending, kernel_seconds)| TaskState {
                 kernel_seconds,
-                input_ready: SimTime::ZERO,
                 pending: pending as u32,
-                dep: NO_NODE,
-                flow: FlowId::NONE,
                 assigned: NO_GPU,
-                inputs_on: NO_GPU,
             })
             .collect();
         let unstarted = tasks.iter().map(|s| s.kernel_seconds).sum();
@@ -385,9 +362,7 @@ impl<'a> SimExecutor<'a> {
             // mid-run.
             clock: Clock::with_capacity(graph.len().saturating_mul(4).max(64)),
             tasks,
-            final_writer: prep.final_writer.clone(),
             committed: vec![0.0; n],
-            submission_cursor: SimTime::ZERO,
             placement: Placement::new(cfg.scheduler),
             trace: Trace::with_labels(Arc::clone(&prep.table)),
             labels: Arc::clone(&prep.labels),
@@ -499,6 +474,12 @@ impl<'a> SimExecutor<'a> {
             self.tasks_done,
             self.graph.len()
         );
+        // Every assigned kernel second was taken back at completion, on
+        // the GPU that ran it: a steal moves the seconds with the task.
+        debug_assert!({
+            let total: f64 = self.tasks.iter().map(|s| s.kernel_seconds).sum();
+            self.committed.iter().all(|c| c.abs() <= 1e-9 * total)
+        });
         let makespan = self.trace.makespan();
         if makespan > limit {
             return Err(Error::OverBudget);
@@ -573,22 +554,6 @@ impl<'a> SimExecutor<'a> {
         };
         self.tasks[t.0].assigned = g as u16;
         self.committed[g] += self.tasks[t.0].kernel_seconds;
-        // Serial task creation/scheduling on the host.
-        self.submission_cursor = self.submission_cursor.max(self.clock.now())
-            + xk_sim::Duration::new(self.cfg.task_overhead);
-        if self.cfg.prefetch_at_assign {
-            // XKaapi initiates input transfers as soon as the scheduler maps
-            // a task, long before a kernel slot frees. This is what overlaps
-            // communication with computation — and what creates the
-            // simultaneous duplicate host reads that the optimistic
-            // heuristic removes (§III-C). StarPU-class runtimes fetch when
-            // the task nears execution instead, as does a prefetch that
-            // does not fit: the deferred (launch-time) acquire handles both.
-            let submitted = self.submission_cursor;
-            if let Some((ready, dep, flow)) = self.acquire_inputs(t, g, false) {
-                self.record_inputs(t, g, ready.max(submitted), dep, flow);
-            }
-        }
         self.gpus[g].queue.push_back(t);
         self.gpus[g].max_queue = self.gpus[g].max_queue.max(self.gpus[g].queue.len());
         self.clock.schedule(self.clock.now(), Ev::TryLaunch(g));
@@ -619,6 +584,9 @@ impl<'a> SimExecutor<'a> {
                         let t = self.gpus[v].queue.pop_back().expect("victim non-empty");
                         self.steals += 1;
                         self.tasks[t.0].assigned = g as u16;
+                        let secs = self.tasks[t.0].kernel_seconds;
+                        self.committed[v] -= secs;
+                        self.committed[g] += secs;
                         t
                     }
                     None => return,
@@ -650,18 +618,13 @@ impl<'a> SimExecutor<'a> {
         candidates.get(k).copied()
     }
 
-    /// Acquires all inputs of `t` on GPU `g` (capacity, transfers, output
-    /// residency) and pins its working set; returns when the last input
-    /// becomes usable plus the observability node and flow chain of the
-    /// *binding* input (the one whose arrival dominates), or `None` (with
-    /// nothing pinned) when the working set does not fit next to the
-    /// currently pinned tiles and `force` is off.
-    fn acquire_inputs(
-        &mut self,
-        t: TaskId,
-        g: usize,
-        force: bool,
-    ) -> Option<(SimTime, u32, FlowId)> {
+    /// Acquires all inputs of `t` on GPU `g` at launch (capacity,
+    /// transfers, output residency) and pins its working set until the task
+    /// completes; returns when the last input becomes usable plus the
+    /// observability node and flow chain of the *binding* input (the one
+    /// whose arrival dominates). A working set that does not fit next to
+    /// the pinned tiles of the other running tasks is admitted anyway.
+    fn acquire_inputs(&mut self, t: TaskId, g: usize) -> (SimTime, u32, FlowId) {
         let now = self.clock.now();
         // Copy the graph reference: its borrows live for 'a, independently
         // of `&mut self`, so task accesses can be iterated without
@@ -690,15 +653,6 @@ impl<'a> SimExecutor<'a> {
                     self.issue_d2h(h, g, now);
                 }
             }
-            if !force && self.cache.used_bytes(g) + needed > self.cache.capacity(g) {
-                // Everything evictable is pinned by queued work: defer this
-                // task's prefetch to launch time.
-                for &h in &pins {
-                    self.cache.unpin(h, g);
-                }
-                self.scratch_handles = pins;
-                return None;
-            }
         }
         self.scratch_handles = pins;
 
@@ -723,16 +677,7 @@ impl<'a> SimExecutor<'a> {
                 self.cache.allocate_output(h, g, bytes);
             }
         }
-        Some((input_ready, dep, flow))
-    }
-
-    /// Records that `t`'s working set is pinned on `g` and usable at `ready`.
-    fn record_inputs(&mut self, t: TaskId, g: usize, ready: SimTime, dep: u32, flow: FlowId) {
-        let state = &mut self.tasks[t.0];
-        state.inputs_on = g as u16;
-        state.input_ready = ready;
-        state.dep = dep;
-        state.flow = flow;
+        (input_ready, dep, flow)
     }
 
     fn unpin_task(&mut self, t: TaskId, g: usize) {
@@ -742,26 +687,14 @@ impl<'a> SimExecutor<'a> {
         }
     }
 
-    /// Issues the kernel of `t` on GPU `g` (inputs were prefetched at
-    /// assignment; a stolen task re-acquires them on the thief).
+    /// Issues the kernel of `t` on GPU `g`, the GPU it was assigned to or
+    /// stolen by: its inputs are acquired there now, and the kernel starts
+    /// once the last one arrives.
     fn launch(&mut self, t: TaskId, g: usize) {
         let task = self.graph.task(t);
-        let mut state = self.tasks[t.0];
-        if state.inputs_on != g as u16 {
-            // Stolen (prefetched elsewhere) or deferred by memory pressure:
-            // acquire on this GPU now, releasing any stale pins on the
-            // original target.
-            if state.inputs_on != NO_GPU {
-                self.unpin_task(t, state.inputs_on as usize);
-            }
-            let (ready, dep, flow) = self
-                .acquire_inputs(t, g, true)
-                .expect("forced acquire always succeeds");
-            self.record_inputs(t, g, ready, dep, flow);
-            state = self.tasks[t.0];
-        }
-        let TaskState { input_ready, dep, flow, .. } = state;
-        self.unstarted -= state.kernel_seconds;
+        let kernel_seconds = self.tasks[t.0].kernel_seconds;
+        let (input_ready, dep, flow) = self.acquire_inputs(t, g);
+        self.unstarted -= kernel_seconds;
 
         // Complete-as-failed: a task whose dependency failed, or whose
         // input replica was poisoned by a dead link, skips its kernel but
@@ -774,16 +707,13 @@ impl<'a> SimExecutor<'a> {
         let done_at = if failed {
             self.clock.now().max(input_ready)
         } else {
-            let dur = Duration::new(state.kernel_seconds);
+            let dur = Duration::new(kernel_seconds);
             let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.labels[t.0], flow);
             let span = Span { subject: t.0 as u32, ..span };
             let (res, idx) = self.occupy(&[self.machine.kernel(g)], input_ready, dur, span, dep);
-            // The progress bound of `run_within` rests on this. A failed
-            // task frees its window slot without a kernel, so under a fault
-            // a task prefetched earlier can start on an idle engine in the
-            // past; the bound is off there.
+            // The progress bound of `run_within` rests on this.
             debug_assert!(
-                self.fault.is_some() || res.start >= self.clock.now(),
+                res.start >= self.clock.now(),
                 "task {} reserved at {:?} a kernel starting at {:?}",
                 t.0,
                 self.clock.now(),
@@ -997,9 +927,7 @@ impl<'a> SimExecutor<'a> {
         if task.kind == TaskKind::Kernel {
             let state = self.tasks[t.0];
             let g = state.assigned as usize;
-            if state.inputs_on != NO_GPU {
-                self.unpin_task(t, state.inputs_on as usize);
-            }
+            self.unpin_task(t, g);
             if !failed {
                 for h in task.written_handles() {
                     let bytes = graph.data().info(h).bytes;
@@ -1009,20 +937,6 @@ impl<'a> SimExecutor<'a> {
                     // (the writer's copy is now the only valid one).
                     if let Some(f) = self.fault.as_mut() {
                         f.failed_replicas.retain(|&(hh, _), _| hh != h.0);
-                    }
-                }
-                if self.cfg.eager_flush {
-                    // Chameleon/StarPU behaviour: a computed tile goes
-                    // straight back to the host once its *final* version is
-                    // produced (the flush-back annotation on the unrolled
-                    // data-flow graph, §IV-F) — intermediate k-step
-                    // versions stay.
-                    let now = self.clock.now();
-                    for h in task.written_handles() {
-                        if self.final_writer[h.0] == Some(t) {
-                            self.issue_d2h(h, g, now);
-                            self.cache.mark_flushed(h);
-                        }
                     }
                 }
             }
@@ -1265,19 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_flush_generates_d2h_per_write() {
-        let topo = dgx1();
-        let mut g = TaskGraph::new();
-        for i in 0..4 {
-            let c = g.add_data(DataInfo::host(MB, true, format!("c{i}")).with_owner(i));
-            g.add_task(tiny_op(), vec![rw(c)], format!("t{i}"));
-        }
-        let cfg = RuntimeConfig { eager_flush: true, ..RuntimeConfig::default() };
-        let out = simulate(&g, &topo, &cfg);
-        assert!(out.bytes_d2h >= 4 * MB);
-    }
-
-    #[test]
     fn obs_off_yields_none_and_identical_trace() {
         let topo = dgx1();
         let cfg = RuntimeConfig::default();
@@ -1408,7 +1309,7 @@ mod tests {
 
     #[test]
     fn task_record_fits_half_a_cache_line() {
-        assert!(std::mem::size_of::<TaskState>() <= 32);
+        assert!(std::mem::size_of::<TaskState>() <= 16);
     }
 
     /// A prep from another graph would index the per-task and per-handle

@@ -113,19 +113,17 @@ fn run_allocations(
     calls
 }
 
-/// XKBlas (work stealing, both heuristics) and Chameleon (dmdas, fetch at
-/// launch, eager flush) on GEMM N = 8192 / tile 1024: under 0.1 allocator
+/// XKBlas (work stealing, both heuristics) and Chameleon (dmdas,
+/// host-staged transfers) on GEMM N = 8192 / tile 1024: under 0.1 allocator
 /// calls per task (measured 28 and 30 for 512 tasks — the span list and the
 /// eight ready queues doubling), and eight times the tasks of N = 4096
 /// costs only those few doublings more, not eight times the calls.
 #[test]
 fn hot_loop_allocations_do_not_scale_with_tasks() {
     let xkblas = RuntimeConfig::xkblas();
-    let mut chameleon = RuntimeConfig::xkblas()
+    let chameleon = RuntimeConfig::xkblas()
         .with_scheduler(SchedulerKind::Dmdas)
         .with_heuristics(Heuristics::host_only());
-    chameleon.eager_flush = true;
-    chameleon.prefetch_at_assign = false;
 
     // The fabric builds its routing table and rank ladder on first use.
     let topo = dgx1();

@@ -72,11 +72,10 @@ fn degraded_nvlink_hurts_xkblas() {
 fn memory_pressure_degrades_gracefully() {
     let topo = dgx1();
     // Shallow window so the pinned working set stays below the tight
-    // capacity (otherwise the executor's forced-acquire path legitimately
+    // capacity (otherwise the launch-time acquire legitimately
     // oversubscribes and nothing is evictable).
     let mut base_cfg = RuntimeConfig::xkblas();
     base_cfg.window = 4;
-    base_cfg.prefetch_at_assign = false;
     let build = || {
         let mut ctx = Context::<f64>::new(topo.clone(), base_cfg.clone(), 2048);
         ctx.set_simulation_only(true);
