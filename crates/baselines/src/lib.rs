@@ -206,7 +206,7 @@ pub struct RunResult {
     pub bytes_p2p: u64,
     /// Observability report of the simulated run (link occupancy,
     /// contention, critical path). `None` for the models that bypass the
-    /// shared runtime (cuBLAS-XT, SLATE) or runs at [`xk_runtime::ObsLevel::Off`].
+    /// shared runtime (cuBLAS-XT, SLATE).
     pub obs: Option<ObsReport>,
 }
 
@@ -332,11 +332,7 @@ pub fn run_within(
             }
             // Two-level cache: D2D from any valid peer (no NVLink ranks,
             // no in-flight forwarding).
-            let mut cfg = RuntimeConfig::xkblas().with_heuristics(Heuristics {
-                topology_aware: false,
-                optimistic_d2d: false,
-                allow_d2d: true,
-            });
+            let mut cfg = RuntimeConfig::xkblas().with_heuristics(Heuristics::none());
             cfg.window = 4;
             run_on_runtime(topo, params, cfg, false, budget)
         }

@@ -3,7 +3,7 @@
 //! task graph through `xkblas-core` and simulate it under a per-library
 //! [`RuntimeConfig`].
 
-use xk_runtime::{ObsLevel, RuntimeConfig, SimOutcome};
+use xk_runtime::{RuntimeConfig, SimOutcome};
 use xk_topo::FabricSpec;
 use xk_trace::{SpanKind, Trace};
 use xkblas_core::{
@@ -73,7 +73,6 @@ pub(crate) fn run_on_runtime(
     let mut ctx = Context::<f64>::new(topo.clone(), cfg, params.tile);
     ctx.set_simulation_only(true);
     ctx.set_tile_layout(tile_layout);
-    ctx.set_observability(ObsLevel::Full);
     let out = build_routine_graph(&mut ctx, params.routine, params.n, params.data_on_device);
     if !params.data_on_device {
         ctx.memory_coherent_async(&out);
@@ -119,11 +118,7 @@ pub fn run_prepped(
     graph: &xk_runtime::TaskGraph,
     prep: &xk_runtime::SimPrep,
 ) -> RunResult {
-    let sim = xk_runtime::SimSession::on(topo)
-        .config(cfg)
-        .observe(ObsLevel::Full)
-        .run_prepped(graph, prep)
-        .into_outcome();
+    let sim = xk_runtime::SimSession::on(topo).config(cfg).run_prepped(graph, prep).into_outcome();
     outcome_to_result(sim, params)
 }
 

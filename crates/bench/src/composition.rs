@@ -3,7 +3,7 @@
 
 use xk_baselines::{Library, RunParams};
 use xk_kernels::{Diag, Routine, Side, Trans, Uplo};
-use xk_runtime::{ObsLevel, ObsReport, RuntimeConfig};
+use xk_runtime::{ObsReport, RuntimeConfig};
 use xk_topo::FabricSpec;
 use xk_trace::Trace;
 use xkblas_core::{gemm_async, trsm_async, Context, Matrix};
@@ -35,7 +35,6 @@ pub(crate) fn composition_flops(n: usize) -> f64 {
 pub fn run_xkblas_composition(topo: &FabricSpec, n: usize, tile: usize) -> CompositionResult {
     let mut ctx = Context::<f64>::new(topo.clone(), RuntimeConfig::xkblas(), tile);
     ctx.set_simulation_only(true);
-    ctx.set_observability(ObsLevel::Full);
     let a = Matrix::<f64>::phantom(n, n);
     let b = Matrix::<f64>::phantom(n, n);
     let c = Matrix::<f64>::phantom(n, n);

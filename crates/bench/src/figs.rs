@@ -303,16 +303,15 @@ pub fn fig5_libraries(topo: &FabricSpec, dims: &[usize]) -> Vec<(Routine, Table)
 /// must end exactly (bit-for-bit) at the makespan.
 fn checked_obs(lib: Library, r: &xk_baselines::RunResult) -> Option<&ObsReport> {
     let obs = r.obs.as_ref()?;
-    if let Some(cp) = &obs.critical_path {
-        assert_eq!(
-            cp.length.to_bits(),
-            obs.makespan.to_bits(),
-            "{}: critical path {} != makespan {}",
-            lib.name(),
-            cp.length,
-            obs.makespan
-        );
-    }
+    let cp = &obs.critical_path;
+    assert_eq!(
+        cp.length.to_bits(),
+        obs.makespan.to_bits(),
+        "{}: critical path {} != makespan {}",
+        lib.name(),
+        cp.length,
+        obs.makespan
+    );
     Some(obs)
 }
 
@@ -331,20 +330,15 @@ pub(crate) fn obs_summary(obs: &ObsReport) -> String {
             l.bytes as f64 / (1u64 << 30) as f64
         );
     }
-    if let Some(cp) = &obs.critical_path {
-        let _ = write!(
-            out,
-            "  critical path {:.3}s over {} spans:",
-            cp.length, cp.total_segments
-        );
-        for kind in SpanKind::ALL {
-            let secs = cp.kind_seconds(kind);
-            if secs > 0.0 {
-                let _ = write!(out, " {} {:.3}s", kind.label(), secs);
-            }
+    let cp = &obs.critical_path;
+    let _ = write!(out, "  critical path {:.3}s over {} spans:", cp.length, cp.total_segments);
+    for kind in SpanKind::ALL {
+        let secs = cp.kind_seconds(kind);
+        if secs > 0.0 {
+            let _ = write!(out, " {} {:.3}s", kind.label(), secs);
         }
-        let _ = writeln!(out, ", runtime {:.3}s", cp.runtime_gap);
     }
+    let _ = writeln!(out, ", runtime {:.3}s", cp.runtime_gap);
     out
 }
 

@@ -23,7 +23,7 @@ fn run_results_carry_obs_with_cp_invariant() {
         let (_, r) = best_tile_run(lib, &topo, Routine::Gemm, N, false)
             .unwrap_or_else(|e| panic!("{lib:?} failed: {e}"));
         let obs = r.obs.as_ref().unwrap_or_else(|| panic!("{lib:?}: no obs report"));
-        let cp = obs.critical_path.as_ref().expect("full observability");
+        let cp = &obs.critical_path;
         assert_eq!(
             cp.length.to_bits(),
             obs.makespan.to_bits(),
@@ -67,7 +67,7 @@ fn syr2k_cp_invariant() {
     let (_, r) = best_tile_run(Library::XkBlas(XkVariant::Full), &topo, Routine::Syr2k, N, false)
         .expect("syr2k runs");
     let obs = r.obs.as_ref().expect("obs report");
-    let cp = obs.critical_path.as_ref().expect("critical path");
+    let cp = &obs.critical_path;
     assert_eq!(cp.length.to_bits(), obs.makespan.to_bits());
     let covered: f64 = cp.by_kind.values().sum::<f64>() + cp.runtime_gap;
     assert!((covered - obs.makespan).abs() <= 1e-9 * obs.makespan.max(1.0));

@@ -15,8 +15,8 @@ use std::collections::HashSet;
 
 use xk_runtime::cache::CoherenceMutation;
 use xk_runtime::{
-    makespan_lower_bound, MakespanBound, RuntimeConfig, SimExecutor, SimOutcome, SimPrep,
-    TaskGraph,
+    makespan_lower_bound, MakespanBound, ObsLevel, RuntimeConfig, SimExecutor, SimOutcome,
+    SimPrep, TaskGraph,
 };
 use xk_sim::run_replicas;
 use xk_topo::FabricSpec;
@@ -57,7 +57,7 @@ fn run_one(
     mutation: Option<CoherenceMutation>,
     ctrl: &mut dyn xk_runtime::ScheduleController,
 ) -> SimOutcome {
-    let mut ex = SimExecutor::new(graph, topo, cfg);
+    let mut ex = SimExecutor::new(graph, topo, cfg).observe(ObsLevel::Off);
     if let Some(m) = mutation {
         ex = ex.inject_cache_mutation(m);
     }
@@ -172,7 +172,7 @@ pub fn explore_random_batch(
     merge_seed_results(run_replicas(seeds.len(), threads, |i| {
         let seed = seeds[i];
         let mut rng = RandomController::new(seed);
-        let mut ex = SimExecutor::with_prep(graph, topo, cfg, &prep);
+        let mut ex = SimExecutor::with_prep(graph, topo, cfg, &prep).observe(ObsLevel::Off);
         if let Some(m) = mutation {
             ex = ex.inject_cache_mutation(m);
         }
@@ -208,6 +208,7 @@ pub fn explore_pct_batch(
         let seed = seeds[i];
         let mut pct = crate::controllers::PctController::new(seed, change_every);
         let out = SimExecutor::with_prep(graph, topo, cfg, &prep)
+            .observe(ObsLevel::Off)
             .control(&mut pct)
             .run();
         SeedResult {

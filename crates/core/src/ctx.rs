@@ -13,7 +13,7 @@ use xk_kernels::perfmodel::TileOp;
 use xk_kernels::Scalar;
 use xk_runtime::task::TaskBody;
 use xk_runtime::{
-    run_parallel, DataInfo, Error, HandleId, ObsLevel, ParOutcome, Run, RuntimeConfig, SimOutcome,
+    run_parallel, DataInfo, Error, HandleId, ParOutcome, Run, RuntimeConfig, SimOutcome,
     SimSession, TaskAccess, TaskGraph, TaskLabel,
 };
 use xk_topo::{Device, FabricSpec};
@@ -47,7 +47,6 @@ pub struct Context<T: Scalar> {
     calls: usize,
     sim_only: bool,
     tile_layout: bool,
-    obs: ObsLevel,
     _scalar: PhantomData<T>,
 }
 
@@ -71,7 +70,6 @@ impl<T: Scalar> Context<T> {
             calls: 0,
             sim_only: false,
             tile_layout: false,
-            obs: ObsLevel::default(),
             _scalar: PhantomData,
         }
     }
@@ -82,18 +80,6 @@ impl<T: Scalar> Context<T> {
     /// `run_numeric` on such a graph is a dependency-ordered no-op.
     pub fn set_simulation_only(&mut self, on: bool) {
         self.sim_only = on;
-    }
-
-    /// Sets the observability level for simulated runs. Counters and the
-    /// critical path never perturb the simulation — traces stay
-    /// bit-identical across levels.
-    pub fn set_observability(&mut self, level: ObsLevel) {
-        self.obs = level;
-    }
-
-    /// The observability level simulated runs execute under.
-    pub fn observability(&self) -> ObsLevel {
-        self.obs
     }
 
     /// Pretends matrices are stored in *tile layout* (contiguous tiles, as
@@ -287,9 +273,7 @@ impl<T: Scalar> Context<T> {
     }
 
     fn session(&self) -> SimSession<'_> {
-        SimSession::on(&self.topo)
-            .config(self.cfg.clone())
-            .observe(self.obs)
+        SimSession::on(&self.topo).config(self.cfg.clone())
     }
 
     fn take_graph(&mut self) -> TaskGraph {

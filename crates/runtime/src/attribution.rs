@@ -26,6 +26,7 @@ use xk_topo::{bw, FabricSpec, LinkClass, LinkSpec};
 
 use crate::config::RuntimeConfig;
 use crate::graph::TaskGraph;
+use crate::obs::ObsLevel;
 use crate::sim_exec::{SimExecutor, SimPrep};
 
 /// Exhaustive coalition enumeration is used up to this many NVLink edges
@@ -110,7 +111,7 @@ pub fn link_attribution(
             return v;
         }
         let fabric = downgrade(topo, &edges, mask);
-        let out = SimExecutor::with_prep(graph, &fabric, cfg, &prep).run();
+        let out = SimExecutor::with_prep(graph, &fabric, cfg, &prep).observe(ObsLevel::Off).run();
         let v = if out.makespan > 0.0 {
             flops / out.makespan / 1e9
         } else {

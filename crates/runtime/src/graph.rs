@@ -140,7 +140,7 @@ impl TaskGraph {
         accesses: impl Into<TaskAccesses>,
         label: impl Into<TaskLabel>,
     ) -> TaskId {
-        self.push_task(TaskKind::Kernel, Some(op), accesses.into(), label.into(), None, 0)
+        self.push_task(TaskKind::Kernel, Some(op), accesses.into(), label.into(), None)
     }
 
     /// Adds a kernel task with a numeric body for the parallel executor.
@@ -151,14 +151,7 @@ impl TaskGraph {
         label: impl Into<TaskLabel>,
         body: TaskBody,
     ) -> TaskId {
-        self.push_task(
-            TaskKind::Kernel,
-            Some(op),
-            accesses.into(),
-            label.into(),
-            Some(body),
-            0,
-        )
+        self.push_task(TaskKind::Kernel, Some(op), accesses.into(), label.into(), Some(body))
     }
 
     /// Adds a host-coherency (flush) task reading `handles`: the model of
@@ -172,7 +165,7 @@ impl TaskGraph {
                 access: Access::Read,
             })
             .collect();
-        self.push_task(TaskKind::Flush, None, accesses, label.into(), None, 0)
+        self.push_task(TaskKind::Flush, None, accesses, label.into(), None)
     }
 
     #[inline]
@@ -183,7 +176,6 @@ impl TaskGraph {
         accesses: TaskAccesses,
         label: TaskLabel,
         body: Option<TaskBody>,
-        priority: i32,
     ) -> TaskId {
         let id = TaskId(self.tasks.len());
         assert!(id.0 < NONE as usize, "task count exceeds u32 index space");
@@ -291,7 +283,6 @@ impl TaskGraph {
             accesses,
             label,
             body,
-            priority,
         });
         id
     }

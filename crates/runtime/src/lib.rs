@@ -13,15 +13,15 @@
 //!
 //! * [`SimSession`] — the front door to a deterministic discrete-event
 //!   simulation of a multi-GPU node (the substitution for the paper's
-//!   DGX-1), producing a makespan, an [`xk_trace::Trace`] and — when
-//!   observability is on — an [`ObsReport`] with link occupancy,
-//!   contention wait and the critical path;
+//!   DGX-1), producing a makespan, an [`xk_trace::Trace`] and — unless
+//!   observability is [`ObsLevel::Off`] — an [`ObsReport`] with link
+//!   occupancy, contention wait and the critical path;
 //! * [`run_parallel`] — a pool of host threads sharing one ready queue
 //!   that actually executes the tile kernels on host memory, validating
 //!   the numerics.
 //!
 //! ```
-//! use xk_runtime::{ObsLevel, RuntimeConfig, SimSession, TaskGraph};
+//! use xk_runtime::{RuntimeConfig, SimSession, TaskGraph};
 //! use xk_runtime::task::{Access, TaskAccess};
 //! use xk_kernels::perfmodel::TileOp;
 //!
@@ -35,11 +35,10 @@
 //! let topo = xk_topo::dgx1();
 //! let run = SimSession::on(&topo)
 //!     .config(RuntimeConfig::xkblas())
-//!     .observe(ObsLevel::Full)
 //!     .run(&graph);
 //! assert_eq!(run.outcome().tasks_run, 1);
 //! let report = run.metrics().unwrap();
-//! assert_eq!(report.critical_path.as_ref().unwrap().length, run.outcome().makespan);
+//! assert_eq!(report.critical_path.length, run.outcome().makespan);
 //! ```
 
 #![warn(missing_docs)]
@@ -72,7 +71,7 @@ pub use data::{DataInfo, DataRegistry, HandleId};
 pub use error::Error;
 pub use graph::TaskGraph;
 pub use machine::Machine;
-pub use obs::{CpSegment, CriticalPath, GpuObs, LinkStats, ObsLevel, ObsReport};
+pub use obs::{CriticalPath, GpuObs, LinkStats, ObsLevel, ObsReport};
 pub use par_exec::{run_parallel, ParOutcome};
 pub use session::{Run, SimSession};
 pub use par_exec::run_controlled;

@@ -12,10 +12,10 @@
 //! * **contention**: wait seconds charged to the engine that *bound* each
 //!   reservation ([`xk_sim::EnginePool::bottleneck`], queried before the
 //!   reservation mutates the pool);
-//! * **critical path** ([`CriticalPath`], [`ObsLevel::Full`] only): the
-//!   chain of spans that determines the makespan, found by walking
-//!   backwards from the last-finishing span over data dependencies and
-//!   engine-occupancy predecessors. Timestamps in the DES are exact `f64`s
+//! * **critical path** ([`CriticalPath`]): the chain of spans that
+//!   determines the makespan, found by walking backwards from the
+//!   last-finishing span over data dependencies and engine-occupancy
+//!   predecessors. Timestamps in the DES are exact `f64`s
 //!   (`SimTime::max` returns an operand bit-for-bit), so "predecessor ends
 //!   exactly when this span starts" is an equality test, not a tolerance.
 //!   Chain time not covered by any span is reported as `runtime_gap`
@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use xk_sim::{EngineId, EnginePool, SimTime};
-use xk_trace::{Place, SpanKind, Trace};
+use xk_trace::{SpanKind, Trace};
 
 use crate::machine::Machine;
 
@@ -38,13 +38,12 @@ const NONE: u32 = u32::MAX;
 /// How much observability a run records.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ObsLevel {
-    /// Nothing beyond the trace itself (fastest; `SimOutcome::obs` is
-    /// `None`).
+    /// Nothing beyond the trace itself (`SimOutcome::obs` is `None`): for
+    /// runs whose report nobody reads.
     Off,
-    /// Per-link occupancy/contention counters, no critical path.
+    /// Per-link occupancy/contention counters, per-GPU queue pressure and
+    /// the critical path.
     #[default]
-    Counters,
-    /// Counters plus the span-DAG node table and critical-path analysis.
     Full,
 }
 
@@ -66,10 +65,6 @@ pub struct LinkStats {
     pub bytes: u64,
     /// `busy / makespan`, in `[0, 1]`.
     pub utilization: f64,
-    /// Seconds the critical path spent on operations holding this engine
-    /// ([`ObsLevel::Full`] only) — an upper bound on how much an infinitely
-    /// fast replacement of this link could shorten the run.
-    pub cp_seconds: f64,
 }
 
 /// Per-GPU scheduling pressure counters.
@@ -83,21 +78,6 @@ pub struct GpuObs {
     pub max_queue: usize,
     /// High-water mark of concurrently launched kernels (window pressure).
     pub max_in_flight: usize,
-}
-
-/// One link of the makespan-dominating chain.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CpSegment {
-    /// Operation category.
-    pub kind: SpanKind,
-    /// Device the span was attributed to.
-    pub place: Place,
-    /// Start time, seconds.
-    pub start: f64,
-    /// End time, seconds.
-    pub end: f64,
-    /// Resolved span label.
-    pub label: String,
 }
 
 /// The critical path: the chain of operations whose durations (plus
@@ -114,37 +94,20 @@ pub struct CriticalPath {
     /// for a window slot) and event plumbing. The model charges no
     /// host-side task submission cost.
     pub runtime_gap: f64,
-    /// The chain in time order, truncated to `CriticalPath::MAX_SEGMENTS`
-    /// entries so reports stay cheap to clone and cache.
-    pub segments: Vec<CpSegment>,
-    /// Untruncated chain length in spans.
+    /// Chain length in spans.
     pub total_segments: usize,
 }
 
 impl CriticalPath {
-    /// Cap on retained [`CriticalPath::segments`].
-    pub(crate) const MAX_SEGMENTS: usize = 64;
-
     /// Seconds the chain spends in one kind.
     pub fn kind_seconds(&self, kind: SpanKind) -> f64 {
         self.by_kind.get(&kind).copied().unwrap_or(0.0)
-    }
-
-    /// Seconds the chain spends in transfers (H2D + D2H + P2P).
-    pub fn transfer_seconds(&self) -> f64 {
-        SpanKind::ALL
-            .iter()
-            .filter(|k| k.is_transfer())
-            .map(|k| self.kind_seconds(*k))
-            .sum()
     }
 }
 
 /// Everything the observability layer learned about one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObsReport {
-    /// Level the run was recorded at.
-    pub level: ObsLevel,
     /// Makespan of the run, seconds (duplicated here so the report is
     /// self-contained even when the caller post-processes the trace).
     pub makespan: f64,
@@ -152,8 +115,8 @@ pub struct ObsReport {
     pub links: Vec<LinkStats>,
     /// One entry per GPU.
     pub gpus: Vec<GpuObs>,
-    /// The makespan-dominating chain ([`ObsLevel::Full`] only).
-    pub critical_path: Option<CriticalPath>,
+    /// The makespan-dominating chain.
+    pub critical_path: CriticalPath,
 }
 
 impl ObsReport {
@@ -177,16 +140,15 @@ impl ObsReport {
     }
 }
 
-/// One reservation's observability record: the engines it held, the last
-/// reservation seen on each of those engines before it, and its semantic
-/// (data-dependency) predecessor. Indices are span indices in the run's
-/// trace — the node table is parallel to `trace.spans()`.
+/// One reservation's observability record: the last reservation seen on
+/// each engine it held before it, and its semantic (data-dependency)
+/// predecessor. Indices are span indices in the run's trace — the node
+/// table is parallel to `trace.spans()`.
 #[derive(Clone, Copy, Debug)]
 struct ObsNode {
-    /// Engines held (as `EngineId.0`), `NONE`-padded. A reservation holds
-    /// at most 2 copy paths + 3 bus segments.
-    engines: [u32; 6],
-    /// Previous node on each corresponding engine (occupancy predecessor).
+    /// Previous node on each engine held (occupancy predecessor),
+    /// `NONE`-padded. A reservation holds at most 2 copy paths + 3 bus
+    /// segments.
     engine_preds: [u32; 6],
     /// Semantic predecessor: the transfer/kernel whose completion this
     /// reservation's `earliest` was derived from ([`NONE`] when the input
@@ -196,74 +158,46 @@ struct ObsNode {
 
 /// Flat-table recorder living inside the executor. All per-event work is
 /// O(engines-held) array writes; the analysis runs once, after the event
-/// loop.
+/// loop. An executor recording at [`ObsLevel::Off`] holds none.
 pub(crate) struct ObsRecorder {
-    level: ObsLevel,
     /// Contention wait seconds per engine.
     wait: Vec<f64>,
     /// Bytes carried per engine.
     bytes: Vec<u64>,
-    /// Node table, parallel to the trace spans ([`ObsLevel::Full`] only).
+    /// Node table, parallel to the trace spans.
     nodes: Vec<ObsNode>,
     /// Last node recorded on each engine.
     last_on_engine: Vec<u32>,
-    /// Node that made handle `h` valid on GPU `g`, indexed `h * n_gpus + g`
-    /// ([`ObsLevel::Full`] only).
+    /// Node that made handle `h` valid on GPU `g`, indexed `h * n_gpus + g`.
     valid_node: Vec<u32>,
     n_gpus: usize,
 }
 
 impl ObsRecorder {
-    pub(crate) fn new(
-        level: ObsLevel,
-        n_engines: usize,
-        n_handles: usize,
-        n_gpus: usize,
-        n_tasks: usize,
-    ) -> Self {
-        let full = level == ObsLevel::Full;
+    pub(crate) fn new(n_engines: usize, n_handles: usize, n_gpus: usize, n_tasks: usize) -> Self {
         ObsRecorder {
-            level,
-            wait: if level == ObsLevel::Off { Vec::new() } else { vec![0.0; n_engines] },
-            bytes: if level == ObsLevel::Off { Vec::new() } else { vec![0; n_engines] },
+            wait: vec![0.0; n_engines],
+            bytes: vec![0; n_engines],
             // ~3 spans per task (H2D + kernel + write-back) is a generous
             // starting size; growth past it is amortized like the trace's
             // own span vector.
-            nodes: if full { Vec::with_capacity(n_tasks.saturating_mul(3).max(64)) } else { Vec::new() },
-            last_on_engine: if full { vec![NONE; n_engines] } else { Vec::new() },
-            valid_node: if full { vec![NONE; n_handles * n_gpus] } else { Vec::new() },
+            nodes: Vec::with_capacity(n_tasks.saturating_mul(3).max(64)),
+            last_on_engine: vec![NONE; n_engines],
+            valid_node: vec![NONE; n_handles * n_gpus],
             n_gpus,
         }
-    }
-
-    /// True when any counters are being recorded.
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.level != ObsLevel::Off
-    }
-
-    /// True when the node table (critical-path input) is being recorded.
-    #[inline]
-    pub(crate) fn full(&self) -> bool {
-        self.level == ObsLevel::Full
     }
 
     /// Node that made `h` valid on `g`, or [`NONE`].
     #[inline]
     pub(crate) fn valid_node(&self, h: usize, g: usize) -> u32 {
-        if self.full() {
-            self.valid_node[h * self.n_gpus + g]
-        } else {
-            NONE
-        }
+        self.valid_node[h * self.n_gpus + g]
     }
 
     /// Marks `node` as the op that made `h` valid on `g`.
     #[inline]
     pub(crate) fn set_valid_node(&mut self, h: usize, g: usize, node: u32) {
-        if self.full() {
-            self.valid_node[h * self.n_gpus + g] = node;
-        }
+        self.valid_node[h * self.n_gpus + g] = node;
     }
 
     /// Records one reservation. `idx` is the index of the span just pushed
@@ -281,9 +215,6 @@ impl ObsRecorder {
         bytes: u64,
         dep: u32,
     ) {
-        if !self.enabled() {
-            return;
-        }
         if let Some(e) = bound {
             self.wait[e.0] += waited;
         }
@@ -292,18 +223,10 @@ impl ObsRecorder {
                 self.bytes[e.0] += bytes;
             }
         }
-        if !self.full() {
-            return;
-        }
         debug_assert!(engines.len() <= 6, "reservation holds >6 engines");
         debug_assert_eq!(idx as usize, self.nodes.len(), "node table out of sync");
-        let mut node = ObsNode {
-            engines: [NONE; 6],
-            engine_preds: [NONE; 6],
-            dep,
-        };
+        let mut node = ObsNode { engine_preds: [NONE; 6], dep };
         for (slot, &e) in engines.iter().enumerate().take(6) {
-            node.engines[slot] = e.0 as u32;
             node.engine_preds[slot] = self.last_on_engine[e.0];
             self.last_on_engine[e.0] = idx;
         }
@@ -320,31 +243,22 @@ impl ObsRecorder {
         makespan: f64,
         gpus: Vec<GpuObs>,
     ) -> ObsReport {
-        let mut links: Vec<LinkStats> = (0..pool.len())
+        let links: Vec<LinkStats> = (0..pool.len())
             .map(EngineId)
             .map(|id| LinkStats {
                 name: machine.name(id),
                 busy: pool.busy_total(id).seconds(),
                 ops: pool.ops(id),
-                wait: self.wait.get(id.0).copied().unwrap_or(0.0),
-                bytes: self.bytes.get(id.0).copied().unwrap_or(0),
+                wait: self.wait[id.0],
+                bytes: self.bytes[id.0],
                 utilization: pool.utilization(id, SimTime::new(makespan.max(0.0))),
-                cp_seconds: 0.0,
             })
             .collect();
-
-        let critical_path = if self.full() {
-            Some(self.critical_path(trace, &mut links))
-        } else {
-            None
-        };
-
         ObsReport {
-            level: self.level,
             makespan,
             links,
             gpus,
-            critical_path,
+            critical_path: self.critical_path(trace),
         }
     }
 
@@ -359,7 +273,7 @@ impl ObsRecorder {
     ///    interval between its end and this start is *runtime gap*
     ///    (scheduling). With no candidate at all
     ///    the remaining `[0, start)` is charged to the runtime.
-    fn critical_path(&self, trace: &Trace, links: &mut [LinkStats]) -> CriticalPath {
+    fn critical_path(&self, trace: &Trace) -> CriticalPath {
         let spans = trace.spans();
         let mut cp = CriticalPath::default();
         let Some(start_idx) = spans
@@ -378,21 +292,15 @@ impl ObsRecorder {
             return cp; // empty trace: length 0 == makespan 0
         };
 
-        let mut chain: Vec<u32> = Vec::new();
         let mut cur = start_idx as u32;
         cp.length = spans[start_idx].end;
         // Positive-duration spans cannot cycle; the cap guards against
         // degenerate zero-duration chains.
         let mut steps = spans.len() + 1;
         loop {
-            chain.push(cur);
+            cp.total_segments += 1;
             let s = &spans[cur as usize];
             *cp.by_kind.entry(s.kind).or_insert(0.0) += s.duration();
-            for &e in &self.nodes[cur as usize].engines {
-                if e != NONE {
-                    links[e as usize].cp_seconds += s.duration();
-                }
-            }
             let t = s.start;
             steps -= 1;
             if t <= 0.0 || steps == 0 {
@@ -437,23 +345,6 @@ impl ObsRecorder {
                 }
             }
         }
-
-        cp.total_segments = chain.len();
-        chain.reverse(); // time order
-        cp.segments = chain
-            .iter()
-            .take(CriticalPath::MAX_SEGMENTS)
-            .map(|&i| {
-                let s = &spans[i as usize];
-                CpSegment {
-                    kind: s.kind,
-                    place: s.place,
-                    start: s.start,
-                    end: s.end,
-                    label: trace.label(s.label).to_string(),
-                }
-            })
-            .collect();
         cp
     }
 }
@@ -463,8 +354,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_level_is_counters() {
-        assert_eq!(ObsLevel::default(), ObsLevel::Counters);
+    fn default_level_is_full() {
+        assert_eq!(ObsLevel::default(), ObsLevel::Full);
     }
 
     #[test]
@@ -473,7 +364,6 @@ mod tests {
         cp.by_kind.insert(SpanKind::H2D, 1.0);
         cp.by_kind.insert(SpanKind::P2P, 0.5);
         cp.by_kind.insert(SpanKind::Kernel, 2.0);
-        assert!((cp.transfer_seconds() - 1.5).abs() < 1e-12);
         assert!((cp.kind_seconds(SpanKind::Kernel) - 2.0).abs() < 1e-12);
         assert_eq!(cp.kind_seconds(SpanKind::D2H), 0.0);
     }
@@ -487,10 +377,8 @@ mod tests {
             wait: 0.0,
             bytes: 0,
             utilization: 0.0,
-            cp_seconds: 0.0,
         };
         let report = ObsReport {
-            level: ObsLevel::Counters,
             makespan: 1.0,
             links: vec![
                 mk("gpu0.pcie_in", 0.2),
@@ -499,7 +387,7 @@ mod tests {
                 mk("nvlink0->1", 0.4),
             ],
             gpus: Vec::new(),
-            critical_path: None,
+            critical_path: CriticalPath::default(),
         };
         let hot = report.hot_links(2);
         assert_eq!(hot.len(), 2);

@@ -5,7 +5,7 @@
 //! binary:
 //!
 //! ```
-//! use xk_runtime::{ObsLevel, RuntimeConfig, SimSession};
+//! use xk_runtime::{RuntimeConfig, SimSession};
 //! use xk_runtime::task::{Access, TaskAccess};
 //! use xk_kernels::perfmodel::TileOp;
 //!
@@ -20,7 +20,6 @@
 //! let topo = xk_topo::dgx1();
 //! let run = SimSession::on(&topo)
 //!     .config(RuntimeConfig::xkblas())
-//!     .observe(ObsLevel::Full)
 //!     .run(&graph);
 //! assert_eq!(run.outcome().tasks_run, 1);
 //! assert!(run.metrics().is_some()); // link occupancy, critical path, ...
@@ -54,7 +53,7 @@ pub struct SimSession<'t> {
 
 impl<'t> SimSession<'t> {
     /// Starts a session on `topo` with the XKBlas-like default
-    /// configuration and [`ObsLevel::Counters`] observability.
+    /// configuration and [`ObsLevel::Full`] observability (the default).
     pub fn on(topo: &'t FabricSpec) -> Self {
         SimSession {
             topo,
@@ -76,11 +75,6 @@ impl<'t> SimSession<'t> {
     pub fn observe(mut self, level: ObsLevel) -> Self {
         self.obs = level;
         self
-    }
-
-    /// The session's runtime configuration.
-    pub fn cfg(&self) -> &RuntimeConfig {
-        &self.cfg
     }
 
     /// Injects a [`LinkFault`] into subsequent runs: the modelled link dies
@@ -242,12 +236,12 @@ mod tests {
         let g = graph();
         let off = SimSession::on(&topo).observe(ObsLevel::Off).run(&g);
         assert!(off.metrics().is_none());
-        let counters = SimSession::on(&topo).observe(ObsLevel::Counters).run(&g);
-        let m = counters.metrics().expect("counters recorded");
-        assert!(m.critical_path.is_none());
-        assert!(!m.links.is_empty());
         let full = SimSession::on(&topo).observe(ObsLevel::Full).run(&g);
-        assert!(full.metrics().unwrap().critical_path.is_some());
+        let m = full.metrics().expect("full level records a report");
+        assert!(!m.links.is_empty());
+        assert_eq!(m.critical_path.length.to_bits(), full.outcome().makespan.to_bits());
+        let default = SimSession::on(&topo).run(&g);
+        assert_eq!(default.metrics(), Some(m), "the default level is Full");
     }
 
     #[test]

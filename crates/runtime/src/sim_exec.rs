@@ -216,8 +216,9 @@ pub struct SimExecutor<'a> {
     /// consuming kernels and write-backs. Always maintained — flat `u32`
     /// writes — so traces are identical across observability levels.
     flow_root: Vec<FlowId>,
-    /// Occupancy/contention/critical-path recorder.
-    obs: ObsRecorder,
+    /// Occupancy/contention/critical-path recorder; `None` at
+    /// [`ObsLevel::Off`].
+    obs: Option<ObsRecorder>,
     /// Resolves every choice point; canonical unless a controller is
     /// attached ([`SimExecutor::control`]).
     ctrl: Decider<'a>,
@@ -343,13 +344,7 @@ impl<'a> SimExecutor<'a> {
             })
             .collect();
         let cache = SoftwareCache::new(n, cfg.gpu_memory, graph.data());
-        let obs = ObsRecorder::new(
-            ObsLevel::default(),
-            pool.len(),
-            graph.data().len(),
-            n,
-            graph.len(),
-        );
+        let obs = ObsRecorder::new(pool.len(), graph.data().len(), n, graph.len());
         SimExecutor {
             graph,
             cfg,
@@ -371,7 +366,7 @@ impl<'a> SimExecutor<'a> {
             scratch_engines: Vec::new(),
             scratch_sources: Vec::with_capacity(n),
             flow_root: vec![FlowId::NONE; graph.data().len()],
-            obs,
+            obs: Some(obs),
             ctrl: Decider(None),
             fault: None,
             unstarted,
@@ -384,16 +379,18 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Sets the observability level for this run (default:
-    /// [`ObsLevel::Counters`]). Observability never changes the simulation —
+    /// [`ObsLevel::Full`]). Observability never changes the simulation —
     /// traces and makespans are bit-identical across levels.
     pub fn observe(mut self, level: ObsLevel) -> Self {
-        self.obs = ObsRecorder::new(
-            level,
-            self.pool.len(),
-            self.graph.data().len(),
-            self.gpus.len(),
-            self.graph.len(),
-        );
+        self.obs = match level {
+            ObsLevel::Off => None,
+            // Keep the recorder the constructor built: sessions call
+            // `observe` on every run, and `Full` is the default.
+            ObsLevel::Full => self.obs.take().or_else(|| {
+                let (n_handles, n_tasks) = (self.graph.data().len(), self.graph.len());
+                Some(ObsRecorder::new(self.pool.len(), n_handles, self.gpus.len(), n_tasks))
+            }),
+        };
         self
     }
 
@@ -484,7 +481,7 @@ impl<'a> SimExecutor<'a> {
         if makespan > limit {
             return Err(Error::OverBudget);
         }
-        let obs = if self.obs.enabled() {
+        let obs = self.obs.take().map(|recorder| {
             let gpu_rows: Vec<GpuObs> = self
                 .gpus
                 .iter()
@@ -496,14 +493,8 @@ impl<'a> SimExecutor<'a> {
                     max_in_flight: s.max_in_flight,
                 })
                 .collect();
-            let recorder = std::mem::replace(
-                &mut self.obs,
-                ObsRecorder::new(ObsLevel::Off, 0, 0, 0, 0),
-            );
-            Some(recorder.into_report(&self.trace, &self.pool, &self.machine, makespan, gpu_rows))
-        } else {
-            None
-        };
+            recorder.into_report(&self.trace, &self.pool, &self.machine, makespan, gpu_rows)
+        });
         let failures: Vec<(usize, Error)> = self.fault.map_or_else(Vec::new, |f| {
             let failed = f.task_failed.into_iter().enumerate();
             failed.filter_map(|(i, e)| Some((i, e?))).collect()
@@ -719,10 +710,10 @@ impl<'a> SimExecutor<'a> {
                 self.clock.now(),
                 res.start
             );
-            if self.obs.full() {
+            if let Some(obs) = self.obs.as_mut() {
                 // This kernel is now the op that makes its outputs valid here.
                 for h in task.written_handles() {
-                    self.obs.set_valid_node(h.0, g, idx);
+                    obs.set_valid_node(h.0, g, idx);
                 }
             }
             res.end
@@ -771,7 +762,7 @@ impl<'a> SimExecutor<'a> {
             SourceDecision::AlreadyThere { ready_at } => {
                 // Valid (or in flight) here already: the binding op is
                 // whatever made/makes it valid, on this replica's chain.
-                (ready_at, self.obs.valid_node(h.0, g), self.flow_root[h.0])
+                (ready_at, self.valid_node(h, g), self.flow_root[h.0])
             }
             SourceDecision::FromGpu { src } => self.issue_p2p(h, src, g, now, info.bytes),
             SourceDecision::ForwardAfter { via, ready_at } => {
@@ -787,7 +778,7 @@ impl<'a> SimExecutor<'a> {
                 let (res, idx) = self.occupy_transfer(host, gpu, info.pitched, now, span, NO_NODE);
                 self.cache.begin_transfer(h, g, info.bytes, res.end);
                 self.bytes_h2d += info.bytes;
-                self.obs.set_valid_node(h.0, g, idx);
+                self.set_valid_node(h, g, idx);
                 // A fresh host copy replaces whatever poison a dead link
                 // left on this replica (host links never fail in the model).
                 if let Some(f) = self.fault.as_mut() {
@@ -795,6 +786,18 @@ impl<'a> SimExecutor<'a> {
                 }
                 (res.end, idx, flow)
             }
+        }
+    }
+
+    /// Observability node that made `h` valid on `g`, or [`NO_NODE`].
+    fn valid_node(&self, h: HandleId, g: usize) -> u32 {
+        self.obs.as_ref().map_or(NO_NODE, |obs| obs.valid_node(h.0, g))
+    }
+
+    /// Marks span `idx` as the op that made `h` valid on `g`.
+    fn set_valid_node(&mut self, h: HandleId, g: usize, idx: u32) {
+        if let Some(obs) = self.obs.as_mut() {
+            obs.set_valid_node(h.0, g, idx);
         }
     }
 
@@ -809,7 +812,7 @@ impl<'a> SimExecutor<'a> {
         // The forward depends on whatever put the tile on the source GPU —
         // for `ForwardAfter` that is the still-in-flight inbound H2D, i.e.
         // exactly the optimistic H2D → P2P chain of §III-C.
-        let dep = self.obs.valid_node(h.0, src);
+        let dep = self.valid_node(h, src);
         let mut flow = self.flow_root[h.0];
         if flow == FlowId::NONE {
             // Data-on-device tile never read from the host: the first
@@ -824,7 +827,7 @@ impl<'a> SimExecutor<'a> {
         let (res, idx) = self.occupy_transfer(a, b, false, earliest, span, dep);
         self.cache.begin_transfer(h, dst, bytes, res.end);
         self.bytes_p2p += bytes;
-        self.obs.set_valid_node(h.0, dst, idx);
+        self.set_valid_node(h, dst, idx);
         if let Some(f) = self.fault.as_mut() {
             f.settle_p2p(h, src, dst, res.end);
         }
@@ -833,7 +836,7 @@ impl<'a> SimExecutor<'a> {
 
     fn issue_d2h(&mut self, h: HandleId, g: usize, earliest: SimTime) -> SimTime {
         let info = self.graph.data().info(h);
-        let dep = self.obs.valid_node(h.0, g);
+        let dep = self.valid_node(h, g);
         let span = self.transfer_span(g, 2, SpanKind::D2H, h, info.bytes, self.flow_root[h.0]);
         let (gpu, host) = (Device::Gpu(g), Device::Host);
         let (res, _) = self.occupy_transfer(gpu, host, info.pitched, earliest, span, dep);
@@ -866,15 +869,13 @@ impl<'a> SimExecutor<'a> {
         span: Span,
         dep: u32,
     ) -> (Reservation, u32) {
-        let bound = if self.obs.enabled() {
-            self.pool.bottleneck(engines, earliest)
-        } else {
-            None
-        };
+        let bound = if self.obs.is_some() { self.pool.bottleneck(engines, earliest) } else { None };
         let res = self.pool.reserve(engines, earliest, dur);
         let (start, end) = (res.start.seconds(), res.end.seconds());
         let idx = self.trace.len() as u32;
-        self.obs.record(idx, engines, bound, start - earliest.seconds(), span.bytes, dep);
+        if let Some(obs) = self.obs.as_mut() {
+            obs.record(idx, engines, bound, start - earliest.seconds(), span.bytes, dep);
+        }
         self.trace.push(Span { start, end, ..span });
         (res, idx)
     }
@@ -1005,10 +1006,10 @@ mod tests {
         TileOp::Gemm { m: 512, n: 512, k: 512 }
     }
 
-    /// Unit tests run at [`ObsLevel::Full`] so every path also exercises
-    /// the recorder.
+    /// Unit tests run at the default [`ObsLevel::Full`] so every path also
+    /// exercises the recorder.
     fn simulate(graph: &TaskGraph, topo: &FabricSpec, cfg: &RuntimeConfig) -> SimOutcome {
-        SimExecutor::new(graph, topo, cfg).observe(ObsLevel::Full).run()
+        SimExecutor::new(graph, topo, cfg).run()
     }
 
     /// A graph where every GPU reads the same host tile once.
@@ -1202,7 +1203,7 @@ mod tests {
         let out = simulate(&broadcast_graph(8), &topo, &RuntimeConfig::default());
         let report = out.obs.expect("full obs");
         assert_eq!(report.makespan.to_bits(), out.makespan.to_bits());
-        let cp = report.critical_path.expect("full level records the path");
+        let cp = report.critical_path;
         assert_eq!(cp.length.to_bits(), out.makespan.to_bits());
         // The chain durations plus runtime gaps tile [0, makespan].
         let covered: f64 = cp.by_kind.values().sum::<f64>() + cp.runtime_gap;
@@ -1212,7 +1213,6 @@ mod tests {
             cp.length
         );
         assert!(cp.total_segments >= 1);
-        assert!(!cp.segments.is_empty());
     }
 
     #[test]
@@ -1267,10 +1267,8 @@ mod tests {
         let cfg = RuntimeConfig::default();
         let base = simulate(&broadcast_graph(8), &topo, &cfg);
         let mut ctrl = crate::choice::CanonicalController;
-        let controlled = SimExecutor::new(&broadcast_graph(8), &topo, &cfg)
-            .observe(ObsLevel::Full)
-            .control(&mut ctrl)
-            .run();
+        let controlled =
+            SimExecutor::new(&broadcast_graph(8), &topo, &cfg).control(&mut ctrl).run();
         assert_eq!(base.makespan.to_bits(), controlled.makespan.to_bits());
         assert_eq!(base.trace.len(), controlled.trace.len());
         for (a, b) in base.trace.spans().iter().zip(controlled.trace.spans()) {

@@ -298,10 +298,6 @@ pub struct Task {
     pub label: TaskLabel,
     /// Numeric payload for the parallel executor (consumed on execution).
     pub body: Option<TaskBody>,
-    /// Scheduling priority (higher runs earlier among ready tasks; tiled
-    /// algorithms use this to favour the critical path, like StarPU's
-    /// `dmdas` consumes priorities).
-    pub priority: i32,
 }
 
 impl Task {
@@ -366,7 +362,6 @@ mod tests {
             .into(),
             label: TaskLabel::None,
             body: None,
-            priority: 0,
         };
         assert_eq!(t.owner_handle(), Some(HandleId(9)));
         assert_eq!(t.read_handles().collect::<Vec<_>>(), vec![HandleId(7), HandleId(9)]);

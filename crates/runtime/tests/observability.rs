@@ -141,7 +141,7 @@ fn critical_path_invariant_across_configs() {
             .observe(ObsLevel::Full)
             .run(&broadcast(8));
         let obs = run.metrics().expect("full observability");
-        let cp = obs.critical_path.as_ref().expect("critical path recorded");
+        let cp = &obs.critical_path;
         assert_eq!(
             cp.length.to_bits(),
             obs.makespan.to_bits(),

@@ -34,11 +34,10 @@
 //! ctx.memory_coherent_async(&c);
 //! ctx.run_numeric(0);
 //!
-//! // The same call, timed on the simulated 8-GPU DGX-1 with full
-//! // observability (link occupancy, contention, critical path).
+//! // The same call, timed on the simulated 8-GPU DGX-1; observability
+//! // (link occupancy, contention, critical path) is on by default.
 //! let mut sim_ctx = Context::<f64>::new(dgx1(), RuntimeConfig::xkblas(), 2048);
 //! sim_ctx.set_simulation_only(true);
-//! sim_ctx.set_observability(ObsLevel::Full);
 //! let (pa, pb, pc) = (Matrix::phantom(16384, 16384),
 //!                     Matrix::phantom(16384, 16384),
 //!                     Matrix::phantom(16384, 16384));
@@ -47,8 +46,7 @@
 //! let outcome = sim_ctx.run_simulated();
 //! assert!(outcome.makespan > 0.0);
 //! let report = outcome.obs.expect("full observability");
-//! let cp = report.critical_path.expect("critical path recorded");
-//! assert_eq!(cp.length, outcome.makespan);
+//! assert_eq!(report.critical_path.length, outcome.makespan);
 //! ```
 
 pub use xk_baselines as baselines;
