@@ -2,8 +2,15 @@
 //! (XKBlas and the runtime-based baseline models): build the routine's
 //! task graph through `xkblas-core` and simulate it under a per-library
 //! [`RuntimeConfig`].
+//!
+//! A graph does not depend on the configuration, so each thread keeps the
+//! graphs of one family — fabric, routine, `n`, methodology and layout —
+//! with their [`SimPrep`], one per tile: the Fig. 3 ablations and a tile
+//! search's later libraries simulate the graphs the first one built.
 
-use xk_runtime::{RuntimeConfig, SimOutcome};
+use std::cell::RefCell;
+
+use xk_runtime::{RuntimeConfig, SimOutcome, SimPrep, SimSession, TaskGraph};
 use xk_topo::FabricSpec;
 use xk_trace::{SpanKind, Trace};
 use xkblas_core::{
@@ -58,8 +65,73 @@ pub(crate) fn build_routine_graph(
     }
 }
 
+/// Every input of [`build_run_graph`] but the tile and the configuration:
+/// the graphs of one family differ only in their tile.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Family {
+    fabric: u64,
+    routine: Routine,
+    n: usize,
+    data_on_device: bool,
+    tile_layout: bool,
+}
+
+/// A finished graph and its prep.
+struct Prepared {
+    graph: TaskGraph,
+    prep: SimPrep,
+}
+
+/// The graphs of one family, one per tile, in build order.
+#[derive(Default)]
+struct GraphMemo {
+    family: Option<Family>,
+    tiles: Vec<(usize, Prepared)>,
+}
+
+thread_local! {
+    /// The graphs of the thread's last family: every [`run_on_runtime`]
+    /// reads its graph from here.
+    static MEMO: RefCell<GraphMemo> = RefCell::default();
+}
+
+impl GraphMemo {
+    /// The prepared graph of `params` on `topo`, built on first request.
+    /// A request from another family releases the memo's graphs first.
+    fn prepared(
+        &mut self,
+        topo: &FabricSpec,
+        params: &RunParams,
+        cfg: &RuntimeConfig,
+        tile_layout: bool,
+    ) -> &Prepared {
+        let family = Family {
+            fabric: topo.fingerprint(),
+            routine: params.routine,
+            n: params.n,
+            data_on_device: params.data_on_device,
+            tile_layout,
+        };
+        if self.family != Some(family) {
+            self.tiles.clear();
+            self.family = Some(family);
+        }
+        let at = match self.tiles.iter().position(|(tile, _)| *tile == params.tile) {
+            Some(at) => at,
+            None => {
+                let graph = build_run_graph(topo, params, cfg, tile_layout);
+                let prep = SimPrep::new(&graph);
+                self.tiles.push((params.tile, Prepared { graph, prep }));
+                self.tiles.len() - 1
+            }
+        };
+        &self.tiles[at].1
+    }
+}
+
 /// Simulates one routine call under `cfg` within a makespan `budget`
-/// (`f64::INFINITY` for none; see [`Context::run_simulated_within`]).
+/// (`f64::INFINITY` for none; see [`SimSession::run_prepped_within`]) on
+/// the thread's memoized graph of the call.
 /// Data-on-host runs end with a `memory_coherent` of the output (§IV-A
 /// end-to-end methodology); data-on-device runs leave results on the GPUs
 /// (§IV-C).
@@ -70,15 +142,13 @@ pub(crate) fn run_on_runtime(
     tile_layout: bool,
     budget: f64,
 ) -> Result<RunResult, RunError> {
-    let mut ctx = Context::<f64>::new(topo.clone(), cfg, params.tile);
-    ctx.set_simulation_only(true);
-    ctx.set_tile_layout(tile_layout);
-    let out = build_routine_graph(&mut ctx, params.routine, params.n, params.data_on_device);
-    if !params.data_on_device {
-        ctx.memory_coherent_async(&out);
-    }
-    let sim = ctx.run_simulated_within(budget)?;
-    Ok(outcome_to_result(sim, params))
+    MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        let Prepared { graph, prep } = memo.prepared(topo, params, &cfg, tile_layout);
+        let session = SimSession::on(topo).config(cfg);
+        let sim = session.run_prepped_within(graph, prep, budget)?.into_outcome();
+        Ok(outcome_to_result(sim, params))
+    })
 }
 
 /// Builds the task graph of one routine call exactly as the libraries
@@ -86,16 +156,15 @@ pub(crate) fn run_on_runtime(
 /// unexecuted.
 ///
 /// A data-on-host graph ends with one flush task per output tile. The
-/// graph does not depend on `cfg`'s scheduler or heuristic fields, so one
-/// graph built here can be simulated under every [`crate::XkVariant`]
-/// configuration via [`run_prepped`], sharing the hoisted
-/// [`xk_runtime::SimPrep`] across those runs.
+/// graph does not depend on `cfg`, so one graph built here can be
+/// simulated under every library configuration via [`run_prepped`],
+/// sharing the hoisted [`SimPrep`] across those runs.
 pub fn build_run_graph(
     topo: &FabricSpec,
     params: &RunParams,
     cfg: &RuntimeConfig,
     tile_layout: bool,
-) -> xk_runtime::TaskGraph {
+) -> TaskGraph {
     let mut ctx = Context::<f64>::new(topo.clone(), cfg.clone(), params.tile);
     ctx.set_simulation_only(true);
     ctx.set_tile_layout(tile_layout);
@@ -108,17 +177,17 @@ pub fn build_run_graph(
 
 /// Simulates a pre-built routine graph under `cfg` with shared per-graph
 /// prep: the timing, byte counters and observability are byte-identical to
-/// simulating the call from scratch under `cfg`, as [`crate::run`] does
-/// for each [`crate::XkVariant`] (only the process-global matrix ids inside
-/// trace labels differ, as they do between any two context builds).
+/// [`crate::run`]'s for each [`crate::XkVariant`] (only the process-global
+/// matrix ids inside trace labels may differ, as they do between any two
+/// context builds).
 pub fn run_prepped(
     topo: &FabricSpec,
     params: &RunParams,
     cfg: RuntimeConfig,
-    graph: &xk_runtime::TaskGraph,
-    prep: &xk_runtime::SimPrep,
+    graph: &TaskGraph,
+    prep: &SimPrep,
 ) -> RunResult {
-    let sim = xk_runtime::SimSession::on(topo).config(cfg).run_prepped(graph, prep).into_outcome();
+    let sim = SimSession::on(topo).config(cfg).run_prepped(graph, prep).into_outcome();
     outcome_to_result(sim, params)
 }
 
@@ -208,6 +277,37 @@ mod tests {
             assert_eq!(direct.bytes_p2p, prepped.bytes_p2p, "{variant:?}");
             assert_eq!(direct.trace.len(), prepped.trace.len(), "{variant:?}");
         }
+    }
+
+    /// The memo holds one family: a run of another family releases every
+    /// graph of the previous one, and a run of the same family reuses them.
+    #[test]
+    fn a_family_switch_releases_the_previous_familys_graphs() {
+        // A thread of its own: its memo starts empty.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let topo = dgx1();
+                let run = |routine, tile, cfg| {
+                    let params = RunParams { routine, n: 2048, tile, data_on_device: false };
+                    run_on_runtime(&topo, &params, cfg, false, f64::INFINITY).unwrap();
+                };
+                let resident = || {
+                    MEMO.with(|m| {
+                        let memo = m.borrow();
+                        let tiles: Vec<usize> = memo.tiles.iter().map(|(t, _)| *t).collect();
+                        (memo.family.map(|f| f.routine), tiles)
+                    })
+                };
+                run(Routine::Gemm, 512, RuntimeConfig::xkblas());
+                run(Routine::Gemm, 1024, RuntimeConfig::xkblas());
+                assert_eq!(resident(), (Some(Routine::Gemm), vec![512, 1024]));
+                let no_topo = crate::XkVariant::NoHeuristicNoTopo.runtime_config();
+                run(Routine::Gemm, 512, no_topo);
+                assert_eq!(resident(), (Some(Routine::Gemm), vec![512, 1024]), "no new graph");
+                run(Routine::Syrk, 512, RuntimeConfig::xkblas());
+                assert_eq!(resident(), (Some(Routine::Syrk), vec![512]), "GEMM still resident");
+            });
+        });
     }
 
     #[test]

@@ -13,7 +13,7 @@ use xk_kernels::perfmodel::TileOp;
 use xk_kernels::Scalar;
 use xk_runtime::task::TaskBody;
 use xk_runtime::{
-    run_parallel, DataInfo, Error, HandleId, ParOutcome, Run, RuntimeConfig, SimOutcome,
+    run_parallel, DataInfo, HandleId, ParOutcome, RuntimeConfig, SimOutcome,
     SimSession, TaskAccess, TaskGraph, TaskLabel,
 };
 use xk_topo::{Device, FabricSpec};
@@ -240,27 +240,23 @@ impl<T: Scalar> Context<T> {
     /// Executes the composed graph on the simulated platform and resets
     /// the context.
     pub fn run_simulated(&mut self) -> SimOutcome {
-        self.run_simulated_within(f64::INFINITY).expect("an infinite budget is never exceeded")
-    }
-
-    /// [`Context::run_simulated`] under a makespan budget:
-    /// `Err(Error::OverBudget)` when the run's makespan exceeds `budget`
-    /// seconds, found out as soon as a lower bound proves it
-    /// ([`SimSession::run_within`]).
-    pub fn run_simulated_within(&mut self, budget: f64) -> Result<SimOutcome, Error> {
         let graph = self.take_graph();
-        self.session().run_within(&graph, budget).map(Run::into_outcome)
+        self.session().run(&graph).into_outcome()
     }
 
-    /// Detaches the composed graph without running it and resets the
-    /// context, exactly as the `run_*` entry points do before executing.
+    /// Detaches the composed graph without running it, its spare capacity
+    /// released ([`TaskGraph::shrink_to_fit`]), and resets the context,
+    /// exactly as the `run_*` entry points do before executing.
     ///
-    /// Batched callers (the xk-serve miss driver) use this to build one
-    /// graph and simulate it under several runtime configurations via
-    /// [`xk_runtime::SimSession::run_prepped`], sharing the hoisted
-    /// [`xk_runtime::SimPrep`] instead of re-deriving it per run.
+    /// The shared-runtime library drivers (`xk_baselines::run`) use this to
+    /// build one graph per tile and simulate it under every library
+    /// configuration via [`xk_runtime::SimSession::run_prepped_within`],
+    /// sharing the hoisted [`xk_runtime::SimPrep`] instead of re-deriving
+    /// it per run.
     pub fn finish_graph(&mut self) -> TaskGraph {
-        self.take_graph()
+        let mut graph = self.take_graph();
+        graph.shrink_to_fit();
+        graph
     }
 
     /// Executes the composed graph both ways: numerically (for values) and

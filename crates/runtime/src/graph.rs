@@ -73,6 +73,9 @@ struct SuccCsr {
 /// A complete task graph: tasks, tiles and dependency edges.
 pub struct TaskGraph {
     tasks: Vec<Task>,
+    /// Numeric bodies by `TaskId.0`, for the host executors. Empty in a
+    /// simulation-only graph; else as long as the last task given a body.
+    bodies: Vec<Option<TaskBody>>,
     data: DataRegistry,
     history: Vec<HandleHistory>,
     reader_nodes: Vec<ReaderNode>,
@@ -89,6 +92,7 @@ impl Default for TaskGraph {
     fn default() -> Self {
         TaskGraph {
             tasks: Vec::new(),
+            bodies: Vec::new(),
             data: DataRegistry::default(),
             history: Vec::new(),
             reader_nodes: Vec::new(),
@@ -107,17 +111,17 @@ impl TaskGraph {
         TaskGraph::default()
     }
 
-    /// Reserves capacity for `tasks` more tasks and `edges` more
-    /// dependency edges. Tiled builders know both up front (`nt³` tasks,
-    /// ~3 edges each), and reserving once turns the amortized `Vec`
-    /// doubling on the submission path into a single allocation.
-    pub fn reserve(&mut self, tasks: usize, edges: usize) {
-        self.tasks.reserve(tasks);
-        self.pred_offsets.reserve(tasks);
-        self.pred_targets.reserve(edges);
-        // Read accesses park one pooled node each until the next writer
-        // recycles them; edge count is a good proxy for the peak.
-        self.reader_nodes.reserve(edges);
+    /// Releases the spare capacity that amortized growth left in the task,
+    /// edge and history tables, so a finished graph kept for many runs
+    /// holds only what it uses. Further pushes grow the tables again.
+    pub fn shrink_to_fit(&mut self) {
+        self.tasks.shrink_to_fit();
+        self.bodies.shrink_to_fit();
+        self.history.shrink_to_fit();
+        self.reader_nodes.shrink_to_fit();
+        self.scratch_deps = Vec::new();
+        self.pred_offsets.shrink_to_fit();
+        self.pred_targets.shrink_to_fit();
     }
 
     /// Registers a tile.
@@ -143,7 +147,8 @@ impl TaskGraph {
         self.push_task(TaskKind::Kernel, Some(op), accesses.into(), label.into(), None)
     }
 
-    /// Adds a kernel task with a numeric body for the parallel executor.
+    /// Adds a kernel task with a numeric body for the host executors. The
+    /// body goes to the graph's side table, which only numeric graphs fill.
     pub fn add_task_with_body(
         &mut self,
         op: TileOp,
@@ -276,14 +281,11 @@ impl TaskGraph {
             .extend(self.scratch_deps.iter().map(|d| d.0 as u32));
         self.pred_offsets.push(self.pred_targets.len() as u32);
         self.succ.take(); // invalidate the cached successor CSR
-        self.tasks.push(Task {
-            id,
-            kind,
-            op,
-            accesses,
-            label,
-            body,
-        });
+        self.tasks.push(Task { kind, op, accesses, label });
+        if let Some(body) = body {
+            self.bodies.resize_with(id.0, || None);
+            self.bodies.push(Some(body));
+        }
         id
     }
 
@@ -307,9 +309,12 @@ impl TaskGraph {
         &self.tasks[id.0]
     }
 
-    /// Mutable task by id (the parallel executor takes bodies out).
-    pub(crate) fn task_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.0]
+    /// Takes the numeric bodies out, one slot per task by `TaskId.0`
+    /// (`None` for a task without one): the host executors run each once.
+    pub(crate) fn take_bodies(&mut self) -> Vec<Option<TaskBody>> {
+        let mut bodies = std::mem::take(&mut self.bodies);
+        bodies.resize_with(self.tasks.len(), || None);
+        bodies
     }
 
     /// All tasks in creation order.
@@ -442,14 +447,14 @@ impl TaskGraph {
         }
         let mut buf = String::new();
         let mut s = String::from("digraph tasks {\n  rankdir=LR;\n");
-        for t in &self.tasks {
+        for (id, t) in self.tasks.iter().enumerate() {
             buf.clear();
             t.label.render_into(&mut buf);
-            let _ = writeln!(s, "  t{} [label=\"{}\"];", t.id.0, escape(&buf));
+            let _ = writeln!(s, "  t{id} [label=\"{}\"];", escape(&buf));
         }
-        for t in &self.tasks {
-            for succ in self.successors(t.id) {
-                let _ = writeln!(s, "  t{} -> t{};", t.id.0, succ.0);
+        for id in 0..self.tasks.len() {
+            for succ in self.successors(TaskId(id)) {
+                let _ = writeln!(s, "  t{id} -> t{};", succ.0);
             }
         }
         s.push_str("}\n");

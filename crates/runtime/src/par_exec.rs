@@ -163,9 +163,8 @@ pub fn run_parallel(graph: &mut TaskGraph, n_threads: usize) -> ParOutcome {
 
     // Take the bodies out so workers can consume them without aliasing the
     // graph.
-    let bodies: Vec<Mutex<Option<TaskBody>>> = (0..n)
-        .map(|i| Mutex::new(graph.task_mut(TaskId(i)).body.take()))
-        .collect();
+    let bodies: Vec<Mutex<Option<TaskBody>>> =
+        graph.take_bodies().into_iter().map(Mutex::new).collect();
     graph.finalize(); // build the successor CSR once, outside the hot loop
     let graph: &TaskGraph = graph;
     let pool = Pool {
@@ -225,9 +224,7 @@ pub fn run_controlled(
         return ParOutcome::default();
     }
     let workers_n = n_workers.max(1);
-    let mut bodies: Vec<Option<TaskBody>> = (0..n)
-        .map(|i| graph.task_mut(TaskId(i)).body.take())
-        .collect();
+    let mut bodies = graph.take_bodies();
     graph.finalize();
     let mut pending: Vec<usize> = graph.pred_counts().collect();
     let mut ready: VecDeque<TaskId> = graph.roots().into();

@@ -108,6 +108,18 @@ impl<'t> SimSession<'t> {
         self.complete(SimExecutor::with_prep(graph, self.topo, &self.cfg, prep))
     }
 
+    /// [`SimSession::run_prepped`] under a makespan budget, with
+    /// [`SimSession::run_within`]'s verdict: the run it gives, or
+    /// `Err(Error::OverBudget)`.
+    pub fn run_prepped_within(
+        &self,
+        graph: &TaskGraph,
+        prep: &SimPrep,
+        budget: f64,
+    ) -> Result<Run, Error> {
+        self.execute(SimExecutor::with_prep(graph, self.topo, &self.cfg, prep), budget)
+    }
+
     /// Simulates `graph` under a [`ScheduleController`]: every
     /// nondeterministic tie is resolved by `ctrl` (see
     /// [`SimExecutor::control`]). The run's trace records what happened.

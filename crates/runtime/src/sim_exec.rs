@@ -1310,6 +1310,12 @@ mod tests {
         assert!(std::mem::size_of::<TaskState>() <= 16);
     }
 
+    /// Every graph a thread's memo keeps alive costs this per task.
+    #[test]
+    fn graph_task_fits_two_cache_lines() {
+        assert!(std::mem::size_of::<crate::task::Task>() <= 128);
+    }
+
     /// A prep from another graph would index the per-task and per-handle
     /// tables out of step: refused by a real check, not a `debug_assert`.
     #[test]

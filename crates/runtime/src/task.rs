@@ -283,10 +283,11 @@ impl From<&str> for TaskLabel {
 /// access to written tiles at execution time.
 pub type TaskBody = Box<dyn FnOnce() + Send + Sync>;
 
-/// A runtime task.
+/// A runtime task. Its [`TaskId`] is its index in the graph's task table;
+/// a numeric body, if any, sits in the graph's side table (see
+/// [`crate::TaskGraph::add_task_with_body`]).
+#[derive(Debug)]
 pub struct Task {
-    /// Identifier (assigned by the graph).
-    pub id: TaskId,
     /// Kernel vs flush.
     pub kind: TaskKind,
     /// Shape fed to the GPU performance model (kernels only).
@@ -296,8 +297,6 @@ pub struct Task {
     pub accesses: TaskAccesses,
     /// Lazily-rendered label for traces (e.g. `"gemm C(1,2)"`).
     pub label: TaskLabel,
-    /// Numeric payload for the parallel executor (consumed on execution).
-    pub body: Option<TaskBody>,
 }
 
 impl Task {
@@ -326,17 +325,6 @@ impl Task {
     }
 }
 
-impl std::fmt::Debug for Task {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Task")
-            .field("id", &self.id)
-            .field("kind", &self.kind)
-            .field("label", &self.label)
-            .field("accesses", &self.accesses.as_slice())
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,7 +339,6 @@ mod tests {
     #[test]
     fn owner_is_first_written_handle() {
         let t = Task {
-            id: TaskId(0),
             kind: TaskKind::Kernel,
             op: None,
             accesses: vec![
@@ -361,7 +348,6 @@ mod tests {
             ]
             .into(),
             label: TaskLabel::None,
-            body: None,
         };
         assert_eq!(t.owner_handle(), Some(HandleId(9)));
         assert_eq!(t.read_handles().collect::<Vec<_>>(), vec![HandleId(7), HandleId(9)]);

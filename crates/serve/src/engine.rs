@@ -15,17 +15,14 @@
 //! 3. **Batched miss execution** — [`ServeEngine::query_batch`] drains
 //!    distinct misses into the cross-seed replica driver
 //!    ([`xk_sim::run_replicas`]); XKBlas-variant misses that share a task
-//!    graph are simulated from one hoisted [`xk_runtime::SimPrep`]
-//!    (see [`xk_baselines::run_prepped`]) instead of re-preparing per
-//!    query.
+//!    graph run one after another on one replica, so [`xk_baselines::run`]
+//!    builds and prepares that graph once for all of them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use xk_baselines::{
-    build_run_graph, run, run_prepped, Library, RunError, RunParams, RunResult, XkVariant,
-};
+use xk_baselines::{run, Library, RunError, RunParams, RunResult};
 use xk_topo::FabricSpec;
 
 use crate::interp::CurveTable;
@@ -245,7 +242,7 @@ impl ServeEngine {
     /// Answers a whole batch, draining cache misses into the replica
     /// driver: distinct misses simulate concurrently over `threads`
     /// workers (0 = all cores), and XKBlas-variant misses sharing a task
-    /// graph are simulated from one hoisted prep. Answers land in query
+    /// graph simulate one graph and prep. Answers land in query
     /// order and are identical to issuing each query alone.
     pub fn query_batch(
         &self,
@@ -278,8 +275,8 @@ impl ServeEngine {
             entry.push(*i);
         }
         enum Unit<'c> {
-            Solo(QueryKey, LeadGuard<'c>),
-            Group(Vec<(QueryKey, LeadGuard<'c>)>),
+            /// Misses run one after another on one replica.
+            Leads(Vec<(QueryKey, LeadGuard<'c>)>),
             WaitFor(QueryKey, Arc<Flight>),
         }
         let mut resolved: Vec<(QueryKey, RunOutcome, Source)> = Vec::new();
@@ -294,37 +291,25 @@ impl ServeEngine {
         }
 
         // Group XKBlas-variant leads that share a task graph: same
-        // (routine, n, tile, methodology), different heuristics.
+        // (routine, n, tile, methodology), different heuristics. One
+        // replica runs a group, so `run` builds and prepares its graph once.
         type GraphKey = (u8, usize, usize, bool);
         let mut groups: HashMap<GraphKey, Vec<(QueryKey, LeadGuard<'_>)>> = HashMap::new();
-        let mut solos: Vec<(QueryKey, LeadGuard<'_>)> = Vec::new();
+        let mut units: Vec<Unit<'_>> = Vec::new();
+        for (key, flight) in waits {
+            units.push(Unit::WaitFor(key, flight));
+        }
         for (key, guard) in leads {
-            // Only checked parameters may reach `build_run_graph`; a
-            // malformed key goes solo, where `run` reports the error.
-            if matches!(key.library, Library::XkBlas(_)) && params_of(&key).validate().is_ok() {
+            if matches!(key.library, Library::XkBlas(_)) {
                 groups
                     .entry((key.routine as u8, key.n, key.tile, key.data_on_device))
                     .or_default()
                     .push((key, guard));
             } else {
-                solos.push((key, guard));
+                units.push(Unit::Leads(vec![(key, guard)]));
             }
         }
-        let mut units: Vec<Unit<'_>> = Vec::new();
-        for (key, flight) in waits {
-            units.push(Unit::WaitFor(key, flight));
-        }
-        for (key, guard) in solos {
-            units.push(Unit::Solo(key, guard));
-        }
-        for (_, members) in groups {
-            if members.len() == 1 {
-                let (key, guard) = members.into_iter().next().unwrap();
-                units.push(Unit::Solo(key, guard));
-            } else {
-                units.push(Unit::Group(members));
-            }
-        }
+        units.extend(groups.into_values().map(Unit::Leads));
 
         // Drain the misses through the replica driver.
         let slots: Vec<Mutex<Option<Unit<'_>>>> =
@@ -333,33 +318,14 @@ impl ServeEngine {
             xk_sim::run_replicas(slots.len(), threads, |i| {
                 let unit = slots[i].lock().unwrap().take().expect("unit taken once");
                 match unit {
-                    Unit::Solo(key, guard) => {
-                        let params = params_of(&key);
-                        let outcome = guard.fill(run(key.library, &self.topo, &params));
-                        vec![(key, outcome, Source::Miss)]
-                    }
-                    Unit::Group(members) => {
-                        let params = params_of(&members[0].0);
-                        let base = XkVariant::Full.runtime_config();
-                        let graph = build_run_graph(&self.topo, &params, &base, false);
-                        let prep = xk_runtime::SimPrep::new(&graph);
-                        members
-                            .into_iter()
-                            .map(|(key, guard)| {
-                                let Library::XkBlas(variant) = key.library else {
-                                    unreachable!("groups hold only XKBlas variants");
-                                };
-                                let result = run_prepped(
-                                    &self.topo,
-                                    &params_of(&key),
-                                    variant.runtime_config(),
-                                    &graph,
-                                    &prep,
-                                );
-                                (key, guard.fill(Ok(result)), Source::Miss)
-                            })
-                            .collect()
-                    }
+                    Unit::Leads(members) => members
+                        .into_iter()
+                        .map(|(key, guard)| {
+                            let params = params_of(&key);
+                            let outcome = guard.fill(run(key.library, &self.topo, &params));
+                            (key, outcome, Source::Miss)
+                        })
+                        .collect(),
                     Unit::WaitFor(key, flight) => {
                         let (outcome, source) = match flight.wait() {
                             Some(outcome) => (outcome, Source::Coalesced),

@@ -68,8 +68,9 @@ pub fn selected_backend() -> QueueBackend {
 /// A tied pop ([`EventQueue::pop_tied`]) moves the whole minimum-time group
 /// out of the heap into `group`, in FIFO order, where it stays until it is
 /// drained: later picks from it are a `VecDeque::remove`, not a heap
-/// round-trip per loser. Invariant: while `group` is non-empty it holds
-/// every pending event at its time, and the heap holds only later ones.
+/// round-trip per loser. A push earlier than every pending event opens the
+/// group directly. Invariant: while `group` is non-empty it holds every
+/// pending event at its time, and the heap holds only later ones.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     group: VecDeque<Entry<E>>,
@@ -116,7 +117,14 @@ impl<E> EventQueue<E> {
                 self.heap.extend(self.group.drain(..));
                 self.heap.push(entry);
             }
-            _ => self.heap.push(entry),
+            Some(_) => self.heap.push(entry),
+            // Strictly earlier than everything pending (most often an event
+            // at the current instant): it alone is the group at its time,
+            // and skips the heap round-trip.
+            None if self.heap.peek().is_none_or(|e| time < e.time) => {
+                self.group.push_back(entry)
+            }
+            None => self.heap.push(entry),
         }
     }
 

@@ -2,7 +2,7 @@
 //! checked against a model: a plain `Vec` searched for its `(time, seq)`
 //! minimum, run in lockstep with [`EventQueue`] over randomized op scripts.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use xk_lp::{for_each_seed, SplitMix64};
 use xk_sim::{Clock, Duration, EngineId, EnginePool, EventQueue, SimTime};
@@ -182,6 +182,69 @@ fn lockstep_with_capacity_hint() {
     for_each_seed(8, |rng| {
         let hint = rng.pick(&[1, 64, 4096]);
         lockstep(rng, Dist::Uniform, 1000, EventQueue::with_capacity(hint));
+    });
+}
+
+/// A simulation-shaped script: half the pushes land at the instant of the
+/// last pop (where a push earlier than everything pending skips the heap),
+/// the rest a few quantized steps or a random gap later. The reference is a
+/// `BTreeMap` keyed by `(time, seq)`: the next event is its first key, and
+/// a tied pop removes the `k`-th (clamped) key at that time.
+#[test]
+fn lockstep_current_instant_pushes_against_a_sorted_reference() {
+    for_each_seed(64, |rng| {
+        let mut queue = EventQueue::new();
+        let mut reference: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        let mut seq = 0;
+        for step in 0..rng.usize_in(1, 600) {
+            match rng.next_below(8) {
+                0..=3 => {
+                    let t = match rng.next_below(4) {
+                        0 | 1 => now,
+                        2 => SimTime::new(now.seconds() + rng.next_below(4) as f64 * 0.5),
+                        _ => SimTime::new(now.seconds() + rng.next_f64()),
+                    };
+                    queue.push(t, seq);
+                    reference.insert((t, seq), seq);
+                    seq += 1;
+                }
+                4..=5 => {
+                    let want = reference.pop_first().map(|((t, _), e)| (t, e));
+                    let got = queue.pop();
+                    assert_eq!(got, want, "step {step}");
+                    now = got.map_or(now, |(t, _)| t);
+                }
+                _ => {
+                    let pick = rng.next_u64();
+                    let tied: Vec<(SimTime, u64)> = match reference.keys().next() {
+                        Some(&(t, _)) => reference.keys().copied().take_while(|k| k.0 == t).collect(),
+                        None => Vec::new(),
+                    };
+                    let mut offered = None;
+                    let got = queue.pop_tied(&mut |n| {
+                        offered = Some(n);
+                        (pick % n as u64) as usize
+                    });
+                    let want = match tied.len() {
+                        0 => None,
+                        n => {
+                            let key = tied[(pick % n as u64) as usize];
+                            reference.remove(&key).map(|e| (key.0, e))
+                        }
+                    };
+                    assert_eq!(got, want, "step {step}");
+                    assert_eq!(offered, Some(tied.len()).filter(|&n| n > 1), "step {step}");
+                    now = got.map_or(now, |(t, _)| t);
+                }
+            }
+            assert_eq!(queue.peek_time(), reference.keys().next().map(|k| k.0), "step {step}");
+            assert_eq!(queue.len(), reference.len());
+        }
+        while let Some(((t, _), e)) = reference.pop_first() {
+            assert_eq!(queue.pop(), Some((t, e)), "drain tail diverged");
+        }
+        assert!(queue.is_empty());
     });
 }
 

@@ -27,7 +27,7 @@ fn kernel_seconds_is_the_model_bit_for_bit_on_ragged_graphs() {
         let table = graph.kernel_seconds(&cfg.gpu_model);
         assert_eq!(table.len(), graph.len());
         let mut flushes = 0;
-        for (task, &seconds) in graph.tasks().iter().zip(&table) {
+        for (id, (task, &seconds)) in graph.tasks().iter().zip(&table).enumerate() {
             let expected = match task.op {
                 Some(op) => cfg.gpu_model.kernel_time(op),
                 None => {
@@ -39,8 +39,7 @@ fn kernel_seconds_is_the_model_bit_for_bit_on_ragged_graphs() {
             assert_eq!(
                 seconds.to_bits(),
                 expected.to_bits(),
-                "{routine:?} task {:?}",
-                task.id
+                "{routine:?} task {id}"
             );
         }
         assert!(
