@@ -330,10 +330,11 @@ pub fn run_within(
             if params.n > 45_000 {
                 return Err(RunError::OutOfMemory);
             }
-            // Two-level cache: D2D from any valid peer (no NVLink ranks,
-            // no in-flight forwarding).
-            let mut cfg = RuntimeConfig::xkblas().with_heuristics(Heuristics::none());
-            cfg.window = 4;
+            // The model is the no-heuristic, no-topo ablation of XKBlas:
+            // D2D from any valid peer (no NVLink ranks, no in-flight
+            // forwarding) on the same graph. BLASX's own two-level cache
+            // is not modelled.
+            let cfg = XkVariant::NoHeuristicNoTopo.runtime_config();
             run_on_runtime(topo, params, cfg, false, budget)
         }
         Library::CublasXt => Ok(run_cublasxt(topo, params)),

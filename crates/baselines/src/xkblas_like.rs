@@ -4,9 +4,10 @@
 //! [`RuntimeConfig`].
 //!
 //! A graph does not depend on the configuration, so each thread keeps the
-//! graphs of one family — fabric, routine, `n`, methodology and layout —
-//! with their [`SimPrep`], one per tile: the Fig. 3 ablations and a tile
-//! search's later libraries simulate the graphs the first one built.
+//! graphs of one family — fabric, routine and `n` — with their
+//! [`SimPrep`], one per tile, methodology and layout: the Fig. 3 ablations,
+//! a tile search's later libraries and every library of one figure column
+//! simulate the graphs the first one built.
 
 use std::cell::RefCell;
 
@@ -65,13 +66,20 @@ pub(crate) fn build_routine_graph(
     }
 }
 
-/// Every input of [`build_run_graph`] but the tile and the configuration:
-/// the graphs of one family differ only in their tile.
+/// The inputs of [`build_run_graph`] a memo holds one of: the graphs of
+/// one family differ only in their [`Entry`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Family {
     fabric: u64,
     routine: Routine,
     n: usize,
+}
+
+/// The rest of [`build_run_graph`]'s inputs but the configuration, which
+/// a graph does not depend on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Entry {
+    tile: usize,
     data_on_device: bool,
     tile_layout: bool,
 }
@@ -82,11 +90,11 @@ struct Prepared {
     prep: SimPrep,
 }
 
-/// The graphs of one family, one per tile, in build order.
+/// The graphs of one family, one per entry, in build order.
 #[derive(Default)]
 struct GraphMemo {
     family: Option<Family>,
-    tiles: Vec<(usize, Prepared)>,
+    entries: Vec<(Entry, Prepared)>,
 }
 
 thread_local! {
@@ -109,23 +117,26 @@ impl GraphMemo {
             fabric: topo.fingerprint(),
             routine: params.routine,
             n: params.n,
+        };
+        if self.family != Some(family) {
+            self.entries.clear();
+            self.family = Some(family);
+        }
+        let entry = Entry {
+            tile: params.tile,
             data_on_device: params.data_on_device,
             tile_layout,
         };
-        if self.family != Some(family) {
-            self.tiles.clear();
-            self.family = Some(family);
-        }
-        let at = match self.tiles.iter().position(|(tile, _)| *tile == params.tile) {
+        let at = match self.entries.iter().position(|(e, _)| *e == entry) {
             Some(at) => at,
             None => {
                 let graph = build_run_graph(topo, params, cfg, tile_layout);
                 let prep = SimPrep::new(&graph);
-                self.tiles.push((params.tile, Prepared { graph, prep }));
-                self.tiles.len() - 1
+                self.entries.push((entry, Prepared { graph, prep }));
+                self.entries.len() - 1
             }
         };
-        &self.tiles[at].1
+        &self.entries[at].1
     }
 }
 
@@ -279,33 +290,50 @@ mod tests {
         }
     }
 
-    /// The memo holds one family: a run of another family releases every
-    /// graph of the previous one, and a run of the same family reuses them.
+    /// The memo holds one `(fabric, routine, n)` family, every tile, both
+    /// methodologies and both layouts of it at once: a run of another
+    /// routine or `n` releases them all, and a run of the same family
+    /// reuses them.
     #[test]
     fn a_family_switch_releases_the_previous_familys_graphs() {
         // A thread of its own: its memo starts empty.
         std::thread::scope(|s| {
             s.spawn(|| {
                 let topo = dgx1();
-                let run = |routine, tile, cfg| {
-                    let params = RunParams { routine, n: 2048, tile, data_on_device: false };
-                    run_on_runtime(&topo, &params, cfg, false, f64::INFINITY).unwrap();
+                let run = |routine, n, tile, data_on_device, tile_layout, cfg| {
+                    let params = RunParams { routine, n, tile, data_on_device };
+                    run_on_runtime(&topo, &params, cfg, tile_layout, f64::INFINITY).unwrap();
                 };
+                let entry =
+                    |tile, data_on_device, tile_layout| Entry { tile, data_on_device, tile_layout };
                 let resident = || {
                     MEMO.with(|m| {
                         let memo = m.borrow();
-                        let tiles: Vec<usize> = memo.tiles.iter().map(|(t, _)| *t).collect();
-                        (memo.family.map(|f| f.routine), tiles)
+                        let entries: Vec<Entry> = memo.entries.iter().map(|(e, _)| *e).collect();
+                        (memo.family.map(|f| (f.routine, f.n)), entries)
                     })
                 };
-                run(Routine::Gemm, 512, RuntimeConfig::xkblas());
-                run(Routine::Gemm, 1024, RuntimeConfig::xkblas());
-                assert_eq!(resident(), (Some(Routine::Gemm), vec![512, 1024]));
+                let xkblas = RuntimeConfig::xkblas;
+                run(Routine::Gemm, 2048, 512, false, false, xkblas());
+                run(Routine::Gemm, 2048, 1024, false, false, xkblas());
+                run(Routine::Gemm, 2048, 512, true, false, xkblas());
+                run(Routine::Gemm, 2048, 512, false, true, xkblas());
+                let gemm = vec![
+                    entry(512, false, false),
+                    entry(1024, false, false),
+                    entry(512, true, false),
+                    entry(512, false, true),
+                ];
+                assert_eq!(resident(), (Some((Routine::Gemm, 2048)), gemm.clone()));
                 let no_topo = crate::XkVariant::NoHeuristicNoTopo.runtime_config();
-                run(Routine::Gemm, 512, no_topo);
-                assert_eq!(resident(), (Some(Routine::Gemm), vec![512, 1024]), "no new graph");
-                run(Routine::Syrk, 512, RuntimeConfig::xkblas());
-                assert_eq!(resident(), (Some(Routine::Syrk), vec![512]), "GEMM still resident");
+                run(Routine::Gemm, 2048, 512, true, false, no_topo);
+                assert_eq!(resident(), (Some((Routine::Gemm, 2048)), gemm), "no new graph");
+                run(Routine::Syrk, 2048, 512, false, true, xkblas());
+                let syrk = (Some((Routine::Syrk, 2048)), vec![entry(512, false, true)]);
+                assert_eq!(resident(), syrk, "GEMM still resident");
+                run(Routine::Syrk, 1024, 512, false, true, xkblas());
+                let smaller = (Some((Routine::Syrk, 1024)), vec![entry(512, false, true)]);
+                assert_eq!(resident(), smaller, "n = 2048 still resident");
             });
         });
     }

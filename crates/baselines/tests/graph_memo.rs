@@ -10,9 +10,11 @@ use xk_kernels::Routine;
 use xk_runtime::SimPrep;
 use xk_topo::{dgx1, fabrics, FabricSpec};
 
-/// Every library simulated on the shared runtime. Neighbours that share a
-/// graph family (same methodology and layout) follow each other, so the
-/// sequence both hits the memo and switches family.
+/// Every library simulated on the shared runtime. A memo family is one
+/// `(fabric, routine, n)`; within it, neighbours of the same layout share a
+/// graph and the others need their own, so the sequence hits the memo,
+/// adds entries to a family (layouts here, methodologies in the loop
+/// around it) and switches family.
 const SHARED_RUNTIME: [Library; 8] = [
     Library::XkBlas(XkVariant::Full),
     Library::XkBlas(XkVariant::NoHeuristic),

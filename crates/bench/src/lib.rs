@@ -23,6 +23,4 @@ pub use xk_check::graphgen;
 pub use composition::{run_chameleon_composition, run_xkblas_composition, CompositionResult};
 pub use report::{fmt_tflops, write_result, Table};
 pub use runcache::{CacheStats, RunCache};
-pub use sweep::{
-    best_tile_run, best_tile_run_with, sweep_series, SeriesPoint, PAPER_DIMS, PAPER_DIMS_SMALL,
-};
+pub use sweep::{best_tile_run, best_tile_run_with, SeriesPoint, PAPER_DIMS, PAPER_DIMS_SMALL};

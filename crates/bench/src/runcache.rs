@@ -7,7 +7,9 @@
 //! fully identified by `(library, routine, n, tile, data_on_device,
 //! topology fingerprint)` — the [`RunCache`] maps that key to the finished
 //! [`xk_baselines::RunResult`] and never simulates the same configuration
-//! twice.
+//! twice. A tile search's budgeted run that goes over its budget leaves
+//! only that verdict behind, which answers every lookup with a budget no
+//! larger; a larger budget runs the configuration again.
 //!
 //! The table is `xk-serve`'s lock-striped, single-flight [`xk_serve::ShardedCache`]
 //! itself (the same exact tier the planner service uses; `RunCache` is its
@@ -68,8 +70,8 @@ mod tests {
         let topo = dgx1();
         let cache = RunCache::new();
         let lib = Library::CublasXt;
-        let a = cache.run(lib, &topo, &params(4096, 2048)).unwrap();
-        let b = cache.run(lib, &topo, &params(4096, 2048)).unwrap();
+        let a = cache.run_within(lib, &topo, &params(4096, 2048), f64::INFINITY).unwrap();
+        let b = cache.run_within(lib, &topo, &params(4096, 2048), f64::INFINITY).unwrap();
         assert!(
             std::sync::Arc::ptr_eq(&a, &b),
             "a hit shares the memoized run"
@@ -85,16 +87,9 @@ mod tests {
         let topo = dgx1();
         let cache = RunCache::new();
         // DPLASMA is GEMM-only: SYRK is Unsupported.
-        let e1 = cache.run(Library::Dplasma, &topo, &{
-            let mut p = params(4096, 2048);
-            p.routine = Routine::Syrk;
-            p
-        });
-        let e2 = cache.run(Library::Dplasma, &topo, &{
-            let mut p = params(4096, 2048);
-            p.routine = Routine::Syrk;
-            p
-        });
+        let syrk = RunParams { routine: Routine::Syrk, ..params(4096, 2048) };
+        let e1 = cache.run_within(Library::Dplasma, &topo, &syrk, f64::INFINITY);
+        let e2 = cache.run_within(Library::Dplasma, &topo, &syrk, f64::INFINITY);
         assert!(matches!(e1, Err(RunError::Unsupported)));
         assert!(matches!(e2, Err(RunError::Unsupported)));
         assert_eq!(cache.stats().hits, 1);
@@ -105,8 +100,8 @@ mod tests {
         let topo = dgx1();
         let cache = RunCache::new();
         let lib = Library::CublasXt;
-        let a = cache.run(lib, &topo, &params(4096, 1024)).unwrap();
-        let b = cache.run(lib, &topo, &params(4096, 2048)).unwrap();
+        let a = cache.run_within(lib, &topo, &params(4096, 1024), f64::INFINITY).unwrap();
+        let b = cache.run_within(lib, &topo, &params(4096, 2048), f64::INFINITY).unwrap();
         assert_ne!(a.seconds.to_bits(), b.seconds.to_bits());
         assert_eq!(cache.stats().misses, 2);
         cache.clear();
@@ -122,7 +117,12 @@ mod tests {
         let p = params(4096, 2048);
         let bits: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| cache.run(lib, &topo, &p).unwrap().seconds.to_bits()))
+                .map(|_| {
+                    s.spawn(|| {
+                        let r = cache.run_within(lib, &topo, &p, f64::INFINITY).unwrap();
+                        r.seconds.to_bits()
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });

@@ -2,18 +2,19 @@
 //!
 //! The search runs the largest candidate tile first and skips every smaller
 //! one whose [`Library::tflops_ceiling`] lies below that run's TFlop/s: its
-//! kernels alone are too slow to win or tie. Without the memo cache, each
-//! remaining candidate runs under a makespan budget, the time the largest
-//! tile's TFlop/s allows ([`run_within`]): the simulation stops as soon as
-//! a lower bound on its makespan passes the budget, and such a provable
-//! loser (`RunError::OverBudget`) is never picked or reported — the largest
-//! tile's finished run beats it. The cache memoizes whole runs only, so
-//! cached searches run every survivor to the end. Every simulated run is
-//! deterministic, so evaluating the rest on several threads
-//! ([`best_tile_run_with`] with `parallel`) still picks the same winner as
-//! the serial loop: candidate results are placed in candidate order and
-//! reduced by one strict-`>` fold. The winner, and every result, is the one
-//! trying every candidate would give.
+//! kernels alone are too slow to win or tie. Each remaining candidate runs
+//! under a makespan budget, the time the largest tile's TFlop/s allows
+//! ([`run_within`]): the simulation stops as soon as a lower bound on its
+//! makespan passes the budget, and such a provable loser
+//! (`RunError::OverBudget`) is never picked or reported — the largest
+//! tile's finished run beats it. The memo cache keeps that verdict instead
+//! of a run ([`RunCache::run_within`]), so a cached search is the same
+//! search as an uncached one. Every simulated run is deterministic, so
+//! evaluating the rest on several threads ([`best_tile_run_with`] with
+//! `parallel`) still picks the same winner as the serial loop: candidate
+//! results are placed in candidate order and reduced by one strict-`>`
+//! fold. The winner, and every result, is the one trying every candidate
+//! would give.
 
 use std::sync::Arc;
 
@@ -45,10 +46,9 @@ pub struct SeriesPoint {
     pub result: Option<Arc<RunResult>>,
 }
 
-/// One run, through the memo cache when one is given (the answer is the
-/// cache's own copy); an uncached run is wrapped once, here. The cache
-/// memoizes whole runs only, so `budget` (see [`run_within`]) binds
-/// uncached runs alone.
+/// One run within a makespan `budget` (see [`run_within`]), through the
+/// memo cache when one is given (the answer is the cache's own copy); an
+/// uncached run is wrapped once, here.
 pub(crate) fn run_point(
     lib: Library,
     topo: &FabricSpec,
@@ -57,7 +57,7 @@ pub(crate) fn run_point(
     budget: f64,
 ) -> RunOutcome {
     match cache {
-        Some(c) => c.run(lib, topo, params),
+        Some(c) => c.run_within(lib, topo, params, budget),
         None => run_within(lib, topo, params, budget).map(Arc::new),
     }
 }
@@ -165,7 +165,11 @@ pub fn best_tile_run(
     best_tile_run_with(lib, topo, routine, n, data_on_device, None, false)
 }
 
-fn to_point(n: usize, outcome: Result<(usize, Arc<RunResult>), RunError>) -> SeriesPoint {
+/// The series point of one best-tile search at dimension `n`.
+pub(crate) fn to_point(
+    n: usize,
+    outcome: Result<(usize, Arc<RunResult>), RunError>,
+) -> SeriesPoint {
     match outcome {
         Ok((tile, r)) => SeriesPoint {
             n,
@@ -180,26 +184,6 @@ fn to_point(n: usize, outcome: Result<(usize, Arc<RunResult>), RunError>) -> Ser
             result: None,
         },
     }
-}
-
-/// Sweeps a whole series of dimensions for one `(library, routine)`,
-/// through the memo cache when one is given.
-pub fn sweep_series(
-    lib: Library,
-    topo: &FabricSpec,
-    routine: Routine,
-    dims: &[usize],
-    data_on_device: bool,
-    cache: Option<&RunCache>,
-) -> Vec<SeriesPoint> {
-    dims.iter()
-        .map(|&n| {
-            to_point(
-                n,
-                best_tile_run_with(lib, topo, routine, n, data_on_device, cache, false),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -223,9 +207,9 @@ mod tests {
     #[test]
     fn series_reports_oom_as_none() {
         let topo = dgx1();
-        let pts = sweep_series(Library::Blasx, &topo, Routine::Gemm, &[8192, 49152], false, None);
-        assert!(pts[0].tflops.is_some());
-        assert!(pts[1].tflops.is_none());
+        let point = |n| to_point(n, best_tile_run(Library::Blasx, &topo, Routine::Gemm, n, false));
+        assert!(point(8192).tflops.is_some());
+        assert!(point(49152).tflops.is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use xk_baselines::{Library, RunParams, RunResult, XkVariant};
-use xk_bench::{best_tile_run, best_tile_run_with, fmt_tflops, sweep_series, RunCache};
+use xk_bench::{best_tile_run, best_tile_run_with, fmt_tflops, RunCache};
 use xk_kernels::Routine;
 use xk_topo::{dgx1, fabrics, FabricSpec};
 use xk_trace::Trace;
@@ -51,27 +51,21 @@ fn cached_sweep_matches_uncached_bitwise() {
             if !lib.supports(routine) {
                 continue;
             }
-            let serial = sweep_series(lib, &topo, routine, &DIMS, false, None);
             let cache = RunCache::new();
-            let cached = sweep_series(lib, &topo, routine, &DIMS, false, Some(&cache));
-            assert_eq!(serial.len(), cached.len());
-            for (s, p) in serial.iter().zip(&cached) {
-                assert_eq!(s.n, p.n);
-                assert_eq!(s.tile, p.tile, "{lib:?} {routine:?} N={}", s.n);
-                assert_eq!(
-                    s.tflops.map(f64::to_bits),
-                    p.tflops.map(f64::to_bits),
-                    "{lib:?} {routine:?} N={}",
-                    s.n
-                );
-                match (&s.result, &p.result) {
-                    (Some(a), Some(b)) => {
+            for n in DIMS {
+                let serial = best_tile_run_with(lib, &topo, routine, n, false, None, false);
+                let cached = best_tile_run_with(lib, &topo, routine, n, false, Some(&cache), false);
+                match (serial, cached) {
+                    (Ok((s_tile, a)), Ok((p_tile, b))) => {
+                        let what = format!("{lib:?} {routine:?} N={n}");
+                        assert_eq!(s_tile, p_tile, "{what}");
+                        assert_eq!(a.tflops.to_bits(), b.tflops.to_bits(), "{what}");
                         assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
                         assert_eq!(a.bytes_h2d, b.bytes_h2d);
                         assert_eq!(a.bytes_d2h, b.bytes_d2h);
                         assert_eq!(a.bytes_p2p, b.bytes_p2p);
                     }
-                    (None, None) => {}
+                    (Err(a), Err(b)) => assert_eq!(a, b),
                     _ => panic!("uncached and cached disagree on success"),
                 }
             }
@@ -108,7 +102,8 @@ fn every_candidate(
 ) -> (usize, Arc<RunResult>) {
     let mut best: Option<(usize, Arc<RunResult>)> = None;
     for &tile in lib.tile_candidates().iter().filter(|&&t| t <= n) {
-        let r = cache.run(lib, topo, &RunParams { routine, n, tile, data_on_device }).unwrap();
+        let params = RunParams { routine, n, tile, data_on_device };
+        let r = cache.run_within(lib, topo, &params, f64::INFINITY).unwrap();
         if best.as_ref().is_none_or(|(_, b)| r.tflops > b.tflops) {
             best = Some((tile, r));
         }
@@ -128,8 +123,9 @@ fn assert_same_pick(got: &(usize, Arc<RunResult>), want: &(usize, Arc<RunResult>
     assert_eq!(got.1.trace.len(), want.1.trace.len(), "{what}: spans");
 }
 
-/// The cached search skips tiles by their ceiling; the uncached one also
-/// budgets every survivor, which stops the provable losers mid-run.
+/// Both searches skip tiles by their ceiling and budget every survivor,
+/// which stops the provable losers mid-run; the cached one keeps that
+/// verdict instead of a run.
 #[test]
 fn pruned_search_equals_trying_every_candidate() {
     let libs = Library::FIG5.into_iter().chain([
@@ -178,6 +174,24 @@ fn large_uncached_search_stops_the_losing_tile_1024_run() {
     assert_eq!(tile, 4096);
     assert_eq!(fmt_tflops(Some(r.tflops)), "50.88");
     assert!(lib.tflops_ceiling(&topo, 1024).unwrap() > r.tflops, "tile 1024 must survive the ceiling");
+}
+
+#[test]
+fn large_cached_search_stops_the_losing_tile_1024_run() {
+    // The cached twin of the search above: tile 1024 still survives the
+    // ceiling and runs under the budget, and the cache keeps only the proof
+    // that it loses. An unbudgeted lookup then runs it to the end.
+    let (lib, topo) = (Library::XkBlas(XkVariant::NoHeuristic), dgx1());
+    let cache = RunCache::new();
+    let (tile, r) =
+        best_tile_run_with(lib, &topo, Routine::Gemm, 49152, false, Some(&cache), false).unwrap();
+    assert_eq!(tile, 4096);
+    assert_eq!(fmt_tflops(Some(r.tflops)), "50.88");
+    let params = RunParams { routine: Routine::Gemm, n: 49152, tile: 1024, data_on_device: false };
+    let key = xk_serve::QueryKey::new(lib, &topo, &params);
+    assert!(cache.peek(&key).is_none(), "the losing run is not resident");
+    let full = cache.run_within(lib, &topo, &params, f64::INFINITY).unwrap();
+    assert_eq!(fmt_tflops(Some(full.tflops)), "35.05");
 }
 
 #[test]

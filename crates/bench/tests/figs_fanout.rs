@@ -1,6 +1,7 @@
-//! With the run cache on, the figure sweeps fan their series out over
-//! every core; with it off (`run_all --serial`) they run one after another
-//! on the calling thread. Every CSV must be the same either way.
+//! With the run cache on, the figure sweeps fan their `(fabric, routine,
+//! N)` columns out over every core; with it off (`run_all --serial`) they
+//! run one after another on the calling thread. Every CSV must be the same
+//! either way.
 //!
 //! This file holds one test on purpose: it flips the process-global cache,
 //! so it must not share a process with tests that read it.

@@ -283,7 +283,7 @@ impl ServeEngine {
         let mut leads: Vec<(QueryKey, LeadGuard<'_>)> = Vec::new();
         let mut waits: Vec<(QueryKey, Arc<Flight>)> = Vec::new();
         for key in order {
-            match self.cache.admit(key) {
+            match self.cache.admit(key, f64::INFINITY) {
                 Admission::Hit(outcome) => resolved.push((key, outcome, Source::Hit)),
                 Admission::Wait(flight) => waits.push((key, flight)),
                 Admission::Lead(guard) => leads.push((key, guard)),
@@ -327,17 +327,18 @@ impl ServeEngine {
                         })
                         .collect(),
                     Unit::WaitFor(key, flight) => {
-                        let (outcome, source) = match flight.wait() {
+                        let (outcome, source) = match flight.wait(f64::INFINITY) {
                             Some(outcome) => (outcome, Source::Coalesced),
-                            // The outside leader abandoned: re-admit (the
+                            // The outside leader abandoned or went over
+                            // its budget: re-admit (the
                             // distribute loop below does the counting and
                             // curve feeding, so don't go through the
                             // self-recording exact path).
                             None => loop {
-                                match self.cache.admit(key) {
+                                match self.cache.admit(key, f64::INFINITY) {
                                     Admission::Hit(o) => break (o, Source::Hit),
                                     Admission::Wait(f) => {
-                                        if let Some(o) = f.wait() {
+                                        if let Some(o) = f.wait(f64::INFINITY) {
                                             break (o, Source::Coalesced);
                                         }
                                     }

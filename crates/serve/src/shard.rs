@@ -20,6 +20,14 @@
 //!   is a lock, a probe and a reference-count bump however many thousand
 //!   spans the run's trace holds.
 //!
+//! * **Budgeted lookups** — a lookup may carry a makespan budget
+//!   ([`xk_baselines::run_within`]). A led run that ends
+//!   [`RunError::OverBudget`] leaves a proof behind, not a run: the slot
+//!   records that the configuration takes more than that budget, answers
+//!   every lookup with a budget no larger as a hit, and is re-led (and
+//!   replaced) by a lookup with a larger one. Only finished runs count as
+//!   resident ([`ShardedCache::len`], [`ShardedCache::peek`]).
+//!
 //! The stats distinguish the three outcomes — [`CacheStats::hits`] (answer
 //! was resident), [`CacheStats::coalesced`] (parked on an in-flight
 //! leader), [`CacheStats::misses`] (led a computation) — so a waiter is no
@@ -29,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use xk_baselines::{run, Library, RunError, RunParams, RunResult};
+use xk_baselines::{run_within, Library, RunError, RunParams, RunResult};
 use xk_topo::FabricSpec;
 
 use crate::key::QueryKey;
@@ -91,24 +99,31 @@ enum FlightState {
 pub(crate) struct Flight {
     state: Mutex<FlightState>,
     cv: Condvar,
+    /// The leader's makespan budget.
+    budget: f64,
 }
 
 impl Flight {
-    fn new() -> Self {
+    fn new(budget: f64) -> Self {
         Flight {
             state: Mutex::new(FlightState::Pending),
             cv: Condvar::new(),
+            budget,
         }
     }
 
     /// Parks until the leader resolves this flight. `Some(outcome)` is the
-    /// leader's result; `None` means the leader abandoned the computation
-    /// and the caller must re-admit.
-    pub(crate) fn wait(&self) -> Option<RunOutcome> {
+    /// leader's result; `None` means the caller must re-admit: the leader
+    /// abandoned the computation, or its run went over a budget smaller
+    /// than the caller's `budget`, which proves nothing about the caller's.
+    pub(crate) fn wait(&self, budget: f64) -> Option<RunOutcome> {
         let mut st = self.state.lock().unwrap();
         loop {
             match &*st {
                 FlightState::Pending => st = self.cv.wait(st).unwrap(),
+                FlightState::Done(Err(RunError::OverBudget)) if budget > self.budget => {
+                    return None
+                }
                 FlightState::Done(outcome) => return Some(outcome.clone()),
                 FlightState::Abandoned => return None,
             }
@@ -121,10 +136,13 @@ impl Flight {
     }
 }
 
-/// A resident entry or a claim on one being computed.
+/// A resident entry, a proof that the run takes more than a budget, or a
+/// claim on one being computed.
 #[derive(Debug)]
 enum Slot {
     Ready(RunOutcome),
+    /// The run's makespan exceeds this budget.
+    Over(f64),
     InFlight(Arc<Flight>),
 }
 
@@ -149,21 +167,24 @@ pub(crate) struct LeadGuard<'c> {
 }
 
 impl LeadGuard<'_> {
-    /// Publishes the computed outcome: the entry becomes resident and
-    /// every parked waiter observes exactly this value. This is the one
-    /// place a run is moved to the heap (trimmed of the slack its trace
-    /// grew with, since it now stays); everything after shares it.
+    /// Publishes the computed outcome: the entry becomes resident (an
+    /// `OverBudget` run becomes the proof `Slot::Over` of the leader's
+    /// budget) and every parked waiter observes exactly this value. This
+    /// is the one place a run is moved to the heap (trimmed of the slack
+    /// its trace grew with, since it now stays); everything after shares
+    /// it.
     pub(crate) fn fill(mut self, outcome: Result<RunResult, RunError>) -> RunOutcome {
         let outcome = outcome.map(|mut run| {
             run.trace.compact();
             Arc::new(run)
         });
         self.filled = true;
+        let slot = match outcome {
+            Err(RunError::OverBudget) => Slot::Over(self.flight.budget),
+            _ => Slot::Ready(outcome.clone()),
+        };
         let shard = self.cache.shard(&self.key);
-        shard
-            .lock()
-            .unwrap()
-            .insert(self.key, Slot::Ready(outcome.clone()));
+        shard.lock().unwrap().insert(self.key, slot);
         self.flight.resolve(FlightState::Done(outcome.clone()));
         outcome
     }
@@ -241,17 +262,19 @@ impl ShardedCache {
         &self.shards[self.shard_index(key)]
     }
 
-    /// One admission step: hit, park, or lead. Does not touch the
-    /// counters — [`ShardedCache::get_or_compute`] (and the batch driver)
-    /// count at resolution so an abandoned-leader retry is not counted
-    /// twice.
-    pub(crate) fn admit(&self, key: QueryKey) -> Admission<'_> {
+    /// One admission step under a makespan `budget`: hit, park, or lead.
+    /// An `Over` proof of at least `budget` is a hit; a smaller one is
+    /// re-led. Does not touch the counters — [`ShardedCache::get_or_compute`]
+    /// (and the batch driver) count at resolution so a retry is not
+    /// counted twice.
+    pub(crate) fn admit(&self, key: QueryKey, budget: f64) -> Admission<'_> {
         let mut map = self.shard(&key).lock().unwrap();
         match map.get(&key) {
             Some(Slot::Ready(outcome)) => Admission::Hit(outcome.clone()),
+            Some(&Slot::Over(over)) if budget <= over => Admission::Hit(Err(RunError::OverBudget)),
             Some(Slot::InFlight(flight)) => Admission::Wait(Arc::clone(flight)),
-            None => {
-                let flight = Arc::new(Flight::new());
+            None | Some(Slot::Over(_)) => {
+                let flight = Arc::new(Flight::new(budget));
                 map.insert(key, Slot::InFlight(Arc::clone(&flight)));
                 drop(map);
                 Admission::Lead(LeadGuard {
@@ -272,19 +295,31 @@ impl ShardedCache {
         key: QueryKey,
         compute: impl FnOnce() -> Result<RunResult, RunError>,
     ) -> (RunOutcome, Source) {
+        self.get_or_compute_within(key, f64::INFINITY, compute)
+    }
+
+    /// [`ShardedCache::get_or_compute`] for a `compute` that runs within
+    /// the makespan `budget` (see [`xk_baselines::run_within`]).
+    fn get_or_compute_within(
+        &self,
+        key: QueryKey,
+        budget: f64,
+        compute: impl FnOnce() -> Result<RunResult, RunError>,
+    ) -> (RunOutcome, Source) {
         let mut compute = Some(compute);
         loop {
-            match self.admit(key) {
+            match self.admit(key, budget) {
                 Admission::Hit(outcome) => {
                     self.record(Source::Hit);
                     return (outcome, Source::Hit);
                 }
                 Admission::Wait(flight) => {
-                    if let Some(outcome) = flight.wait() {
+                    if let Some(outcome) = flight.wait(budget) {
                         self.record(Source::Coalesced);
                         return (outcome, Source::Coalesced);
                     }
-                    // Leader abandoned: retry admission (we may lead now).
+                    // Leader abandoned, or went over a smaller budget:
+                    // retry admission (we may lead now).
                 }
                 Admission::Lead(guard) => {
                     let f = compute.take().expect("leadership is won at most once");
@@ -296,13 +331,21 @@ impl ShardedCache {
         }
     }
 
-    /// Runs `lib` with `params` on `topo` through the cache: the memoized
-    /// outcome when this exact configuration was simulated before (or is
-    /// being simulated right now by another thread), a led
-    /// [`xk_baselines::run`] otherwise.
-    pub fn run(&self, lib: Library, topo: &FabricSpec, params: &RunParams) -> RunOutcome {
+    /// Runs `lib` with `params` on `topo` within a makespan `budget`
+    /// through the cache: the memoized outcome when this exact
+    /// configuration was simulated before (or is being simulated right now
+    /// by another thread), `Err(OverBudget)` when a run already went over
+    /// a budget of at least `budget`, and a led [`xk_baselines::run_within`]
+    /// otherwise. `f64::INFINITY` asks for the finished run.
+    pub fn run_within(
+        &self,
+        lib: Library,
+        topo: &FabricSpec,
+        params: &RunParams,
+        budget: f64,
+    ) -> RunOutcome {
         let key = QueryKey::new(lib, topo, params);
-        self.get_or_compute(key, || run(lib, topo, params)).0
+        self.get_or_compute_within(key, budget, || run_within(lib, topo, params, budget)).0
     }
 
     /// Peeks for a resident entry without claiming leadership and without
@@ -354,8 +397,9 @@ impl ShardedCache {
         self.len() == 0
     }
 
-    /// Drops every resident entry and resets the counters. In-flight
-    /// computations are left to finish; their leaders re-insert on fill.
+    /// Drops every resident entry and `Over` proof and resets the
+    /// counters. In-flight computations are left to finish; their leaders
+    /// re-insert on fill.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             shard
@@ -425,18 +469,18 @@ mod tests {
     #[test]
     fn abandoned_leader_wakes_waiters_to_retry() {
         let cache = ShardedCache::new();
-        let guard = match cache.admit(key(4096)) {
+        let guard = match cache.admit(key(4096), f64::INFINITY) {
             Admission::Lead(g) => g,
             _ => panic!("fresh key must lead"),
         };
-        let flight = match cache.admit(key(4096)) {
+        let flight = match cache.admit(key(4096), f64::INFINITY) {
             Admission::Wait(f) => f,
             _ => panic!("second admission must wait"),
         };
         drop(guard); // leader dies without filling
-        assert!(flight.wait().is_none(), "waiter must see the abandonment");
+        assert!(flight.wait(f64::INFINITY).is_none(), "waiter must see the abandonment");
         // The slot was reclaimed: the next admission leads again.
-        match cache.admit(key(4096)) {
+        match cache.admit(key(4096), f64::INFINITY) {
             Admission::Lead(g) => {
                 g.fill(fake(1.0)).unwrap();
             }
@@ -449,7 +493,7 @@ mod tests {
     fn clear_keeps_inflight_claims() {
         let cache = ShardedCache::new();
         cache.get_or_compute(key(4096), || fake(2.0)).0.unwrap();
-        let guard = match cache.admit(key(8192)) {
+        let guard = match cache.admit(key(8192), f64::INFINITY) {
             Admission::Lead(g) => g,
             _ => panic!(),
         };
@@ -468,6 +512,108 @@ mod tests {
         assert!(cache.peek(&key(4096)).is_some());
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// A budgeted lookup whose led run goes over its budget.
+    fn over() -> Result<RunResult, RunError> {
+        Err(RunError::OverBudget)
+    }
+
+    #[test]
+    fn an_over_slot_answers_budgets_up_to_its_own() {
+        let cache = ShardedCache::new();
+        let (first, s1) = cache.get_or_compute_within(key(4096), 2.0, over);
+        assert_eq!((first.err(), s1), (Some(RunError::OverBudget), Source::Miss));
+        for budget in [2.0, 1.0, 0.0] {
+            let (again, s) = cache.get_or_compute_within(key(4096), budget, || {
+                panic!("the proof answers budget {budget}")
+            });
+            assert_eq!((again.err(), s), (Some(RunError::OverBudget), Source::Hit));
+        }
+        assert_eq!(cache.stats(), CacheStats { hits: 3, coalesced: 0, misses: 1 });
+        assert_eq!(cache.len(), 0, "a proof is not a finished run");
+        assert!(cache.peek(&key(4096)).is_none());
+    }
+
+    #[test]
+    fn a_larger_budget_re_leads_and_replaces_the_proof() {
+        let cache = ShardedCache::new();
+        cache.get_or_compute_within(key(4096), 2.0, over).0.unwrap_err();
+        let (o, s) = cache.get_or_compute_within(key(4096), 3.0, over);
+        assert_eq!((o.err(), s), (Some(RunError::OverBudget), Source::Miss));
+        let (o, s) = cache.get_or_compute_within(key(4096), 3.0, || panic!("Over(3) answers 3"));
+        assert_eq!((o.err(), s), (Some(RunError::OverBudget), Source::Hit));
+        let (run, s) = cache.get_or_compute_within(key(4096), f64::INFINITY, || fake(5.0));
+        assert_eq!(s, Source::Miss);
+        let run = run.unwrap();
+        assert_eq!(cache.len(), 1, "the finished run replaced the proof");
+        // Any budget now reads the finished run.
+        let (hit, s) = cache.get_or_compute_within(key(4096), 1.0, || panic!("resident"));
+        assert_eq!(s, Source::Hit);
+        assert!(Arc::ptr_eq(&run, &hit.unwrap()));
+        assert_eq!(cache.stats(), CacheStats { hits: 2, coalesced: 0, misses: 3 });
+    }
+
+    #[test]
+    fn the_batch_drivers_admission_re_leads_a_proof() {
+        let cache = ShardedCache::new();
+        cache.get_or_compute_within(key(4096), 2.0, over).0.unwrap_err();
+        assert!(matches!(cache.admit(key(4096), 2.0), Admission::Hit(Err(RunError::OverBudget))));
+        match cache.admit(key(4096), f64::INFINITY) {
+            Admission::Lead(g) => assert_eq!(g.fill(fake(5.0)).unwrap().seconds, 5.0),
+            _ => panic!("an unbudgeted admission must lead past a proof"),
+        };
+    }
+
+    #[test]
+    fn a_waiter_with_a_larger_budget_re_admits() {
+        let cache = ShardedCache::new();
+        let guard = match cache.admit(key(4096), 1.0) {
+            Admission::Lead(g) => g,
+            _ => panic!("fresh key must lead"),
+        };
+        let flight = match cache.admit(key(4096), f64::INFINITY) {
+            Admission::Wait(f) => f,
+            _ => panic!("second admission must wait"),
+        };
+        assert!(guard.fill(over()).is_err());
+        assert!(flight.wait(f64::INFINITY).is_none(), "the proof binds budgets up to 1 only");
+        assert!(flight.wait(1.5).is_none());
+        for budget in [1.0, 0.5] {
+            let o = flight.wait(budget).expect("the proof answers a smaller budget");
+            assert_eq!(o.err(), Some(RunError::OverBudget));
+        }
+
+        // The same through the counted path: the parked (or late) caller
+        // leads the re-run, and each lookup bumps one counter.
+        let cache = ShardedCache::new();
+        let guard = match cache.admit(key(4096), 1.0) {
+            Admission::Lead(g) => g,
+            _ => panic!("fresh key must lead"),
+        };
+        cache.record(Source::Miss);
+        let outcome = std::thread::scope(|s| {
+            let waiter =
+                s.spawn(|| cache.get_or_compute_within(key(4096), f64::INFINITY, || fake(5.0)));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            guard.fill(over()).unwrap_err();
+            waiter.join().unwrap()
+        });
+        assert_eq!(outcome.1, Source::Miss);
+        assert_eq!(outcome.0.unwrap().seconds, 5.0);
+        assert_eq!(cache.stats(), CacheStats { hits: 0, coalesced: 0, misses: 2 });
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn clear_drops_over_proofs() {
+        let cache = ShardedCache::new();
+        cache.get_or_compute_within(key(4096), 2.0, over).0.unwrap_err();
+        cache.clear();
+        assert_eq!(cache.stats(), CacheStats::default());
+        let (o, s) = cache.get_or_compute_within(key(4096), 1.0, || fake(0.5));
+        assert_eq!(s, Source::Miss, "the proof is gone");
+        assert_eq!(o.unwrap().seconds, 0.5);
     }
 
     #[test]

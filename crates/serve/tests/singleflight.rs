@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use xk_baselines::{run, Library, RunParams, RunResult, XkVariant};
+use xk_baselines::{run, Library, RunError, RunParams, RunResult, XkVariant};
 use xk_kernels::Routine;
 use xk_serve::{Query, QueryKey, ServeEngine, ShardedCache, Source};
 use xk_topo::{builders, dgx1};
@@ -244,4 +244,42 @@ fn batch_propagates_errors() {
     let st = engine.stats();
     assert_eq!(st.misses, 2, "error led once, success led once");
     assert_eq!(st.coalesced, 1, "duplicate error coalesced");
+}
+
+/// A budgeted lookup that goes over leaves a proof, not a run: budgets up
+/// to it are hits, and a larger one (here none at all) leads the run that
+/// `xk_baselines::run` gives, bit for bit.
+#[test]
+fn an_over_budget_proof_answers_smaller_budgets_and_a_larger_one_reruns() {
+    let topo = dgx1();
+    let cache = ShardedCache::new();
+    let lib = Library::XkBlas(XkVariant::Full);
+    let params = gemm_params(4096, 1024);
+    let fresh = run(lib, &topo, &params).unwrap();
+    let budget = fresh.seconds * 0.5;
+    for b in [budget, budget, budget * 0.5] {
+        let over = cache.run_within(lib, &topo, &params, b);
+        assert_eq!(over.err(), Some(RunError::OverBudget));
+    }
+    assert_eq!(cache.stats().misses, 1, "one run proved all three verdicts");
+    assert_eq!(cache.stats().hits, 2);
+    assert_eq!(cache.len(), 0);
+    let key = QueryKey::new(lib, &topo, &params);
+    assert!(cache.peek(&key).is_none(), "a proof is not resident");
+
+    let finished = cache.run_within(lib, &topo, &params, f64::INFINITY).unwrap();
+    assert_eq!(finished.seconds.to_bits(), fresh.seconds.to_bits());
+    assert_eq!(finished.tflops.to_bits(), fresh.tflops.to_bits());
+    assert_eq!(
+        (finished.bytes_h2d, finished.bytes_d2h, finished.bytes_p2p),
+        (fresh.bytes_h2d, fresh.bytes_d2h, fresh.bytes_p2p)
+    );
+    assert_eq!(finished.trace.spans(), fresh.trace.spans());
+    assert_eq!(cache.stats().misses, 2);
+    let resident = cache.peek(&key).expect("the finished run replaced the proof").unwrap();
+    assert!(Arc::ptr_eq(&resident, &finished));
+    // Every budget reads the finished run now.
+    let hit = cache.run_within(lib, &topo, &params, budget).unwrap();
+    assert!(Arc::ptr_eq(&hit, &finished));
+    assert_eq!(cache.stats().hits, 3);
 }
