@@ -219,9 +219,12 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
 /// the run's `seconds` exceed `budget` (by more than a relative 1e-9);
 /// every `Ok` is the result [`run`] gives, bit for bit. The budget goes to
 /// the simulation ([`xk_runtime::SimSession::run_within`]), which stops
-/// as soon as a lower bound on its makespan proves the verdict. Seconds a
-/// model adds after the simulation (Chameleon LAPACK's conversions,
-/// cuBLAS-MG's staging) only lengthen the run, and cuBLAS-XT and SLATE,
+/// as soon as a lower bound on its makespan proves the verdict. A model
+/// that adds fixed seconds around the simulation (Chameleon LAPACK's
+/// layout conversions, cuBLAS-MG's staging) simulates within the budget
+/// less those seconds, and answers `OverBudget` without simulating when
+/// they alone exceed it; there the runtime-simulated libraries return
+/// `Ok` exactly when `seconds` fits the budget. cuBLAS-XT and SLATE,
 /// which schedule their own kernels, always run to the end.
 pub fn run_within(
     lib: Library,
@@ -239,14 +242,14 @@ pub fn run_within(
         }
         Library::ChameleonTile => run_chameleon(topo, params, true, budget),
         Library::ChameleonLapack => {
-            let mut r = run_chameleon(topo, params, false, budget)?;
             // Host-side LAPACK↔tile conversion before and after the call
             // (§IV-D: "the penalty, on the host, to convert operands and
             // result to/from tile matrix representation").
             let conv = layout_conversion_seconds(params.routine, params.n);
+            let mut r = run_chameleon(topo, params, false, budget_less(budget, conv)?)?;
             r.seconds += conv;
             r.tflops = params.routine.flops_square(params.n as u64) / r.seconds / 1e12;
-            Ok(r)
+            fits(r, budget)
         }
         Library::CublasMg => {
             // cuBLAS-MG computes on 2D block-cyclic *device* matrices; with
@@ -264,15 +267,19 @@ pub fn run_within(
                 data_on_device: true,
                 ..*params
             };
-            let mut r = run_on_runtime(topo, &dev_params, cfg, true, budget)?;
+            // Synchronous distribute (3 operands in) + gather (result out)
+            // over the 4 PCIe uplinks in parallel, around a data-on-host
+            // call.
+            let matrix_bytes = (params.n * params.n * 8) as f64;
+            let uplink = topo.route(xk_topo::Device::Host, xk_topo::Device::Gpu(0));
+            let aggregate = uplink.bandwidth * topo.n_switches() as f64;
+            let (t_in, t_out) = match params.data_on_device {
+                true => (0.0, 0.0),
+                false => (3.0 * matrix_bytes / aggregate, matrix_bytes / aggregate),
+            };
+            let sim_budget = budget_less(budget, t_in + t_out)?;
+            let mut r = run_on_runtime(topo, &dev_params, cfg, true, sim_budget)?;
             if !params.data_on_device {
-                // Synchronous distribute (3 operands in) + gather (result
-                // out) over the 4 PCIe uplinks in parallel.
-                let matrix_bytes = (params.n * params.n * 8) as f64;
-                let uplink = topo.route(xk_topo::Device::Host, xk_topo::Device::Gpu(0));
-                let aggregate = uplink.bandwidth * topo.n_switches() as f64;
-                let t_in = 3.0 * matrix_bytes / aggregate;
-                let t_out = matrix_bytes / aggregate;
                 // Make the staging phases visible in the trace (Fig. 6).
                 let compute_end = r.seconds;
                 r.trace.shift(t_in);
@@ -309,7 +316,7 @@ pub fn run_within(
                 r.bytes_d2h += (params.n * params.n * 8) as u64;
                 r.tflops = params.routine.flops_square(params.n as u64) / r.seconds / 1e12;
             }
-            Ok(r)
+            fits(r, budget)
         }
         Library::Dplasma => {
             // PaRSEC's accelerator support stages all data through the host
@@ -340,6 +347,26 @@ pub fn run_within(
         Library::CublasXt => Ok(run_cublasxt(topo, params)),
         Library::Slate => Ok(run_slate(topo, params)),
     }
+}
+
+/// The budget left to a simulation that a model lengthens by `extra`
+/// seconds: `OverBudget` when `extra` alone exceeds `budget`. The 2e-9
+/// slack (twice the simulator's own) keeps rounding in the subtraction
+/// from stopping a run whose total still fits.
+fn budget_less(budget: f64, extra: f64) -> Result<f64, RunError> {
+    if extra > budget * (1.0 + 1e-9) {
+        return Err(RunError::OverBudget);
+    }
+    Ok(budget * (1.0 + 2e-9) - extra)
+}
+
+/// `r` if its `seconds` fit `budget` (with the simulator's relative 1e-9),
+/// else `OverBudget`.
+fn fits(r: RunResult, budget: f64) -> Result<RunResult, RunError> {
+    if r.seconds > budget * (1.0 + 1e-9) {
+        return Err(RunError::OverBudget);
+    }
+    Ok(r)
 }
 
 fn run_chameleon(

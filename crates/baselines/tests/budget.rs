@@ -74,3 +74,41 @@ fn a_budget_decides_only_whether_a_run_finishes() {
         }
     }
 }
+
+/// Chameleon LAPACK (layout conversions) and cuBLAS-MG (staging) add fixed
+/// seconds around their simulation, and simulate within what the budget
+/// leaves: the verdict still turns on the run's whole `seconds`, and a
+/// budget those seconds alone exceed is refused.
+#[test]
+fn a_budget_covers_the_seconds_a_model_adds_around_its_simulation() {
+    for topo in fabrics::gallery() {
+        for lib in [Library::ChameleonLapack, Library::CublasMg] {
+            for routine in Routine::ALL.into_iter().filter(|&r| lib.supports(r)) {
+                for data_on_device in [false, true] {
+                    let params = RunParams { routine, n: 8192, tile: 2048, data_on_device };
+                    let what = format!("{} {lib:?} {routine:?} dod={data_on_device}", topo.name());
+                    let full = run(lib, &topo, &params).unwrap();
+                    for budget in [full.seconds, full.seconds * (1.0 + 1e-6)] {
+                        let within = run_within(lib, &topo, &params, budget)
+                            .unwrap_or_else(|e| panic!("{what}: budget {budget} refused: {e}"));
+                        assert_eq!(within.seconds.to_bits(), full.seconds.to_bits(), "{what}");
+                        assert_eq!(within.tflops.to_bits(), full.tflops.to_bits(), "{what}");
+                        assert_eq!(
+                            (within.bytes_h2d, within.bytes_d2h, within.bytes_p2p),
+                            (full.bytes_h2d, full.bytes_d2h, full.bytes_p2p),
+                            "{what}"
+                        );
+                        assert_eq!(within.trace.spans(), full.trace.spans(), "{what}");
+                    }
+                    for budget in [full.seconds * (1.0 - 1e-6), full.seconds * 1e-3] {
+                        assert_eq!(
+                            run_within(lib, &topo, &params, budget).err(),
+                            Some(RunError::OverBudget),
+                            "{what}: budget {budget}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -40,30 +40,24 @@ use std::cell::RefCell;
 
 use crate::aux::Part;
 use crate::scalar::Scalar;
-use crate::simd::{Isa, MicroKernel};
+use crate::simd::{Isa, MicroKernel, Transpose8};
 use crate::types::{Diag, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
 
-/// Scalar-kernel register-tile rows. The portable kernel's geometry is
-/// re-exported as crate-level constants because sizing heuristics and the
-/// boundary-grid tests reference a fixed shape; the *dispatched* kernel's
-/// geometry is [`crate::simd::kernel_shape`].
+/// Scalar-kernel register-tile rows. The portable kernel's tile is
+/// exported because the boundary-grid tests reference a fixed shape; the
+/// *dispatched* kernel's geometry, cache blocks included, is
+/// [`crate::simd::kernel_shape`].
 pub const MR: usize = 8;
 /// Scalar-kernel register-tile columns (see [`MR`]).
 pub const NR: usize = 4;
-/// Scalar-kernel rows per packed `op(A)` macro-panel (`MC × KC` targets L2).
-pub const MC: usize = 128;
-/// Scalar-kernel depth of one packed panel pair (the k-dimension block).
-pub const KC: usize = 256;
-/// Scalar-kernel columns per packed `op(B)` macro-panel (`KC × NC` targets L3).
-pub const NC: usize = 2048;
 /// Order below which `trmm` stops halving its triangular operand and hands
 /// the diagonal block to the engine as one triangular operand.
 pub const TB: usize = 64;
 
 /// Largest register tile (`MR × NR` elements) of any microkernel: the size
 /// of the stack tile a diagonal-crossing update is masked through.
-const MAX_TILE: usize = 64;
+const MAX_TILE: usize = 192;
 
 /// What the stored elements of an operand mean.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -198,7 +192,7 @@ fn clip(at: usize, origin: usize, len: usize) -> usize {
 
 /// One pass of the packer: rows `[g0, g0 + len)` of `X = op(M)` over depth
 /// `[p0, p0 + depth)`, written to at most [`PASS_PANELS`] micro-panels of
-/// `w` rows.
+/// `w` rows. `t8` is the dispatched kernel's 8 × 8 transpose, if any.
 struct Pass<'a, T> {
     panels: &'a mut [T],
     m: MatRef<'a, T>,
@@ -207,6 +201,7 @@ struct Pass<'a, T> {
     p0: usize,
     depth: usize,
     w: usize,
+    t8: Option<Transpose8<T>>,
 }
 
 impl<T: Scalar> Pass<'_, T> {
@@ -262,14 +257,39 @@ impl<T: Scalar> Pass<'_, T> {
             }
             // The stored columns run along depth: a panel reads its `w`
             // columns in step, each sequentially, and is written front to
-            // back.
+            // back. Whole 8 × 8 blocks go through the kernel's transpose;
+            // the row and depth tails take the element loop.
             Source::Mirror => {
                 for (ip, panel) in self.panels.chunks_mut(self.depth * w).enumerate() {
                     let g = g0 + ip * w;
                     let wr = w.min(g0 + len - g);
+                    let (p8, r8) = match self.t8 {
+                        Some(t8) => {
+                            let (p8, r8) = (lo + (hi - lo) / 8 * 8, wr / 8 * 8);
+                            for p in (lo..p8).step_by(8) {
+                                for r in (0..r8).step_by(8) {
+                                    let dst = &mut panel[p * w + r..][..7 * w + 8];
+                                    // SAFETY: the block reads rows
+                                    // `p0 + p + [0, 8)` of stored columns
+                                    // `g + r + [0, 8)`, all inside `m`
+                                    // (`p + 8 <= hi <= depth`, `r + 8 <=
+                                    // wr`), and writes `dst`, whose length
+                                    // covers `7 * w + 8`; the kernel that
+                                    // owns `t8` was dispatched, so the host
+                                    // runs its ISA.
+                                    unsafe {
+                                        t8(m.ptr_at(p0 + p, g + r), m.ld(), dst.as_mut_ptr(), w)
+                                    };
+                                }
+                            }
+                            (p8, r8)
+                        }
+                        None => (lo, 0),
+                    };
                     for p in lo..hi {
-                        for (r, d) in panel[p * w..p * w + wr].iter_mut().enumerate() {
-                            *d = m.at(p0 + p, g + r);
+                        let r_from = if p < p8 { r8 } else { 0 };
+                        for (r, d) in panel[p * w + r_from..p * w + wr].iter_mut().enumerate() {
+                            *d = m.at(p0 + p, g + r_from + r);
                         }
                     }
                 }
@@ -326,14 +346,20 @@ impl<T: Scalar> Pass<'_, T> {
 ///
 /// Layout: panel `ip` holds rows `[ip*w, ip*w + w)` as `depth` contiguous
 /// `w`-element column slices; rows past `rows` are zero-padded so the
-/// microkernel always runs a full register tile.
+/// microkernel always runs a full register tile. `t8` moves whole 8 × 8
+/// blocks of mirrored runs; the layout does not depend on it.
+///
+/// # Safety
+/// `t8`, if given, must be the transpose of a kernel whose ISA the host
+/// supports ([`MicroKernel::TRANSPOSE8`] of a dispatched kernel).
 #[inline(always)]
-pub(crate) fn pack<T: Scalar>(
+pub(crate) unsafe fn pack<T: Scalar>(
     buf: &mut [T],
     x: &Operand<'_, T>,
     (i0, rows): (usize, usize),
     (p0, depth): (usize, usize),
     w: usize,
+    t8: Option<Transpose8<T>>,
 ) {
     let sources @ (below, above, _) = x.sources();
     for r0 in (0..rows).step_by(PASS_PANELS * w) {
@@ -348,6 +374,7 @@ pub(crate) fn pack<T: Scalar>(
             p0,
             depth,
             w,
+            t8,
         };
         // The depth slices whose diagonal element lies among this pass's
         // rows: left of them every row is below the diagonal, right of them
@@ -469,13 +496,16 @@ pub(crate) fn engine<T: Scalar, MK: MicroKernel<T>>(
                 // Fold beta into the first depth block: every C element is
                 // touched exactly once per pc iteration.
                 let beta_eff = if pc == 0 { beta } else { T::ONE };
-                pack(pb, &bt, (jc, nc), (pc, kc), MK::NR);
+                // SAFETY: the dispatcher only selects host-supported MKs,
+                // so MK's transpose runs here.
+                unsafe { pack(pb, &bt, (jc, nc), (pc, kc), MK::NR, MK::TRANSPOSE8) };
                 for ic in (0..m).step_by(MK::MC) {
                     let mc = MK::MC.min(m - ic);
                     if coverage(part, (ic, mc), (jc, nc)) == Coverage::Outside {
                         continue;
                     }
-                    pack(pa, &a, (ic, mc), (pc, kc), MK::MR);
+                    // SAFETY: as for the B panel above.
+                    unsafe { pack(pa, &a, (ic, mc), (pc, kc), MK::MR, MK::TRANSPOSE8) };
                     for jr in (0..nc).step_by(MK::NR) {
                         let nr = MK::NR.min(nc - jr);
                         let pb_panel = &pb[(jr / MK::NR) * kc * MK::NR..][..kc * MK::NR];
@@ -614,14 +644,15 @@ mod tests {
 
     #[test]
     fn fringe_shapes_and_kc_boundary() {
+        let s = crate::simd::kernel_shape::<f64>(selected_isa());
         for &(m, n) in &[
             (1, 1),
-            (MR - 1, NR + 1),
-            (MR, NR),
-            (MR + 1, NR - 1),
+            (s.mr - 1, s.nr + 1),
+            (s.mr, s.nr),
+            (s.mr + 1, s.nr - 1),
             (19, 13),
         ] {
-            for &k in &[1, 7, KC - 1, KC, KC + 1] {
+            for &k in &[1, 7, s.kc - 1, s.kc, s.kc + 1] {
                 check(m, n, k, 1.0, 0.5);
             }
         }
@@ -654,7 +685,8 @@ mod tests {
     #[test]
     fn pack_buffers_are_reused() {
         // Two calls on the same thread must not corrupt each other.
-        check(MC + 3, NR * 3 + 1, KC + 5, 0.75, 1.0);
+        let s = crate::simd::kernel_shape::<f64>(selected_isa());
+        check(s.mc + 3, s.nr * 3 + 1, s.kc + 5, 0.75, 1.0);
         check(5, 5, 5, -1.0, 0.0);
     }
 
@@ -697,16 +729,82 @@ mod tests {
         }
     }
 
+    /// The transpose [`engine`] hands [`pack`] under `isa`'s kernel.
+    fn transpose_of(isa: Isa) -> Option<Transpose8<f64>> {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => <crate::simd::avx512::Avx512Mk as MicroKernel<f64>>::TRANSPOSE8,
+            _ => None,
+        }
+    }
+
+    /// A `sr × sc` operand stored at offset `(off_r, off_c)` of a larger
+    /// allocation with leading dimension `ld`; what a structured operand
+    /// must not read is NaN.
+    fn operand_data(
+        (sr, sc): (usize, usize),
+        (off_r, off_c): (usize, usize),
+        ld: usize,
+        structure: Structure,
+        seed: u64,
+    ) -> Vec<f64> {
+        let mut data = det_vals(ld * (off_c + sc), seed);
+        if let Structure::Symmetric(u) | Structure::Triangular(u, _) = structure {
+            for j in 0..sc {
+                for i in 0..sr {
+                    let unread = match u {
+                        Uplo::Lower => i < j,
+                        Uplo::Upper => i > j,
+                    } || (i == j && structure == Structure::Triangular(u, Diag::Unit));
+                    if unread {
+                        data[off_r + i + (off_c + j) * ld] = f64::NAN;
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    /// Packs one block with `t8` and through the closure oracle, and
+    /// asserts the two buffers (a guard tail included) equal bit for bit.
+    fn check_pack(
+        x: &Operand<'_, f64>,
+        (i0, rows): (usize, usize),
+        (p0, depth): (usize, usize),
+        w: usize,
+        t8: Option<Transpose8<f64>>,
+    ) -> Result<(), String> {
+        let elems = rows.next_multiple_of(w) * depth;
+        let (mut got, mut want) = (vec![-7.0; elems + 5], vec![-7.0; elems + 5]);
+        // SAFETY: `t8` comes from `transpose_of` a host-supported ISA.
+        unsafe { pack(&mut got, x, (i0, rows), (p0, depth), w, t8) };
+        closure_pack(&mut want, x, (i0, rows), (p0, depth), w);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if bits(&got) == bits(&want) {
+            Ok(())
+        } else {
+            Err(format!(
+                "{:?} {:?} {}x{} ld {} rows {i0}+{rows} depth {p0}+{depth} w {w} t8 {}",
+                x.structure,
+                x.trans,
+                x.mat.nrows(),
+                x.mat.ncols(),
+                x.mat.ld(),
+                t8.is_some()
+            ))
+        }
+    }
+
     #[test]
     fn packer_matches_closure_oracle_bit_for_bit() {
         use crate::simd::{kernel_shape, supported_isas};
         // Every panel width and cache block a supported kernel packs with.
-        let shapes: Vec<_> = supported_isas()
+        let kernels: Vec<_> = supported_isas()
             .iter()
-            .map(|&isa| kernel_shape::<f64>(isa))
+            .map(|&isa| (kernel_shape::<f64>(isa), transpose_of(isa)))
             .collect();
         xk_lp::for_each_seed(192, |rng| {
-            let shape = rng.pick(&shapes);
+            let (shape, t8) = rng.pick(&kernels);
             let w = rng.pick(&[shape.mr, shape.nr]);
             // Mostly small operands, some large enough to start a second
             // MC/KC block, always free to miss the register-tile multiples.
@@ -728,25 +826,11 @@ mod tests {
             } else {
                 sr
             };
-            // A sub-view (`ld > m`, offset origin) of a larger allocation;
-            // what a structured operand must not read is NaN.
+            // A sub-view (`ld > m`, offset origin) of a larger allocation.
             let (off_r, off_c) = (rng.usize_in(0, 4), rng.usize_in(0, 4));
             let ld = off_r + sr + rng.usize_in(1, 6);
-            let mut data = det_vals(ld * (off_c + sc), rng.next_below(1000));
-            if let Structure::Symmetric(u) | Structure::Triangular(u, _) = structure {
-                for j in 0..sc {
-                    for i in 0..sr {
-                        let unread = match u {
-                            Uplo::Lower => i < j,
-                            Uplo::Upper => i > j,
-                        } || (i == j
-                            && structure == Structure::Triangular(u, Diag::Unit));
-                        if unread {
-                            data[off_r + i + (off_c + j) * ld] = f64::NAN;
-                        }
-                    }
-                }
-            }
+            let seed = rng.next_below(1000);
+            let data = operand_data((sr, sc), (off_r, off_c), ld, structure, seed);
             let mat = MatRef::from_slice(&data, off_r + sr, off_c + sc, ld);
             let x = Operand::new(mat.submatrix(off_r, off_c, sr, sc), trans, structure);
             // One block of the engine's loops: a row range at a `w`-aligned
@@ -756,15 +840,42 @@ mod tests {
             let rows = rng.usize_in(1, xr - i0 + 1);
             let p0 = rng.usize_in(0, xc);
             let depth = rng.usize_in(1, (xc - p0).min(shape.kc) + 1);
-            let elems = rows.next_multiple_of(w) * depth;
-            let (mut got, mut want) = (vec![-7.0; elems + 5], vec![-7.0; elems + 5]);
-            pack(&mut got, &x, (i0, rows), (p0, depth), w);
-            closure_pack(&mut want, &x, (i0, rows), (p0, depth), w);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert!(
-                bits(&got) == bits(&want),
-                "{structure:?} {trans:?} {sr}x{sc} ld {ld} rows {i0}+{rows} depth {p0}+{depth} w {w}"
-            );
+            check_pack(&x, (i0, rows), (p0, depth), w, t8).unwrap();
         });
+    }
+
+    /// The SIMD transpose path on purpose: every operand with a mirrored
+    /// side (transposed dense, symmetric, transposed triangular) on a
+    /// sub-view with `ld > rows` and an offset origin, at depths around
+    /// the 8-step block and the full `KC`, row ranges with and without a
+    /// tail block, and both micro-panel widths that are 8-granular.
+    #[test]
+    fn packer_transpose_path_matches_closure_oracle() {
+        let Some(t8) = transpose_of(crate::simd::detected_isa()) else {
+            return;
+        };
+        let (n, (off_r, off_c)) = (264, (3, 2));
+        let ld = off_r + n + 5;
+        let mut structures = vec![(Structure::Dense, Trans::Yes)];
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            structures.push((Structure::Symmetric(uplo), Trans::No));
+            for diag in [Diag::NonUnit, Diag::Unit] {
+                structures.push((Structure::Triangular(uplo, diag), Trans::Yes));
+            }
+        }
+        for (structure, trans) in structures {
+            let data = operand_data((n, n), (off_r, off_c), ld, structure, 5);
+            let mat = MatRef::from_slice(&data, off_r + n, off_c + n, ld);
+            let x = Operand::new(mat.submatrix(off_r, off_c, n, n), trans, structure);
+            for w in [8, 24] {
+                for depth in [1, 7, 8, 9, 255, 256] {
+                    for (i0, rows) in [(0, 4 * w), (w, 2 * w + 5), (2 * w, 3)] {
+                        for p0 in [0, 3, n - depth] {
+                            check_pack(&x, (i0, rows), (p0, depth), w, Some(t8)).unwrap();
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -50,7 +50,7 @@ mod trsm;
 mod types;
 mod view;
 
-pub use blocked::{KC, MC, MR, NC, NR, TB};
+pub use blocked::{MR, NR, TB};
 pub use gemm::gemm;
 pub use simd::{detected_isa, kernel_shape, selected_isa, Isa, KernelShape, ISA_ENV};
 pub use perfmodel::{GpuModel, TileOp, PITCHED_COPY_FACTOR};

@@ -9,9 +9,13 @@
 //!
 //! | ISA | register tile | intrinsics |
 //! |---|---|---|
-//! | AVX-512 | 8 × 8 (one zmm per column, unrolled ×4) | `_mm512_fmadd_pd`, masked fringe stores |
+//! | AVX-512 | 24 × 8 (three zmm per column, ×4, A/C prefetch) | `_mm512_fmadd_pd`, masked stores |
 //! | AVX2+FMA | 4 × 8 (one ymm per column, unrolled ×4) | `_mm256_fmadd_pd` |
 //! | scalar | 8 × 4 autovectorized | none (portable fallback + differential oracle) |
+//!
+//! A kernel may also bring an 8 × 8 transpose
+//! (`MicroKernel::TRANSPOSE8`, AVX-512 only) that the packer moves the
+//! blocks of mirrored runs through.
 //!
 //! # Selection
 //!
@@ -150,7 +154,7 @@ pub struct KernelShape {
     /// The ISA that was asked for (shapes of unsupported requests report
     /// the scalar fallback actually dispatched).
     pub isa: Isa,
-    /// Kernel name, e.g. `"avx512_8x8"`.
+    /// Kernel name, e.g. `"avx512_24x8"`.
     pub name: &'static str,
     /// Register-tile rows (micro-panel height of packed A).
     pub mr: usize,
@@ -182,6 +186,12 @@ pub(crate) fn shape_of<T: Scalar, MK: MicroKernel<T>>() -> KernelShape {
     }
 }
 
+/// A SIMD transpose of one 8 × 8 block:
+/// `dst[q * dst_stride + r] = src[r * ld + q]` for `r, q < 8`. Unsafe to
+/// call: both blocks must be in bounds and the host must support the
+/// owning kernel's ISA.
+pub(crate) type Transpose8<T> = unsafe fn(src: *const T, ld: usize, dst: *mut T, dst_stride: usize);
+
 /// The blocked, packed, register-tiled microkernel contract the engine
 /// drives. Implementations pair one register-tile update with the cache
 /// blocking tuned for it; `blocked::engine` is monomorphized per kernel
@@ -201,6 +211,11 @@ pub(crate) trait MicroKernel<T: Scalar> {
     const NC: usize;
     /// Reported kernel name.
     const NAME: &'static str;
+    /// The kernel's 8 × 8 transpose, if it has one: the packer then moves
+    /// the full 8 × 8 blocks of mirrored runs through it instead of its
+    /// scalar strided loop. Same ISA as the tile, so choosing this kernel
+    /// is the only host check it needs.
+    const TRANSPOSE8: Option<Transpose8<T>> = None;
 
     /// Rank-`kc` update of one register tile plus the fringe-clipped
     /// store: `C[..mr, ..nr] = alpha * (PA × PB) + beta * C[..mr, ..nr]`,

@@ -119,6 +119,16 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         unsafe { std::slice::from_raw_parts(self.ptr.add(j * self.ld), self.m) }
     }
 
+    /// Raw pointer to element `(i, j)` — the packer's SIMD block source.
+    /// Reads through it must stay within the view's `m × n` region.
+    #[inline]
+    pub(crate) fn ptr_at(&self, i: usize, j: usize) -> *const T {
+        debug_assert!(i < self.m && j < self.n);
+        // SAFETY: (i, j) is in bounds (debug-asserted / guaranteed by the
+        // packer's block clips), so the offset stays inside the viewed region.
+        unsafe { self.ptr.add(i + j * self.ld) }
+    }
+
     /// Sub-matrix view of size `mm × nn` starting at `(i, j)`.
     pub(crate) fn submatrix(&self, i: usize, j: usize, mm: usize, nn: usize) -> MatRef<'a, T> {
         assert!(i + mm <= self.m && j + nn <= self.n, "submatrix out of bounds");

@@ -30,8 +30,8 @@ fn det_vals(n: usize, seed: u64) -> Vec<f64> {
 fn gemm_grid_all_trans_boundary_shapes_every_isa() {
     // The grid runs once per host-supported ISA, with the boundary shapes
     // derived from *that* kernel's dispatched register tile and cache
-    // blocks (they differ per ISA: e.g. AVX-512 uses an 8x8 tile with
-    // MC=256 where scalar uses 8x4 with MC=128).
+    // blocks (they differ per ISA: e.g. AVX-512 uses a 24x8 tile with
+    // MC=264 where scalar uses 8x4 with MC=128).
     common::for_each_supported_isa(|isa| {
         let s = kernel_shape::<f64>(isa);
         // Shapes straddling the register tile, the cache blocks, and fringes.

@@ -26,7 +26,8 @@ use std::panic::{self, AssertUnwindSafe};
 use xk_kernels::aux::ulp_distance;
 use xk_kernels::simd::supported_isas;
 use xk_kernels::{
-    detected_isa, gemm, kernel_shape, selected_isa, Isa, MatMut, MatRef, Trans, ISA_ENV,
+    detected_isa, gemm, kernel_shape, selected_isa, symm, syr2k, syrk, trmm, trsm, Diag, Isa,
+    MatMut, MatRef, Side, Trans, Uplo, ISA_ENV,
 };
 
 const MAX_ULPS: u64 = 256;
@@ -270,7 +271,7 @@ fn simd_isas_match_scalar_within_tolerance() {
     let shapes = [
         (61usize, 37usize, 41usize),
         (129, 67, 300),  // crosses every kernel's KC=256
-        (257, 19, 64),   // crosses the widest MC (avx512 uses MC=256)
+        (265, 19, 64),   // crosses the widest MC (avx512 uses MC=264)
         (64, 64, 64),
     ];
     let scales = [(1.0, 0.0), (0.75, 1.0), (1.25, -0.5)];
@@ -384,4 +385,122 @@ fn kernel_shape_reports_dispatch() {
         assert_eq!(s32.isa, Isa::Scalar, "f32 always dispatches scalar");
         assert_eq!(s32.name, "scalar_8x4");
     }
+}
+
+/// FNV-1a over the bit patterns of `v`, which must be finite.
+fn digest(v: &[f64]) -> u64 {
+    assert!(v.iter().all(|x| x.is_finite()), "non-finite output");
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Digests of the six routines on odd shapes that leave a fringe in every
+/// register tile and cache block (`m = 300`, `n = 257`, `k = 513`), under
+/// whichever ISA is selected.
+fn routine_digests() -> Vec<u64> {
+    let (m, n, k) = (300usize, 257usize, 513usize);
+    let (alpha, beta) = (0.75, -0.5);
+    let a = det_vals(m * k, 91);
+    let b = det_vals(m * k.max(n), 92);
+    let c0 = det_vals(m * n, 93);
+    // A square operand of order `m` with a dominant diagonal, read as
+    // symmetric or triangular by the routine.
+    let mut s = det_vals(m * m, 94);
+    for i in 0..m {
+        s[i + i * m] = 2.0 + s[i + i * m].abs();
+    }
+    let sq = MatRef::from_slice(&s, m, m, m);
+    let mut out = Vec::new();
+    for (ta, tb) in [(Trans::No, Trans::No), (Trans::Yes, Trans::No), (Trans::No, Trans::Yes)] {
+        let (am, an) = ta.apply_dims(m, k);
+        let (bm, bn) = tb.apply_dims(k, n);
+        let (ar, br) = (
+            MatRef::from_slice(&a[..am * an], am, an, am),
+            MatRef::from_slice(&b[..bm * bn], bm, bn, bm),
+        );
+        let mut c = c0.clone();
+        gemm(ta, tb, alpha, ar, br, beta, MatMut::from_slice(&mut c, m, n, m));
+        out.push(digest(&c));
+    }
+    for (side, uplo) in [(Side::Left, Uplo::Lower), (Side::Right, Uplo::Upper)] {
+        let (cm, cn) = match side {
+            Side::Left => (m, n),
+            Side::Right => (n, m),
+        };
+        let br = MatRef::from_slice(&b[..cm * cn], cm, cn, cm);
+        let mut c = det_vals(cm * cn, 95);
+        symm(side, uplo, alpha, sq, br, beta, MatMut::from_slice(&mut c, cm, cn, cm));
+        out.push(digest(&c));
+    }
+    for (uplo, trans) in [(Uplo::Lower, Trans::No), (Uplo::Upper, Trans::Yes)] {
+        let (am, an) = trans.apply_dims(m, k);
+        let (ar, br) = (
+            MatRef::from_slice(&a[..am * an], am, an, am),
+            MatRef::from_slice(&b[..am * an], am, an, am),
+        );
+        let mut c = det_vals(m * m, 96);
+        syrk(uplo, trans, alpha, ar, beta, MatMut::from_slice(&mut c, m, m, m));
+        out.push(digest(&c));
+        let mut c = det_vals(m * m, 97);
+        syr2k(uplo, trans, alpha, ar, br, beta, MatMut::from_slice(&mut c, m, m, m));
+        out.push(digest(&c));
+    }
+    for (side, uplo, trans, diag) in [
+        (Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit),
+        (Side::Left, Uplo::Upper, Trans::Yes, Diag::NonUnit),
+        (Side::Right, Uplo::Upper, Trans::No, Diag::Unit),
+        (Side::Right, Uplo::Lower, Trans::Yes, Diag::NonUnit),
+    ] {
+        let (xm, xn) = match side {
+            Side::Left => (m, n),
+            Side::Right => (n, m),
+        };
+        let mut x = det_vals(xm * xn, 98);
+        trmm(side, uplo, trans, diag, alpha, sq, MatMut::from_slice(&mut x, xm, xn, xm));
+        out.push(digest(&x));
+        let mut x = det_vals(xm * xn, 99);
+        trsm(side, uplo, trans, diag, alpha, sq, MatMut::from_slice(&mut x, xm, xn, xm));
+        out.push(digest(&x));
+    }
+    out
+}
+
+/// [`routine_digests`] of the AVX-512 engine, recorded from its 8×8
+/// register tile. A taller tile keeps one FMA chain per `C` element over
+/// ascending depth and the same `KC`, so no bit may move.
+const AVX512_DIGESTS: [u64; 17] = [
+    0xed5d2b7fcb0e9342,
+    0x4f84e26a3a2fa03f,
+    0xfd195fa345727305,
+    0xf0c5dab5bf8e5b96,
+    0xc71d3e8232139bfd,
+    0x99d7aa94023eab71,
+    0xa486d96c0798bc50,
+    0x55b9a4e14470cb7e,
+    0xf788328501089482,
+    0x3ca4ac877278cf79,
+    0x13c5273b18399604,
+    0x4026bcd215a3ec30,
+    0x3a66d047f579a75f,
+    0xa8bb1ad836cf6b49,
+    0x811705a3cec1c35e,
+    0x2d67ecc2e721a094,
+    0x0e9785fdc5f54387,
+];
+
+/// The AVX-512 engine reproduces the 8×8 kernel's outputs bit for bit on
+/// every routine. Hosts without AVX-512 have nothing to pin.
+#[test]
+fn avx512_pin_is_bit_for_bit_8x8() {
+    let _guard = common::isa_lock();
+    let _restore = common::EnvRestore::capture();
+    if !supported_isas().contains(&Isa::Avx512) {
+        return;
+    }
+    std::env::set_var(ISA_ENV, "avx512");
+    assert_eq!(routine_digests(), AVX512_DIGESTS);
 }

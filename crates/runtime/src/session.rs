@@ -87,7 +87,7 @@ impl<'t> SimSession<'t> {
 
     /// Simulates `graph` to completion.
     pub fn run(&self, graph: &TaskGraph) -> Run {
-        self.complete(SimExecutor::new(graph, self.topo, &self.cfg))
+        self.complete(self.executor(graph, &SimPrep::new(graph)))
     }
 
     /// Simulates `graph` under a makespan budget:
@@ -95,7 +95,7 @@ impl<'t> SimSession<'t> {
     /// as soon as a lower bound on it proves so; else the run
     /// [`SimSession::run`] gives (see [`SimExecutor::run_within`]).
     pub fn run_within(&self, graph: &TaskGraph, budget: f64) -> Result<Run, Error> {
-        self.execute(SimExecutor::new(graph, self.topo, &self.cfg), budget)
+        self.execute(self.executor(graph, &SimPrep::new(graph)), budget)
     }
 
     /// Simulates `graph` from shared precomputed per-graph state.
@@ -105,7 +105,7 @@ impl<'t> SimSession<'t> {
     /// Batched replica drivers build the prep once and stamp every run
     /// from it, sharing its label table and skipping the CSR derivation.
     pub fn run_prepped(&self, graph: &TaskGraph, prep: &SimPrep) -> Run {
-        self.complete(SimExecutor::with_prep(graph, self.topo, &self.cfg, prep))
+        self.complete(self.executor(graph, prep))
     }
 
     /// [`SimSession::run_prepped`] under a makespan budget, with
@@ -117,20 +117,24 @@ impl<'t> SimSession<'t> {
         prep: &SimPrep,
         budget: f64,
     ) -> Result<Run, Error> {
-        self.execute(SimExecutor::with_prep(graph, self.topo, &self.cfg, prep), budget)
+        self.execute(self.executor(graph, prep), budget)
     }
 
     /// Simulates `graph` under a [`ScheduleController`]: every
     /// nondeterministic tie is resolved by `ctrl` (see
     /// [`SimExecutor::control`]). The run's trace records what happened.
     pub fn run_controlled(&self, graph: &TaskGraph, ctrl: &mut dyn ScheduleController) -> Run {
-        self.complete(SimExecutor::new(graph, self.topo, &self.cfg).control(ctrl))
+        self.complete(self.executor(graph, &SimPrep::new(graph)).control(ctrl))
     }
 
-    /// Runs `exec` at the session's observability level and with its fault,
-    /// if any, under `budget`: the one path behind every `run*` entry point.
-    fn execute(&self, exec: SimExecutor<'_>, budget: f64) -> Result<Run, Error> {
-        let mut exec = exec.observe(self.obs);
+    /// An executor of `graph` at the session's observability level.
+    fn executor<'g>(&'g self, graph: &'g TaskGraph, prep: &SimPrep) -> SimExecutor<'g> {
+        SimExecutor::observing(graph, self.topo, &self.cfg, prep, self.obs)
+    }
+
+    /// Runs `exec` with the session's fault, if any, under `budget`: the
+    /// one path behind every `run*` entry point.
+    fn execute(&self, mut exec: SimExecutor<'_>, budget: f64) -> Result<Run, Error> {
         if let Some(fault) = self.fault {
             exec = exec.with_fault(fault);
         }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use xk_sim::{Clock, Duration, EngineId, EnginePool, Reservation, SimTime};
 use xk_topo::{Device, FabricSpec};
-use xk_trace::{FlowId, Label, LabelTable, Span, SpanKind, Trace};
+use xk_trace::{FlowId, Label, LabelHash, LabelTable, Span, SpanKind, Trace};
 
 use crate::cache::{Eviction, SoftwareCache};
 use crate::choice::{ChoicePoint, ScheduleController};
@@ -216,6 +216,8 @@ pub struct SimExecutor<'a> {
     /// consuming kernels and write-backs. Always maintained — flat `u32`
     /// writes — so traces are identical across observability levels.
     flow_root: Vec<FlowId>,
+    /// What the run records ([`SimExecutor::observe`]).
+    level: ObsLevel,
     /// Occupancy/contention/critical-path recorder; `None` at
     /// [`ObsLevel::Off`].
     obs: Option<ObsRecorder>,
@@ -268,7 +270,7 @@ impl SimPrep {
         // patterns that render alike, so ids are those of interning every
         // task's text in order.
         let mut table = Trace::new();
-        let mut seen: HashMap<&TaskLabel, Label> = HashMap::new();
+        let mut seen: HashMap<&TaskLabel, Label, LabelHash> = HashMap::default();
         let mut labels = Vec::with_capacity(graph.len() + graph.data().len());
         let mut last: Option<(&TaskLabel, Label)> = None;
         let mut buf = String::new();
@@ -315,6 +317,20 @@ impl<'a> SimExecutor<'a> {
         cfg: &'a RuntimeConfig,
         prep: &SimPrep,
     ) -> Self {
+        // The level is not known yet: a `Full` run builds its recorder
+        // when it starts (see `observe`).
+        Self::observing(graph, topo, cfg, prep, ObsLevel::Off).observe(ObsLevel::Full)
+    }
+
+    /// [`SimExecutor::with_prep`] already observing at `level`: a `Full`
+    /// recorder is built with the executor's other per-run tables.
+    pub(crate) fn observing(
+        graph: &'a TaskGraph,
+        topo: &'a FabricSpec,
+        cfg: &'a RuntimeConfig,
+        prep: &SimPrep,
+        level: ObsLevel,
+    ) -> Self {
         let n_handles = prep.n_handles;
         assert_eq!(
             (prep.labels.len() - n_handles, n_handles),
@@ -344,7 +360,8 @@ impl<'a> SimExecutor<'a> {
             })
             .collect();
         let cache = SoftwareCache::new(n, cfg.gpu_memory, graph.data());
-        let obs = ObsRecorder::new(pool.len(), graph.data().len(), n, graph.len());
+        let obs = (level == ObsLevel::Full)
+            .then(|| ObsRecorder::new(pool.len(), graph.data().len(), n, graph.len()));
         SimExecutor {
             graph,
             cfg,
@@ -366,7 +383,8 @@ impl<'a> SimExecutor<'a> {
             scratch_engines: Vec::new(),
             scratch_sources: Vec::with_capacity(n),
             flow_root: vec![FlowId::NONE; graph.data().len()],
-            obs: Some(obs),
+            level,
+            obs,
             ctrl: Decider(None),
             fault: None,
             unstarted,
@@ -380,17 +398,14 @@ impl<'a> SimExecutor<'a> {
 
     /// Sets the observability level for this run (default:
     /// [`ObsLevel::Full`]). Observability never changes the simulation —
-    /// traces and makespans are bit-identical across levels.
+    /// traces and makespans are bit-identical across levels. A `Full` run
+    /// without a recorder builds one when it starts, so an executor set
+    /// to `Off` never allocates one.
     pub fn observe(mut self, level: ObsLevel) -> Self {
-        self.obs = match level {
-            ObsLevel::Off => None,
-            // Keep the recorder the constructor built: sessions call
-            // `observe` on every run, and `Full` is the default.
-            ObsLevel::Full => self.obs.take().or_else(|| {
-                let (n_handles, n_tasks) = (self.graph.data().len(), self.graph.len());
-                Some(ObsRecorder::new(self.pool.len(), n_handles, self.gpus.len(), n_tasks))
-            }),
-        };
+        self.level = level;
+        if level == ObsLevel::Off {
+            self.obs = None;
+        }
         self
     }
 
@@ -444,6 +459,11 @@ impl<'a> SimExecutor<'a> {
     pub fn run_within(mut self, budget: f64) -> Result<SimOutcome, Error> {
         let limit = budget * (1.0 + 1e-9);
         let bounded = limit.is_finite() && self.fault.is_none();
+        if self.level == ObsLevel::Full && self.obs.is_none() {
+            let (n_handles, n_tasks) = (self.graph.data().len(), self.graph.len());
+            let n_gpus = self.gpus.len();
+            self.obs = Some(ObsRecorder::new(self.pool.len(), n_handles, n_gpus, n_tasks));
+        }
         // Roots: nothing decrements `pending` before the event loop starts.
         for t in 0..self.tasks.len() {
             if self.tasks[t].pending == 0 {

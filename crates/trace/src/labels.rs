@@ -1,4 +1,60 @@
-//! The symbol table a [`crate::Trace`]'s span labels index into.
+//! The symbol table a [`crate::Trace`]'s span labels index into, and the
+//! hasher its interning maps use.
+
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The multiply-rotate hasher of rustc's `FxHash`, for maps keyed by
+/// label texts and label patterns. Those keys are short and chosen by the
+/// program, not by an adversary, so SipHash's flooding resistance buys
+/// nothing and its per-key setup dominates an interning lookup.
+#[derive(Clone, Copy, Default)]
+pub struct LabelHasher(u64);
+
+/// The `S` of a `HashMap` that hashes with [`LabelHasher`].
+pub type LabelHash = BuildHasherDefault<LabelHasher>;
+
+impl LabelHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for LabelHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Label texts stored back to back: `Label(i)` is the text between the end
 /// of label `i - 1` and `ends[i]`. The whole table is two allocations

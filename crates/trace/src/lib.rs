@@ -49,6 +49,6 @@ mod span;
 mod trace;
 
 pub use gantt::GanttOptions;
-pub use labels::LabelTable;
+pub use labels::{LabelHash, LabelHasher, LabelTable};
 pub use span::{FlowId, Label, Place, Span, SpanKind};
 pub use trace::{Breakdown, Trace};

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use crate::labels::LabelTable;
+use crate::labels::{LabelHash, LabelTable};
 use crate::span::{FlowId, Label, Place, Span, SpanKind};
 
 /// Longest hole in a set of `(start, end)` intervals, ignoring the idle
@@ -39,7 +39,7 @@ pub struct Trace {
     labels: Arc<LabelTable>,
     /// Reverse lookup for `intern`, built on its first call and dropped by
     /// `compact`.
-    index: HashMap<Box<str>, u32>,
+    index: HashMap<Box<str>, u32, LabelHash>,
 }
 
 /// Per-kind cumulated busy time, in seconds.
@@ -104,7 +104,7 @@ impl Trace {
     /// copied: an executor that interned every label of a graph once
     /// records each run's spans against that table without interning.
     pub fn with_labels(labels: Arc<LabelTable>) -> Self {
-        Trace { spans: Vec::new(), labels, index: HashMap::new() }
+        Trace { spans: Vec::new(), labels, index: HashMap::default() }
     }
 
     /// Interns `label`, returning its stable [`Label`] index. Interning the
@@ -291,7 +291,7 @@ impl Trace {
         if let Some(table) = Arc::get_mut(&mut self.labels) {
             table.compact();
         }
-        self.index = HashMap::new();
+        self.index = HashMap::default();
     }
 }
 
