@@ -4,14 +4,16 @@
 //!
 //! Seeds are independent replicas over shared immutable inputs, so the
 //! batched entry points ([`explore_random_batch`], [`explore_pct_batch`])
-//! fan them over `xk_sim::run_replicas` with one [`SimPrep`] hoisted out
-//! of the per-seed loop. Results come back indexed by seed position and
-//! are merged in that order, so a batched report is identical to the
-//! serial one — same `runs`, same `distinct` fingerprint count, same
-//! failures in the same order. The serial functions are the
-//! single-threaded special case of the batched ones.
+//! fan them over `xk_sim::run_replicas` with one [`SimPrep`], one makespan
+//! bound and one witness hoisted out of the per-seed loop. Results come
+//! back indexed by seed position and are merged in that order, so a
+//! batched report is identical to the serial one — same `runs`, same
+//! `distinct` fingerprint count, same failures in the same order. The
+//! serial functions are the single-threaded special case of the batched
+//! ones.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use xk_runtime::cache::CoherenceMutation;
 use xk_runtime::{
@@ -22,7 +24,7 @@ use xk_sim::run_replicas;
 use xk_topo::FabricSpec;
 
 use crate::controllers::{RandomController, ReplayController};
-use crate::witness;
+use crate::witness::Witness;
 
 /// One failing schedule, fully replayable.
 #[derive(Clone, Debug)]
@@ -103,11 +105,28 @@ fn bound_check(bound: &MakespanBound, out: &SimOutcome) -> Result<(), String> {
     }
 }
 
-/// The three oracles on one outcome: structure, bound, witness.
-fn verdict(graph: &TaskGraph, bound: &MakespanBound, out: &SimOutcome) -> Result<(), String> {
-    structural_check(graph, out)?;
-    bound_check(bound, out)?;
-    witness::check(graph, &out.trace).map_err(|e| e.to_string())
+/// What every schedule of one (graph, topology, config) scenario is
+/// checked against, built once per scenario: the makespan bound (a
+/// function of graph, topology and model only, never of controller
+/// decisions) and the graph's witness.
+struct Oracles<'g> {
+    graph: &'g TaskGraph,
+    bound: MakespanBound,
+    witness: Witness,
+}
+
+impl<'g> Oracles<'g> {
+    fn new(graph: &'g TaskGraph, topo: &FabricSpec, cfg: &RuntimeConfig) -> Self {
+        let bound = makespan_lower_bound(graph, topo, cfg);
+        Oracles { graph, bound, witness: Witness::new(graph) }
+    }
+
+    /// The three oracles on one outcome: structure, bound, witness.
+    fn verdict(&self, out: &SimOutcome) -> Result<(), String> {
+        structural_check(self.graph, out)?;
+        bound_check(&self.bound, out)?;
+        self.witness.check(&out.trace).map_err(|e| e.to_string())
+    }
 }
 
 /// Per-seed replica result: the SoA element [`run_replicas`] hands back in
@@ -166,22 +185,26 @@ pub fn explore_random_batch(
 ) -> ExploreReport {
     let seeds: Vec<u64> = seeds.into_iter().collect();
     let prep = SimPrep::new(graph);
-    // One bound serves every schedule of the scenario: it is a function of
-    // (graph, topo, model) only, never of controller decisions.
-    let bound = makespan_lower_bound(graph, topo, cfg);
+    let oracles = Oracles::new(graph, topo, cfg);
+    // The longest choice log so far sizes each new one, instead of every
+    // seed growing its log from empty; it moves capacities, never a result.
+    let log_len = AtomicUsize::new(0);
     merge_seed_results(run_replicas(seeds.len(), threads, |i| {
         let seed = seeds[i];
         let mut rng = RandomController::new(seed);
+        rng.log.0.reserve(log_len.load(Ordering::Relaxed));
         let mut ex = SimExecutor::with_prep(graph, topo, cfg, &prep).observe(ObsLevel::Off);
         if let Some(m) = mutation {
             ex = ex.inject_cache_mutation(m);
         }
         let out = ex.control(&mut rng).run();
         let log = &rng.log;
+        log_len.fetch_max(log.0.len(), Ordering::Relaxed);
         SeedResult {
             fingerprint: log.fingerprint(),
             makespan: out.makespan,
-            failure: verdict(graph, &bound, &out)
+            failure: oracles
+                .verdict(&out)
                 .err()
                 .map(|error| Failure { seed, choices: log.choices(), error }),
         }
@@ -203,18 +226,22 @@ pub fn explore_pct_batch(
 ) -> ExploreReport {
     let seeds: Vec<u64> = seeds.into_iter().collect();
     let prep = SimPrep::new(graph);
-    let bound = makespan_lower_bound(graph, topo, cfg);
+    let oracles = Oracles::new(graph, topo, cfg);
+    let log_len = AtomicUsize::new(0);
     merge_seed_results(run_replicas(seeds.len(), threads, |i| {
         let seed = seeds[i];
         let mut pct = crate::controllers::PctController::new(seed, change_every);
+        pct.log.0.reserve(log_len.load(Ordering::Relaxed));
         let out = SimExecutor::with_prep(graph, topo, cfg, &prep)
             .observe(ObsLevel::Off)
             .control(&mut pct)
             .run();
+        log_len.fetch_max(pct.log.0.len(), Ordering::Relaxed);
         SeedResult {
             fingerprint: pct.log.fingerprint(),
             makespan: out.makespan,
-            failure: verdict(graph, &bound, &out)
+            failure: oracles
+                .verdict(&out)
                 .err()
                 .map(|error| Failure { seed, choices: pct.log.choices(), error }),
         }
@@ -230,10 +257,10 @@ pub fn replay(
     choices: &[u32],
     mutation: Option<CoherenceMutation>,
 ) -> (SimOutcome, Result<(), String>) {
-    let bound = makespan_lower_bound(graph, topo, cfg);
+    let oracles = Oracles::new(graph, topo, cfg);
     let mut rep = ReplayController::new(choices.to_vec());
     let out = run_one(graph, topo, cfg, mutation, &mut rep);
-    let v = verdict(graph, &bound, &out);
+    let v = oracles.verdict(&out);
     (out, v)
 }
 
@@ -274,7 +301,7 @@ mod tests {
         let cfg = RuntimeConfig::default();
         // Enumerate the choice tree depth-first: every schedule passes the
         // oracle and none repeats.
-        let bound = makespan_lower_bound(&g, &topo, &cfg);
+        let oracles = Oracles::new(&g, &topo, &cfg);
         let mut fingerprints = HashSet::new();
         let mut runs = 0usize;
         let mut prefix = Some(Vec::new());
@@ -282,7 +309,7 @@ mod tests {
             assert!(runs < 50_000, "tiny tree not exhausted in {runs} runs");
             let mut dfs = DfsController::new(p);
             let out = run_one(&g, &topo, &cfg, None, &mut dfs);
-            assert_eq!(verdict(&g, &bound, &out), Ok(()), "schedule {:?}", dfs.log.choices());
+            assert_eq!(oracles.verdict(&out), Ok(()), "schedule {:?}", dfs.log.choices());
             runs += 1;
             fingerprints.insert(dfs.log.fingerprint());
             prefix = DfsController::next_prefix(&dfs.log);

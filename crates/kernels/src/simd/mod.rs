@@ -324,16 +324,29 @@ pub(crate) fn run_tile<T: Scalar>(
     }
 }
 
+/// Bytes of packed A and B micro-panels the peak measurement keeps in
+/// L1: 32 KiB, the L1d of most x86 cores (recent ones have 48 KiB).
+const PEAK_PANEL_BYTES: usize = 32 * 1024;
+
+/// Depth of the panels [`microkernel_peak_gflops`] times: `KC`, or less
+/// where one A and one B micro-panel of that depth would not fit
+/// [`PEAK_PANEL_BYTES`] together (the 24×8 `f64` tile: 128 of 256).
+fn peak_depth<T: Scalar>(shape: &KernelShape) -> usize {
+    let per_step = (shape.mr + shape.nr) * std::mem::size_of::<T>();
+    (PEAK_PANEL_BYTES / per_step).clamp(1, shape.kc)
+}
+
 /// Measured throughput of `isa`'s bare microkernel for `T`, in GFLOP/s:
-/// repeated full-tile rank-`KC` updates over L1-resident packed panels.
-/// This is the "machine peak" proxy the benchmark's
+/// repeated full-tile updates over packed panels that stay in L1: depth
+/// `KC`, or less where one A and one B micro-panel would not fit 32 KiB
+/// together. This is the "machine peak" proxy the benchmark's
 /// `kernels.gemm_fraction_of_peak` is a fraction of — it prices in loop
 /// overhead and the C-tile store, but no packing or cache misses.
 ///
 /// `budget_ms` is the measurement budget; the best batch wins.
 pub fn microkernel_peak_gflops<T: Scalar>(isa: Isa, budget_ms: u64) -> f64 {
     let shape = kernel_shape::<T>(isa);
-    let kc = shape.kc;
+    let kc = peak_depth::<T>(&shape);
     let pa: Vec<T> = (0..kc * shape.mr)
         .map(|i| T::from_f64((i % 23) as f64 * 0.05 - 0.5))
         .collect();
@@ -432,6 +445,24 @@ mod tests {
                     assert_eq!(c[r + j * ld], 1.0, "{isa}: padding clobbered");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn peak_panels_fit_l1() {
+        fn fits<T: Scalar>(isa: Isa) {
+            let shape = kernel_shape::<T>(isa);
+            let depth = peak_depth::<T>(&shape);
+            assert!((1..=shape.kc).contains(&depth), "{shape:?}: depth {depth}");
+            let bytes = (shape.mr + shape.nr) * depth * std::mem::size_of::<T>();
+            assert!(bytes <= 32 * 1024, "{shape:?}: {bytes} B of panels at depth {depth}");
+        }
+        for &isa in supported_isas() {
+            fits::<f64>(isa);
+            fits::<f32>(isa);
+        }
+        if supported_isas().contains(&Isa::Avx512) {
+            assert_eq!(peak_depth::<f64>(&kernel_shape::<f64>(Isa::Avx512)), 128);
         }
     }
 

@@ -415,19 +415,34 @@ impl TaskGraph {
 
     /// Modelled kernel seconds of every task, indexed by `TaskId.0`:
     /// `model.kernel_time(op)` for a kernel, `0` for a flush. The model is
-    /// evaluated once per run of equal consecutive ops (a tiled routine
-    /// submits one tile shape thousands of times in a row), and the
-    /// executor, dmdas, the makespan bound and the critical path all read
-    /// this table instead of evaluating the model per task.
+    /// evaluated once per distinct op while it stays among the last four
+    /// distinct ops evaluated (a tiled routine submits one tile shape
+    /// thousands of times in a row; a random DAG alternates a small
+    /// palette), and the executor, dmdas, the makespan bound and the
+    /// critical path all read this table instead of evaluating the model
+    /// per task.
     pub fn kernel_seconds(&self, model: &GpuModel) -> Vec<f64> {
-        let mut memo = (None, 0.0);
-        let seconds = self.tasks.iter().map(|t| {
-            if memo.0 != t.op {
-                memo = (t.op, t.op.map_or(0.0, |op| model.kernel_time(op)));
+        self.kernel_seconds_iter(model).collect()
+    }
+
+    /// [`TaskGraph::kernel_seconds`] as an iterator, for callers that fold
+    /// it into a table of their own.
+    pub(crate) fn kernel_seconds_iter<'s>(
+        &'s self,
+        model: &'s GpuModel,
+    ) -> impl Iterator<Item = f64> + 's {
+        // Filled round-robin; a flush (`None`) costs 0 from the start.
+        let mut memo = [(None, 0.0); 4];
+        let mut next = 0;
+        self.tasks.iter().map(move |t| match memo.iter().find(|m| m.0 == t.op) {
+            Some(&(_, seconds)) => seconds,
+            None => {
+                let seconds = t.op.map_or(0.0, |op| model.kernel_time(op));
+                memo[next] = (t.op, seconds);
+                next = (next + 1) % memo.len();
+                seconds
             }
-            memo.1
-        });
-        seconds.collect()
+        })
     }
 
     /// Total kernel flops in the graph.

@@ -15,6 +15,7 @@
 //! paper's figures are regenerated.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use xk_sim::{Clock, Duration, EngineId, EnginePool, Reservation, SimTime};
@@ -205,6 +206,8 @@ pub struct SimExecutor<'a> {
     /// The prep's trace label of each task by `TaskId.0`, then of each
     /// data handle by `HandleId.0`.
     labels: Arc<[Label]>,
+    /// The prep's longest trace so far ([`SimPrep`]), raised by this run.
+    span_hint: Arc<AtomicUsize>,
     /// Scratch buffers reused across scheduling steps so the event loop
     /// stays allocation-free after warm-up.
     scratch_avail: Vec<SimTime>,
@@ -255,6 +258,10 @@ pub struct SimPrep {
     labels: Arc<[Label]>,
     /// Number of data handles of the graph.
     n_handles: usize,
+    /// Most spans any run of the prep has recorded: each run's trace
+    /// starts with that much room instead of growing from empty. It only
+    /// moves capacities, never a span.
+    span_hint: Arc<AtomicUsize>,
 }
 
 impl SimPrep {
@@ -289,7 +296,12 @@ impl SimPrep {
         labels.extend(graph.data().iter().map(|(_, info)| table.intern(&info.label)));
         table.compact();
         let table = Arc::clone(table.labels());
-        SimPrep { table, labels: labels.into(), n_handles: graph.data().len() }
+        SimPrep {
+            table,
+            labels: labels.into(),
+            n_handles: graph.data().len(),
+            span_hint: Arc::default(),
+        }
     }
 }
 
@@ -341,7 +353,7 @@ impl<'a> SimExecutor<'a> {
         assert!(n < NO_GPU as usize, "{n} GPUs do not fit the per-task record");
         let tasks: Vec<TaskState> = graph
             .pred_counts()
-            .zip(graph.kernel_seconds(&cfg.gpu_model))
+            .zip(graph.kernel_seconds_iter(&cfg.gpu_model))
             .map(|(pending, kernel_seconds)| TaskState {
                 kernel_seconds,
                 pending: pending as u32,
@@ -376,8 +388,12 @@ impl<'a> SimExecutor<'a> {
             tasks,
             committed: vec![0.0; n],
             placement: Placement::new(cfg.scheduler),
-            trace: Trace::with_labels(Arc::clone(&prep.table)),
+            trace: Trace::with_labels(
+                Arc::clone(&prep.table),
+                prep.span_hint.load(Ordering::Relaxed),
+            ),
             labels: Arc::clone(&prep.labels),
+            span_hint: Arc::clone(&prep.span_hint),
             scratch_avail: Vec::with_capacity(n),
             scratch_handles: Vec::new(),
             scratch_engines: Vec::new(),
@@ -497,6 +513,7 @@ impl<'a> SimExecutor<'a> {
             let total: f64 = self.tasks.iter().map(|s| s.kernel_seconds).sum();
             self.committed.iter().all(|c| c.abs() <= 1e-9 * total)
         });
+        self.span_hint.fetch_max(self.trace.len(), Ordering::Relaxed);
         let makespan = self.trace.makespan();
         if makespan > limit {
             return Err(Error::OverBudget);

@@ -101,10 +101,11 @@ impl Trace {
     }
 
     /// Empty trace whose symbol table is `labels`, shared rather than
-    /// copied: an executor that interned every label of a graph once
-    /// records each run's spans against that table without interning.
-    pub fn with_labels(labels: Arc<LabelTable>) -> Self {
-        Trace { spans: Vec::new(), labels, index: HashMap::default() }
+    /// copied, with room for `spans` spans: an executor that interned
+    /// every label of a graph once records each run's spans against that
+    /// table without interning.
+    pub fn with_labels(labels: Arc<LabelTable>, spans: usize) -> Self {
+        Trace { spans: Vec::with_capacity(spans), labels, index: HashMap::default() }
     }
 
     /// Interns `label`, returning its stable [`Label`] index. Interning the
@@ -440,7 +441,7 @@ mod tests {
     #[test]
     fn with_labels_shares_one_allocation() {
         let shared = table(&["t0", "A"]);
-        let a = Trace::with_labels(Arc::clone(&shared));
+        let a = Trace::with_labels(Arc::clone(&shared), 0);
         let b = a.clone();
         assert!(Arc::ptr_eq(a.labels(), &shared));
         assert!(Arc::ptr_eq(b.labels(), &shared));
@@ -450,7 +451,7 @@ mod tests {
     #[test]
     fn a_shared_table_resolves_and_interns_copy_on_write() {
         let shared = table(&["t0", "A", "t0"]);
-        let mut t = Trace::with_labels(Arc::clone(&shared));
+        let mut t = Trace::with_labels(Arc::clone(&shared), 0);
         assert_eq!(t.label(Label(1)), "A");
         assert_eq!(t.intern("t0"), Label(0), "a repeated text interns to its first slot");
         assert_eq!(t.intern("B"), Label(3));
@@ -465,7 +466,7 @@ mod tests {
 
     #[test]
     fn none_and_out_of_range_labels_resolve_to_empty() {
-        let t = Trace::with_labels(table(&["", "x"]));
+        let t = Trace::with_labels(table(&["", "x"]), 0);
         assert_eq!(t.label(Label::NONE), "");
         assert_eq!(t.label(Label(0)), "");
         assert_eq!(t.label(Label(1)), "x");
