@@ -5,10 +5,7 @@
 //! independent series. They are swept one `(fabric, routine, n)` column at
 //! a time, largest `n` first, and while the run cache is on the columns
 //! fan out over every core ([`xk_sim::run_replicas`]). Every library of a
-//! column then simulates the graphs its worker built for the first one:
-//! with the cached search's early stops, a `paper_small` pass builds 279
-//! graphs instead of 434 and, on two cores, takes 22–32 % less time and
-//! 64 MB peak RSS instead of 85.
+//! column then simulates the graphs its worker built for the first one.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -1,6 +1,6 @@
 //! Tiled GEMM: `C = alpha * op(A) * op(B) + beta * C`.
 
-use xk_kernels::{Scalar, Trans};
+use xk_kernels::{Trans};
 
 use super::t_gemm;
 use crate::ctx::Context;
@@ -14,15 +14,15 @@ use crate::matrix::Matrix;
 /// # Panics
 /// Panics on inconsistent matrix dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_async<T: Scalar>(
-    ctx: &mut Context<T>,
+pub fn gemm_async(
+    ctx: &mut Context<f64>,
     transa: Trans,
     transb: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &Matrix<T>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    beta: f64,
+    c: &Matrix<f64>,
 ) {
     let (m, n) = (c.nrows(), c.ncols());
     let (oam, oak) = transa.apply_dims(a.nrows(), a.ncols());
@@ -43,7 +43,7 @@ pub fn gemm_async<T: Scalar>(
     for i in 0..cmap.mt {
         for j in 0..cmap.nt {
             for l in 0..kt {
-                let beta_l = if l == 0 { beta } else { T::ONE };
+                let beta_l = if l == 0 { beta } else { 1.0 };
                 let at = match transa {
                     Trans::No => (a, i, l),
                     Trans::Yes => (a, l, i),

@@ -27,17 +27,17 @@ pub use trmm::trmm_async;
 pub use trsm::trsm_async;
 
 use xk_kernels::perfmodel::TileOp;
-use xk_kernels::{Diag, Scalar, Side, Trans, Uplo};
+use xk_kernels::{Diag, Side, Trans, Uplo};
 use xk_runtime::{Access, TaskAccess, TaskLabel};
 
 use crate::ctx::Context;
 use crate::matrix::Matrix;
 
 /// A tile coordinate within a matrix.
-pub(crate) type TileAt<'m, T> = (&'m Matrix<T>, usize, usize);
+pub(crate) type TileAt<'m> = (&'m Matrix<f64>, usize, usize);
 
 /// Resolves the view geometry of one tile: `(row0, col0, rows, cols)`.
-fn geom<T: Scalar>(ctx: &Context<T>, t: TileAt<'_, T>) -> (usize, usize, usize, usize) {
+fn geom(ctx: &Context<f64>, t: TileAt<'_>) -> (usize, usize, usize, usize) {
     let map = ctx.tile_map(t.0);
     let (i0, j0) = map.origin(t.1, t.2);
     (i0, j0, map.tile_rows(t.1), map.tile_cols(t.2))
@@ -45,15 +45,15 @@ fn geom<T: Scalar>(ctx: &Context<T>, t: TileAt<'_, T>) -> (usize, usize, usize, 
 
 /// Emits `C_tile = alpha * op(A_tile) * op(B_tile) + beta * C_tile`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn t_gemm<T: Scalar>(
-    ctx: &mut Context<T>,
+pub(crate) fn t_gemm(
+    ctx: &mut Context<f64>,
     ta: Trans,
     tb: Trans,
-    alpha: T,
-    a: TileAt<'_, T>,
-    b: TileAt<'_, T>,
-    beta: T,
-    c: TileAt<'_, T>,
+    alpha: f64,
+    a: TileAt<'_>,
+    b: TileAt<'_>,
+    beta: f64,
+    c: TileAt<'_>,
 ) {
     let (ai0, aj0, am, an) = geom(ctx, a);
     let (bi0, bj0, bm, bn) = geom(ctx, b);
@@ -101,15 +101,15 @@ pub(crate) fn t_gemm<T: Scalar>(
 /// Emits `C_tile = alpha * A_sym_tile * B_tile + beta * C_tile` for a
 /// *diagonal* tile of the symmetric matrix.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn t_symm<T: Scalar>(
-    ctx: &mut Context<T>,
+pub(crate) fn t_symm(
+    ctx: &mut Context<f64>,
     side: Side,
     uplo: Uplo,
-    alpha: T,
-    a: TileAt<'_, T>,
-    b: TileAt<'_, T>,
-    beta: T,
-    c: TileAt<'_, T>,
+    alpha: f64,
+    a: TileAt<'_>,
+    b: TileAt<'_>,
+    beta: f64,
+    c: TileAt<'_>,
 ) {
     let (ai0, aj0, am, an) = geom(ctx, a);
     let (bi0, bj0, bm, bn) = geom(ctx, b);
@@ -145,14 +145,14 @@ pub(crate) fn t_symm<T: Scalar>(
 }
 
 /// Emits a SYRK update of a diagonal tile of C.
-pub(crate) fn t_syrk<T: Scalar>(
-    ctx: &mut Context<T>,
+pub(crate) fn t_syrk(
+    ctx: &mut Context<f64>,
     uplo: Uplo,
     trans: Trans,
-    alpha: T,
-    a: TileAt<'_, T>,
-    beta: T,
-    c: TileAt<'_, T>,
+    alpha: f64,
+    a: TileAt<'_>,
+    beta: f64,
+    c: TileAt<'_>,
 ) {
     let (ai0, aj0, am, an) = geom(ctx, a);
     let (ci0, cj0, m, n) = geom(ctx, c);
@@ -189,15 +189,15 @@ pub(crate) fn t_syrk<T: Scalar>(
 
 /// Emits a SYR2K update of a diagonal tile of C.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn t_syr2k<T: Scalar>(
-    ctx: &mut Context<T>,
+pub(crate) fn t_syr2k(
+    ctx: &mut Context<f64>,
     uplo: Uplo,
     trans: Trans,
-    alpha: T,
-    a: TileAt<'_, T>,
-    b: TileAt<'_, T>,
-    beta: T,
-    c: TileAt<'_, T>,
+    alpha: f64,
+    a: TileAt<'_>,
+    b: TileAt<'_>,
+    beta: f64,
+    c: TileAt<'_>,
 ) {
     let (ai0, aj0, am, an) = geom(ctx, a);
     let (bi0, bj0, bm, bn) = geom(ctx, b);
@@ -239,15 +239,15 @@ pub(crate) fn t_syr2k<T: Scalar>(
 
 /// Emits an in-place triangular multiply of a B tile by a diagonal A tile.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn t_trmm<T: Scalar>(
-    ctx: &mut Context<T>,
+pub(crate) fn t_trmm(
+    ctx: &mut Context<f64>,
     side: Side,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
-    alpha: T,
-    a: TileAt<'_, T>,
-    b: TileAt<'_, T>,
+    alpha: f64,
+    a: TileAt<'_>,
+    b: TileAt<'_>,
 ) {
     let (ai0, aj0, am, an) = geom(ctx, a);
     let (bi0, bj0, m, n) = geom(ctx, b);
@@ -281,15 +281,15 @@ pub(crate) fn t_trmm<T: Scalar>(
 
 /// Emits an in-place triangular solve of a B tile against a diagonal A tile.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn t_trsm<T: Scalar>(
-    ctx: &mut Context<T>,
+pub(crate) fn t_trsm(
+    ctx: &mut Context<f64>,
     side: Side,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
-    alpha: T,
-    a: TileAt<'_, T>,
-    b: TileAt<'_, T>,
+    alpha: f64,
+    a: TileAt<'_>,
+    b: TileAt<'_>,
 ) {
     let (ai0, aj0, am, an) = geom(ctx, a);
     let (bi0, bj0, m, n) = geom(ctx, b);

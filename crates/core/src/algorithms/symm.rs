@@ -1,7 +1,7 @@
 //! Tiled SYMM: `C = alpha * A * B + beta * C` (left) or
 //! `C = alpha * B * A + beta * C` (right), `A` symmetric in one triangle.
 
-use xk_kernels::{Scalar, Side, Trans, Uplo};
+use xk_kernels::{Side, Trans, Uplo};
 
 use super::{t_gemm, t_symm};
 use crate::ctx::Context;
@@ -15,15 +15,15 @@ use crate::matrix::Matrix;
 /// # Panics
 /// Panics on inconsistent dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn symm_async<T: Scalar>(
-    ctx: &mut Context<T>,
+pub fn symm_async(
+    ctx: &mut Context<f64>,
     side: Side,
     uplo: Uplo,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &Matrix<T>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    beta: f64,
+    c: &Matrix<f64>,
 ) {
     let (m, n) = (c.nrows(), c.ncols());
     assert_eq!(b.nrows(), m);
@@ -42,7 +42,7 @@ pub fn symm_async<T: Scalar>(
             for i in 0..cmap.mt {
                 for j in 0..cmap.nt {
                     for k in 0..cmap.mt {
-                        let beta_k = if k == 0 { beta } else { T::ONE };
+                        let beta_k = if k == 0 { beta } else { 1.0 };
                         if k == i {
                             t_symm(ctx, Side::Left, uplo, alpha, (a, i, i), (b, k, j), beta_k, (c, i, j));
                         } else {
@@ -66,7 +66,7 @@ pub fn symm_async<T: Scalar>(
             for i in 0..cmap.mt {
                 for j in 0..cmap.nt {
                     for k in 0..cmap.nt {
-                        let beta_k = if k == 0 { beta } else { T::ONE };
+                        let beta_k = if k == 0 { beta } else { 1.0 };
                         if k == j {
                             t_symm(ctx, Side::Right, uplo, alpha, (a, j, j), (b, i, k), beta_k, (c, i, j));
                         } else {

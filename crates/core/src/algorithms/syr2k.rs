@@ -1,7 +1,7 @@
 //! Tiled SYR2K:
 //! `C = alpha * (op(A) op(B)^T + op(B) op(A)^T) + beta * C`, `C` symmetric.
 
-use xk_kernels::{Scalar, Trans, Uplo};
+use xk_kernels::{Trans, Uplo};
 
 use super::{t_gemm, t_syr2k};
 use crate::ctx::Context;
@@ -15,15 +15,15 @@ use crate::matrix::Matrix;
 /// # Panics
 /// Panics on inconsistent dimensions or non-square `C`.
 #[allow(clippy::too_many_arguments)]
-pub fn syr2k_async<T: Scalar>(
-    ctx: &mut Context<T>,
+pub fn syr2k_async(
+    ctx: &mut Context<f64>,
     uplo: Uplo,
     trans: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &Matrix<T>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    beta: f64,
+    c: &Matrix<f64>,
 ) {
     let n = c.nrows();
     assert_eq!(c.ncols(), n, "C must be square");
@@ -51,7 +51,7 @@ pub fn syr2k_async<T: Scalar>(
                 continue;
             }
             for l in 0..kt {
-                let beta_l = if l == 0 { beta } else { T::ONE };
+                let beta_l = if l == 0 { beta } else { 1.0 };
                 if i == j {
                     let (at, bt) = match trans {
                         Trans::No => ((a, i, l), (b, i, l)),
@@ -64,11 +64,11 @@ pub fn syr2k_async<T: Scalar>(
                     match trans {
                         Trans::No => {
                             t_gemm(ctx, Trans::No, Trans::Yes, alpha, (a, i, l), (b, j, l), beta_l, (c, i, j));
-                            t_gemm(ctx, Trans::No, Trans::Yes, alpha, (b, i, l), (a, j, l), T::ONE, (c, i, j));
+                            t_gemm(ctx, Trans::No, Trans::Yes, alpha, (b, i, l), (a, j, l), 1.0, (c, i, j));
                         }
                         Trans::Yes => {
                             t_gemm(ctx, Trans::Yes, Trans::No, alpha, (a, l, i), (b, l, j), beta_l, (c, i, j));
-                            t_gemm(ctx, Trans::Yes, Trans::No, alpha, (b, l, i), (a, l, j), T::ONE, (c, i, j));
+                            t_gemm(ctx, Trans::Yes, Trans::No, alpha, (b, l, i), (a, l, j), 1.0, (c, i, j));
                         }
                     }
                 }

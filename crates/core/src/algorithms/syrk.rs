@@ -1,6 +1,6 @@
 //! Tiled SYRK: `C = alpha * op(A) * op(A)^T + beta * C`, `C` symmetric.
 
-use xk_kernels::{Scalar, Trans, Uplo};
+use xk_kernels::{Trans, Uplo};
 
 use super::{t_gemm, t_syrk};
 use crate::ctx::Context;
@@ -13,14 +13,14 @@ use crate::matrix::Matrix;
 ///
 /// # Panics
 /// Panics on inconsistent dimensions or non-square `C`.
-pub fn syrk_async<T: Scalar>(
-    ctx: &mut Context<T>,
+pub fn syrk_async(
+    ctx: &mut Context<f64>,
     uplo: Uplo,
     trans: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    beta: T,
-    c: &Matrix<T>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    beta: f64,
+    c: &Matrix<f64>,
 ) {
     let n = c.nrows();
     assert_eq!(c.ncols(), n, "C must be square");
@@ -46,7 +46,7 @@ pub fn syrk_async<T: Scalar>(
                 continue;
             }
             for l in 0..kt {
-                let beta_l = if l == 0 { beta } else { T::ONE };
+                let beta_l = if l == 0 { beta } else { 1.0 };
                 if i == j {
                     let at = match trans {
                         Trans::No => (a, i, l),

@@ -1,6 +1,6 @@
 //! Tiled TRMM (in place): `B = alpha * op(A) * B` or `B = alpha * B * op(A)`.
 
-use xk_kernels::{Diag, Scalar, Side, Trans, Uplo};
+use xk_kernels::{Diag, Side, Trans, Uplo};
 
 use super::{t_gemm, t_trmm};
 use crate::ctx::Context;
@@ -17,15 +17,15 @@ use crate::matrix::Matrix;
 /// # Panics
 /// Panics on inconsistent dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn trmm_async<T: Scalar>(
-    ctx: &mut Context<T>,
+pub fn trmm_async(
+    ctx: &mut Context<f64>,
     side: Side,
     uplo: Uplo,
     transa: Trans,
     diag: Diag,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
 ) {
     let (m, n) = (b.nrows(), b.ncols());
     let na = match side {
@@ -69,11 +69,11 @@ pub fn trmm_async<T: Scalar>(
                         match transa {
                             Trans::No => t_gemm(
                                 ctx, Trans::No, Trans::No, alpha,
-                                (a, i, k), (b, k, j), T::ONE, (b, i, j),
+                                (a, i, k), (b, k, j), 1.0, (b, i, j),
                             ),
                             Trans::Yes => t_gemm(
                                 ctx, Trans::Yes, Trans::No, alpha,
-                                (a, k, i), (b, k, j), T::ONE, (b, i, j),
+                                (a, k, i), (b, k, j), 1.0, (b, i, j),
                             ),
                         }
                     }
@@ -101,11 +101,11 @@ pub fn trmm_async<T: Scalar>(
                         match transa {
                             Trans::No => t_gemm(
                                 ctx, Trans::No, Trans::No, alpha,
-                                (b, i, k), (a, k, j), T::ONE, (b, i, j),
+                                (b, i, k), (a, k, j), 1.0, (b, i, j),
                             ),
                             Trans::Yes => t_gemm(
                                 ctx, Trans::No, Trans::Yes, alpha,
-                                (b, i, k), (a, j, k), T::ONE, (b, i, j),
+                                (b, i, k), (a, j, k), 1.0, (b, i, j),
                             ),
                         }
                     }

@@ -1,7 +1,7 @@
 //! Tiled TRSM (in place): solve `op(A) * X = alpha * B` or
 //! `X * op(A) = alpha * B`, storing `X` over `B`.
 
-use xk_kernels::{Diag, Scalar, Side, Trans, Uplo};
+use xk_kernels::{Diag, Side, Trans, Uplo};
 
 use super::{t_gemm, t_trsm};
 use crate::ctx::Context;
@@ -18,15 +18,15 @@ use crate::matrix::Matrix;
 /// # Panics
 /// Panics on inconsistent dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn trsm_async<T: Scalar>(
-    ctx: &mut Context<T>,
+pub fn trsm_async(
+    ctx: &mut Context<f64>,
     side: Side,
     uplo: Uplo,
     transa: Trans,
     diag: Diag,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
 ) {
     let (m, n) = (b.nrows(), b.ncols());
     let na = match side {
@@ -52,7 +52,7 @@ pub fn trsm_async<T: Scalar>(
                 (0..bmap.mt).rev().collect()
             };
             for (step, &k) in pivots.iter().enumerate() {
-                let alpha_k = if step == 0 { alpha } else { T::ONE };
+                let alpha_k = if step == 0 { alpha } else { 1.0 };
                 for j in 0..bmap.nt {
                     t_trsm(ctx, side, uplo, transa, diag, alpha_k, (a, k, k), (b, k, j));
                 }
@@ -65,14 +65,14 @@ pub fn trsm_async<T: Scalar>(
                     for j in 0..bmap.nt {
                         // B(i,j) = -opA(i,k) * X(k,j) + beta * B(i,j),
                         // beta applies alpha on the first touch of row i.
-                        let beta = if step == 0 { alpha } else { T::ONE };
+                        let beta = if step == 0 { alpha } else { 1.0 };
                         match transa {
                             Trans::No => t_gemm(
-                                ctx, Trans::No, Trans::No, -T::ONE,
+                                ctx, Trans::No, Trans::No, -1.0,
                                 (a, i, k), (b, k, j), beta, (b, i, j),
                             ),
                             Trans::Yes => t_gemm(
-                                ctx, Trans::Yes, Trans::No, -T::ONE,
+                                ctx, Trans::Yes, Trans::No, -1.0,
                                 (a, k, i), (b, k, j), beta, (b, i, j),
                             ),
                         }
@@ -89,7 +89,7 @@ pub fn trsm_async<T: Scalar>(
                 (0..bmap.nt).collect()
             };
             for (step, &k) in pivots.iter().enumerate() {
-                let alpha_k = if step == 0 { alpha } else { T::ONE };
+                let alpha_k = if step == 0 { alpha } else { 1.0 };
                 for i in 0..bmap.mt {
                     t_trsm(ctx, side, uplo, transa, diag, alpha_k, (a, k, k), (b, i, k));
                 }
@@ -100,15 +100,15 @@ pub fn trsm_async<T: Scalar>(
                 };
                 for j in rest {
                     for i in 0..bmap.mt {
-                        let beta = if step == 0 { alpha } else { T::ONE };
+                        let beta = if step == 0 { alpha } else { 1.0 };
                         // B(i,j) = -X(i,k) * opA(k,j) + beta * B(i,j).
                         match transa {
                             Trans::No => t_gemm(
-                                ctx, Trans::No, Trans::No, -T::ONE,
+                                ctx, Trans::No, Trans::No, -1.0,
                                 (b, i, k), (a, k, j), beta, (b, i, j),
                             ),
                             Trans::Yes => t_gemm(
-                                ctx, Trans::No, Trans::Yes, -T::ONE,
+                                ctx, Trans::No, Trans::Yes, -1.0,
                                 (b, i, k), (a, j, k), beta, (b, i, j),
                             ),
                         }

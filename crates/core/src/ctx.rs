@@ -10,7 +10,6 @@
 use std::marker::PhantomData;
 
 use xk_kernels::perfmodel::TileOp;
-use xk_kernels::Scalar;
 use xk_runtime::task::TaskBody;
 use xk_runtime::{
     run_parallel, DataInfo, HandleId, ParOutcome, RuntimeConfig, SimOutcome,
@@ -36,8 +35,9 @@ struct MatEntry {
     handles: Vec<Option<HandleId>>,
 }
 
-/// The asynchronous BLAS context.
-pub struct Context<T: Scalar> {
+/// The asynchronous BLAS context over `f64` matrices (`T` is always
+/// `f64`; see `xk_kernels::Scalar`).
+pub struct Context<T> {
     topo: FabricSpec,
     cfg: RuntimeConfig,
     tile: usize,
@@ -50,7 +50,7 @@ pub struct Context<T: Scalar> {
     _scalar: PhantomData<T>,
 }
 
-impl<T: Scalar> Context<T> {
+impl Context<f64> {
     /// Creates a context for `topo` under `cfg`, decomposing matrices into
     /// square tiles of side `tile`.
     ///
@@ -107,7 +107,7 @@ impl<T: Scalar> Context<T> {
     }
 
     /// The tile partition a matrix gets in this context.
-    pub(crate) fn tile_map(&self, mat: &Matrix<T>) -> TileMap {
+    pub(crate) fn tile_map(&self, mat: &Matrix<f64>) -> TileMap {
         TileMap::new(mat.nrows(), mat.ncols(), self.tile)
     }
 
@@ -137,7 +137,7 @@ impl<T: Scalar> Context<T> {
 
     /// Index in `mats` of the entry of `mat`, created host-resident and
     /// without handles on first sight.
-    fn entry_index(&mut self, mat: &Matrix<T>) -> usize {
+    fn entry_index(&mut self, mat: &Matrix<f64>) -> usize {
         let known = self.mats.iter().position(|e| e.id == mat.id());
         known.unwrap_or_else(|| {
             let map = self.tile_map(mat);
@@ -148,7 +148,7 @@ impl<T: Scalar> Context<T> {
     }
 
     /// Registers (or retrieves) the runtime handle of tile `(i, j)`.
-    pub(crate) fn handle(&mut self, mat: &Matrix<T>, i: usize, j: usize) -> HandleId {
+    pub(crate) fn handle(&mut self, mat: &Matrix<f64>, i: usize, j: usize) -> HandleId {
         let at = self.entry_index(mat);
         let MatEntry { distributed, map, ref handles, .. } = self.mats[at];
         let (mt, nt) = (map.mt, map.nt);
@@ -158,7 +158,7 @@ impl<T: Scalar> Context<T> {
             return h;
         }
         let (mb, nb) = (map.tile_rows(i), map.tile_cols(j));
-        let bytes = (mb * nb * T::WORD) as u64;
+        let bytes = (mb * nb * std::mem::size_of::<f64>()) as u64;
         // A tile is pitched on the host whenever its rows don't span the
         // full leading dimension (cudaMemcpy2D path). Tile-layout libraries
         // store tiles contiguously instead.
@@ -200,7 +200,7 @@ impl<T: Scalar> Context<T> {
     ///
     /// # Panics
     /// Panics if tiles of the matrix were already registered host-resident.
-    pub fn distribute_2d_block_cyclic_async(&mut self, mat: &Matrix<T>) {
+    pub fn distribute_2d_block_cyclic_async(&mut self, mat: &Matrix<f64>) {
         let at = self.entry_index(mat);
         let entry = &mut self.mats[at];
         assert!(
@@ -213,7 +213,7 @@ impl<T: Scalar> Context<T> {
     /// `xkblas_memory_coherent_async`: enqueues a host-coherency task for
     /// every registered tile of `mat`. After the sync, host memory holds
     /// the results (the data-on-host methodology of §IV-A).
-    pub fn memory_coherent_async(&mut self, mat: &Matrix<T>) {
+    pub fn memory_coherent_async(&mut self, mat: &Matrix<f64>) {
         // One flush task per tile: each depends only on that tile's last
         // writer, so write-backs stream out while other tiles still
         // compute (XKBlas makes memory coherence a per-tile data-flow
@@ -376,7 +376,7 @@ mod tests {
                         registered.insert(mat.id());
                         assert_eq!(ctx.handle(mat, i, j), expected);
                         let info = ctx.graph().data().info(expected);
-                        assert_eq!(info.bytes, map.tile_bytes(i, j, 8));
+                        assert_eq!(info.bytes, map.tile_bytes(i, j));
                         assert_eq!(info.label, format!("M{}({i},{j})", mat.id()));
                         assert_eq!(info.initial.is_host(), !distributed.contains(&mat.id()));
                     }

@@ -10,7 +10,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use xk_kernels::{MatMut, MatRef, Scalar};
+use xk_kernels::{MatMut, MatRef};
 
 static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -29,7 +29,8 @@ struct Storage<T> {
 unsafe impl<T: Send> Send for Storage<T> {}
 unsafe impl<T: Sync> Sync for Storage<T> {}
 
-/// An `m × n` host matrix in LAPACK column-major layout.
+/// An `m × n` host matrix of `f64` in LAPACK column-major layout (`T` is
+/// always `f64`; see `xk_kernels::Scalar`).
 pub struct Matrix<T> {
     storage: Arc<Storage<T>>,
     id: u64,
@@ -44,12 +45,12 @@ impl<T> Clone for Matrix<T> {
     }
 }
 
-impl<T: Scalar> Matrix<T> {
+impl Matrix<f64> {
     /// Allocates an `m × n` zero matrix (`ld == m`).
     pub fn zeros(m: usize, n: usize) -> Self {
         Matrix {
             storage: Arc::new(Storage {
-                data: UnsafeCell::new(vec![T::ZERO; m * n]),
+                data: UnsafeCell::new(vec![0.0; m * n]),
                 m,
                 n,
                 ld: m.max(1),
@@ -93,7 +94,7 @@ impl<T: Scalar> Matrix<T> {
             let mut v = mat.view_mut();
             for i in 0..n {
                 let d = v.at(i, i);
-                v.set(i, i, d + T::from_f64(4.0));
+                v.set(i, i, d + 4.0);
             }
         }
         mat
@@ -123,7 +124,7 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Values read through the view are only defined once every
     /// asynchronous operation touching this matrix has been synced.
-    pub fn view(&self) -> MatRef<'_, T> {
+    pub fn view(&self) -> MatRef<'_, f64> {
         assert!(!self.storage.phantom, "phantom matrices have no values");
         // SAFETY: pointer valid for the storage lifetime; synchronization
         // contract documented on the type.
@@ -139,7 +140,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Mutable view of the whole matrix (same synchronization contract).
     #[allow(clippy::mut_from_ref)]
-    pub fn view_mut(&self) -> MatMut<'_, T> {
+    pub fn view_mut(&self) -> MatMut<'_, f64> {
         assert!(!self.storage.phantom, "phantom matrices have no values");
         // SAFETY: as above; disjointness across concurrent users is the
         // runtime's responsibility.
@@ -154,7 +155,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Immutable view of the tile starting at `(i0, j0)` of size `mb × nb`.
-    pub(crate) fn tile_view(&self, i0: usize, j0: usize, mb: usize, nb: usize) -> MatRef<'_, T> {
+    pub(crate) fn tile_view(&self, i0: usize, j0: usize, mb: usize, nb: usize) -> MatRef<'_, f64> {
         assert!(!self.storage.phantom, "phantom matrices have no values");
         assert!(i0 + mb <= self.nrows() && j0 + nb <= self.ncols());
         // SAFETY: in-bounds offset of the storage.
@@ -175,7 +176,7 @@ impl<T: Scalar> Matrix<T> {
         j0: usize,
         mb: usize,
         nb: usize,
-    ) -> MatMut<'_, T> {
+    ) -> MatMut<'_, f64> {
         assert!(!self.storage.phantom, "phantom matrices have no values");
         assert!(i0 + mb <= self.nrows() && j0 + nb <= self.ncols());
         // SAFETY: as above.
@@ -192,12 +193,12 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Copies the contents into a plain `Vec` (column-compacted).
-    pub fn to_vec(&self) -> Vec<T> {
+    pub fn to_vec(&self) -> Vec<f64> {
         self.view().to_compact_vec()
     }
 
     /// Element read (defined after sync).
-    pub fn at(&self, i: usize, j: usize) -> T {
+    pub fn at(&self, i: usize, j: usize) -> f64 {
         self.view().at(i, j)
     }
 }
@@ -259,10 +260,10 @@ impl TileMap {
         (i * self.tile, j * self.tile)
     }
 
-    /// Payload bytes of tile `(i, j)` for scalar word size `word`.
+    /// Payload bytes of tile `(i, j)`.
     #[cfg(test)]
-    pub(crate) fn tile_bytes(&self, i: usize, j: usize, word: usize) -> u64 {
-        (self.tile_rows(i) * self.tile_cols(j) * word) as u64
+    pub(crate) fn tile_bytes(&self, i: usize, j: usize) -> u64 {
+        (self.tile_rows(i) * self.tile_cols(j) * std::mem::size_of::<f64>()) as u64
     }
 }
 
@@ -330,7 +331,7 @@ mod tests {
         assert_eq!(t.tile_rows(2), 2);
         assert_eq!(t.tile_cols(1), 3);
         assert_eq!(t.origin(2, 1), (8, 4));
-        assert_eq!(t.tile_bytes(2, 1, 8), (2 * 3 * 8) as u64);
+        assert_eq!(t.tile_bytes(2, 1), (2 * 3 * 8) as u64);
     }
 
     #[test]

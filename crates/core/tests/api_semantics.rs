@@ -123,34 +123,6 @@ fn phantom_allowed_only_in_sim_mode_graphs() {
 }
 
 #[test]
-fn f32_halves_transfer_volume() {
-    let n = 8192;
-    let run = |double: bool| -> u64 {
-        if double {
-            let mut ctx = sim_ctx(2048);
-            let a = Matrix::<f64>::phantom(n, n);
-            let b = Matrix::<f64>::phantom(n, n);
-            let c = Matrix::<f64>::phantom(n, n);
-            gemm_async(&mut ctx, Trans::No, Trans::No, 1.0, &a, &b, 0.5, &c);
-            ctx.memory_coherent_async(&c);
-            ctx.run_simulated().bytes_h2d
-        } else {
-            let mut ctx = Context::<f32>::new(dgx1(), RuntimeConfig::xkblas(), 2048);
-            ctx.set_simulation_only(true);
-            let a = Matrix::<f32>::phantom(n, n);
-            let b = Matrix::<f32>::phantom(n, n);
-            let c = Matrix::<f32>::phantom(n, n);
-            gemm_async(&mut ctx, Trans::No, Trans::No, 1.0f32, &a, &b, 0.5, &c);
-            ctx.memory_coherent_async(&c);
-            ctx.run_simulated().bytes_h2d
-        }
-    };
-    let h64 = run(true);
-    let h32 = run(false);
-    assert_eq!(h64, 2 * h32, "f32 tiles are half the bytes");
-}
-
-#[test]
 fn pending_flops_match_routine_formula() {
     let n = 8192usize;
     let mut ctx = sim_ctx(1024);

@@ -1,7 +1,6 @@
 //! Auxiliary kernels: copies, norms and error metrics (the LAPACK `la*`
 //! helpers the tiled algorithms and tests rely on).
 
-use crate::scalar::Scalar;
 use crate::types::Uplo;
 use crate::view::{MatMut, MatRef};
 
@@ -15,7 +14,7 @@ pub enum Part {
 }
 
 /// Copies `A` into `B` (`dlacpy`): the full rectangle or one triangle.
-pub fn lacpy<T: Scalar>(part: Part, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
+pub fn lacpy(part: Part, a: MatRef<'_, f64>, mut b: MatMut<'_, f64>) {
     assert_eq!(a.nrows(), b.nrows());
     assert_eq!(a.ncols(), b.ncols());
     let (m, n) = (a.nrows(), a.ncols());
@@ -42,25 +41,38 @@ pub fn lacpy<T: Scalar>(part: Part, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
     }
 }
 
+/// `max` that propagates NaN. `f64::max` returns the other operand, so a
+/// fold with it reads a matrix full of NaN as 0.
+#[inline]
+pub(crate) fn nan_max(acc: f64, x: f64) -> f64 {
+    if x > acc || x.is_nan() {
+        x
+    } else {
+        acc
+    }
+}
+
 /// Max-absolute-value norm of a general matrix (`dlange('M', ...)`).
-pub(crate) fn norm_max<T: Scalar>(a: MatRef<'_, T>) -> f64 {
+/// NaN anywhere makes it NaN.
+pub(crate) fn norm_max(a: MatRef<'_, f64>) -> f64 {
     let mut acc = 0.0f64;
     for j in 0..a.ncols() {
         for &v in a.col(j) {
-            acc = acc.max(v.to_f64().abs());
+            acc = nan_max(acc, v.abs());
         }
     }
     acc
 }
 
-/// Max-absolute difference between two equally sized matrices.
-pub fn max_abs_diff<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> f64 {
+/// Max-absolute difference between two equally sized matrices; NaN if
+/// either holds a NaN.
+pub fn max_abs_diff(a: MatRef<'_, f64>, b: MatRef<'_, f64>) -> f64 {
     assert_eq!(a.nrows(), b.nrows());
     assert_eq!(a.ncols(), b.ncols());
     let mut acc = 0.0f64;
     for j in 0..a.ncols() {
         for (x, y) in a.col(j).iter().zip(b.col(j)) {
-            acc = acc.max((x.to_f64() - y.to_f64()).abs());
+            acc = nan_max(acc, (x - y).abs());
         }
     }
     acc
@@ -68,7 +80,7 @@ pub fn max_abs_diff<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> f64 {
 
 /// Max-absolute difference restricted to one triangle (for SYRK-style
 /// results whose opposite triangle is unspecified).
-pub fn max_abs_diff_tri<T: Scalar>(uplo: Uplo, a: MatRef<'_, T>, b: MatRef<'_, T>) -> f64 {
+pub fn max_abs_diff_tri(uplo: Uplo, a: MatRef<'_, f64>, b: MatRef<'_, f64>) -> f64 {
     assert_eq!(a.nrows(), b.nrows());
     assert_eq!(a.ncols(), b.ncols());
     let n = a.ncols();
@@ -80,15 +92,15 @@ pub fn max_abs_diff_tri<T: Scalar>(uplo: Uplo, a: MatRef<'_, T>, b: MatRef<'_, T
             Uplo::Upper => (0, (j + 1).min(m)),
         };
         for i in lo..hi {
-            acc = acc.max((a.at(i, j).to_f64() - b.at(i, j).to_f64()).abs());
+            acc = nan_max(acc, (a.at(i, j) - b.at(i, j)).abs());
         }
     }
     acc
 }
 
 /// Relative error `|x - y|_max / max(1, |y|_max)` suitable for comparing a
-/// computed result against a reference.
-pub fn rel_error<T: Scalar>(computed: MatRef<'_, T>, reference: MatRef<'_, T>) -> f64 {
+/// computed result against a reference; NaN if either holds a NaN.
+pub fn rel_error(computed: MatRef<'_, f64>, reference: MatRef<'_, f64>) -> f64 {
     let denom = norm_max(reference).max(1.0);
     max_abs_diff(computed, reference) / denom
 }
@@ -162,6 +174,26 @@ mod tests {
         // (1,0) differs but is outside the Upper triangle.
         assert_eq!(max_abs_diff_tri(Uplo::Upper, ar, br), 0.0);
         assert!((max_abs_diff_tri(Uplo::Lower, ar, br) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_nan_makes_the_error_metrics_non_finite() {
+        let want = vec![1.0, 2.0, 3.0, 4.0];
+        let mut got = want.clone();
+        let (w, g) = (MatRef::from_slice(&want, 2, 2, 2), MatRef::from_slice(&got, 2, 2, 2));
+        assert_eq!(rel_error(g, w), 0.0);
+        got[1] = f64::NAN; // (1, 0): in the lower triangle only
+        let g = MatRef::from_slice(&got, 2, 2, 2);
+        assert!(!max_abs_diff(g, w).is_finite());
+        assert!(!rel_error(g, w).is_finite());
+        assert!(!norm_max(g).is_finite());
+        assert!(!max_abs_diff_tri(Uplo::Lower, g, w).is_finite());
+        assert_eq!(max_abs_diff_tri(Uplo::Upper, g, w), 0.0);
+        // A NaN after the largest difference is not masked by it either.
+        let mut late = vec![1.0, 2.0, 3.0, 4.0];
+        late[0] = 100.0;
+        late[3] = f64::NAN;
+        assert!(!max_abs_diff(MatRef::from_slice(&late, 2, 2, 2), w).is_finite());
     }
 
     #[test]

@@ -39,8 +39,7 @@
 use std::cell::RefCell;
 
 use crate::aux::Part;
-use crate::scalar::Scalar;
-use crate::simd::{Isa, MicroKernel, Transpose8};
+use crate::simd::{supported_isas, with_f64_kernel, Isa, MicroKernel, Transpose8};
 use crate::types::{Diag, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
 
@@ -61,7 +60,7 @@ const MAX_TILE: usize = 192;
 
 /// What the stored elements of an operand mean.
 #[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Structure {
+pub(crate) enum Structure {
     /// Every element is stored.
     Dense,
     /// Symmetric; only the `Uplo` triangle is stored, the other mirrors it.
@@ -85,16 +84,16 @@ enum Source {
 
 /// One engine operand: `op(M)` for a stored view `M` of the given structure.
 #[derive(Clone, Copy)]
-pub struct Operand<'a, T> {
-    mat: MatRef<'a, T>,
+pub(crate) struct Operand<'a> {
+    mat: MatRef<'a, f64>,
     trans: Trans,
     structure: Structure,
 }
 
-impl<'a, T: Scalar> Operand<'a, T> {
+impl<'a> Operand<'a> {
     /// `op(mat)`, the stored elements of `mat` read as `structure` says
     /// (a symmetric operand is its own transpose: `trans` changes nothing).
-    pub fn new(mat: MatRef<'a, T>, trans: Trans, structure: Structure) -> Self {
+    pub(crate) fn new(mat: MatRef<'a, f64>, trans: Trans, structure: Structure) -> Self {
         Operand {
             mat,
             trans,
@@ -103,7 +102,7 @@ impl<'a, T: Scalar> Operand<'a, T> {
     }
 
     /// `op(mat)` with every element stored.
-    pub(crate) fn dense(mat: MatRef<'a, T>, trans: Trans) -> Self {
+    pub(crate) fn dense(mat: MatRef<'a, f64>, trans: Trans) -> Self {
         Self::new(mat, trans, Structure::Dense)
     }
 
@@ -145,37 +144,27 @@ impl<'a, T: Scalar> Operand<'a, T> {
 }
 
 thread_local! {
-    /// Reusable pack storage. Backed by `u64` words so one pair of buffers
-    /// serves both `f32` and `f64` with correct alignment.
-    static PACK_BUFS: RefCell<(Vec<u64>, Vec<u64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Reusable pack storage: the A and B panels of the engine's loops.
+    static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
     /// Reusable scratch of the routines built on the engine (TRMM's copy of
     /// an old `B` block). A cell of its own, because its holder calls the
     /// engine, which borrows [`PACK_BUFS`].
-    static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Views `words` as `elems` scalars, growing it on first use or when a
+/// The first `elems` elements of `buf`, growing it on first use or when a
 /// larger problem arrives; never shrinking.
-fn as_scalars<T: Scalar>(words: &mut Vec<u64>, elems: usize) -> &mut [T] {
-    assert!(
-        std::mem::size_of::<T>() == T::WORD
-            && std::mem::align_of::<T>() <= std::mem::align_of::<u64>(),
-        "Scalar impls must be plain floats no more aligned than u64"
-    );
-    let need = (elems * T::WORD).div_ceil(std::mem::size_of::<u64>());
-    if words.len() < need {
-        words.resize(need, 0);
+fn grown(buf: &mut Vec<f64>, elems: usize) -> &mut [f64] {
+    if buf.len() < elems {
+        buf.resize(elems, 0.0);
     }
-    // SAFETY: the Vec holds at least `elems * T::WORD` bytes, u64 storage is
-    // aligned at least as strictly as T (asserted above), any bit pattern is
-    // a valid T, and the slice borrows `words` mutably for its lifetime.
-    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<T>(), elems) }
+    &mut buf[..elems]
 }
 
-/// Runs `f` with this thread's reusable scratch viewed as `elems` scalars.
+/// Runs `f` with this thread's reusable scratch cut to `elems` elements.
 /// Not re-entrant: `f` may call the engine but not `with_scratch`.
-pub(crate) fn with_scratch<T: Scalar>(elems: usize, f: impl FnOnce(&mut [T])) {
-    SCRATCH.with(|cell| f(as_scalars(&mut cell.borrow_mut(), elems)))
+pub(crate) fn with_scratch(elems: usize, f: impl FnOnce(&mut [f64])) {
+    SCRATCH.with(|cell| f(grown(&mut cell.borrow_mut(), elems)))
 }
 
 /// Micro-panels packed per pass over the source columns. A pass reads runs
@@ -193,28 +182,28 @@ fn clip(at: usize, origin: usize, len: usize) -> usize {
 /// One pass of the packer: rows `[g0, g0 + len)` of `X = op(M)` over depth
 /// `[p0, p0 + depth)`, written to at most [`PASS_PANELS`] micro-panels of
 /// `w` rows. `t8` is the dispatched kernel's 8 × 8 transpose, if any.
-struct Pass<'a, T> {
-    panels: &'a mut [T],
-    m: MatRef<'a, T>,
+struct Pass<'a> {
+    panels: &'a mut [f64],
+    m: MatRef<'a, f64>,
     g0: usize,
     len: usize,
     p0: usize,
     depth: usize,
     w: usize,
-    t8: Option<Transpose8<T>>,
+    t8: Option<Transpose8>,
 }
 
-impl<T: Scalar> Pass<'_, T> {
+impl Pass<'_> {
     /// Writes rows `[lo, hi)` of depth slice `p`: a copy of `src`, whose
     /// first element is row `lo`, or zeros without one. A run that covers a
     /// whole panel has the constant length `w`.
     #[inline(always)]
-    fn put_rows(&mut self, (lo, hi): (usize, usize), p: usize, src: Option<&[T]>) {
+    fn put_rows(&mut self, (lo, hi): (usize, usize), p: usize, src: Option<&[f64]>) {
         #[inline(always)]
-        fn put<T: Scalar>(dst: &mut [T], src: Option<&[T]>) {
+        fn put(dst: &mut [f64], src: Option<&[f64]>) {
             match src {
                 Some(src) => dst.copy_from_slice(src),
-                None => dst.fill(T::ZERO),
+                None => dst.fill(0.0),
             }
         }
         let w = self.w;
@@ -317,7 +306,7 @@ impl<T: Scalar> Pass<'_, T> {
                 }
             }
             self.panels[(a / w) * self.depth * w + p * w + a % w] =
-                if unit { T::ONE } else { m.at(p0 + p, p0 + p) };
+                if unit { 1.0 } else { m.at(p0 + p, p0 + p) };
         }
         if lo == hi || (below != Source::Mirror && above != Source::Mirror) {
             return;
@@ -353,13 +342,13 @@ impl<T: Scalar> Pass<'_, T> {
 /// `t8`, if given, must be the transpose of a kernel whose ISA the host
 /// supports ([`MicroKernel::TRANSPOSE8`] of a dispatched kernel).
 #[inline(always)]
-pub(crate) unsafe fn pack<T: Scalar>(
-    buf: &mut [T],
-    x: &Operand<'_, T>,
+pub(crate) unsafe fn pack(
+    buf: &mut [f64],
+    x: &Operand<'_>,
     (i0, rows): (usize, usize),
     (p0, depth): (usize, usize),
     w: usize,
-    t8: Option<Transpose8<T>>,
+    t8: Option<Transpose8>,
 ) {
     let sources @ (below, above, _) = x.sources();
     for r0 in (0..rows).step_by(PASS_PANELS * w) {
@@ -425,11 +414,11 @@ fn coverage(part: Part, (r0, mr): (usize, usize), (c0, nr): (usize, usize)) -> C
 /// apart) holds `alpha * (PA × PB)` for rows `[r0, r0+mr)`, columns
 /// `[c0, c0+nr)`, and only the elements inside `part` become
 /// `beta * C + tile` (`beta == 0` overwrites without reading `C`).
-fn merge_in_part<T: Scalar>(
-    c: &mut MatMut<'_, T>,
+fn merge_in_part(
+    c: &mut MatMut<'_, f64>,
     part: Part,
-    beta: T,
-    tile: &[T],
+    beta: f64,
+    tile: &[f64],
     ld: usize,
     (r0, mr): (usize, usize),
     (c0, nr): (usize, usize),
@@ -438,11 +427,7 @@ fn merge_in_part<T: Scalar>(
         for (i, &v) in col.iter().enumerate().take(mr) {
             let (r, cc) = (r0 + i, c0 + j);
             if coverage(part, (r, 1), (cc, 1)) == Coverage::Inside {
-                let old = if beta == T::ZERO {
-                    T::ZERO
-                } else {
-                    beta * c.at(r, cc)
-                };
+                let old = if beta == 0.0 { 0.0 } else { beta * c.at(r, cc) };
                 c.set(r, cc, old + v);
             }
         }
@@ -453,15 +438,15 @@ fn merge_in_part<T: Scalar>(
 /// constant comes from `MK`, so the compiler sees fixed trip counts and
 /// panel strides for each ISA variant.
 ///
-/// Only the dispatchers in `scalar.rs` may call this, and only with a
-/// kernel whose ISA the host supports ([`crate::simd::supported_isas`]) —
-/// that invariant is what makes the `MK::tile` calls below sound.
-pub(crate) fn engine<T: Scalar, MK: MicroKernel<T>>(
-    alpha: T,
-    a: Operand<'_, T>,
-    b: Operand<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
+/// Only [`gemm_packed`] may call this, and only with a kernel whose ISA
+/// the host supports ([`supported_isas`]) — that invariant is what makes
+/// the `MK::tile` calls below sound.
+fn engine<MK: MicroKernel>(
+    alpha: f64,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    beta: f64,
+    mut c: MatMut<'_, f64>,
     part: Part,
 ) {
     const { assert!(MK::MR * MK::NR <= MAX_TILE) };
@@ -472,7 +457,7 @@ pub(crate) fn engine<T: Scalar, MK: MicroKernel<T>>(
     if m == 0 || n == 0 {
         return;
     }
-    if alpha == T::ZERO || k == 0 {
+    if alpha == 0.0 || k == 0 {
         match part {
             Part::All => crate::gemm::scale_in_place(beta, c),
             Part::Triangle(uplo) => crate::syrk::scale_triangle(beta, uplo, c),
@@ -484,18 +469,18 @@ pub(crate) fn engine<T: Scalar, MK: MicroKernel<T>>(
     let a_elems = MK::MC.min(m).next_multiple_of(MK::MR) * kc_max;
     let b_elems = MK::NC.min(n).next_multiple_of(MK::NR) * kc_max;
     let ld = c.ld();
-    let mut masked = [T::ZERO; MAX_TILE];
+    let mut masked = [0.0; MAX_TILE];
     PACK_BUFS.with(|cell| {
         let mut bufs = cell.borrow_mut();
         let (wa, wb) = &mut *bufs;
-        let (pa, pb) = (as_scalars::<T>(wa, a_elems), as_scalars::<T>(wb, b_elems));
+        let (pa, pb) = (grown(wa, a_elems), grown(wb, b_elems));
         for jc in (0..n).step_by(MK::NC) {
             let nc = MK::NC.min(n - jc);
             for pc in (0..k).step_by(MK::KC) {
                 let kc = MK::KC.min(k - pc);
                 // Fold beta into the first depth block: every C element is
                 // touched exactly once per pc iteration.
-                let beta_eff = if pc == 0 { beta } else { T::ONE };
+                let beta_eff = if pc == 0 { beta } else { 1.0 };
                 // SAFETY: the dispatcher only selects host-supported MKs,
                 // so MK's transpose runs here.
                 unsafe { pack(pb, &bt, (jc, nc), (pc, kc), MK::NR, MK::TRANSPOSE8) };
@@ -519,7 +504,7 @@ pub(crate) fn engine<T: Scalar, MK: MicroKernel<T>>(
                             let (dst, dst_ld, beta_tile) = match cover {
                                 Coverage::Outside => continue,
                                 Coverage::Inside => (c.ptr_at_mut(r0, c0), ld, beta_eff),
-                                Coverage::Crossing => (masked.as_mut_ptr(), MK::MR, T::ZERO),
+                                Coverage::Crossing => (masked.as_mut_ptr(), MK::MR, 0.0),
                             };
                             // SAFETY: the packed panels hold kc full
                             // micro-panels (zero-padded), `dst` addresses an
@@ -570,16 +555,23 @@ pub(crate) fn engine<T: Scalar, MK: MicroKernel<T>>(
 /// six routines inherit the best kernel for the host. `beta` is applied by
 /// the first depth block's store (skipped entirely when `beta == 1`), so
 /// `C` is read and written exactly once.
-pub(crate) fn gemm_packed<T: Scalar>(
+pub(crate) fn gemm_packed(
     isa: Isa,
-    alpha: T,
-    a: Operand<'_, T>,
-    b: Operand<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
+    alpha: f64,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    beta: f64,
+    c: MatMut<'_, f64>,
     part: Part,
 ) {
-    T::gemm_engine(isa, alpha, a, b, beta, c, part)
+    // Demote an ISA the host cannot execute (`selected_isa` never yields
+    // one): the engine's kernel calls are sound only for a supported one.
+    let isa = if supported_isas().contains(&isa) {
+        isa
+    } else {
+        Isa::Scalar
+    };
+    with_f64_kernel!(isa, MK, { engine::<MK>(alpha, a, b, beta, c, part) })
 }
 
 #[cfg(test)]
@@ -644,7 +636,7 @@ mod tests {
 
     #[test]
     fn fringe_shapes_and_kc_boundary() {
-        let s = crate::simd::kernel_shape::<f64>(selected_isa());
+        let s = crate::simd::kernel_shape(selected_isa());
         for &(m, n) in &[
             (1, 1),
             (s.mr - 1, s.nr + 1),
@@ -685,7 +677,7 @@ mod tests {
     #[test]
     fn pack_buffers_are_reused() {
         // Two calls on the same thread must not corrupt each other.
-        let s = crate::simd::kernel_shape::<f64>(selected_isa());
+        let s = crate::simd::kernel_shape(selected_isa());
         check(s.mc + 3, s.nr * 3 + 1, s.kc + 5, 0.75, 1.0);
         check(5, 5, 5, -1.0, 0.0);
     }
@@ -693,7 +685,7 @@ mod tests {
     /// The closure formulation the packer replaced, kept as its oracle:
     /// element `(i, p)` of `op(M)` through `sym_at`/`tri_at` and a
     /// per-element `match trans`.
-    fn closure_element(x: &Operand<'_, f64>, i: usize, p: usize) -> f64 {
+    fn closure_element(x: &Operand<'_>, i: usize, p: usize) -> f64 {
         use crate::helpers::{sym_at, tri_at};
         let (r, c) = match x.trans {
             Trans::No => (i, p),
@@ -709,7 +701,7 @@ mod tests {
     /// The PR 2 `pack_a` loop over [`closure_element`].
     fn closure_pack(
         buf: &mut [f64],
-        x: &Operand<'_, f64>,
+        x: &Operand<'_>,
         (i0, rows): (usize, usize),
         (p0, depth): (usize, usize),
         w: usize,
@@ -730,12 +722,8 @@ mod tests {
     }
 
     /// The transpose [`engine`] hands [`pack`] under `isa`'s kernel.
-    fn transpose_of(isa: Isa) -> Option<Transpose8<f64>> {
-        match isa {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => <crate::simd::avx512::Avx512Mk as MicroKernel<f64>>::TRANSPOSE8,
-            _ => None,
-        }
+    fn transpose_of(isa: Isa) -> Option<Transpose8> {
+        with_f64_kernel!(isa, MK, { MK::TRANSPOSE8 })
     }
 
     /// A `sr × sc` operand stored at offset `(off_r, off_c)` of a larger
@@ -768,11 +756,11 @@ mod tests {
     /// Packs one block with `t8` and through the closure oracle, and
     /// asserts the two buffers (a guard tail included) equal bit for bit.
     fn check_pack(
-        x: &Operand<'_, f64>,
+        x: &Operand<'_>,
         (i0, rows): (usize, usize),
         (p0, depth): (usize, usize),
         w: usize,
-        t8: Option<Transpose8<f64>>,
+        t8: Option<Transpose8>,
     ) -> Result<(), String> {
         let elems = rows.next_multiple_of(w) * depth;
         let (mut got, mut want) = (vec![-7.0; elems + 5], vec![-7.0; elems + 5]);
@@ -801,7 +789,7 @@ mod tests {
         // Every panel width and cache block a supported kernel packs with.
         let kernels: Vec<_> = supported_isas()
             .iter()
-            .map(|&isa| (kernel_shape::<f64>(isa), transpose_of(isa)))
+            .map(|&isa| (kernel_shape(isa), transpose_of(isa)))
             .collect();
         xk_lp::for_each_seed(192, |rng| {
             let (shape, t8) = rng.pick(&kernels);

@@ -2,7 +2,6 @@
 
 use crate::aux::Part;
 use crate::blocked::{gemm_packed, Operand};
-use crate::scalar::Scalar;
 use crate::simd::selected_isa;
 use crate::types::Trans;
 use crate::view::{MatMut, MatRef};
@@ -17,14 +16,14 @@ use crate::view::{MatMut, MatRef};
 ///
 /// # Panics
 /// Panics if the operand dimensions are inconsistent.
-pub fn gemm<T: Scalar>(
+pub fn gemm(
     trans_a: Trans,
     trans_b: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+    beta: f64,
+    c: MatMut<'_, f64>,
 ) {
     let (m, n) = (c.nrows(), c.ncols());
     let (am, ak) = trans_a.apply_dims(a.nrows(), a.ncols());
@@ -38,15 +37,15 @@ pub fn gemm<T: Scalar>(
 
 /// Scales a matrix in place: `C = beta * C` (handles `beta == 0` by writing
 /// zeros, so uninitialized-NaN inputs behave like BLAS).
-pub(crate) fn scale_in_place<T: Scalar>(beta: T, mut c: MatMut<'_, T>) {
-    if beta == T::ONE {
+pub(crate) fn scale_in_place(beta: f64, mut c: MatMut<'_, f64>) {
+    if beta == 1.0 {
         return;
     }
     let n = c.ncols();
     for j in 0..n {
         let col = c.col_mut(j);
-        if beta == T::ZERO {
-            col.fill(T::ZERO);
+        if beta == 0.0 {
+            col.fill(0.0);
         } else {
             for v in col {
                 *v *= beta;

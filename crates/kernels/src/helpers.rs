@@ -2,14 +2,13 @@
 //! path materializes operands with, and the oracle the packer is tested
 //! against.
 
-use crate::scalar::Scalar;
 use crate::types::{Diag, Uplo};
 use crate::view::MatRef;
 
 /// Reads element `(i, j)` of a symmetric matrix of which only the `uplo`
 /// triangle is stored (the other triangle mirrors it).
 #[inline]
-pub(crate) fn sym_at<T: Scalar>(a: &MatRef<'_, T>, uplo: Uplo, i: usize, j: usize) -> T {
+pub(crate) fn sym_at(a: &MatRef<'_, f64>, uplo: Uplo, i: usize, j: usize) -> f64 {
     let stored = match uplo {
         Uplo::Lower => i >= j,
         Uplo::Upper => i <= j,
@@ -24,16 +23,10 @@ pub(crate) fn sym_at<T: Scalar>(a: &MatRef<'_, T>, uplo: Uplo, i: usize, j: usiz
 /// Reads element `(i, j)` of a triangular matrix: zero outside the `uplo`
 /// triangle, one on the diagonal when `diag` is [`Diag::Unit`].
 #[inline]
-pub(crate) fn tri_at<T: Scalar>(
-    a: &MatRef<'_, T>,
-    uplo: Uplo,
-    diag: Diag,
-    i: usize,
-    j: usize,
-) -> T {
+pub(crate) fn tri_at(a: &MatRef<'_, f64>, uplo: Uplo, diag: Diag, i: usize, j: usize) -> f64 {
     if i == j {
         return match diag {
-            Diag::Unit => T::ONE,
+            Diag::Unit => 1.0,
             Diag::NonUnit => a.at(i, j),
         };
     }
@@ -44,7 +37,7 @@ pub(crate) fn tri_at<T: Scalar>(
     if stored {
         a.at(i, j)
     } else {
-        T::ZERO
+        0.0
     }
 }
 

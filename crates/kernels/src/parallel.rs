@@ -5,7 +5,6 @@
 //! operation — building the big reproducible operands the examples, tests
 //! and benchmarks start from.
 
-use crate::scalar::Scalar;
 use crate::view::MatMut;
 
 /// Below this many elements a fill stays on the calling thread: spawning
@@ -17,7 +16,7 @@ const PAR_FILL_MIN_ELEMS: usize = 1 << 16;
 /// `seed` selects the pattern; values are in `[-0.5, 0.5)`. Each element is
 /// a pure function of `(seed, i, j)`, so the result does not depend on how
 /// the columns are split over threads.
-pub fn par_fill_pattern<T: Scalar>(mut a: MatMut<'_, T>, seed: u64) {
+pub fn par_fill_pattern(mut a: MatMut<'_, f64>, seed: u64) {
     let (m, n) = (a.nrows(), a.ncols());
     if m == 0 || n == 0 {
         return;
@@ -38,7 +37,7 @@ pub fn par_fill_pattern<T: Scalar>(mut a: MatMut<'_, T>, seed: u64) {
             let mut fill = move || {
                 for dj in 0..w {
                     for (i, v) in cols.col_mut(dj).iter_mut().enumerate() {
-                        *v = T::from_f64(hash01(seed, i as u64, (j0 + dj) as u64) - 0.5);
+                        *v = hash01(seed, i as u64, (j0 + dj) as u64) - 0.5;
                     }
                 }
             };

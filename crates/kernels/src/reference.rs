@@ -6,33 +6,33 @@
 //! matrices, then a plain `i, j, l` triple loop computes the product. Slow,
 //! obviously correct, and structurally unrelated to the code under test.
 
-use crate::scalar::Scalar;
+use crate::aux::nan_max;
 use crate::types::{Diag, Side, Trans, Uplo};
 use crate::view::MatRef;
 
 /// Dense column-major owned matrix used by the reference path.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Dense<T> {
+pub struct Dense {
     /// Rows.
     pub m: usize,
     /// Columns.
     pub n: usize,
     /// Column-major data, `ld == m`.
-    pub data: Vec<T>,
+    pub data: Vec<f64>,
 }
 
-impl<T: Scalar> Dense<T> {
+impl Dense {
     /// Zero matrix.
     pub fn zeros(m: usize, n: usize) -> Self {
         Dense {
             m,
             n,
-            data: vec![T::ZERO; m * n],
+            data: vec![0.0; m * n],
         }
     }
 
     /// Copies a view into an owned dense matrix.
-    pub(crate) fn from_view(v: MatRef<'_, T>) -> Self {
+    pub(crate) fn from_view(v: MatRef<'_, f64>) -> Self {
         Dense {
             m: v.nrows(),
             n: v.ncols(),
@@ -41,22 +41,22 @@ impl<T: Scalar> Dense<T> {
     }
 
     /// Element access.
-    pub fn at(&self, i: usize, j: usize) -> T {
+    pub fn at(&self, i: usize, j: usize) -> f64 {
         self.data[i + j * self.m]
     }
 
     /// Element write.
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
+    pub fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i + j * self.m] = v;
     }
 
     /// Borrowed view of the matrix.
-    pub fn view(&self) -> MatRef<'_, T> {
+    pub fn view(&self) -> MatRef<'_, f64> {
         MatRef::from_slice(&self.data, self.m, self.n, self.m)
     }
 
     /// The transpose as a new matrix.
-    pub fn transpose(&self) -> Dense<T> {
+    pub fn transpose(&self) -> Dense {
         let mut t = Dense::zeros(self.n, self.m);
         for j in 0..self.n {
             for i in 0..self.m {
@@ -68,7 +68,7 @@ impl<T: Scalar> Dense<T> {
 }
 
 /// Materializes `op(A)` as a dense matrix.
-pub(crate) fn materialize_op<T: Scalar>(a: MatRef<'_, T>, trans: Trans) -> Dense<T> {
+pub(crate) fn materialize_op(a: MatRef<'_, f64>, trans: Trans) -> Dense {
     let d = Dense::from_view(a);
     match trans {
         Trans::No => d,
@@ -77,7 +77,7 @@ pub(crate) fn materialize_op<T: Scalar>(a: MatRef<'_, T>, trans: Trans) -> Dense
 }
 
 /// Materializes a symmetric matrix stored in one triangle into a full one.
-pub(crate) fn materialize_sym<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo) -> Dense<T> {
+pub(crate) fn materialize_sym(a: MatRef<'_, f64>, uplo: Uplo) -> Dense {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
     let mut d = Dense::zeros(n, n);
@@ -92,7 +92,7 @@ pub(crate) fn materialize_sym<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo) -> Dense<
 
 /// Materializes a triangular matrix (with optional unit diagonal) into a
 /// full dense matrix with explicit zeros.
-pub(crate) fn materialize_tri<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo, diag: Diag) -> Dense<T> {
+pub(crate) fn materialize_tri(a: MatRef<'_, f64>, uplo: Uplo, diag: Diag) -> Dense {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
     let mut d = Dense::zeros(n, n);
@@ -106,19 +106,13 @@ pub(crate) fn materialize_tri<T: Scalar>(a: MatRef<'_, T>, uplo: Uplo, diag: Dia
 
 /// Plain triple-loop GEMM on dense matrices:
 /// `C = alpha * A * B + beta * C`.
-pub(crate) fn ref_gemm_dense<T: Scalar>(
-    alpha: T,
-    a: &Dense<T>,
-    b: &Dense<T>,
-    beta: T,
-    c: &mut Dense<T>,
-) {
+pub(crate) fn ref_gemm_dense(alpha: f64, a: &Dense, b: &Dense, beta: f64, c: &mut Dense) {
     assert_eq!(a.n, b.m);
     assert_eq!(c.m, a.m);
     assert_eq!(c.n, b.n);
     for i in 0..c.m {
         for j in 0..c.n {
-            let mut acc = T::ZERO;
+            let mut acc = 0.0;
             for l in 0..a.n {
                 acc += a.at(i, l) * b.at(l, j);
             }
@@ -129,15 +123,15 @@ pub(crate) fn ref_gemm_dense<T: Scalar>(
 }
 
 /// Reference GEMM with transposes, against views.
-pub fn ref_gemm<T: Scalar>(
+pub fn ref_gemm(
     trans_a: Trans,
     trans_b: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatRef<'_, T>,
-) -> Dense<T> {
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+    beta: f64,
+    c: MatRef<'_, f64>,
+) -> Dense {
     let fa = materialize_op(a, trans_a);
     let fb = materialize_op(b, trans_b);
     let mut fc = Dense::from_view(c);
@@ -146,15 +140,15 @@ pub fn ref_gemm<T: Scalar>(
 }
 
 /// Reference SYMM.
-pub fn ref_symm<T: Scalar>(
+pub fn ref_symm(
     side: Side,
     uplo: Uplo,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatRef<'_, T>,
-) -> Dense<T> {
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+    beta: f64,
+    c: MatRef<'_, f64>,
+) -> Dense {
     let fa = materialize_sym(a, uplo);
     let fb = Dense::from_view(b);
     let mut fc = Dense::from_view(c);
@@ -167,13 +161,13 @@ pub fn ref_symm<T: Scalar>(
 
 /// Reference SYRK. The returned matrix is fully formed (both triangles);
 /// compare only the `uplo` triangle against the kernel output.
-pub fn ref_syrk<T: Scalar>(
+pub fn ref_syrk(
     trans: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    beta: T,
-    c: MatRef<'_, T>,
-) -> Dense<T> {
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    beta: f64,
+    c: MatRef<'_, f64>,
+) -> Dense {
     let fa = materialize_op(a, trans);
     let fat = fa.transpose();
     let mut fc = Dense::from_view(c);
@@ -182,35 +176,35 @@ pub fn ref_syrk<T: Scalar>(
 }
 
 /// Reference SYR2K (both triangles formed).
-pub fn ref_syr2k<T: Scalar>(
+pub fn ref_syr2k(
     trans: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatRef<'_, T>,
-) -> Dense<T> {
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+    beta: f64,
+    c: MatRef<'_, f64>,
+) -> Dense {
     let fa = materialize_op(a, trans);
     let fb = materialize_op(b, trans);
     let fbt = fb.transpose();
     let fat = fa.transpose();
     let mut fc = Dense::from_view(c);
     ref_gemm_dense(alpha, &fa, &fbt, beta, &mut fc);
-    ref_gemm_dense(alpha, &fb, &fat, T::ONE, &mut fc);
+    ref_gemm_dense(alpha, &fb, &fat, 1.0, &mut fc);
     fc
 }
 
 /// Reference TRMM: returns `alpha * op(A) * B` (left) or
 /// `alpha * B * op(A)` (right).
-pub fn ref_trmm<T: Scalar>(
+pub fn ref_trmm(
     side: Side,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-) -> Dense<T> {
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+) -> Dense {
     let tri = materialize_tri(a, uplo, diag);
     let op = match trans {
         Trans::No => tri,
@@ -219,8 +213,8 @@ pub fn ref_trmm<T: Scalar>(
     let fb = Dense::from_view(b);
     let mut out = Dense::zeros(fb.m, fb.n);
     match side {
-        Side::Left => ref_gemm_dense(alpha, &op, &fb, T::ZERO, &mut out),
-        Side::Right => ref_gemm_dense(alpha, &fb, &op, T::ZERO, &mut out),
+        Side::Left => ref_gemm_dense(alpha, &op, &fb, 0.0, &mut out),
+        Side::Right => ref_gemm_dense(alpha, &fb, &op, 0.0, &mut out),
     }
     out
 }
@@ -228,24 +222,24 @@ pub fn ref_trmm<T: Scalar>(
 /// Residual of a TRSM solution: `max|op(A) * X - alpha * B|` (left) or
 /// `max|X * op(A) - alpha * B|` (right), normalized by `max(1, |B|_max)`.
 /// A correct solve has a residual near machine epsilon times the problem
-/// size. The triangle is described as `trsm` takes it: side, uplo,
-/// trans, diag.
-pub fn trsm_residual<T: Scalar>(
+/// size; NaN anywhere makes it NaN. The triangle is described as `trsm`
+/// takes it: side, uplo, trans, diag.
+pub fn trsm_residual(
     (side, uplo, trans, diag): (Side, Uplo, Trans, Diag),
-    alpha: T,
-    a: MatRef<'_, T>,
-    x: MatRef<'_, T>,
-    b: MatRef<'_, T>,
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    x: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
 ) -> f64 {
-    let recomposed = ref_trmm(side, uplo, trans, diag, T::ONE, a, x);
+    let recomposed = ref_trmm(side, uplo, trans, diag, 1.0, a, x);
     let mut worst = 0.0f64;
     let mut bmax = 1.0f64;
     for j in 0..b.ncols() {
         for i in 0..b.nrows() {
-            let want = alpha.to_f64() * b.at(i, j).to_f64();
-            let got = recomposed.at(i, j).to_f64();
-            worst = worst.max((want - got).abs());
-            bmax = bmax.max(want.abs());
+            let want = alpha * b.at(i, j);
+            let got = recomposed.at(i, j);
+            worst = nan_max(worst, (want - got).abs());
+            bmax = nan_max(bmax, want.abs());
         }
     }
     worst / bmax
@@ -329,5 +323,14 @@ mod tests {
             MatRef::from_slice(&b, 2, 1, 2),
         );
         assert!(r > 0.1);
+        let nan = vec![1.0, f64::NAN];
+        let r = trsm_residual(
+            (Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit),
+            1.0,
+            MatRef::from_slice(&a, 2, 2, 2),
+            MatRef::from_slice(&nan, 2, 1, 2),
+            MatRef::from_slice(&b, 2, 1, 2),
+        );
+        assert!(r.is_nan(), "a NaN solution must not read as solved: {r}");
     }
 }

@@ -16,7 +16,7 @@ use crate::simd::{Isa, MicroKernel};
 /// CI hosts), `NC = 4096`.
 pub(crate) struct Avx2Mk;
 
-impl MicroKernel<f64> for Avx2Mk {
+impl MicroKernel for Avx2Mk {
     const ISA: Isa = Isa::Avx2;
     const MR: usize = 4;
     const NR: usize = 8;

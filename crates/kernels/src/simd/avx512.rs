@@ -34,7 +34,7 @@ use crate::simd::{Isa, MicroKernel, Transpose8};
 /// `NC = 4096` keeps the B panel resident in LLC.
 pub(crate) struct Avx512Mk;
 
-impl MicroKernel<f64> for Avx512Mk {
+impl MicroKernel for Avx512Mk {
     const ISA: Isa = Isa::Avx512;
     const MR: usize = 24;
     const NR: usize = 8;
@@ -42,7 +42,7 @@ impl MicroKernel<f64> for Avx512Mk {
     const MC: usize = 264;
     const NC: usize = 4096;
     const NAME: &'static str = "avx512_24x8";
-    const TRANSPOSE8: Option<Transpose8<f64>> = Some(transpose_8x8);
+    const TRANSPOSE8: Option<Transpose8> = Some(transpose_8x8);
 
     #[inline]
     unsafe fn tile(

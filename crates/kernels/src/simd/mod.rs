@@ -5,7 +5,7 @@
 //! `kc`-deep packed panel pair, fringe-clipped `alpha`/`beta` store) plus
 //! the cache-blocking parameters (`KC`/`MC`/`NC`) tuned for that tile.
 //! Three kernels exist today, all for `f64` (the paper's evaluation is
-//! FP64; `f32` always rides the portable scalar kernel):
+//! FP64, and so is every routine of the crate):
 //!
 //! | ISA | register tile | intrinsics |
 //! |---|---|---|
@@ -43,6 +43,31 @@ use std::sync::OnceLock;
 
 use crate::scalar::Scalar;
 use crate::view::MatMut;
+
+/// Expands `$body` with `$MK` bound to the microkernel type for `$isa`.
+/// Variants whose kernel is not compiled for this target bind the scalar
+/// fallback.
+macro_rules! with_f64_kernel {
+    ($isa:expr, $MK:ident, $body:block) => {
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            crate::simd::Isa::Avx512 => {
+                type $MK = crate::simd::avx512::Avx512Mk;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            crate::simd::Isa::Avx2 => {
+                type $MK = crate::simd::avx2::Avx2Mk;
+                $body
+            }
+            _ => {
+                type $MK = crate::simd::scalar_mk::ScalarMk;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_f64_kernel;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
@@ -168,13 +193,14 @@ pub struct KernelShape {
     pub nc: usize,
 }
 
-/// The microkernel geometry `isa` dispatches to for scalar type `T`.
-pub fn kernel_shape<T: Scalar>(isa: Isa) -> KernelShape {
-    T::kernel_shape(isa)
+/// The microkernel geometry `isa` dispatches to (a request with no kernel
+/// on this target reports the scalar fallback actually used).
+pub fn kernel_shape(isa: Isa) -> KernelShape {
+    with_f64_kernel!(isa, MK, { shape_of::<MK>() })
 }
 
 /// [`KernelShape`] of one concrete [`MicroKernel`] implementation.
-pub(crate) fn shape_of<T: Scalar, MK: MicroKernel<T>>() -> KernelShape {
+fn shape_of<MK: MicroKernel>() -> KernelShape {
     KernelShape {
         isa: MK::ISA,
         name: MK::NAME,
@@ -190,13 +216,14 @@ pub(crate) fn shape_of<T: Scalar, MK: MicroKernel<T>>() -> KernelShape {
 /// `dst[q * dst_stride + r] = src[r * ld + q]` for `r, q < 8`. Unsafe to
 /// call: both blocks must be in bounds and the host must support the
 /// owning kernel's ISA.
-pub(crate) type Transpose8<T> = unsafe fn(src: *const T, ld: usize, dst: *mut T, dst_stride: usize);
+pub(crate) type Transpose8 =
+    unsafe fn(src: *const f64, ld: usize, dst: *mut f64, dst_stride: usize);
 
 /// The blocked, packed, register-tiled microkernel contract the engine
 /// drives. Implementations pair one register-tile update with the cache
 /// blocking tuned for it; `blocked::engine` is monomorphized per kernel
 /// so every constant below folds into the generated loops.
-pub(crate) trait MicroKernel<T: Scalar> {
+pub(crate) trait MicroKernel {
     /// The ISA this kernel targets (what [`KernelShape::isa`] reports).
     const ISA: Isa;
     /// Register-tile rows; micro-panels of packed A are `MR` tall.
@@ -215,7 +242,7 @@ pub(crate) trait MicroKernel<T: Scalar> {
     /// the full 8 × 8 blocks of mirrored runs through it instead of its
     /// scalar strided loop. Same ISA as the tile, so choosing this kernel
     /// is the only host check it needs.
-    const TRANSPOSE8: Option<Transpose8<T>> = None;
+    const TRANSPOSE8: Option<Transpose8> = None;
 
     /// Rank-`kc` update of one register tile plus the fringe-clipped
     /// store: `C[..mr, ..nr] = alpha * (PA × PB) + beta * C[..mr, ..nr]`,
@@ -234,11 +261,11 @@ pub(crate) trait MicroKernel<T: Scalar> {
     )]
     unsafe fn tile(
         kc: usize,
-        pa: *const T,
-        pb: *const T,
-        alpha: T,
-        beta: T,
-        c: *mut T,
+        pa: *const f64,
+        pb: *const f64,
+        alpha: f64,
+        beta: f64,
+        c: *mut f64,
         ld: usize,
         mr: usize,
         nr: usize,
@@ -260,12 +287,12 @@ pub(crate) trait MicroKernel<T: Scalar> {
     reason = "microkernel ABI: raw packed panels, two scalars and a strided C tile"
 )]
 #[inline]
-pub(crate) unsafe fn store_spill_clipped<T: Scalar>(
-    buf: *const T,
+pub(crate) unsafe fn store_spill_clipped(
+    buf: *const f64,
     buf_mr: usize,
-    alpha: T,
-    beta: T,
-    c: *mut T,
+    alpha: f64,
+    beta: f64,
+    c: *mut f64,
     ld: usize,
     mr: usize,
     nr: usize,
@@ -273,11 +300,11 @@ pub(crate) unsafe fn store_spill_clipped<T: Scalar>(
     for j in 0..nr {
         let col = buf.add(j * buf_mr);
         let dst = c.add(j * ld);
-        if beta == T::ZERO {
+        if beta == 0.0 {
             for r in 0..mr {
                 *dst.add(r) = alpha * *col.add(r);
             }
-        } else if beta == T::ONE {
+        } else if beta == 1.0 {
             for r in 0..mr {
                 *dst.add(r) += alpha * *col.add(r);
             }
@@ -289,8 +316,8 @@ pub(crate) unsafe fn store_spill_clipped<T: Scalar>(
     }
 }
 
-/// Runs one bare full-tile microkernel invocation of `isa`'s kernel for
-/// `T` — no packing, no cache blocking. This is the bench hook that
+/// Runs one bare full-tile microkernel invocation of `isa`'s kernel — no
+/// packing, no cache blocking. This is the bench hook that
 /// isolates register-tile throughput from blocking effects.
 ///
 /// `pa`/`pb` must hold `kc * mr` / `kc * nr` elements of packed panels
@@ -300,16 +327,16 @@ pub(crate) unsafe fn store_spill_clipped<T: Scalar>(
 /// # Panics
 /// Panics if a panel or the tile is too small or the host does not
 /// support `isa`.
-pub(crate) fn run_tile<T: Scalar>(
+pub(crate) fn run_tile(
     isa: Isa,
     kc: usize,
-    pa: &[T],
-    pb: &[T],
-    alpha: T,
-    beta: T,
-    mut c: MatMut<'_, T>,
+    pa: &[f64],
+    pb: &[f64],
+    alpha: f64,
+    beta: f64,
+    mut c: MatMut<'_, f64>,
 ) {
-    let shape = kernel_shape::<T>(isa);
+    let shape = kernel_shape(isa);
     assert!(
         supported_isas().contains(&isa),
         "host does not support {isa}"
@@ -317,11 +344,11 @@ pub(crate) fn run_tile<T: Scalar>(
     assert!(pa.len() >= kc * shape.mr, "packed A panel too short");
     assert!(pb.len() >= kc * shape.nr, "packed B panel too short");
     assert!(c.nrows() >= shape.mr && c.ncols() >= shape.nr, "C tile too small");
-    let ld = c.ld();
-    // SAFETY: panel/tile sizes asserted above, ISA support asserted above.
-    unsafe {
-        T::tile_raw(isa, kc, pa.as_ptr(), pb.as_ptr(), alpha, beta, c.ptr_at_mut(0, 0), ld);
-    }
+    let (ld, c) = (c.ld(), c.ptr_at_mut(0, 0));
+    with_f64_kernel!(isa, MK, {
+        // SAFETY: panel/tile sizes asserted above, ISA support asserted above.
+        unsafe { MK::tile(kc, pa.as_ptr(), pb.as_ptr(), alpha, beta, c, ld, MK::MR, MK::NR) }
+    })
 }
 
 /// Bytes of packed A and B micro-panels the peak measurement keeps in
@@ -330,30 +357,31 @@ const PEAK_PANEL_BYTES: usize = 32 * 1024;
 
 /// Depth of the panels [`microkernel_peak_gflops`] times: `KC`, or less
 /// where one A and one B micro-panel of that depth would not fit
-/// [`PEAK_PANEL_BYTES`] together (the 24×8 `f64` tile: 128 of 256).
-fn peak_depth<T: Scalar>(shape: &KernelShape) -> usize {
-    let per_step = (shape.mr + shape.nr) * std::mem::size_of::<T>();
+/// [`PEAK_PANEL_BYTES`] together (the 24×8 tile: 128 of 256).
+fn peak_depth(shape: &KernelShape) -> usize {
+    let per_step = (shape.mr + shape.nr) * std::mem::size_of::<f64>();
     (PEAK_PANEL_BYTES / per_step).clamp(1, shape.kc)
 }
 
-/// Measured throughput of `isa`'s bare microkernel for `T`, in GFLOP/s:
+/// Measured throughput of `isa`'s bare microkernel, in GFLOP/s:
 /// repeated full-tile updates over packed panels that stay in L1: depth
 /// `KC`, or less where one A and one B micro-panel would not fit 32 KiB
 /// together. This is the "machine peak" proxy the benchmark's
 /// `kernels.gemm_fraction_of_peak` is a fraction of — it prices in loop
 /// overhead and the C-tile store, but no packing or cache misses.
 ///
-/// `budget_ms` is the measurement budget; the best batch wins.
+/// `budget_ms` is the measurement budget; the best batch wins. `T` can
+/// only be `f64` (see [`Scalar`]).
 pub fn microkernel_peak_gflops<T: Scalar>(isa: Isa, budget_ms: u64) -> f64 {
-    let shape = kernel_shape::<T>(isa);
-    let kc = peak_depth::<T>(&shape);
-    let pa: Vec<T> = (0..kc * shape.mr)
-        .map(|i| T::from_f64((i % 23) as f64 * 0.05 - 0.5))
+    let shape = kernel_shape(isa);
+    let kc = peak_depth(&shape);
+    let pa: Vec<f64> = (0..kc * shape.mr)
+        .map(|i| (i % 23) as f64 * 0.05 - 0.5)
         .collect();
-    let pb: Vec<T> = (0..kc * shape.nr)
-        .map(|i| T::from_f64((i % 19) as f64 * 0.05 - 0.4))
+    let pb: Vec<f64> = (0..kc * shape.nr)
+        .map(|i| (i % 19) as f64 * 0.05 - 0.4)
         .collect();
-    let mut c = vec![T::ZERO; shape.mr * shape.nr];
+    let mut c = vec![0.0; shape.mr * shape.nr];
     let flops_per_call = (2 * shape.mr * shape.nr * kc) as f64;
     // Calibrate a batch to ~1ms, then take the best of the budget.
     let mut batch = 1u32;
@@ -361,7 +389,7 @@ pub fn microkernel_peak_gflops<T: Scalar>(isa: Isa, budget_ms: u64) -> f64 {
         let t0 = std::time::Instant::now();
         for _ in 0..batch {
             let c = MatMut::from_slice(&mut c, shape.mr, shape.nr, shape.mr);
-            run_tile(isa, kc, &pa, &pb, T::ONE, T::ONE, c);
+            run_tile(isa, kc, &pa, &pb, 1.0, 1.0, c);
         }
         if t0.elapsed().as_secs_f64() > 1e-3 || batch >= 1 << 20 {
             break;
@@ -374,7 +402,7 @@ pub fn microkernel_peak_gflops<T: Scalar>(isa: Isa, budget_ms: u64) -> f64 {
         let t0 = std::time::Instant::now();
         for _ in 0..batch {
             let c = MatMut::from_slice(&mut c, shape.mr, shape.nr, shape.mr);
-            run_tile(isa, kc, &pa, &pb, T::ONE, T::ONE, c);
+            run_tile(isa, kc, &pa, &pb, 1.0, 1.0, c);
         }
         best = best.min(t0.elapsed().as_secs_f64() / batch as f64);
     }
@@ -407,21 +435,18 @@ mod tests {
     #[test]
     fn shapes_are_consistent() {
         for isa in supported_isas() {
-            for shape in [kernel_shape::<f64>(*isa), kernel_shape::<f32>(*isa)] {
-                assert!(shape.mr > 0 && shape.nr > 0, "{shape:?}");
-                assert_eq!(shape.mc % shape.mr, 0, "{shape:?}: MC must be MR-granular");
-                assert_eq!(shape.nc % shape.nr, 0, "{shape:?}: NC must be NR-granular");
-                assert!(shape.kc > 0, "{shape:?}");
-            }
+            let shape = kernel_shape(*isa);
+            assert!(shape.mr > 0 && shape.nr > 0, "{shape:?}");
+            assert_eq!(shape.mc % shape.mr, 0, "{shape:?}: MC must be MR-granular");
+            assert_eq!(shape.nc % shape.nr, 0, "{shape:?}: NC must be NR-granular");
+            assert!(shape.kc > 0, "{shape:?}");
         }
-        // f32 always rides the scalar kernel, whatever the ISA.
-        assert_eq!(kernel_shape::<f32>(detected_isa()).name, "scalar_8x4");
     }
 
     #[test]
     fn run_tile_matches_reference_dot_products() {
         for &isa in supported_isas() {
-            let shape = kernel_shape::<f64>(isa);
+            let shape = kernel_shape(isa);
             let kc = 37; // not a multiple of the unroll factor
             let pa: Vec<f64> = (0..kc * shape.mr).map(|i| (i % 7) as f64 - 3.0).collect();
             let pb: Vec<f64> = (0..kc * shape.nr).map(|i| (i % 5) as f64 - 2.0).collect();
@@ -450,19 +475,15 @@ mod tests {
 
     #[test]
     fn peak_panels_fit_l1() {
-        fn fits<T: Scalar>(isa: Isa) {
-            let shape = kernel_shape::<T>(isa);
-            let depth = peak_depth::<T>(&shape);
+        for &isa in supported_isas() {
+            let shape = kernel_shape(isa);
+            let depth = peak_depth(&shape);
             assert!((1..=shape.kc).contains(&depth), "{shape:?}: depth {depth}");
-            let bytes = (shape.mr + shape.nr) * depth * std::mem::size_of::<T>();
+            let bytes = (shape.mr + shape.nr) * depth * std::mem::size_of::<f64>();
             assert!(bytes <= 32 * 1024, "{shape:?}: {bytes} B of panels at depth {depth}");
         }
-        for &isa in supported_isas() {
-            fits::<f64>(isa);
-            fits::<f32>(isa);
-        }
         if supported_isas().contains(&Isa::Avx512) {
-            assert_eq!(peak_depth::<f64>(&kernel_shape::<f64>(Isa::Avx512)), 128);
+            assert_eq!(peak_depth(&kernel_shape(Isa::Avx512)), 128);
         }
     }
 

@@ -8,7 +8,6 @@
 //! therefore bit-for-bit identical to the engine as of PR 2 — a property
 //! `tests/isa_dispatch.rs` pins.
 
-use crate::scalar::Scalar;
 use crate::simd::{Isa, MicroKernel};
 
 /// The portable 8×4 kernel (autovectorized by the compiler, no
@@ -16,7 +15,7 @@ use crate::simd::{Isa, MicroKernel};
 /// `MC = 128`, `NC = 2048`.
 pub(crate) struct ScalarMk;
 
-impl<T: Scalar> MicroKernel<T> for ScalarMk {
+impl MicroKernel for ScalarMk {
     const ISA: Isa = Isa::Scalar;
     const MR: usize = 8;
     const NR: usize = 4;
@@ -28,11 +27,11 @@ impl<T: Scalar> MicroKernel<T> for ScalarMk {
     #[inline]
     unsafe fn tile(
         kc: usize,
-        pa: *const T,
-        pb: *const T,
-        alpha: T,
-        beta: T,
-        c: *mut T,
+        pa: *const f64,
+        pb: *const f64,
+        alpha: f64,
+        beta: f64,
+        c: *mut f64,
         ld: usize,
         mr: usize,
         nr: usize,
@@ -42,10 +41,10 @@ impl<T: Scalar> MicroKernel<T> for ScalarMk {
         // Full-tile accumulation over the zero-padded panels; fixed-size
         // arrays and constant trip counts keep the tile in registers and
         // let the compiler vectorize the row dimension.
-        let mut acc = [T::ZERO; MR * NR];
+        let mut acc = [0.0; MR * NR];
         for p in 0..kc {
-            let a: &[T; MR] = &*(pa.add(p * MR) as *const [T; MR]);
-            let b: &[T; NR] = &*(pb.add(p * NR) as *const [T; NR]);
+            let a: &[f64; MR] = &*(pa.add(p * MR) as *const [f64; MR]);
+            let b: &[f64; NR] = &*(pb.add(p * NR) as *const [f64; NR]);
             for (cc, &bv) in b.iter().enumerate() {
                 for (r, &av) in a.iter().enumerate() {
                     acc[cc * MR + r] += av * bv;
@@ -56,11 +55,11 @@ impl<T: Scalar> MicroKernel<T> for ScalarMk {
         // `store_tile` (bit-for-bit compatibility contract).
         for cc in 0..nr {
             let dst = c.add(cc * ld);
-            if beta == T::ZERO {
+            if beta == 0.0 {
                 for r in 0..mr {
                     *dst.add(r) = alpha * acc[cc * MR + r];
                 }
-            } else if beta == T::ONE {
+            } else if beta == 1.0 {
                 for r in 0..mr {
                     let v = *dst.add(r);
                     *dst.add(r) = v + alpha * acc[cc * MR + r];

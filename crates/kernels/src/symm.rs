@@ -4,7 +4,6 @@
 
 use crate::aux::Part;
 use crate::blocked::{gemm_packed, Operand, Structure};
-use crate::scalar::Scalar;
 use crate::simd::selected_isa;
 use crate::types::{Side, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
@@ -18,14 +17,14 @@ use crate::view::{MatMut, MatRef};
 ///
 /// # Panics
 /// Panics on inconsistent dimensions.
-pub fn symm<T: Scalar>(
+pub fn symm(
     side: Side,
     uplo: Uplo,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+    beta: f64,
+    c: MatMut<'_, f64>,
 ) {
     let (m, n) = (c.nrows(), c.ncols());
     match side {

@@ -4,7 +4,6 @@
 
 use crate::aux::Part;
 use crate::blocked::{gemm_packed, Operand};
-use crate::scalar::Scalar;
 use crate::simd::selected_isa;
 use crate::types::{Trans, Uplo};
 use crate::view::{MatMut, MatRef};
@@ -20,14 +19,14 @@ use crate::view::{MatMut, MatRef};
 ///
 /// # Panics
 /// Panics on inconsistent dimensions or non-square `C`.
-pub fn syr2k<T: Scalar>(
+pub fn syr2k(
     uplo: Uplo,
     trans: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    b: MatRef<'_, f64>,
+    beta: f64,
+    mut c: MatMut<'_, f64>,
 ) {
     let n = c.nrows();
     assert_eq!(c.ncols(), n, "C must be square");
@@ -44,7 +43,7 @@ pub fn syr2k<T: Scalar>(
     // (With `alpha == 0` or `k == 0` the first pass scaled the triangle and
     // this one, accumulating onto `1 * C`, changes nothing.)
     let (ba, at) = (Operand::dense(b, trans), Operand::dense(a, trans.flip()));
-    gemm_packed(isa, alpha, ba, at, T::ONE, c, part);
+    gemm_packed(isa, alpha, ba, at, 1.0, c, part);
 }
 
 #[cfg(test)]

@@ -4,7 +4,6 @@
 
 use crate::aux::Part;
 use crate::blocked::{gemm_packed, Operand};
-use crate::scalar::Scalar;
 use crate::simd::selected_isa;
 use crate::types::{Trans, Uplo};
 use crate::view::{MatMut, MatRef};
@@ -20,13 +19,13 @@ use crate::view::{MatMut, MatRef};
 ///
 /// # Panics
 /// Panics on inconsistent dimensions or non-square `C`.
-pub fn syrk<T: Scalar>(
+pub fn syrk(
     uplo: Uplo,
     trans: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    beta: f64,
+    c: MatMut<'_, f64>,
 ) {
     let n = c.nrows();
     assert_eq!(c.ncols(), n, "C must be square");
@@ -38,8 +37,8 @@ pub fn syrk<T: Scalar>(
 
 /// Scales only the `uplo` triangle of `C` by `beta` (writing zeros when
 /// `beta == 0`).
-pub(crate) fn scale_triangle<T: Scalar>(beta: T, uplo: Uplo, mut c: MatMut<'_, T>) {
-    if beta == T::ONE {
+pub(crate) fn scale_triangle(beta: f64, uplo: Uplo, mut c: MatMut<'_, f64>) {
+    if beta == 1.0 {
         return;
     }
     let n = c.nrows();
@@ -49,8 +48,8 @@ pub(crate) fn scale_triangle<T: Scalar>(beta: T, uplo: Uplo, mut c: MatMut<'_, T
             Uplo::Upper => (0, j + 1),
         };
         for i in lo..hi {
-            if beta == T::ZERO {
-                c.set(i, j, T::ZERO);
+            if beta == 0.0 {
+                c.set(i, j, 0.0);
             } else {
                 c.update(i, j, |v| v * beta);
             }

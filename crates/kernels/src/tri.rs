@@ -3,7 +3,6 @@
 
 use crate::aux::Part;
 use crate::blocked::{gemm_packed, Operand};
-use crate::scalar::Scalar;
 use crate::simd::{selected_isa, Isa};
 use crate::types::{Diag, Side, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
@@ -22,17 +21,17 @@ pub(crate) struct TriOp {
 /// variant, the stored off-diagonal block `r` couples the halves one way
 /// only: `target` receives `op(r) * source` (left) or `source * op(r)`
 /// (right), and each half meets its own diagonal block.
-pub(crate) struct TriSplit<'a, 'b, T> {
+pub(crate) struct TriSplit<'a, 'b> {
     /// Diagonal block of `A` acting on `target`.
-    pub a_target: MatRef<'a, T>,
+    pub a_target: MatRef<'a, f64>,
     /// Diagonal block of `A` acting on `source`.
-    pub a_source: MatRef<'a, T>,
+    pub a_source: MatRef<'a, f64>,
     /// The off-diagonal block of `A` inside the stored triangle.
-    pub r: MatRef<'a, T>,
+    pub r: MatRef<'a, f64>,
     /// The rows (left) or columns (right) of `B` that `r` feeds into.
-    pub target: MatMut<'b, T>,
+    pub target: MatMut<'b, f64>,
     /// The rows (left) or columns (right) of `B` that `r` reads.
-    pub source: MatMut<'b, T>,
+    pub source: MatMut<'b, f64>,
 }
 
 impl TriOp {
@@ -42,11 +41,11 @@ impl TriOp {
     ///
     /// # Panics
     /// Panics on inconsistent dimensions.
-    pub(crate) fn checked<T: Scalar>(
+    pub(crate) fn checked(
         (side, uplo, trans, diag): (Side, Uplo, Trans, Diag),
-        alpha: T,
-        a: MatRef<'_, T>,
-        b: &mut MatMut<'_, T>,
+        alpha: f64,
+        a: MatRef<'_, f64>,
+        b: &mut MatMut<'_, f64>,
     ) -> Option<Self> {
         let (m, n) = (b.nrows(), b.ncols());
         match side {
@@ -54,8 +53,8 @@ impl TriOp {
             Side::Right => assert_eq!(a.nrows(), n, "A must be n x n for Side::Right"),
         }
         assert_eq!(a.ncols(), a.nrows(), "A must be square");
-        if alpha == T::ZERO {
-            b.fill(T::ZERO);
+        if alpha == 0.0 {
+            b.fill(0.0);
             return None;
         }
         (m > 0 && n > 0).then(|| TriOp {
@@ -69,13 +68,13 @@ impl TriOp {
 
     /// `C = alpha * x * B + beta * C` (left) or `alpha * B * x + beta * C`
     /// (right) on the blocked engine.
-    pub(crate) fn gemm<T: Scalar>(
+    pub(crate) fn gemm(
         &self,
-        alpha: T,
-        x: Operand<'_, T>,
-        b: MatRef<'_, T>,
-        beta: T,
-        c: MatMut<'_, T>,
+        alpha: f64,
+        x: Operand<'_>,
+        b: MatRef<'_, f64>,
+        beta: f64,
+        c: MatMut<'_, f64>,
     ) {
         let b = Operand::dense(b, Trans::No);
         let (p, q) = match self.side {
@@ -86,12 +85,12 @@ impl TriOp {
     }
 
     /// Splits the triangular dimension at `h` (`0 < h < a.nrows()`).
-    pub(crate) fn split<'a, 'b, T: Scalar>(
+    pub(crate) fn split<'a, 'b>(
         &self,
         h: usize,
-        a: MatRef<'a, T>,
-        b: MatMut<'b, T>,
-    ) -> TriSplit<'a, 'b, T> {
+        a: MatRef<'a, f64>,
+        b: MatMut<'b, f64>,
+    ) -> TriSplit<'a, 'b> {
         let t = a.nrows() - h;
         let (a_head, a_tail) = (a.submatrix(0, 0, h, h), a.submatrix(h, h, t, t));
         let r = match self.uplo {

@@ -4,7 +4,6 @@
 
 use crate::aux::{lacpy, Part};
 use crate::blocked::{with_scratch, Operand, Structure, TB};
-use crate::scalar::Scalar;
 use crate::tri::TriOp;
 use crate::types::{Diag, Side, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
@@ -24,14 +23,14 @@ use crate::view::{MatMut, MatRef};
 ///
 /// # Panics
 /// Panics on inconsistent dimensions.
-pub fn trmm<T: Scalar>(
+pub fn trmm(
     side: Side,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
-    alpha: T,
-    a: MatRef<'_, T>,
-    mut b: MatMut<'_, T>,
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    mut b: MatMut<'_, f64>,
 ) {
     if let Some(op) = TriOp::checked((side, uplo, trans, diag), alpha, a, &mut b) {
         multiply(op, alpha, a, b);
@@ -39,20 +38,20 @@ pub fn trmm<T: Scalar>(
 }
 
 /// `B = alpha * op(A) * B` or `alpha * B * op(A)` on a non-empty `B`.
-fn multiply<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
+fn multiply(op: TriOp, alpha: f64, a: MatRef<'_, f64>, mut b: MatMut<'_, f64>) {
     let na = a.nrows();
     if na <= TB {
         let (m, n) = (b.nrows(), b.ncols());
-        return with_scratch(m * n, |old: &mut [T]| {
+        return with_scratch(m * n, |old: &mut [f64]| {
             lacpy(Part::All, b.as_ref(), MatMut::from_slice(old, m, n, m));
             let tri = Operand::new(a, op.trans, Structure::Triangular(op.uplo, op.diag));
-            op.gemm(alpha, tri, MatRef::from_slice(old, m, n, m), T::ZERO, b);
+            op.gemm(alpha, tri, MatRef::from_slice(old, m, n, m), 0.0, b);
         });
     }
     let mut s = op.split((na / 2).next_multiple_of(TB), a, b.rb_mut());
     multiply(op, alpha, s.a_target, s.target.rb_mut());
     let rect = Operand::dense(s.r, op.trans);
-    op.gemm(alpha, rect, s.source.as_ref(), T::ONE, s.target);
+    op.gemm(alpha, rect, s.source.as_ref(), 1.0, s.target);
     multiply(op, alpha, s.a_source, s.source);
 }
 

@@ -3,7 +3,6 @@
 //! (right), with `A` triangular.
 
 use crate::blocked::Operand;
-use crate::scalar::Scalar;
 use crate::tri::TriOp;
 use crate::types::{Diag, Side, Trans, Uplo};
 use crate::view::{MatMut, MatRef};
@@ -28,14 +27,14 @@ const LEAF: usize = 8;
 /// # Panics
 /// Panics on inconsistent dimensions. Dividing by an (exactly) zero diagonal
 /// produces infinities, like BLAS.
-pub fn trsm<T: Scalar>(
+pub fn trsm(
     side: Side,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
-    alpha: T,
-    a: MatRef<'_, T>,
-    mut b: MatMut<'_, T>,
+    alpha: f64,
+    a: MatRef<'_, f64>,
+    mut b: MatMut<'_, f64>,
 ) {
     if let Some(op) = TriOp::checked((side, uplo, trans, diag), alpha, a, &mut b) {
         solve(op, alpha, a, b);
@@ -44,7 +43,7 @@ pub fn trsm<T: Scalar>(
 
 /// Solves `op(A) * X = alpha * B` or `X * op(A) = alpha * B` into a
 /// non-empty `B`.
-fn solve<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
+fn solve(op: TriOp, alpha: f64, a: MatRef<'_, f64>, mut b: MatMut<'_, f64>) {
     let na = a.nrows();
     if na <= LEAF {
         return substitute(op, alpha, a, b);
@@ -52,8 +51,8 @@ fn solve<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>)
     let mut s = op.split((na / 2).next_multiple_of(LEAF), a, b.rb_mut());
     solve(op, alpha, s.a_source, s.source.rb_mut());
     let rect = Operand::dense(s.r, op.trans);
-    op.gemm(-T::ONE, rect, s.source.as_ref(), alpha, s.target.rb_mut());
-    solve(op, T::ONE, s.a_target, s.target);
+    op.gemm(-1.0, rect, s.source.as_ref(), alpha, s.target.rb_mut());
+    solve(op, 1.0, s.a_target, s.target);
 }
 
 /// Plain substitution against a diagonal block of at most [`LEAF`] rows.
@@ -63,13 +62,13 @@ fn solve<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>)
 /// `x_i = (alpha b_i − Σ d[i][l] x_l) / d[i][i]` over the unknowns `l`
 /// solved before it — `op(A)` on the left, its transpose on the right —
 /// padded with the identity so the loops below have constant bounds.
-fn substitute<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_, T>) {
+fn substitute(op: TriOp, alpha: f64, a: MatRef<'_, f64>, mut b: MatMut<'_, f64>) {
     let s = a.nrows();
     let unit = op.diag == Diag::Unit;
     let transposed = (op.trans == Trans::Yes) != (op.side == Side::Right);
-    let mut d = [[T::ZERO; LEAF]; LEAF];
+    let mut d = [[0.0; LEAF]; LEAF];
     for (i, row) in d.iter_mut().enumerate() {
-        row[i] = T::ONE;
+        row[i] = 1.0;
     }
     for j in 0..s {
         let rows = match op.uplo {
@@ -84,7 +83,7 @@ fn substitute<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_
     // `d` lower-triangular: unknowns resolve first to last; upper: last to first.
     let forward = (op.uplo == Uplo::Lower) != transposed;
     let order = |t: usize| if forward { t } else { LEAF - 1 - t };
-    let solve_one = |x: &mut [T; LEAF]| {
+    let solve_one = |x: &mut [f64; LEAF]| {
         for t in 0..LEAF {
             let i = order(t);
             let mut acc = alpha * x[i];
@@ -97,7 +96,7 @@ fn substitute<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_
     match op.side {
         Side::Left => {
             for j in 0..b.ncols() {
-                let (mut x, col) = ([T::ZERO; LEAF], b.col_mut(j));
+                let (mut x, col) = ([0.0; LEAF], b.col_mut(j));
                 x[..s].copy_from_slice(col);
                 solve_one(&mut x);
                 col.copy_from_slice(&x[..s]);
@@ -105,7 +104,7 @@ fn substitute<T: Scalar>(op: TriOp, alpha: T, a: MatRef<'_, T>, mut b: MatMut<'_
         }
         Side::Right => {
             for i in 0..b.nrows() {
-                let mut x = [T::ZERO; LEAF];
+                let mut x = [0.0; LEAF];
                 for (j, v) in x.iter_mut().enumerate().take(s) {
                     *v = b.at(i, j);
                 }

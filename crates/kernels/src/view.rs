@@ -16,8 +16,6 @@
 
 use std::marker::PhantomData;
 
-use crate::scalar::Scalar;
-
 /// Immutable column-major matrix view.
 #[derive(Clone, Copy)]
 pub struct MatRef<'a, T> {
@@ -44,12 +42,12 @@ unsafe impl<T: Sync> Sync for MatRef<'_, T> {}
 unsafe impl<T: Send> Send for MatMut<'_, T> {}
 unsafe impl<T: Sync> Sync for MatMut<'_, T> {}
 
-impl<'a, T: Scalar> MatRef<'a, T> {
+impl<'a> MatRef<'a, f64> {
     /// Views an `m × n` matrix with leading dimension `ld` over `data`.
     ///
     /// # Panics
     /// Panics if `ld < m` or if `data` is too short to hold the last column.
-    pub fn from_slice(data: &'a [T], m: usize, n: usize, ld: usize) -> Self {
+    pub fn from_slice(data: &'a [f64], m: usize, n: usize, ld: usize) -> Self {
         assert!(ld >= m.max(1), "ld ({ld}) must be >= m ({m})");
         let needed = if n == 0 || m == 0 { 0 } else { ld * (n - 1) + m };
         assert!(
@@ -71,7 +69,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     /// # Safety
     /// `ptr` must be valid for reads of the `m × n` region with stride `ld`
     /// for the lifetime `'a`, and no mutable view may overlap it while alive.
-    pub unsafe fn from_raw(ptr: *const T, m: usize, n: usize, ld: usize) -> Self {
+    pub unsafe fn from_raw(ptr: *const f64, m: usize, n: usize, ld: usize) -> Self {
         MatRef {
             ptr,
             m,
@@ -99,12 +97,12 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     /// Payload size in bytes (excludes the inter-column padding).
     #[inline]
     pub fn bytes(&self) -> u64 {
-        (self.m * self.n * T::WORD) as u64
+        (self.m * self.n * std::mem::size_of::<f64>()) as u64
     }
 
     /// Element access.
     #[inline]
-    pub fn at(&self, i: usize, j: usize) -> T {
+    pub fn at(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.m && j < self.n, "({i},{j}) out of {}x{}", self.m, self.n);
         // SAFETY: bounds checked above (debug) / guaranteed by callers in the
         // kernels, pointer valid per construction contract.
@@ -113,7 +111,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
 
     /// Column `j` as a slice of `m` elements.
     #[inline]
-    pub fn col(&self, j: usize) -> &'a [T] {
+    pub fn col(&self, j: usize) -> &'a [f64] {
         debug_assert!(j < self.n);
         // SAFETY: column j spans [j*ld, j*ld + m) which is in bounds.
         unsafe { std::slice::from_raw_parts(self.ptr.add(j * self.ld), self.m) }
@@ -122,7 +120,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     /// Raw pointer to element `(i, j)` — the packer's SIMD block source.
     /// Reads through it must stay within the view's `m × n` region.
     #[inline]
-    pub(crate) fn ptr_at(&self, i: usize, j: usize) -> *const T {
+    pub(crate) fn ptr_at(&self, i: usize, j: usize) -> *const f64 {
         debug_assert!(i < self.m && j < self.n);
         // SAFETY: (i, j) is in bounds (debug-asserted / guaranteed by the
         // packer's block clips), so the offset stays inside the viewed region.
@@ -130,7 +128,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     }
 
     /// Sub-matrix view of size `mm × nn` starting at `(i, j)`.
-    pub(crate) fn submatrix(&self, i: usize, j: usize, mm: usize, nn: usize) -> MatRef<'a, T> {
+    pub(crate) fn submatrix(&self, i: usize, j: usize, mm: usize, nn: usize) -> MatRef<'a, f64> {
         assert!(i + mm <= self.m && j + nn <= self.n, "submatrix out of bounds");
         MatRef {
             // SAFETY: offset stays within the parent region.
@@ -144,7 +142,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
 
     /// Copies the view into a dense `Vec` in column-major order (compacted:
     /// the result has `ld == m`, like a tile landed on a GPU in the paper).
-    pub fn to_compact_vec(&self) -> Vec<T> {
+    pub fn to_compact_vec(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.m * self.n);
         for j in 0..self.n {
             out.extend_from_slice(self.col(j));
@@ -153,12 +151,12 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     }
 }
 
-impl<'a, T: Scalar> MatMut<'a, T> {
+impl<'a> MatMut<'a, f64> {
     /// Views an `m × n` mutable matrix with leading dimension `ld`.
     ///
     /// # Panics
     /// Panics if `ld < m` or if `data` is too short.
-    pub fn from_slice(data: &'a mut [T], m: usize, n: usize, ld: usize) -> Self {
+    pub fn from_slice(data: &'a mut [f64], m: usize, n: usize, ld: usize) -> Self {
         assert!(ld >= m.max(1), "ld ({ld}) must be >= m ({m})");
         let needed = if n == 0 || m == 0 { 0 } else { ld * (n - 1) + m };
         assert!(
@@ -180,7 +178,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     /// # Safety
     /// `ptr` must be valid for reads and writes of the region for `'a`, and
     /// no other view may overlap it while this one is alive.
-    pub unsafe fn from_raw(ptr: *mut T, m: usize, n: usize, ld: usize) -> Self {
+    pub unsafe fn from_raw(ptr: *mut f64, m: usize, n: usize, ld: usize) -> Self {
         MatMut {
             ptr,
             m,
@@ -208,14 +206,14 @@ impl<'a, T: Scalar> MatMut<'a, T> {
 
     /// Element read.
     #[inline]
-    pub fn at(&self, i: usize, j: usize) -> T {
+    pub fn at(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.m && j < self.n);
         unsafe { *self.ptr.add(i + j * self.ld) }
     }
 
     /// Element write.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
+    pub fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.m && j < self.n);
         // SAFETY: in bounds; exclusive access per view contract.
         unsafe { *self.ptr.add(i + j * self.ld) = v }
@@ -223,7 +221,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
 
     /// In-place update of one element.
     #[inline]
-    pub fn update(&mut self, i: usize, j: usize, f: impl FnOnce(T) -> T) {
+    pub fn update(&mut self, i: usize, j: usize, f: impl FnOnce(f64) -> f64) {
         let v = self.at(i, j);
         self.set(i, j, f(v));
     }
@@ -231,7 +229,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     /// Raw pointer to element `(i, j)` — the microkernel's store target.
     /// Writes through it must stay within the view's `m × n` region.
     #[inline]
-    pub(crate) fn ptr_at_mut(&mut self, i: usize, j: usize) -> *mut T {
+    pub(crate) fn ptr_at_mut(&mut self, i: usize, j: usize) -> *mut f64 {
         debug_assert!(i < self.m && j < self.n);
         // SAFETY: (i, j) is in bounds (debug-asserted / guaranteed by the
         // engine's loop clips), so the offset stays inside the viewed region.
@@ -240,14 +238,14 @@ impl<'a, T: Scalar> MatMut<'a, T> {
 
     /// Mutable column `j`.
     #[inline]
-    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [T] {
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
         debug_assert!(j < self.n);
         // SAFETY: column in bounds; exclusive borrow of self.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(j * self.ld), self.m) }
     }
 
     /// Immutable re-borrow.
-    pub fn as_ref(&self) -> MatRef<'_, T> {
+    pub fn as_ref(&self) -> MatRef<'_, f64> {
         MatRef {
             ptr: self.ptr,
             m: self.m,
@@ -258,7 +256,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Mutable re-borrow with a shorter lifetime.
-    pub(crate) fn rb_mut(&mut self) -> MatMut<'_, T> {
+    pub(crate) fn rb_mut(&mut self) -> MatMut<'_, f64> {
         MatMut {
             ptr: self.ptr,
             m: self.m,
@@ -269,7 +267,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Splits into `(left, right)` disjoint mutable views at column `j`.
-    pub(crate) fn split_cols_at(self, j: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
+    pub(crate) fn split_cols_at(self, j: usize) -> (MatMut<'a, f64>, MatMut<'a, f64>) {
         assert!(j <= self.n);
         let left = MatMut {
             ptr: self.ptr,
@@ -289,7 +287,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Splits into `(top, bottom)` disjoint mutable views at row `i`.
-    pub(crate) fn split_rows_at(self, i: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
+    pub(crate) fn split_rows_at(self, i: usize) -> (MatMut<'a, f64>, MatMut<'a, f64>) {
         assert!(i <= self.m);
         let top = MatMut {
             ptr: self.ptr,
@@ -309,7 +307,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Fills the whole view with `v`.
-    pub fn fill(&mut self, v: T) {
+    pub fn fill(&mut self, v: f64) {
         for j in 0..self.n {
             self.col_mut(j).fill(v);
         }

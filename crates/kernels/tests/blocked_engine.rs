@@ -33,7 +33,7 @@ fn gemm_grid_all_trans_boundary_shapes_every_isa() {
     // blocks (they differ per ISA: e.g. AVX-512 uses a 24x8 tile with
     // MC=264 where scalar uses 8x4 with MC=128).
     common::for_each_supported_isa(|isa| {
-        let s = kernel_shape::<f64>(isa);
+        let s = kernel_shape(isa);
         // Shapes straddling the register tile, the cache blocks, and fringes.
         let shapes = [
             (1, 1, 1),

@@ -370,20 +370,15 @@ fn env_selection_semantics() {
 }
 
 /// `kernel_shape` reports the shape that will actually be dispatched:
-/// supported ISAs report themselves, and f32 (which has no SIMD kernels)
-/// always reports the scalar shape.
+/// supported ISAs report themselves.
 #[test]
 fn kernel_shape_reports_dispatch() {
     for &isa in supported_isas() {
-        let s = kernel_shape::<f64>(isa);
+        let s = kernel_shape(isa);
         assert_eq!(s.isa, isa);
         assert!(s.mr > 0 && s.nr > 0);
         assert_eq!(s.mc % s.mr, 0, "{}: MC must be a multiple of MR", s.name);
         assert_eq!(s.nc % s.nr, 0, "{}: NC must be a multiple of NR", s.name);
-
-        let s32 = kernel_shape::<f32>(isa);
-        assert_eq!(s32.isa, Isa::Scalar, "f32 always dispatches scalar");
-        assert_eq!(s32.name, "scalar_8x4");
     }
 }
 
@@ -492,15 +487,23 @@ const AVX512_DIGESTS: [u64; 17] = [
     0x0e9785fdc5f54387,
 ];
 
-/// The AVX-512 engine reproduces the 8×8 kernel's outputs bit for bit on
-/// every routine. Hosts without AVX-512 have nothing to pin.
+/// [`routine_digests`] of the AVX2 engine, recorded from its 4×8 tile
+/// before the routines lost their element-type parameter. The same digests
+/// as AVX-512's: both kernels keep one FMA chain per `C` element over
+/// ascending depth.
+const AVX2_DIGESTS: [u64; 17] = AVX512_DIGESTS;
+
+/// Each SIMD engine reproduces its recorded outputs bit for bit on every
+/// routine. Hosts without an ISA skip its row.
 #[test]
 fn avx512_pin_is_bit_for_bit_8x8() {
     let _guard = common::isa_lock();
     let _restore = common::EnvRestore::capture();
-    if !supported_isas().contains(&Isa::Avx512) {
-        return;
+    for (isa, digests) in [(Isa::Avx512, AVX512_DIGESTS), (Isa::Avx2, AVX2_DIGESTS)] {
+        if !supported_isas().contains(&isa) {
+            continue;
+        }
+        std::env::set_var(ISA_ENV, isa.name());
+        assert_eq!(routine_digests(), digests, "{isa}");
     }
-    std::env::set_var(ISA_ENV, "avx512");
-    assert_eq!(routine_digests(), AVX512_DIGESTS);
 }

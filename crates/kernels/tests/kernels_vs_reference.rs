@@ -217,30 +217,6 @@ fn trsm_all_variants_satisfy_equation() {
     });
 }
 
-/// f32 kernels agree with f64 within single precision.
-#[test]
-fn f32_tracks_f64() {
-    for_each_seed(64, |rng| {
-        let (m, n, k) = (rng.usize_in(1, 8), rng.usize_in(1, 8), rng.usize_in(1, 8));
-        let seed = data_seed(rng);
-        let a64 = det_vals(m * k, seed);
-        let b64 = det_vals(k * n, seed + 1);
-        let a32: Vec<f32> = a64.iter().map(|&x| x as f32).collect();
-        let b32: Vec<f32> = b64.iter().map(|&x| x as f32).collect();
-        let mut c64 = vec![0.0f64; m * n];
-        let mut c32 = vec![0.0f32; m * n];
-        gemm(Trans::No, Trans::No, 1.0f64,
-             MatRef::from_slice(&a64, m, k, m), MatRef::from_slice(&b64, k, n, k),
-             0.0, MatMut::from_slice(&mut c64, m, n, m));
-        gemm(Trans::No, Trans::No, 1.0f32,
-             MatRef::from_slice(&a32, m, k, m), MatRef::from_slice(&b32, k, n, k),
-             0.0, MatMut::from_slice(&mut c32, m, n, m));
-        for (x, y) in c32.iter().zip(&c64) {
-            assert!((f64::from(*x) - y).abs() < 1e-4);
-        }
-    });
-}
-
 /// A dimension biased toward the blocked engine's tile and block
 /// boundaries (`MR`/`NR` register tiles, `TB` triangular blocks) where
 /// fringe handling lives, plus ordinary in-between values.

@@ -13,7 +13,7 @@ mod common;
 
 use xk_kernels::aux::{max_abs_diff, max_abs_diff_tri};
 use xk_kernels::reference as r;
-use xk_kernels::{symm, syr2k, syrk, trmm, trsm, Diag, MatMut, MatRef, Scalar, Side, Trans, Uplo};
+use xk_kernels::{symm, syr2k, syrk, trmm, trsm, Diag, MatMut, MatRef, Side, Trans, Uplo};
 
 /// Order of the triangular/symmetric operand and of `syrk`'s `C`.
 const ORDER: usize = 200;
@@ -29,19 +29,19 @@ const DIAGS: [Diag; 2] = [Diag::NonUnit, Diag::Unit];
 
 /// An `m × n` matrix stored with `ld = m + 5`.
 #[derive(Clone)]
-struct Poisoned<T> {
-    data: Vec<T>,
+struct Poisoned {
+    data: Vec<f64>,
     m: usize,
     n: usize,
 }
 
-impl<T: Scalar> Poisoned<T> {
+impl Poisoned {
     /// Seeded values in `[-1, 1)` (xorshift, as in the sibling suites) where
     /// `referenced(i, j)`, NaN everywhere else, padding included.
     fn new(m: usize, n: usize, seed: u64, referenced: impl Fn(usize, usize) -> bool) -> Self {
         let ld = m + 5;
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        let mut data = vec![T::from_f64(f64::NAN); ld * n];
+        let mut data = vec![f64::NAN; ld * n];
         for j in 0..n {
             for i in 0..m {
                 state ^= state << 13;
@@ -49,7 +49,7 @@ impl<T: Scalar> Poisoned<T> {
                 state ^= state << 17;
                 if referenced(i, j) {
                     let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-                    data[i + j * ld] = T::from_f64(unit * 2.0 - 1.0);
+                    data[i + j * ld] = unit * 2.0 - 1.0;
                 }
             }
         }
@@ -68,20 +68,20 @@ impl<T: Scalar> Poisoned<T> {
                 let v = &mut t.data[i + j * (ORDER + 5)];
                 // (A NaN diagonal stays NaN.)
                 *v = if i == j {
-                    T::from_f64(4.0) + v.abs()
+                    4.0 + v.abs()
                 } else {
-                    *v * T::from_f64(1.0 / 64.0)
+                    *v * (1.0 / 64.0)
                 };
             }
         }
         t
     }
 
-    fn view(&self) -> MatRef<'_, T> {
+    fn view(&self) -> MatRef<'_, f64> {
         MatRef::from_slice(&self.data, self.m, self.n, self.m + 5)
     }
 
-    fn view_mut(&mut self) -> MatMut<'_, T> {
+    fn view_mut(&mut self) -> MatMut<'_, f64> {
         MatMut::from_slice(&mut self.data, self.m, self.n, self.m + 5)
     }
 
@@ -90,11 +90,11 @@ impl<T: Scalar> Poisoned<T> {
     fn assert_finite_and_poison_untouched(&self, before: &Self, what: &str) {
         for (idx, (now, was)) in self.data.iter().zip(&before.data).enumerate() {
             let (i, j) = (idx % (self.m + 5), idx / (self.m + 5));
-            if was.to_f64().is_nan() {
-                let same = now.to_f64().to_bits() == was.to_f64().to_bits();
+            if was.is_nan() {
+                let same = now.to_bits() == was.to_bits();
                 assert!(same, "{what}: poisoned element ({i},{j}) was written");
             } else {
-                assert!(now.to_f64().is_finite(), "{what}: ({i},{j}) is {now}");
+                assert!(now.is_finite(), "{what}: ({i},{j}) is {now}");
             }
         }
     }
@@ -122,7 +122,7 @@ fn trmm_reads_only_its_triangle() {
             for trans in TRANSES {
                 for diag in DIAGS {
                     let what = format!("trmm {side:?}/{uplo:?}/{trans:?}/{diag:?}");
-                    let a = Poisoned::<f64>::triangular(31, uplo, diag);
+                    let a = Poisoned::triangular(31, uplo, diag);
                     let (m, n) = rhs_dims(side);
                     let b0 = Poisoned::new(m, n, 32, |_, _| true);
                     let want = r::ref_trmm(side, uplo, trans, diag, 1.5, a.view(), b0.view());
@@ -146,7 +146,7 @@ fn trsm_reads_only_its_triangle() {
             for trans in TRANSES {
                 for diag in DIAGS {
                     let what = format!("trsm {side:?}/{uplo:?}/{trans:?}/{diag:?}");
-                    let a = Poisoned::<f64>::triangular(41, uplo, diag);
+                    let a = Poisoned::triangular(41, uplo, diag);
                     let (m, n) = rhs_dims(side);
                     let b0 = Poisoned::new(m, n, 42, |_, _| true);
                     common::for_each_supported_isa(|isa| {
@@ -173,7 +173,7 @@ fn symm_reads_only_its_triangle() {
     for side in SIDES {
         for uplo in UPLOS {
             let what = format!("symm {side:?}/{uplo:?}");
-            let a = Poisoned::<f64>::new(ORDER, ORDER, 11, |i, j| in_triangle(uplo, i, j));
+            let a = Poisoned::new(ORDER, ORDER, 11, |i, j| in_triangle(uplo, i, j));
             let (m, n) = rhs_dims(side);
             let b = Poisoned::new(m, n, 12, |_, _| true);
             let c0 = Poisoned::new(m, n, 13, |_, _| true);
@@ -194,7 +194,7 @@ fn syrk_and_syr2k_touch_only_their_triangle() {
     for uplo in UPLOS {
         for trans in TRANSES {
             let (am, an) = trans.apply_dims(ORDER, RHS);
-            let a = Poisoned::<f64>::new(am, an, 21, |_, _| true);
+            let a = Poisoned::new(am, an, 21, |_, _| true);
             let b = Poisoned::new(am, an, 22, |_, _| true);
             let c0 = Poisoned::new(ORDER, ORDER, 23, |i, j| in_triangle(uplo, i, j));
             let want = r::ref_syrk(trans, 0.75, a.view(), -0.5, c0.view());
@@ -216,26 +216,4 @@ fn syrk_and_syr2k_touch_only_their_triangle() {
             });
         }
     }
-}
-
-/// `f32` through the recursive `trmm`/`trsm` at a blocked size
-/// (`f32_tracks_f64` stops at 8 × 8 GEMMs).
-#[test]
-fn f32_trmm_trsm_at_a_blocked_size() {
-    let (side, uplo, trans, diag) = (Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit);
-    let a = Poisoned::<f32>::triangular(51, uplo, diag);
-    let b0 = Poisoned::<f32>::new(ORDER, RHS, 52, |_, _| true);
-
-    let mut b = b0.clone();
-    trmm(side, uplo, trans, diag, 1.5, a.view(), b.view_mut());
-    b.assert_finite_and_poison_untouched(&b0, "trmm f32");
-    let want = r::ref_trmm(side, uplo, trans, diag, 1.5, a.view(), b0.view());
-    let d = max_abs_diff(b.view(), want.view());
-    assert!(d < 1e-4, "trmm f32: diff {d}");
-
-    let mut x = b0.clone();
-    trsm(side, uplo, trans, diag, 0.5, a.view(), x.view_mut());
-    x.assert_finite_and_poison_untouched(&b0, "trsm f32");
-    let res = r::trsm_residual((side, uplo, trans, diag), 0.5, a.view(), x.view(), b0.view());
-    assert!(res < 1e-4, "trsm f32: residual {res}");
 }
