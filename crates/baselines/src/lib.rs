@@ -171,15 +171,31 @@ pub struct RunParams {
     pub data_on_device: bool,
 }
 
+/// The most times any model moves one matrix's bytes. SLATE moves most:
+/// it broadcasts every block of A and B to each GPU and moves C in and out
+/// once, `2·G + 2` matrices on `G` GPUs, and a fabric has fewer than
+/// `u16::MAX` GPUs (the executor's per-task GPU index is a `u16`). The
+/// runtime's libraries move each tile once per task that reads it, so
+/// only tiles far smaller than `n` could move more; those make more
+/// tasks than memory holds first.
+const MAX_MATRIX_MOVES: u64 = 2 * u16::MAX as u64 + 2;
+
 impl RunParams {
-    /// Rejects a request that describes no run (`n == 0` or `tile == 0`).
+    /// Rejects a request that describes no run (`n == 0` or `tile == 0`)
+    /// or one whose byte counts would not fit a `u64`: every model totals
+    /// the bytes it moves in `u64` counters, at most `MAX_MATRIX_MOVES`
+    /// times the `8·n²` bytes of one matrix, so `n` stays below `2^22`.
     /// Parameters arrive from planner queries, so this is the boundary
     /// check: past it the tile arithmetic of every model may divide by
     /// `tile` and the throughput by the flop count. [`run`] applies it;
-    /// call it before [`build_run_graph`] / [`run_prepped`], which assume
-    /// checked parameters.
+    /// call it before [`build_run_graph`], which assumes checked
+    /// parameters.
     pub fn validate(&self) -> Result<(), RunError> {
-        if self.n == 0 || self.tile == 0 {
+        let n = self.n as u64;
+        let moved = n
+            .checked_mul(n)
+            .and_then(|elements| elements.checked_mul(8 * MAX_MATRIX_MOVES));
+        if self.n == 0 || self.tile == 0 || moved.is_none() {
             return Err(RunError::InvalidParams {
                 n: self.n,
                 tile: self.tile,

@@ -4,8 +4,8 @@
 //! [`RuntimeConfig`].
 //!
 //! A graph does not depend on the configuration, so each thread keeps the
-//! graphs of one family — fabric, routine and `n` — with their
-//! [`SimPrep`], one per tile, methodology and layout: the Fig. 3 ablations,
+//! graphs of one family — fabric, routine and `n` — one per tile,
+//! methodology and layout: the Fig. 3 ablations,
 //! a tile search's later libraries and every library of one figure column
 //! simulate the graphs the first one built.
 
@@ -84,17 +84,11 @@ struct Entry {
     tile_layout: bool,
 }
 
-/// A finished graph and its prep.
-struct Prepared {
-    graph: TaskGraph,
-    prep: SimPrep,
-}
-
 /// The graphs of one family, one per entry, in build order.
 #[derive(Default)]
 struct GraphMemo {
     family: Option<Family>,
-    entries: Vec<(Entry, Prepared)>,
+    entries: Vec<(Entry, TaskGraph)>,
 }
 
 thread_local! {
@@ -104,15 +98,15 @@ thread_local! {
 }
 
 impl GraphMemo {
-    /// The prepared graph of `params` on `topo`, built on first request.
-    /// A request from another family releases the memo's graphs first.
-    fn prepared(
+    /// The graph of `params` on `topo`, built on first request. A request
+    /// from another family releases the memo's graphs first.
+    fn graph(
         &mut self,
         topo: &FabricSpec,
         params: &RunParams,
         cfg: &RuntimeConfig,
         tile_layout: bool,
-    ) -> &Prepared {
+    ) -> &TaskGraph {
         let family = Family {
             fabric: topo.fingerprint(),
             routine: params.routine,
@@ -130,9 +124,11 @@ impl GraphMemo {
         let at = match self.entries.iter().position(|(e, _)| *e == entry) {
             Some(at) => at,
             None => {
+                // Derived tables now, so that they are allocated beside the
+                // graph they outlive runs with, not among a run's buffers.
                 let graph = build_run_graph(topo, params, cfg, tile_layout);
-                let prep = SimPrep::new(&graph);
-                self.entries.push((entry, Prepared { graph, prep }));
+                graph.finalize();
+                self.entries.push((entry, graph));
                 self.entries.len() - 1
             }
         };
@@ -141,7 +137,7 @@ impl GraphMemo {
 }
 
 /// Simulates one routine call under `cfg` within a makespan `budget`
-/// (`f64::INFINITY` for none; see [`SimSession::run_prepped_within`]) on
+/// (`f64::INFINITY` for none; see [`SimSession::run_within`]) on
 /// the thread's memoized graph of the call.
 /// Data-on-host runs end with a `memory_coherent` of the output (§IV-A
 /// end-to-end methodology); data-on-device runs leave results on the GPUs
@@ -155,9 +151,8 @@ pub(crate) fn run_on_runtime(
 ) -> Result<RunResult, RunError> {
     MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
-        let Prepared { graph, prep } = memo.prepared(topo, params, &cfg, tile_layout);
-        let session = SimSession::on(topo).config(cfg);
-        let sim = session.run_prepped_within(graph, prep, budget)?.into_outcome();
+        let graph = memo.graph(topo, params, &cfg, tile_layout);
+        let sim = SimSession::on(topo).config(cfg).run_within(graph, budget)?.into_outcome();
         Ok(outcome_to_result(sim, params))
     })
 }
@@ -168,8 +163,9 @@ pub(crate) fn run_on_runtime(
 ///
 /// A data-on-host graph ends with one flush task per output tile. The
 /// graph does not depend on `cfg`, so one graph built here can be
-/// simulated under every library configuration via [`run_prepped`],
-/// sharing the hoisted [`SimPrep`] across those runs.
+/// simulated under every library configuration
+/// ([`xk_runtime::SimSession::run`]), and those runs share the graph's
+/// label table.
 pub fn build_run_graph(
     topo: &FabricSpec,
     params: &RunParams,
@@ -186,20 +182,16 @@ pub fn build_run_graph(
     ctx.finish_graph()
 }
 
-/// Simulates a pre-built routine graph under `cfg` with shared per-graph
-/// prep: the timing, byte counters and observability are byte-identical to
-/// [`crate::run`]'s for each [`crate::XkVariant`] (only the process-global
-/// matrix ids inside trace labels may differ, as they do between any two
-/// context builds).
+/// Simulates a pre-built routine graph under `cfg`. Kept only for
+/// `benchmark/`; a benchmark PR deletes it.
 pub fn run_prepped(
     topo: &FabricSpec,
     params: &RunParams,
     cfg: RuntimeConfig,
     graph: &TaskGraph,
-    prep: &SimPrep,
+    _prep: &SimPrep,
 ) -> RunResult {
-    let sim = SimSession::on(topo).config(cfg).run_prepped(graph, prep).into_outcome();
-    outcome_to_result(sim, params)
+    outcome_to_result(SimSession::on(topo).config(cfg).run(graph).into_outcome(), params)
 }
 
 /// Converts a simulation outcome into the harness result type.
@@ -268,11 +260,10 @@ mod tests {
             tile: 1024,
             data_on_device: false,
         };
-        // One graph, three heuristic variants: each prepped run must be
-        // byte-identical in timing and counters to the standalone path.
+        // One graph, three heuristic variants: each run of the shared graph
+        // must be byte-identical in timing and counters to the memo's path.
         let base = crate::XkVariant::Full.runtime_config();
         let graph = build_run_graph(&topo, &params, &base, false);
-        let prep = xk_runtime::SimPrep::new(&graph);
         for variant in [
             crate::XkVariant::Full,
             crate::XkVariant::NoHeuristic,
@@ -280,13 +271,14 @@ mod tests {
         ] {
             let cfg = variant.runtime_config();
             let direct = run_on_runtime(&topo, &params, cfg.clone(), false, f64::INFINITY).unwrap();
-            let prepped = run_prepped(&topo, &params, cfg, &graph, &prep);
-            assert_eq!(direct.seconds.to_bits(), prepped.seconds.to_bits(), "{variant:?}");
-            assert_eq!(direct.tflops.to_bits(), prepped.tflops.to_bits(), "{variant:?}");
-            assert_eq!(direct.bytes_h2d, prepped.bytes_h2d, "{variant:?}");
-            assert_eq!(direct.bytes_d2h, prepped.bytes_d2h, "{variant:?}");
-            assert_eq!(direct.bytes_p2p, prepped.bytes_p2p, "{variant:?}");
-            assert_eq!(direct.trace.len(), prepped.trace.len(), "{variant:?}");
+            let sim = SimSession::on(&topo).config(cfg).run(&graph).into_outcome();
+            let shared = outcome_to_result(sim, &params);
+            assert_eq!(direct.seconds.to_bits(), shared.seconds.to_bits(), "{variant:?}");
+            assert_eq!(direct.tflops.to_bits(), shared.tflops.to_bits(), "{variant:?}");
+            assert_eq!(direct.bytes_h2d, shared.bytes_h2d, "{variant:?}");
+            assert_eq!(direct.bytes_d2h, shared.bytes_d2h, "{variant:?}");
+            assert_eq!(direct.bytes_p2p, shared.bytes_p2p, "{variant:?}");
+            assert_eq!(direct.trace.len(), shared.trace.len(), "{variant:?}");
         }
     }
 

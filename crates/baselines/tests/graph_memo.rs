@@ -1,13 +1,12 @@
 //! The shared-runtime libraries simulate each thread's memoized graph of a
 //! call: whatever family the thread ran before, a `run`/`run_within` result
-//! is the one a freshly built graph and prep give.
+//! is the one a freshly built graph gives.
 
 use xk_baselines::{
-    build_run_graph, run, run_prepped, run_within, Library, RunError, RunParams, RunResult,
-    XkVariant,
+    build_run_graph, run, run_within, Library, RunError, RunParams, RunResult, XkVariant,
 };
 use xk_kernels::Routine;
-use xk_runtime::SimPrep;
+use xk_runtime::SimSession;
 use xk_topo::{dgx1, fabrics, FabricSpec};
 
 /// Every library simulated on the shared runtime. A memo family is one
@@ -52,7 +51,7 @@ fn assert_same_outcome(
 }
 
 /// `run_within` on a thread of its own, whose memo starts empty: it builds
-/// the call's graph with [`build_run_graph`] and its [`SimPrep`] afresh.
+/// the call's graph with [`build_run_graph`] afresh.
 fn cold(
     lib: Library,
     topo: &FabricSpec,
@@ -89,9 +88,18 @@ fn interleaved_families_give_the_fresh_graphs_results() {
                     if let Library::XkBlas(variant) = lib {
                         let cfg = variant.runtime_config();
                         let graph = build_run_graph(topo, &params, &cfg, false);
-                        let prep = SimPrep::new(&graph);
-                        let prepped = run_prepped(topo, &params, cfg, &graph, &prep);
-                        assert_same(&prepped, &fresh, &what);
+                        let sim = SimSession::on(topo).config(cfg).run(&graph).into_outcome();
+                        let flops = routine.flops_square(*n as u64);
+                        let simulated = RunResult {
+                            seconds: sim.makespan,
+                            tflops: sim.tflops(flops),
+                            trace: sim.trace,
+                            bytes_h2d: sim.bytes_h2d,
+                            bytes_d2h: sim.bytes_d2h,
+                            bytes_p2p: sim.bytes_p2p,
+                            obs: sim.obs,
+                        };
+                        assert_same(&simulated, &fresh, &what);
                     }
                 }
             }

@@ -1,0 +1,50 @@
+//! The largest `n` that `RunParams::validate` accepts runs every library
+//! and routine at a tile of `n` and of `n / 2` to the end: in a debug
+//! build, no byte count or tile size on the way overflows.
+
+use xk_baselines::{run, Library, RunError, RunParams, XkVariant};
+use xk_kernels::Routine;
+
+fn params(n: usize, tile: usize, routine: Routine) -> RunParams {
+    RunParams { routine, n, tile, data_on_device: false }
+}
+
+/// The largest `n` (at `tile = n`) that validates, by bisection.
+fn largest_accepted_n() -> usize {
+    let valid = |n| params(n, n, Routine::Gemm).validate().is_ok();
+    let (mut ok, mut bad) = (1usize, usize::MAX);
+    while bad - ok > 1 {
+        let mid = ok + (bad - ok) / 2;
+        if valid(mid) {
+            ok = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    ok
+}
+
+#[test]
+fn the_largest_accepted_n_runs_every_library_without_overflow() {
+    let n = largest_accepted_n();
+    assert!(n >= 49_152, "the paper's largest N must validate, got {n}");
+    assert_eq!(
+        params(n + 1, n + 1, Routine::Gemm).validate(),
+        Err(RunError::InvalidParams { n: n + 1, tile: n + 1 })
+    );
+    let topo = xk_topo::dgx1();
+    let libraries = Library::FIG5.into_iter().chain([
+        Library::XkBlas(XkVariant::NoHeuristic),
+        Library::XkBlas(XkVariant::NoHeuristicNoTopo),
+    ]);
+    for lib in libraries {
+        for routine in Routine::ALL.into_iter().filter(|&r| lib.supports(r)) {
+            for tile in [n, n / 2] {
+                match run(lib, &topo, &params(n, tile, routine)) {
+                    Ok(r) => assert!(r.seconds > 0.0, "{lib:?} {routine:?} tile {tile}"),
+                    Err(e) => assert_eq!(e, RunError::OutOfMemory, "{lib:?} {routine:?} tile {tile}"),
+                }
+            }
+        }
+    }
+}

@@ -4,9 +4,9 @@
 //!
 //! Seeds are independent replicas over shared immutable inputs, so the
 //! batched entry points ([`explore_random_batch`], [`explore_pct_batch`])
-//! fan them over `xk_sim::run_replicas` with one [`SimPrep`], one makespan
-//! bound and one witness hoisted out of the per-seed loop. Results come
-//! back indexed by seed position and are merged in that order, so a
+//! fan them over `xk_sim::run_replicas` with one finalized graph, one
+//! makespan bound and one witness hoisted out of the per-seed loop. Results
+//! come back indexed by seed position and are merged in that order, so a
 //! batched report is identical to the serial one — same `runs`, same
 //! `distinct` fingerprint count, same failures in the same order. The
 //! serial functions are the single-threaded special case of the batched
@@ -17,13 +17,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use xk_runtime::cache::CoherenceMutation;
 use xk_runtime::{
-    makespan_lower_bound, MakespanBound, ObsLevel, RuntimeConfig, SimExecutor, SimOutcome,
-    SimPrep, TaskGraph,
+    makespan_lower_bound, MakespanBound, ObsLevel, RuntimeConfig, ScheduleController, SimExecutor,
+    SimOutcome, TaskGraph,
 };
 use xk_sim::run_replicas;
 use xk_topo::FabricSpec;
 
-use crate::controllers::{RandomController, ReplayController};
+use crate::controllers::{ChoiceLog, PctController, RandomController, ReplayController};
 use crate::witness::Witness;
 
 /// One failing schedule, fully replayable.
@@ -57,7 +57,7 @@ fn run_one(
     topo: &FabricSpec,
     cfg: &RuntimeConfig,
     mutation: Option<CoherenceMutation>,
-    ctrl: &mut dyn xk_runtime::ScheduleController,
+    ctrl: &mut dyn ScheduleController,
 ) -> SimOutcome {
     let mut ex = SimExecutor::new(graph, topo, cfg).observe(ObsLevel::Off);
     if let Some(m) = mutation {
@@ -129,35 +129,6 @@ impl<'g> Oracles<'g> {
     }
 }
 
-/// Per-seed replica result: the SoA element [`run_replicas`] hands back in
-/// seed order (fingerprints and verdicts indexed by seed position).
-struct SeedResult {
-    fingerprint: u64,
-    makespan: f64,
-    failure: Option<Failure>,
-}
-
-/// Folds seed-ordered replica results into an [`ExploreReport`] exactly
-/// the way the serial loops do: runs counted, fingerprints deduplicated,
-/// failures kept in seed order.
-fn merge_seed_results(results: Vec<SeedResult>) -> ExploreReport {
-    let mut report = ExploreReport::default();
-    let mut fingerprints = HashSet::new();
-    for r in results {
-        report.runs += 1;
-        fingerprints.insert(r.fingerprint);
-        report.min_makespan = Some(match report.min_makespan {
-            Some(m) => m.min(r.makespan),
-            None => r.makespan,
-        });
-        if let Some(f) = r.failure {
-            report.failures.push(f);
-        }
-    }
-    report.distinct = fingerprints.len();
-    report
-}
-
 /// Explores one random schedule per seed in `seeds`, checking each against
 /// the differential oracle. `mutation` injects a deliberate coherence bug
 /// (the oracle is then expected to report failures — that expectation is
@@ -173,8 +144,8 @@ pub fn explore_random(
 }
 
 /// [`explore_random`] fanned over `threads` replica workers (0 = one per
-/// available core). Seeds are independent replicas of one prepared
-/// scenario; the report is identical to the serial one.
+/// available core). Seeds are independent replicas of one scenario; the
+/// report is identical to the serial one.
 pub fn explore_random_batch(
     graph: &TaskGraph,
     topo: &FabricSpec,
@@ -183,32 +154,8 @@ pub fn explore_random_batch(
     mutation: Option<CoherenceMutation>,
     threads: usize,
 ) -> ExploreReport {
-    let seeds: Vec<u64> = seeds.into_iter().collect();
-    let prep = SimPrep::new(graph);
-    let oracles = Oracles::new(graph, topo, cfg);
-    // The longest choice log so far sizes each new one, instead of every
-    // seed growing its log from empty; it moves capacities, never a result.
-    let log_len = AtomicUsize::new(0);
-    merge_seed_results(run_replicas(seeds.len(), threads, |i| {
-        let seed = seeds[i];
-        let mut rng = RandomController::new(seed);
-        rng.log.0.reserve(log_len.load(Ordering::Relaxed));
-        let mut ex = SimExecutor::with_prep(graph, topo, cfg, &prep).observe(ObsLevel::Off);
-        if let Some(m) = mutation {
-            ex = ex.inject_cache_mutation(m);
-        }
-        let out = ex.control(&mut rng).run();
-        let log = &rng.log;
-        log_len.fetch_max(log.0.len(), Ordering::Relaxed);
-        SeedResult {
-            fingerprint: log.fingerprint(),
-            makespan: out.makespan,
-            failure: oracles
-                .verdict(&out)
-                .err()
-                .map(|error| Failure { seed, choices: log.choices(), error }),
-        }
-    }))
+    let make = RandomController::new;
+    explore(graph, topo, cfg, seeds, mutation, threads, make, |c| &mut c.log)
 }
 
 /// Like [`explore_random_batch`] but with PCT-style controllers (hashed
@@ -224,28 +171,52 @@ pub fn explore_pct_batch(
     change_every: u64,
     threads: usize,
 ) -> ExploreReport {
+    let make = |seed| PctController::new(seed, change_every);
+    explore(graph, topo, cfg, seeds, None, threads, make, |c| &mut c.log)
+}
+
+/// The one exploration loop: one schedule per seed under the controller
+/// `make(seed)` builds (whose choice log `log` reaches), fanned over
+/// `threads` replica workers, every outcome checked against the
+/// scenario's oracles.
+#[allow(clippy::too_many_arguments)]
+fn explore<C: ScheduleController>(
+    graph: &TaskGraph,
+    topo: &FabricSpec,
+    cfg: &RuntimeConfig,
+    seeds: impl IntoIterator<Item = u64>,
+    mutation: Option<CoherenceMutation>,
+    threads: usize,
+    make: impl Fn(u64) -> C + Sync,
+    log: fn(&mut C) -> &mut ChoiceLog,
+) -> ExploreReport {
     let seeds: Vec<u64> = seeds.into_iter().collect();
-    let prep = SimPrep::new(graph);
+    graph.finalize();
     let oracles = Oracles::new(graph, topo, cfg);
+    // The longest choice log so far sizes each new one, instead of every
+    // seed growing its log from empty; it moves capacities, never a result.
     let log_len = AtomicUsize::new(0);
-    merge_seed_results(run_replicas(seeds.len(), threads, |i| {
+    let mut results = run_replicas(seeds.len(), threads, |i| {
         let seed = seeds[i];
-        let mut pct = crate::controllers::PctController::new(seed, change_every);
-        pct.log.0.reserve(log_len.load(Ordering::Relaxed));
-        let out = SimExecutor::with_prep(graph, topo, cfg, &prep)
-            .observe(ObsLevel::Off)
-            .control(&mut pct)
-            .run();
-        log_len.fetch_max(pct.log.0.len(), Ordering::Relaxed);
-        SeedResult {
-            fingerprint: pct.log.fingerprint(),
-            makespan: out.makespan,
-            failure: oracles
-                .verdict(&out)
-                .err()
-                .map(|error| Failure { seed, choices: pct.log.choices(), error }),
-        }
-    }))
+        let mut ctrl = make(seed);
+        log(&mut ctrl).0.reserve(log_len.load(Ordering::Relaxed));
+        let out = run_one(graph, topo, cfg, mutation, &mut ctrl);
+        let log = log(&mut ctrl);
+        log_len.fetch_max(log.0.len(), Ordering::Relaxed);
+        let verdict = oracles.verdict(&out);
+        let failure = verdict.err().map(|error| Failure { seed, choices: log.choices(), error });
+        (log.fingerprint(), out.makespan, failure)
+    });
+    // Results come back in seed order, so the report is the serial one.
+    let fingerprints: HashSet<u64> = results.iter().map(|r| r.0).collect();
+    ExploreReport {
+        runs: results.len(),
+        distinct: fingerprints.len(),
+        min_makespan: results.iter().map(|r| r.1).reduce(f64::min),
+        // Not `into_iter`: collecting in place would keep the results buffer
+        // alive as the capacity of a (usually empty) failure list.
+        failures: results.iter_mut().filter_map(|r| r.2.take()).collect(),
+    }
 }
 
 /// Replays a recorded decision sequence and re-runs the differential

@@ -30,7 +30,7 @@ use xk_kernels::perfmodel::TileOp;
 use xk_lp::SplitMix64;
 use xk_runtime::{
     link_attribution, makespan_lower_bound, Access, DataInfo, HandleId, Heuristics,
-    RuntimeConfig, SchedulerKind, SimExecutor, SimPrep, TaskAccess, TaskGraph, TaskKind,
+    RuntimeConfig, SchedulerKind, SimExecutor, TaskAccess, TaskGraph, TaskKind,
     TaskLabel,
 };
 use xk_topo::{bw, dgx1, FabricBuilder, FabricSpec, LinkClass};
@@ -400,12 +400,11 @@ fn on_one_gpu_every_heuristic_preset_runs_the_same_schedule() {
     for on_device in [None, Some(1)] {
         let spec = RandomDagSpec { on_device, flush: true, ..RandomDagSpec::default() };
         let graph = build_random_dag(1, &spec);
-        let prep = SimPrep::new(&graph);
         for seed in 0..50 {
             let run = |h: Heuristics| {
                 let cfg = RuntimeConfig::default().with_heuristics(h);
                 let mut rng = RandomController::new(seed);
-                let out = SimExecutor::with_prep(&graph, &topo, &cfg, &prep)
+                let out = SimExecutor::new(&graph, &topo, &cfg)
                     .control(&mut rng)
                     .run();
                 let spans: Vec<_> = out
@@ -461,11 +460,10 @@ fn gpu_local_work_on_device_moves_no_byte_under_any_schedule() {
     let cfg = RuntimeConfig::default().with_scheduler(SchedulerKind::StaticOwner);
     for topo in xk_topo::fabrics::gallery() {
         let graph = gpu_local_graph(topo.n_gpus() as u64, topo.n_gpus());
-        let prep = SimPrep::new(&graph);
         let mut choices = 0;
         for seed in 0..50 {
             let mut rng = RandomController::new(seed);
-            let out = SimExecutor::with_prep(&graph, &topo, &cfg, &prep).control(&mut rng).run();
+            let out = SimExecutor::new(&graph, &topo, &cfg).control(&mut rng).run();
             let what = format!("{} seed {seed}", topo.name());
             assert_eq!(out.tasks_run, graph.len(), "{what}");
             let moved: Vec<_> = out.trace.spans().iter().filter(|s| s.kind.is_transfer()).collect();

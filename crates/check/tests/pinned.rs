@@ -8,7 +8,7 @@
 use xk_check::graphgen::{build_random_dag, RandomDagSpec};
 use xk_check::topo_util::subtopo;
 use xk_check::{witness, RandomController};
-use xk_runtime::{Heuristics, RuntimeConfig, SimExecutor, SimPrep};
+use xk_runtime::{Heuristics, RuntimeConfig, SimExecutor};
 
 /// Digest of seeds `0..200` of the cell (DAG seed 1, as `check_matrix`
 /// seed 1 builds it).
@@ -21,11 +21,10 @@ fn digest(n_gpus: usize, heuristics: Heuristics, on_device: bool) -> u64 {
         ..RandomDagSpec::default()
     };
     let graph = build_random_dag(1, &spec);
-    let prep = SimPrep::new(&graph);
     let mut acc = 0u64;
     for seed in 0..200 {
         let mut rng = RandomController::new(seed);
-        let out = SimExecutor::with_prep(&graph, &topo, &cfg, &prep)
+        let out = SimExecutor::new(&graph, &topo, &cfg)
             .control(&mut rng)
             .run();
         let verdict = u64::from(witness::check(&graph, &out.trace).is_err()) << 63;

@@ -250,9 +250,8 @@ impl Context<f64> {
     ///
     /// The shared-runtime library drivers (`xk_baselines::run`) use this to
     /// build one graph per tile and simulate it under every library
-    /// configuration via [`xk_runtime::SimSession::run_prepped_within`],
-    /// sharing the hoisted [`xk_runtime::SimPrep`] instead of re-deriving
-    /// it per run.
+    /// configuration ([`xk_runtime::SimSession::run_within`]); those runs
+    /// share the graph's successor CSR and trace labels, derived once.
     pub fn finish_graph(&mut self) -> TaskGraph {
         let mut graph = self.take_graph();
         graph.shrink_to_fit();

@@ -27,7 +27,7 @@ use xk_topo::{bw, FabricSpec, LinkClass, LinkSpec};
 use crate::config::RuntimeConfig;
 use crate::graph::TaskGraph;
 use crate::obs::ObsLevel;
-use crate::sim_exec::{SimExecutor, SimPrep};
+use crate::sim_exec::SimExecutor;
 
 /// Exhaustive coalition enumeration is used up to this many NVLink edges
 /// (`2^12 = 4096` DES runs); beyond it, permutation sampling kicks in.
@@ -100,7 +100,6 @@ pub fn link_attribution(
     edges.truncate(MAX_ATTRIBUTION_EDGES);
     let p = edges.len();
     let flops = graph.total_flops();
-    let prep = SimPrep::new(graph);
 
     // v(S): throughput with exactly the coalition's edges kept.
     let full_mask: u64 = if p == 64 { u64::MAX } else { (1u64 << p) - 1 };
@@ -111,7 +110,7 @@ pub fn link_attribution(
             return v;
         }
         let fabric = downgrade(topo, &edges, mask);
-        let out = SimExecutor::with_prep(graph, &fabric, cfg, &prep).observe(ObsLevel::Off).run();
+        let out = SimExecutor::new(graph, &fabric, cfg).observe(ObsLevel::Off).run();
         let v = if out.makespan > 0.0 {
             flops / out.makespan / 1e9
         } else {

@@ -25,12 +25,18 @@
 //!   ascending-target order — exactly the order the old per-task
 //!   `Vec<Vec<TaskId>>` produced, which the deterministic simulator
 //!   relies on;
+//! - the *trace labels* (every task's and handle's label interned into one
+//!   table that all runs of the graph share) are derived and cached the
+//!   same way; adding a task or a handle invalidates them too;
 //! - the scratch buffer used to sort/dedup each task's dependencies is
 //!   reused across `push_task` calls.
 
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::atomic::AtomicUsize;
+use std::sync::{Arc, OnceLock};
 
 use xk_kernels::perfmodel::{GpuModel, TileOp};
+use xk_trace::{Label, LabelHash, LabelTable, Trace};
 
 use crate::data::{DataInfo, DataRegistry, HandleId};
 use crate::task::{Access, Task, TaskAccess, TaskAccesses, TaskBody, TaskId, TaskKind, TaskLabel};
@@ -70,6 +76,21 @@ struct SuccCsr {
     targets: Vec<TaskId>,
 }
 
+/// Lazily-derived trace symbols: what every simulated run of the graph
+/// labels its spans with.
+pub(crate) struct TraceLabels {
+    /// The graph's distinct labels, tasks first, then data handles: the
+    /// symbol table every run's trace shares.
+    pub(crate) table: Arc<LabelTable>,
+    /// Label of each task by `TaskId.0`, then of each handle by
+    /// `HandleId.0`.
+    pub(crate) ids: Box<[Label]>,
+    /// Most spans any run of the graph has recorded: each run's trace
+    /// starts with that much room instead of growing from empty. It only
+    /// moves capacities, never a span.
+    pub(crate) span_hint: AtomicUsize,
+}
+
 /// A complete task graph: tasks, tiles and dependency edges.
 pub struct TaskGraph {
     tasks: Vec<Task>,
@@ -86,6 +107,7 @@ pub struct TaskGraph {
     pred_offsets: Vec<u32>,
     pred_targets: Vec<u32>,
     succ: OnceLock<SuccCsr>,
+    labels: OnceLock<TraceLabels>,
 }
 
 impl Default for TaskGraph {
@@ -101,6 +123,7 @@ impl Default for TaskGraph {
             pred_offsets: vec![0],
             pred_targets: Vec::new(),
             succ: OnceLock::new(),
+            labels: OnceLock::new(),
         }
     }
 }
@@ -127,6 +150,7 @@ impl TaskGraph {
     /// Registers a tile.
     pub fn add_data(&mut self, info: DataInfo) -> HandleId {
         let h = self.data.add(info);
+        self.labels.take(); // a handle's label joins the table
         debug_assert_eq!(h.0, self.history.len());
         self.history.push(HandleHistory::default());
         h
@@ -281,6 +305,7 @@ impl TaskGraph {
             .extend(self.scratch_deps.iter().map(|d| d.0 as u32));
         self.pred_offsets.push(self.pred_targets.len() as u32);
         self.succ.take(); // invalidate the cached successor CSR
+        self.labels.take(); // and the trace labels
         self.tasks.push(Task { kind, op, accesses, label });
         if let Some(body) = body {
             self.bodies.resize_with(id.0, || None);
@@ -352,10 +377,49 @@ impl TaskGraph {
         &csr.targets[a..b]
     }
 
-    /// Forces the successor CSR to be built now (it is otherwise derived
-    /// lazily on the first `successors` call).
+    /// Forces the successor CSR and the trace labels to be built now (they
+    /// are otherwise derived lazily on first use), so replica threads that
+    /// share the graph find them built.
     pub fn finalize(&self) {
         let _ = self.succ_csr();
+        let _ = self.trace_labels();
+    }
+
+    /// The graph's trace labels, interned on first call after a mutation.
+    pub(crate) fn trace_labels(&self) -> &TraceLabels {
+        self.labels.get_or_init(|| {
+            // A tiled graph repeats few label patterns (4 608 distinct
+            // among a tile-1024 GEMM's 112 896 tasks), mostly back to back
+            // along the reduction loop: a task reuses its predecessor's
+            // label when the pattern is equal, and each pattern is rendered
+            // and interned on its first sighting only. Interning the text
+            // still merges two patterns that render alike, so ids are those
+            // of interning every task's text in order.
+            let mut table = Trace::new();
+            let mut seen: HashMap<&TaskLabel, Label, LabelHash> = HashMap::default();
+            let mut ids = Vec::with_capacity(self.tasks.len() + self.data.len());
+            let mut last: Option<(&TaskLabel, Label)> = None;
+            let mut buf = String::new();
+            for t in &self.tasks {
+                let label = match last {
+                    Some((pattern, label)) if *pattern == t.label => label,
+                    _ => *seen.entry(&t.label).or_insert_with(|| {
+                        buf.clear();
+                        t.label.render_into(&mut buf);
+                        table.intern(&buf)
+                    }),
+                };
+                last = Some((&t.label, label));
+                ids.push(label);
+            }
+            ids.extend(self.data.iter().map(|(_, info)| table.intern(&info.label)));
+            table.compact();
+            TraceLabels {
+                table: Arc::clone(table.labels()),
+                ids: ids.into(),
+                span_hint: AtomicUsize::new(0),
+            }
+        })
     }
 
     fn succ_csr(&self) -> &SuccCsr {

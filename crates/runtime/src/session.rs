@@ -87,7 +87,7 @@ impl<'t> SimSession<'t> {
 
     /// Simulates `graph` to completion.
     pub fn run(&self, graph: &TaskGraph) -> Run {
-        self.complete(self.executor(graph, &SimPrep::new(graph)))
+        Run { outcome: self.executor(graph).run(), bound: None }
     }
 
     /// Simulates `graph` under a makespan budget:
@@ -95,55 +95,29 @@ impl<'t> SimSession<'t> {
     /// as soon as a lower bound on it proves so; else the run
     /// [`SimSession::run`] gives (see [`SimExecutor::run_within`]).
     pub fn run_within(&self, graph: &TaskGraph, budget: f64) -> Result<Run, Error> {
-        self.execute(self.executor(graph, &SimPrep::new(graph)), budget)
+        Ok(Run { outcome: self.executor(graph).run_within(budget)?, bound: None })
     }
 
-    /// Simulates `graph` from shared precomputed per-graph state.
-    ///
-    /// `prep` must have been built from this same `graph` (see
-    /// [`SimPrep::new`]); the run is byte-identical to [`SimSession::run`].
-    /// Batched replica drivers build the prep once and stamp every run
-    /// from it, sharing its label table and skipping the CSR derivation.
-    pub fn run_prepped(&self, graph: &TaskGraph, prep: &SimPrep) -> Run {
-        self.complete(self.executor(graph, prep))
-    }
-
-    /// [`SimSession::run_prepped`] under a makespan budget, with
-    /// [`SimSession::run_within`]'s verdict: the run it gives, or
-    /// `Err(Error::OverBudget)`.
-    pub fn run_prepped_within(
-        &self,
-        graph: &TaskGraph,
-        prep: &SimPrep,
-        budget: f64,
-    ) -> Result<Run, Error> {
-        self.execute(self.executor(graph, prep), budget)
+    /// [`SimSession::run`]. Kept only for `benchmark/`; a benchmark PR deletes it.
+    pub fn run_prepped(&self, graph: &TaskGraph, _prep: &SimPrep) -> Run {
+        self.run(graph)
     }
 
     /// Simulates `graph` under a [`ScheduleController`]: every
     /// nondeterministic tie is resolved by `ctrl` (see
     /// [`SimExecutor::control`]). The run's trace records what happened.
     pub fn run_controlled(&self, graph: &TaskGraph, ctrl: &mut dyn ScheduleController) -> Run {
-        self.complete(self.executor(graph, &SimPrep::new(graph)).control(ctrl))
+        Run { outcome: self.executor(graph).control(ctrl).run(), bound: None }
     }
 
-    /// An executor of `graph` at the session's observability level.
-    fn executor<'g>(&'g self, graph: &'g TaskGraph, prep: &SimPrep) -> SimExecutor<'g> {
-        SimExecutor::observing(graph, self.topo, &self.cfg, prep, self.obs)
-    }
-
-    /// Runs `exec` with the session's fault, if any, under `budget`: the
-    /// one path behind every `run*` entry point.
-    fn execute(&self, mut exec: SimExecutor<'_>, budget: f64) -> Result<Run, Error> {
-        if let Some(fault) = self.fault {
-            exec = exec.with_fault(fault);
+    /// An executor of `graph` at the session's observability level, with
+    /// its fault if any: the one path behind every `run*` entry point.
+    fn executor<'g>(&'g self, graph: &'g TaskGraph) -> SimExecutor<'g> {
+        let exec = SimExecutor::new(graph, self.topo, &self.cfg).observe(self.obs);
+        match self.fault {
+            Some(fault) => exec.with_fault(fault),
+            None => exec,
         }
-        Ok(Run { outcome: exec.run_within(budget)?, bound: None })
-    }
-
-    /// [`SimSession::execute`] without a budget.
-    fn complete(&self, exec: SimExecutor<'_>) -> Run {
-        self.execute(exec, f64::INFINITY).expect("an infinite budget is never exceeded")
     }
 
     /// Point-to-point bandwidth matrix of the session's topology, GB/s,

@@ -15,24 +15,24 @@
 //! paper's figures are regenerated.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use xk_sim::{Clock, Duration, EngineId, EnginePool, Reservation, SimTime};
 use xk_topo::{Device, FabricSpec};
-use xk_trace::{FlowId, Label, LabelHash, LabelTable, Span, SpanKind, Trace};
+use xk_trace::{FlowId, Span, SpanKind, Trace};
 
 use crate::cache::{Eviction, SoftwareCache};
 use crate::choice::{ChoicePoint, ScheduleController};
 use crate::config::RuntimeConfig;
 use crate::data::HandleId;
 use crate::error::Error;
-use crate::graph::TaskGraph;
+use crate::graph::{TaskGraph, TraceLabels};
 use crate::heuristics::{select_source, SourceDecision};
 use crate::machine::Machine;
 use crate::obs::{GpuObs, ObsLevel, ObsRecorder, ObsReport};
 use crate::sched::{Placement, SchedView};
-use crate::task::{TaskId, TaskKind, TaskLabel};
+use crate::task::{TaskId, TaskKind};
 
 /// Sentinel for "no observability node".
 const NO_NODE: u32 = u32::MAX;
@@ -178,6 +178,7 @@ impl Decider<'_> {
     }
 }
 
+#[derive(Default)]
 struct GpuState {
     queue: VecDeque<TaskId>,
     in_flight: usize,
@@ -203,11 +204,8 @@ pub struct SimExecutor<'a> {
     committed: Vec<f64>,
     placement: Placement,
     trace: Trace,
-    /// The prep's trace label of each task by `TaskId.0`, then of each
-    /// data handle by `HandleId.0`.
-    labels: Arc<[Label]>,
-    /// The prep's longest trace so far ([`SimPrep`]), raised by this run.
-    span_hint: Arc<AtomicUsize>,
+    /// The graph's trace labels; this run raises their span hint.
+    labels: &'a TraceLabels,
     /// Scratch buffers reused across scheduling steps so the event loop
     /// stays allocation-free after warm-up.
     scratch_avail: Vec<SimTime>,
@@ -221,8 +219,8 @@ pub struct SimExecutor<'a> {
     flow_root: Vec<FlowId>,
     /// What the run records ([`SimExecutor::observe`]).
     level: ObsLevel,
-    /// Occupancy/contention/critical-path recorder; `None` at
-    /// [`ObsLevel::Off`].
+    /// Occupancy/contention/critical-path recorder; built when a `Full`
+    /// run starts, `None` at [`ObsLevel::Off`].
     obs: Option<ObsRecorder>,
     /// Resolves every choice point; canonical unless a controller is
     /// attached ([`SimExecutor::control`]).
@@ -239,116 +237,25 @@ pub struct SimExecutor<'a> {
     steals: usize,
 }
 
-/// Shared per-graph precomputation for batched replica runs.
-///
-/// `SimExecutor::new` re-derives the same graph-shaped state — the
-/// interned trace labels — on every run. A seed matrix or tile sweep runs
-/// the *same* graph hundreds of times, so [`SimPrep::new`]
-/// hoists that work out once and [`SimExecutor::with_prep`] stamps
-/// executors from it. (The per-task records are built per run: their
-/// kernel seconds depend on the run's GPU model.) Prep is plain immutable
-/// data: one instance is shared by reference across replica threads, and
-/// every run's trace shares its label table.
-pub struct SimPrep {
-    /// The graph's distinct trace labels, interned tasks first, then data
-    /// handles: the symbol table of every run's trace.
-    table: Arc<LabelTable>,
-    /// Label of each task by `TaskId.0`, then of each handle by
-    /// `HandleId.0`.
-    labels: Arc<[Label]>,
-    /// Number of data handles of the graph.
-    n_handles: usize,
-    /// Most spans any run of the prep has recorded: each run's trace
-    /// starts with that much room instead of growing from empty. It only
-    /// moves capacities, never a span.
-    span_hint: Arc<AtomicUsize>,
-}
+/// A field-less token kept only for `benchmark/`; a benchmark PR deletes it.
+pub struct SimPrep;
 
 impl SimPrep {
-    /// Precomputes the graph-shaped run state (and finalizes the graph's
-    /// successor CSR, so replica threads never race to build it).
+    /// [`TaskGraph::finalize`]. Kept only for `benchmark/`; a benchmark PR deletes it.
     pub fn new(graph: &TaskGraph) -> Self {
         graph.finalize();
-        // A tiled graph repeats few label patterns (4 608 distinct among a
-        // tile-1024 GEMM's 112 896 tasks), mostly back to back along the
-        // reduction loop: a task reuses its predecessor's label when the
-        // pattern is equal, and each pattern is rendered and interned on
-        // its first sighting only. Interning the text still merges two
-        // patterns that render alike, so ids are those of interning every
-        // task's text in order.
-        let mut table = Trace::new();
-        let mut seen: HashMap<&TaskLabel, Label, LabelHash> = HashMap::default();
-        let mut labels = Vec::with_capacity(graph.len() + graph.data().len());
-        let mut last: Option<(&TaskLabel, Label)> = None;
-        let mut buf = String::new();
-        for t in graph.tasks() {
-            let label = match last {
-                Some((pattern, label)) if *pattern == t.label => label,
-                _ => *seen.entry(&t.label).or_insert_with(|| {
-                    buf.clear();
-                    t.label.render_into(&mut buf);
-                    table.intern(&buf)
-                }),
-            };
-            last = Some((&t.label, label));
-            labels.push(label);
-        }
-        labels.extend(graph.data().iter().map(|(_, info)| table.intern(&info.label)));
-        table.compact();
-        let table = Arc::clone(table.labels());
-        SimPrep {
-            table,
-            labels: labels.into(),
-            n_handles: graph.data().len(),
-            span_hint: Arc::default(),
-        }
+        SimPrep
     }
 }
 
 impl<'a> SimExecutor<'a> {
-    /// Prepares an executor for one run.
-    ///
-    /// For batched replica runs over one graph, build a [`SimPrep`] once
-    /// and use [`SimExecutor::with_prep`] instead — this constructor
-    /// derives the same state from scratch every call.
-    pub fn new(graph: &'a TaskGraph, topo: &'a FabricSpec, cfg: &'a RuntimeConfig) -> Self {
-        Self::with_prep(graph, topo, cfg, &SimPrep::new(graph))
-    }
-
-    /// Prepares an executor for one run from shared precomputed state.
-    ///
-    /// `prep` must have been built from this same `graph`; the executor is
-    /// byte-identical to one from [`SimExecutor::new`].
+    /// Prepares an executor for one run, observing at [`ObsLevel::Full`].
+    /// The graph's successor CSR and trace labels are derived on its first
+    /// run and shared by every later one (see [`TaskGraph::finalize`]).
     ///
     /// # Panics
-    /// Panics if `prep` was built from a graph with another task or handle
-    /// count, or if the fabric has `u16::MAX` GPUs or more.
-    pub fn with_prep(
-        graph: &'a TaskGraph,
-        topo: &'a FabricSpec,
-        cfg: &'a RuntimeConfig,
-        prep: &SimPrep,
-    ) -> Self {
-        // The level is not known yet: a `Full` run builds its recorder
-        // when it starts (see `observe`).
-        Self::observing(graph, topo, cfg, prep, ObsLevel::Off).observe(ObsLevel::Full)
-    }
-
-    /// [`SimExecutor::with_prep`] already observing at `level`: a `Full`
-    /// recorder is built with the executor's other per-run tables.
-    pub(crate) fn observing(
-        graph: &'a TaskGraph,
-        topo: &'a FabricSpec,
-        cfg: &'a RuntimeConfig,
-        prep: &SimPrep,
-        level: ObsLevel,
-    ) -> Self {
-        let n_handles = prep.n_handles;
-        assert_eq!(
-            (prep.labels.len() - n_handles, n_handles),
-            (graph.len(), graph.data().len()),
-            "SimPrep built from another graph: (tasks, handles) of prep and graph differ"
-        );
+    /// Panics if the fabric has `u16::MAX` GPUs or more.
+    pub fn new(graph: &'a TaskGraph, topo: &'a FabricSpec, cfg: &'a RuntimeConfig) -> Self {
         let n = topo.n_gpus();
         assert!(n < NO_GPU as usize, "{n} GPUs do not fit the per-task record");
         let tasks: Vec<TaskState> = graph
@@ -363,17 +270,9 @@ impl<'a> SimExecutor<'a> {
         let unstarted = tasks.iter().map(|s| s.kernel_seconds).sum();
         let machine = Machine::new(topo);
         let pool = EnginePool::new(machine.n_engines());
-        let gpus = (0..n)
-            .map(|_| GpuState {
-                queue: VecDeque::new(),
-                in_flight: 0,
-                max_queue: 0,
-                max_in_flight: 0,
-            })
-            .collect();
+        let gpus = (0..n).map(|_| GpuState::default()).collect();
         let cache = SoftwareCache::new(n, cfg.gpu_memory, graph.data());
-        let obs = (level == ObsLevel::Full)
-            .then(|| ObsRecorder::new(pool.len(), graph.data().len(), n, graph.len()));
+        let labels = graph.trace_labels();
         SimExecutor {
             graph,
             cfg,
@@ -389,18 +288,17 @@ impl<'a> SimExecutor<'a> {
             committed: vec![0.0; n],
             placement: Placement::new(cfg.scheduler),
             trace: Trace::with_labels(
-                Arc::clone(&prep.table),
-                prep.span_hint.load(Ordering::Relaxed),
+                Arc::clone(&labels.table),
+                labels.span_hint.load(Ordering::Relaxed),
             ),
-            labels: Arc::clone(&prep.labels),
-            span_hint: Arc::clone(&prep.span_hint),
+            labels,
             scratch_avail: Vec::with_capacity(n),
             scratch_handles: Vec::new(),
             scratch_engines: Vec::new(),
             scratch_sources: Vec::with_capacity(n),
             flow_root: vec![FlowId::NONE; graph.data().len()],
-            level,
-            obs,
+            level: ObsLevel::Full,
+            obs: None,
             ctrl: Decider(None),
             fault: None,
             unstarted,
@@ -412,16 +310,22 @@ impl<'a> SimExecutor<'a> {
         }
     }
 
+    /// [`SimExecutor::new`]. Kept only for `benchmark/`; a benchmark PR deletes it.
+    pub fn with_prep(
+        graph: &'a TaskGraph,
+        topo: &'a FabricSpec,
+        cfg: &'a RuntimeConfig,
+        _prep: &SimPrep,
+    ) -> Self {
+        Self::new(graph, topo, cfg)
+    }
+
     /// Sets the observability level for this run (default:
     /// [`ObsLevel::Full`]). Observability never changes the simulation —
     /// traces and makespans are bit-identical across levels. A `Full` run
-    /// without a recorder builds one when it starts, so an executor set
-    /// to `Off` never allocates one.
+    /// builds its recorder when it starts.
     pub fn observe(mut self, level: ObsLevel) -> Self {
         self.level = level;
-        if level == ObsLevel::Off {
-            self.obs = None;
-        }
         self
     }
 
@@ -475,7 +379,7 @@ impl<'a> SimExecutor<'a> {
     pub fn run_within(mut self, budget: f64) -> Result<SimOutcome, Error> {
         let limit = budget * (1.0 + 1e-9);
         let bounded = limit.is_finite() && self.fault.is_none();
-        if self.level == ObsLevel::Full && self.obs.is_none() {
+        if self.level == ObsLevel::Full {
             let (n_handles, n_tasks) = (self.graph.data().len(), self.graph.len());
             let n_gpus = self.gpus.len();
             self.obs = Some(ObsRecorder::new(self.pool.len(), n_handles, n_gpus, n_tasks));
@@ -513,7 +417,7 @@ impl<'a> SimExecutor<'a> {
             let total: f64 = self.tasks.iter().map(|s| s.kernel_seconds).sum();
             self.committed.iter().all(|c| c.abs() <= 1e-9 * total)
         });
-        self.span_hint.fetch_max(self.trace.len(), Ordering::Relaxed);
+        self.labels.span_hint.fetch_max(self.trace.len(), Ordering::Relaxed);
         let makespan = self.trace.makespan();
         if makespan > limit {
             return Err(Error::OverBudget);
@@ -736,7 +640,7 @@ impl<'a> SimExecutor<'a> {
             self.clock.now().max(input_ready)
         } else {
             let dur = Duration::new(kernel_seconds);
-            let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.labels[t.0], flow);
+            let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.labels.ids[t.0], flow);
             let span = Span { subject: t.0 as u32, ..span };
             let (res, idx) = self.occupy(&[self.machine.kernel(g)], input_ready, dur, span, dep);
             // The progress bound of `run_within` rests on this.
@@ -891,7 +795,7 @@ impl<'a> SimExecutor<'a> {
         bytes: u64,
         flow: FlowId,
     ) -> Span {
-        let label = self.labels[self.tasks.len() + h.0];
+        let label = self.labels.ids[self.tasks.len() + h.0];
         Span { subject: h.0 as u32, ..Span::on_gpu(gpu, lane, kind, bytes, label, flow) }
     }
 
@@ -1353,24 +1257,47 @@ mod tests {
         assert!(std::mem::size_of::<crate::task::Task>() <= 128);
     }
 
-    /// A prep from another graph would index the per-task and per-handle
-    /// tables out of step: refused by a real check, not a `debug_assert`.
+    /// The graph's trace labels follow its mutations: a run after
+    /// `add_data`, then after `add_task`, on a graph that has already run
+    /// records the new labels, span for span and symbol for symbol as a
+    /// freshly built copy of the mutated graph does.
     #[test]
-    fn foreign_prep_is_refused_naming_both_counts() {
-        let topo = dgx1();
-        let cfg = RuntimeConfig::default();
-        let graph = broadcast_graph(4); // 4 tasks, 5 handles
-        let mut same_tasks = broadcast_graph(4);
-        same_tasks.add_host_tile(MB, true, "extra");
-        for (foreign, counts) in [(broadcast_graph(8), "(8, 9)"), (same_tasks, "(4, 6)")] {
-            let prep = SimPrep::new(&foreign);
-            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                SimExecutor::with_prep(&graph, &topo, &cfg, &prep);
-            }));
-            let payload = refused.expect_err("a foreign prep must be refused");
-            let msg = payload.downcast_ref::<String>().expect("formatted panic message");
-            assert!(msg.contains("SimPrep built from another graph"), "{msg}");
-            assert!(msg.contains(&format!("left: {counts}\n right: (4, 5)")), "{msg}");
+    fn a_mutated_graph_relabels_its_next_run() {
+        let (topo, cfg) = (dgx1(), RuntimeConfig::default());
+        let add_tile = |g: &mut TaskGraph| g.add_host_tile(MB, true, "late tile");
+        let add_task = |g: &mut TaskGraph, h| g.add_task(tiny_op(), vec![rw(h)], "late task");
+        let same = |got: &SimOutcome, want: &SimOutcome| {
+            assert_eq!(got.trace.spans(), want.trace.spans());
+            assert_eq!(**got.trace.labels(), **want.trace.labels());
+        };
+        let mut graph = broadcast_graph(4);
+        simulate(&graph, &topo, &cfg);
+        let late = add_tile(&mut graph);
+        let mut fresh = broadcast_graph(4);
+        add_tile(&mut fresh);
+        let out = simulate(&graph, &topo, &cfg);
+        same(&out, &simulate(&fresh, &topo, &cfg));
+        assert!(out.trace.labels().iter().any(|l| l == "late tile"));
+        add_task(&mut graph, late);
+        let mut fresh = broadcast_graph(4);
+        let h = add_tile(&mut fresh);
+        add_task(&mut fresh, h);
+        let out = simulate(&graph, &topo, &cfg);
+        same(&out, &simulate(&fresh, &topo, &cfg));
+        assert!(out.trace.spans().iter().any(|s| out.trace.label(s.label) == "late task"));
+    }
+
+    /// Four replica workers that make the first run of one unfinalized
+    /// graph at once race to derive its successor CSR and trace labels;
+    /// each still records the serial run's trace.
+    #[test]
+    fn replicas_racing_to_a_first_run_match_a_serial_run() {
+        let (topo, cfg) = (dgx1(), RuntimeConfig::default());
+        let serial = simulate(&broadcast_graph(8), &topo, &cfg);
+        let graph = broadcast_graph(8);
+        for out in xk_sim::run_replicas(4, 4, |_| simulate(&graph, &topo, &cfg)) {
+            assert_eq!(out.trace.spans(), serial.trace.spans());
+            assert_eq!(**out.trace.labels(), **serial.trace.labels());
         }
     }
 

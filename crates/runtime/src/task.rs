@@ -180,7 +180,7 @@ pub enum TaskKind {
 /// the text at submission time (`format!` per task, as the seed did) costs
 /// a heap allocation on the hottest path of the library; storing the
 /// *pattern* costs nothing and renders the identical text on demand —
-/// once per distinct pattern when a `SimPrep` builds the label table its
+/// once per distinct pattern when the graph builds the label table its
 /// runs' [`xk_trace::Trace`]s share, or never at all under the numeric
 /// executor, which doesn't trace.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]

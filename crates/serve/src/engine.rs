@@ -16,7 +16,7 @@
 //!    distinct misses into the cross-seed replica driver
 //!    ([`xk_sim::run_replicas`]); XKBlas-variant misses that share a task
 //!    graph run one after another on one replica, so [`xk_baselines::run`]
-//!    builds and prepares that graph once for all of them.
+//!    builds that graph once for all of them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,7 +242,7 @@ impl ServeEngine {
     /// Answers a whole batch, draining cache misses into the replica
     /// driver: distinct misses simulate concurrently over `threads`
     /// workers (0 = all cores), and XKBlas-variant misses sharing a task
-    /// graph simulate one graph and prep. Answers land in query
+    /// graph simulate that one graph. Answers land in query
     /// order and are identical to issuing each query alone.
     pub fn query_batch(
         &self,
@@ -292,7 +292,7 @@ impl ServeEngine {
 
         // Group XKBlas-variant leads that share a task graph: same
         // (routine, n, tile, methodology), different heuristics. One
-        // replica runs a group, so `run` builds and prepares its graph once.
+        // replica runs a group, so `run` builds its graph once.
         type GraphKey = (u8, usize, usize, bool);
         let mut groups: HashMap<GraphKey, Vec<(QueryKey, LeadGuard<'_>)>> = HashMap::new();
         let mut units: Vec<Unit<'_>> = Vec::new();

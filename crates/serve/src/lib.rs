@@ -19,7 +19,7 @@
 //! * [`ServeEngine::query_batch`] — batched miss execution: distinct
 //!   misses drain through the cross-seed replica driver
 //!   ([`xk_sim::run_replicas`]), and XKBlas-variant misses that share a
-//!   task graph simulate from one hoisted [`xk_runtime::SimPrep`].
+//!   task graph run on one replica, which builds that graph once.
 
 #![warn(missing_docs)]
 

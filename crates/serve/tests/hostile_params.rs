@@ -17,7 +17,8 @@ const LIBRARIES: [Library; 5] = [
     Library::CublasXt,
     Library::Slate,
 ];
-const HOSTILE: [(usize, usize); 2] = [(0, 1024), (4096, 0)];
+/// No run: a zero size or tile. Too large: byte counts past `u64`.
+const HOSTILE: [(usize, usize); 4] = [(0, 1024), (4096, 0), (1 << 30, 1 << 30), (1 << 31, 1 << 31)];
 
 fn gemm(n: usize, tile: usize) -> RunParams {
     RunParams {
@@ -94,7 +95,7 @@ fn a_batch_with_hostile_members_answers_every_slot() {
     // Nothing is left in flight: a repeat is served from resident entries.
     let before = engine.stats();
     for (q, a) in queries.iter().zip(engine.query_batch(&queries, 2)) {
-        assert_eq!(a.is_err(), q.params.n == 0 || q.params.tile == 0);
+        assert_eq!(a.is_err(), HOSTILE.contains(&(q.params.n, q.params.tile)));
     }
     let after = engine.stats();
     assert_eq!(after.misses, before.misses);
