@@ -13,7 +13,6 @@ use xk_sim::SimTime;
 use xk_topo::{Device, FabricSpec};
 
 use crate::fabric::Fabric;
-use crate::xkblas_like::trace_to_result;
 use crate::{RunParams, RunResult};
 
 const STREAMS: usize = 2;
@@ -213,7 +212,7 @@ pub(crate) fn run_cublasxt(topo: &FabricSpec, params: &RunParams) -> RunResult {
         }
     }
 
-    trace_to_result(d.fabric.trace, params)
+    RunResult::from_trace(d.fabric.trace, params)
 }
 
 #[cfg(test)]

@@ -7,25 +7,28 @@
 //! scheduler optimizes, and what it synchronizes. The numerical algorithms
 //! are identical across libraries (the paper makes the same point in
 //! §IV-D), so the simulated differences isolate exactly the policies.
+//!
+//! Each [`Library`] is one row of policy data (`model.rs`). A row runs its
+//! own stream driver (cuBLAS-XT, SLATE) or the shared task runtime under
+//! its policy, then its host rule (Chameleon LAPACK's layout conversion,
+//! cuBLAS-MG's staging), whose seconds the trace records like the call's.
 
 #![warn(missing_docs)]
 
-mod conversion;
 mod cublasxt;
 mod fabric;
+mod model;
 mod slate;
 mod xkblas_like;
 
-pub(crate) use conversion::layout_conversion_seconds;
-pub(crate) use cublasxt::run_cublasxt;
-pub(crate) use slate::run_slate;
+use model::{Engine, Host};
 pub(crate) use xkblas_like::run_on_runtime;
 pub use xkblas_like::{build_run_graph, run_prepped};
 
 use xk_kernels::{GpuModel, Routine};
-use xk_runtime::{Heuristics, ObsReport, RuntimeConfig, SchedulerKind};
+use xk_runtime::{ObsReport, RuntimeConfig};
 use xk_topo::FabricSpec;
-use xk_trace::Trace;
+use xk_trace::{SpanKind, Trace};
 
 /// The workspace-wide run error (see [`xk_runtime::Error`]); the former
 /// crate-local `RunError` enum is now an alias so existing call sites keep
@@ -65,39 +68,22 @@ pub enum XkVariant {
 }
 
 impl XkVariant {
-    /// The heuristic set this Fig. 3 ablation simulates under.
-    pub(crate) fn heuristics(self) -> Heuristics {
-        match self {
-            XkVariant::Full => Heuristics::full(),
-            XkVariant::NoHeuristic => Heuristics::no_optimistic(),
-            XkVariant::NoHeuristicNoTopo => Heuristics::none(),
-        }
-    }
-
     /// The complete runtime configuration of this variant — the exact
     /// config [`run`] uses, exposed so batched drivers (xk-serve) can
     /// simulate a shared graph under each variant without duplicating the
     /// mapping.
     pub fn runtime_config(self) -> RuntimeConfig {
-        RuntimeConfig::xkblas().with_heuristics(self.heuristics())
+        match Library::XkBlas(self).model().engine {
+            Engine::Runtime(policy) => policy.config(),
+            Engine::Streams(_) => unreachable!("every XKBlas row runs on the shared runtime"),
+        }
     }
 }
 
 impl Library {
     /// Display name as in the paper's legends.
     pub fn name(self) -> &'static str {
-        match self {
-            Library::XkBlas(XkVariant::Full) => "XKBlas",
-            Library::XkBlas(XkVariant::NoHeuristic) => "XKBlas, no heuristic",
-            Library::XkBlas(XkVariant::NoHeuristicNoTopo) => "XKBlas, no heuristic, no topo",
-            Library::CublasXt => "cuBLAS-XT",
-            Library::CublasMg => "cuBLAS-MG",
-            Library::Blasx => "BLASX",
-            Library::ChameleonTile => "Chameleon Tile",
-            Library::ChameleonLapack => "Chameleon LAPACK",
-            Library::Slate => "Slate",
-            Library::Dplasma => "DPLASMA",
-        }
+        self.model().name
     }
 
     /// The eight libraries of Fig. 5 in legend order.
@@ -115,19 +101,13 @@ impl Library {
     /// Routines this library accelerates on GPUs (paper §IV-D: cuBLAS-MG,
     /// BLASX and DPLASMA are GEMM-only).
     pub fn supports(self, routine: Routine) -> bool {
-        match self {
-            Library::CublasMg | Library::Blasx | Library::Dplasma => routine == Routine::Gemm,
-            _ => true,
-        }
+        !self.model().gemm_only || routine == Routine::Gemm
     }
 
     /// Candidate block sizes swept per library, ascending (§IV-A: {1024,
     /// 2048, 4096}, extended to 8192/16384 for cuBLAS-XT and SLATE).
     pub fn tile_candidates(self) -> &'static [usize] {
-        match self {
-            Library::CublasXt | Library::Slate => &[1024, 2048, 4096, 8192, 16384],
-            _ => &[1024, 2048, 4096],
-        }
+        self.model().tiles
     }
 
     /// A TFlop/s no [`run`] of this library with block size `tile` on
@@ -146,14 +126,12 @@ impl Library {
     /// - host conversion (Chameleon LAPACK) and staging (cuBLAS-MG) only
     ///   add seconds.
     pub fn tflops_ceiling(self, topo: &FabricSpec, tile: usize) -> Option<f64> {
-        match self {
-            Library::CublasXt | Library::Slate => None,
-            _ => {
-                let peak = RuntimeConfig::xkblas().gpu_model.peak_flops;
-                let eff = GpuModel::gemm_efficiency(tile as f64);
-                Some(topo.n_gpus() as f64 * peak * eff / 1e12)
-            }
-        }
+        let Engine::Runtime(_) = self.model().engine else {
+            return None;
+        };
+        let peak = RuntimeConfig::xkblas().gpu_model.peak_flops;
+        let eff = GpuModel::gemm_efficiency(tile as f64);
+        Some(topo.n_gpus() as f64 * peak * eff / 1e12)
     }
 }
 
@@ -226,6 +204,26 @@ pub struct RunResult {
     pub obs: Option<ObsReport>,
 }
 
+impl RunResult {
+    /// The result of a stream driver's run: makespan and bytes moved are
+    /// read off its trace; it has no [`ObsReport`].
+    pub(crate) fn from_trace(trace: Trace, params: &RunParams) -> RunResult {
+        let bytes = trace.bytes_by_kind();
+        let moved = |kind| bytes.get(&kind).copied().unwrap_or(0);
+        let seconds = trace.makespan();
+        let flops = params.routine.flops_square(params.n as u64);
+        RunResult {
+            seconds,
+            tflops: if seconds <= 0.0 { 0.0 } else { flops / seconds / 1e12 },
+            bytes_h2d: moved(SpanKind::H2D),
+            bytes_d2h: moved(SpanKind::D2H),
+            bytes_p2p: moved(SpanKind::P2P),
+            trace,
+            obs: None,
+        }
+    }
+}
+
 /// Runs `lib` on `topo` with `params`.
 pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunResult, RunError> {
     run_within(lib, topo, params, f64::INFINITY)
@@ -235,13 +233,14 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
 /// the run's `seconds` exceed `budget` (by more than a relative 1e-9);
 /// every `Ok` is the result [`run`] gives, bit for bit. The budget goes to
 /// the simulation ([`xk_runtime::SimSession::run_within`]), which stops
-/// as soon as a lower bound on its makespan proves the verdict. A model
-/// that adds fixed seconds around the simulation (Chameleon LAPACK's
-/// layout conversions, cuBLAS-MG's staging) simulates within the budget
-/// less those seconds, and answers `OverBudget` without simulating when
-/// they alone exceed it; there the runtime-simulated libraries return
-/// `Ok` exactly when `seconds` fits the budget. cuBLAS-XT and SLATE,
-/// which schedule their own kernels, always run to the end.
+/// as soon as a lower bound on its makespan proves the verdict. A library
+/// whose host rule adds seconds around the simulation (Chameleon LAPACK's
+/// layout conversion, cuBLAS-MG's staging with data on the host)
+/// simulates within the budget less those seconds, and answers
+/// `OverBudget` without simulating when they alone exceed it; there the
+/// runtime-simulated libraries return `Ok` exactly when `seconds` fits the
+/// budget. cuBLAS-XT and SLATE, which schedule their own kernels, always
+/// run to the end.
 pub fn run_within(
     lib: Library,
     topo: &FabricSpec,
@@ -249,120 +248,27 @@ pub fn run_within(
     budget: f64,
 ) -> Result<RunResult, RunError> {
     params.validate()?;
-    if !lib.supports(params.routine) {
+    let model = lib.model();
+    if !lib.supports(params.routine) || (params.data_on_device && !model.data_on_device) {
         return Err(RunError::Unsupported);
     }
-    match lib {
-        Library::XkBlas(variant) => {
-            run_on_runtime(topo, params, variant.runtime_config(), false, budget)
-        }
-        Library::ChameleonTile => run_chameleon(topo, params, true, budget),
-        Library::ChameleonLapack => {
-            // Host-side LAPACK↔tile conversion before and after the call
-            // (§IV-D: "the penalty, on the host, to convert operands and
-            // result to/from tile matrix representation").
-            let conv = layout_conversion_seconds(params.routine, params.n);
-            let mut r = run_chameleon(topo, params, false, budget_less(budget, conv)?)?;
-            r.seconds += conv;
-            r.tflops = params.routine.flops_square(params.n as u64) / r.seconds / 1e12;
-            fits(r, budget)
-        }
-        Library::CublasMg => {
-            // cuBLAS-MG computes on 2D block-cyclic *device* matrices; with
-            // data on the host it stages synchronously: distribute operands,
-            // run the distributed GEMM (P2P rings), gather the result.
-            let mut cfg = RuntimeConfig::xkblas()
-                .with_scheduler(SchedulerKind::StaticOwner)
-                .with_heuristics(Heuristics {
-                    topology_aware: false,
-                    optimistic_d2d: true,
-                    allow_d2d: true,
-                });
-            cfg.window = 8;
-            let dev_params = RunParams {
-                data_on_device: true,
-                ..*params
-            };
-            // Synchronous distribute (3 operands in) + gather (result out)
-            // over the 4 PCIe uplinks in parallel, around a data-on-host
-            // call.
-            let matrix_bytes = (params.n * params.n * 8) as f64;
-            let uplink = topo.route(xk_topo::Device::Host, xk_topo::Device::Gpu(0));
-            let aggregate = uplink.bandwidth * topo.n_switches() as f64;
-            let (t_in, t_out) = match params.data_on_device {
-                true => (0.0, 0.0),
-                false => (3.0 * matrix_bytes / aggregate, matrix_bytes / aggregate),
-            };
-            let sim_budget = budget_less(budget, t_in + t_out)?;
-            let mut r = run_on_runtime(topo, &dev_params, cfg, true, sim_budget)?;
-            if !params.data_on_device {
-                // Make the staging phases visible in the trace (Fig. 6).
-                let compute_end = r.seconds;
-                r.trace.shift(t_in);
-                let l_distribute = r.trace.intern("distribute");
-                let l_gather = r.trace.intern("gather");
-                for g in 0..topo.n_gpus() as u32 {
-                    r.trace.push(xk_trace::Span {
-                        place: xk_trace::Place::Gpu(g),
-                        lane: 0,
-                        kind: xk_trace::SpanKind::H2D,
-                        start: 0.0,
-                        end: t_in,
-                        bytes: 3 * (params.n * params.n) as u64 / topo.n_gpus() as u64,
-                        label: l_distribute,
-                        flow: xk_trace::FlowId::NONE,
-                        subject: xk_trace::Span::NO_SUBJECT,
-                        peer: xk_trace::Span::NO_PEER,
-                    });
-                    r.trace.push(xk_trace::Span {
-                        place: xk_trace::Place::Gpu(g),
-                        lane: 2,
-                        kind: xk_trace::SpanKind::D2H,
-                        start: t_in + compute_end,
-                        end: t_in + compute_end + t_out,
-                        bytes: (params.n * params.n) as u64 / topo.n_gpus() as u64,
-                        label: l_gather,
-                        flow: xk_trace::FlowId::NONE,
-                        subject: xk_trace::Span::NO_SUBJECT,
-                        peer: xk_trace::Span::NO_PEER,
-                    });
-                }
-                r.seconds += t_in + t_out;
-                r.bytes_h2d += 3 * (params.n * params.n * 8) as u64;
-                r.bytes_d2h += (params.n * params.n * 8) as u64;
-                r.tflops = params.routine.flops_square(params.n as u64) / r.seconds / 1e12;
-            }
-            fits(r, budget)
-        }
-        Library::Dplasma => {
-            // PaRSEC's accelerator support stages all data through the host
-            // (its GEMM trace in Fig. 6 shows no PtoP); a data-on-host run
-            // writes each result tile back by its flush task.
-            let mut cfg = RuntimeConfig::xkblas()
-                .with_scheduler(SchedulerKind::StaticOwner)
-                .with_heuristics(Heuristics::host_only());
-            // PaRSEC's GPU path ca. 2021: one manager thread per device,
-            // shallow pipelining, operands re-read per task (largest HtoD
-            // volume in Fig. 6).
-            cfg.window = 3;
-            cfg.cache_inputs = false;
-            run_on_runtime(topo, params, cfg, true, budget)
-        }
-        Library::Blasx => {
-            // BLASX fails to allocate above N = 45000 (Fig. 5 caption).
-            if params.n > 45_000 {
-                return Err(RunError::OutOfMemory);
-            }
-            // The model is the no-heuristic, no-topo ablation of XKBlas:
-            // D2D from any valid peer (no NVLink ranks, no in-flight
-            // forwarding) on the same graph. BLASX's own two-level cache
-            // is not modelled.
-            let cfg = XkVariant::NoHeuristicNoTopo.runtime_config();
-            run_on_runtime(topo, params, cfg, false, budget)
-        }
-        Library::CublasXt => Ok(run_cublasxt(topo, params)),
-        Library::Slate => Ok(run_slate(topo, params)),
+    if model.max_n.is_some_and(|max_n| params.n > max_n) {
+        return Err(RunError::OutOfMemory);
     }
+    let policy = match model.engine {
+        Engine::Streams(driver) => return Ok(driver(topo, params)),
+        Engine::Runtime(policy) => policy,
+    };
+    // A staging library computes on device-resident data either way.
+    let on_device = params.data_on_device || policy.host == Host::Staging;
+    let simulated = RunParams { data_on_device: on_device, ..*params };
+    let (_, _, host_seconds) = policy.host.seconds(topo, params);
+    let (cfg, sim_budget) = (policy.config(), budget_less(budget, host_seconds)?);
+    let mut r = run_on_runtime(topo, &simulated, cfg, policy.tile_layout, sim_budget)?;
+    if host_seconds > 0.0 {
+        policy.host.record(&mut r, topo, params);
+    }
+    fits(r, budget)
 }
 
 /// The budget left to a simulation that a model lengthens by `extra`
@@ -385,43 +291,9 @@ fn fits(r: RunResult, budget: f64) -> Result<RunResult, RunError> {
     Ok(r)
 }
 
-fn run_chameleon(
-    topo: &FabricSpec,
-    params: &RunParams,
-    tile_layout: bool,
-    budget: f64,
-) -> Result<RunResult, RunError> {
-    // Chameleon/StarPU: dmdas scheduler, 2 workers per GPU (§IV-A),
-    // per-tile flush tasks writing results back, no topology-aware source
-    // selection.
-    // StarPU 1.3.5 on this machine stages transfers through the host (the
-    // Chameleon trace of Fig. 6 shows DtoH/HtoD only).
-    let mut cfg = RuntimeConfig::xkblas()
-        .with_scheduler(SchedulerKind::Dmdas)
-        .with_heuristics(Heuristics::host_only());
-    cfg.window = 8;
-    run_on_runtime(topo, params, cfg, tile_layout, budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_and_support() {
-        assert_eq!(Library::XkBlas(XkVariant::Full).name(), "XKBlas");
-        assert!(Library::CublasMg.supports(Routine::Gemm));
-        assert!(!Library::CublasMg.supports(Routine::Syrk));
-        assert!(!Library::Blasx.supports(Routine::Trsm));
-        assert!(Library::Slate.supports(Routine::Trmm));
-        assert_eq!(Library::FIG5.len(), 8);
-    }
-
-    #[test]
-    fn tile_candidates_extended_for_xt_and_slate() {
-        assert!(Library::CublasXt.tile_candidates().contains(&16384));
-        assert!(!Library::ChameleonTile.tile_candidates().contains(&8192));
-    }
 
     #[test]
     fn unsupported_routine_is_reported() {

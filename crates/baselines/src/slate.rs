@@ -13,7 +13,6 @@ use xk_sim::SimTime;
 use xk_topo::{Device, FabricSpec};
 
 use crate::fabric::Fabric;
-use crate::xkblas_like::trace_to_result;
 use crate::{RunParams, RunResult};
 
 /// Simulates one SLATE routine call on `topo`.
@@ -97,7 +96,7 @@ pub(crate) fn run_slate(topo: &FabricSpec, params: &RunParams) -> RunResult {
         }
     }
 
-    trace_to_result(fabric.trace, params)
+    RunResult::from_trace(fabric.trace, params)
 }
 
 #[cfg(test)]

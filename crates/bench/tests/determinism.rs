@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use xk_baselines::{Library, RunParams, RunResult, XkVariant};
+use xk_baselines::{Library, RunError, RunParams, RunResult, XkVariant};
 use xk_bench::{best_tile_run, best_tile_run_with, fmt_tflops, RunCache};
 use xk_kernels::Routine;
 use xk_topo::{dgx1, fabrics, FabricSpec};
@@ -144,8 +144,16 @@ fn pruned_search_equals_trying_every_candidate() {
                     for dod in [false, true] {
                         let what = format!("{lib:?} {routine:?} {} n={n} dod={dod}", topo.name());
                         let before = cache.stats().misses;
-                        let serial = best_tile_run_with(lib, topo, routine, n, dod, Some(&cache), false)
-                            .unwrap();
+                        let serial = best_tile_run_with(lib, topo, routine, n, dod, Some(&cache), false);
+                        if serial.as_ref().err() == Some(&RunError::Unsupported) {
+                            // A methodology the library does not model: every search says so.
+                            for (cache, parallel) in [(Some(&cache), true), (None, false), (None, true)] {
+                                let got = best_tile_run_with(lib, topo, routine, n, dod, cache, parallel);
+                                assert_eq!(got.err(), Some(RunError::Unsupported), "{what}");
+                            }
+                            continue;
+                        }
+                        let serial = serial.unwrap();
                         simulated += cache.stats().misses - before;
                         candidates += lib.tile_candidates().iter().filter(|&&t| t <= n).count() as u64;
                         let reference = every_candidate(lib, topo, routine, n, dod, &cache);

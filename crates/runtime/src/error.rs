@@ -13,7 +13,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// The library does not implement this routine on GPUs.
+    /// The library does not implement this routine on GPUs, or does not
+    /// model the requested methodology.
     Unsupported,
     /// The request describes no run: a zero dimension or a zero tile.
     InvalidParams {
