@@ -296,6 +296,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn names_and_support() {
+        assert_eq!(Library::XkBlas(XkVariant::Full).name(), "XKBlas");
+        assert!(Library::CublasMg.supports(Routine::Gemm));
+        assert!(!Library::CublasMg.supports(Routine::Syrk));
+        assert!(!Library::Blasx.supports(Routine::Trsm));
+        assert!(Library::Slate.supports(Routine::Trmm));
+        assert_eq!(Library::FIG5.len(), 8);
+    }
+
+    #[test]
+    fn tile_candidates_extended_for_xt_and_slate() {
+        assert!(Library::CublasXt.tile_candidates().contains(&16384));
+        assert!(!Library::ChameleonTile.tile_candidates().contains(&8192));
+    }
+
+    #[test]
     fn unsupported_routine_is_reported() {
         let topo = xk_topo::dgx1();
         let p = RunParams {
