@@ -240,7 +240,9 @@ pub fn run(lib: Library, topo: &FabricSpec, params: &RunParams) -> Result<RunRes
 /// `OverBudget` without simulating when they alone exceed it; there the
 /// runtime-simulated libraries return `Ok` exactly when `seconds` fits the
 /// budget. cuBLAS-XT and SLATE, which schedule their own kernels, always
-/// run to the end.
+/// run to the end. A tile too large for one GPU is `OutOfMemory`: on the
+/// runtime, a task whose distinct tiles exceed `gpu_memory`; for the
+/// stream drivers, three `tile²` blocks that do.
 pub fn run_within(
     lib: Library,
     topo: &FabricSpec,
@@ -256,7 +258,14 @@ pub fn run_within(
         return Err(RunError::OutOfMemory);
     }
     let policy = match model.engine {
-        Engine::Streams(driver) => return Ok(driver(topo, params)),
+        // A stream driver holds a block of A, B and C on a GPU at once.
+        Engine::Streams(driver) => {
+            let block = 8 * (params.tile as u64).pow(2);
+            if 3 * block > RuntimeConfig::xkblas().gpu_memory {
+                return Err(RunError::OutOfMemory);
+            }
+            return Ok(driver(topo, params));
+        }
         Engine::Runtime(policy) => policy,
     };
     // A staging library computes on device-resident data either way.

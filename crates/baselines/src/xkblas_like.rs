@@ -137,7 +137,8 @@ impl GraphMemo {
 
 /// Simulates one routine call under `cfg` within a makespan `budget`
 /// (`f64::INFINITY` for none; see [`SimSession::run_within`]) on
-/// the thread's memoized graph of the call.
+/// the thread's memoized graph of the call, or answers `OutOfMemory` when
+/// one of its tasks accesses more tile bytes than a GPU holds.
 /// Data-on-host runs end with a `memory_coherent` of the output (§IV-A
 /// end-to-end methodology); data-on-device runs leave results on the GPUs
 /// (§IV-C).
@@ -151,6 +152,9 @@ pub(crate) fn run_on_runtime(
     MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
         let graph = memo.graph(topo, params, &cfg, tile_layout);
+        if graph.max_task_bytes() > cfg.gpu_memory {
+            return Err(RunError::OutOfMemory);
+        }
         let sim = SimSession::on(topo).config(cfg).run_within(graph, budget)?.into_outcome();
         Ok(outcome_to_result(sim, params))
     })

@@ -33,7 +33,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use xk_lp::SplitMix64;
-use xk_runtime::{HandleId, TaskGraph, TaskKind};
+use xk_runtime::{HandleId, TaskGraph, TaskId, TaskKind};
 use xk_topo::Device;
 use xk_trace::{Place, Span, SpanKind, Trace};
 
@@ -337,9 +337,10 @@ impl Witness {
             }
         }
         let (mut reads, mut writes) = (Lists::new(), Lists::new());
-        for task in graph.tasks() {
-            reads.push(task.read_handles());
-            writes.push(task.written_handles());
+        for t in (0..graph.len()).map(TaskId) {
+            let accesses = graph.accesses(t);
+            reads.push(accesses.clone().filter(|a| a.access.reads()).map(|a| a.handle));
+            writes.push(accesses.filter(|a| a.access.writes()).map(|a| a.handle));
         }
         let kernel_seed: Vec<u64> = (0..graph.len()).map(|t| mix(0xC0DE, t as u64)).collect();
 
@@ -347,12 +348,12 @@ impl Witness {
         // order, one value space (graph task ids are topologically sorted
         // by construction — dependencies always point backwards).
         let mut reference: Vec<u64> = (0..n_h).map(initial_value).collect();
-        for (t, task) in graph.tasks().iter().enumerate() {
-            if task.kind != TaskKind::Kernel {
+        for (t, &seed) in kernel_seed.iter().enumerate() {
+            if graph.kind(TaskId(t)) != TaskKind::Kernel {
                 continue;
             }
             let inputs = reads.of(t).iter().map(|&h| reference[h as usize]);
-            let out = inputs.fold(kernel_seed[t], mix);
+            let out = inputs.fold(seed, mix);
             for &h in writes.of(t) {
                 reference[h as usize] = out;
             }

@@ -30,7 +30,7 @@ use xk_kernels::perfmodel::TileOp;
 use xk_lp::SplitMix64;
 use xk_runtime::{
     link_attribution, makespan_lower_bound, Access, DataInfo, HandleId, Heuristics,
-    RuntimeConfig, SchedulerKind, SimExecutor, TaskAccess, TaskGraph, TaskKind,
+    RuntimeConfig, SchedulerKind, SimExecutor, TaskAccess, TaskGraph, TaskId, TaskKind,
     TaskLabel,
 };
 use xk_topo::{bw, dgx1, FabricBuilder, FabricSpec, LinkClass};
@@ -202,25 +202,24 @@ fn disjoint_union(base: &TaskGraph, k: usize) -> TaskGraph {
             g.add_data(info.clone());
         }
         let shifted = |h: HandleId| HandleId(h.0 + offset);
-        for task in base.tasks() {
-            match task.kind {
+        for task in (0..base.len()).map(TaskId) {
+            match base.kind(task) {
                 TaskKind::Kernel => {
-                    let accesses: Vec<TaskAccess> = task
-                        .accesses
-                        .iter()
+                    let accesses: Vec<TaskAccess> = base
+                        .accesses(task)
                         .map(|a| TaskAccess {
                             handle: shifted(a.handle),
                             access: a.access,
                         })
                         .collect();
                     g.add_task(
-                        task.op.expect("kernel tasks carry an op"),
+                        base.op(task).expect("kernel tasks carry an op"),
                         accesses,
                         TaskLabel::None,
                     );
                 }
                 TaskKind::Flush => {
-                    let handles: Vec<HandleId> = task.read_handles().map(shifted).collect();
+                    let handles: Vec<HandleId> = base.accesses(task).map(|a| shifted(a.handle)).collect();
                     g.add_flush(&handles, TaskLabel::None);
                 }
             }

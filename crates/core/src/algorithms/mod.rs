@@ -7,7 +7,7 @@
 //! instead of tile copies, and no implicit copy-back instructions.
 //!
 //! Every `t_*` emitter below is on the submission fast path: accesses live
-//! in stack arrays (inlined into the task), labels are lazy
+//! in stack arrays (copied into the graph's access column), labels are lazy
 //! [`TaskLabel`] patterns, and the numeric closure is only boxed when the
 //! context actually executes numerically — a simulation-only sweep
 //! submits each task without any per-task heap allocation.

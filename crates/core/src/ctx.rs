@@ -357,9 +357,10 @@ mod tests {
                         expected.sort();
                         assert_eq!(ctx.pending_tasks(), before + expected.len());
                         for (at, (_, &h)) in expected.into_iter().enumerate() {
-                            let task = ctx.graph().task(TaskId(before + at));
-                            assert_eq!(task.kind, TaskKind::Flush);
-                            assert_eq!(task.read_handles().collect::<Vec<_>>(), [h]);
+                            let (graph, task) = (ctx.graph(), TaskId(before + at));
+                            assert_eq!(graph.kind(task), TaskKind::Flush);
+                            let reads: Vec<_> = graph.accesses(task).map(|a| a.handle).collect();
+                            assert_eq!(reads, [h]);
                         }
                     }
                     2 => {

@@ -10,7 +10,7 @@
 use crate::types::Routine;
 
 /// Per-task kernel shapes produced by the tiled algorithms.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TileOp {
     /// `C(m,n) += op(A)(m,k) op(B)(k,n)`
     Gemm {

@@ -45,7 +45,7 @@ use crate::config::RuntimeConfig;
 use crate::data::{DataInfo, HandleId};
 use crate::graph::TaskGraph;
 use crate::machine::Machine;
-use crate::task::TaskKind;
+use crate::task::{TaskId, TaskKind};
 
 /// A makespan lower bound, broken into its component relaxations.
 ///
@@ -130,14 +130,15 @@ pub fn makespan_lower_bound(
         cache[h]
     };
 
-    for (t, task) in graph.tasks().iter().enumerate() {
+    for t in 0..graph.len() {
+        let task = TaskId(t);
         let mut ready = 0.0f64;
-        for p in graph.predecessors(crate::task::TaskId(t)) {
+        for p in graph.predecessors(task) {
             ready = ready.max(finish[p.0]);
         }
-        match task.kind {
+        match graph.kind(task) {
             TaskKind::Kernel => {
-                for a in task.accesses.iter() {
+                for a in graph.accesses(task) {
                     let h = a.handle.0;
                     if first_touch_reads[h].is_none() {
                         first_touch_reads[h] = Some(a.access.reads());
@@ -150,7 +151,7 @@ pub fn makespan_lower_bound(
                     }
                 }
                 finish[t] = ready + kernel_seconds[t];
-                for h in task.written_handles() {
+                for h in graph.written_handles(task) {
                     last_writer[h.0] = Some(t);
                     flushed[h.0] = false;
                 }
@@ -161,7 +162,7 @@ pub fn makespan_lower_bound(
                 // writer, bounding the *makespan* rather than the flush's
                 // successors.
                 finish[t] = ready;
-                for h in task.read_handles() {
+                for h in graph.read_handles(task) {
                     let hi = h.0;
                     if flushed[hi] {
                         continue;
@@ -186,11 +187,9 @@ pub fn makespan_lower_bound(
 
     // ---- Aggregate compute ---------------------------------------------
     // A validated fabric has at least one GPU.
-    let compute = graph
-        .tasks()
-        .iter()
+    let compute = (0..graph.len())
         .zip(&kernel_seconds)
-        .filter(|(t, _)| t.op.is_some())
+        .filter(|&(t, _)| graph.kind(TaskId(t)) == TaskKind::Kernel)
         .map(|(_, &secs)| secs)
         .sum::<f64>()
         / n as f64;

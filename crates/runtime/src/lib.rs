@@ -76,4 +76,4 @@ pub use par_exec::{run_parallel, ParOutcome};
 pub use session::{Run, SimSession};
 pub use par_exec::run_controlled;
 pub use sim_exec::{LinkFault, SimExecutor, SimOutcome, SimPrep};
-pub use task::{Access, Task, TaskAccess, TaskAccesses, TaskId, TaskKind, TaskLabel};
+pub use task::{Access, TaskAccess, TaskId, TaskKind, TaskLabel};

@@ -126,7 +126,7 @@ fn work(pool: &Pool, graph: &TaskGraph, bodies: &[Mutex<Option<TaskBody>>]) -> u
             return parks;
         }
         let queued = state.ready.len();
-        for &s in graph.successors(t) {
+        for s in graph.successors(t).iter() {
             state.pending[s.0] -= 1;
             if state.pending[s.0] == 0 {
                 if let Some(prev) = inline.replace(s) {
@@ -247,7 +247,7 @@ pub fn run_controlled(
             body();
         }
         released.clear();
-        for &s in graph.successors(t) {
+        for s in graph.successors(t).iter() {
             pending[s.0] -= 1;
             if pending[s.0] == 0 {
                 released.push(s);

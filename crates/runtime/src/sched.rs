@@ -12,7 +12,7 @@ use xk_topo::{Device, FabricSpec};
 use crate::cache::SoftwareCache;
 use crate::config::SchedulerKind;
 use crate::graph::TaskGraph;
-use crate::task::Task;
+use crate::task::TaskId;
 
 /// Snapshot of executor state a placement may consult.
 pub struct SchedView<'a> {
@@ -68,11 +68,11 @@ impl Placement {
     }
 
     /// Chooses the GPU for a task that just became ready.
-    pub fn assign(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
+    pub fn assign(&mut self, task: TaskId, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
         let n = view.gpu_available.len();
         match self.kind {
             SchedulerKind::LocalityWorkStealing | SchedulerKind::StaticOwner => {
-                match task.owner_handle().and_then(|h| graph.data().info(h).owner_hint) {
+                match graph.owner_handle(task).and_then(|h| graph.data().info(h).owner_hint) {
                     Some(owner) => owner % n,
                     None => self.round_robin(n),
                 }
@@ -88,14 +88,14 @@ impl Placement {
         g
     }
 
-    fn dmdas(&mut self, task: &Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
+    fn dmdas(&mut self, task: TaskId, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
         let n = view.gpu_available.len();
         // One pass per read handle: its holders and size are looked up once,
         // then every GPU missing it adds the estimate from the "cheapest"
         // valid location (first holder of maximal bandwidth, else the host).
         self.transfer.clear();
         self.transfer.resize(n, 0.0);
-        for h in task.read_handles() {
+        for h in graph.read_handles(task) {
             let bytes = graph.data().info(h).bytes;
             self.holders.clear();
             self.holders.extend(view.cache.valid_holders(h, view.now));
@@ -132,7 +132,7 @@ impl Placement {
 mod tests {
     use super::*;
     use crate::data::DataInfo;
-    use crate::task::{Access, TaskAccess, TaskId};
+    use crate::task::{Access, TaskAccess};
     use xk_kernels::perfmodel::TileOp;
     use xk_topo::dgx1;
 
@@ -174,7 +174,7 @@ mod tests {
         let avail = vec![SimTime::ZERO; 8];
         let v = view(&topo, &cache, &avail);
         let mut s = Placement::new(SchedulerKind::LocalityWorkStealing);
-        assert_eq!(s.assign(graph.task(t), &graph, &v), 5);
+        assert_eq!(s.assign(t, &graph, &v), 5);
         assert!(s.steals());
     }
 
@@ -188,7 +188,7 @@ mod tests {
         let avail = vec![SimTime::ZERO; 8];
         let v = view(&topo, &cache, &avail);
         let mut s = Placement::new(SchedulerKind::Dmdas);
-        assert_eq!(s.assign(graph.task(t), &graph, &v), 6);
+        assert_eq!(s.assign(t, &graph, &v), 6);
         assert!(!s.steals());
     }
 
@@ -201,7 +201,7 @@ mod tests {
         avail[0] = SimTime::new(100.0); // gpu0 deeply busy
         let v = view(&topo, &cache, &avail);
         let mut s = Placement::new(SchedulerKind::Dmdas);
-        assert_ne!(s.assign(graph.task(t), &graph, &v), 0);
+        assert_ne!(s.assign(t, &graph, &v), 0);
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
         let avail = vec![SimTime::ZERO; 8];
         let v = view(&topo, &cache, &avail);
         let mut s = Placement::new(SchedulerKind::RoundRobin);
-        let picks: Vec<usize> = (0..10).map(|_| s.assign(graph.task(t), &graph, &v)).collect();
+        let picks: Vec<usize> = (0..10).map(|_| s.assign(t, &graph, &v)).collect();
         assert_eq!(picks[..8], (0..8).collect::<Vec<_>>()[..]);
         assert_eq!(picks[8], 0);
         assert!(!s.steals());

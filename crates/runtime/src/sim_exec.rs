@@ -463,8 +463,7 @@ impl<'a> SimExecutor<'a> {
     }
 
     fn on_ready(&mut self, t: TaskId) {
-        let task = self.graph.task(t);
-        if task.kind == TaskKind::Flush {
+        if self.graph.kind(t) == TaskKind::Flush {
             self.run_flush(t);
             return;
         }
@@ -480,7 +479,7 @@ impl<'a> SimExecutor<'a> {
                 cache: &self.cache,
                 kernel_seconds: self.tasks[t.0].kernel_seconds,
             };
-            let g = self.placement.assign(task, self.graph, &view);
+            let g = self.placement.assign(t, self.graph, &view);
             self.scratch_avail = avail;
             g
         };
@@ -562,10 +561,9 @@ impl<'a> SimExecutor<'a> {
         // of `&mut self`, so task accesses can be iterated without
         // collecting into fresh Vecs on every scheduling step.
         let graph = self.graph;
-        let task = graph.task(t);
         let mut pins = std::mem::take(&mut self.scratch_handles);
         pins.clear();
-        pins.extend(task.accesses.iter().map(|a| a.handle));
+        pins.extend(graph.accesses(t).map(|a| a.handle));
         for &h in &pins {
             self.cache.pin(h, g);
         }
@@ -593,7 +591,7 @@ impl<'a> SimExecutor<'a> {
         let mut input_ready = now;
         let mut dep = NO_NODE;
         let mut flow = FlowId::NONE;
-        for h in task.read_handles() {
+        for h in graph.read_handles(t) {
             let (ready, node, f) = self.fetch(h, g, now);
             if ready > input_ready {
                 input_ready = ready;
@@ -603,7 +601,7 @@ impl<'a> SimExecutor<'a> {
             self.cache.touch(h, g);
         }
         // Write-only outputs just need residency.
-        for h in task.written_handles() {
+        for h in graph.written_handles(t) {
             if self.cache.replica(h, g).is_none() {
                 let bytes = graph.data().info(h).bytes;
                 self.cache.allocate_output(h, g, bytes);
@@ -614,7 +612,7 @@ impl<'a> SimExecutor<'a> {
 
     fn unpin_task(&mut self, t: TaskId, g: usize) {
         let graph = self.graph;
-        for a in &graph.task(t).accesses {
+        for a in graph.accesses(t) {
             self.cache.unpin(a.handle, g);
         }
     }
@@ -623,7 +621,7 @@ impl<'a> SimExecutor<'a> {
     /// stolen by: its inputs are acquired there now, and the kernel starts
     /// once the last one arrives.
     fn launch(&mut self, t: TaskId, g: usize) {
-        let task = self.graph.task(t);
+        let graph = self.graph;
         let kernel_seconds = self.tasks[t.0].kernel_seconds;
         let (input_ready, dep, flow) = self.acquire_inputs(t, g);
         self.unstarted -= kernel_seconds;
@@ -634,13 +632,14 @@ impl<'a> SimExecutor<'a> {
         // so the run drains instead of deadlocking a waiter on a transfer
         // that will never deliver.
         let failed = self.fault.as_mut().is_some_and(|f| {
-            f.task_failed[t.0].is_some() || task.read_handles().any(|h| f.fail_on_poison(t, h, g))
+            f.task_failed[t.0].is_some() || graph.read_handles(t).any(|h| f.fail_on_poison(t, h, g))
         });
         let done_at = if failed {
             self.clock.now().max(input_ready)
         } else {
             let dur = Duration::new(kernel_seconds);
-            let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, self.labels.ids[t.0], flow);
+            let label = self.labels.patterns[graph.label_pattern(t)];
+            let span = Span::on_gpu(g, 3, SpanKind::Kernel, 0, label, flow);
             let span = Span { subject: t.0 as u32, ..span };
             let (res, idx) = self.occupy(&[self.machine.kernel(g)], input_ready, dur, span, dep);
             // The progress bound of `run_within` rests on this.
@@ -653,7 +652,7 @@ impl<'a> SimExecutor<'a> {
             );
             if let Some(obs) = self.obs.as_mut() {
                 // This kernel is now the op that makes its outputs valid here.
-                for h in task.written_handles() {
+                for h in graph.written_handles(t) {
                     obs.set_valid_node(h.0, g, idx);
                 }
             }
@@ -795,7 +794,7 @@ impl<'a> SimExecutor<'a> {
         bytes: u64,
         flow: FlowId,
     ) -> Span {
-        let label = self.labels.ids[self.tasks.len() + h.0];
+        let label = self.labels.handles[h.0];
         Span { subject: h.0 as u32, ..Span::on_gpu(gpu, lane, kind, bytes, label, flow) }
     }
 
@@ -847,7 +846,7 @@ impl<'a> SimExecutor<'a> {
         let now = self.clock.now();
         let graph = self.graph;
         let mut done = now;
-        for h in graph.task(t).read_handles() {
+        for h in graph.read_handles(t) {
             if let Some(g) = self.cache.dirty_on(h) {
                 // A poisoned replica cannot be written back: the flush
                 // surfaces the failure instead of shipping garbage.
@@ -864,14 +863,13 @@ impl<'a> SimExecutor<'a> {
 
     fn on_done(&mut self, t: TaskId) {
         let graph = self.graph;
-        let task = graph.task(t);
         let failed = self.fault.as_ref().is_some_and(|f| f.task_failed[t.0].is_some());
-        if task.kind == TaskKind::Kernel {
+        if graph.kind(t) == TaskKind::Kernel {
             let state = self.tasks[t.0];
             let g = state.assigned as usize;
             self.unpin_task(t, g);
             if !failed {
-                for h in task.written_handles() {
+                for h in graph.written_handles(t) {
                     let bytes = graph.data().info(h).bytes;
                     self.cache.mark_written(h, g, bytes, graph.data());
                     // A successful write produces a fresh version: stale
@@ -885,7 +883,7 @@ impl<'a> SimExecutor<'a> {
             self.committed[g] -= state.kernel_seconds;
             if !failed && !self.cfg.cache_inputs {
                 // Re-read runtimes drop clean inputs right after use.
-                for h in task.read_handles() {
+                for h in graph.read_handles(t) {
                     self.cache.drop_replica(h, g, graph.data());
                 }
             }
@@ -895,13 +893,13 @@ impl<'a> SimExecutor<'a> {
         self.tasks_done += 1;
         if let Some(f) = self.fault.as_mut().filter(|_| failed) {
             // Dependents of a failed task fail with the same error.
-            for &s in graph.successors(t) {
+            for s in graph.successors(t).iter() {
                 if f.task_failed[s.0].is_none() {
                     f.task_failed[s.0] = f.task_failed[t.0].clone();
                 }
             }
         }
-        for &s in graph.successors(t) {
+        for s in graph.successors(t).iter() {
             self.tasks[s.0].pending -= 1;
             if self.tasks[s.0].pending == 0 {
                 self.on_ready(s);
@@ -1251,12 +1249,6 @@ mod tests {
         assert!(std::mem::size_of::<TaskState>() <= 16);
     }
 
-    /// Every graph a thread's memo keeps alive costs this per task.
-    #[test]
-    fn graph_task_fits_two_cache_lines() {
-        assert!(std::mem::size_of::<crate::task::Task>() <= 128);
-    }
-
     /// The graph's trace labels follow its mutations: a run after
     /// `add_data`, then after `add_task`, on a graph that has already run
     /// records the new labels, span for span and symbol for symbol as a
@@ -1312,7 +1304,7 @@ mod tests {
             let (x, text) = (s.subject as usize, out.trace.label(s.label));
             if s.kind == SpanKind::Kernel {
                 assert!(x < graph.len(), "{s:?}");
-                assert_eq!(text, graph.task(TaskId(x)).label.to_text());
+                assert_eq!(text, graph.label(TaskId(x)).to_text());
             } else {
                 assert!(x < graph.data().len(), "{s:?}");
                 let info = graph.data().info(HandleId(x));

@@ -1,10 +1,8 @@
 //! Tasks: the unit of scheduling of the XKaapi-like runtime.
 
-use xk_kernels::perfmodel::TileOp;
-
 use crate::data::HandleId;
 
-/// Task identifier (index into the graph's task table).
+/// Task identifier (a row of the graph's task columns).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct TaskId(pub usize);
 
@@ -40,128 +38,6 @@ pub struct TaskAccess {
     pub access: Access,
 }
 
-/// Number of accesses stored inline in [`TaskAccesses`]. Every BLAS-3 tile
-/// task touches at most three tiles (two reads plus the output), and the
-/// per-tile coherency flushes touch one; four covers them all without a
-/// heap allocation.
-pub(crate) const INLINE_ACCESSES: usize = 3;
-
-/// The access list of a task.
-///
-/// Small lists (the steady state of the tiled builders) live inline in the
-/// task; longer lists — multi-handle flushes, hand-built test graphs —
-/// spill to the heap. This is what makes task submission allocation-free:
-/// the old `Vec<TaskAccess>` per task was one of the four per-task heap
-/// allocations the CSR graph rework removed.
-#[derive(Clone, Debug)]
-pub enum TaskAccesses {
-    /// Up to `INLINE_ACCESSES` accesses stored in place.
-    Inline {
-        /// Number of live entries in `buf`.
-        len: u8,
-        /// Inline storage; entries past `len` are unspecified.
-        buf: [TaskAccess; INLINE_ACCESSES],
-    },
-    /// More than `INLINE_ACCESSES` accesses, heap-allocated.
-    Heap(Vec<TaskAccess>),
-}
-
-impl TaskAccesses {
-    /// Empty access list.
-    pub(crate) const fn empty() -> Self {
-        const NO_ACCESS: TaskAccess = TaskAccess {
-            handle: HandleId(0),
-            access: Access::Read,
-        };
-        TaskAccesses::Inline {
-            len: 0,
-            buf: [NO_ACCESS; INLINE_ACCESSES],
-        }
-    }
-
-    /// The accesses as a slice, in declaration order.
-    pub fn as_slice(&self) -> &[TaskAccess] {
-        match self {
-            TaskAccesses::Inline { len, buf } => &buf[..*len as usize],
-            TaskAccesses::Heap(v) => v,
-        }
-    }
-}
-
-impl Default for TaskAccesses {
-    fn default() -> Self {
-        TaskAccesses::empty()
-    }
-}
-
-impl std::ops::Deref for TaskAccesses {
-    type Target = [TaskAccess];
-    fn deref(&self) -> &[TaskAccess] {
-        self.as_slice()
-    }
-}
-
-impl From<&[TaskAccess]> for TaskAccesses {
-    fn from(s: &[TaskAccess]) -> Self {
-        if s.len() <= INLINE_ACCESSES {
-            let mut out = TaskAccesses::empty();
-            if let TaskAccesses::Inline { len, buf } = &mut out {
-                buf[..s.len()].copy_from_slice(s);
-                *len = s.len() as u8;
-            }
-            out
-        } else {
-            TaskAccesses::Heap(s.to_vec())
-        }
-    }
-}
-
-impl<const N: usize> From<[TaskAccess; N]> for TaskAccesses {
-    fn from(s: [TaskAccess; N]) -> Self {
-        TaskAccesses::from(&s[..])
-    }
-}
-
-impl From<Vec<TaskAccess>> for TaskAccesses {
-    fn from(v: Vec<TaskAccess>) -> Self {
-        if v.len() <= INLINE_ACCESSES {
-            TaskAccesses::from(&v[..])
-        } else {
-            TaskAccesses::Heap(v)
-        }
-    }
-}
-
-impl FromIterator<TaskAccess> for TaskAccesses {
-    fn from_iter<I: IntoIterator<Item = TaskAccess>>(iter: I) -> Self {
-        let mut out = TaskAccesses::empty();
-        for acc in iter {
-            match &mut out {
-                TaskAccesses::Inline { len, buf } => {
-                    if (*len as usize) < INLINE_ACCESSES {
-                        buf[*len as usize] = acc;
-                        *len += 1;
-                    } else {
-                        let mut v = buf.to_vec();
-                        v.push(acc);
-                        out = TaskAccesses::Heap(v);
-                    }
-                }
-                TaskAccesses::Heap(v) => v.push(acc),
-            }
-        }
-        out
-    }
-}
-
-impl<'a> IntoIterator for &'a TaskAccesses {
-    type Item = &'a TaskAccess;
-    type IntoIter = std::slice::Iter<'a, TaskAccess>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
 /// What a task is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TaskKind {
@@ -178,9 +54,9 @@ pub enum TaskKind {
 /// The tiled builders submit hundreds of thousands of tasks whose labels
 /// all follow a handful of `"<verb> <obj>(<i>,<j>)"` patterns. Rendering
 /// the text at submission time (`format!` per task, as the seed did) costs
-/// a heap allocation on the hottest path of the library; storing the
-/// *pattern* costs nothing and renders the identical text on demand —
-/// once per distinct pattern when the graph builds the label table its
+/// a heap allocation on the hottest path of the library; the graph keeps
+/// each distinct *pattern* once and renders the identical text on demand —
+/// once per pattern when the graph builds the label table its
 /// runs' [`xk_trace::Trace`]s share, or never at all under the numeric
 /// executor, which doesn't trace.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
@@ -283,51 +159,10 @@ impl From<&str> for TaskLabel {
 /// access to written tiles at execution time.
 pub type TaskBody = Box<dyn FnOnce() + Send + Sync>;
 
-/// A runtime task. Its [`TaskId`] is its index in the graph's task table;
-/// a numeric body, if any, sits in the graph's side table (see
-/// [`crate::TaskGraph::add_task_with_body`]).
-#[derive(Debug)]
-pub struct Task {
-    /// Kernel vs flush.
-    pub kind: TaskKind,
-    /// Shape fed to the GPU performance model (kernels only).
-    pub op: Option<TileOp>,
-    /// Data accesses, in declaration order. The *first written* handle is
-    /// the task's "owner tile" for owner-computes scheduling.
-    pub accesses: TaskAccesses,
-    /// Lazily-rendered label for traces (e.g. `"gemm C(1,2)"`).
-    pub label: TaskLabel,
-}
-
-impl Task {
-    /// The first handle this task writes, if any (owner-computes anchor).
-    pub(crate) fn owner_handle(&self) -> Option<HandleId> {
-        self.accesses
-            .iter()
-            .find(|a| a.access.writes())
-            .map(|a| a.handle)
-    }
-
-    /// Handles that must be resident (and valid) before the kernel starts.
-    pub fn read_handles(&self) -> impl Iterator<Item = HandleId> + '_ {
-        self.accesses
-            .iter()
-            .filter(|a| a.access.reads())
-            .map(|a| a.handle)
-    }
-
-    /// Handles written by this task.
-    pub fn written_handles(&self) -> impl Iterator<Item = HandleId> + '_ {
-        self.accesses
-            .iter()
-            .filter(|a| a.access.writes())
-            .map(|a| a.handle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xk_kernels::perfmodel::TileOp;
 
     #[test]
     fn access_predicates() {
@@ -338,37 +173,17 @@ mod tests {
 
     #[test]
     fn owner_is_first_written_handle() {
-        let t = Task {
-            kind: TaskKind::Kernel,
-            op: None,
-            accesses: vec![
-                TaskAccess { handle: HandleId(7), access: Access::Read },
-                TaskAccess { handle: HandleId(9), access: Access::ReadWrite },
-                TaskAccess { handle: HandleId(3), access: Access::Write },
-            ]
-            .into(),
-            label: TaskLabel::None,
-        };
-        assert_eq!(t.owner_handle(), Some(HandleId(9)));
-        assert_eq!(t.read_handles().collect::<Vec<_>>(), vec![HandleId(7), HandleId(9)]);
-        assert_eq!(t.written_handles().collect::<Vec<_>>(), vec![HandleId(9), HandleId(3)]);
-    }
-
-    #[test]
-    fn accesses_inline_then_spill() {
-        let acc = |h: usize| TaskAccess { handle: HandleId(h), access: Access::Read };
-        let small = TaskAccesses::from([acc(0), acc(1), acc(2)]);
-        assert!(matches!(small, TaskAccesses::Inline { len: 3, .. }));
-        assert_eq!(small.len(), 3);
-        assert_eq!(small[1].handle, HandleId(1));
-
-        let big: TaskAccesses = (0..6).map(acc).collect();
-        assert!(matches!(big, TaskAccesses::Heap(_)));
-        assert_eq!(big.len(), 6);
-        assert_eq!(big.as_slice()[5].handle, HandleId(5));
-
-        let from_vec = TaskAccesses::from(vec![acc(0); 2]);
-        assert!(matches!(from_vec, TaskAccesses::Inline { len: 2, .. }));
+        let mut g = crate::TaskGraph::new();
+        let h: Vec<HandleId> = (0..10).map(|i| g.add_host_tile(64, false, format!("h{i}"))).collect();
+        let acc = |i: usize, access| TaskAccess { handle: h[i], access };
+        let t = g.add_task(
+            TileOp::Gemm { m: 4, n: 4, k: 4 },
+            [acc(7, Access::Read), acc(9, Access::ReadWrite), acc(3, Access::Write)],
+            TaskLabel::None,
+        );
+        assert_eq!(g.owner_handle(t), Some(h[9]));
+        assert_eq!(g.read_handles(t).collect::<Vec<_>>(), vec![h[7], h[9]]);
+        assert_eq!(g.written_handles(t).collect::<Vec<_>>(), vec![h[9], h[3]]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use xk_runtime::heuristics::{select_source, SourceDecision};
 use xk_runtime::sched::{Placement, SchedView};
 use xk_runtime::{
     Access, DataInfo, HandleId, Heuristics, ReplicaState, SchedulerKind, SoftwareCache,
-    TaskAccess, TaskGraph,
+    TaskAccess, TaskGraph, TaskId,
 };
 use xk_sim::SimTime;
 use xk_topo::builders::pcie_only;
@@ -54,13 +54,14 @@ fn random_state(rng: &mut SplitMix64, n_gpus: usize) -> (TaskGraph, SoftwareCach
 /// dmdas as the textbook states it: per candidate GPU, every missing input
 /// costs a transfer from its fastest valid holder (first of equals), else
 /// from the host.
-fn dmdas_reference(task: &xk_runtime::Task, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
-    let kernel = task.op.map(|op| GpuModel::v100().kernel_time(op)).unwrap_or(0.0);
+fn dmdas_reference(task: TaskId, graph: &TaskGraph, view: &SchedView<'_>) -> usize {
+    let kernel = graph.op(task).map(|op| GpuModel::v100().kernel_time(op)).unwrap_or(0.0);
     let mut best = 0usize;
     let mut best_cost = f64::INFINITY;
     for g in 0..view.gpu_available.len() {
         let mut transfer = 0.0;
-        for h in task.read_handles() {
+        let reads = graph.accesses(task).filter(|a| a.access.reads()).map(|a| a.handle);
+        for h in reads {
             if view.cache.valid_on(h, g, view.now) {
                 continue;
             }
@@ -89,8 +90,8 @@ fn dmdas_assign_matches_the_textbook_formula() {
         let n = topo.n_gpus();
         for_each_seed(24, |rng| {
             let (mut graph, cache) = random_state(rng, n);
-            // One to five accesses per task: the inline and the spilled
-            // access list, reads and read-writes mixed with pure writes.
+            // One to five accesses per task, reads and read-writes mixed
+            // with pure writes.
             let tasks: Vec<_> = (0..16)
                 .map(|_| {
                     let accesses: Vec<TaskAccess> = (0..rng.usize_in(1, 6))
@@ -118,10 +119,9 @@ fn dmdas_assign_matches_the_textbook_formula() {
             };
             let mut dmdas = Placement::new(SchedulerKind::Dmdas);
             for &t in &tasks {
-                let task = graph.task(t);
                 assert_eq!(
-                    dmdas.assign(task, &graph, &view),
-                    dmdas_reference(task, &graph, &view),
+                    dmdas.assign(t, &graph, &view),
+                    dmdas_reference(t, &graph, &view),
                     "{}: task {t:?}",
                     topo.name()
                 );

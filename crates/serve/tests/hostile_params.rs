@@ -101,3 +101,26 @@ fn a_batch_with_hostile_members_answers_every_slot() {
     assert_eq!(after.misses, before.misses);
     assert_eq!(after.hits - before.hits, queries.len() as u64);
 }
+
+/// All ten configurations of the paper's comparison.
+fn all_ten() -> impl Iterator<Item = Library> {
+    let ablations = [XkVariant::NoHeuristic, XkVariant::NoHeuristicNoTopo];
+    Library::FIG5.into_iter().chain(ablations.map(Library::XkBlas))
+}
+
+/// GEMM at n = tile = 65 536: one tile is 32 GiB, and a task needs three
+/// of them (the runtime's A, B and C tiles; a stream driver's three blocks)
+/// on one 32 GiB GPU. Every configuration refuses it, alone or batched.
+#[test]
+fn a_tile_no_gpu_can_hold_is_out_of_memory_everywhere() {
+    let queries: Vec<Query> = all_ten().map(|lib| Query::exact(lib, gemm(1 << 16, 1 << 16))).collect();
+    assert_eq!(queries.len(), 10);
+    let engine = ServeEngine::new(dgx1());
+    for q in &queries {
+        assert_eq!(engine.query(*q).err(), Some(RunError::OutOfMemory), "{q:?}");
+    }
+    let batched = ServeEngine::new(dgx1()).query_batch(&queries, 2);
+    for (q, a) in queries.iter().zip(batched) {
+        assert_eq!(a.err(), Some(RunError::OutOfMemory), "{q:?}");
+    }
+}

@@ -4,7 +4,7 @@
 
 use xkblas_repro::baselines::{build_run_graph, RunParams};
 use xkblas_repro::prelude::*;
-use xkblas_repro::runtime::{LinkFault, TaskKind};
+use xkblas_repro::runtime::{LinkFault, TaskId, TaskKind};
 
 fn params(routine: Routine, n: usize, tile: usize) -> RunParams {
     RunParams {
@@ -16,8 +16,8 @@ fn params(routine: Routine, n: usize, tile: usize) -> RunParams {
 }
 
 /// N = 5000 under 1024-tiles leaves a 904-wide ragged edge, so every routine
-/// interleaves several tile shapes and the one-entry memo of
-/// `TaskGraph::kernel_seconds` is hit, missed and re-primed repeatedly.
+/// interleaves several tile shapes: `TaskGraph::kernel_seconds` indexes its
+/// per-shape table from every entry of the graph's op palette.
 #[test]
 fn kernel_seconds_is_the_model_bit_for_bit_on_ragged_graphs() {
     let topo = dgx1();
@@ -27,11 +27,11 @@ fn kernel_seconds_is_the_model_bit_for_bit_on_ragged_graphs() {
         let table = graph.kernel_seconds(&cfg.gpu_model);
         assert_eq!(table.len(), graph.len());
         let mut flushes = 0;
-        for (id, (task, &seconds)) in graph.tasks().iter().zip(&table).enumerate() {
-            let expected = match task.op {
+        for (id, &seconds) in table.iter().enumerate() {
+            let expected = match graph.op(TaskId(id)) {
                 Some(op) => cfg.gpu_model.kernel_time(op),
                 None => {
-                    assert_eq!(task.kind, TaskKind::Flush);
+                    assert_eq!(graph.kind(TaskId(id)), TaskKind::Flush);
                     flushes += 1;
                     0.0
                 }
